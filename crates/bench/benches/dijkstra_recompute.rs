@@ -1,7 +1,8 @@
-//! Shortest-path maintenance cost under topology churn: a full Dijkstra
-//! recompute per origin versus the indexed table's cached query, and the
-//! payoff of selective link-down invalidation (only origins whose tree used
-//! the failed link recompute; the rest answer from cache).
+//! Shortest-path maintenance cost under topology churn: building one
+//! destination-rooted tree (a Dijkstra plus a DFS, answering every origin)
+//! versus a cached query, and the payoff of selective link-down
+//! invalidation (only the trees that used the failed link are rebuilt; the
+//! rest keep answering from cache).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use netsim::routing::Routing;
@@ -22,7 +23,7 @@ fn bench_recompute(c: &mut Criterion) {
         let dest = *gt.hosts.last().unwrap();
 
         g.throughput(Throughput::Elements(1));
-        g.bench_with_input(BenchmarkId::new("full_sssp", n), &n, |b, _| {
+        g.bench_with_input(BenchmarkId::new("cold_tree_build", n), &n, |b, _| {
             let mut r = Routing::new();
             b.iter(|| {
                 r.invalidate();
@@ -39,41 +40,45 @@ fn bench_recompute(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm every router origin, kill one link, then re-answer every origin:
-/// `invalidate_link` recomputes only the origins whose tree used the link,
-/// `invalidate` recomputes all of them.
+/// Warm the trees toward sixteen destinations, kill one link, then re-answer
+/// every router origin toward each of them: `invalidate_link` rebuilds only
+/// the trees that used the link (plus the link's two endpoint trees, for the
+/// simulated SPF count), `invalidate` rebuilds all sixteen.
 fn bench_invalidation(c: &mut Criterion) {
     let mut g = c.benchmark_group("dijkstra/link_down");
     g.sample_size(20);
     let n = 200usize;
     let gt = topo(n);
-    let dest = *gt.hosts.last().unwrap();
+    let dests = &gt.hosts[..16];
+    let answer_all = |r: &mut Routing| {
+        for &d in dests {
+            for &o in &gt.routers {
+                r.next_hop(&gt.topo, o, d);
+            }
+        }
+    };
     let warm = || {
         let mut r = Routing::new();
-        for &o in &gt.routers {
-            r.next_hop(&gt.topo, o, dest);
-        }
+        answer_all(&mut r);
         r
     };
     // Links are created spanning-tree first, then the redundant "extra"
     // shortcut edges, then host attachments; kill an extra edge — the case
-    // where only the origins whose tree adopted the shortcut must recompute.
+    // where only the trees that adopted the shortcut must be rebuilt.
     let link = LinkId(n as u32);
-    g.throughput(Throughput::Elements(gt.routers.len() as u64));
+    g.throughput(Throughput::Elements((dests.len() * gt.routers.len()) as u64));
     for (label, selective) in [("selective", true), ("full_flush", false)] {
         g.bench_function(BenchmarkId::new(label, n), |b| {
             b.iter_batched(
                 warm,
                 |mut r| {
                     if selective {
-                        r.invalidate_link(black_box(link));
+                        r.invalidate_link(&gt.topo, black_box(link));
                     } else {
                         r.invalidate();
                     }
-                    for &o in &gt.routers {
-                        r.next_hop(&gt.topo, o, dest);
-                    }
-                    r.compute_count()
+                    answer_all(&mut r);
+                    r.tree_build_count()
                 },
                 BatchSize::SmallInput,
             )

@@ -2262,10 +2262,10 @@ impl Sim {
                             w.routing.invalidate();
                         }
                     } else {
-                        // A removed link only perturbs origins whose
-                        // shortest-path tree actually crossed it.
+                        // A removed link only perturbs the shortest-path
+                        // trees that actually crossed it.
                         for w in &mut self.worlds {
-                            w.routing.invalidate_link(link);
+                            w.routing.invalidate_link(&self.shared.topo, link);
                         }
                     }
                     let endpoints: Vec<(NodeId, IfaceId)> =

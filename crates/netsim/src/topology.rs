@@ -59,6 +59,9 @@ pub struct LinkSpec {
     /// abstracted away, as §3.2's TCP mode assumes).
     pub loss: f64,
     /// Routing metric (unicast shortest paths minimize the metric sum).
+    /// Must be at least 1: [`Topology::connect`] and [`Topology::add_lan`]
+    /// reject 0 with [`TopoError::ZeroMetric`], because `netsim::routing`
+    /// relies on every hop strictly increasing the distance.
     pub metric: u32,
 }
 
@@ -103,6 +106,8 @@ pub enum TopoError {
     NoSuchLink(LinkId),
     /// A node/interface pair that does not exist.
     NoSuchInterface(NodeId, IfaceId),
+    /// A link was specified with routing metric 0 (the minimum is 1).
+    ZeroMetric,
 }
 
 impl core::fmt::Display for TopoError {
@@ -112,6 +117,7 @@ impl core::fmt::Display for TopoError {
             TopoError::NoSuchNode(n) => write!(f, "no such node {n}"),
             TopoError::NoSuchLink(l) => write!(f, "no such link {l}"),
             TopoError::NoSuchInterface(n, i) => write!(f, "no such interface {n}/{i}"),
+            TopoError::ZeroMetric => write!(f, "link metric must be at least 1"),
         }
     }
 }
@@ -323,11 +329,15 @@ impl Topology {
     /// Connect two nodes with a point-to-point link, allocating one
     /// interface on each; returns the link id.
     ///
-    /// On error the link id is still consumed (a dead, endpoint-less link
-    /// remains) — callers that resample on failure, like the random
-    /// topology generators, rely on this id-assignment behavior staying
-    /// stable across layout changes.
+    /// On an interface error the link id is still consumed (a dead,
+    /// endpoint-less link remains) — callers that resample on failure, like
+    /// the random topology generators, rely on this id-assignment behavior
+    /// staying stable across layout changes. A zero `spec.metric` is
+    /// rejected before anything is consumed.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> Result<LinkId, TopoError> {
+        if spec.metric == 0 {
+            return Err(TopoError::ZeroMetric);
+        }
         let link = LinkId(self.link_specs.len() as u32);
         // Reserve the link slot first so `attach` records a valid id.
         self.link_specs.push(spec);
@@ -349,6 +359,9 @@ impl Topology {
     /// returns the link id. Datagrams sent to a multicast destination on a
     /// LAN reach every attached node except the sender.
     pub fn add_lan(&mut self, members: &[NodeId], spec: LinkSpec) -> Result<LinkId, TopoError> {
+        if spec.metric == 0 {
+            return Err(TopoError::ZeroMetric);
+        }
         let link = LinkId(self.link_specs.len() as u32);
         self.link_specs.push(spec);
         self.link_state.push(true);
@@ -468,6 +481,18 @@ mod tests {
         for i in 0..32u8 {
             assert_eq!(t.link_of(hub, IfaceId(i)).unwrap(), LinkId(i as u32));
         }
+    }
+
+    #[test]
+    fn zero_metric_is_rejected_and_consumes_nothing() {
+        let mut t = Topology::new();
+        let a = t.add_router();
+        let b = t.add_router();
+        let free = LinkSpec { metric: 0, ..Default::default() };
+        assert_eq!(t.connect(a, b, free), Err(TopoError::ZeroMetric));
+        assert_eq!(t.add_lan(&[a, b], free), Err(TopoError::ZeroMetric));
+        assert_eq!((t.link_count(), t.iface_count(a)), (0, 0));
+        assert_eq!(t.connect(a, b, LinkSpec::default()), Ok(LinkId(0)));
     }
 
     #[test]
