@@ -109,35 +109,39 @@ impl Fib {
     /// The forwarding decision of §3.4 for a packet on `channel` arriving
     /// on interface `in_iface`; updates the counters.
     pub fn lookup(&mut self, channel: Channel, in_iface: u8) -> Forward {
-        if let Some((c, e)) = &self.cached {
-            if *c == channel {
-                let e = *e;
-                return self.decide(&e, in_iface);
-            }
-        }
-        match self.entries.get(&channel) {
-            None => {
-                self.counters.no_entry_drops += 1;
-                Forward::NoEntry
-            }
-            Some(e) => {
-                let e = *e;
-                self.cached = Some((channel, e));
-                self.decide(&e, in_iface)
-            }
+        let decision = self.decide(channel, in_iface);
+        self.record(decision);
+        decision
+    }
+
+    /// The §3.4 decision alone, uncounted: the router has a say of its own
+    /// (TTL expiry) before a packet counts as forwarded, and hands the
+    /// outcome it settled on to [`record`](Self::record).
+    pub(crate) fn decide(&mut self, channel: Channel, in_iface: u8) -> Forward {
+        let e = match self.cached {
+            Some((c, e)) if c == channel => e,
+            _ => match self.entries.get(&channel) {
+                None => return Forward::NoEntry,
+                Some(&e) => {
+                    self.cached = Some((channel, e));
+                    e
+                }
+            },
+        };
+        if e.in_iface() != in_iface {
+            Forward::WrongInterface
+        } else {
+            // Defensive: never reflect out the arrival interface.
+            Forward::To(e.oif_mask() & !(1u32 << in_iface))
         }
     }
 
-    /// The RPF check + out-mask computation shared by the cached and
-    /// probed lookup paths.
-    fn decide(&mut self, e: &FibEntry, in_iface: u8) -> Forward {
-        if e.in_iface() != in_iface {
-            self.counters.rpf_drops += 1;
-            Forward::WrongInterface
-        } else {
-            self.counters.forwarded += 1;
-            // Defensive: never reflect out the arrival interface.
-            Forward::To(e.oif_mask() & !(1u32 << in_iface))
+    /// Count one packet handled per `decision`.
+    pub(crate) fn record(&mut self, decision: Forward) {
+        match decision {
+            Forward::To(_) => self.counters.forwarded += 1,
+            Forward::NoEntry => self.counters.no_entry_drops += 1,
+            Forward::WrongInterface => self.counters.rpf_drops += 1,
         }
     }
 

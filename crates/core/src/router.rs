@@ -23,11 +23,12 @@
 //!   with hysteresis against route oscillation.
 //! * **Forwarding** (§3.4): exact (S,E) match, incoming-interface check,
 //!   count-and-drop on miss, subcast decapsulation (§2.1), plus plain
-//!   unicast forwarding for the substrate.
+//!   unicast forwarding for the substrate — the forwarding plane, in the
+//!   `forward` submodule; everything else here is the control plane.
 //! * **Proactive counting** (§6): curve-driven upstream updates.
 
 use crate::counting::{decrement_timeout, PendingCount, ReplyTo};
-use crate::fib::{Fib, Forward};
+use crate::fib::Fib;
 use crate::packets::{self, Classified, EcmpMode};
 use crate::proactive::{ErrorToleranceCurve, ProactiveState};
 use express_wire::addr::{Channel, Ipv4Addr};
@@ -36,17 +37,19 @@ use express_wire::ecmp::{
     ResponseStatus,
 };
 use express_wire::fib::FibEntry;
-use express_wire::ipv4::{self, Ipv4Repr};
 use netsim::audit::{AuditNodeState, AuditRoute};
 use netsim::engine::{Agent, Ctx, Payload, Reliability, Tx};
 use netsim::id::{IfaceId, NodeId};
 use netsim::topology::Topology;
-use netsim::stats::{CounterId, TrafficClass};
+use netsim::stats::TrafficClass;
 use netsim::time::{SimDuration, SimTime};
 use netsim::transport::RttEstimator;
 use netsim::NodeKind;
 use std::any::Any;
 use std::collections::HashMap;
+
+mod forward;
+use forward::ForwardingPlane;
 
 /// Tunables for an ECMP router.
 #[derive(Debug, Clone, Copy)]
@@ -250,10 +253,12 @@ pub struct RouterCounters {
     pub rejoin_retries: u64,
 }
 
-/// The ECMP router agent.
-pub struct EcmpRouter {
-    cfg: RouterConfig,
-    fib: Fib,
+/// The control plane: everything ECMP keeps beyond the FIB — the
+/// "management-level state" the paper's §5.2 prices apart from the fast
+/// path's memory. A router holds none until something needs it (see
+/// [`EcmpRouter`]).
+#[derive(Default)]
+struct ControlPlane {
     channels: HashMap<Channel, ChannelState>,
     pending: HashMap<(Channel, CountId), PendingCount>,
     pending_gen: u64,
@@ -267,22 +272,35 @@ pub struct EcmpRouter {
     txq: Vec<(IfaceId, Ipv4Addr, EcmpMessage)>,
     /// When the last neighbor probe went out on each interface.
     probe_sent: HashMap<IfaceId, SimTime>,
+}
+
+impl ControlPlane {
+    /// A fresh timer token standing for `purpose`.
+    fn timer_token(&mut self, purpose: TimerPurpose) -> u64 {
+        let token = self.next_timer;
+        self.next_timer += 1;
+        self.timer_meta.insert(token, purpose);
+        token
+    }
+}
+
+/// The ECMP router agent.
+///
+/// Two planes, as in the paper's cost model: the forwarding plane (§5.1's
+/// fast-path memory) is all a data packet reads or writes and is held
+/// inline; the control plane (§5.2's management state) is allocated by the
+/// first ECMP message, armed timer or locally initiated count, and until
+/// then stands for an empty one — a router given only static routes never
+/// has it.
+pub struct EcmpRouter {
+    cfg: RouterConfig,
+    fwd: ForwardingPlane,
+    /// `None` ≡ empty: no channel, pending count, timer or neighbor.
+    ctl: Option<Box<ControlPlane>>,
     /// Locally-initiated count results (router-initiated queries, §3.1).
     pub local_results: Vec<(SimTime, Channel, CountId, u64)>,
     /// Experiment counters.
     pub counters: RouterCounters,
-    /// Interned handles for the per-packet counters, registered in
-    /// `on_start` so the forwarding fast path bumps by array index.
-    hot: Option<HotCounters>,
-    /// Recycled forwarding buffers (see [`PayloadPool`]).
-    fwd_pool: PayloadPool,
-}
-
-/// Pre-registered [`CounterId`]s for the counters on the data fast path.
-#[derive(Debug, Clone, Copy)]
-struct HotCounters {
-    data_fwd: CounterId,
-    subcast_fwd: CounterId,
 }
 
 impl EcmpRouter {
@@ -290,26 +308,16 @@ impl EcmpRouter {
     pub fn new(cfg: RouterConfig) -> Self {
         EcmpRouter {
             cfg,
-            fib: Fib::new(),
-            channels: HashMap::new(),
-            pending: HashMap::new(),
-            pending_gen: 0,
-            timer_meta: HashMap::new(),
-            next_timer: 0,
-            rtt: HashMap::new(),
-            neighbors: HashMap::new(),
-            txq: Vec::new(),
-            probe_sent: HashMap::new(),
+            fwd: ForwardingPlane::default(),
+            ctl: None,
             local_results: Vec::new(),
             counters: RouterCounters::default(),
-            hot: None,
-            fwd_pool: PayloadPool::default(),
         }
     }
 
     /// Read-only access to the FIB (memory accounting, experiments).
     pub fn fib(&self) -> &Fib {
-        &self.fib
+        &self.fwd.fib
     }
 
     /// Install a forwarding entry directly, bypassing the join protocol —
@@ -320,7 +328,7 @@ impl EcmpRouter {
     /// this way carry no channel soft state: they never expire, re-home, or
     /// propagate counts, exactly like a manually configured route.
     pub fn install_static_route(&mut self, entry: FibEntry) {
-        self.fib.install(entry);
+        self.fwd.fib.install(entry);
     }
 
     /// Skew the advertised upstream count for `channel` without
@@ -330,36 +338,45 @@ impl EcmpRouter {
     /// check fires. Negative-test hook only: real code paths always set
     /// `advertised` from the aggregate of validated downstream entries.
     pub fn skew_advertised_for_audit_test(&mut self, channel: Channel, delta: u64) {
-        if let Some(st) = self.channels.get_mut(&channel) {
+        if let Some(st) = self.ctl.as_mut().and_then(|c| c.channels.get_mut(&channel)) {
             st.advertised = st.advertised.saturating_add(delta);
         }
     }
 
+    /// The per-channel protocol state, if any was ever created.
+    fn channels(&self) -> Option<&HashMap<Channel, ChannelState>> {
+        self.ctl.as_ref().map(|c| &c.channels)
+    }
+
+    fn channel(&self, channel: Channel) -> Option<&ChannelState> {
+        self.channels()?.get(&channel)
+    }
+
     /// Number of channels with protocol state.
     pub fn channel_count(&self) -> usize {
-        self.channels.len()
+        self.channels().map_or(0, HashMap::len)
     }
 
     /// Total management-level state in bytes across channels (§5.2).
     pub fn mgmt_state_bytes(&self) -> usize {
-        self.channels.values().map(ChannelState::mgmt_state_bytes).sum()
+        self.channels()
+            .map_or(0, |m| m.values().map(ChannelState::mgmt_state_bytes).sum())
     }
 
     /// Does this router have tree state for `channel`?
     pub fn on_tree(&self, channel: Channel) -> bool {
-        self.channels.contains_key(&channel)
+        self.channel(channel).is_some()
     }
 
     /// The upstream neighbor currently used for `channel`.
     pub fn upstream_of(&self, channel: Channel) -> Option<Ipv4Addr> {
-        self.channels.get(&channel).and_then(|c| c.upstream.map(|(_, n)| n))
+        self.channel(channel).and_then(|c| c.upstream.map(|(_, n)| n))
     }
 
     /// Diagnostic view of a channel's downstream entries:
     /// `(neighbor, subtree count, validated)`.
     pub fn downstream_of(&self, channel: Channel) -> Vec<(Ipv4Addr, u64, bool)> {
-        self.channels
-            .get(&channel)
+        self.channel(channel)
             .map(|s| {
                 let mut v: Vec<_> = s
                     .downstream
@@ -375,7 +392,10 @@ impl EcmpRouter {
     /// EXPRESS neighbors discovered via the §3.3 probes:
     /// `(address, interface)` pairs, sorted by address.
     pub fn discovered_neighbors(&self) -> Vec<(Ipv4Addr, IfaceId)> {
-        let mut v: Vec<_> = self.neighbors.iter().map(|(a, (i, _))| (*a, *i)).collect();
+        let mut v: Vec<_> = self
+            .ctl
+            .as_ref()
+            .map_or_else(Vec::new, |c| c.neighbors.iter().map(|(a, (i, _))| (*a, *i)).collect());
         v.sort();
         v
     }
@@ -383,7 +403,7 @@ impl EcmpRouter {
     /// The smoothed RTT estimate toward `neighbor`, if any probe has been
     /// answered (feeds the §3.1 per-hop timeout decrement).
     pub fn rtt_to(&self, neighbor: Ipv4Addr) -> Option<SimDuration> {
-        self.rtt.get(&neighbor).filter(|e| e.has_sample()).map(|e| e.rtt())
+        self.ctl.as_ref()?.rtt.get(&neighbor).filter(|e| e.has_sample()).map(|e| e.rtt())
     }
 
     /// Schedule a router-initiated count (§3.1) on `node` at absolute time
@@ -400,16 +420,11 @@ impl EcmpRouter {
         timeout: SimDuration,
     ) {
         let router = sim.agent_as::<EcmpRouter>(node).expect("node agent is not an EcmpRouter");
-        let token = router.next_timer;
-        router.next_timer += 1;
-        router.timer_meta.insert(
-            token,
-            TimerPurpose::LocalCount {
-                channel,
-                count_id,
-                timeout,
-            },
-        );
+        let token = router.ctl.get_or_insert_with(Box::default).timer_token(TimerPurpose::LocalCount {
+            channel,
+            count_id,
+            timeout,
+        });
         sim.schedule_timer_at(node, at, token);
     }
 
@@ -418,6 +433,54 @@ impl EcmpRouter {
     /// cooperation") — e.g. counting the links a channel uses inside a
     /// transit domain. The result lands in [`local_results`](Self::local_results).
     pub fn initiate_count(&mut self, ctx: &mut Ctx<'_>, channel: Channel, count_id: CountId, timeout: SimDuration) {
+        self.control().initiate_count(ctx, channel, count_id, timeout);
+    }
+
+    /// The control plane as it stands: `None` while nothing has needed one,
+    /// which every caller treats as an empty one.
+    fn control_if_any(&mut self) -> Option<Control<'_>> {
+        Some(Control {
+            cfg: &self.cfg,
+            fwd: &mut self.fwd,
+            counters: &mut self.counters,
+            local_results: &mut self.local_results,
+            ctl: self.ctl.as_deref_mut()?,
+        })
+    }
+
+    /// The control plane, allocated here if this is the first use of it.
+    fn control(&mut self) -> Control<'_> {
+        self.ctl.get_or_insert_with(Box::default);
+        self.control_if_any().expect("allocated above")
+    }
+}
+
+/// The neighbor mode of an interface: LAN ⇒ UDP edge mode, p2p ⇒ TCP
+/// core mode, unless overridden.
+fn iface_mode(cfg: &RouterConfig, ctx: &Ctx<'_>, iface: IfaceId) -> EcmpMode {
+    if let Some(m) = cfg.mode_override {
+        return m;
+    }
+    let node = ctx.node_id();
+    match ctx.topology().link_of(node, iface) {
+        Ok(link) if ctx.topology().link_endpoints(link).len() > 2 => EcmpMode::Udp,
+        _ => EcmpMode::Tcp,
+    }
+}
+
+/// What a control-plane handler works on: the router's control plane, now
+/// known to exist, beside the rest of the router it reads and updates.
+struct Control<'a> {
+    cfg: &'a RouterConfig,
+    fwd: &'a mut ForwardingPlane,
+    counters: &'a mut RouterCounters,
+    local_results: &'a mut Vec<(SimTime, Channel, CountId, u64)>,
+    ctl: &'a mut ControlPlane,
+}
+
+impl Control<'_> {
+    /// See [`EcmpRouter::initiate_count`].
+    fn initiate_count(&mut self, ctx: &mut Ctx<'_>, channel: Channel, count_id: CountId, timeout: SimDuration) {
         let q = CountQuery {
             channel,
             count_id,
@@ -427,26 +490,9 @@ impl EcmpRouter {
         self.start_aggregation(ctx, q, ReplyTo::Local);
     }
 
-    // ---- internals -------------------------------------------------------
-
     fn alloc_timer(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, purpose: TimerPurpose) {
-        let token = self.next_timer;
-        self.next_timer += 1;
-        self.timer_meta.insert(token, purpose);
+        let token = self.ctl.timer_token(purpose);
         ctx.set_timer(delay, token);
-    }
-
-    /// The neighbor mode of an interface: LAN ⇒ UDP edge mode, p2p ⇒ TCP
-    /// core mode, unless overridden.
-    fn iface_mode(&self, ctx: &Ctx<'_>, iface: IfaceId) -> EcmpMode {
-        if let Some(m) = self.cfg.mode_override {
-            return m;
-        }
-        let node = ctx.node_id();
-        match ctx.topology().link_of(node, iface) {
-            Ok(link) if ctx.topology().link_endpoints(link).len() > 2 => EcmpMode::Udp,
-            _ => EcmpMode::Tcp,
-        }
     }
 
     /// Queue a unicast ECMP message for `to` out `iface`. Messages queued
@@ -472,17 +518,17 @@ impl EcmpRouter {
             }
             EcmpMessage::CountResponse(_) => ctx.count("ecmp.response_tx", 1),
         }
-        self.txq.push((iface, to, msg));
+        self.ctl.txq.push((iface, to, msg));
     }
 
     /// Transmit everything queued by [`send_ecmp`](Self::send_ecmp),
     /// batching per (interface, neighbor). Called at the end of every agent
-    /// callback.
+    /// callback that ran a control-plane handler.
     fn flush_tx(&mut self, ctx: &mut Ctx<'_>) {
-        if self.txq.is_empty() {
+        if self.ctl.txq.is_empty() {
             return;
         }
-        let txq = std::mem::take(&mut self.txq);
+        let txq = std::mem::take(&mut self.ctl.txq);
         // Group by destination, preserving per-destination order.
         let mut groups: Vec<((IfaceId, Ipv4Addr), Vec<EcmpMessage>)> = Vec::new();
         for (iface, to, msg) in txq {
@@ -492,7 +538,7 @@ impl EcmpRouter {
             }
         }
         for ((iface, to), mut msgs) in groups {
-            let mode = self.iface_mode(ctx, iface);
+            let mode = iface_mode(self.cfg, ctx, iface);
             let rel = match mode {
                 EcmpMode::Tcp => Reliability::Reliable,
                 EcmpMode::Udp => Reliability::Datagram,
@@ -527,24 +573,24 @@ impl EcmpRouter {
     }
 
     fn state_mut(&mut self, channel: Channel) -> &mut ChannelState {
-        self.channels.entry(channel).or_insert_with(ChannelState::new)
+        self.ctl.channels.entry(channel).or_insert_with(ChannelState::new)
     }
 
     /// Recompute the FIB entry for a channel from its state; remove state
     /// entirely when the last subscriber is gone.
     fn sync_fib(&mut self, channel: Channel) {
-        let Some(st) = self.channels.get(&channel) else {
-            self.fib.remove(channel);
+        let Some(st) = self.ctl.channels.get(&channel) else {
+            self.fwd.fib.remove(channel);
             return;
         };
         let mask = st.oif_mask();
         if mask == 0 && st.aggregate() == 0 {
-            self.fib.remove(channel);
+            self.fwd.fib.remove(channel);
             return;
         }
         let in_iface = st.upstream.map(|(i, _)| i.0).unwrap_or(0);
         if let Ok(e) = FibEntry::new(channel, in_iface, mask) {
-            self.fib.install(e);
+            self.fwd.fib.install(e);
         }
     }
 
@@ -552,7 +598,7 @@ impl EcmpRouter {
     /// condition or the proactive curve says so.
     fn propagate_upstream(&mut self, ctx: &mut Ctx<'_>, channel: Channel) {
         let now = ctx.now();
-        let Some(st) = self.channels.get_mut(&channel) else { return };
+        let Some(st) = self.ctl.channels.get_mut(&channel) else { return };
         let agg = st.aggregate();
         let Some((up_iface, up_addr)) = st.upstream else { return };
 
@@ -593,12 +639,12 @@ impl EcmpRouter {
         };
 
         if let Some(v) = value_to_send {
-            if let Some(st) = self.channels.get_mut(&channel) {
+            if let Some(st) = self.ctl.channels.get_mut(&channel) {
                 st.advertised = v;
             }
             // Forward the strongest key we have (first-join carries the
             // subscriber's key so upstream can validate).
-            let key = self.channels.get(&channel).and_then(|s| s.cached_key);
+            let key = self.ctl.channels.get(&channel).and_then(|s| s.cached_key);
             let msg = EcmpMessage::from(Count {
                 channel,
                 count_id: CountId::SUBSCRIBERS,
@@ -609,9 +655,9 @@ impl EcmpRouter {
         }
 
         // Tear down state when fully pruned and nothing pending.
-        if let Some(st) = self.channels.get(&channel) {
+        if let Some(st) = self.ctl.channels.get(&channel) {
             if st.aggregate() == 0 && st.advertised == 0 && st.awaiting_validation.is_empty() {
-                self.channels.remove(&channel);
+                self.ctl.channels.remove(&channel);
             }
         }
         self.sync_fib(channel);
@@ -622,7 +668,7 @@ impl EcmpRouter {
     /// send when the error tolerance curve permits.
     fn propagate_generic_proactive(&mut self, ctx: &mut Ctx<'_>, channel: Channel, count_id: CountId) {
         let now = ctx.now();
-        let Some(st) = self.channels.get_mut(&channel) else { return };
+        let Some(st) = self.ctl.channels.get_mut(&channel) else { return };
         let Some((up_iface, up_addr)) = st.upstream else { return };
         let aggregate: u64 = st
             .proactive_values
@@ -660,7 +706,7 @@ impl EcmpRouter {
 
     /// Establish (or look up) the upstream for a channel via RPF.
     fn ensure_upstream(&mut self, ctx: &mut Ctx<'_>, channel: Channel) -> Option<(IfaceId, Ipv4Addr)> {
-        if let Some(st) = self.channels.get(&channel) {
+        if let Some(st) = self.ctl.channels.get(&channel) {
             if let Some(up) = st.upstream {
                 return Some(up);
             }
@@ -684,7 +730,7 @@ impl EcmpRouter {
         // stale reverse relationship it held with us (§3.2 re-homing sends
         // "a zero Count message to the old upstream router"). Dropping it
         // would leave a phantom downstream entry and a parent/child cycle.
-        if let Some(st) = self.channels.get(&channel) {
+        if let Some(st) = self.ctl.channels.get(&channel) {
             if st.upstream.map(|(_, n)| n) == Some(from) && c.count != 0 {
                 return;
             }
@@ -707,7 +753,7 @@ impl EcmpRouter {
         // until the CountResponse returns. Unauthenticated requests are
         // validated immediately (a router that *knows* the channel requires
         // a key — has one cached — rejects keyless joins).
-        let cached = self.channels.get(&channel).and_then(|s| s.cached_key);
+        let cached = self.ctl.channels.get(&channel).and_then(|s| s.cached_key);
         let (validated, reject) = match (cached, c.key) {
             (Some(k), Some(pk)) => (k == pk, k != pk),
             (Some(_), None) => (false, true),
@@ -764,7 +810,7 @@ impl EcmpRouter {
             }
             // §3.2: on a UDP interface, a zero Count triggers a re-query so
             // remaining LAN members re-report (no suppression, like IGMPv3).
-            if self.iface_mode(ctx, iface) == EcmpMode::Udp {
+            if iface_mode(self.cfg, ctx, iface) == EcmpMode::Udp {
                 let q = EcmpMessage::from(CountQuery {
                     channel,
                     count_id: CountId::SUBSCRIBERS,
@@ -781,6 +827,7 @@ impl EcmpRouter {
                 // §6: a proactive request "is propagated to all routers in
                 // the multicast tree" — including branches that join later.
                 let installs: Vec<(CountId, ProactiveParams)> = self
+                    .ctl
                     .channels
                     .get(&channel)
                     .map(|s| {
@@ -841,7 +888,7 @@ impl EcmpRouter {
         // §3.1: decrement by a small multiple of the upstream RTT so we
         // time out (and send a partial reply) before our parent does.
         let rtt = match reply_to {
-            ReplyTo::Upstream(up) => self.rtt.entry(up).or_default().hop_decrement(),
+            ReplyTo::Upstream(up) => self.ctl.rtt.entry(up).or_default().hop_decrement(),
             ReplyTo::Local => SimDuration::ZERO,
         };
         let budget = decrement_timeout(remaining, rtt);
@@ -849,7 +896,7 @@ impl EcmpRouter {
         // Downstream targets: every downstream neighbor of the channel;
         // network-layer countIds stop at routers (§3.1 footnote) — they are
         // still *sent* to router neighbors only.
-        let st = self.channels.get(&channel);
+        let st = self.ctl.channels.get(&channel);
         let mut targets: Vec<(IfaceId, Ipv4Addr)> = Vec::new();
         let requester = match reply_to {
             ReplyTo::Upstream(up) => Some(up),
@@ -883,7 +930,7 @@ impl EcmpRouter {
         // (links = active downstream interfaces), not to subscriber or
         // application counts.
         let local = if count_id == CountId::LINKS {
-            self.channels
+            self.ctl.channels
                 .get(&channel)
                 .map(|s| u64::from(s.oif_mask().count_ones()))
                 .unwrap_or(0)
@@ -892,7 +939,7 @@ impl EcmpRouter {
             // downstream link contributes its routing metric, so expensive
             // (high-metric) links weigh more in the settlement.
             let node = ctx.node_id();
-            self.channels
+            self.ctl.channels
                 .get(&channel)
                 .map(|s| {
                     let mask = s.oif_mask();
@@ -907,8 +954,8 @@ impl EcmpRouter {
             0
         };
 
-        self.pending_gen += 1;
-        let generation = self.pending_gen;
+        self.ctl.pending_gen += 1;
+        let generation = self.ctl.pending_gen;
         let deadline = now + budget;
         let pc = PendingCount::new(
             targets.iter().map(|&(_, a)| a),
@@ -918,7 +965,7 @@ impl EcmpRouter {
             generation,
         );
         let complete = pc.complete();
-        self.pending.insert((channel, count_id), pc);
+        self.ctl.pending.insert((channel, count_id), pc);
 
         let fwd = CountQuery {
             channel,
@@ -954,6 +1001,7 @@ impl EcmpRouter {
             .entry(q.count_id)
             .or_insert_with(|| ProactiveState::new(curve, now));
         let targets: Vec<(IfaceId, Ipv4Addr)> = self
+            .ctl
             .channels
             .get(&q.channel)
             .map(|s| s.downstream.iter().map(|(a, e)| (e.iface, *a)).collect())
@@ -967,7 +1015,7 @@ impl EcmpRouter {
 
     /// Complete (fully answered or deadline) an aggregation: emit the total.
     fn finish_aggregation(&mut self, ctx: &mut Ctx<'_>, channel: Channel, count_id: CountId) {
-        let Some(pc) = self.pending.remove(&(channel, count_id)) else { return };
+        let Some(pc) = self.ctl.pending.remove(&(channel, count_id)) else { return };
         let total = pc.total();
         match pc.reply_to {
             ReplyTo::Local => {
@@ -976,6 +1024,7 @@ impl EcmpRouter {
             ReplyTo::Upstream(up) => {
                 // Find the interface for the upstream requester.
                 let iface = self
+                    .ctl
                     .channels
                     .get(&channel)
                     .and_then(|s| s.upstream.filter(|&(_, a)| a == up).map(|(i, _)| i))
@@ -1014,14 +1063,15 @@ impl EcmpRouter {
         if q.count_id == CountId::ALL_CHANNELS {
             // Re-advertise every channel we send upstream via `from`.
             let to_readvertise: Vec<(Channel, u64)> = self
+                .ctl
                 .channels
                 .iter()
                 .filter(|(_, s)| s.upstream.map(|(_, a)| a) == Some(from) && s.advertised > 0)
                 .map(|(c, s)| (*c, s.aggregate()))
                 .collect();
             for (chan, agg) in to_readvertise {
-                let key = self.channels.get(&chan).and_then(|s| s.cached_key);
-                let iface = self.channels.get(&chan).and_then(|s| s.upstream.map(|(i, _)| i));
+                let key = self.ctl.channels.get(&chan).and_then(|s| s.cached_key);
+                let iface = self.ctl.channels.get(&chan).and_then(|s| s.upstream.map(|(i, _)| i));
                 if let Some(iface) = iface {
                     let msg = EcmpMessage::from(Count {
                         channel: chan,
@@ -1043,7 +1093,7 @@ impl EcmpRouter {
         ctx.count("ecmp.count_rx", 1);
 
         // 1. Does it answer an outstanding aggregation?
-        if let Some(pc) = self.pending.get_mut(&(c.channel, c.count_id)) {
+        if let Some(pc) = self.ctl.pending.get_mut(&(c.channel, c.count_id)) {
             if pc.record(from, c.count) {
                 if pc.complete() {
                     self.finish_aggregation(ctx, c.channel, c.count_id);
@@ -1061,16 +1111,17 @@ impl EcmpRouter {
                 // A probe answer: record the neighbor and take an RTT
                 // sample against the probe we sent on this interface.
                 let now = ctx.now();
-                self.neighbors.insert(from, (iface, now));
-                if let Some(sent) = self.probe_sent.get(&iface) {
+                self.ctl.neighbors.insert(from, (iface, now));
+                if let Some(sent) = self.ctl.probe_sent.get(&iface) {
                     let sample = now.since(*sent);
                     if sample > SimDuration::ZERO {
-                        self.rtt.entry(from).or_default().sample(sample);
+                        self.ctl.rtt.entry(from).or_default().sample(sample);
                     }
                 }
             }
             id if (id.is_application_defined() || id.is_network_layer() || id.is_locally_defined())
                 && self
+                    .ctl
                     .channels
                     .get(&c.channel)
                     .map(|s| s.proactive.contains_key(&id))
@@ -1080,7 +1131,7 @@ impl EcmpRouter {
                     // count (§6 works "for any countId"): record the
                     // neighbor's latest value and push upstream through our
                     // own error-tolerance curve.
-                    if let Some(st) = self.channels.get_mut(&c.channel) {
+                    if let Some(st) = self.ctl.channels.get_mut(&c.channel) {
                         st.proactive_values.entry(id).or_default().insert(from, c.count);
                     }
                     self.propagate_generic_proactive(ctx, c.channel, id);
@@ -1093,7 +1144,7 @@ impl EcmpRouter {
     /// down the tree (§3.2).
     fn handle_response(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, _from: Ipv4Addr, r: CountResponse) {
         let channel = r.channel;
-        let Some(st) = self.channels.get_mut(&channel) else { return };
+        let Some(st) = self.ctl.channels.get_mut(&channel) else { return };
         // The verdict applies to the echoed key only (several validations
         // with different keys can be in flight simultaneously).
         let waiting: Vec<(Ipv4Addr, ChannelKey)> = match r.key {
@@ -1177,94 +1228,12 @@ impl EcmpRouter {
         }
     }
 
-    /// Forward channel data per §3.4.
-    fn forward_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &[u8], channel: Channel, header: Ipv4Repr) {
-        match self.fib.lookup(channel, iface.0) {
-            Forward::To(mask) => {
-                if header.ttl <= 1 {
-                    ctx.count("express.ttl_drop", 1);
-                    return;
-                }
-                // One TTL patch per hop; every out-interface (and every
-                // receiver behind each) shares the patched buffer.
-                let out = self.fwd_pool.patch_ttl(bytes, header.ttl - 1);
-                ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-                self.fwd_pool.release(out);
-                self.counters.data_forwarded += 1;
-                match self.hot {
-                    Some(h) => ctx.count_id(h.data_fwd, 1),
-                    None => ctx.count("express.data_fwd", 1),
-                }
-            }
-            Forward::NoEntry => {
-                self.counters.data_no_entry += 1;
-                ctx.count("express.no_entry_drop", 1);
-            }
-            Forward::WrongInterface => {
-                self.counters.data_rpf_drop += 1;
-                ctx.count("express.rpf_drop", 1);
-            }
-        }
-    }
-
-    /// Subcast (§2.1): decapsulate and forward toward downstream receivers
-    /// only, preserving the single-source check (outer src must be S).
-    fn handle_subcast(&mut self, ctx: &mut Ctx<'_>, outer: Ipv4Repr, inner: Vec<u8>) {
-        let Ok(inner_hdr) = Ipv4Repr::parse(&inner) else { return };
-        if !inner_hdr.dst.is_single_source_multicast() {
-            return;
-        }
-        let Ok(channel) = Channel::from_source_group(inner_hdr.src, inner_hdr.dst) else {
-            return;
-        };
-        // Only the channel source may subcast on a channel (§7.1's contrast
-        // with RMTP's SUBTREE_CAST).
-        if outer.src != channel.source {
-            ctx.count("express.subcast_reject", 1);
-            return;
-        }
-        let Some(e) = self.fib.get(channel) else {
-            ctx.count("express.no_entry_drop", 1);
-            return;
-        };
-        if inner_hdr.ttl <= 1 {
-            ctx.count("express.ttl_drop", 1);
-            return;
-        }
-        let mask = e.oif_mask();
-        let out = self.fwd_pool.patch_ttl(&inner, inner_hdr.ttl - 1);
-        ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-        self.fwd_pool.release(out);
-        self.counters.data_forwarded += 1;
-        match self.hot {
-            Some(h) => ctx.count_id(h.subcast_fwd, 1),
-            None => ctx.count("express.subcast_fwd", 1),
-        }
-    }
-
-    /// Plain unicast forwarding (the substrate: relays, subcast transit,
-    /// encapsulated register traffic for baselines sharing this router).
-    fn forward_unicast(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8], header: Ipv4Repr, class: TrafficClass) {
-        if header.ttl <= 1 {
-            ctx.count("express.ttl_drop", 1);
-            return;
-        }
-        let Some(hop) = ctx.next_hop_ip(header.dst) else {
-            ctx.count("express.unroutable", 1);
-            return;
-        };
-        let out = self.fwd_pool.patch_ttl(bytes, header.ttl - 1);
-        let next = hop.next;
-        ctx.send_shared(hop.iface, out.clone(), class, Reliability::Datagram, Tx::To(next));
-        self.fwd_pool.release(out);
-    }
-
     /// UDP-mode expiry sweep + periodic general query on one interface.
     fn udp_refresh(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
         let now = ctx.now();
         let horizon = self.cfg.udp_refresh.saturating_mul(u64::from(self.cfg.udp_robustness));
         let mut dirty: Vec<Channel> = Vec::new();
-        for (chan, st) in self.channels.iter_mut() {
+        for (chan, st) in self.ctl.channels.iter_mut() {
             let before = st.downstream.len();
             st.downstream
                 .retain(|_, e| e.iface != iface || now.since(e.refreshed) <= horizon);
@@ -1301,7 +1270,7 @@ impl EcmpRouter {
     fn neighbor_probe(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
         let Some(interval) = self.cfg.neighbor_probe else { return };
         let now = ctx.now();
-        self.probe_sent.insert(iface, now);
+        self.ctl.probe_sent.insert(iface, now);
         let q = EcmpMessage::from(CountQuery {
             channel: Channel::new(Ipv4Addr::ECMP_LOCALHOST_SOURCE, 0).expect("wellknown"),
             count_id: CountId::NEIGHBORS,
@@ -1311,7 +1280,7 @@ impl EcmpRouter {
         self.send_ecmp_multicast(ctx, iface, q);
         let horizon = interval.saturating_mul(3);
         let mut dead: Vec<Ipv4Addr> = Vec::new();
-        self.neighbors.retain(|addr, (_, heard)| {
+        self.ctl.neighbors.retain(|addr, (_, heard)| {
             let alive = now.since(*heard) <= horizon;
             if !alive {
                 dead.push(*addr);
@@ -1320,7 +1289,7 @@ impl EcmpRouter {
         });
         for addr in dead {
             let mut dirty = Vec::new();
-            for (chan, st) in self.channels.iter_mut() {
+            for (chan, st) in self.ctl.channels.iter_mut() {
                 if st.downstream.remove(&addr).is_some() {
                     dirty.push(*chan);
                 }
@@ -1339,10 +1308,10 @@ impl EcmpRouter {
     /// schedule (hysteresis) the §3.2 re-home.
     fn reevaluate_upstreams(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let channels: Vec<Channel> = self.channels.keys().copied().collect();
+        let channels: Vec<Channel> = self.ctl.channels.keys().copied().collect();
         for chan in channels {
             let new_hop = ctx.rpf(chan.source).map(|h| (h.iface, ctx.ip_of(h.next)));
-            let st = self.channels.get_mut(&chan).expect("listed");
+            let st = self.ctl.channels.get_mut(&chan).expect("listed");
             let old = st.upstream;
             if new_hop == old {
                 continue;
@@ -1361,7 +1330,7 @@ impl EcmpRouter {
 
     fn apply_rehome(&mut self, ctx: &mut Ctx<'_>, chan: Channel, new_hop: Option<(IfaceId, Ipv4Addr)>) {
         let now = ctx.now();
-        let Some(st) = self.channels.get_mut(&chan) else { return };
+        let Some(st) = self.ctl.channels.get_mut(&chan) else { return };
         let old = st.upstream;
         if new_hop == old {
             st.rehome_pending = false;
@@ -1392,7 +1361,7 @@ impl EcmpRouter {
                     key,
                 });
                 self.send_ecmp(ctx, ni, na, msg);
-                if let Some(stm) = self.channels.get_mut(&chan) {
+                if let Some(stm) = self.ctl.channels.get_mut(&chan) {
                     stm.advertised = agg;
                 }
             }
@@ -1418,7 +1387,7 @@ impl EcmpRouter {
     /// Arm the backoff re-join retry for an orphaned channel.
     fn arm_rejoin_retry(&mut self, ctx: &mut Ctx<'_>, chan: Channel, attempt: u32) {
         let Some(base) = self.cfg.rejoin_backoff else { return };
-        let Some(st) = self.channels.get_mut(&chan) else { return };
+        let Some(st) = self.ctl.channels.get_mut(&chan) else { return };
         if st.rejoin_pending {
             return;
         }
@@ -1434,7 +1403,7 @@ impl EcmpRouter {
     /// The backoff timer fired: re-join if a route to the source exists
     /// now, otherwise double the delay and try again.
     fn rejoin_retry(&mut self, ctx: &mut Ctx<'_>, chan: Channel, attempt: u32) {
-        let Some(st) = self.channels.get_mut(&chan) else { return };
+        let Some(st) = self.ctl.channels.get_mut(&chan) else { return };
         st.rejoin_pending = false;
         if st.upstream.is_some() || st.aggregate() == 0 {
             return; // recovered via a route change, or nothing left to join
@@ -1451,66 +1420,56 @@ impl EcmpRouter {
             None => self.arm_rejoin_retry(ctx, chan, attempt.saturating_add(1)),
         }
     }
-}
 
-/// A small recycling pool for forwarding buffers.
-///
-/// `Ctx::send_shared` clones the `Arc` handle per out-interface; once every
-/// delivery event has been consumed, the handle parked here by
-/// [`PayloadPool::release`] is uniquely owned again, and the next forward
-/// of a same-sized frame reuses its allocation — a memcpy instead of a
-/// fresh `Arc<[u8]>` — driving the steady-state forwarding path to ~0
-/// allocations per packet. Reuse is content-independent (the buffer is
-/// fully overwritten before the TTL patch), so whether a given forward hit
-/// or missed the pool can never change emitted bytes or event order, and
-/// replay determinism is unaffected.
-#[derive(Default)]
-struct PayloadPool {
-    slots: Vec<Payload>,
-}
-
-impl PayloadPool {
-    /// At most this many parked handles; beyond it, returns are dropped.
-    const CAP: usize = 8;
-
-    /// Copy `bytes` into a recycled (or fresh) shared buffer with the TTL
-    /// rewritten to `new_ttl` and the header checksum recomputed, so one
-    /// patch serves every out-interface of the hop via `send_shared`.
-    fn patch_ttl(&mut self, bytes: &[u8], new_ttl: u8) -> Payload {
-        let mut arc = self.acquire(bytes);
-        let out = Payload::get_mut(&mut arc).expect("unique by construction");
-        if out.len() >= ipv4::HEADER_LEN {
-            out[8] = new_ttl;
-            out[10] = 0;
-            out[11] = 0;
-            let ck = express_wire::checksum::checksum(&out[..ipv4::HEADER_LEN]);
-            out[10..12].copy_from_slice(&ck.to_be_bytes());
-        }
-        arc
-    }
-
-    /// A uniquely-owned buffer holding a copy of `bytes`: recycled from the
-    /// pool when a parked same-length handle has shed all its delivery
-    /// clones, freshly allocated otherwise.
-    fn acquire(&mut self, bytes: &[u8]) -> Payload {
-        let hit = self
-            .slots
-            .iter_mut()
-            .position(|s| s.len() == bytes.len() && Payload::get_mut(s).is_some());
-        match hit {
-            Some(idx) => {
-                let mut arc = self.slots.swap_remove(idx);
-                Payload::get_mut(&mut arc).expect("checked unique").copy_from_slice(bytes);
-                arc
+    /// A TCP-mode connection re-established (link restored, or the
+    /// neighbor restarted after a crash): re-send our aggregate for every
+    /// channel homed on `iface` so an upstream that lost its soft state
+    /// re-learns the subtree. Idempotent for an upstream that kept its
+    /// state — the Count simply confirms the value it already holds.
+    fn readvertise_on(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
+        let mut readvertise: Vec<(Channel, u64, Option<ChannelKey>)> = Vec::new();
+        for (chan, st) in self.ctl.channels.iter_mut() {
+            if let Some((ui, _)) = st.upstream {
+                if ui == iface {
+                    let agg = st.aggregate();
+                    if agg > 0 {
+                        st.advertised = agg;
+                        readvertise.push((*chan, agg, st.cached_key));
+                    }
+                }
             }
-            None => Payload::from(bytes),
+        }
+        for (chan, agg, key) in readvertise {
+            let Some(st) = self.ctl.channels.get(&chan) else { continue };
+            let Some((ui, ua)) = st.upstream else { continue };
+            ctx.count("ecmp.readvertise", 1);
+            let msg = EcmpMessage::from(Count {
+                channel: chan,
+                count_id: CountId::SUBSCRIBERS,
+                count: agg,
+                key,
+            });
+            self.send_ecmp(ctx, ui, ua, msg);
         }
     }
 
-    /// Park a handle for reuse once its delivery clones drop.
-    fn release(&mut self, arc: Payload) {
-        if self.slots.len() < Self::CAP {
-            self.slots.push(arc);
+    /// §3.2 TCP mode: "The associated count is subtracted from the sum
+    /// provided upstream if the connection fails." Remove every
+    /// downstream entry learned over the dead interface.
+    fn prune_behind(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
+        let mut dirty = Vec::new();
+        for (chan, st) in self.ctl.channels.iter_mut() {
+            let before = st.downstream.len();
+            st.downstream.retain(|_, e| e.iface != iface);
+            if st.downstream.len() != before {
+                dirty.push(*chan);
+            }
+        }
+        for chan in dirty {
+            self.counters.unsubscribes += 1;
+            ctx.count("ecmp.conn_fail_prune", 1);
+            self.sync_fib(chan);
+            self.propagate_upstream(ctx, chan);
         }
     }
 }
@@ -1525,97 +1484,97 @@ impl Agent for EcmpRouter {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Intern the per-packet counters once; the forwarding fast path
-        // bumps them by handle (registration alone surfaces nothing).
-        self.hot = Some(HotCounters {
-            data_fwd: ctx.counter("express.data_fwd"),
-            subcast_fwd: ctx.counter("express.subcast_fwd"),
-        });
-        // Arm the periodic UDP-mode refresh on every multi-access interface.
+        self.fwd.intern_counters(ctx);
+        let cfg = self.cfg;
         for i in 0..ctx.iface_count() {
             let iface = IfaceId(i as u8);
-            if self.iface_mode(ctx, iface) == EcmpMode::Udp {
-                let delay = self.cfg.udp_refresh;
-                self.alloc_timer(ctx, delay, TimerPurpose::UdpRefresh { iface });
+            // Arm the periodic UDP-mode refresh on every multi-access interface.
+            if iface_mode(&cfg, ctx, iface) == EcmpMode::Udp {
+                let mut control = self.control();
+                control.alloc_timer(ctx, cfg.udp_refresh, TimerPurpose::UdpRefresh { iface });
                 // Startup query: a router restarting after a crash solicits
                 // Counts immediately so edge subscriptions re-aggregate
                 // within a round-trip instead of a refresh interval.
-                if self.cfg.boot_query {
+                if cfg.boot_query {
                     let q = EcmpMessage::from(CountQuery {
                         channel: Channel::new(Ipv4Addr::ECMP_LOCALHOST_SOURCE, 0).expect("wellknown"),
                         count_id: CountId::ALL_CHANNELS,
                         timeout_ms: 1_000,
                         proactive: None,
                     });
-                    self.send_ecmp_multicast(ctx, iface, q);
+                    control.send_ecmp_multicast(ctx, iface, q);
                     ctx.count("ecmp.boot_query", 1);
                 }
             }
             // §3.3 neighbor discovery on every interface. Stagger the first
             // probe so a cold-started network doesn't thunder.
-            if let Some(interval) = self.cfg.neighbor_probe {
+            if let Some(interval) = cfg.neighbor_probe {
                 let first = SimDuration::from_micros(
                     interval.micros() / 10 + (u64::from(iface.0) + 1) * 1_000,
                 );
-                self.alloc_timer(ctx, first, TimerPurpose::NeighborProbe { iface });
+                self.control().alloc_timer(ctx, first, TimerPurpose::NeighborProbe { iface });
             }
         }
-        self.flush_tx(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
         let me = ctx.my_ip();
+        // Only the ECMP arm can queue control messages, so only it flushes.
         match packets::classify(bytes, me) {
             Ok(Classified::ChannelData { channel, header }) => {
-                self.forward_data(ctx, iface, bytes, channel, header);
+                self.fwd.forward_data(&mut self.counters, ctx, iface, bytes, channel, header);
             }
             Ok(Classified::Ecmp { from, messages, .. }) => {
+                let mut control = self.control();
                 for m in messages {
                     match m {
-                        EcmpMessage::CountQuery(q) => self.handle_query(ctx, iface, from, q),
-                        EcmpMessage::Count(c) => self.handle_count(ctx, iface, from, c),
-                        EcmpMessage::CountResponse(r) => self.handle_response(ctx, iface, from, r),
+                        EcmpMessage::CountQuery(q) => control.handle_query(ctx, iface, from, q),
+                        EcmpMessage::Count(c) => control.handle_count(ctx, iface, from, c),
+                        EcmpMessage::CountResponse(r) => control.handle_response(ctx, iface, from, r),
                     }
                 }
+                control.flush_tx(ctx);
             }
             Ok(Classified::Encapsulated { outer, inner }) => {
-                self.handle_subcast(ctx, outer, inner);
+                self.fwd.forward_subcast(&mut self.counters, ctx, outer, inner);
             }
             Ok(Classified::Other { header }) => {
                 if header.dst != me {
-                    self.forward_unicast(ctx, bytes, header, class);
+                    self.fwd.forward_unicast(ctx, bytes, header, class);
                 }
             }
             Err(_) => ctx.count("express.parse_error", 1),
         }
-        self.flush_tx(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(purpose) = self.timer_meta.remove(&token) else { return };
+        let Some(mut control) = self.control_if_any() else { return };
+        let Some(purpose) = control.ctl.timer_meta.remove(&token) else { return };
         match purpose {
             TimerPurpose::QueryDeadline {
                 channel,
                 count_id,
                 generation,
             } => {
-                let live = self
+                let live = control
+                    .ctl
                     .pending
                     .get(&(channel, count_id))
                     .map(|p| p.generation == generation)
                     .unwrap_or(false);
                 if live {
                     ctx.count("ecmp.query_timeout", 1);
-                    self.finish_aggregation(ctx, channel, count_id);
+                    control.finish_aggregation(ctx, channel, count_id);
                 }
             }
-            TimerPurpose::UdpRefresh { iface } => self.udp_refresh(ctx, iface),
+            TimerPurpose::UdpRefresh { iface } => control.udp_refresh(ctx, iface),
             TimerPurpose::ProactiveCheck {
                 channel,
                 count_id,
                 generation,
             } => {
-                let live = self
+                let live = control
+                    .ctl
                     .channels
                     .get(&channel)
                     .and_then(|s| s.proactive.get(&count_id))
@@ -1623,99 +1582,54 @@ impl Agent for EcmpRouter {
                     .unwrap_or(false);
                 if live {
                     if count_id == CountId::SUBSCRIBERS {
-                        self.propagate_upstream(ctx, channel);
+                        control.propagate_upstream(ctx, channel);
                     } else {
-                        self.propagate_generic_proactive(ctx, channel, count_id);
+                        control.propagate_generic_proactive(ctx, channel, count_id);
                     }
                 }
             }
             TimerPurpose::HysteresisExpire { channel } => {
                 let new_hop = ctx.rpf(channel.source).map(|h| (h.iface, ctx.ip_of(h.next)));
-                self.apply_rehome(ctx, channel, new_hop);
+                control.apply_rehome(ctx, channel, new_hop);
             }
-            TimerPurpose::NeighborProbe { iface } => self.neighbor_probe(ctx, iface),
+            TimerPurpose::NeighborProbe { iface } => control.neighbor_probe(ctx, iface),
             TimerPurpose::LocalCount {
                 channel,
                 count_id,
                 timeout,
-            } => self.initiate_count(ctx, channel, count_id, timeout),
-            TimerPurpose::RejoinRetry { channel, attempt } => self.rejoin_retry(ctx, channel, attempt),
+            } => control.initiate_count(ctx, channel, count_id, timeout),
+            TimerPurpose::RejoinRetry { channel, attempt } => control.rejoin_retry(ctx, channel, attempt),
         }
-        self.flush_tx(ctx);
+        control.flush_tx(ctx);
     }
 
     fn on_link_change(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
+        let Some(mut control) = self.control_if_any() else { return };
         if up {
-            // A TCP-mode connection re-established (link restored, or the
-            // neighbor restarted after a crash): re-send our aggregate for
-            // every channel homed on this interface so an upstream that
-            // lost its soft state re-learns the subtree. Idempotent for an
-            // upstream that kept its state — the Count simply confirms the
-            // value it already holds.
-            let mut readvertise: Vec<(Channel, u64, Option<ChannelKey>)> = Vec::new();
-            for (chan, st) in self.channels.iter_mut() {
-                if let Some((ui, _)) = st.upstream {
-                    if ui == iface {
-                        let agg = st.aggregate();
-                        if agg > 0 {
-                            st.advertised = agg;
-                            readvertise.push((*chan, agg, st.cached_key));
-                        }
-                    }
-                }
-            }
-            for (chan, agg, key) in readvertise {
-                let Some(st) = self.channels.get(&chan) else { continue };
-                let Some((ui, ua)) = st.upstream else { continue };
-                ctx.count("ecmp.readvertise", 1);
-                let msg = EcmpMessage::from(Count {
-                    channel: chan,
-                    count_id: CountId::SUBSCRIBERS,
-                    count: agg,
-                    key,
-                });
-                self.send_ecmp(ctx, ui, ua, msg);
-            }
-            self.flush_tx(ctx);
-            return;
+            control.readvertise_on(ctx, iface);
+        } else {
+            control.prune_behind(ctx, iface);
         }
-        // §3.2 TCP mode: "The associated count is subtracted from the sum
-        // provided upstream if the connection fails." Remove every
-        // downstream entry learned over the dead interface.
-        let mut dirty = Vec::new();
-        for (chan, st) in self.channels.iter_mut() {
-            let before = st.downstream.len();
-            st.downstream.retain(|_, e| e.iface != iface);
-            if st.downstream.len() != before {
-                dirty.push(*chan);
-            }
-        }
-        for chan in dirty {
-            self.counters.unsubscribes += 1;
-            ctx.count("ecmp.conn_fail_prune", 1);
-            self.sync_fib(chan);
-            self.propagate_upstream(ctx, chan);
-        }
-        self.flush_tx(ctx);
+        control.flush_tx(ctx);
     }
 
     fn on_route_change(&mut self, ctx: &mut Ctx<'_>) {
-        self.reevaluate_upstreams(ctx);
-        self.flush_tx(ctx);
+        let Some(mut control) = self.control_if_any() else { return };
+        control.reevaluate_upstreams(ctx);
+        control.flush_tx(ctx);
     }
 
     fn audit_state(&self, _topo: &Topology, _node: NodeId) -> Option<AuditNodeState> {
+        let route = |(chan, st): (&Channel, &ChannelState)| AuditRoute {
+            channel: chan.to_string(),
+            oif_mask: u64::from(st.oif_mask()),
+            upstream_iface: st.upstream.map(|(iface, _)| iface),
+            advertised: Some(st.advertised),
+            downstream_sum: Some(st.aggregate()),
+        };
         let mut routes: Vec<AuditRoute> = self
-            .channels
-            .iter()
-            .map(|(chan, st)| AuditRoute {
-                channel: chan.to_string(),
-                oif_mask: u64::from(st.oif_mask()),
-                upstream_iface: st.upstream.map(|(iface, _)| iface),
-                advertised: Some(st.advertised),
-                downstream_sum: Some(st.aggregate()),
-            })
-            .collect();
+            .channels()
+            .map_or_else(Vec::new, |m| m.iter().map(route).collect());
         routes.sort_by(|a, b| a.channel.cmp(&b.channel));
         Some(AuditNodeState { routes, ..Default::default() })
     }
@@ -1728,35 +1642,159 @@ impl Agent for EcmpRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::{LinkId, LinkSpec, Sim};
 
-    #[test]
-    fn patch_ttl_keeps_checksum_valid() {
-        let chan = Channel::new(Ipv4Addr::new(10, 0, 0, 1), 1).unwrap();
-        let pkt = packets::channel_data(chan, 16, 64);
-        let mut pool = PayloadPool::default();
-        let patched = pool.patch_ttl(&pkt, 63);
-        let hdr = Ipv4Repr::parse(&patched).unwrap();
-        assert_eq!(hdr.ttl, 63);
+    /// A host that sends each `(at ms, class, packet)` of its script out
+    /// interface 0 and counts what it receives.
+    #[derive(Default)]
+    struct Scripted {
+        sends: Vec<(u64, TrafficClass, Vec<u8>)>,
+        got: u64,
+    }
+
+    impl Agent for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (token, (at_ms, ..)) in self.sends.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_millis(*at_ms), token as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let (_, class, pkt) = &self.sends[token as usize];
+            ctx.send(IfaceId(0), pkt, *class, Reliability::Datagram, Tx::AllOnLink);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _bytes: &Payload, _class: TrafficClass) {
+            self.got += 1;
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn quiet_cfg() -> RouterConfig {
+        RouterConfig {
+            neighbor_probe: None,
+            ..RouterConfig::default()
+        }
+    }
+
+    /// `src — router — sink` over point-to-point links (router interface 0
+    /// faces `src`), the router holding one static route for `src`'s
+    /// channel 1 toward `sink`; the hosts' scripts start empty. Returns
+    /// `(sim, [src, router, sink], channel)`.
+    fn static_route_line() -> (Sim, [NodeId; 3], Channel) {
+        let mut topo = Topology::new();
+        let (src, r, sink) = (topo.add_host(), topo.add_router(), topo.add_host());
+        topo.connect(src, r, LinkSpec::default()).unwrap();
+        topo.connect(r, sink, LinkSpec::default()).unwrap();
+        let chan = Channel::new(topo.ip(src), 1).unwrap();
+        let mut sim = Sim::new(topo, 1);
+        let mut router = EcmpRouter::new(quiet_cfg());
+        router.install_static_route(FibEntry::new(chan, 0, 0b10).unwrap());
+        sim.set_agent(r, Box::new(router));
+        sim.set_agent(src, Box::new(Scripted::default()));
+        sim.set_agent(sink, Box::new(Scripted::default()));
+        (sim, [src, r, sink], chan)
+    }
+
+    fn script(sim: &mut Sim, host: NodeId, sends: Vec<(u64, TrafficClass, Vec<u8>)>) {
+        sim.agent_as::<Scripted>(host).unwrap().sends = sends;
     }
 
     #[test]
-    fn payload_pool_recycles_unique_same_length_buffers() {
-        let chan = Channel::new(Ipv4Addr::new(10, 0, 0, 1), 1).unwrap();
-        let pkt = packets::channel_data(chan, 16, 64);
-        let mut pool = PayloadPool::default();
-        let first = pool.patch_ttl(&pkt, 63);
-        let addr = first.as_ptr() as usize;
-        pool.release(first); // unique: eligible for reuse
-        let second = pool.patch_ttl(&pkt, 62);
-        assert_eq!(second.as_ptr() as usize, addr, "unique buffer is recycled");
-        assert_eq!(Ipv4Repr::parse(&second).unwrap().ttl, 62);
+    fn ttl_expired_data_is_a_ttl_drop_and_not_a_forward() {
+        let (mut sim, [src, r, sink], chan) = static_route_line();
+        let unknown = Channel::new(chan.source, 2).unwrap();
+        let expired = vec![
+            (1, TrafficClass::Data, packets::channel_data(chan, 16, 1)),
+            // Expired *and* entry-less: the FIB's drop reason still wins.
+            (2, TrafficClass::Data, packets::channel_data(unknown, 16, 1)),
+        ];
+        script(&mut sim, src, expired);
+        sim.run();
+        assert_eq!(sim.stats().named("express.ttl_drop"), 1);
+        assert_eq!(sim.stats().named("express.no_entry_drop"), 1);
+        assert_eq!(sim.stats().named("express.data_fwd"), 0);
+        assert_eq!(sim.agent_as::<Scripted>(sink).unwrap().got, 0, "nothing was sent");
+        let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+        let fib = router.fib().counters();
+        assert_eq!((fib.forwarded, fib.no_entry_drops, fib.rpf_drops), (0, 1, 0));
+        assert_eq!(router.counters.data_forwarded, 0);
+        assert_eq!(router.counters.data_no_entry, 1);
+    }
 
-        // A still-shared handle must NOT be recycled.
-        let held = second.clone();
-        pool.release(second);
-        let third = pool.patch_ttl(&pkt, 61);
-        assert_ne!(third.as_ptr() as usize, addr, "shared buffer stays intact");
-        assert_eq!(Ipv4Repr::parse(&held).unwrap().ttl, 62);
+    #[test]
+    fn router_size_is_pinned() {
+        // 344 B on x86-64: config 64, forwarding plane 152, control-plane
+        // pointer 8, results 24, counters 96 (docs/INTERNALS.md §8).
+        assert!(std::mem::size_of::<EcmpRouter>() <= 352, "{}", std::mem::size_of::<EcmpRouter>());
+    }
+
+    /// Everything the control-plane accessors and the audit sweep report.
+    fn control_view(router: &EcmpRouter, topo: &Topology, node: NodeId, chan: Channel, neighbor: Ipv4Addr) -> String {
+        format!(
+            "{} {} {} {:?} {:?} {:?} {:?} {:?}",
+            router.channel_count(),
+            router.mgmt_state_bytes(),
+            router.on_tree(chan),
+            router.upstream_of(chan),
+            router.downstream_of(chan),
+            router.discovered_neighbors(),
+            router.rtt_to(neighbor),
+            router.audit_state(topo, node),
+        )
+    }
+
+    #[test]
+    fn static_route_router_holds_no_control_plane_until_the_first_count() {
+        const PACKETS: u64 = 50;
+        let (mut sim, [src, r, sink], chan) = static_route_line();
+        let data = (0..PACKETS)
+            .map(|i| (10 + i, TrafficClass::Data, packets::channel_data(chan, 16, packets::DEFAULT_TTL)))
+            .collect();
+        script(&mut sim, src, data);
+        let (src_ip, router_ip, sink_ip) = (chan.source, sim.topology().ip(r), sim.topology().ip(sink));
+        let join = EcmpMessage::from(Count {
+            channel: chan,
+            count_id: CountId::SUBSCRIBERS,
+            count: 1,
+            key: None,
+        });
+        let join = packets::ecmp_unicast(sink_ip, router_ip, EcmpMode::Tcp, &[join]);
+        script(&mut sim, sink, vec![(500, TrafficClass::Control, join)]);
+
+        // Data before, during and after a flap of the sink link (which is
+        // also a route change at every node), and a timer token the router
+        // never armed.
+        sim.schedule_link_change(SimTime(30_500), LinkId(1), false);
+        sim.schedule_link_change(SimTime(40_500), LinkId(1), true);
+        sim.schedule_timer_at(r, SimTime(45_000), 77);
+        sim.run_until(SimTime(400_000));
+
+        let got = sim.agent_as::<Scripted>(sink).unwrap().got;
+        assert!(got > 0 && got < PACKETS, "the flap lost some of the {PACKETS} packets, not all: {got}");
+        let topo = sim.topology().clone();
+        let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+        assert_eq!(router.counters.data_forwarded, PACKETS);
+        assert!(router.ctl.is_none(), "forwarding, a flap, a route change and a stray timer allocate nothing");
+        let empty = EcmpRouter {
+            ctl: Some(Box::default()),
+            ..EcmpRouter::new(quiet_cfg())
+        };
+        assert_eq!(
+            control_view(router, &topo, r, chan, sink_ip),
+            control_view(&empty, &topo, r, chan, sink_ip),
+            "absent ≡ empty"
+        );
+
+        // The first Count allocates it, and is a join like any other.
+        sim.run_until(SimTime(1_000_000));
+        let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+        assert!(router.ctl.is_some());
+        assert_eq!(router.counters.subscribes, 1);
+        assert_eq!(router.downstream_of(chan), vec![(sink_ip, 1, true)]);
+        assert_eq!(router.upstream_of(chan), Some(src_ip));
+        assert_eq!(router.counters.counts_tx, 1, "the join went on toward the source");
+        assert!(sim.agent_as::<Scripted>(src).unwrap().got >= 1);
     }
 
     #[test]

@@ -1,0 +1,301 @@
+//! The router's forwarding plane: everything a data packet touches.
+//!
+//! The paper prices this state separately (§5.1: fast-path memory, 12 B
+//! per channel) from the management-level state of §5.2, which the fast
+//! path never reads. The same cut is made here: a [`ForwardingPlane`] is
+//! the FIB, the interned per-packet counters and the forwarding-buffer
+//! pool, and a router that only forwards holds nothing else (see
+//! `docs/INTERNALS.md` §8 for the byte budget).
+
+use super::RouterCounters;
+use crate::fib::{Fib, Forward};
+use express_wire::addr::Channel;
+use express_wire::ipv4::{self, Ipv4Repr};
+use netsim::engine::{Ctx, Payload, Reliability, Tx};
+use netsim::id::IfaceId;
+use netsim::stats::{CounterId, TrafficClass};
+
+/// Pre-registered [`CounterId`]s for the counters on the data fast path.
+#[derive(Debug, Clone, Copy)]
+struct HotCounters {
+    data_fwd: CounterId,
+    subcast_fwd: CounterId,
+}
+
+/// The state of the §3.4 fast path.
+#[derive(Default)]
+pub(super) struct ForwardingPlane {
+    pub(super) fib: Fib,
+    /// Interned handles for the per-packet counters, registered in
+    /// `on_start` so the forwarding fast path bumps by array index.
+    hot: Option<HotCounters>,
+    /// Recycled forwarding buffers (see [`PayloadPool`]).
+    pool: PayloadPool,
+}
+
+impl ForwardingPlane {
+    /// Intern the per-packet counters once; the forwarding fast path bumps
+    /// them by handle (registration alone surfaces nothing).
+    pub(super) fn intern_counters(&mut self, ctx: &mut Ctx<'_>) {
+        self.hot = Some(HotCounters {
+            data_fwd: ctx.counter("express.data_fwd"),
+            subcast_fwd: ctx.counter("express.subcast_fwd"),
+        });
+    }
+
+    /// Forward channel data per §3.4.
+    pub(super) fn forward_data(
+        &mut self,
+        counters: &mut RouterCounters,
+        ctx: &mut Ctx<'_>,
+        iface: IfaceId,
+        bytes: &[u8],
+        channel: Channel,
+        header: Ipv4Repr,
+    ) {
+        // Decide, then count: a packet the FIB would forward but whose TTL
+        // has run out is a TTL drop everywhere, a forward nowhere. The FIB's
+        // own drop reasons still win over TTL expiry.
+        let decision = self.fib.decide(channel, iface.0);
+        if matches!(decision, Forward::To(_)) && header.ttl <= 1 {
+            ctx.count("express.ttl_drop", 1);
+            return;
+        }
+        self.fib.record(decision);
+        match decision {
+            Forward::To(mask) => {
+                // One TTL patch per hop; every out-interface (and every
+                // receiver behind each) shares the patched buffer.
+                let out = self.pool.patch_ttl(bytes, header.ttl - 1);
+                ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
+                self.pool.release(out);
+                counters.data_forwarded += 1;
+                match self.hot {
+                    Some(h) => ctx.count_id(h.data_fwd, 1),
+                    None => ctx.count("express.data_fwd", 1),
+                }
+            }
+            Forward::NoEntry => {
+                counters.data_no_entry += 1;
+                ctx.count("express.no_entry_drop", 1);
+            }
+            Forward::WrongInterface => {
+                counters.data_rpf_drop += 1;
+                ctx.count("express.rpf_drop", 1);
+            }
+        }
+    }
+
+    /// Subcast (§2.1): decapsulate and forward toward downstream receivers
+    /// only, preserving the single-source check (outer src must be S).
+    pub(super) fn forward_subcast(
+        &mut self,
+        counters: &mut RouterCounters,
+        ctx: &mut Ctx<'_>,
+        outer: Ipv4Repr,
+        inner: Vec<u8>,
+    ) {
+        let Ok(inner_hdr) = Ipv4Repr::parse(&inner) else { return };
+        if !inner_hdr.dst.is_single_source_multicast() {
+            return;
+        }
+        let Ok(channel) = Channel::from_source_group(inner_hdr.src, inner_hdr.dst) else {
+            return;
+        };
+        // Only the channel source may subcast on a channel (§7.1's contrast
+        // with RMTP's SUBTREE_CAST).
+        if outer.src != channel.source {
+            ctx.count("express.subcast_reject", 1);
+            return;
+        }
+        let Some(e) = self.fib.get(channel) else {
+            ctx.count("express.no_entry_drop", 1);
+            return;
+        };
+        if inner_hdr.ttl <= 1 {
+            ctx.count("express.ttl_drop", 1);
+            return;
+        }
+        let mask = e.oif_mask();
+        let out = self.pool.patch_ttl(&inner, inner_hdr.ttl - 1);
+        ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
+        self.pool.release(out);
+        counters.data_forwarded += 1;
+        match self.hot {
+            Some(h) => ctx.count_id(h.subcast_fwd, 1),
+            None => ctx.count("express.subcast_fwd", 1),
+        }
+    }
+
+    /// Plain unicast forwarding (the substrate: relays, subcast transit,
+    /// encapsulated register traffic for baselines sharing this router).
+    pub(super) fn forward_unicast(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8], header: Ipv4Repr, class: TrafficClass) {
+        if header.ttl <= 1 {
+            ctx.count("express.ttl_drop", 1);
+            return;
+        }
+        let Some(hop) = ctx.next_hop_ip(header.dst) else {
+            ctx.count("express.unroutable", 1);
+            return;
+        };
+        let out = self.pool.patch_ttl(bytes, header.ttl - 1);
+        let next = hop.next;
+        ctx.send_shared(hop.iface, out.clone(), class, Reliability::Datagram, Tx::To(next));
+        self.pool.release(out);
+    }
+}
+
+/// A small recycling pool for forwarding buffers.
+///
+/// `Ctx::send_shared` clones the `Arc` handle per out-interface; once every
+/// delivery event has been consumed, the handle parked here by
+/// [`PayloadPool::release`] is uniquely owned again, and the next forward
+/// of a same-sized frame reuses its allocation — a memcpy instead of a
+/// fresh `Arc<[u8]>` — driving the steady-state forwarding path to ~0
+/// allocations per packet. Reuse is content-independent (the buffer is
+/// fully overwritten before the TTL patch), so whether a given forward hit
+/// or missed the pool can never change emitted bytes or event order, and
+/// replay determinism is unaffected.
+///
+/// The first parked handle lives inline: a router with one packet in
+/// flight at a time (every hop of a distribution tree in steady state)
+/// never allocates the spill `Vec`, and finding its buffer costs no pointer
+/// chase.
+#[derive(Default)]
+struct PayloadPool {
+    first: Option<Payload>,
+    spill: Vec<Payload>,
+}
+
+impl PayloadPool {
+    /// At most this many parked handles, the inline one included; beyond
+    /// it, returns are dropped.
+    const CAP: usize = 8;
+
+    /// Copy `bytes` into a recycled (or fresh) shared buffer with the TTL
+    /// rewritten to `new_ttl` and the header checksum recomputed, so one
+    /// patch serves every out-interface of the hop via `send_shared`.
+    fn patch_ttl(&mut self, bytes: &[u8], new_ttl: u8) -> Payload {
+        let mut arc = self.acquire(bytes);
+        let out = Payload::get_mut(&mut arc).expect("unique by construction");
+        if out.len() >= ipv4::HEADER_LEN {
+            out[8] = new_ttl;
+            out[10] = 0;
+            out[11] = 0;
+            let ck = express_wire::checksum::checksum(&out[..ipv4::HEADER_LEN]);
+            out[10..12].copy_from_slice(&ck.to_be_bytes());
+        }
+        arc
+    }
+
+    /// A uniquely-owned buffer holding a copy of `bytes`: recycled from the
+    /// pool when a parked same-length handle has shed all its delivery
+    /// clones, freshly allocated otherwise.
+    fn acquire(&mut self, bytes: &[u8]) -> Payload {
+        let reusable = |s: &mut Payload| s.len() == bytes.len() && Payload::get_mut(s).is_some();
+        let parked = if self.first.as_mut().is_some_and(reusable) {
+            self.first.take()
+        } else {
+            let hit = self.spill.iter_mut().position(reusable);
+            hit.map(|idx| self.spill.swap_remove(idx))
+        };
+        match parked {
+            Some(mut arc) => {
+                Payload::get_mut(&mut arc).expect("checked unique").copy_from_slice(bytes);
+                arc
+            }
+            None => Payload::from(bytes),
+        }
+    }
+
+    /// Park a handle for reuse once its delivery clones drop.
+    fn release(&mut self, arc: Payload) {
+        if self.first.is_none() {
+            self.first = Some(arc);
+        } else if 1 + self.spill.len() < Self::CAP {
+            self.spill.push(arc);
+        }
+    }
+
+    /// Handles currently parked.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        usize::from(self.first.is_some()) + self.spill.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packets;
+    use express_wire::addr::Ipv4Addr;
+
+    fn data_packet() -> Vec<u8> {
+        let chan = Channel::new(Ipv4Addr::new(10, 0, 0, 1), 1).unwrap();
+        packets::channel_data(chan, 16, 64)
+    }
+
+    #[test]
+    fn patch_ttl_keeps_checksum_valid() {
+        let mut pool = PayloadPool::default();
+        let patched = pool.patch_ttl(&data_packet(), 63);
+        let hdr = Ipv4Repr::parse(&patched).unwrap();
+        assert_eq!(hdr.ttl, 63);
+    }
+
+    #[test]
+    fn payload_pool_recycles_unique_same_length_buffers() {
+        let pkt = data_packet();
+        let mut pool = PayloadPool::default();
+        let first = pool.patch_ttl(&pkt, 63);
+        let addr = first.as_ptr() as usize;
+        pool.release(first); // unique: eligible for reuse
+        let second = pool.patch_ttl(&pkt, 62);
+        assert_eq!(second.as_ptr() as usize, addr, "unique buffer is recycled");
+        assert_eq!(Ipv4Repr::parse(&second).unwrap().ttl, 62);
+
+        // A still-shared handle — parked inline here — must NOT be
+        // recycled, and the bytes its holder sees must not change.
+        let held = second.clone();
+        pool.release(second);
+        assert!(pool.spill.is_empty(), "the only parked handle sits inline");
+        let third = pool.patch_ttl(&pkt, 61);
+        assert_ne!(third.as_ptr() as usize, addr, "shared buffer stays intact");
+        assert_eq!(Ipv4Repr::parse(&held).unwrap().ttl, 62);
+
+        // Once its holder lets go, the inline buffer is the one reused.
+        drop(held);
+        pool.release(third);
+        let fourth = pool.patch_ttl(&pkt, 60);
+        assert_eq!(fourth.as_ptr() as usize, addr, "inline slot is probed first");
+    }
+
+    #[test]
+    fn payload_pool_one_in_flight_never_spills() {
+        let pkt = data_packet();
+        let mut pool = PayloadPool::default();
+        for round in 0..1000u32 {
+            let out = pool.patch_ttl(&pkt, 63 - (round % 60) as u8);
+            pool.release(out);
+        }
+        assert_eq!(pool.parked(), 1);
+        assert_eq!(pool.spill.capacity(), 0, "the spill Vec was never allocated");
+    }
+
+    #[test]
+    fn payload_pool_parks_at_most_cap_handles() {
+        let pkt = data_packet();
+        let mut pool = PayloadPool::default();
+        // Nine distinct buffers, each still shared when it is released.
+        let held: Vec<Payload> = (0..9).map(|_| Payload::from(&pkt[..])).collect();
+        for h in &held {
+            pool.release(h.clone());
+        }
+        assert_eq!(pool.parked(), PayloadPool::CAP);
+        assert_eq!(PayloadPool::CAP, 8);
+        // None of them is reusable while its holder lives.
+        let fresh = pool.patch_ttl(&pkt, 63);
+        assert!(held.iter().all(|h| h.as_ptr() != fresh.as_ptr()));
+        assert!(held.iter().all(|h| Ipv4Repr::parse(h).unwrap().ttl == 64));
+    }
+}
