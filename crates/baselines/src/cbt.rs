@@ -202,7 +202,7 @@ impl CbtRouter {
 
     /// Bidirectional tree forwarding: to every tree neighbor and member
     /// interface except where the packet came from.
-    fn forward_on_tree(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8], header: Ipv4Repr, in_iface: Option<IfaceId>) {
+    fn forward_on_tree(&mut self, ctx: &mut Ctx<'_>, bytes: &Payload, header: Ipv4Repr, in_iface: Option<IfaceId>) {
         let group = header.dst;
         let Some(st) = self.trees.get(&group) else { return };
         if !st.on_tree || header.ttl <= 1 {
@@ -222,7 +222,7 @@ impl CbtRouter {
         if out_mask == 0 {
             return;
         }
-        let out = util::patch_ttl(bytes, header.ttl - 1);
+        let out = util::derive_ttl(ctx, bytes, header.ttl - 1);
         ctx.send_fanout(out_mask, &out, TrafficClass::Data, Reliability::Datagram);
         self.counters.data_forwarded += 1;
         match self.hot_data_fwd {
@@ -231,7 +231,7 @@ impl CbtRouter {
         }
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &[u8], header: Ipv4Repr) {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, header: Ipv4Repr) {
         let group = header.dst;
         let on_tree = self.trees.get(&group).map(|t| t.on_tree).unwrap_or(false);
         // Data from a directly attached host.
@@ -297,8 +297,7 @@ impl Agent for CbtRouter {
                 if let Ok((_outer, inner)) = express_wire::encap::decapsulate(bytes) {
                     if let Ok(inner_hdr) = Ipv4Repr::parse(inner) {
                         if inner_hdr.dst.is_multicast() {
-                            let inner = inner.to_vec();
-                            self.forward_on_tree(ctx, &inner, inner_hdr, None);
+                            self.forward_on_tree(ctx, &Payload::from(inner), inner_hdr, None);
                         }
                     }
                 }

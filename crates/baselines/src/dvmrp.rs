@@ -134,7 +134,7 @@ impl DvmrpRouter {
         self.pruned_upstream.retain(|_, exp| *exp > now);
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &[u8], header: Ipv4Repr) {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, header: Ipv4Repr) {
         let now = ctx.now();
         self.purge_expired(now);
         let (s, g) = (header.src, header.dst);
@@ -189,7 +189,7 @@ impl DvmrpRouter {
         let member_mask = if self.mis_prune { 0 } else { self.members.member_mask(g) };
         oifs |= member_mask & !util::iface_bit(iface);
         if oifs != 0 {
-            let out = util::patch_ttl(bytes, header.ttl - 1);
+            let out = util::derive_ttl(ctx, bytes, header.ttl - 1);
             ctx.send_fanout(oifs, &out, TrafficClass::Data, Reliability::Datagram);
             self.counters.data_forwarded += 1;
             match self.hot_data_fwd {

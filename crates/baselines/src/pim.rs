@@ -273,11 +273,11 @@ impl PimRouter {
         m & !util::iface_bit(in_iface)
     }
 
-    fn emit_data(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8], header: Ipv4Repr, oifs: u32) {
+    fn emit_data(&mut self, ctx: &mut Ctx<'_>, bytes: &Payload, header: Ipv4Repr, oifs: u32) {
         if header.ttl <= 1 || oifs == 0 {
             return;
         }
-        let out = util::patch_ttl(bytes, header.ttl - 1);
+        let out = util::derive_ttl(ctx, bytes, header.ttl - 1);
         ctx.send_fanout(oifs, &out, TrafficClass::Data, Reliability::Datagram);
         self.counters.data_forwarded += 1;
         match self.hot_data_fwd {
@@ -287,7 +287,7 @@ impl PimRouter {
     }
 
     /// Handle a native multicast data packet.
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &[u8], header: Ipv4Repr) {
+    fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, header: Ipv4Repr) {
         let s = header.src;
         let g = header.dst;
         let _now = ctx.now();
@@ -386,7 +386,7 @@ impl PimRouter {
         // Forward down the shared tree (no incoming interface to exclude —
         // the packet arrived by tunnel).
         let oifs = self.shared_oifs(ctx, g, s, IfaceId(31));
-        self.emit_data(ctx, &inner, inner_hdr, oifs);
+        self.emit_data(ctx, &Payload::from(inner), inner_hdr, oifs);
 
         let meta = self.sg_meta.entry((s, g)).or_default();
         let native = meta.native_seen;

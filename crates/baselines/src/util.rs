@@ -71,8 +71,16 @@ pub fn unicast_datagram(src: Ipv4Addr, dst: Ipv4Addr, protocol: Protocol, payloa
     buf
 }
 
-/// Rewrite the TTL (and checksum) of a datagram into a shared buffer, so
-/// one patch per hop serves every out-interface via `Ctx::send_shared`.
+/// The frame a hop forwards for the arriving `src`: `src` with the TTL
+/// rewritten to `new_ttl`, through the engine's derivation memo — the same
+/// call the EXPRESS router makes, so every router handed one frame shares
+/// one patched buffer and the protocols forward on equal terms.
+pub fn derive_ttl(ctx: &mut Ctx<'_>, src: &Payload, new_ttl: u8) -> Payload {
+    ctx.derive_frame(src, u32::from(new_ttl), |octets| patch_ttl(octets, new_ttl))
+}
+
+/// Rewrite the TTL (and checksum) of a datagram into a fresh shared buffer
+/// — a function of `bytes` and `new_ttl` alone, as [`derive_ttl`] requires.
 pub fn patch_ttl(bytes: &[u8], new_ttl: u8) -> Payload {
     let mut arc: Payload = Payload::from(bytes);
     let out = Payload::get_mut(&mut arc).expect("freshly built, uniquely owned");
@@ -88,16 +96,15 @@ pub fn patch_ttl(bytes: &[u8], new_ttl: u8) -> Payload {
 
 /// Forward a unicast datagram one hop along the shortest path; returns true
 /// if a route existed.
-pub fn forward_unicast(ctx: &mut Ctx<'_>, bytes: &[u8], header: Ipv4Repr, class: TrafficClass) -> bool {
+pub fn forward_unicast(ctx: &mut Ctx<'_>, bytes: &Payload, header: Ipv4Repr, class: TrafficClass) -> bool {
     if header.ttl <= 1 {
         return false;
     }
     let Some(hop) = ctx.next_hop_ip(header.dst) else {
         return false;
     };
-    let out = patch_ttl(bytes, header.ttl - 1);
-    let next = hop.next;
-    ctx.send_shared(hop.iface, out, class, Reliability::Datagram, Tx::To(next))
+    let out = derive_ttl(ctx, bytes, header.ttl - 1);
+    ctx.send_shared(hop.iface, out, class, Reliability::Datagram, Tx::To(hop.next))
 }
 
 /// Send a control payload out `iface` addressed to `to`, which may be a

@@ -51,6 +51,16 @@ impl Agent for Sink {
     }
 }
 
+/// Attach the source, run one packet through so agents and routing are
+/// warm, and leave a second one scheduled for the measured run.
+fn primed(mut sim: Sim, src: netsim::NodeId, chan: Channel) -> Sim {
+    sim.set_agent(src, Box::new(Blaster { pkt: packets::channel_data(chan, 100, 64) }));
+    sim.schedule_timer_at(src, SimTime(1_000), 0);
+    sim.schedule_timer_at(src, SimTime(10_000), 0);
+    sim.run_until(SimTime(9_000));
+    sim
+}
+
 /// Source —p2p— hub router —LAN— `n` sinks, FIB pre-seeded, one packet
 /// already run through so agents and routing are warm.
 fn star_sim(n: usize) -> Sim {
@@ -73,16 +83,58 @@ fn star_sim(n: usize) -> Sim {
     for &s in &members[1..] {
         sim.set_agent(s, Box::new(Sink { rx: None }));
     }
-    sim.set_agent(src, Box::new(Blaster { pkt: packets::channel_data(chan, 100, 64) }));
-    sim.schedule_timer_at(src, SimTime(1_000), 0);
-    sim.schedule_timer_at(src, SimTime(10_000), 0);
-    sim.run_until(SimTime(9_000));
-    sim
+    primed(sim, src, chan)
+}
+
+/// Source and `n` routers on one LAN, one sink behind each router, FIBs
+/// pre-seeded and one packet already run through: every router is handed
+/// the same arriving frame, as the routers of one tree level are, so one
+/// of them patches the TTL and `n - 1` take `Ctx::derive_frame`'s
+/// remembered answer.
+fn level_sim(n: usize) -> Sim {
+    let mut t = Topology::new();
+    let src = t.add_host();
+    let routers: Vec<_> = (0..n).map(|_| t.add_router()).collect();
+    let mut members = vec![src];
+    members.extend(&routers);
+    t.add_lan(&members, LinkSpec::lan()).unwrap();
+    let sinks: Vec<_> = routers
+        .iter()
+        .map(|&r| {
+            let s = t.add_host();
+            t.connect(r, s, LinkSpec::default()).unwrap();
+            s
+        })
+        .collect();
+    let chan = Channel::new(t.ip(src), 1).unwrap();
+    let mut sim = Sim::new(t, 7);
+    let cfg = RouterConfig { neighbor_probe: None, boot_query: false, ..RouterConfig::default() };
+    for &r in &routers {
+        let mut router = EcmpRouter::new(cfg);
+        router.install_static_route(FibEntry::new(chan, 0, 1 << 1).unwrap());
+        sim.set_agent(r, Box::new(router));
+    }
+    for &s in &sinks {
+        sim.set_agent(s, Box::new(Sink { rx: None }));
+    }
+    primed(sim, src, chan)
 }
 
 fn bench_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("send/fanout");
     g.sample_size(10);
+    g.throughput(Throughput::Elements(64));
+    g.bench_function(BenchmarkId::new("tree_level", 64), |b| {
+        b.iter_batched(
+            || level_sim(64),
+            |mut sim| {
+                sim.run_until(SimTime(20_000));
+                assert_eq!(sim.frames_derived(), 2, "one patch per packet, not one per router");
+                sim.events_processed()
+            },
+            BatchSize::LargeInput,
+        )
+    });
     for n in [1_000usize, 10_000] {
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("star_lan", n), &n, |b, &n| {

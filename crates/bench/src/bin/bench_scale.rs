@@ -36,6 +36,8 @@
 //!                                  # run the suite on the sharded parallel engine
 //! cargo run --release -p express-bench --bin bench_scale -- --shard-smoke
 //!                                  # determinism smoke: classic vs sharded observables, exit 1 on divergence
+//! cargo run --release -p express-bench --bin bench_scale -- --depth-sweep
+//!                                  # the k-ary tree at 2^12 … 2^20 sinks: deliveries/s against depth
 //! ```
 //!
 //! Output schema is `bench_scale/v2`: each scenario row records the shard
@@ -235,6 +237,9 @@ struct Measurement {
     /// Nanoseconds shards spent stalled at the window barrier, summed
     /// across shards — the price of conservative synchronization.
     sync_stall_ns: u64,
+    /// Frames actually patched over the measured window
+    /// (`Sim::frames_derived`): host work, reported by `--depth-sweep` only.
+    frames_derived: u64,
 }
 
 /// Drive `sim` through a warm-up window ending at `warm_until` and a
@@ -262,6 +267,7 @@ fn measure(
     let alloc0 = ALLOCS.load(Ordering::Relaxed);
     let fwd0 = sim.stats().named("express.data_fwd");
     let rx0 = sim.stats().named(delivered_key);
+    let derived0 = sim.frames_derived();
     let t0 = Instant::now();
     sim.run_until(end);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -297,6 +303,7 @@ fn measure(
         dijkstra_queries: sim.routing().query_count(),
         sync_windows,
         sync_stall_ns,
+        frames_derived: sim.frames_derived() - derived0,
     };
     eprintln!(
         "  {:<18} {:>9} subs  {:>2} shard(s)  {:>11} events  {:>9.0} ev/s  {:>7.1} ms wall  peakq {:>8}  {:>6.2} allocs/ev",
@@ -774,6 +781,31 @@ fn regression_check() {
     std::process::exit(if failed { 1 } else { 0 });
 }
 
+/// `--depth-sweep`: the §5.3 binary tree at 2¹² … 2²⁰ sinks, best of three
+/// each. Per delivery the simulated work is the same at every depth (three
+/// events, two forwards); what grows is how much router state one wave
+/// drags through the cache, so the rate against depth is what a forwarding
+/// hop costs in bytes. Packets scale down as the tree scales up, keeping
+/// every row at 5 × 2²⁰ deliveries. Prints only; writes no file.
+fn depth_sweep() {
+    eprintln!("bench_scale --depth-sweep: kary_tree(2), best of 3 per depth");
+    eprintln!("  sinks       routers     deliveries/s   ns/delivery   frames patched/wave");
+    for depth in [12usize, 14, 16, 18, 20] {
+        let packets = 5 << (20 - depth);
+        let m = best_of(3, || kary_scale(depth, 2, packets, 1));
+        let per_s = m.delivered as f64 / (m.wall_ms / 1e3);
+        eprintln!(
+            "  2^{depth:<2} {:>9} {:>9} {:>14.0} {:>13.1} {:>13.1}",
+            m.subscribers,
+            m.nodes - m.subscribers - 1,
+            per_s,
+            1e9 / per_s,
+            m.frames_derived as f64 / packets as f64
+        );
+    }
+    std::process::exit(0);
+}
+
 /// Minimal extraction of `(name, subscribers, events_per_sec)` triples from
 /// a previously written baseline file (our own fixed-format JSON).
 fn parse_baseline(text: &str) -> Vec<(String, usize, f64)> {
@@ -976,10 +1008,18 @@ fn main() {
     let deep = args.iter().any(|a| a == "--deep");
     let regression = args.iter().any(|a| a == "--regression-check");
     let smoke = args.iter().any(|a| a == "--shard-smoke");
-    const FLAGS: [&str; 6] =
-        ["--quick", "--rebaseline", "--overhead-check", "--deep", "--regression-check", "--shard-smoke"];
+    let sweep = args.iter().any(|a| a == "--depth-sweep");
+    const FLAGS: [&str; 7] = [
+        "--quick",
+        "--rebaseline",
+        "--overhead-check",
+        "--deep",
+        "--regression-check",
+        "--shard-smoke",
+        "--depth-sweep",
+    ];
     if let Some(bad) = args.iter().find(|a| !FLAGS.contains(&a.as_str())) {
-        eprintln!("unknown flag {bad}; usage: bench_scale [--quick] [--shards N] [--rebaseline] [--overhead-check [--deep]] [--regression-check] [--shard-smoke]");
+        eprintln!("unknown flag {bad}; usage: bench_scale [--quick] [--shards N] [--rebaseline] [--overhead-check [--deep]] [--regression-check] [--shard-smoke] [--depth-sweep]");
         std::process::exit(2);
     }
     if smoke {
@@ -990,6 +1030,9 @@ fn main() {
     }
     if regression {
         regression_check();
+    }
+    if sweep {
+        depth_sweep();
     }
     let mode = if quick { "quick" } else { "full" };
     eprintln!("bench_scale ({mode} mode, {shards} shard(s))");

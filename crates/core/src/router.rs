@@ -1724,9 +1724,11 @@ mod tests {
 
     #[test]
     fn router_size_is_pinned() {
-        // 344 B on x86-64: config 64, forwarding plane 152, control-plane
-        // pointer 8, results 24, counters 96 (docs/INTERNALS.md §8).
-        assert!(std::mem::size_of::<EcmpRouter>() <= 352, "{}", std::mem::size_of::<EcmpRouter>());
+        // 320 B on x86-64: config 64, forwarding plane 128, control-plane
+        // pointer 8, results 24, counters 96 (docs/INTERNALS.md §8). The
+        // bound is the largest size whose glibc chunk is still 336 B — the
+        // whole per-router heap of a one-route forwarding hop.
+        assert!(std::mem::size_of::<EcmpRouter>() <= 328, "{}", std::mem::size_of::<EcmpRouter>());
     }
 
     /// Everything the control-plane accessors and the audit sweep report.

@@ -49,7 +49,7 @@ impl ForwardingPlane {
         counters: &mut RouterCounters,
         ctx: &mut Ctx<'_>,
         iface: IfaceId,
-        bytes: &[u8],
+        bytes: &Payload,
         channel: Channel,
         header: Ipv4Repr,
     ) {
@@ -64,11 +64,11 @@ impl ForwardingPlane {
         self.fib.record(decision);
         match decision {
             Forward::To(mask) => {
-                // One TTL patch per hop; every out-interface (and every
-                // receiver behind each) shares the patched buffer.
-                let out = self.pool.patch_ttl(bytes, header.ttl - 1);
+                // One TTL patch per arriving frame: every out-interface (and
+                // every receiver behind each) shares the patched buffer, and
+                // so does every other router handed the same frame.
+                let out = self.pool.derive(ctx, bytes, header.ttl - 1);
                 ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-                self.pool.release(out);
                 counters.data_forwarded += 1;
                 match self.hot {
                     Some(h) => ctx.count_id(h.data_fwd, 1),
@@ -117,6 +117,8 @@ impl ForwardingPlane {
             return;
         }
         let mask = e.oif_mask();
+        // A decapsulated frame arrives in no shared buffer, so there is no
+        // handle another router could present: patch it here.
         let out = self.pool.patch_ttl(&inner, inner_hdr.ttl - 1);
         ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
         self.pool.release(out);
@@ -129,7 +131,7 @@ impl ForwardingPlane {
 
     /// Plain unicast forwarding (the substrate: relays, subcast transit,
     /// encapsulated register traffic for baselines sharing this router).
-    pub(super) fn forward_unicast(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8], header: Ipv4Repr, class: TrafficClass) {
+    pub(super) fn forward_unicast(&mut self, ctx: &mut Ctx<'_>, bytes: &Payload, header: Ipv4Repr, class: TrafficClass) {
         if header.ttl <= 1 {
             ctx.count("express.ttl_drop", 1);
             return;
@@ -138,24 +140,25 @@ impl ForwardingPlane {
             ctx.count("express.unroutable", 1);
             return;
         };
-        let out = self.pool.patch_ttl(bytes, header.ttl - 1);
-        let next = hop.next;
-        ctx.send_shared(hop.iface, out.clone(), class, Reliability::Datagram, Tx::To(next));
-        self.pool.release(out);
+        let out = self.pool.derive(ctx, bytes, header.ttl - 1);
+        ctx.send_shared(hop.iface, out, class, Reliability::Datagram, Tx::To(hop.next));
     }
 }
 
-/// A small recycling pool for forwarding buffers.
+/// A small recycling pool for forwarding buffers — where a frame is
+/// actually patched when [`Ctx::derive_frame`] has no remembered answer.
 ///
-/// `Ctx::send_shared` clones the `Arc` handle per out-interface; once every
-/// delivery event has been consumed, the handle parked here by
-/// [`PayloadPool::release`] is uniquely owned again, and the next forward
-/// of a same-sized frame reuses its allocation — a memcpy instead of a
-/// fresh `Arc<[u8]>` — driving the steady-state forwarding path to ~0
-/// allocations per packet. Reuse is content-independent (the buffer is
-/// fully overwritten before the TTL patch), so whether a given forward hit
-/// or missed the pool can never change emitted bytes or event order, and
-/// replay determinism is unaffected.
+/// Delivery events hold clones of the patched handle; once every one has
+/// been consumed, the handle parked here by [`PayloadPool::release`] is
+/// uniquely owned again, and the next patch of a same-sized frame reuses
+/// its allocation — a memcpy instead of a fresh `Arc<[u8]>` — driving the
+/// steady-state forwarding path to ~0 allocations per packet. A router the
+/// memo always answers for (every router of a tree level but the first to
+/// run) never patches, so it never parks a buffer either. Reuse is
+/// content-independent (the buffer is fully overwritten before the TTL
+/// patch), so whether a given forward hit or missed the pool can never
+/// change emitted bytes or event order, and replay determinism is
+/// unaffected.
 ///
 /// The first parked handle lives inline: a router with one packet in
 /// flight at a time (every hop of a distribution tree in steady state)
@@ -171,6 +174,19 @@ impl PayloadPool {
     /// At most this many parked handles, the inline one included; beyond
     /// it, returns are dropped.
     const CAP: usize = 8;
+
+    /// The frame a hop forwards for the arriving `src`: `src` with the TTL
+    /// rewritten to `new_ttl`, from the engine's derivation memo when
+    /// another router was handed the same frame just before, patched here
+    /// (and parked for recycling) otherwise. The patch depends on `src`'s
+    /// octets and `new_ttl` alone, which is the memo's contract.
+    fn derive(&mut self, ctx: &mut Ctx<'_>, src: &Payload, new_ttl: u8) -> Payload {
+        ctx.derive_frame(src, u32::from(new_ttl), |octets| {
+            let out = self.patch_ttl(octets, new_ttl);
+            self.release(out.clone());
+            out
+        })
+    }
 
     /// Copy `bytes` into a recycled (or fresh) shared buffer with the TTL
     /// rewritten to `new_ttl` and the header checksum recomputed, so one
@@ -228,11 +244,116 @@ impl PayloadPool {
 mod tests {
     use super::*;
     use crate::packets;
+    use crate::router::{EcmpRouter, RouterConfig};
     use express_wire::addr::Ipv4Addr;
+    use express_wire::fib::FibEntry;
+    use netsim::engine::Agent;
+    use netsim::time::SimTime;
+    use netsim::{topogen, LinkSpec, NodeId, Sim, Topology};
+    use std::any::Any;
 
     fn data_packet() -> Vec<u8> {
         let chan = Channel::new(Ipv4Addr::new(10, 0, 0, 1), 1).unwrap();
         packets::channel_data(chan, 16, 64)
+    }
+
+    /// A host that sends `script[token]` — the handle itself, not a copy —
+    /// out interface 0 on each timer, and keeps every frame it receives.
+    #[derive(Default)]
+    struct Tap {
+        script: Vec<Payload>,
+        got: Vec<Payload>,
+    }
+
+    impl Agent for Tap {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let frame = self.script[token as usize].clone();
+            ctx.send_shared(IfaceId(0), frame, TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
+            self.got.push(bytes.clone());
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A router with no timers of its own, one static route for `chan`:
+    /// in on interface 0, out on every other interface.
+    fn static_router(sim: &Sim, node: NodeId, chan: Channel) -> Box<EcmpRouter> {
+        let mut router = EcmpRouter::new(RouterConfig {
+            neighbor_probe: None,
+            boot_query: false,
+            ..RouterConfig::default()
+        });
+        let all = (1u32 << sim.topology().iface_count(node)) - 1;
+        router.install_static_route(FibEntry::new(chan, 0, all & !1).unwrap());
+        Box::new(router)
+    }
+
+    #[test]
+    fn interleaved_frames_through_one_router_keep_their_own_ttl_and_checksum() {
+        let mut topo = Topology::new();
+        let (src, r, sink) = (topo.add_host(), topo.add_router(), topo.add_host());
+        topo.connect(src, r, LinkSpec::default()).unwrap();
+        topo.connect(r, sink, LinkSpec::default()).unwrap();
+        let chan = Channel::new(topo.ip(src), 1).unwrap();
+        // Same length, so the router's pool recycles one buffer across them.
+        let a: Payload = packets::channel_data(chan, 16, 64).into();
+        let mut b = packets::channel_data(chan, 16, 9);
+        *b.last_mut().unwrap() = 0xBB;
+        let b: Payload = b.into();
+        let script = vec![a.clone(), a.clone(), b.clone(), a.clone(), b.clone()];
+        let mut sim = Sim::new(topo, 1);
+        sim.set_agent(r, static_router(&sim, r, chan));
+        sim.set_agent(src, Box::new(Tap { script: script.clone(), got: vec![] }));
+        sim.set_agent(sink, Box::<Tap>::default());
+        for token in 0..script.len() as u64 {
+            sim.schedule_timer_at(src, SimTime((token + 1) * 10), token);
+        }
+        sim.run();
+        // A, A: one derivation; then B, A, B each displace the other.
+        assert_eq!(sim.frames_derived(), 4);
+        let got = &sim.agent_as::<Tap>(sink).unwrap().got;
+        assert_eq!(got.len(), script.len());
+        for (sent, rx) in script.iter().zip(got) {
+            let (was, now) = (Ipv4Repr::parse(sent).unwrap(), Ipv4Repr::parse(rx).expect("checksum verifies"));
+            assert_eq!(now.ttl, was.ttl - 1);
+            assert_eq!(rx[ipv4::HEADER_LEN..], sent[ipv4::HEADER_LEN..]);
+        }
+    }
+
+    #[test]
+    fn a_tree_wave_patches_one_frame_per_level() {
+        const DEPTH: usize = 6;
+        let g = topogen::kary_tree(2, DEPTH, LinkSpec::default());
+        let (src, sinks) = (g.hosts[0], &g.hosts[1..]);
+        let chan = Channel::new(g.topo.ip(src), 1).unwrap();
+        let frame: Payload = packets::channel_data(chan, 16, packets::DEFAULT_TTL).into();
+        let mut sim = Sim::new(g.topo, 1);
+        for &r in &g.routers {
+            sim.set_agent(r, static_router(&sim, r, chan));
+        }
+        for &h in sinks {
+            sim.set_agent(h, Box::<Tap>::default());
+        }
+        sim.set_agent(src, Box::new(Tap { script: vec![frame], got: vec![] }));
+        for wave in 1..=2u64 {
+            sim.schedule_timer_at(src, SimTime(wave * 100_000), 0);
+            sim.run();
+            // DEPTH + 1 router levels, whatever their width.
+            assert_eq!(sim.frames_derived(), wave * (DEPTH as u64 + 1));
+        }
+        assert_eq!(sim.stats().named("express.data_fwd"), 2 * g.routers.len() as u64);
+        let first = sim.agent_as::<Tap>(sinks[0]).unwrap().got.clone();
+        for &h in sinks {
+            let got = &sim.agent_as::<Tap>(h).unwrap().got;
+            assert_eq!(got.len(), 2);
+            for (rx, same) in got.iter().zip(&first) {
+                assert!(Payload::ptr_eq(rx, same), "every sink of a wave holds the one last-level frame");
+                assert_eq!(Ipv4Repr::parse(rx).unwrap().ttl, packets::DEFAULT_TTL - (DEPTH as u8 + 1));
+            }
+        }
     }
 
     #[test]

@@ -291,9 +291,9 @@ enum EventKind {
     /// shard the link touches; each expands only its own endpoints.
     Fanout(FanoutSend),
     /// Consecutive same-timestamp fan-outs coalesced into one queue entry
-    /// by [`TimerWheel::push_coalesced_keyed`]; members are kept in
-    /// ascending key order and expanded against the pause rule (see
-    /// `ShardExec::expand_cohort`).
+    /// by `World::push_fanout`; members are kept in ascending key order and
+    /// expanded against the pause rule (see `ShardExec::expand_cohort`).
+    /// The last member always owns its frame (see [`FanoutSend::bytes`]).
     FanoutCohort(Vec<FanoutSend>),
 }
 
@@ -308,7 +308,14 @@ struct FanoutSend {
     node: NodeId,
     /// The sender's interface; the link is re-resolved at expansion.
     iface: IfaceId,
-    bytes: Payload,
+    /// The frame, by reference within a cohort: a run of consecutive
+    /// members transmitting the same handle (every router of a tree level
+    /// forwarding one derived frame) keeps a single owner, its **last**
+    /// member, and the members before it hold `None`. Joining a run moves
+    /// the handle from the old tail to the newcomer, and a paused cohort's
+    /// re-queued tail still ends in its owners, so neither touches a
+    /// refcount. A fan-out outside a cohort always owns its frame.
+    bytes: Option<Payload>,
     class: TrafficClass,
     id: PacketId,
     root: PacketId,
@@ -387,6 +394,15 @@ struct ArrivalCause {
     root_at: SimTime,
 }
 
+/// One remembered [`Ctx::derive_frame`] result. Holding `src` keeps the
+/// source buffer alive, so no other frame can be allocated at its address
+/// while the entry stands: pointer identity cannot alias (no ABA).
+struct DerivedFrame {
+    src: Payload,
+    tag: u32,
+    out: Payload,
+}
+
 /// One shard's mutable half of the engine: the node range `[base, limit)`,
 /// its event wheel, per-node RNG/sequence slabs, and its own observability
 /// state (stats / metrics / trace / profiler), merged into shard 0 at the
@@ -432,6 +448,11 @@ struct World {
     /// `endpoint slab index << 32 | counter` so mirrored expansions merge
     /// in endpoint order).
     cur_sub: u64,
+    /// The last frame derivation performed in this shard (see
+    /// [`Ctx::derive_frame`]).
+    derived: Option<DerivedFrame>,
+    /// Derivations actually run: [`Ctx::derive_frame`] misses.
+    frames_derived: u64,
     /// Recycled cohort buffers from drained `FanoutCohort` events.
     fanout_spares: Vec<Vec<FanoutSend>>,
     /// Scratch for the eager (lossy/unicast) send path's bulk schedule.
@@ -476,6 +497,8 @@ impl World {
             cause: None,
             cur_key: 0,
             cur_sub: 0,
+            derived: None,
+            frames_derived: 0,
             fanout_spares: Vec::new(),
             bulk_scratch: Vec::new(),
             outbox: Vec::new(),
@@ -507,51 +530,48 @@ impl World {
         }
     }
 
-    /// Queue a deferred fan-out at `(at, fs.key)`, coalescing with the
-    /// queue's most recent same-timestamp entry when that entry is itself
-    /// a fan-out *and* every member of it keys below the newcomer — a
+    /// Queue a deferred fan-out of `frame` at `(at, fs.key)`, coalescing
+    /// with the queue's most recent same-timestamp entry when that entry is
+    /// itself a fan-out *and* every member of it keys below the newcomer — a
     /// forwarding hop emitting k same-latency sends back to back occupies
     /// one queue entry instead of k. The ascending-key condition keeps pop
     /// order canonical: a cohort pops at its first member's key, and
     /// expansion pauses at any member a smaller-keyed interloper undercuts
     /// (see `ShardExec::expand_cohort`).
-    fn push_fanout(&mut self, at: SimTime, fs: FanoutSend) {
-        let World { queue, fanout_spares, .. } = self;
-        let key = fs.key;
-        let merged = queue.push_coalesced_keyed(at, key, EventKind::Fanout(fs), |last, item| {
-            let EventKind::Fanout(new) = item else { return Err(item) };
-            let last_key = match &*last {
-                EventKind::FanoutCohort(v) => v.last().map(|m| m.key),
-                EventKind::Fanout(prev) => Some(prev.key),
+    ///
+    /// `fs` arrives without its frame. Joining a cohort whose tail
+    /// transmits the same handle takes that handle over from the tail (see
+    /// [`FanoutSend::bytes`]); only otherwise is `frame` made owned, so a
+    /// borrowed frame fanned out behind its own earlier send costs no
+    /// refcount operation at all.
+    fn push_fanout(&mut self, at: SimTime, mut fs: FanoutSend, frame: Cow<'_, Payload>) {
+        debug_assert!(fs.bytes.is_none());
+        if let Some(last) = self.queue.tail_mut_at(at) {
+            let tail = match last {
+                EventKind::FanoutCohort(v) => v.last_mut(),
+                EventKind::Fanout(prev) => Some(prev),
                 _ => None,
             };
-            match last_key {
-                Some(k) if new.key > k => {}
-                _ => return Err(EventKind::Fanout(new)),
-            }
-            match last {
-                EventKind::FanoutCohort(v) => {
-                    v.push(new);
-                    Ok(())
-                }
-                last @ EventKind::Fanout(_) => {
+            if let Some(tail) = tail.filter(|t| t.key < fs.key) {
+                fs.bytes = match &tail.bytes {
+                    Some(b) if Arc::ptr_eq(b, &frame) => tail.bytes.take(),
+                    _ => Some(frame.into_owned()),
+                };
+                if let EventKind::FanoutCohort(v) = last {
+                    v.push(fs);
+                } else {
                     // Upgrade the tail entry in place to a two-member cohort.
-                    let prev = std::mem::replace(
-                        last,
-                        EventKind::FanoutCohort(fanout_spares.pop().unwrap_or_default()),
-                    );
-                    let EventKind::Fanout(prev) = prev else { unreachable!() };
+                    let cohort = EventKind::FanoutCohort(self.fanout_spares.pop().unwrap_or_default());
+                    let EventKind::Fanout(prev) = std::mem::replace(last, cohort) else { unreachable!() };
                     let EventKind::FanoutCohort(v) = last else { unreachable!() };
                     v.push(prev);
-                    v.push(new);
-                    Ok(())
+                    v.push(fs);
                 }
-                _ => unreachable!(),
+                return;
             }
-        });
-        if !merged && self.queue.len() > self.peak_queue_depth {
-            self.peak_queue_depth = self.queue.len();
         }
+        fs.bytes = Some(frame.into_owned());
+        self.push(at, fs.key, EventKind::Fanout(fs));
     }
 
     /// Record a trace event if tracing is enabled (filters and causal
@@ -860,6 +880,40 @@ impl<'a> Ctx<'a> {
         self.shared.topo.ip(node)
     }
 
+    /// The frame derived from the arriving frame `src` under `tag` — a
+    /// forwarding hop's TTL-patched copy, with `tag` the new TTL. `derive`
+    /// builds it from `src`'s octets, and its result must be a function of
+    /// those octets and `tag` **only**: on that contract the engine
+    /// remembers the last derivation, and a caller presenting the same
+    /// `src` handle and `tag` again — every other router of the tree level
+    /// that was handed this frame — gets the remembered handle back
+    /// without running `derive`. Frames are immutable once shared, so one
+    /// handle serving a whole level is indistinguishable from per-router
+    /// copies; receivers still verify the checksum when they parse it.
+    ///
+    /// Identity, not content, is what is compared (equal octets under
+    /// another handle derive afresh), and the memo holds a clone of `src`,
+    /// so the address it compares against cannot be reused by a different
+    /// frame while the entry stands. Debug builds re-run `derive` on every
+    /// hit and assert the octets agree.
+    pub fn derive_frame(&mut self, src: &Payload, tag: u32, derive: impl FnOnce(&[u8]) -> Payload) -> Payload {
+        let w = &mut *self.world;
+        if let Some(m) = &w.derived {
+            if m.tag == tag && Arc::ptr_eq(&m.src, src) {
+                debug_assert!(*derive(src) == *m.out, "derive_frame: derivation is not a function of (octets, tag)");
+                return m.out.clone();
+            }
+        }
+        let out = derive(src);
+        w.frames_derived += 1;
+        w.derived = Some(DerivedFrame {
+            src: src.clone(),
+            tag,
+            out: out.clone(),
+        });
+        out
+    }
+
     /// Transmit `bytes` out `iface`. Returns `true` if the link was up and
     /// the frame entered the wire (it may still be lost per-receiver when
     /// `Datagram`). Copies `bytes` into one shared buffer; when the frame
@@ -875,6 +929,13 @@ impl<'a> Ctx<'a> {
     /// so a forwarding hop costs at most one allocation (its own header
     /// patch) regardless of fan-out.
     pub fn send_shared(&mut self, iface: IfaceId, payload: Payload, class: TrafficClass, rel: Reliability, tx: Tx) -> bool {
+        self.transmit(iface, Cow::Owned(payload), class, rel, tx)
+    }
+
+    /// The one transmit path behind [`send_shared`](Self::send_shared)
+    /// (owned handle) and [`send_fanout`](Self::send_fanout) (borrowed
+    /// handle): the frame is cloned only where an event must own it.
+    fn transmit(&mut self, iface: IfaceId, payload: Cow<'_, Payload>, class: TrafficClass, rel: Reliability, tx: Tx) -> bool {
         let node = self.node;
         let Ok(link) = self.shared.topo.link_of(node, iface) else {
             return false;
@@ -949,7 +1010,7 @@ impl<'a> Ctx<'a> {
                         EventKind::Fanout(FanoutSend {
                             node,
                             iface,
-                            bytes: payload.clone(),
+                            bytes: Some(Payload::clone(&payload)),
                             class,
                             id,
                             root,
@@ -964,13 +1025,14 @@ impl<'a> Ctx<'a> {
                 FanoutSend {
                     node,
                     iface,
-                    bytes: payload,
+                    bytes: None,
                     class,
                     id,
                     root,
                     root_at,
                     key,
                 },
+                payload,
             );
             return true;
         }
@@ -1017,7 +1079,7 @@ impl<'a> Ctx<'a> {
             let ev = EventKind::Arrival {
                 node: n,
                 iface: i,
-                bytes: payload.clone(),
+                bytes: Payload::clone(&payload),
                 class,
                 id,
                 root,
@@ -1044,15 +1106,16 @@ impl<'a> Ctx<'a> {
     /// fan-out walk as one call. Equivalent to one
     /// [`send_shared`](Self::send_shared) with [`Tx::AllOnLink`] per set
     /// bit; under batching each becomes a deferred fan-out and consecutive
-    /// same-latency sends coalesce into a single queue entry. Returns the
-    /// number of interfaces whose link was up (frames that entered the
+    /// same-latency sends coalesce into a single queue entry, sharing the
+    /// handle by reference rather than cloning it per interface. Returns
+    /// the number of interfaces whose link was up (frames that entered the
     /// wire).
     pub fn send_fanout(&mut self, mut mask: u32, payload: &Payload, class: TrafficClass, rel: Reliability) -> u32 {
         let mut sent = 0;
         while mask != 0 {
             let i = mask.trailing_zeros();
             mask &= mask - 1;
-            if self.send_shared(IfaceId(i as u8), payload.clone(), class, rel, Tx::AllOnLink) {
+            if self.transmit(IfaceId(i as u8), Cow::Borrowed(payload), class, rel, Tx::AllOnLink) {
                 sent += 1;
             }
         }
@@ -1103,18 +1166,17 @@ enum SegCmd {
 
 impl<'a> ShardExec<'a> {
     /// Run `f` with the agent at `node` (owned by this shard) and a fresh
-    /// dispatch context. The agent is temporarily detached from the slab
-    /// so it can borrow the world mutably through `Ctx`.
+    /// dispatch context. Split borrow, as in `Sim::coord_agent`: the agent
+    /// slot, the world and the shared state are disjoint.
     fn with_agent<F: FnOnce(&mut dyn Agent, &mut Ctx<'_>)>(&mut self, node: NodeId, f: F) {
         let li = (node.0 - self.world.base) as usize;
-        let mut agent = self.agents[li].take().expect("agent detached during its own dispatch");
+        let agent = self.agents[li].as_deref_mut().expect("no agent at node");
         let mut ctx = Ctx {
             shared: self.shared,
             world: self.world,
             node,
         };
-        f(agent.as_mut(), &mut ctx);
-        self.agents[li] = Some(agent);
+        f(agent, &mut ctx);
     }
 
     /// Execute one popped event: advance this shard's clock, tag the
@@ -1128,7 +1190,8 @@ impl<'a> ShardExec<'a> {
         match kind {
             EventKind::Fanout(fs) => {
                 let before = self.world.events_processed;
-                self.expand_fanout(&fs);
+                let frame = fs.bytes.as_ref().expect("a fan-out outside a cohort owns its frame");
+                self.expand_fanout(&fs, frame);
                 self.finish_fanout_pop(before);
             }
             EventKind::FanoutCohort(sends) => {
@@ -1207,6 +1270,10 @@ impl<'a> ShardExec<'a> {
     /// consecutive keys nothing can fall between.)
     fn expand_cohort(&mut self, at: SimTime, mut sends: Vec<FanoutSend>) {
         let mut idx = 0;
+        // The member holding `sends[idx]`'s frame: the first at or after
+        // `idx` with a handle (a run's owner is its last member, and so is
+        // the cohort's, which a re-queued tail keeps).
+        let mut owner = 0;
         while idx < sends.len() {
             if idx > 0 {
                 let mk = sends[idx].key;
@@ -1233,7 +1300,12 @@ impl<'a> ShardExec<'a> {
                     }
                 }
             }
-            self.expand_fanout(&sends[idx]);
+            owner = owner.max(idx);
+            while sends[owner].bytes.is_none() {
+                owner += 1;
+            }
+            let frame = sends[owner].bytes.as_ref().expect("just found");
+            self.expand_fanout(&sends[idx], frame);
             idx += 1;
         }
         sends.clear();
@@ -1256,10 +1328,9 @@ impl<'a> ShardExec<'a> {
     /// the eager delivery set. Trace records carry
     /// `endpoint index << 32 | counter` sub-tags so the merged stream
     /// reconstructs the single-shard endpoint order.
-    fn expand_fanout(&mut self, fs: &FanoutSend) {
+    fn expand_fanout(&mut self, fs: &FanoutSend, bytes: &Payload) {
         let sender = fs.node;
         let iface = fs.iface;
-        let bytes = &fs.bytes;
         let (class, id, root, root_at) = (fs.class, fs.id, fs.root, fs.root_at);
         let Ok(link) = self.shared.topo.link_of(sender, iface) else {
             return;
@@ -1480,7 +1551,10 @@ fn worker_loop(
                     // key order, so a wide cut (e.g. a tree level split
                     // across the boundary) collapses into a few cohort
                     // entries instead of one entry per cut link.
-                    EventKind::Fanout(fs) => exec.world.push_fanout(at, fs),
+                    EventKind::Fanout(mut fs) => {
+                        let frame = fs.bytes.take().expect("a fan-out outside a cohort owns its frame");
+                        exec.world.push_fanout(at, fs, Cow::Owned(frame));
+                    }
                     kind => exec.world.push(at, key, kind),
                 }
             }
@@ -2039,6 +2113,14 @@ impl Sim {
     /// Total events dispatched so far, over all shards.
     pub fn events_processed(&self) -> u64 {
         self.worlds.iter().map(|w| w.events_processed).sum()
+    }
+
+    /// Frame derivations actually run so far — [`Ctx::derive_frame`] calls
+    /// the memo did not answer — over all shards. Host work, not a
+    /// simulated statistic: each shard remembers its own last derivation,
+    /// so the figure grows with the shard count.
+    pub fn frames_derived(&self) -> u64 {
+        self.worlds.iter().map(|w| w.frames_derived).sum()
     }
 
     /// High-water mark of the pending-event set over the whole run — the
@@ -3199,5 +3281,87 @@ mod tests {
             TraceConfig::default(),
             Box::new(crate::trace::JsonlSink::new(Vec::new())),
         );
+    }
+
+    /// Run `f` inside a dispatch (node `a`'s start-up callback); returns
+    /// the derivations the run performed.
+    fn in_dispatch(f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) -> u64 {
+        struct Once<F>(Option<F>);
+        impl<F: FnOnce(&mut Ctx<'_>) + Send + 'static> Agent for Once<F> {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                (self.0.take().expect("started once"))(ctx)
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let (mut sim, a, _) = two_nodes(1);
+        sim.set_agent(a, Box::new(Once(Some(f))));
+        sim.start();
+        sim.frames_derived()
+    }
+
+    /// A derivation that is a function of `(octets, tag)`: the octets with
+    /// the first one replaced by the tag.
+    fn stamp(tag: u32) -> impl Fn(&[u8]) -> Payload {
+        move |octets| {
+            let mut out = octets.to_vec();
+            out[0] = tag as u8;
+            out.into()
+        }
+    }
+
+    #[test]
+    fn derive_frame_answers_only_for_the_same_handle_and_tag() {
+        let derived = in_dispatch(|ctx| {
+            let a = Payload::from(&b"frame"[..]);
+            let twin = Payload::from(&b"frame"[..]);
+            let first = ctx.derive_frame(&a, 7, stamp(7));
+            assert_eq!(&*first, b"\x07rame");
+            assert!(Arc::ptr_eq(&first, &ctx.derive_frame(&a, 7, stamp(7))), "same handle, same tag: remembered");
+            // Equal octets under another handle are another frame.
+            let other = ctx.derive_frame(&twin, 7, stamp(7));
+            assert!(!Arc::ptr_eq(&first, &other));
+            assert_eq!(first, other);
+            // Same handle, another tag.
+            let retagged = ctx.derive_frame(&twin, 6, stamp(6));
+            assert_eq!(&*retagged, b"\x06rame");
+            assert!(Arc::ptr_eq(&retagged, &ctx.derive_frame(&twin, 6, stamp(6))));
+            // One entry: `a` was displaced, and derives afresh.
+            assert!(!Arc::ptr_eq(&first, &ctx.derive_frame(&a, 7, stamp(7))));
+        });
+        assert_eq!(derived, 4);
+    }
+
+    #[test]
+    fn derive_frame_cannot_hit_on_a_recycled_address() {
+        // The caller lets go of every source right after deriving from it.
+        // Were the memo to remember the bare address, the allocator would
+        // hand it to the next same-length frame and the stale entry would
+        // answer for it; the memo's own clone keeps the address taken.
+        let derived = in_dispatch(|ctx| {
+            let mut remembered = std::ptr::null();
+            for i in 0..1000u32 {
+                let mut octets = [0u8; 64];
+                octets[60..].copy_from_slice(&i.to_be_bytes());
+                let src = Payload::from(&octets[..]);
+                assert_ne!(src.as_ptr(), remembered, "round {i}");
+                let out = ctx.derive_frame(&src, 1, stamp(1));
+                assert_eq!(out[60..], i.to_be_bytes(), "round {i} was answered from another frame");
+                remembered = src.as_ptr();
+            }
+        });
+        assert_eq!(derived, 1000);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not a function of (octets, tag)")]
+    fn derive_frame_hit_checks_the_purity_contract_in_debug_builds() {
+        in_dispatch(|ctx| {
+            let a = Payload::from(&b"frame"[..]);
+            ctx.derive_frame(&a, 7, stamp(7));
+            ctx.derive_frame(&a, 7, stamp(8));
+        });
     }
 }

@@ -353,66 +353,45 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// [`push`](Self::push), but first offer the item to the most recent
-    /// entry scheduled at the *same timestamp*, if that entry is still the
-    /// tail of its bucket: `merge(&mut tail, item)` returning `Ok(())`
-    /// coalesces the two into one queue entry ([`len`](Self::len) is
-    /// unchanged); `Err(item)` hands the item back for a normal push.
-    /// Returns `true` when the item was coalesced.
+    /// The most recent entry scheduled at exactly `at`, if it is still the
+    /// tail of its bucket — the one queue position a new push at `at` would
+    /// land directly behind, so a caller may fold the newcomer into it
+    /// instead of pushing (the engine's fan-out cohorts). `None` when the
+    /// bucket is empty, its tail carries another timestamp, or `at` lies
+    /// behind the cursor or past the horizon (entries there live in heaps,
+    /// where "most recent" has no position).
     ///
-    /// Coalescing never reorders: same-timestamp entries always share a
-    /// bucket and are appended in push order, so the bucket tail at `at`
-    /// is the most recently scheduled event at that timestamp — merging
-    /// into it occupies exactly the queue position a fresh push would
-    /// take. Any intervening push into the bucket becomes the new tail
-    /// and breaks the chain automatically; behind-cursor and past-horizon
-    /// timestamps never merge (plain push).
+    /// Folding never reorders: same-timestamp entries share a bucket and
+    /// are appended in push order, and any intervening push into the bucket
+    /// becomes the new tail. Under explicit keys the tail is not
+    /// necessarily the key-maximum at `at`; the caller must refuse a fold
+    /// that would violate its own ordering contract.
+    pub fn tail_mut_at(&mut self, at: SimTime) -> Option<&mut T> {
+        let s = self.bucket_of(at);
+        if s < self.cursor_slot || s - self.cursor_slot >= self.nslots as u64 {
+            return None;
+        }
+        let pos = (s & self.slot_mask) as usize;
+        self.slots[pos].last_mut().filter(|e| e.at == at).map(|e| &mut e.item)
+    }
+
+    /// [`push`](Self::push), but first offer the item to
+    /// [`tail_mut_at(at)`](Self::tail_mut_at): `merge(&mut tail, item)`
+    /// returning `Ok(())` coalesces the two into one queue entry
+    /// ([`len`](Self::len) is unchanged); `Err(item)` hands the item back
+    /// for a normal push. Returns `true` when the item was coalesced.
     pub fn push_coalesced<M>(&mut self, at: SimTime, item: T, merge: M) -> bool
     where
         M: FnOnce(&mut T, T) -> Result<(), T>,
     {
-        let s = self.bucket_of(at);
-        let mut item = item;
-        if s >= self.cursor_slot && s - self.cursor_slot < self.nslots as u64 {
-            let pos = (s & self.slot_mask) as usize;
-            if let Some(last) = self.slots[pos].last_mut() {
-                if last.at == at {
-                    match merge(&mut last.item, item) {
-                        Ok(()) => return true,
-                        Err(back) => item = back,
-                    }
-                }
-            }
-        }
+        let item = match self.tail_mut_at(at) {
+            Some(tail) => match merge(tail, item) {
+                Ok(()) => return true,
+                Err(back) => back,
+            },
+            None => item,
+        };
         self.push(at, item);
-        false
-    }
-
-    /// [`push_coalesced`](Self::push_coalesced) with a caller-supplied
-    /// tie-break key for the fallback push. The merge offer still goes to
-    /// the bucket *tail* (most recent same-timestamp push); under explicit
-    /// keys the tail is not necessarily the key-maximum at `at`, so the
-    /// merge closure itself must refuse any merge that would violate the
-    /// caller's ordering contract (the engine merges only ascending-key
-    /// cohort members).
-    pub fn push_coalesced_keyed<M>(&mut self, at: SimTime, key: u128, item: T, merge: M) -> bool
-    where
-        M: FnOnce(&mut T, T) -> Result<(), T>,
-    {
-        let s = self.bucket_of(at);
-        let mut item = item;
-        if s >= self.cursor_slot && s - self.cursor_slot < self.nslots as u64 {
-            let pos = (s & self.slot_mask) as usize;
-            if let Some(last) = self.slots[pos].last_mut() {
-                if last.at == at {
-                    match merge(&mut last.item, item) {
-                        Ok(()) => return true,
-                        Err(back) => item = back,
-                    }
-                }
-            }
-        }
-        self.push_keyed(at, key, item);
         false
     }
 

@@ -20,11 +20,14 @@
 use express::host::{ExpressHost, HostAction};
 use express::router::{EcmpRouter, RouterConfig};
 use express_wire::addr::Channel;
+use netsim::engine::{Reliability, Tx};
 use netsim::faults::FaultPlan;
+use netsim::stats::TrafficClass;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topogen;
 use netsim::topology::{LinkSpec, Topology};
-use netsim::{LinkId, Sim, TraceConfig, WheelConfig};
+use netsim::{Agent, Ctx, IfaceId, LinkId, Payload, Sim, TraceConfig, WheelConfig};
+use std::any::Any;
 use std::fmt::Write as _;
 
 fn at_ms(ms: u64) -> SimTime {
@@ -166,6 +169,119 @@ fn lan_run(seed: u64, n: usize, batch: bool, shards: usize) -> (String, String) 
     sim.run_until(at_ms(300));
     let trace = sim.take_trace().expect("trace enabled").to_jsonl();
     observe(&sim, trace)
+}
+
+/// A hub that answers each arriving frame with two `send_fanout`s in one
+/// dispatch: the arriving handle out every receiver interface, then a frame
+/// of its own out the odd ones — one cohort holding two shared-handle runs.
+struct Hub {
+    own: Payload,
+    all: u32,
+}
+
+impl Agent for Hub {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
+        if iface == IfaceId(0) {
+            ctx.send_fanout(self.all, bytes, class, Reliability::Datagram);
+            ctx.send_fanout(self.all & 0xAAAA_AAAA, &self.own, class, Reliability::Datagram);
+        }
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A receiver that counts each frame under its octets and answers it with a
+/// zero-delay timer: an event at the delivery's own timestamp, keyed by the
+/// receiver — below the hub's remaining cohort members whenever the
+/// receiver's id is below the hub's.
+struct Nudger;
+
+impl Agent for Nudger {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
+        ctx.count_labeled("nudger.rx", &String::from_utf8_lossy(bytes), 1);
+        ctx.set_timer(SimDuration::ZERO, 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        ctx.count("nudger.nudge", 1);
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Sends `frame` out interface 0 on each timer.
+struct Feeder {
+    frame: Payload,
+}
+
+impl Agent for Feeder {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        ctx.send_shared(IfaceId(0), self.frame.clone(), TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Interlopers in the middle of shared-handle runs. Receivers below the hub
+/// in id order pause the cohort after every one of their deliveries (their
+/// timer undercuts the next member), so the re-queued tail starts inside a
+/// run whose handle sits further back; receivers above it let the rest of
+/// the cohort expand in one go.
+fn interloper_run(batch: bool, shards: usize, traced: bool) -> (String, String) {
+    const LOW: usize = 5;
+    const HIGH: usize = 3;
+    let mut topo = Topology::new();
+    let low: Vec<_> = (0..LOW).map(|_| topo.add_host()).collect();
+    let (hub, src) = (topo.add_router(), topo.add_host());
+    let high: Vec<_> = (0..HIGH).map(|_| topo.add_host()).collect();
+    topo.connect(src, hub, LinkSpec::default()).unwrap();
+    for &h in low.iter().chain(&high) {
+        topo.connect(hub, h, LinkSpec::default()).unwrap();
+    }
+    let mut sim = Sim::new(topo, 1);
+    sim.set_shards(shards);
+    sim.set_fanout_batching(batch);
+    let all = ((1u32 << (LOW + HIGH + 1)) - 1) & !1;
+    sim.set_agent(hub, Box::new(Hub { own: Payload::from(&b"hub's own"[..]), all }));
+    sim.set_agent(src, Box::new(Feeder { frame: Payload::from(&b"forwarded"[..]) }));
+    for &h in low.iter().chain(&high) {
+        sim.set_agent(h, Box::new(Nudger));
+    }
+    for wave in 1..=3 {
+        sim.schedule_timer_at(src, at_ms(wave), 0);
+    }
+    if traced {
+        sim.enable_trace(TraceConfig::default());
+    }
+    sim.run();
+    let trace = match traced {
+        true => sim.take_trace().expect("trace enabled").to_jsonl(),
+        false => String::new(),
+    };
+    observe(&sim, trace)
+}
+
+#[test]
+fn interloper_inside_a_shared_handle_run_delivers_the_right_frames() {
+    for traced in [true, false] {
+        let reference = interloper_run(false, 1, traced);
+        for want in [
+            "counter nudger.rx{chan=forwarded} 24\n",
+            "counter nudger.rx{chan=hub's own} 12\n",
+            "counter nudger.nudge 36\n",
+        ] {
+            assert!(reference.1.contains(want), "no {want:?} in\n{}", reference.1);
+        }
+        for shards in [1usize, 2, 4] {
+            for batch in [true, false] {
+                let got = interloper_run(batch, shards, traced);
+                assert_eq!(got.0, reference.0, "trace diverged (batch {batch}, {shards} shards)");
+                assert_eq!(got.1, reference.1, "stats diverged (batch {batch}, {shards} shards, traced {traced})");
+            }
+        }
+    }
 }
 
 #[test]

@@ -258,6 +258,107 @@ fn fib_lookup_consistent() {
     }
 }
 
+/// The reference the table is checked against, and the §3.4 decision
+/// spelled out over it.
+type FibModel = std::collections::HashMap<Channel, FibEntry>;
+
+fn model_decision(model: &FibModel, chan: Channel, iface: u8) -> Forward {
+    match model.get(&chan) {
+        None => Forward::NoEntry,
+        Some(e) if e.in_iface() != iface => Forward::WrongInterface,
+        Some(e) => Forward::To(e.oif_mask() & !(1 << iface)),
+    }
+}
+
+fn assert_same_contents(fib: &Fib, model: &FibModel, what: &str) {
+    assert_eq!(fib.len(), model.len(), "{what}");
+    assert_eq!(fib.is_empty(), model.is_empty(), "{what}");
+    assert_eq!(fib.memory_bytes(), model.len() * 12, "{what}");
+    let mut entries: Vec<[u8; 12]> = fib.iter().map(|e| e.raw()).collect();
+    let mut expected: Vec<[u8; 12]> = model.values().map(|e| e.raw()).collect();
+    entries.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(entries, expected, "{what}: iter");
+    let mut chans: Vec<Channel> = fib.channels().collect();
+    let mut expected: Vec<Channel> = model.keys().copied().collect();
+    chans.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(chans, expected, "{what}: channels");
+}
+
+#[test]
+fn fib_matches_a_hash_map_model() {
+    let mut r = rng();
+    // Pool sizes on both sides of every table size from the inline slot to
+    // 4096 slots; one source's consecutive channel numbers (the common
+    // shape, and the one a weak hash would turn into a single run) and
+    // arbitrary channels alike.
+    for (case, &pool_len) in [1usize, 2, 3, 4, 6, 7, 13, 25, 97, 400, 3000].iter().enumerate() {
+        let source = arb_unicast_ip(&mut r);
+        let pool: Vec<Channel> = (0..pool_len)
+            .map(|i| {
+                if case % 2 == 0 {
+                    Channel::new(source, i as u32).unwrap()
+                } else {
+                    arb_channel(&mut r)
+                }
+            })
+            .collect();
+        let mut fib = Fib::new();
+        let mut model = FibModel::new();
+        let mut counted = [0u64; 3];
+        // Fill most of the pool, drain most of that (every removal repairs
+        // a run in a table left at its largest size), then churn.
+        for (phase, installs_in_8) in [(0, 7), (1, 1), (2, 4)] {
+            for step in 0..pool_len * 6 + 16 {
+                let what = format!("pool {pool_len} phase {phase} step {step}");
+                let chan = pool[r.random_range(0..pool_len)];
+                let iface = r.random_range(0u8..32);
+                match r.random_range(0u8..12) {
+                    0..=7 if r.random_range(0u8..8) < installs_in_8 => {
+                        let e = FibEntry::new(chan, iface, r.random()).unwrap();
+                        fib.install(e);
+                        model.insert(chan, e);
+                    }
+                    0..=7 => assert_eq!(fib.remove(chan), model.remove(&chan), "{what}"),
+                    8 => assert_eq!(fib.get(chan), model.get(&chan), "{what}"),
+                    9 => {
+                        let mask: u32 = r.random();
+                        let (got, want) = (fib.get_mut(chan), model.get_mut(&chan));
+                        assert_eq!(got.is_some(), want.is_some(), "{what}");
+                        if let (Some(got), Some(want)) = (got, want) {
+                            got.set_oif_mask(mask);
+                            want.set_oif_mask(mask);
+                        }
+                    }
+                    _ => {
+                        // Twice: the second answer comes from the front cache.
+                        for _ in 0..2 {
+                            let d = fib.lookup(chan, iface);
+                            assert_eq!(d, model_decision(&model, chan, iface), "{what}");
+                            counted[match d {
+                                Forward::To(_) => 0,
+                                Forward::NoEntry => 1,
+                                Forward::WrongInterface => 2,
+                            }] += 1;
+                        }
+                    }
+                }
+                assert_eq!(fib.len(), model.len(), "{what}");
+                if step % 256 == 0 {
+                    assert_same_contents(&fib, &model, &what);
+                }
+            }
+            assert_same_contents(&fib, &model, &format!("pool {pool_len} end of phase {phase}"));
+            for &c in &pool {
+                assert_eq!(fib.get(c), model.get(&c), "pool {pool_len} phase {phase}");
+            }
+        }
+        let c = fib.counters();
+        assert_eq!([c.forwarded, c.no_entry_drops, c.rpf_drops], counted, "pool {pool_len}");
+    }
+}
+
 fn arb_curve(r: &mut StdRng) -> (f64, f64) {
     let alpha = 0.5 + 9.5 * r.random::<f64>();
     let tau = 1.0 + 599.0 * r.random::<f64>();
