@@ -14,7 +14,11 @@
 //!   distribution tree, FIB-seeded via static routes so forwarding (not
 //!   tree construction) is what's measured;
 //! * **random graph** — a mid-size ISP-like topology where the *full* join
-//!   protocol (RPF, Count aggregation, Dijkstra) builds the tree.
+//!   protocol (RPF, Count aggregation, Dijkstra) builds the tree;
+//! * **control churn** — the §5.3 event-processing measurement
+//!   ([`express_bench::harness::churn_setup`]): joins and leaves of 2 000
+//!   channels through an eight-neighbor core router, no data; the one row
+//!   whose events are all control-plane work.
 //!
 //! Metrics per scenario: setup wall time and allocation count (`setup_ms` /
 //! `setup_allocs` — the topology-build cost the arena layout drives toward
@@ -53,6 +57,7 @@
 use express::packets;
 use express::router::{EcmpRouter, RouterConfig};
 use express::host::{ExpressHost, HostAction};
+use express_bench::harness;
 use express_wire::addr::Channel;
 use express_wire::fib::FibEntry;
 use netsim::stats::TrafficClass;
@@ -306,8 +311,16 @@ fn measure(
         frames_derived: sim.frames_derived() - derived0,
     };
     eprintln!(
-        "  {:<18} {:>9} subs  {:>2} shard(s)  {:>11} events  {:>9.0} ev/s  {:>7.1} ms wall  peakq {:>8}  {:>6.2} allocs/ev",
-        m.name, m.subscribers, m.shards, m.events, m.events_per_sec, m.wall_ms, m.peak_queue_depth, m.allocs_per_event
+        "  {:<18} {:>9} subs  {:>2} shard(s)  {:>11} events  {:>9.0} ev/s  {:>6.1} ns/ev  {:>7.1} ms wall  peakq {:>8}  {:>6.2} allocs/ev",
+        m.name,
+        m.subscribers,
+        m.shards,
+        m.events,
+        m.events_per_sec,
+        1e9 / m.events_per_sec,
+        m.wall_ms,
+        m.peak_queue_depth,
+        m.allocs_per_event
     );
     if m.shards > 1 {
         eprintln!(
@@ -516,6 +529,32 @@ fn random_protocol(n_routers: usize, extra: usize, n_hosts: usize, meas_packets:
     )
 }
 
+/// The §5.3 control-plane measurement: every event is a join or a leave
+/// working its way host → edge → core → source router. The first tenth of
+/// the window warms the routers' tables; allocations per event over the
+/// rest are what the control plane (and the per-channel counter interning
+/// behind `ecmp.count_msgs`) still costs.
+fn control_churn(n_neighbors: usize, n_channels: usize) -> Measurement {
+    let t0 = Instant::now();
+    let a0 = ALLOCS.load(Ordering::Relaxed);
+    let c = harness::churn_setup(n_neighbors, n_channels, 5);
+    let setup_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let setup_allocs = ALLOCS.load(Ordering::Relaxed) - a0;
+    measure(
+        c.sim,
+        &format!("control_churn_{}", short(n_channels)),
+        &format!("churn_star({n_neighbors})"),
+        n_neighbors,
+        0,
+        0,
+        SimTime(c.end.0 / 10),
+        c.end,
+        setup_ms,
+        setup_allocs,
+        "ecmp.subscribe",
+    )
+}
+
 fn short(n: usize) -> String {
     if n >= 1_000_000 && n.is_multiple_of(1_000_000) {
         format!("{}m", n / 1_000_000)
@@ -568,7 +607,7 @@ fn scenario_json(m: &Measurement, speedup: Option<f64>) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "    {{\n      \"name\": \"{}\",\n      \"topology\": \"{}\",\n      \"nodes\": {},\n      \"links\": {},\n      \"subscribers\": {},\n      \"shards\": {},\n      \"warmup_packets\": {},\n      \"measured_packets\": {},\n      \"setup_ms\": {:.1},\n      \"setup_allocs\": {},\n      \"events\": {},\n      \"sim_ms\": {:.1},\n      \"wall_ms\": {:.1},\n      \"events_per_sec\": {:.0},\n      \"wall_ms_per_sim_sec\": {:.1},\n      \"peak_queue_depth\": {},\n      \"allocs\": {},\n      \"allocs_per_event\": {:.3},\n      \"data_fwd\": {},\n      \"allocs_per_fwd\": {:.3},\n      \"delivered\": {},\n      \"dijkstra_computes\": {},\n      \"dijkstra_queries\": {},\n      \"sync_windows\": {},\n      \"sync_stall_ns\": {}",
+        "    {{\n      \"name\": \"{}\",\n      \"topology\": \"{}\",\n      \"nodes\": {},\n      \"links\": {},\n      \"subscribers\": {},\n      \"shards\": {},\n      \"warmup_packets\": {},\n      \"measured_packets\": {},\n      \"setup_ms\": {:.1},\n      \"setup_allocs\": {},\n      \"events\": {},\n      \"sim_ms\": {:.1},\n      \"wall_ms\": {:.1},\n      \"events_per_sec\": {:.0},\n      \"ns_per_event\": {:.1},\n      \"wall_ms_per_sim_sec\": {:.1},\n      \"peak_queue_depth\": {},\n      \"allocs\": {},\n      \"allocs_per_event\": {:.3},\n      \"data_fwd\": {},\n      \"allocs_per_fwd\": {:.3},\n      \"delivered\": {},\n      \"dijkstra_computes\": {},\n      \"dijkstra_queries\": {},\n      \"sync_windows\": {},\n      \"sync_stall_ns\": {}",
         m.name,
         m.topology,
         m.nodes,
@@ -583,6 +622,7 @@ fn scenario_json(m: &Measurement, speedup: Option<f64>) -> String {
         m.sim_ms,
         m.wall_ms,
         m.events_per_sec,
+        1e9 / m.events_per_sec,
         m.wall_ms_per_sim_sec,
         m.peak_queue_depth,
         m.allocs,
@@ -704,6 +744,7 @@ fn regression_check() {
         Box::new(|| kary_scale(14, 2, 10, 1)),
         Box::new(|| kary_scale(20, 2, 5, 1)),
         Box::new(|| random_protocol(400, 150, 1_000, 100, 1)),
+        Box::new(|| control_churn(8, 2_000)),
     ];
     let mut failed = false;
     for run in &runners {
@@ -1042,6 +1083,7 @@ fn main() {
             star_fanout(10_000, 2, 5, shards),
             kary_scale(10, 2, 5, shards),
             random_protocol(100, 40, 200, 30, shards),
+            control_churn(8, 500),
         ]
     } else {
         // Same seed every repetition — the simulated work is identical, so
@@ -1054,6 +1096,7 @@ fn main() {
             best_of(REPS, || kary_scale(14, 2, 10, shards)),
             best_of(REPS, || kary_scale(20, 2, 5, shards)),
             best_of(REPS, || random_protocol(400, 150, 1_000, 100, shards)),
+            best_of(REPS, || control_churn(8, 2_000)),
         ];
         if shards == 1 {
             // Additive sharded row: the mid-size k-ary tree on the

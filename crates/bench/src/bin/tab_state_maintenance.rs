@@ -34,8 +34,8 @@ fn main() {
     println!("--- Measured: 8-neighbor core router under churn ---");
     println!("    (this implementation, wall-clock, simulated protocol events)");
     harness::header(
-        &["channels", "ecmp events", "wall ms", "events/s"],
-        &[9, 12, 9, 12],
+        &["channels", "ecmp events", "wall ms", "events/s", "ns/event"],
+        &[9, 12, 9, 12, 9],
     );
     for n_channels in [1_000usize, 5_000, 20_000] {
         let mut c = harness::churn_setup(8, n_channels, 11);
@@ -58,17 +58,21 @@ fn main() {
                     events.to_string(),
                     format!("{:.0}", wall.as_secs_f64() * 1000.0),
                     format!("{evps:.0}"),
+                    format!("{:.0}", 1e9 / evps),
                 ],
-                &[9, 12, 9, 12],
+                &[9, 12, 9, 12, 9],
             )
         );
         assert_eq!(events as usize, 2 * n_channels, "all churn events processed");
     }
     println!("\n  The paper measured ~4,500 events/s at 4% of a 400 MHz CPU");
-    println!("  (~3,500 cycles/event) and 33,000 events/s at 43%. The modern-");
-    println!("  hardware equivalent above processes the full simulation (N");
-    println!("  routers + packet delivery) at the printed rate; the per-event");
-    println!("  cost remains thousands of cycles — same order as the paper.\n");
+    println!("  (~3,500 cycles/event) and 33,000 events/s at 43%. The rate above");
+    println!("  is for the full simulation (N routers + packet delivery), and");
+    println!("  ns/event is what one simulated event of it costs. The router");
+    println!("  alone — one Count through `EcmpRouter::on_packet` at a transit");
+    println!("  router, join or leave — is clocked in ns/message by `cargo bench");
+    println!("  --bench ecmp_event_processing`: hundreds of cycles, an order");
+    println!("  below the paper's figure (EXPERIMENTS.md E3 has the numbers).\n");
 
     println!("--- Ablation: TCP vs UDP neighbor mode, long-lived channels ---");
     println!("    (100 channels held for 10 minutes; control messages sent)");

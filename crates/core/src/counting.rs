@@ -9,9 +9,9 @@
 //! sent upstream." [`PendingCount`] is that record set; the router agent
 //! drives it from packets and timers.
 
+use crate::table::{InlineSet, Keyed};
 use express_wire::addr::Ipv4Addr;
 use netsim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Where the aggregated result should go when this node finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,13 +23,28 @@ pub enum ReplyTo {
     Local,
 }
 
+/// One awaited neighbor and the value received from it (`None` until its
+/// Count arrives).
+#[derive(Debug, Clone, Copy)]
+struct Awaited {
+    neighbor: Ipv4Addr,
+    value: Option<u64>,
+}
+
+impl Keyed for Awaited {
+    type Key = Ipv4Addr;
+
+    fn key(&self) -> Ipv4Addr {
+        self.neighbor
+    }
+}
+
 /// Aggregation state for one outstanding (channel, countId) query at one
 /// node.
 #[derive(Debug, Clone)]
 pub struct PendingCount {
-    /// Neighbors we are still waiting on, with the value received (None
-    /// until their Count arrives).
-    awaiting: HashMap<Ipv4Addr, Option<u64>>,
+    /// Neighbors the query went to, by address.
+    awaiting: InlineSet<Awaited>,
     /// This node's own contribution (e.g. local subscriber count, or 1 per
     /// downstream link for the `links` count).
     local_contribution: u64,
@@ -52,8 +67,12 @@ impl PendingCount {
         deadline: SimTime,
         generation: u64,
     ) -> Self {
+        let mut awaiting = InlineSet::new();
+        for neighbor in neighbors {
+            awaiting.insert(Awaited { neighbor, value: None });
+        }
         PendingCount {
-            awaiting: neighbors.into_iter().map(|n| (n, None)).collect(),
+            awaiting,
             local_contribution,
             reply_to,
             deadline,
@@ -65,9 +84,9 @@ impl PendingCount {
     /// not expected (late, duplicate from an unknown party).
     /// A duplicate from an expected neighbor overwrites (last wins).
     pub fn record(&mut self, neighbor: Ipv4Addr, value: u64) -> bool {
-        match self.awaiting.get_mut(&neighbor) {
-            Some(slot) => {
-                *slot = Some(value);
+        match self.awaiting.get_mut(neighbor) {
+            Some(awaited) => {
+                awaited.value = Some(value);
                 true
             }
             None => false,
@@ -76,12 +95,12 @@ impl PendingCount {
 
     /// Have all awaited neighbors answered?
     pub fn complete(&self) -> bool {
-        self.awaiting.values().all(Option::is_some)
+        self.awaiting.iter().all(|a| a.value.is_some())
     }
 
     /// Number of neighbors that have not answered yet.
     pub fn outstanding(&self) -> usize {
-        self.awaiting.values().filter(|v| v.is_none()).count()
+        self.awaiting.iter().filter(|a| a.value.is_none()).count()
     }
 
     /// The (possibly partial) total: local contribution plus every received
@@ -89,7 +108,7 @@ impl PendingCount {
     /// "a router that fails to get a response from one of its children
     /// times out and sends a partial reply to its parent".
     pub fn total(&self) -> u64 {
-        self.local_contribution + self.awaiting.values().flatten().sum::<u64>()
+        self.local_contribution + self.awaiting.iter().filter_map(|a| a.value).sum::<u64>()
     }
 }
 

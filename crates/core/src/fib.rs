@@ -13,12 +13,12 @@
 //!   unauthorized senders harmless (§1's third problem).
 //!
 //! Storage: the entries themselves, keyed by the `(S, E)` each one carries
-//! in its first seven octets — there is no separate key. A table of at most
-//! one entry lives inline in the [`Fib`]; a second entry moves it to an
-//! open-addressed array of slots (linear probing, power-of-two capacity, at
-//! most three quarters full, backward-shift deletion so there are no
-//! tombstones). A slot is an entry plus an occupancy octet, 13 B.
+//! in its first seven octets — there is no separate key — in a
+//! [`Table`]: a table of at most one entry lives
+//! inline in the [`Fib`]; a second entry moves it to an open-addressed
+//! array of slots. A slot is an entry plus an occupancy octet, 13 B.
 
+use crate::table::{channel_key, Keyed, Table};
 use express_wire::addr::Channel;
 use express_wire::fib::{FibEntry, FIB_ENTRY_LEN};
 
@@ -47,56 +47,15 @@ pub struct FibCounters {
     pub rpf_drops: u64,
 }
 
-type Slot = Option<FibEntry>;
+/// The `(S, E)` key an entry carries, read off its packed octets (equal to
+/// [`channel_key`] of its channel).
+impl Keyed for FibEntry {
+    type Key = u64;
 
-/// Where the entries live.
-#[derive(Debug)]
-enum Store {
-    /// At most one entry, in the table's owner: a router with one route —
-    /// every hop of a single-channel distribution tree — owns no heap
-    /// table.
-    Inline(Slot),
-    /// `slots.len()` is a power of two ≥ [`Fib::MIN_SLOTS`] and
-    /// `len ≤ ¾ · slots.len()`, so every probe sequence ends at a vacancy.
-    Table { slots: Box<[Slot]>, len: usize },
-}
-
-/// The 56-bit `(S, E)` of a channel — the first seven octets of its entry.
-fn key_of(channel: Channel) -> u64 {
-    u64::from(channel.source.to_u32()) << 24 | u64::from(channel.dest.value())
-}
-
-/// The `(S, E)` key an entry carries, read off its packed octets.
-fn entry_key(e: &FibEntry) -> u64 {
-    let r = e.raw();
-    u64::from_be_bytes([0, r[0], r[1], r[2], r[3], r[4], r[5], r[6]])
-}
-
-/// Home slot of `key` in a table of `mask + 1` slots: the SplitMix64
-/// finalizer, so channels that differ in a few low bits (one source's
-/// consecutive `E`s, the common case) scatter instead of forming one run.
-/// The function is fixed, not seeded: table order is reproducible, and the
-/// keys are the experiment's own channels, not an adversary's.
-fn home(key: u64, mask: usize) -> usize {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as usize & mask
-}
-
-/// Where `key`'s probe sequence ends in `slots`: the slot holding it, or
-/// the vacancy it would fill. `None` only for the one-slot inline store
-/// occupied by another channel.
-fn probe(slots: &[Slot], key: u64) -> Option<usize> {
-    let mask = slots.len() - 1;
-    let mut i = home(key, mask);
-    for _ in 0..slots.len() {
-        match &slots[i] {
-            Some(e) if entry_key(e) != key => i = (i + 1) & mask,
-            _ => return Some(i),
-        }
+    fn key(&self) -> u64 {
+        let r = self.raw();
+        u64::from_be_bytes([0, r[0], r[1], r[2], r[3], r[4], r[5], r[6]])
     }
-    None
 }
 
 /// The EXPRESS FIB.
@@ -122,9 +81,9 @@ fn probe(slots: &[Slot], key: u64) -> Option<usize> {
 /// assert_eq!(fib.lookup(rogue, 0), Forward::NoEntry);
 /// assert_eq!(fib.memory_bytes(), 12);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Fib {
-    store: Store,
+    entries: Table<FibEntry>,
     counters: FibCounters,
     /// Last channel resolved by [`lookup`](Self::lookup) with a copy of
     /// its entry — a one-line cache in front of the table probe. Channel
@@ -135,103 +94,27 @@ pub struct Fib {
     cached: Option<(Channel, FibEntry)>,
 }
 
-impl Default for Fib {
-    fn default() -> Self {
-        Fib {
-            store: Store::Inline(None),
-            counters: FibCounters::default(),
-            cached: None,
-        }
-    }
-}
-
 impl Fib {
-    /// Capacity of the first heap table (it takes over from the inline
-    /// slot at two entries).
-    const MIN_SLOTS: usize = 4;
-
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn slots(&self) -> &[Slot] {
-        match &self.store {
-            Store::Inline(slot) => std::slice::from_ref(slot),
-            Store::Table { slots, .. } => slots,
-        }
-    }
-
-    fn slots_mut(&mut self) -> &mut [Slot] {
-        match &mut self.store {
-            Store::Inline(slot) => std::slice::from_mut(slot),
-            Store::Table { slots, .. } => slots,
-        }
-    }
-
     /// Install or replace the entry for `channel`.
     pub fn install(&mut self, entry: FibEntry) {
         self.cached = None;
-        let key = entry_key(&entry);
-        let mut vacancy = probe(self.slots(), key);
-        if let Some(i) = vacancy {
-            if self.slots()[i].is_some() {
-                self.slots_mut()[i] = Some(entry);
-                return;
-            }
-        }
-        // A new channel. The inline slot is full when taken; a table grows
-        // before it would pass three quarters, so its probes keep ending.
-        let (cap, len) = (self.slots().len(), self.len());
-        if vacancy.is_none() || (cap > 1 && (len + 1) * 4 > cap * 3) {
-            let mut grown: Box<[Slot]> = vec![None; (cap * 2).max(Self::MIN_SLOTS)].into();
-            for e in self.slots_mut().iter_mut().filter_map(Option::take) {
-                let i = probe(&grown, entry_key(&e)).expect("a grown table has room");
-                grown[i] = Some(e);
-            }
-            vacancy = probe(&grown, key);
-            self.store = Store::Table { slots: grown, len };
-        }
-        let i = vacancy.expect("a table under its load bound has a vacancy");
-        match &mut self.store {
-            Store::Inline(slot) => *slot = Some(entry),
-            Store::Table { slots, len } => {
-                slots[i] = Some(entry);
-                *len += 1;
-            }
-        }
+        self.entries.insert(entry);
     }
 
     /// Remove the entry for `channel`; returns it if present.
     pub fn remove(&mut self, channel: Channel) -> Option<FibEntry> {
         self.cached = None;
-        let mut hole = probe(self.slots(), key_of(channel))?;
-        let removed = self.slots_mut()[hole].take()?;
-        let Store::Table { slots, len } = &mut self.store else {
-            return Some(removed);
-        };
-        *len -= 1;
-        // Backward-shift repair: walk the run after the hole and pull back
-        // every entry whose probe sequence passed through it, so no probe
-        // is ever cut short by the vacancy.
-        let mask = slots.len() - 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let Some(e) = &slots[j] else { break };
-            let from_home = j.wrapping_sub(home(entry_key(e), mask)) & mask;
-            if from_home >= (j.wrapping_sub(hole) & mask) {
-                slots[hole] = slots[j].take();
-                hole = j;
-            }
-        }
-        Some(removed)
+        self.entries.remove(channel_key(channel))
     }
 
     /// Read the entry for `channel`.
     pub fn get(&self, channel: Channel) -> Option<&FibEntry> {
-        let slots = self.slots();
-        slots[probe(slots, key_of(channel))?].as_ref()
+        self.entries.get(channel_key(channel))
     }
 
     /// Mutable access to the entry for `channel`. Invalidates the lookup
@@ -239,8 +122,7 @@ impl Fib {
     /// reach its interfaces only, never the `(S, E)` it is filed under.)
     pub fn get_mut(&mut self, channel: Channel) -> Option<&mut FibEntry> {
         self.cached = None;
-        let i = probe(self.slots(), key_of(channel))?;
-        self.slots_mut()[i].as_mut()
+        self.entries.get_mut(channel_key(channel))
     }
 
     /// The forwarding decision of §3.4 for a packet on `channel` arriving
@@ -284,10 +166,7 @@ impl Fib {
 
     /// Number of installed entries.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Inline(slot) => usize::from(slot.is_some()),
-            Store::Table { len, .. } => *len,
-        }
+        self.entries.len()
     }
 
     /// Is the table empty?
@@ -308,7 +187,7 @@ impl Fib {
 
     /// Iterate all entries (in table order, which is no particular order).
     pub fn iter(&self) -> impl Iterator<Item = &FibEntry> {
-        self.slots().iter().flatten()
+        self.entries.iter()
     }
 
     /// Channels present in the table.
@@ -396,14 +275,14 @@ mod tests {
         let mut fib = Fib::new();
         fib.install(FibEntry::new(chan(1), 0, 0b1).unwrap());
         fib.install(FibEntry::new(chan(1), 0, 0b11).unwrap());
-        assert!(matches!(fib.store, Store::Inline(Some(_))));
+        assert_eq!((fib.entries.capacity(), fib.len()), (1, 1), "one entry lives inline");
         assert_eq!(fib.remove(chan(1)).unwrap().oif_mask(), 0b11);
-        assert!(matches!(fib.store, Store::Inline(None)));
+        assert_eq!((fib.entries.capacity(), fib.len()), (1, 0));
         assert_eq!(fib.lookup(chan(1), 0), Forward::NoEntry);
 
         fib.install(FibEntry::new(chan(1), 0, 0b10).unwrap());
         fib.install(FibEntry::new(chan(2), 0, 0b100).unwrap());
-        assert!(matches!(&fib.store, Store::Table { slots, len: 2 } if slots.len() == Fib::MIN_SLOTS));
+        assert_eq!((fib.entries.capacity(), fib.len()), (Table::<FibEntry>::MIN_SLOTS, 2));
         assert_eq!(fib.lookup(chan(1), 0), Forward::To(0b10));
         assert_eq!(fib.lookup(chan(2), 0), Forward::To(0b100));
     }

@@ -26,6 +26,7 @@
 //!   re-advertisement of every live subscription — no report suppression.
 
 use crate::channel::ChannelAllocator;
+use crate::counting::{PendingCount, ReplyTo};
 use crate::packets::{self, Classified, EcmpMode};
 use crate::proactive::ErrorToleranceCurve;
 use express_wire::addr::{Channel, Ipv4Addr};
@@ -38,7 +39,7 @@ use netsim::stats::{CounterId, TrafficClass};
 use netsim::time::{SimDuration, SimTime};
 use netsim::Sim;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Actions the harness can schedule on a host.
 #[derive(Debug, Clone)]
@@ -198,17 +199,20 @@ struct SourceState {
     /// Hosts on the source's own LAN subscribed directly with us (their
     /// RPF next hop toward the source *is* the source, so no router holds
     /// state for them; the source tracks and counts them itself).
-    direct_subs: std::collections::HashSet<Ipv4Addr>,
+    direct_subs: BTreeSet<Ipv4Addr>,
 }
 
 /// The EXPRESS host agent.
+///
+/// Its maps are ordered: whatever the host does once per subscription,
+/// direct subscriber or pending query, it does in ascending key order.
 pub struct ExpressHost {
-    actions: HashMap<u64, HostAction>,
+    actions: BTreeMap<u64, HostAction>,
     next_action_token: u64,
-    subscriptions: HashMap<Channel, Subscription>,
-    sourced: HashMap<Channel, SourceState>,
-    app_values: HashMap<CountId, u64>,
-    pending_queries: HashMap<(Channel, CountId), crate::counting::PendingCount>,
+    subscriptions: BTreeMap<Channel, Subscription>,
+    sourced: BTreeMap<Channel, SourceState>,
+    app_values: BTreeMap<CountId, u64>,
+    pending_queries: BTreeMap<(Channel, CountId), PendingCount>,
     query_gen: u64,
     /// The observable event log.
     pub events: Vec<HostEvent>,
@@ -227,7 +231,7 @@ pub struct ExpressHost {
     /// truth the auditor's single-source check reads. Sending does not
     /// create `sourced` soft state (that needs a key install), so this is
     /// tracked separately.
-    sent_channels: std::collections::BTreeSet<Channel>,
+    sent_channels: BTreeSet<Channel>,
     /// Append a [`HostEvent::DataReceived`] entry per delivered data packet
     /// (on by default). Harnesses that only read counters can switch this
     /// off so the steady-state receive path never grows the event `Vec`
@@ -252,12 +256,12 @@ impl ExpressHost {
     /// A fresh host.
     pub fn new() -> Self {
         ExpressHost {
-            actions: HashMap::new(),
+            actions: BTreeMap::new(),
             next_action_token: ACTION_TOKEN_BASE,
-            subscriptions: HashMap::new(),
-            sourced: HashMap::new(),
-            app_values: HashMap::new(),
-            pending_queries: HashMap::new(),
+            subscriptions: BTreeMap::new(),
+            sourced: BTreeMap::new(),
+            app_values: BTreeMap::new(),
+            pending_queries: BTreeMap::new(),
             query_gen: 0,
             events: Vec::new(),
             allocator: None,
@@ -265,7 +269,7 @@ impl ExpressHost {
             hot_ecmp_tx: None,
             hot_data_tx: None,
             hot_subcast_tx: None,
-            sent_channels: std::collections::BTreeSet::new(),
+            sent_channels: BTreeSet::new(),
             log_data_events: true,
         }
     }
@@ -300,7 +304,7 @@ impl ExpressHost {
             .expect("channel space exhausted")
     }
 
-    /// Channels this host is currently subscribed to.
+    /// Channels this host is currently subscribed to, ascending.
     pub fn subscribed_channels(&self) -> Vec<Channel> {
         self.subscriptions.keys().copied().collect()
     }
@@ -385,15 +389,17 @@ impl ExpressHost {
         None
     }
 
-    fn send_ecmp(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, to: Ipv4Addr, msg: EcmpMessage) {
+    /// Send one ECMP message to `to` out `iface`. Borrows only the counter
+    /// handle, so callers may hold any of the host's maps while they send.
+    fn send_ecmp(&self, ctx: &mut Ctx<'_>, iface: IfaceId, to: Ipv4Addr, msg: impl Into<EcmpMessage>) {
         // Hosts speak UDP-mode ECMP (§3.2: edge routers face "many
         // neighboring end hosts").
-        let pkt = packets::ecmp_unicast(ctx.my_ip(), to, EcmpMode::Udp, &[msg]);
+        let pkt = packets::ecmp_unicast(ctx.my_ip(), to, EcmpMode::Udp, &[msg.into()]);
         let tx = match ctx.resolve(to) {
             Some(node) => Tx::To(node),
             None => Tx::AllOnLink,
         };
-        ctx.send(iface, &pkt, TrafficClass::Control, Reliability::Datagram, tx);
+        ctx.send_shared(iface, pkt, TrafficClass::Control, Reliability::Datagram, tx);
         match self.hot_ecmp_tx {
             Some(id) => ctx.count_id(id, 1),
             None => ctx.count("host.ecmp_tx", 1),
@@ -488,16 +494,8 @@ impl ExpressHost {
                         }
                     }
                     let deadline = ctx.now() + timeout;
-                    self.pending_queries.insert(
-                        (channel, count_id),
-                        crate::counting::PendingCount::new(
-                            awaited.clone(),
-                            0,
-                            crate::counting::ReplyTo::Local,
-                            deadline,
-                            generation,
-                        ),
-                    );
+                    let pending = PendingCount::new(awaited.iter().copied(), 0, ReplyTo::Local, deadline, generation);
+                    self.pending_queries.insert((channel, count_id), pending);
                     let msg = EcmpMessage::from(CountQuery {
                         channel,
                         count_id,
@@ -535,20 +533,17 @@ impl ExpressHost {
                 // whose source maintains this count proactively (§6): the
                 // vote change flows toward the source through the routers'
                 // error-tolerance curves.
-                let targets: Vec<(Channel, Option<ChannelKey>)> = self
-                    .subscriptions
-                    .iter()
-                    .filter(|(_, s)| s.proactive_ids.contains(&count_id))
-                    .map(|(c, s)| (*c, s.key))
-                    .collect();
-                for (channel, key) in targets {
+                for (&channel, sub) in &self.subscriptions {
+                    if !sub.proactive_ids.contains(&count_id) {
+                        continue;
+                    }
                     if let Some((iface, up)) = self.first_hop(ctx, channel.source) {
-                        let msg = EcmpMessage::from(Count {
+                        let msg = Count {
                             channel,
                             count_id,
                             count: value,
-                            key,
-                        });
+                            key: sub.key,
+                        };
                         self.send_ecmp(ctx, iface, up, msg);
                     }
                 }
@@ -560,18 +555,13 @@ impl ExpressHost {
         if q.count_id == CountId::ALL_CHANNELS {
             // General query: re-advertise every live subscription (§3.3);
             // no report suppression.
-            let subs: Vec<(Channel, Option<ChannelKey>)> = self
-                .subscriptions
-                .iter()
-                .map(|(c, s)| (*c, s.key))
-                .collect();
-            for (channel, key) in subs {
-                let msg = EcmpMessage::from(Count {
+            for (&channel, sub) in &self.subscriptions {
+                let msg = Count {
                     channel,
                     count_id: CountId::SUBSCRIBERS,
                     count: 1,
-                    key,
-                });
+                    key: sub.key,
+                };
                 self.send_ecmp(ctx, iface, from, msg);
             }
             return;
@@ -740,7 +730,7 @@ pub fn send_subscription(ctx: &mut Ctx<'_>, channel: Channel, key: Option<Channe
     });
     let pkt = packets::ecmp_unicast(ctx.my_ip(), up, EcmpMode::Udp, &[msg]);
     let tx = ctx.resolve(up).map(Tx::To).unwrap_or(Tx::AllOnLink);
-    ctx.send(hop.iface, &pkt, TrafficClass::Control, Reliability::Datagram, tx)
+    ctx.send_shared(hop.iface, pkt, TrafficClass::Control, Reliability::Datagram, tx)
 }
 
 impl Agent for ExpressHost {
@@ -820,22 +810,19 @@ impl Agent for ExpressHost {
             let generation = token - TIMER_QUERY_DEADLINE;
             // Deadline: deliver the (possibly partial) totals of any query
             // of this generation that has not completed.
-            let expired: Vec<(Channel, CountId)> = self
-                .pending_queries
-                .iter()
-                .filter(|(_, pc)| pc.generation == generation)
-                .map(|(k, _)| *k)
-                .collect();
             let at = ctx.now();
-            for (channel, count_id) in expired {
-                let pc = self.pending_queries.remove(&(channel, count_id)).expect("listed");
+            self.pending_queries.retain(|&(channel, count_id), pc| {
+                if pc.generation != generation {
+                    return true;
+                }
                 self.events.push(HostEvent::CountResult {
                     at,
                     channel,
                     count_id,
                     count: pc.total(),
                 });
-            }
+                false
+            });
         }
     }
 

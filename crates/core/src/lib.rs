@@ -19,6 +19,7 @@
 //! |---|---|---|
 //! | [`channel`] | 2.2.1 | per-host local channel allocation (no global coordination) |
 //! | [`fib`] | 3.4, 5.1 | the exact-match (S,E) forwarding table over packed 12-byte entries |
+//! | [`table`] | — | the unseeded keyed containers under the FIB and the control plane's state |
 //! | [`counting`] | 3.1 | per-query aggregation records, per-hop timeout decrement, partial replies |
 //! | [`proactive`] | 6 | the error-tolerance curve and proactive count maintenance |
 //! | [`packets`] | — | building/classifying the IPv4 datagrams ECMP and channel data ride in |
@@ -45,6 +46,7 @@ pub mod host;
 pub mod packets;
 pub mod proactive;
 pub mod router;
+pub mod table;
 
 pub use channel::ChannelAllocator;
 pub use fib::Fib;

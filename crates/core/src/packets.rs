@@ -16,9 +16,10 @@
 //! would add 8 bytes and no behaviour.
 
 use express_wire::addr::{Channel, Ipv4Addr};
-use express_wire::ecmp::{self, EcmpMessage};
+use express_wire::ecmp::{Batch, EcmpMessage};
 use express_wire::ipv4::{self, Ipv4Repr, Protocol};
 use express_wire::{Result, WireError};
+use netsim::engine::Payload;
 
 /// Default TTL for generated datagrams.
 pub const DEFAULT_TTL: u8 = 64;
@@ -41,7 +42,7 @@ pub enum EcmpMode {
 
 /// A classified incoming datagram.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Classified {
+pub enum Classified<'a> {
     /// Channel data for `(S, E)`; `payload_len` octets of application data.
     ChannelData {
         /// The channel, reconstructed from the IP source and group.
@@ -57,8 +58,8 @@ pub enum Classified {
         multicast: bool,
         /// Which transport mode carried it.
         mode: EcmpMode,
-        /// The parsed messages.
-        messages: Vec<EcmpMessage>,
+        /// The messages, checked as a whole and parsed as they are read.
+        messages: Batch<'a>,
     },
     /// An IP-in-IP encapsulated datagram addressed to this node (subcast or
     /// relay input); `inner` is the complete inner datagram.
@@ -91,49 +92,87 @@ pub fn channel_data(channel: Channel, payload_len: usize, ttl: u8) -> Vec<u8> {
     buf
 }
 
-/// Build a unicast ECMP datagram carrying `messages` from `src` to `dst`
-/// in the given mode. Panics if the batch exceeds [`ECMP_BATCH_BUDGET`] —
-/// callers split with [`ecmp::emit_batch`] first.
-pub fn ecmp_unicast(src: Ipv4Addr, dst: Ipv4Addr, mode: EcmpMode, messages: &[EcmpMessage]) -> Vec<u8> {
-    let (payload, taken) = ecmp::emit_batch(messages, ECMP_BATCH_BUDGET);
-    assert_eq!(taken, messages.len(), "ECMP batch exceeds one segment; split first");
+/// One ECMP datagram, written once into the buffer that is sent: the IPv4
+/// header, then each of `messages` (`payload_len` octets of them).
+fn ecmp_frame(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: Protocol,
+    ttl: u8,
+    payload_len: usize,
+    messages: impl Iterator<Item = EcmpMessage>,
+) -> Payload {
     let repr = Ipv4Repr {
         src,
         dst,
-        protocol: match mode {
-            EcmpMode::Tcp => Protocol::Tcp,
-            EcmpMode::Udp => Protocol::Udp,
-        },
-        ttl: DEFAULT_TTL,
-        payload_len: payload.len(),
+        protocol,
+        ttl,
+        payload_len,
     };
-    let mut buf = vec![0u8; repr.buffer_len()];
-    repr.emit(&mut buf).expect("sized");
-    buf[ipv4::HEADER_LEN..].copy_from_slice(&payload);
-    buf
+    let mut frame: Payload = std::iter::repeat_n(0, repr.buffer_len()).collect();
+    let buf = Payload::get_mut(&mut frame).expect("not yet shared");
+    repr.emit(buf).expect("sized by buffer_len");
+    let mut at = ipv4::HEADER_LEN;
+    for m in messages {
+        at += m.emit(&mut buf[at..]).expect("sized by buffer_len");
+    }
+    debug_assert_eq!(at, buf.len());
+    frame
+}
+
+fn protocol_of(mode: EcmpMode) -> Protocol {
+    match mode {
+        EcmpMode::Tcp => Protocol::Tcp,
+        EcmpMode::Udp => Protocol::Udp,
+    }
+}
+
+/// Encoded size of `messages`. Panics past [`ECMP_BATCH_BUDGET`].
+fn one_segment_len(messages: &[EcmpMessage]) -> usize {
+    let len = messages.iter().map(EcmpMessage::buffer_len).sum();
+    assert!(len <= ECMP_BATCH_BUDGET, "ECMP batch exceeds one segment; split first");
+    len
+}
+
+/// Build a unicast ECMP datagram carrying `messages` from `src` to `dst`
+/// in the given mode. Panics if the batch exceeds [`ECMP_BATCH_BUDGET`] —
+/// callers with more to say send it through [`ecmp_segment`].
+pub fn ecmp_unicast(src: Ipv4Addr, dst: Ipv4Addr, mode: EcmpMode, messages: &[EcmpMessage]) -> Payload {
+    let len = one_segment_len(messages);
+    ecmp_frame(src, dst, protocol_of(mode), DEFAULT_TTL, len, messages.iter().copied())
+}
+
+/// The next segment of a unicast ECMP stream from `src` to `dst`: as many
+/// whole messages from the front of `messages` as fit
+/// [`ECMP_BATCH_BUDGET`] (the §5.3 batching), in one datagram. Advances
+/// `messages` past them; `None` once it is exhausted.
+pub fn ecmp_segment<I>(src: Ipv4Addr, dst: Ipv4Addr, mode: EcmpMode, messages: &mut I) -> Option<Payload>
+where
+    I: Iterator<Item = EcmpMessage> + Clone,
+{
+    let (mut len, mut taken) = (0, 0);
+    for m in messages.clone() {
+        if len + m.buffer_len() > ECMP_BATCH_BUDGET {
+            break;
+        }
+        len += m.buffer_len();
+        taken += 1;
+    }
+    // No message is longer than the budget, so zero taken means none left.
+    (taken > 0).then(|| ecmp_frame(src, dst, protocol_of(mode), DEFAULT_TTL, len, messages.by_ref().take(taken)))
 }
 
 /// Build a LAN-multicast ECMP datagram (periodic queries, UDP-mode reports;
-/// §3.2/§3.3). Always UDP mode.
-pub fn ecmp_multicast(src: Ipv4Addr, messages: &[EcmpMessage]) -> Vec<u8> {
-    let (payload, taken) = ecmp::emit_batch(messages, ECMP_BATCH_BUDGET);
-    assert_eq!(taken, messages.len(), "ECMP batch exceeds one segment; split first");
-    let repr = Ipv4Repr {
-        src,
-        dst: Ipv4Addr::ECMP_WELL_KNOWN,
-        protocol: Protocol::Udp,
-        ttl: 1, // link-local only
-        payload_len: payload.len(),
-    };
-    let mut buf = vec![0u8; repr.buffer_len()];
-    repr.emit(&mut buf).expect("sized");
-    buf[ipv4::HEADER_LEN..].copy_from_slice(&payload);
-    buf
+/// §3.2/§3.3). Always UDP mode. Panics past [`ECMP_BATCH_BUDGET`].
+pub fn ecmp_multicast(src: Ipv4Addr, messages: &[EcmpMessage]) -> Payload {
+    let len = one_segment_len(messages);
+    // TTL 1: link-local only.
+    ecmp_frame(src, Ipv4Addr::ECMP_WELL_KNOWN, Protocol::Udp, 1, len, messages.iter().copied())
 }
 
 /// Classify a received datagram from the perspective of the node with
 /// address `me`.
-pub fn classify(bytes: &[u8], me: Ipv4Addr) -> Result<Classified> {
+pub fn classify(bytes: &[u8], me: Ipv4Addr) -> Result<Classified<'_>> {
     let header = Ipv4Repr::parse(bytes)?;
     let payload = bytes
         .get(ipv4::HEADER_LEN..ipv4::HEADER_LEN + header.payload_len)
@@ -144,7 +183,7 @@ pub fn classify(bytes: &[u8], me: Ipv4Addr) -> Result<Classified> {
         return Ok(Classified::ChannelData { channel, header });
     }
     if header.dst == Ipv4Addr::ECMP_WELL_KNOWN {
-        let messages = ecmp::parse_batch(payload)?;
+        let messages = Batch::parse(payload)?;
         return Ok(Classified::Ecmp {
             from: header.src,
             multicast: true,
@@ -155,7 +194,7 @@ pub fn classify(bytes: &[u8], me: Ipv4Addr) -> Result<Classified> {
     if header.dst == me {
         match header.protocol {
             Protocol::Tcp | Protocol::Udp => {
-                let messages = ecmp::parse_batch(payload)?;
+                let messages = Batch::parse(payload)?;
                 return Ok(Classified::Ecmp {
                     from: header.src,
                     multicast: false,
@@ -229,7 +268,7 @@ mod tests {
                     assert_eq!(from, Ipv4Addr::new(10, 0, 0, 2));
                     assert!(!multicast);
                     assert_eq!(m, mode);
-                    assert_eq!(messages.len(), 1);
+                    assert_eq!(messages.count(), 1);
                 }
                 other => panic!("misclassified: {other:?}"),
             }
@@ -244,10 +283,32 @@ mod tests {
                 multicast, messages, ..
             } => {
                 assert!(multicast);
-                assert_eq!(messages.len(), 2);
+                assert_eq!(messages.count(), 2);
             }
             other => panic!("misclassified: {other:?}"),
         }
+    }
+
+    #[test]
+    fn segments_split_a_stream_at_the_batch_budget() {
+        let per_segment = ECMP_BATCH_BUDGET / Count::WIRE_LEN_BASE;
+        let stream = vec![count_msg(); per_segment + 33];
+        let mut rest = stream.iter().copied();
+        let mut sizes = Vec::new();
+        while let Some(pkt) = ecmp_segment(Ipv4Addr::new(10, 0, 0, 2), me(), EcmpMode::Tcp, &mut rest) {
+            match classify(&pkt, me()).unwrap() {
+                Classified::Ecmp { messages, mode, .. } => {
+                    assert_eq!(mode, EcmpMode::Tcp);
+                    sizes.push(messages.inspect(|m| assert_eq!(*m, count_msg())).count());
+                }
+                other => panic!("misclassified: {other:?}"),
+            }
+            assert!(pkt.len() <= ipv4::HEADER_LEN + ECMP_BATCH_BUDGET);
+        }
+        assert_eq!(sizes, [per_segment, 33]);
+        // One message is the same datagram either way.
+        let one = ecmp_segment(me(), me(), EcmpMode::Udp, &mut [count_msg()].into_iter());
+        assert_eq!(one, Some(ecmp_unicast(me(), me(), EcmpMode::Udp, &[count_msg()])));
     }
 
     #[test]

@@ -31,9 +31,10 @@ use crate::counting::{decrement_timeout, PendingCount, ReplyTo};
 use crate::fib::Fib;
 use crate::packets::{self, Classified, EcmpMode};
 use crate::proactive::{ErrorToleranceCurve, ProactiveState};
+use crate::table::{channel_key, InlineSet, Keyed, Table};
 use express_wire::addr::{Channel, Ipv4Addr};
 use express_wire::ecmp::{
-    ChannelKey, Count, CountId, CountQuery, CountResponse, EcmpMessage, ProactiveParams,
+    Batch, ChannelKey, Count, CountId, CountQuery, CountResponse, EcmpMessage, ProactiveParams,
     ResponseStatus,
 };
 use express_wire::fib::FibEntry;
@@ -41,12 +42,12 @@ use netsim::audit::{AuditNodeState, AuditRoute};
 use netsim::engine::{Agent, Ctx, Payload, Reliability, Tx};
 use netsim::id::{IfaceId, NodeId};
 use netsim::topology::Topology;
-use netsim::stats::TrafficClass;
+use netsim::stats::{CounterId, TrafficClass};
 use netsim::time::{SimDuration, SimTime};
 use netsim::transport::RttEstimator;
 use netsim::NodeKind;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 mod forward;
 use forward::ForwardingPlane;
@@ -110,7 +111,7 @@ impl Default for RouterConfig {
     }
 }
 
-/// What a pending timer means (tokens are indices into `timer_meta`).
+/// What a pending timer means (tokens are keys of `Timers::meta`).
 #[derive(Debug, Clone)]
 enum TimerPurpose {
     /// Deadline for an outstanding count aggregation.
@@ -145,6 +146,7 @@ enum TimerPurpose {
 /// One downstream neighbor's contribution to a channel.
 #[derive(Debug, Clone, Copy)]
 struct DownstreamEntry {
+    addr: Ipv4Addr,
     iface: IfaceId,
     /// Latest subscriberId count reported by this neighbor's subtree.
     count: u64,
@@ -154,15 +156,28 @@ struct DownstreamEntry {
     validated: bool,
 }
 
-/// Per-channel protocol state ("management-level state", §5.2).
+impl Keyed for DownstreamEntry {
+    type Key = Ipv4Addr;
+
+    fn key(&self) -> Ipv4Addr {
+        self.addr
+    }
+}
+
+/// One proactively maintained count of a channel (§6).
 #[derive(Debug, Clone)]
-struct ChannelState {
-    /// Toward the source: (interface, upstream neighbor address).
-    upstream: Option<(IfaceId, Ipv4Addr)>,
-    /// Downstream neighbors by address.
-    downstream: HashMap<Ipv4Addr, DownstreamEntry>,
-    /// subscriberId total we last sent upstream (join when 0→n, prune on →0).
-    advertised: u64,
+struct Proactive {
+    state: ProactiveState,
+    /// Latest downstream values of a generic (non-subscriberId) count, by
+    /// neighbor.
+    values: BTreeMap<Ipv4Addr, u64>,
+}
+
+/// The part of a channel's state most channels never have: authentication
+/// and proactive counting. Allocated by the first key or curve the channel
+/// sees.
+#[derive(Debug, Clone, Default)]
+struct ChannelExtra {
     /// Cached channel key, learned from a validated subscription (§3.2:
     /// "a valid key is cached so that further authenticated requests can be
     /// denied or accepted locally").
@@ -170,44 +185,62 @@ struct ChannelState {
     /// Downstream requesters whose keys are awaiting upstream validation.
     awaiting_validation: Vec<(Ipv4Addr, ChannelKey)>,
     /// Proactive counting state per countId.
-    proactive: HashMap<CountId, ProactiveState>,
-    /// Latest downstream values for generic (non-subscriberId) proactive
-    /// counts: countId → neighbor → value.
-    proactive_values: HashMap<CountId, HashMap<Ipv4Addr, u64>>,
+    proactive: BTreeMap<CountId, Proactive>,
+}
+
+/// Per-channel protocol state ("management-level state", §5.2): one
+/// record, its downstream neighbors in place, filed in the control plane's
+/// table under the channel it carries.
+#[derive(Debug, Clone)]
+struct ChannelState {
+    channel: Channel,
+    /// Toward the source: (interface, upstream neighbor address).
+    upstream: Option<(IfaceId, Ipv4Addr)>,
+    /// Downstream neighbors by address.
+    downstream: InlineSet<DownstreamEntry>,
+    /// subscriberId total we last sent upstream (join when 0→n, prune on →0).
+    advertised: u64,
     /// No re-home before this time.
     hold_down_until: SimTime,
     /// A re-home is scheduled (avoid duplicate timers).
     rehome_pending: bool,
     /// A backoff re-join retry is armed (avoid duplicate timers).
     rejoin_pending: bool,
+    extra: Option<Box<ChannelExtra>>,
+}
+
+impl Keyed for ChannelState {
+    type Key = u64;
+
+    fn key(&self) -> u64 {
+        channel_key(self.channel)
+    }
 }
 
 impl ChannelState {
-    fn new() -> Self {
+    fn new(channel: Channel) -> Self {
         ChannelState {
+            channel,
             upstream: None,
-            downstream: HashMap::new(),
+            downstream: InlineSet::new(),
             advertised: 0,
-            cached_key: None,
-            awaiting_validation: Vec::new(),
-            proactive: HashMap::new(),
-            proactive_values: HashMap::new(),
             hold_down_until: SimTime::ZERO,
             rehome_pending: false,
             rejoin_pending: false,
+            extra: None,
         }
     }
 
     /// Current subscriberId aggregate over all downstream neighbors.
     fn aggregate(&self) -> u64 {
-        self.downstream.values().filter(|e| e.validated).map(|e| e.count).sum()
+        self.downstream.iter().filter(|e| e.validated).map(|e| e.count).sum()
     }
 
     /// Outgoing-interface mask: interfaces with any validated subscriber
     /// weight.
     fn oif_mask(&self) -> u32 {
         let mut m = 0u32;
-        for e in self.downstream.values() {
+        for e in self.downstream.iter() {
             if e.validated && e.count > 0 {
                 m |= 1 << e.iface.0;
             }
@@ -215,11 +248,27 @@ impl ChannelState {
         m
     }
 
+    fn cached_key(&self) -> Option<ChannelKey> {
+        self.extra.as_ref().and_then(|x| x.cached_key)
+    }
+
+    fn extra_mut(&mut self) -> &mut ChannelExtra {
+        self.extra.get_or_insert_with(Box::default)
+    }
+
+    /// Nothing left to keep the record for: fully pruned, the prune sent,
+    /// no validation in flight.
+    fn spent(&self) -> bool {
+        self.aggregate() == 0
+            && self.advertised == 0
+            && self.extra.as_ref().is_none_or(|x| x.awaiting_validation.is_empty())
+    }
+
     /// Approximate DRAM footprint of this record, for the §5.2 experiment:
     /// one upstream + per-downstream records + key (the paper budgets
     /// ~200 bytes/channel).
     fn mgmt_state_bytes(&self) -> usize {
-        32 + self.downstream.len() * 32 + if self.cached_key.is_some() { 8 } else { 0 }
+        32 + self.downstream.len() * 32 + if self.cached_key().is_some() { 8 } else { 0 }
     }
 }
 
@@ -253,35 +302,98 @@ pub struct RouterCounters {
     pub rejoin_retries: u64,
 }
 
+/// Handles of the `ecmp.*` counters a message or a re-home bumps, interned
+/// once per control plane (registration alone surfaces nothing; the names
+/// in `docs/OBSERVABILITY.md` are what the handles stand for).
+#[derive(Debug, Clone, Copy)]
+struct EcmpCounters {
+    count_tx: CounterId,
+    count_rx: CounterId,
+    query_tx: CounterId,
+    query_rx: CounterId,
+    response_tx: CounterId,
+    subscribe: CounterId,
+    unsubscribe: CounterId,
+    batched_msgs: CounterId,
+    rehome: CounterId,
+    readvertise: CounterId,
+    conn_fail_prune: CounterId,
+}
+
+impl EcmpCounters {
+    fn intern(ctx: &mut Ctx<'_>) -> Self {
+        EcmpCounters {
+            count_tx: ctx.counter("ecmp.count_tx"),
+            count_rx: ctx.counter("ecmp.count_rx"),
+            query_tx: ctx.counter("ecmp.query_tx"),
+            query_rx: ctx.counter("ecmp.query_rx"),
+            response_tx: ctx.counter("ecmp.response_tx"),
+            subscribe: ctx.counter("ecmp.subscribe"),
+            unsubscribe: ctx.counter("ecmp.unsubscribe"),
+            batched_msgs: ctx.counter("ecmp.batched_msgs"),
+            rehome: ctx.counter("ecmp.rehome"),
+            readvertise: ctx.counter("ecmp.readvertise"),
+            conn_fail_prune: ctx.counter("ecmp.conn_fail_prune"),
+        }
+    }
+}
+
+/// Armed timers: token → what it is for.
+#[derive(Default)]
+struct Timers {
+    meta: BTreeMap<u64, TimerPurpose>,
+    next: u64,
+}
+
+impl Timers {
+    /// A fresh timer token standing for `purpose`.
+    fn token(&mut self, purpose: TimerPurpose) -> u64 {
+        let token = self.next;
+        self.next += 1;
+        self.meta.insert(token, purpose);
+        token
+    }
+
+    fn arm(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, purpose: TimerPurpose) {
+        let token = self.token(purpose);
+        ctx.set_timer(delay, token);
+    }
+}
+
+/// A unicast ECMP message waiting for the end of the dispatch.
+type Queued = (IfaceId, Ipv4Addr, EcmpMessage);
+
+/// What the control plane knows, each map in ascending key order: whatever
+/// a handler does per channel, neighbor or interface, it does in an order
+/// its contents fix.
+#[derive(Default)]
+struct Tables {
+    channels: Table<ChannelState>,
+    /// Outstanding aggregations; boxed, so a router that answers a query
+    /// now and then does not hold a map node sized for eleven of them.
+    pending: BTreeMap<(Channel, CountId), Box<PendingCount>>,
+    pending_gen: u64,
+    rtt: BTreeMap<Ipv4Addr, RttEstimator>,
+    /// Discovered EXPRESS neighbors: address → (interface, last heard).
+    neighbors: BTreeMap<Ipv4Addr, (IfaceId, SimTime)>,
+    /// When the last neighbor probe went out on each interface.
+    probe_sent: BTreeMap<IfaceId, SimTime>,
+}
+
 /// The control plane: everything ECMP keeps beyond the FIB — the
 /// "management-level state" the paper's §5.2 prices apart from the fast
 /// path's memory. A router holds none until something needs it (see
 /// [`EcmpRouter`]).
 #[derive(Default)]
 struct ControlPlane {
-    channels: HashMap<Channel, ChannelState>,
-    pending: HashMap<(Channel, CountId), PendingCount>,
-    pending_gen: u64,
-    timer_meta: HashMap<u64, TimerPurpose>,
-    next_timer: u64,
-    rtt: HashMap<Ipv4Addr, RttEstimator>,
-    /// Discovered EXPRESS neighbors: address → (interface, last heard).
-    neighbors: HashMap<Ipv4Addr, (IfaceId, SimTime)>,
+    tables: Tables,
+    timers: Timers,
     /// Unicast ECMP messages queued within the current event dispatch,
-    /// flushed (batched per neighbor) before the callback returns.
-    txq: Vec<(IfaceId, Ipv4Addr, EcmpMessage)>,
-    /// When the last neighbor probe went out on each interface.
-    probe_sent: HashMap<IfaceId, SimTime>,
-}
-
-impl ControlPlane {
-    /// A fresh timer token standing for `purpose`.
-    fn timer_token(&mut self, purpose: TimerPurpose) -> u64 {
-        let token = self.next_timer;
-        self.next_timer += 1;
-        self.timer_meta.insert(token, purpose);
-        token
-    }
+    /// flushed (batched per neighbor) before the callback returns. Empty
+    /// between dispatches; its capacity is kept.
+    txq: Vec<Queued>,
+    /// Interned by the first dispatch that reaches the control plane.
+    ids: Option<EcmpCounters>,
 }
 
 /// The ECMP router agent.
@@ -338,29 +450,30 @@ impl EcmpRouter {
     /// check fires. Negative-test hook only: real code paths always set
     /// `advertised` from the aggregate of validated downstream entries.
     pub fn skew_advertised_for_audit_test(&mut self, channel: Channel, delta: u64) {
-        if let Some(st) = self.ctl.as_mut().and_then(|c| c.channels.get_mut(&channel)) {
+        let channels = self.ctl.as_mut().map(|c| &mut c.tables.channels);
+        if let Some(st) = channels.and_then(|t| t.get_mut(channel_key(channel))) {
             st.advertised = st.advertised.saturating_add(delta);
         }
     }
 
     /// The per-channel protocol state, if any was ever created.
-    fn channels(&self) -> Option<&HashMap<Channel, ChannelState>> {
-        self.ctl.as_ref().map(|c| &c.channels)
+    fn channels(&self) -> Option<&Table<ChannelState>> {
+        self.ctl.as_ref().map(|c| &c.tables.channels)
     }
 
     fn channel(&self, channel: Channel) -> Option<&ChannelState> {
-        self.channels()?.get(&channel)
+        self.channels()?.get(channel_key(channel))
     }
 
     /// Number of channels with protocol state.
     pub fn channel_count(&self) -> usize {
-        self.channels().map_or(0, HashMap::len)
+        self.channels().map_or(0, Table::len)
     }
 
     /// Total management-level state in bytes across channels (§5.2).
     pub fn mgmt_state_bytes(&self) -> usize {
         self.channels()
-            .map_or(0, |m| m.values().map(ChannelState::mgmt_state_bytes).sum())
+            .map_or(0, |t| t.iter().map(ChannelState::mgmt_state_bytes).sum())
     }
 
     /// Does this router have tree state for `channel`?
@@ -374,36 +487,26 @@ impl EcmpRouter {
     }
 
     /// Diagnostic view of a channel's downstream entries:
-    /// `(neighbor, subtree count, validated)`.
+    /// `(neighbor, subtree count, validated)`, sorted by neighbor.
     pub fn downstream_of(&self, channel: Channel) -> Vec<(Ipv4Addr, u64, bool)> {
-        self.channel(channel)
-            .map(|s| {
-                let mut v: Vec<_> = s
-                    .downstream
-                    .iter()
-                    .map(|(a, e)| (*a, e.count, e.validated))
-                    .collect();
-                v.sort();
-                v
-            })
-            .unwrap_or_default()
+        self.channel(channel).map_or_else(Vec::new, |s| {
+            s.downstream.iter().map(|e| (e.addr, e.count, e.validated)).collect()
+        })
     }
 
     /// EXPRESS neighbors discovered via the §3.3 probes:
     /// `(address, interface)` pairs, sorted by address.
     pub fn discovered_neighbors(&self) -> Vec<(Ipv4Addr, IfaceId)> {
-        let mut v: Vec<_> = self
-            .ctl
-            .as_ref()
-            .map_or_else(Vec::new, |c| c.neighbors.iter().map(|(a, (i, _))| (*a, *i)).collect());
-        v.sort();
-        v
+        self.ctl.as_ref().map_or_else(Vec::new, |c| {
+            c.tables.neighbors.iter().map(|(a, (i, _))| (*a, *i)).collect()
+        })
     }
 
     /// The smoothed RTT estimate toward `neighbor`, if any probe has been
     /// answered (feeds the §3.1 per-hop timeout decrement).
     pub fn rtt_to(&self, neighbor: Ipv4Addr) -> Option<SimDuration> {
-        self.ctl.as_ref()?.rtt.get(&neighbor).filter(|e| e.has_sample()).map(|e| e.rtt())
+        let rtt = &self.ctl.as_ref()?.tables.rtt;
+        rtt.get(&neighbor).filter(|e| e.has_sample()).map(|e| e.rtt())
     }
 
     /// Schedule a router-initiated count (§3.1) on `node` at absolute time
@@ -420,7 +523,7 @@ impl EcmpRouter {
         timeout: SimDuration,
     ) {
         let router = sim.agent_as::<EcmpRouter>(node).expect("node agent is not an EcmpRouter");
-        let token = router.ctl.get_or_insert_with(Box::default).timer_token(TimerPurpose::LocalCount {
+        let token = router.ctl.get_or_insert_with(Box::default).timers.token(TimerPurpose::LocalCount {
             channel,
             count_id,
             timeout,
@@ -433,25 +536,47 @@ impl EcmpRouter {
     /// cooperation") — e.g. counting the links a channel uses inside a
     /// transit domain. The result lands in [`local_results`](Self::local_results).
     pub fn initiate_count(&mut self, ctx: &mut Ctx<'_>, channel: Channel, count_id: CountId, timeout: SimDuration) {
-        self.control().initiate_count(ctx, channel, count_id, timeout);
+        self.control(ctx).initiate_count(ctx, channel, count_id, timeout);
     }
 
     /// The control plane as it stands: `None` while nothing has needed one,
     /// which every caller treats as an empty one.
-    fn control_if_any(&mut self) -> Option<Control<'_>> {
+    fn control_if_any(&mut self, ctx: &mut Ctx<'_>) -> Option<Control<'_>> {
+        let ControlPlane { tables, timers, txq, ids } = self.ctl.as_deref_mut()?;
         Some(Control {
-            cfg: &self.cfg,
-            fwd: &mut self.fwd,
-            counters: &mut self.counters,
+            port: Port {
+                cfg: &self.cfg,
+                fib: &mut self.fwd.fib,
+                counters: &mut self.counters,
+                ids: *ids.get_or_insert_with(|| EcmpCounters::intern(ctx)),
+                txq,
+                timers,
+            },
             local_results: &mut self.local_results,
-            ctl: self.ctl.as_deref_mut()?,
+            t: tables,
         })
     }
 
     /// The control plane, allocated here if this is the first use of it.
-    fn control(&mut self) -> Control<'_> {
+    fn control(&mut self, ctx: &mut Ctx<'_>) -> Control<'_> {
         self.ctl.get_or_insert_with(Box::default);
-        self.control_if_any().expect("allocated above")
+        self.control_if_any(ctx).expect("allocated above")
+    }
+
+    /// A batch of ECMP messages from `from`. Kept out of line: `on_packet`
+    /// is the per-delivery fast path, and its data arms should not carry
+    /// the control plane's stack frame and prologue.
+    #[inline(never)]
+    fn on_ecmp(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, from: Ipv4Addr, messages: Batch<'_>) {
+        let mut control = self.control(ctx);
+        for m in messages {
+            match m {
+                EcmpMessage::CountQuery(q) => control.handle_query(ctx, iface, from, q),
+                EcmpMessage::Count(c) => control.handle_count(ctx, iface, from, c),
+                EcmpMessage::CountResponse(r) => control.handle_response(ctx, r),
+            }
+        }
+        control.port.flush(ctx);
     }
 }
 
@@ -468,14 +593,291 @@ fn iface_mode(cfg: &RouterConfig, ctx: &Ctx<'_>, iface: IfaceId) -> EcmpMode {
     }
 }
 
-/// What a control-plane handler works on: the router's control plane, now
-/// known to exist, beside the rest of the router it reads and updates.
-struct Control<'a> {
+/// The general query of §3.3: solicits Counts for all channels.
+fn general_query(count_id: CountId, timeout_ms: u32) -> EcmpMessage {
+    EcmpMessage::from(CountQuery {
+        channel: Channel::new(Ipv4Addr::ECMP_LOCALHOST_SOURCE, 0).expect("wellknown"),
+        count_id,
+        timeout_ms,
+        proactive: None,
+    })
+}
+
+/// The RPF next hop toward `source` as a channel's upstream.
+fn rpf_hop(ctx: &mut Ctx<'_>, source: Ipv4Addr) -> Option<(IfaceId, Ipv4Addr)> {
+    ctx.rpf(source).map(|h| (h.iface, ctx.ip_of(h.next)))
+}
+
+/// The router around one channel record: everything a step of the protocol
+/// reads or writes while it holds the record — the sending side, the
+/// timers, the FIB — and nothing the record was looked up in.
+struct Port<'a> {
     cfg: &'a RouterConfig,
-    fwd: &'a mut ForwardingPlane,
+    fib: &'a mut Fib,
     counters: &'a mut RouterCounters,
+    ids: EcmpCounters,
+    txq: &'a mut Vec<Queued>,
+    timers: &'a mut Timers,
+}
+
+impl Port<'_> {
+    /// Queue a unicast ECMP message for `to` out `iface`. Messages queued
+    /// during one event dispatch to the same neighbor are coalesced into one
+    /// TCP-mode segment by [`flush`](Self::flush) — the §5.3 batching
+    /// ("approximately 92 ... Count messages fit in a ... TCP segment"),
+    /// exercised live whenever one event produces several messages for one
+    /// neighbor (ALL_CHANNELS re-advertisement, re-homing, multi-channel
+    /// teardown on link failure).
+    fn send(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, to: Ipv4Addr, msg: impl Into<EcmpMessage>) {
+        let msg = msg.into();
+        match msg {
+            EcmpMessage::Count(c) => {
+                self.counters.counts_tx += 1;
+                ctx.count_id(self.ids.count_tx, 1);
+                // Per-(base, channel) handle: no per-message key formatting,
+                // and the trace keeps the channel as a field of its own.
+                ctx.count_channel("ecmp.count_msgs", c.channel, 1);
+            }
+            EcmpMessage::CountQuery(_) => {
+                self.counters.queries_tx += 1;
+                ctx.count_id(self.ids.query_tx, 1);
+            }
+            EcmpMessage::CountResponse(_) => ctx.count_id(self.ids.response_tx, 1),
+        }
+        self.txq.push((iface, to, msg));
+    }
+
+    /// Transmit everything queued by [`send`](Self::send): per (interface,
+    /// neighbor) in order of first appearance, that neighbor's messages in
+    /// the order queued, split into segments at the batch budget. Each
+    /// segment is written once, into the buffer its receivers will share.
+    /// Called at the end of every agent callback that ran a handler.
+    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+        while let Some(&(iface, to, _)) = self.txq.first() {
+            let mode = iface_mode(self.cfg, ctx, iface);
+            let rel = match mode {
+                EcmpMode::Tcp => Reliability::Reliable,
+                EcmpMode::Udp => Reliability::Datagram,
+            };
+            let tx = match ctx.resolve(to) {
+                Some(node) => Tx::To(node),
+                None => Tx::AllOnLink,
+            };
+            let bound_here = |q: &Queued| q.0 == iface && q.1 == to;
+            let mut messages = self.txq.iter().filter(|q| bound_here(q)).map(|q| q.2);
+            let n = messages.clone().count();
+            if n > 1 {
+                ctx.count_id(self.ids.batched_msgs, n as u64);
+            }
+            while let Some(frame) = packets::ecmp_segment(ctx.my_ip(), to, mode, &mut messages) {
+                ctx.send_shared(iface, frame, TrafficClass::Control, rel, tx);
+            }
+            self.txq.retain(|q| !bound_here(q));
+        }
+    }
+
+    fn send_multicast(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, msg: EcmpMessage) {
+        let frame = packets::ecmp_multicast(ctx.my_ip(), &[msg]);
+        ctx.send_shared(iface, frame, TrafficClass::Control, Reliability::Datagram, Tx::AllOnLink);
+        if matches!(msg, EcmpMessage::CountQuery(_)) {
+            self.counters.queries_tx += 1;
+            ctx.count_id(self.ids.query_tx, 1);
+        }
+    }
+
+    /// Make the FIB entry of `st`'s channel what the record says.
+    fn sync_fib(&mut self, st: &ChannelState) {
+        // No interface with validated weight is no validated weight at all
+        // (a zero Count removes its entry): nothing to forward to.
+        let mask = st.oif_mask();
+        if mask == 0 {
+            self.fib.remove(st.channel);
+            return;
+        }
+        let in_iface = st.upstream.map_or(0, |(i, _)| i.0);
+        if let Ok(e) = FibEntry::new(st.channel, in_iface, mask) {
+            self.fib.install(e);
+        }
+    }
+
+    /// After a change to `st`'s downstream set: send the `subscriberId`
+    /// aggregate upstream if the join/prune edge condition or the proactive
+    /// curve says so, then bring the FIB in line — once. Returns whether
+    /// the record is spent (and its FIB entry gone): the caller drops it.
+    fn settle(&mut self, ctx: &mut Ctx<'_>, st: &mut ChannelState) -> bool {
+        let spent = self.propagate_upstream(ctx, st);
+        if spent {
+            self.fib.remove(st.channel);
+        } else {
+            self.sync_fib(st);
+        }
+        spent
+    }
+
+    /// The upstream half of [`settle`](Self::settle). A record without an
+    /// upstream has nowhere to send and is never spent.
+    fn propagate_upstream(&mut self, ctx: &mut Ctx<'_>, st: &mut ChannelState) -> bool {
+        let now = ctx.now();
+        let channel = st.channel;
+        let agg = st.aggregate();
+        let Some((up_iface, up_addr)) = st.upstream else { return false };
+
+        let curve = st.extra.as_mut().and_then(|x| x.proactive.get_mut(&CountId::SUBSCRIBERS));
+        let value_to_send: Option<u64> = if let Some(Proactive { state: p, .. }) = curve {
+            // Proactive mode: curve-driven.
+            let v = p.evaluate(agg, now);
+            if v.is_none() {
+                // Schedule a re-check if a change is pending.
+                if let Some(at) = p.curve.next_check_at(p.advertised, agg, p.last_sent) {
+                    let check = TimerPurpose::ProactiveCheck {
+                        channel,
+                        count_id: CountId::SUBSCRIBERS,
+                        generation: p.generation,
+                    };
+                    self.timers.arm(ctx, at.since(now).max(SimDuration::from_millis(1)), check);
+                }
+            }
+            v
+        } else if agg > 0 && st.advertised == 0 {
+            // Plain mode: only the on-tree / off-tree transitions propagate
+            // (§3.2: subscription stops "at a router already on the
+            // distribution tree"; a zero Count prunes).
+            Some(agg)
+        } else if agg == 0 && st.advertised > 0 {
+            Some(0)
+        } else {
+            st.advertised = agg; // track silently
+            None
+        };
+
+        if let Some(v) = value_to_send {
+            st.advertised = v;
+            // Forward the strongest key we have (first-join carries the
+            // subscriber's key so upstream can validate).
+            let msg = Count {
+                channel,
+                count_id: CountId::SUBSCRIBERS,
+                count: v,
+                key: st.cached_key(),
+            };
+            self.send(ctx, up_iface, up_addr, msg);
+        }
+        // Tear down state when fully pruned and nothing pending.
+        st.spent()
+    }
+
+    /// Curve-driven upstream propagation for a generic (non-subscriberId)
+    /// proactively-maintained count: sum the latest downstream values and
+    /// send when the error tolerance curve permits.
+    fn propagate_generic_proactive(&mut self, ctx: &mut Ctx<'_>, st: &mut ChannelState, count_id: CountId) {
+        let now = ctx.now();
+        let channel = st.channel;
+        let Some((up_iface, up_addr)) = st.upstream else { return };
+        let Some(Proactive { state: p, values }) = st.extra.as_mut().and_then(|x| x.proactive.get_mut(&count_id))
+        else {
+            return;
+        };
+        let aggregate: u64 = values.values().sum();
+        match p.evaluate(aggregate, now) {
+            Some(v) => {
+                let msg = Count {
+                    channel,
+                    count_id,
+                    count: v,
+                    key: None,
+                };
+                self.send(ctx, up_iface, up_addr, msg);
+            }
+            None => {
+                if let Some(at) = p.curve.next_check_at(p.advertised, aggregate, p.last_sent) {
+                    let check = TimerPurpose::ProactiveCheck {
+                        channel,
+                        count_id,
+                        generation: p.generation,
+                    };
+                    self.timers.arm(ctx, at.since(now).max(SimDuration::from_millis(1)), check);
+                }
+            }
+        }
+    }
+
+    /// Move `st` to the upstream `new_hop` (§3.2 re-homing).
+    fn apply_rehome(&mut self, ctx: &mut Ctx<'_>, st: &mut ChannelState, new_hop: Option<(IfaceId, Ipv4Addr)>) {
+        let now = ctx.now();
+        let chan = st.channel;
+        let old = st.upstream;
+        st.rehome_pending = false;
+        if new_hop == old {
+            return;
+        }
+        st.upstream = new_hop;
+        st.hold_down_until = now + self.cfg.hysteresis;
+        let agg = st.aggregate();
+        self.counters.rehomes += 1;
+        ctx.count_id(self.ids.rehome, 1);
+        ctx.trace("ecmp.rehome", |e| {
+            let hop = |h: Option<(IfaceId, Ipv4Addr)>| match h {
+                Some((i, a)) => format!("{i}/{a}"),
+                None => "none".to_string(),
+            };
+            e.chan(chan).value(agg).detail(format!("{} -> {}", hop(old), hop(new_hop)))
+        });
+        // §3.2: "it sends a current Count message to the new upstream router
+        // and a zero Count message to the old upstream router".
+        if let Some((ni, na)) = new_hop {
+            if agg > 0 {
+                let msg = Count {
+                    channel: chan,
+                    count_id: CountId::SUBSCRIBERS,
+                    count: agg,
+                    key: st.cached_key(),
+                };
+                self.send(ctx, ni, na, msg);
+                st.advertised = agg;
+            }
+        }
+        if let Some((oi, oa)) = old {
+            let msg = Count {
+                channel: chan,
+                count_id: CountId::SUBSCRIBERS,
+                count: 0,
+                key: None,
+            };
+            self.send(ctx, oi, oa, msg);
+        }
+        self.sync_fib(st);
+        // Orphaned with subscribers below us (the upstream crashed or the
+        // network partitioned): arm the exponential-backoff re-join so the
+        // subtree reattaches as soon as a route to the source reappears.
+        if new_hop.is_none() && agg > 0 {
+            self.arm_rejoin_retry(ctx, st, 0);
+        }
+    }
+
+    /// Arm the backoff re-join retry for an orphaned channel.
+    fn arm_rejoin_retry(&mut self, ctx: &mut Ctx<'_>, st: &mut ChannelState, attempt: u32) {
+        let Some(base) = self.cfg.rejoin_backoff else { return };
+        if st.rejoin_pending {
+            return;
+        }
+        st.rejoin_pending = true;
+        let delay = SimDuration::from_micros(
+            base.micros()
+                .saturating_mul(1u64 << attempt.min(20))
+                .min(self.cfg.rejoin_backoff_max.micros()),
+        );
+        let channel = st.channel;
+        self.timers.arm(ctx, delay, TimerPurpose::RejoinRetry { channel, attempt });
+    }
+}
+
+/// What a control-plane handler works on: the control plane's tables, now
+/// known to exist, beside the [`Port`] its steps go through. A handler
+/// looks a channel's record up once and carries it through.
+struct Control<'a> {
+    port: Port<'a>,
     local_results: &'a mut Vec<(SimTime, Channel, CountId, u64)>,
-    ctl: &'a mut ControlPlane,
+    t: &'a mut Tables,
 }
 
 impl Control<'_> {
@@ -490,237 +892,19 @@ impl Control<'_> {
         self.start_aggregation(ctx, q, ReplyTo::Local);
     }
 
-    fn alloc_timer(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, purpose: TimerPurpose) {
-        let token = self.ctl.timer_token(purpose);
-        ctx.set_timer(delay, token);
-    }
-
-    /// Queue a unicast ECMP message for `to` out `iface`. Messages queued
-    /// during one event dispatch to the same neighbor are coalesced into one
-    /// TCP-mode segment by [`flush_tx`](Self::flush_tx) — the §5.3 batching
-    /// ("approximately 92 ... Count messages fit in a ... TCP segment"),
-    /// exercised live whenever one event produces several messages for one
-    /// neighbor (ALL_CHANNELS re-advertisement, re-homing, multi-channel
-    /// teardown on link failure).
-    fn send_ecmp(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, to: Ipv4Addr, msg: EcmpMessage) {
-        match msg {
-            EcmpMessage::Count(ref c) => {
-                self.counters.counts_tx += 1;
-                ctx.count("ecmp.count_tx", 1);
-                // Interned per-(base, channel) handle: no per-message key
-                // formatting (the composed key is identical to what
-                // count_labeled built, so OBSERVABILITY.md names hold).
-                ctx.count_channel("ecmp.count_msgs", c.channel, 1);
-            }
-            EcmpMessage::CountQuery(_) => {
-                self.counters.queries_tx += 1;
-                ctx.count("ecmp.query_tx", 1);
-            }
-            EcmpMessage::CountResponse(_) => ctx.count("ecmp.response_tx", 1),
-        }
-        self.ctl.txq.push((iface, to, msg));
-    }
-
-    /// Transmit everything queued by [`send_ecmp`](Self::send_ecmp),
-    /// batching per (interface, neighbor). Called at the end of every agent
-    /// callback that ran a control-plane handler.
-    fn flush_tx(&mut self, ctx: &mut Ctx<'_>) {
-        if self.ctl.txq.is_empty() {
-            return;
-        }
-        let txq = std::mem::take(&mut self.ctl.txq);
-        // Group by destination, preserving per-destination order.
-        let mut groups: Vec<((IfaceId, Ipv4Addr), Vec<EcmpMessage>)> = Vec::new();
-        for (iface, to, msg) in txq {
-            match groups.iter_mut().find(|((i, t), _)| *i == iface && *t == to) {
-                Some((_, v)) => v.push(msg),
-                None => groups.push(((iface, to), vec![msg])),
-            }
-        }
-        for ((iface, to), mut msgs) in groups {
-            let mode = iface_mode(self.cfg, ctx, iface);
-            let rel = match mode {
-                EcmpMode::Tcp => Reliability::Reliable,
-                EcmpMode::Udp => Reliability::Datagram,
-            };
-            let tx = match ctx.resolve(to) {
-                Some(node) => Tx::To(node),
-                None => Tx::AllOnLink,
-            };
-            if msgs.len() > 1 {
-                ctx.count("ecmp.batched_msgs", msgs.len() as u64);
-            }
-            while !msgs.is_empty() {
-                // emit_batch takes as many whole messages as fit one MTU.
-                let (payload_probe, taken) =
-                    express_wire::ecmp::emit_batch(&msgs, packets::ECMP_BATCH_BUDGET);
-                debug_assert!(taken >= 1);
-                let _ = payload_probe;
-                let pkt = packets::ecmp_unicast(ctx.my_ip(), to, mode, &msgs[..taken]);
-                ctx.send(iface, &pkt, TrafficClass::Control, rel, tx);
-                msgs.drain(..taken);
-            }
-        }
-    }
-
-    fn send_ecmp_multicast(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, msg: EcmpMessage) {
-        let pkt = packets::ecmp_multicast(ctx.my_ip(), &[msg]);
-        ctx.send(iface, &pkt, TrafficClass::Control, Reliability::Datagram, Tx::AllOnLink);
-        if matches!(msg, EcmpMessage::CountQuery(_)) {
-            self.counters.queries_tx += 1;
-            ctx.count("ecmp.query_tx", 1);
-        }
-    }
-
-    fn state_mut(&mut self, channel: Channel) -> &mut ChannelState {
-        self.ctl.channels.entry(channel).or_insert_with(ChannelState::new)
-    }
-
-    /// Recompute the FIB entry for a channel from its state; remove state
-    /// entirely when the last subscriber is gone.
-    fn sync_fib(&mut self, channel: Channel) {
-        let Some(st) = self.ctl.channels.get(&channel) else {
-            self.fwd.fib.remove(channel);
-            return;
-        };
-        let mask = st.oif_mask();
-        if mask == 0 && st.aggregate() == 0 {
-            self.fwd.fib.remove(channel);
-            return;
-        }
-        let in_iface = st.upstream.map(|(i, _)| i.0).unwrap_or(0);
-        if let Ok(e) = FibEntry::new(channel, in_iface, mask) {
-            self.fwd.fib.install(e);
-        }
-    }
-
-    /// Send `subscriberId` aggregate upstream if the join/prune edge
-    /// condition or the proactive curve says so.
-    fn propagate_upstream(&mut self, ctx: &mut Ctx<'_>, channel: Channel) {
-        let now = ctx.now();
-        let Some(st) = self.ctl.channels.get_mut(&channel) else { return };
-        let agg = st.aggregate();
-        let Some((up_iface, up_addr)) = st.upstream else { return };
-
-        let value_to_send: Option<u64> = if let Some(p) = st.proactive.get_mut(&CountId::SUBSCRIBERS) {
-            // Proactive mode: curve-driven.
-            let v = p.evaluate(agg, now);
-            if v.is_none() {
-                // Schedule a re-check if a change is pending.
-                if let Some(at) = p.curve.next_check_at(p.advertised, agg, p.last_sent) {
-                    let generation = p.generation;
-                    let delay = at.since(now).max(SimDuration::from_millis(1));
-                    self.alloc_timer(
-                        ctx,
-                        delay,
-                        TimerPurpose::ProactiveCheck {
-                            channel,
-                            count_id: CountId::SUBSCRIBERS,
-                            generation,
-                        },
-                    );
-                }
-                None
-            } else {
-                v
-            }
-        } else {
-            // Plain mode: only the on-tree / off-tree transitions propagate
-            // (§3.2: subscription stops "at a router already on the
-            // distribution tree"; a zero Count prunes).
-            if agg > 0 && st.advertised == 0 {
-                Some(agg)
-            } else if agg == 0 && st.advertised > 0 {
-                Some(0)
-            } else {
-                st.advertised = agg; // track silently
-                None
-            }
-        };
-
-        if let Some(v) = value_to_send {
-            if let Some(st) = self.ctl.channels.get_mut(&channel) {
-                st.advertised = v;
-            }
-            // Forward the strongest key we have (first-join carries the
-            // subscriber's key so upstream can validate).
-            let key = self.ctl.channels.get(&channel).and_then(|s| s.cached_key);
-            let msg = EcmpMessage::from(Count {
-                channel,
-                count_id: CountId::SUBSCRIBERS,
-                count: v,
-                key,
-            });
-            self.send_ecmp(ctx, up_iface, up_addr, msg);
-        }
-
-        // Tear down state when fully pruned and nothing pending.
-        if let Some(st) = self.ctl.channels.get(&channel) {
-            if st.aggregate() == 0 && st.advertised == 0 && st.awaiting_validation.is_empty() {
-                self.ctl.channels.remove(&channel);
-            }
-        }
-        self.sync_fib(channel);
-    }
-
-    /// Curve-driven upstream propagation for a generic (non-subscriberId)
-    /// proactively-maintained count: sum the latest downstream values and
-    /// send when the error tolerance curve permits.
-    fn propagate_generic_proactive(&mut self, ctx: &mut Ctx<'_>, channel: Channel, count_id: CountId) {
-        let now = ctx.now();
-        let Some(st) = self.ctl.channels.get_mut(&channel) else { return };
-        let Some((up_iface, up_addr)) = st.upstream else { return };
-        let aggregate: u64 = st
-            .proactive_values
-            .get(&count_id)
-            .map(|m| m.values().sum())
-            .unwrap_or(0);
-        let Some(p) = st.proactive.get_mut(&count_id) else { return };
-        match p.evaluate(aggregate, now) {
-            Some(v) => {
-                let msg = EcmpMessage::from(Count {
-                    channel,
-                    count_id,
-                    count: v,
-                    key: None,
-                });
-                self.send_ecmp(ctx, up_iface, up_addr, msg);
-            }
-            None => {
-                if let Some(at) = p.curve.next_check_at(p.advertised, aggregate, p.last_sent) {
-                    let generation = p.generation;
-                    let delay = at.since(now).max(SimDuration::from_millis(1));
-                    self.alloc_timer(
-                        ctx,
-                        delay,
-                        TimerPurpose::ProactiveCheck {
-                            channel,
-                            count_id,
-                            generation,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Establish (or look up) the upstream for a channel via RPF.
-    fn ensure_upstream(&mut self, ctx: &mut Ctx<'_>, channel: Channel) -> Option<(IfaceId, Ipv4Addr)> {
-        if let Some(st) = self.ctl.channels.get(&channel) {
-            if let Some(up) = st.upstream {
-                return Some(up);
-            }
-        }
-        let hop = ctx.rpf(channel.source)?;
-        let up = (hop.iface, ctx.ip_of(hop.next));
-        self.state_mut(channel).upstream = Some(up);
-        Some(up)
-    }
-
     /// Handle a subscriberId Count from a neighbor: tree maintenance.
     fn handle_tree_count(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, from: Ipv4Addr, c: Count) {
         let channel = c.channel;
+        let key = channel_key(channel);
         let now = ctx.now();
+        // The one lookup. A record filed here for a channel that turns out
+        // unreachable is taken out again below; every other path out of
+        // this function leaves the table as the protocol wants it.
+        let mut fresh = false;
+        let st = self.t.channels.get_or_insert_with(key, || {
+            fresh = true;
+            ChannelState::new(channel)
+        });
 
         // A non-zero Count from our *upstream* neighbor is not a
         // subscription — it is a query reply (handled by the pending path)
@@ -730,22 +914,27 @@ impl Control<'_> {
         // stale reverse relationship it held with us (§3.2 re-homing sends
         // "a zero Count message to the old upstream router"). Dropping it
         // would leave a phantom downstream entry and a parent/child cycle.
-        if let Some(st) = self.ctl.channels.get(&channel) {
-            if st.upstream.map(|(_, n)| n) == Some(from) && c.count != 0 {
-                return;
-            }
+        if st.upstream.map(|(_, n)| n) == Some(from) && c.count != 0 {
+            return;
         }
 
-        if self.ensure_upstream(ctx, channel).is_none() && ctx.resolve(channel.source) != Some(ctx.node_id()) {
-            // Source unreachable: reject.
-            let resp = EcmpMessage::from(CountResponse {
-                channel,
-                count_id: CountId::SUBSCRIBERS,
-                status: ResponseStatus::NoSuchChannel,
-                key: c.key,
-            });
-            self.send_ecmp(ctx, iface, from, resp);
-            return;
+        // Establish the upstream via RPF.
+        if st.upstream.is_none() {
+            st.upstream = rpf_hop(ctx, channel.source);
+            if st.upstream.is_none() && ctx.resolve(channel.source) != Some(ctx.node_id()) {
+                // Source unreachable: reject.
+                if fresh {
+                    self.t.channels.remove(key);
+                }
+                let resp = CountResponse {
+                    channel,
+                    count_id: CountId::SUBSCRIBERS,
+                    status: ResponseStatus::NoSuchChannel,
+                    key: c.key,
+                };
+                self.port.send(ctx, iface, from, resp);
+                return;
+            }
         }
 
         // Authentication (§3.2): if we have a cached key, validate locally;
@@ -753,121 +942,94 @@ impl Control<'_> {
         // until the CountResponse returns. Unauthenticated requests are
         // validated immediately (a router that *knows* the channel requires
         // a key — has one cached — rejects keyless joins).
-        let cached = self.ctl.channels.get(&channel).and_then(|s| s.cached_key);
-        let (validated, reject) = match (cached, c.key) {
+        let (validated, reject) = match (st.cached_key(), c.key) {
             (Some(k), Some(pk)) => (k == pk, k != pk),
             (Some(_), None) => (false, true),
             (None, Some(_)) => (false, false), // validate upstream
             (None, None) => (true, false),
         };
         if reject {
-            self.counters.auth_rejects += 1;
+            self.port.counters.auth_rejects += 1;
             ctx.count("ecmp.auth_reject", 1);
-            let resp = EcmpMessage::from(CountResponse {
+            let resp = CountResponse {
                 channel,
                 count_id: CountId::SUBSCRIBERS,
                 status: ResponseStatus::InvalidAuthenticator,
                 key: c.key,
-            });
-            self.send_ecmp(ctx, iface, from, resp);
+            };
+            self.port.send(ctx, iface, from, resp);
             return;
         }
 
-        let prev;
-        let mut upstream_validation: Option<((IfaceId, Ipv4Addr), u64, ChannelKey)> = None;
-        {
-            let st = self.state_mut(channel);
-            prev = st.downstream.get(&from).map(|e| e.count).unwrap_or(0);
-            if c.count == 0 {
-                st.downstream.remove(&from);
-            } else {
-                st.downstream.insert(
-                    from,
-                    DownstreamEntry {
-                        iface,
-                        count: c.count,
-                        refreshed: now,
-                        validated,
-                    },
-                );
-                if !validated {
-                    // Queue for upstream validation and forward the key now.
-                    let key = c.key.expect("unvalidated implies key present");
-                    st.awaiting_validation.push((from, key));
-                    if let Some(up) = st.upstream {
-                        let validated_sum: u64 =
-                            st.downstream.values().filter(|e| e.validated).map(|e| e.count).sum();
-                        upstream_validation = Some((up, validated_sum + c.count, key));
-                    }
-                }
-            }
-        }
+        let prev = st.downstream.get(from).map_or(0, |e| e.count);
         if c.count == 0 {
+            st.downstream.remove(from);
             if prev > 0 {
-                self.counters.unsubscribes += 1;
-                ctx.count("ecmp.unsubscribe", 1);
+                self.port.counters.unsubscribes += 1;
+                ctx.count_id(self.port.ids.unsubscribe, 1);
                 ctx.trace("ecmp.unsubscribe", |e| e.chan(channel));
             }
             // §3.2: on a UDP interface, a zero Count triggers a re-query so
             // remaining LAN members re-report (no suppression, like IGMPv3).
-            if iface_mode(self.cfg, ctx, iface) == EcmpMode::Udp {
+            if iface_mode(self.port.cfg, ctx, iface) == EcmpMode::Udp {
                 let q = EcmpMessage::from(CountQuery {
                     channel,
                     count_id: CountId::SUBSCRIBERS,
                     timeout_ms: 1_000,
                     proactive: None,
                 });
-                self.send_ecmp_multicast(ctx, iface, q);
+                self.port.send_multicast(ctx, iface, q);
             }
         } else {
+            st.downstream.insert(DownstreamEntry {
+                addr: from,
+                iface,
+                count: c.count,
+                refreshed: now,
+                validated,
+            });
+            if !validated {
+                // Queue for upstream validation.
+                let key = c.key.expect("unvalidated implies key present");
+                st.extra_mut().awaiting_validation.push((from, key));
+            }
             if prev == 0 {
-                self.counters.subscribes += 1;
-                ctx.count("ecmp.subscribe", 1);
+                self.port.counters.subscribes += 1;
+                ctx.count_id(self.port.ids.subscribe, 1);
                 ctx.trace("ecmp.subscribe", |e| e.chan(channel).value(c.count));
                 // §6: a proactive request "is propagated to all routers in
                 // the multicast tree" — including branches that join later.
-                let installs: Vec<(CountId, ProactiveParams)> = self
-                    .ctl
-                    .channels
-                    .get(&channel)
-                    .map(|s| {
-                        s.proactive
-                            .iter()
-                            .map(|(id, p)| (*id, p.curve.to_wire()))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for (count_id, params) in installs {
-                    let q = EcmpMessage::from(CountQuery {
+                for (&count_id, p) in st.extra.iter().flat_map(|x| &x.proactive) {
+                    let q = CountQuery {
                         channel,
                         count_id,
                         timeout_ms: 0,
-                        proactive: Some(params),
-                    });
-                    self.send_ecmp(ctx, iface, from, q);
+                        proactive: Some(p.state.curve.to_wire()),
+                    };
+                    self.port.send(ctx, iface, from, q);
                 }
             }
-            if let Some(((ui, ua), sum, key)) = upstream_validation {
-                let msg = EcmpMessage::from(Count {
-                    channel,
-                    count_id: CountId::SUBSCRIBERS,
-                    count: sum,
-                    key: Some(key),
-                });
-                self.send_ecmp(ctx, ui, ua, msg);
-                self.sync_fib(channel);
-                return; // upstream propagation continues when validated
-            }
             if !validated {
-                // Key present but no upstream yet (we are adjacent to the
-                // source host): validation happens when the Count reaches
-                // the source — handled by ensure_upstream/first-hop case.
-                self.sync_fib(channel);
+                // Forward the key now; upstream propagation continues when
+                // the verdict comes back. Without an upstream yet (we are
+                // adjacent to the source host) validation happens when the
+                // Count reaches the source.
+                if let Some((ui, ua)) = st.upstream {
+                    let msg = Count {
+                        channel,
+                        count_id: CountId::SUBSCRIBERS,
+                        count: st.aggregate() + c.count,
+                        key: c.key,
+                    };
+                    self.port.send(ctx, ui, ua, msg);
+                }
+                self.port.sync_fib(st);
                 return;
             }
         }
-        self.sync_fib(channel);
-        self.propagate_upstream(ctx, channel);
+        if self.port.settle(ctx, st) {
+            self.t.channels.remove(key);
+        }
     }
 
     /// Begin aggregation for a query at this node: create the pending
@@ -887,85 +1049,58 @@ impl Control<'_> {
         let remaining = SimDuration::from_millis(u64::from(q.timeout_ms));
         // §3.1: decrement by a small multiple of the upstream RTT so we
         // time out (and send a partial reply) before our parent does.
-        let rtt = match reply_to {
-            ReplyTo::Upstream(up) => self.ctl.rtt.entry(up).or_default().hop_decrement(),
-            ReplyTo::Local => SimDuration::ZERO,
+        let (requester, rtt) = match reply_to {
+            ReplyTo::Upstream(up) => (Some(up), self.t.rtt.entry(up).or_default().hop_decrement()),
+            ReplyTo::Local => (None, SimDuration::ZERO),
         };
         let budget = decrement_timeout(remaining, rtt);
 
+        let st = self.t.channels.get(channel_key(channel));
         // Downstream targets: every downstream neighbor of the channel;
         // network-layer countIds stop at routers (§3.1 footnote) — they are
         // still *sent* to router neighbors only.
-        let st = self.ctl.channels.get(&channel);
-        let mut targets: Vec<(IfaceId, Ipv4Addr)> = Vec::new();
-        let requester = match reply_to {
-            ReplyTo::Upstream(up) => Some(up),
-            ReplyTo::Local => None,
-        };
-        if let Some(st) = st {
-            for (addr, e) in &st.downstream {
-                if !e.validated {
-                    continue;
-                }
-                // Never reflect a query back at its requester (guards
-                // against transiently inconsistent parent/child relations
-                // during re-homing).
-                if Some(*addr) == requester {
-                    continue;
-                }
-                if count_id.is_network_layer() {
-                    let is_router = ctx
-                        .resolve(*addr)
-                        .map(|n| ctx.topology().kind(n) == NodeKind::Router)
-                        .unwrap_or(false);
-                    if !is_router {
-                        continue;
-                    }
-                }
-                targets.push((e.iface, *addr));
-            }
-        }
+        let targets: Vec<(IfaceId, Ipv4Addr)> = st
+            .into_iter()
+            .flat_map(|st| st.downstream.iter())
+            .filter(|e| e.validated)
+            // Never reflect a query back at its requester (guards against
+            // transiently inconsistent parent/child relations during
+            // re-homing).
+            .filter(|e| Some(e.addr) != requester)
+            .filter(|e| {
+                !count_id.is_network_layer()
+                    || ctx
+                        .resolve(e.addr)
+                        .is_some_and(|n| ctx.topology().kind(n) == NodeKind::Router)
+            })
+            .map(|e| (e.iface, e.addr))
+            .collect();
 
         // Local contribution: routers contribute to network-layer counts
         // (links = active downstream interfaces), not to subscriber or
         // application counts.
+        let mask = st.map_or(0, ChannelState::oif_mask);
         let local = if count_id == CountId::LINKS {
-            self.ctl.channels
-                .get(&channel)
-                .map(|s| u64::from(s.oif_mask().count_ones()))
-                .unwrap_or(0)
+            u64::from(mask.count_ones())
         } else if count_id == CountId::WEIGHTED_TREE_SIZE {
             // The "weighted tree size measure" of §2.1: each active
             // downstream link contributes its routing metric, so expensive
             // (high-metric) links weigh more in the settlement.
             let node = ctx.node_id();
-            self.ctl.channels
-                .get(&channel)
-                .map(|s| {
-                    let mask = s.oif_mask();
-                    (0..32u8)
-                        .filter(|i| mask & (1 << i) != 0)
-                        .filter_map(|i| ctx.topology().link_of(node, IfaceId(i)).ok())
-                        .map(|l| u64::from(ctx.topology().link_spec(l).metric))
-                        .sum()
-                })
-                .unwrap_or(0)
+            (0..32u8)
+                .filter(|i| mask & (1 << i) != 0)
+                .filter_map(|i| ctx.topology().link_of(node, IfaceId(i)).ok())
+                .map(|l| u64::from(ctx.topology().link_spec(l).metric))
+                .sum()
         } else {
             0
         };
 
-        self.ctl.pending_gen += 1;
-        let generation = self.ctl.pending_gen;
-        let deadline = now + budget;
-        let pc = PendingCount::new(
-            targets.iter().map(|&(_, a)| a),
-            local,
-            reply_to,
-            deadline,
-            generation,
-        );
+        self.t.pending_gen += 1;
+        let generation = self.t.pending_gen;
+        let pc = PendingCount::new(targets.iter().map(|&(_, a)| a), local, reply_to, now + budget, generation);
         let complete = pc.complete();
-        self.ctl.pending.insert((channel, count_id), pc);
+        self.t.pending.insert((channel, count_id), Box::new(pc));
 
         let fwd = CountQuery {
             channel,
@@ -974,48 +1109,42 @@ impl Control<'_> {
             proactive: None,
         };
         for (iface, addr) in targets {
-            self.send_ecmp(ctx, iface, addr, EcmpMessage::from(fwd));
+            self.port.send(ctx, iface, addr, fwd);
         }
 
         if complete {
             self.finish_aggregation(ctx, channel, count_id);
         } else {
-            self.alloc_timer(
-                ctx,
-                budget,
-                TimerPurpose::QueryDeadline {
-                    channel,
-                    count_id,
-                    generation,
-                },
-            );
+            let deadline = TimerPurpose::QueryDeadline {
+                channel,
+                count_id,
+                generation,
+            };
+            self.port.timers.arm(ctx, budget, deadline);
         }
     }
 
     /// Install proactive counting state and flood the install downstream.
     fn install_proactive(&mut self, ctx: &mut Ctx<'_>, q: CountQuery, p: ProactiveParams) {
-        let curve = ErrorToleranceCurve::from_wire(p);
         let now = ctx.now();
-        let st = self.state_mut(q.channel);
-        st.proactive
-            .entry(q.count_id)
-            .or_insert_with(|| ProactiveState::new(curve, now));
-        let targets: Vec<(IfaceId, Ipv4Addr)> = self
-            .ctl
-            .channels
-            .get(&q.channel)
-            .map(|s| s.downstream.iter().map(|(a, e)| (e.iface, *a)).collect())
-            .unwrap_or_default();
-        for (iface, addr) in targets {
-            self.send_ecmp(ctx, iface, addr, EcmpMessage::from(q));
+        let key = channel_key(q.channel);
+        let st = self.t.channels.get_or_insert_with(key, || ChannelState::new(q.channel));
+        st.extra_mut().proactive.entry(q.count_id).or_insert_with(|| Proactive {
+            state: ProactiveState::new(ErrorToleranceCurve::from_wire(p), now),
+            values: BTreeMap::new(),
+        });
+        for e in st.downstream.iter() {
+            self.port.send(ctx, e.iface, e.addr, q);
         }
         // Immediately evaluate (first advertisement of the current value).
-        self.propagate_upstream(ctx, q.channel);
+        if self.port.settle(ctx, st) {
+            self.t.channels.remove(key);
+        }
     }
 
     /// Complete (fully answered or deadline) an aggregation: emit the total.
     fn finish_aggregation(&mut self, ctx: &mut Ctx<'_>, channel: Channel, count_id: CountId) {
-        let Some(pc) = self.ctl.pending.remove(&(channel, count_id)) else { return };
+        let Some(pc) = self.t.pending.remove(&(channel, count_id)) else { return };
         let total = pc.total();
         match pc.reply_to {
             ReplyTo::Local => {
@@ -1024,19 +1153,19 @@ impl Control<'_> {
             ReplyTo::Upstream(up) => {
                 // Find the interface for the upstream requester.
                 let iface = self
-                    .ctl
+                    .t
                     .channels
-                    .get(&channel)
+                    .get(channel_key(channel))
                     .and_then(|s| s.upstream.filter(|&(_, a)| a == up).map(|(i, _)| i))
                     .or_else(|| ctx.next_hop_ip(up).map(|h| h.iface));
                 if let Some(iface) = iface {
-                    let msg = EcmpMessage::from(Count {
+                    let msg = Count {
                         channel,
                         count_id,
                         count: total,
                         key: None,
-                    });
-                    self.send_ecmp(ctx, iface, up, msg);
+                    };
+                    self.port.send(ctx, iface, up, msg);
                 }
             }
         }
@@ -1045,41 +1174,34 @@ impl Control<'_> {
     /// Handle an incoming CountQuery (from upstream, or a periodic LAN
     /// query from a neighbor router — a router only *answers* queries for
     /// channels it has downstream state for).
-    fn handle_query(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, from: Ipv4Addr, q: CountQuery) {
-        self.counters.queries_rx += 1;
-        ctx.count("ecmp.query_rx", 1);
+    fn handle_query(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, from: Ipv4Addr, q: CountQuery) {
+        self.port.counters.queries_rx += 1;
+        ctx.count_id(self.port.ids.query_rx, 1);
         if q.count_id == CountId::NEIGHBORS {
             // Neighbor discovery (§3.3): answer directly.
-            let iface = ctx.next_hop_ip(from).map(|h| h.iface).unwrap_or(_iface);
-            let msg = EcmpMessage::from(Count {
+            let iface = ctx.next_hop_ip(from).map_or(iface, |h| h.iface);
+            let msg = Count {
                 channel: q.channel,
                 count_id: CountId::NEIGHBORS,
                 count: 1,
                 key: None,
-            });
-            self.send_ecmp(ctx, iface, from, msg);
+            };
+            self.port.send(ctx, iface, from, msg);
             return;
         }
         if q.count_id == CountId::ALL_CHANNELS {
             // Re-advertise every channel we send upstream via `from`.
-            let to_readvertise: Vec<(Channel, u64)> = self
-                .ctl
-                .channels
-                .iter()
-                .filter(|(_, s)| s.upstream.map(|(_, a)| a) == Some(from) && s.advertised > 0)
-                .map(|(c, s)| (*c, s.aggregate()))
-                .collect();
-            for (chan, agg) in to_readvertise {
-                let key = self.ctl.channels.get(&chan).and_then(|s| s.cached_key);
-                let iface = self.ctl.channels.get(&chan).and_then(|s| s.upstream.map(|(i, _)| i));
-                if let Some(iface) = iface {
-                    let msg = EcmpMessage::from(Count {
-                        channel: chan,
+            for key in self.t.channels.sorted_keys() {
+                let Some(st) = self.t.channels.get(key) else { continue };
+                let Some((up_iface, up_addr)) = st.upstream else { continue };
+                if up_addr == from && st.advertised > 0 {
+                    let msg = Count {
+                        channel: st.channel,
                         count_id: CountId::SUBSCRIBERS,
-                        count: agg,
-                        key,
-                    });
-                    self.send_ecmp(ctx, iface, from, msg);
+                        count: st.aggregate(),
+                        key: st.cached_key(),
+                    };
+                    self.port.send(ctx, up_iface, from, msg);
                 }
             }
             return;
@@ -1089,11 +1211,11 @@ impl Control<'_> {
 
     /// Handle an incoming Count.
     fn handle_count(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, from: Ipv4Addr, c: Count) {
-        self.counters.counts_rx += 1;
-        ctx.count("ecmp.count_rx", 1);
+        self.port.counters.counts_rx += 1;
+        ctx.count_id(self.port.ids.count_rx, 1);
 
         // 1. Does it answer an outstanding aggregation?
-        if let Some(pc) = self.ctl.pending.get_mut(&(c.channel, c.count_id)) {
+        if let Some(pc) = self.t.pending.get_mut(&(c.channel, c.count_id)) {
             if pc.record(from, c.count) {
                 if pc.complete() {
                     self.finish_aggregation(ctx, c.channel, c.count_id);
@@ -1111,85 +1233,70 @@ impl Control<'_> {
                 // A probe answer: record the neighbor and take an RTT
                 // sample against the probe we sent on this interface.
                 let now = ctx.now();
-                self.ctl.neighbors.insert(from, (iface, now));
-                if let Some(sent) = self.ctl.probe_sent.get(&iface) {
+                self.t.neighbors.insert(from, (iface, now));
+                if let Some(sent) = self.t.probe_sent.get(&iface) {
                     let sample = now.since(*sent);
                     if sample > SimDuration::ZERO {
-                        self.ctl.rtt.entry(from).or_default().sample(sample);
+                        self.t.rtt.entry(from).or_default().sample(sample);
                     }
                 }
             }
-            id if (id.is_application_defined() || id.is_network_layer() || id.is_locally_defined())
-                && self
-                    .ctl
-                    .channels
-                    .get(&c.channel)
-                    .map(|s| s.proactive.contains_key(&id))
-                    .unwrap_or(false)
-                => {
-                    // Proactive update from downstream for a maintained
-                    // count (§6 works "for any countId"): record the
-                    // neighbor's latest value and push upstream through our
-                    // own error-tolerance curve.
-                    if let Some(st) = self.ctl.channels.get_mut(&c.channel) {
-                        st.proactive_values.entry(id).or_default().insert(from, c.count);
-                    }
-                    self.propagate_generic_proactive(ctx, c.channel, id);
-                }
+            id if id.is_application_defined() || id.is_network_layer() || id.is_locally_defined() => {
+                // Proactive update from downstream for a maintained count
+                // (§6 works "for any countId"): record the neighbor's
+                // latest value and push upstream through our own
+                // error-tolerance curve.
+                let Some(st) = self.t.channels.get_mut(channel_key(c.channel)) else { return };
+                let Some(p) = st.extra.as_mut().and_then(|x| x.proactive.get_mut(&id)) else { return };
+                p.values.insert(from, c.count);
+                self.port.propagate_generic_proactive(ctx, st, id);
+            }
             _ => {}
         }
     }
 
     /// Handle a CountResponse: authentication verdicts travelling back
     /// down the tree (§3.2).
-    fn handle_response(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, _from: Ipv4Addr, r: CountResponse) {
-        let channel = r.channel;
-        let Some(st) = self.ctl.channels.get_mut(&channel) else { return };
+    fn handle_response(&mut self, ctx: &mut Ctx<'_>, r: CountResponse) {
+        let key = channel_key(r.channel);
+        let Some(st) = self.t.channels.get_mut(key) else { return };
+        // No key was ever seen on this channel: no verdict is awaited.
+        let Some(x) = st.extra.as_mut() else { return };
         // The verdict applies to the echoed key only (several validations
         // with different keys can be in flight simultaneously).
         let waiting: Vec<(Ipv4Addr, ChannelKey)> = match r.key {
             Some(k) => {
                 let (matched, rest): (Vec<_>, Vec<_>) =
-                    std::mem::take(&mut st.awaiting_validation).into_iter().partition(|(_, wk)| *wk == k);
-                st.awaiting_validation = rest;
+                    std::mem::take(&mut x.awaiting_validation).into_iter().partition(|(_, wk)| *wk == k);
+                x.awaiting_validation = rest;
                 matched
             }
-            None => std::mem::take(&mut st.awaiting_validation),
+            None => std::mem::take(&mut x.awaiting_validation),
         };
         if waiting.is_empty() {
             return;
         }
+        let verdict = CountResponse {
+            channel: r.channel,
+            count_id: r.count_id,
+            status: r.status,
+            key: r.key,
+        };
         match r.status {
             ResponseStatus::Ok => {
                 // Cache the validated key (§3.2) and mark entries validated.
-                if self.cfg.cache_keys {
-                    if let Some((_, key)) = waiting.first() {
-                        st.cached_key = Some(*key);
-                    }
+                if self.port.cfg.cache_keys {
+                    x.cached_key = waiting.first().map(|&(_, key)| key);
                 }
-                for (addr, _) in &waiting {
+                for &(addr, _) in &waiting {
                     if let Some(e) = st.downstream.get_mut(addr) {
                         e.validated = true;
+                        self.port.send(ctx, e.iface, addr, verdict);
                     }
                 }
-                let targets: Vec<(IfaceId, Ipv4Addr)> = waiting
-                    .iter()
-                    .filter_map(|(a, _)| st.downstream.get(a).map(|e| (e.iface, *a)))
-                    .collect();
-                for (ifc, addr) in targets {
-                    let msg = EcmpMessage::from(CountResponse {
-                        channel,
-                        count_id: r.count_id,
-                        status: ResponseStatus::Ok,
-                        key: r.key,
-                    });
-                    self.send_ecmp(ctx, ifc, addr, msg);
-                }
-                self.sync_fib(channel);
-                self.propagate_upstream(ctx, channel);
             }
-            status => {
-                self.counters.auth_rejects += waiting.len() as u64;
+            _ => {
+                self.port.counters.auth_rejects += waiting.len() as u64;
                 ctx.count("ecmp.auth_reject", waiting.len() as u64);
                 // Forward the denial and tear down *tentative* entries. A
                 // downstream neighbor may carry joins under several keys
@@ -1197,33 +1304,45 @@ impl Control<'_> {
                 // subscribers behind it): the denial for one key must not
                 // destroy the neighbor's entry if it is already validated
                 // or still has other keys awaiting validation.
-                let mut targets = Vec::new();
-                for (addr, _) in &waiting {
-                    let keep = st
-                        .downstream
-                        .get(addr)
-                        .map(|e| e.validated)
-                        .unwrap_or(false)
-                        || st.awaiting_validation.iter().any(|(a, _)| a == addr);
-                    if keep {
-                        if let Some(e) = st.downstream.get(addr) {
-                            targets.push((e.iface, *addr));
-                        }
-                    } else if let Some(e) = st.downstream.remove(addr) {
-                        targets.push((e.iface, *addr));
+                for &(addr, _) in &waiting {
+                    let keep = st.downstream.get(addr).is_some_and(|e| e.validated)
+                        || x.awaiting_validation.iter().any(|&(a, _)| a == addr);
+                    let entry = if keep {
+                        st.downstream.get(addr).copied()
+                    } else {
+                        st.downstream.remove(addr)
+                    };
+                    if let Some(e) = entry {
+                        self.port.send(ctx, e.iface, addr, verdict);
                     }
                 }
-                for (ifc, addr) in targets {
-                    let msg = EcmpMessage::from(CountResponse {
-                        channel,
-                        count_id: r.count_id,
-                        status,
-                        key: r.key,
-                    });
-                    self.send_ecmp(ctx, ifc, addr, msg);
-                }
-                self.sync_fib(channel);
-                self.propagate_upstream(ctx, channel);
+            }
+        }
+        if self.port.settle(ctx, st) {
+            self.t.channels.remove(key);
+        }
+    }
+
+    /// Apply `change` to the downstream set of every channel, in channel
+    /// order; each channel it shrinks counts as one unsubscribe under
+    /// `counter` and settles (prune upstream, FIB, teardown).
+    fn shrink_downstream(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        counter: impl Fn(&mut Ctx<'_>),
+        change: impl Fn(&mut InlineSet<DownstreamEntry>),
+    ) {
+        for key in self.t.channels.sorted_keys() {
+            let Some(st) = self.t.channels.get_mut(key) else { continue };
+            let before = st.downstream.len();
+            change(&mut st.downstream);
+            if st.downstream.len() == before {
+                continue;
+            }
+            self.port.counters.unsubscribes += 1;
+            counter(ctx);
+            if self.port.settle(ctx, st) {
+                self.t.channels.remove(key);
             }
         }
     }
@@ -1231,32 +1350,16 @@ impl Control<'_> {
     /// UDP-mode expiry sweep + periodic general query on one interface.
     fn udp_refresh(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
         let now = ctx.now();
-        let horizon = self.cfg.udp_refresh.saturating_mul(u64::from(self.cfg.udp_robustness));
-        let mut dirty: Vec<Channel> = Vec::new();
-        for (chan, st) in self.ctl.channels.iter_mut() {
-            let before = st.downstream.len();
-            st.downstream
-                .retain(|_, e| e.iface != iface || now.since(e.refreshed) <= horizon);
-            if st.downstream.len() != before {
-                dirty.push(*chan);
-            }
-        }
-        for chan in dirty {
-            self.counters.unsubscribes += 1;
-            ctx.count("ecmp.expire", 1);
-            self.sync_fib(chan);
-            self.propagate_upstream(ctx, chan);
-        }
+        let refresh = self.port.cfg.udp_refresh;
+        let horizon = refresh.saturating_mul(u64::from(self.port.cfg.udp_robustness));
+        self.shrink_downstream(
+            ctx,
+            |ctx| ctx.count("ecmp.expire", 1),
+            |d| d.retain(|e| e.iface != iface || now.since(e.refreshed) <= horizon),
+        );
         // General query soliciting Counts for all channels (§3.3).
-        let q = EcmpMessage::from(CountQuery {
-            channel: Channel::new(Ipv4Addr::ECMP_LOCALHOST_SOURCE, 0).expect("wellknown"),
-            count_id: CountId::ALL_CHANNELS,
-            timeout_ms: 1_000,
-            proactive: None,
-        });
-        self.send_ecmp_multicast(ctx, iface, q);
-        let delay = self.cfg.udp_refresh;
-        self.alloc_timer(ctx, delay, TimerPurpose::UdpRefresh { iface });
+        self.port.send_multicast(ctx, iface, general_query(CountId::ALL_CHANNELS, 1_000));
+        self.port.timers.arm(ctx, refresh, TimerPurpose::UdpRefresh { iface });
     }
 
     /// Send a §3.3 neighbor-discovery CountQuery on one interface and
@@ -1268,19 +1371,14 @@ impl Control<'_> {
     /// connection fails." A neighbor that was once discovered and stops
     /// answering has its downstream channel state torn down.
     fn neighbor_probe(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
-        let Some(interval) = self.cfg.neighbor_probe else { return };
+        let Some(interval) = self.port.cfg.neighbor_probe else { return };
         let now = ctx.now();
-        self.ctl.probe_sent.insert(iface, now);
-        let q = EcmpMessage::from(CountQuery {
-            channel: Channel::new(Ipv4Addr::ECMP_LOCALHOST_SOURCE, 0).expect("wellknown"),
-            count_id: CountId::NEIGHBORS,
-            timeout_ms: interval.millis() as u32,
-            proactive: None,
-        });
-        self.send_ecmp_multicast(ctx, iface, q);
+        self.t.probe_sent.insert(iface, now);
+        let probe = general_query(CountId::NEIGHBORS, interval.millis() as u32);
+        self.port.send_multicast(ctx, iface, probe);
         let horizon = interval.saturating_mul(3);
         let mut dead: Vec<Ipv4Addr> = Vec::new();
-        self.ctl.neighbors.retain(|addr, (_, heard)| {
+        self.t.neighbors.retain(|addr, (_, heard)| {
             let alive = now.since(*heard) <= horizon;
             if !alive {
                 dead.push(*addr);
@@ -1288,136 +1386,56 @@ impl Control<'_> {
             alive
         });
         for addr in dead {
-            let mut dirty = Vec::new();
-            for (chan, st) in self.ctl.channels.iter_mut() {
-                if st.downstream.remove(&addr).is_some() {
-                    dirty.push(*chan);
-                }
-            }
-            for chan in dirty {
-                self.counters.unsubscribes += 1;
-                ctx.count("ecmp.keepalive_prune", 1);
-                self.sync_fib(chan);
-                self.propagate_upstream(ctx, chan);
-            }
+            self.shrink_downstream(
+                ctx,
+                |ctx| ctx.count("ecmp.keepalive_prune", 1),
+                |d| {
+                    d.remove(addr);
+                },
+            );
         }
-        self.alloc_timer(ctx, interval, TimerPurpose::NeighborProbe { iface });
+        self.port.timers.arm(ctx, interval, TimerPurpose::NeighborProbe { iface });
     }
 
     /// Re-evaluate RPF for every channel after a routing change; apply or
     /// schedule (hysteresis) the §3.2 re-home.
     fn reevaluate_upstreams(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let channels: Vec<Channel> = self.ctl.channels.keys().copied().collect();
-        for chan in channels {
-            let new_hop = ctx.rpf(chan.source).map(|h| (h.iface, ctx.ip_of(h.next)));
-            let st = self.ctl.channels.get_mut(&chan).expect("listed");
-            let old = st.upstream;
-            if new_hop == old {
+        for key in self.t.channels.sorted_keys() {
+            let Some(st) = self.t.channels.get_mut(key) else { continue };
+            let new_hop = rpf_hop(ctx, st.channel.source);
+            if new_hop == st.upstream {
                 continue;
             }
             if now < st.hold_down_until {
                 if !st.rehome_pending {
                     st.rehome_pending = true;
                     let delay = st.hold_down_until.since(now);
-                    self.alloc_timer(ctx, delay, TimerPurpose::HysteresisExpire { channel: chan });
+                    let channel = st.channel;
+                    self.port.timers.arm(ctx, delay, TimerPurpose::HysteresisExpire { channel });
                 }
                 continue;
             }
-            self.apply_rehome(ctx, chan, new_hop);
+            self.port.apply_rehome(ctx, st, new_hop);
         }
-    }
-
-    fn apply_rehome(&mut self, ctx: &mut Ctx<'_>, chan: Channel, new_hop: Option<(IfaceId, Ipv4Addr)>) {
-        let now = ctx.now();
-        let Some(st) = self.ctl.channels.get_mut(&chan) else { return };
-        let old = st.upstream;
-        if new_hop == old {
-            st.rehome_pending = false;
-            return;
-        }
-        st.upstream = new_hop;
-        st.hold_down_until = now + self.cfg.hysteresis;
-        st.rehome_pending = false;
-        let agg = st.aggregate();
-        let key = st.cached_key;
-        self.counters.rehomes += 1;
-        ctx.count("ecmp.rehome", 1);
-        ctx.trace("ecmp.rehome", |e| {
-            let hop = |h: Option<(IfaceId, Ipv4Addr)>| match h {
-                Some((i, a)) => format!("{i}/{a}"),
-                None => "none".to_string(),
-            };
-            e.chan(chan).value(agg).detail(format!("{} -> {}", hop(old), hop(new_hop)))
-        });
-        // §3.2: "it sends a current Count message to the new upstream router
-        // and a zero Count message to the old upstream router".
-        if let Some((ni, na)) = new_hop {
-            if agg > 0 {
-                let msg = EcmpMessage::from(Count {
-                    channel: chan,
-                    count_id: CountId::SUBSCRIBERS,
-                    count: agg,
-                    key,
-                });
-                self.send_ecmp(ctx, ni, na, msg);
-                if let Some(stm) = self.ctl.channels.get_mut(&chan) {
-                    stm.advertised = agg;
-                }
-            }
-        }
-        if let Some((oi, oa)) = old {
-            let msg = EcmpMessage::from(Count {
-                channel: chan,
-                count_id: CountId::SUBSCRIBERS,
-                count: 0,
-                key: None,
-            });
-            self.send_ecmp(ctx, oi, oa, msg);
-        }
-        self.sync_fib(chan);
-        // Orphaned with subscribers below us (the upstream crashed or the
-        // network partitioned): arm the exponential-backoff re-join so the
-        // subtree reattaches as soon as a route to the source reappears.
-        if new_hop.is_none() && agg > 0 {
-            self.arm_rejoin_retry(ctx, chan, 0);
-        }
-    }
-
-    /// Arm the backoff re-join retry for an orphaned channel.
-    fn arm_rejoin_retry(&mut self, ctx: &mut Ctx<'_>, chan: Channel, attempt: u32) {
-        let Some(base) = self.cfg.rejoin_backoff else { return };
-        let Some(st) = self.ctl.channels.get_mut(&chan) else { return };
-        if st.rejoin_pending {
-            return;
-        }
-        st.rejoin_pending = true;
-        let delay = SimDuration::from_micros(
-            base.micros()
-                .saturating_mul(1u64 << attempt.min(20))
-                .min(self.cfg.rejoin_backoff_max.micros()),
-        );
-        self.alloc_timer(ctx, delay, TimerPurpose::RejoinRetry { channel: chan, attempt });
     }
 
     /// The backoff timer fired: re-join if a route to the source exists
     /// now, otherwise double the delay and try again.
     fn rejoin_retry(&mut self, ctx: &mut Ctx<'_>, chan: Channel, attempt: u32) {
-        let Some(st) = self.ctl.channels.get_mut(&chan) else { return };
+        let Some(st) = self.t.channels.get_mut(channel_key(chan)) else { return };
         st.rejoin_pending = false;
         if st.upstream.is_some() || st.aggregate() == 0 {
             return; // recovered via a route change, or nothing left to join
         }
-        self.counters.rejoin_retries += 1;
+        self.port.counters.rejoin_retries += 1;
         ctx.count("ecmp.rejoin_retry", 1);
         ctx.trace("ecmp.rejoin_retry", |e| e.chan(chan).value(attempt as u64));
-        match ctx.rpf(chan.source).map(|h| (h.iface, ctx.ip_of(h.next))) {
-            Some(hop) => {
-                // apply_rehome sends the current aggregate upstream — the
-                // re-join proper (§3.2's Count to the new upstream router).
-                self.apply_rehome(ctx, chan, Some(hop));
-            }
-            None => self.arm_rejoin_retry(ctx, chan, attempt.saturating_add(1)),
+        match rpf_hop(ctx, chan.source) {
+            // apply_rehome sends the current aggregate upstream — the
+            // re-join proper (§3.2's Count to the new upstream router).
+            Some(hop) => self.port.apply_rehome(ctx, st, Some(hop)),
+            None => self.port.arm_rejoin_retry(ctx, st, attempt.saturating_add(1)),
         }
     }
 
@@ -1427,29 +1445,22 @@ impl Control<'_> {
     /// re-learns the subtree. Idempotent for an upstream that kept its
     /// state — the Count simply confirms the value it already holds.
     fn readvertise_on(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
-        let mut readvertise: Vec<(Channel, u64, Option<ChannelKey>)> = Vec::new();
-        for (chan, st) in self.ctl.channels.iter_mut() {
-            if let Some((ui, _)) = st.upstream {
-                if ui == iface {
-                    let agg = st.aggregate();
-                    if agg > 0 {
-                        st.advertised = agg;
-                        readvertise.push((*chan, agg, st.cached_key));
-                    }
-                }
-            }
-        }
-        for (chan, agg, key) in readvertise {
-            let Some(st) = self.ctl.channels.get(&chan) else { continue };
+        for key in self.t.channels.sorted_keys() {
+            let Some(st) = self.t.channels.get_mut(key) else { continue };
             let Some((ui, ua)) = st.upstream else { continue };
-            ctx.count("ecmp.readvertise", 1);
-            let msg = EcmpMessage::from(Count {
-                channel: chan,
+            let agg = st.aggregate();
+            if ui != iface || agg == 0 {
+                continue;
+            }
+            st.advertised = agg;
+            ctx.count_id(self.port.ids.readvertise, 1);
+            let msg = Count {
+                channel: st.channel,
                 count_id: CountId::SUBSCRIBERS,
                 count: agg,
-                key,
-            });
-            self.send_ecmp(ctx, ui, ua, msg);
+                key: st.cached_key(),
+            };
+            self.port.send(ctx, ui, ua, msg);
         }
     }
 
@@ -1457,19 +1468,59 @@ impl Control<'_> {
     /// provided upstream if the connection fails." Remove every
     /// downstream entry learned over the dead interface.
     fn prune_behind(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
-        let mut dirty = Vec::new();
-        for (chan, st) in self.ctl.channels.iter_mut() {
-            let before = st.downstream.len();
-            st.downstream.retain(|_, e| e.iface != iface);
-            if st.downstream.len() != before {
-                dirty.push(*chan);
+        let conn_fail_prune = self.port.ids.conn_fail_prune;
+        self.shrink_downstream(
+            ctx,
+            |ctx| ctx.count_id(conn_fail_prune, 1),
+            |d| d.retain(|e| e.iface != iface),
+        );
+    }
+
+    /// Dispatch an armed timer.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, purpose: TimerPurpose) {
+        match purpose {
+            TimerPurpose::QueryDeadline {
+                channel,
+                count_id,
+                generation,
+            } => {
+                let live = self.t.pending.get(&(channel, count_id)).is_some_and(|p| p.generation == generation);
+                if live {
+                    ctx.count("ecmp.query_timeout", 1);
+                    self.finish_aggregation(ctx, channel, count_id);
+                }
             }
-        }
-        for chan in dirty {
-            self.counters.unsubscribes += 1;
-            ctx.count("ecmp.conn_fail_prune", 1);
-            self.sync_fib(chan);
-            self.propagate_upstream(ctx, chan);
+            TimerPurpose::UdpRefresh { iface } => self.udp_refresh(ctx, iface),
+            TimerPurpose::ProactiveCheck {
+                channel,
+                count_id,
+                generation,
+            } => {
+                let key = channel_key(channel);
+                let Some(st) = self.t.channels.get_mut(key) else { return };
+                let curve = st.extra.as_ref().and_then(|x| x.proactive.get(&count_id));
+                if curve.is_none_or(|p| p.state.generation != generation) {
+                    return;
+                }
+                if count_id != CountId::SUBSCRIBERS {
+                    self.port.propagate_generic_proactive(ctx, st, count_id);
+                } else if self.port.settle(ctx, st) {
+                    self.t.channels.remove(key);
+                }
+            }
+            TimerPurpose::HysteresisExpire { channel } => {
+                let new_hop = rpf_hop(ctx, channel.source);
+                if let Some(st) = self.t.channels.get_mut(channel_key(channel)) {
+                    self.port.apply_rehome(ctx, st, new_hop);
+                }
+            }
+            TimerPurpose::NeighborProbe { iface } => self.neighbor_probe(ctx, iface),
+            TimerPurpose::LocalCount {
+                channel,
+                count_id,
+                timeout,
+            } => self.initiate_count(ctx, channel, count_id, timeout),
+            TimerPurpose::RejoinRetry { channel, attempt } => self.rejoin_retry(ctx, channel, attempt),
         }
     }
 }
@@ -1490,19 +1541,13 @@ impl Agent for EcmpRouter {
             let iface = IfaceId(i as u8);
             // Arm the periodic UDP-mode refresh on every multi-access interface.
             if iface_mode(&cfg, ctx, iface) == EcmpMode::Udp {
-                let mut control = self.control();
-                control.alloc_timer(ctx, cfg.udp_refresh, TimerPurpose::UdpRefresh { iface });
+                let mut control = self.control(ctx);
+                control.port.timers.arm(ctx, cfg.udp_refresh, TimerPurpose::UdpRefresh { iface });
                 // Startup query: a router restarting after a crash solicits
                 // Counts immediately so edge subscriptions re-aggregate
                 // within a round-trip instead of a refresh interval.
                 if cfg.boot_query {
-                    let q = EcmpMessage::from(CountQuery {
-                        channel: Channel::new(Ipv4Addr::ECMP_LOCALHOST_SOURCE, 0).expect("wellknown"),
-                        count_id: CountId::ALL_CHANNELS,
-                        timeout_ms: 1_000,
-                        proactive: None,
-                    });
-                    control.send_ecmp_multicast(ctx, iface, q);
+                    control.port.send_multicast(ctx, iface, general_query(CountId::ALL_CHANNELS, 1_000));
                     ctx.count("ecmp.boot_query", 1);
                 }
             }
@@ -1512,7 +1557,7 @@ impl Agent for EcmpRouter {
                 let first = SimDuration::from_micros(
                     interval.micros() / 10 + (u64::from(iface.0) + 1) * 1_000,
                 );
-                self.control().alloc_timer(ctx, first, TimerPurpose::NeighborProbe { iface });
+                self.control(ctx).port.timers.arm(ctx, first, TimerPurpose::NeighborProbe { iface });
             }
         }
     }
@@ -1524,17 +1569,7 @@ impl Agent for EcmpRouter {
             Ok(Classified::ChannelData { channel, header }) => {
                 self.fwd.forward_data(&mut self.counters, ctx, iface, bytes, channel, header);
             }
-            Ok(Classified::Ecmp { from, messages, .. }) => {
-                let mut control = self.control();
-                for m in messages {
-                    match m {
-                        EcmpMessage::CountQuery(q) => control.handle_query(ctx, iface, from, q),
-                        EcmpMessage::Count(c) => control.handle_count(ctx, iface, from, c),
-                        EcmpMessage::CountResponse(r) => control.handle_response(ctx, iface, from, r),
-                    }
-                }
-                control.flush_tx(ctx);
-            }
+            Ok(Classified::Ecmp { from, messages, .. }) => self.on_ecmp(ctx, iface, from, messages),
             Ok(Classified::Encapsulated { outer, inner }) => {
                 self.fwd.forward_subcast(&mut self.counters, ctx, outer, inner);
             }
@@ -1548,80 +1583,31 @@ impl Agent for EcmpRouter {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(mut control) = self.control_if_any() else { return };
-        let Some(purpose) = control.ctl.timer_meta.remove(&token) else { return };
-        match purpose {
-            TimerPurpose::QueryDeadline {
-                channel,
-                count_id,
-                generation,
-            } => {
-                let live = control
-                    .ctl
-                    .pending
-                    .get(&(channel, count_id))
-                    .map(|p| p.generation == generation)
-                    .unwrap_or(false);
-                if live {
-                    ctx.count("ecmp.query_timeout", 1);
-                    control.finish_aggregation(ctx, channel, count_id);
-                }
-            }
-            TimerPurpose::UdpRefresh { iface } => control.udp_refresh(ctx, iface),
-            TimerPurpose::ProactiveCheck {
-                channel,
-                count_id,
-                generation,
-            } => {
-                let live = control
-                    .ctl
-                    .channels
-                    .get(&channel)
-                    .and_then(|s| s.proactive.get(&count_id))
-                    .map(|p| p.generation == generation)
-                    .unwrap_or(false);
-                if live {
-                    if count_id == CountId::SUBSCRIBERS {
-                        control.propagate_upstream(ctx, channel);
-                    } else {
-                        control.propagate_generic_proactive(ctx, channel, count_id);
-                    }
-                }
-            }
-            TimerPurpose::HysteresisExpire { channel } => {
-                let new_hop = ctx.rpf(channel.source).map(|h| (h.iface, ctx.ip_of(h.next)));
-                control.apply_rehome(ctx, channel, new_hop);
-            }
-            TimerPurpose::NeighborProbe { iface } => control.neighbor_probe(ctx, iface),
-            TimerPurpose::LocalCount {
-                channel,
-                count_id,
-                timeout,
-            } => control.initiate_count(ctx, channel, count_id, timeout),
-            TimerPurpose::RejoinRetry { channel, attempt } => control.rejoin_retry(ctx, channel, attempt),
-        }
-        control.flush_tx(ctx);
+        let Some(mut control) = self.control_if_any(ctx) else { return };
+        let Some(purpose) = control.port.timers.meta.remove(&token) else { return };
+        control.on_timer(ctx, purpose);
+        control.port.flush(ctx);
     }
 
     fn on_link_change(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
-        let Some(mut control) = self.control_if_any() else { return };
+        let Some(mut control) = self.control_if_any(ctx) else { return };
         if up {
             control.readvertise_on(ctx, iface);
         } else {
             control.prune_behind(ctx, iface);
         }
-        control.flush_tx(ctx);
+        control.port.flush(ctx);
     }
 
     fn on_route_change(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(mut control) = self.control_if_any() else { return };
+        let Some(mut control) = self.control_if_any(ctx) else { return };
         control.reevaluate_upstreams(ctx);
-        control.flush_tx(ctx);
+        control.port.flush(ctx);
     }
 
     fn audit_state(&self, _topo: &Topology, _node: NodeId) -> Option<AuditNodeState> {
-        let route = |(chan, st): (&Channel, &ChannelState)| AuditRoute {
-            channel: chan.to_string(),
+        let route = |st: &ChannelState| AuditRoute {
+            channel: st.channel.to_string(),
             oif_mask: u64::from(st.oif_mask()),
             upstream_iface: st.upstream.map(|(iface, _)| iface),
             advertised: Some(st.advertised),
@@ -1629,7 +1615,7 @@ impl Agent for EcmpRouter {
         };
         let mut routes: Vec<AuditRoute> = self
             .channels()
-            .map_or_else(Vec::new, |m| m.iter().map(route).collect());
+            .map_or_else(Vec::new, |t| t.iter().map(route).collect());
         routes.sort_by(|a, b| a.channel.cmp(&b.channel));
         Some(AuditNodeState { routes, ..Default::default() })
     }
@@ -1762,7 +1748,7 @@ mod tests {
             key: None,
         });
         let join = packets::ecmp_unicast(sink_ip, router_ip, EcmpMode::Tcp, &[join]);
-        script(&mut sim, sink, vec![(500, TrafficClass::Control, join)]);
+        script(&mut sim, sink, vec![(500, TrafficClass::Control, join.to_vec())]);
 
         // Data before, during and after a flap of the sink link (which is
         // also a route change at every node), and a timer token the router
@@ -1799,6 +1785,149 @@ mod tests {
         assert!(sim.agent_as::<Scripted>(src).unwrap().got >= 1);
     }
 
+    /// `src — router — sinks…` over point-to-point links, nothing installed:
+    /// the router learns every route from the sinks' scripts.
+    fn join_star(sinks: usize) -> (Sim, NodeId, NodeId, Vec<NodeId>) {
+        let mut topo = Topology::new();
+        let (src, r) = (topo.add_host(), topo.add_router());
+        topo.connect(src, r, LinkSpec::default()).unwrap();
+        let sinks: Vec<NodeId> = (0..sinks).map(|_| topo.add_host()).collect();
+        for &s in &sinks {
+            topo.connect(r, s, LinkSpec::default()).unwrap();
+        }
+        let mut sim = Sim::new(topo, 1);
+        sim.set_agent(r, Box::new(EcmpRouter::new(quiet_cfg())));
+        for &h in [src].iter().chain(&sinks) {
+            sim.set_agent(h, Box::new(Scripted::default()));
+        }
+        (sim, src, r, sinks)
+    }
+
+    fn ecmp_from(sim: &Sim, from: NodeId, to: NodeId, msg: impl Into<EcmpMessage>) -> Vec<u8> {
+        let (from, to) = (sim.topology().ip(from), sim.topology().ip(to));
+        packets::ecmp_unicast(from, to, EcmpMode::Tcp, &[msg.into()]).to_vec()
+    }
+
+    fn tree_count(channel: Channel, count: u64) -> Count {
+        Count {
+            channel,
+            count_id: CountId::SUBSCRIBERS,
+            count,
+            key: None,
+        }
+    }
+
+    #[test]
+    fn nonsense_input_leaves_table_fib_and_counters_as_they_were() {
+        let (mut sim, src, r, sinks) = join_star(2);
+        let (member, stranger) = (sinks[0], sinks[1]);
+        let chan = Channel::new(sim.topology().ip(src), 1).unwrap();
+        let other = Channel::new(sim.topology().ip(src), 2).unwrap();
+        let nowhere = Channel::new(Ipv4Addr::new(10, 99, 0, 1), 1).unwrap();
+        let join = ecmp_from(&sim, member, r, tree_count(chan, 1));
+        script(&mut sim, member, vec![(1, TrafficClass::Control, join)]);
+        let verdict = |channel, key| CountResponse {
+            channel,
+            count_id: CountId::SUBSCRIBERS,
+            status: ResponseStatus::Ok,
+            key,
+        };
+        let vote = Count {
+            channel: other,
+            count_id: CountId(CountId::APPLICATION_BASE + 1),
+            count: 9,
+            key: None,
+        };
+        let nonsense: Vec<EcmpMessage> = vec![
+            vote.into(),                     // a Count for a channel nobody joined
+            tree_count(other, 0).into(),     // a leave for it
+            tree_count(chan, 0).into(),      // a leave from a neighbor that never joined
+            tree_count(nowhere, 3).into(),   // a join toward an unreachable source
+            verdict(chan, None).into(),      // verdicts nobody is waiting for
+            verdict(chan, Some(7)).into(),
+            verdict(other, Some(7)).into(),
+        ];
+        let sends = nonsense.iter().enumerate();
+        let sends = sends.map(|(i, &m)| (100 + i as u64, TrafficClass::Control, ecmp_from(&sim, stranger, r, m)));
+        let sends = sends.collect();
+        script(&mut sim, stranger, sends);
+
+        let member_ip = sim.topology().ip(member);
+        let topo = sim.topology().clone();
+        let view = |sim: &mut Sim| {
+            let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+            let mut fib: Vec<[u8; 12]> = router.fib().iter().map(|e| e.raw()).collect();
+            fib.sort_unstable();
+            let c = router.counters;
+            let ctl = router.ctl.as_ref().unwrap();
+            format!(
+                "{} fib {fib:?} sub {} unsub {} tx {} auth {} pending {} timers {}",
+                control_view(router, &topo, r, chan, member_ip),
+                c.subscribes,
+                c.unsubscribes,
+                c.counts_tx,
+                c.auth_rejects,
+                ctl.tables.pending.len(),
+                ctl.timers.meta.len(),
+            )
+        };
+        sim.run_until(SimTime(50_000));
+        let before = view(&mut sim);
+        assert_eq!(sim.agent_as::<EcmpRouter>(r).unwrap().downstream_of(chan), vec![(member_ip, 1, true)]);
+        let upstream_got = sim.agent_as::<Scripted>(src).unwrap().got;
+        sim.run();
+        assert_eq!(view(&mut sim), before);
+        let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+        assert_eq!(router.counters.counts_rx, 1 + 4, "every Count was received");
+        // The only answer is the rejection of the unreachable join; nothing
+        // went upstream.
+        assert_eq!(sim.stats().named("ecmp.response_tx"), 1);
+        assert_eq!(sim.agent_as::<Scripted>(stranger).unwrap().got, 1);
+        assert_eq!(sim.agent_as::<Scripted>(src).unwrap().got, upstream_got);
+    }
+
+    #[test]
+    fn a_second_join_leave_cycle_grows_no_state() {
+        let (mut sim, src, r, sinks) = join_star(1);
+        let chan = Channel::new(sim.topology().ip(src), 1).unwrap();
+        let cycle = |at| {
+            vec![
+                (at, TrafficClass::Control, ecmp_from(&sim, sinks[0], r, tree_count(chan, 1))),
+                (at + 10, TrafficClass::Control, ecmp_from(&sim, sinks[0], r, tree_count(chan, 0))),
+            ]
+        };
+        let sends = [cycle(1), cycle(101), cycle(201)].concat();
+        script(&mut sim, sinks[0], sends);
+        // Everything the control plane owns that could grow.
+        let owned = |sim: &mut Sim| {
+            let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+            let ctl = router.ctl.as_ref().unwrap();
+            let st = ctl.tables.channels.get(channel_key(chan));
+            (
+                ctl.tables.channels.capacity(),
+                ctl.txq.capacity(),
+                ctl.timers.meta.len() + ctl.tables.pending.len() + ctl.tables.rtt.len(),
+                st.map(|st| (st.downstream.is_inline(), st.extra.is_none())),
+                router.fib().len(),
+            )
+        };
+        sim.run_until(SimTime(5_000)); // joined
+        assert_eq!(owned(&mut sim), (1, 4, 0, Some((true, true)), 1), "a joined channel is one inline record");
+        sim.run_until(SimTime(50_000)); // left
+        let idle = owned(&mut sim);
+        assert_eq!(idle, (1, 4, 0, None, 0));
+        for (joined_at, left_at) in [(105_000, 150_000), (205_000, 250_000)] {
+            sim.run_until(SimTime(joined_at));
+            assert_eq!(owned(&mut sim), (1, 4, 0, Some((true, true)), 1));
+            sim.run_until(SimTime(left_at));
+            assert_eq!(owned(&mut sim), idle, "a later cycle reuses what the first one left");
+        }
+        let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+        assert_eq!((router.counters.subscribes, router.counters.unsubscribes), (3, 3));
+        assert_eq!(router.counters.counts_tx, 6, "each join and each prune went on toward the source");
+        assert_eq!(sim.agent_as::<Scripted>(src).unwrap().got, 6);
+    }
+
     #[test]
     fn router_config_defaults_sane() {
         let c = RouterConfig::default();
@@ -1809,25 +1938,21 @@ mod tests {
 
     #[test]
     fn channel_state_aggregate_and_mask() {
-        let mut st = ChannelState::new();
-        st.downstream.insert(
-            Ipv4Addr::new(10, 0, 0, 2),
-            DownstreamEntry {
-                iface: IfaceId(1),
-                count: 3,
-                refreshed: SimTime::ZERO,
-                validated: true,
-            },
-        );
-        st.downstream.insert(
-            Ipv4Addr::new(10, 0, 0, 3),
-            DownstreamEntry {
-                iface: IfaceId(2),
-                count: 2,
-                refreshed: SimTime::ZERO,
-                validated: false, // pending auth: excluded from both
-            },
-        );
+        let mut st = ChannelState::new(Channel::new(Ipv4Addr::new(10, 0, 0, 1), 1).unwrap());
+        st.downstream.insert(DownstreamEntry {
+            addr: Ipv4Addr::new(10, 0, 0, 2),
+            iface: IfaceId(1),
+            count: 3,
+            refreshed: SimTime::ZERO,
+            validated: true,
+        });
+        st.downstream.insert(DownstreamEntry {
+            addr: Ipv4Addr::new(10, 0, 0, 3),
+            iface: IfaceId(2),
+            count: 2,
+            refreshed: SimTime::ZERO,
+            validated: false, // pending auth: excluded from both
+        });
         assert_eq!(st.aggregate(), 3);
         assert_eq!(st.oif_mask(), 0b10);
         assert!(st.mgmt_state_bytes() > 0);

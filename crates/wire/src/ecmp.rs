@@ -477,15 +477,55 @@ pub fn emit_batch(msgs: &[EcmpMessage], mtu: usize) -> (Vec<u8>, usize) {
     (out, taken)
 }
 
-/// Parse a concatenated batch of messages until the buffer is exhausted.
-pub fn parse_batch(mut buf: &[u8]) -> Result<Vec<EcmpMessage>> {
-    let mut out = Vec::new();
-    while !buf.is_empty() {
-        let (m, n) = EcmpMessage::parse(buf)?;
-        out.push(m);
-        buf = &buf[n..];
+/// A concatenated batch of messages, checked once and then iterated in
+/// place: [`Batch::parse`] rejects the buffer as a whole if any message in
+/// it is malformed, so a receiver never acts on the front of a batch whose
+/// tail is garbage, and the iterator it returns cannot fail. Nothing is
+/// allocated; the first message — the whole batch, for the one-message
+/// datagrams that make up most control traffic — is parsed exactly once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Batch<'a> {
+    first: Option<EcmpMessage>,
+    /// The octets after the first message: whole, well-formed messages.
+    rest: &'a [u8],
+}
+
+impl<'a> Batch<'a> {
+    /// Check that `buf` is a concatenation of well-formed messages.
+    pub fn parse(buf: &'a [u8]) -> Result<Self> {
+        if buf.is_empty() {
+            return Ok(Batch { first: None, rest: buf });
+        }
+        let (first, n) = EcmpMessage::parse(buf)?;
+        let rest = &buf[n..];
+        let mut tail = rest;
+        while !tail.is_empty() {
+            let (_, n) = EcmpMessage::parse(tail)?;
+            tail = &tail[n..];
+        }
+        Ok(Batch { first: Some(first), rest })
     }
-    Ok(out)
+}
+
+impl Iterator for Batch<'_> {
+    type Item = EcmpMessage;
+
+    fn next(&mut self) -> Option<EcmpMessage> {
+        if let Some(first) = self.first.take() {
+            return Some(first);
+        }
+        if self.rest.is_empty() {
+            return None;
+        }
+        let (m, n) = EcmpMessage::parse(self.rest).expect("checked by Batch::parse");
+        self.rest = &self.rest[n..];
+        Some(m)
+    }
+}
+
+/// Parse a concatenated batch of messages until the buffer is exhausted.
+pub fn parse_batch(buf: &[u8]) -> Result<Vec<EcmpMessage>> {
+    Ok(Batch::parse(buf)?.collect())
 }
 
 #[cfg(test)]
@@ -652,6 +692,30 @@ mod tests {
         let (bytes, taken) = emit_batch(&[one, one, one], 2 * Count::WIRE_LEN_BASE);
         assert_eq!(taken, 2);
         assert_eq!(bytes.len(), 2 * Count::WIRE_LEN_BASE);
+    }
+
+    #[test]
+    fn batch_iterates_what_parse_batch_collects_and_rejects_a_bad_tail_whole() {
+        let msgs: Vec<EcmpMessage> = (0..5u64)
+            .map(|i| {
+                EcmpMessage::from(Count {
+                    channel: chan(),
+                    count_id: CountId::SUBSCRIBERS,
+                    count: i,
+                    key: (i % 2 == 0).then_some(i),
+                })
+            })
+            .collect();
+        for n in 0..=msgs.len() {
+            let (bytes, taken) = emit_batch(&msgs[..n], 1480);
+            assert_eq!(taken, n);
+            assert_eq!(Batch::parse(&bytes).unwrap().collect::<Vec<_>>(), &msgs[..n]);
+            assert_eq!(parse_batch(&bytes).unwrap(), &msgs[..n]);
+            // A garbage tail fails the batch before any message is handed out.
+            let mut bad = bytes;
+            bad.push(0xFF);
+            assert!(Batch::parse(&bad).is_err(), "{n} good messages then garbage");
+        }
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! ```
 
 use express::host::{ExpressHost, HostAction};
+use express::packets::EcmpMode;
+use express::proactive::ErrorToleranceCurve;
 use express::router::{EcmpRouter, RouterConfig};
 use express_wire::addr::Channel;
+use express_wire::ecmp::CountId;
 use netsim::faults::FaultPlan;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topogen;
@@ -88,6 +91,11 @@ fn run_storm_with(seed: u64, wheel: WheelConfig, shards: usize) -> (String, Stri
     sim.run_until(at_ms(2_600));
 
     let trace = sim.take_trace().expect("trace enabled").to_jsonl();
+    (trace, stats_dump(&sim))
+}
+
+/// Everything countable about a finished run, one line per figure.
+fn stats_dump(sim: &Sim) -> String {
     let mut stats = String::new();
     let _ = writeln!(stats, "events_processed {}", sim.events_processed());
     // peak_queue_depth is deliberately NOT part of the golden: it is a
@@ -113,7 +121,117 @@ fn run_storm_with(seed: u64, wheel: WheelConfig, shards: usize) -> (String, Stri
             );
         }
     }
-    (trace, stats)
+    stats
+}
+
+/// The storm topology under a many-channel load: 8 channels over two
+/// sources, 16 subscribers each (every host holds several subscriptions),
+/// a maintained vote on every channel, 12 staggered link flaps, a router
+/// crash + restart, total loss on a host link and on a core link long
+/// enough for the soft state behind them to expire, and a closing
+/// `CountQuery` per channel. Every step a router or host takes once per
+/// channel, neighbor or subscription happens here with several of them at
+/// hand, so any step whose order is not fixed by the run's own contents
+/// shows up as a diverging trace. `udp` runs every interface in UDP mode
+/// (periodic general queries, expiry) instead of the default TCP mode.
+fn run_multi_channel_storm(shards: usize, udp: bool) -> (String, String) {
+    const VOTE: CountId = CountId(CountId::APPLICATION_BASE + 7);
+    let g = topogen::random_connected(30, 10, 40, LinkSpec::default(), 77);
+    let mut sim = Sim::new(g.topo.clone(), 4242);
+    sim.set_shards(shards);
+    assert_eq!(sim.shard_count(), shards, "storm topology should partition {shards}-way");
+    let cfg = RouterConfig {
+        mode_override: udp.then_some(EcmpMode::Udp),
+        udp_refresh: SimDuration::from_millis(400),
+        neighbor_probe: Some(SimDuration::from_millis(250)),
+        boot_query: true,
+        ..RouterConfig::default()
+    };
+    for &r in &g.routers {
+        sim.set_agent(r, Box::new(EcmpRouter::new(cfg)));
+        sim.set_restart_factory(r, Box::new(move || Box::new(EcmpRouter::new(cfg))));
+    }
+    for &h in &g.hosts {
+        sim.set_agent(h, Box::new(ExpressHost::new()));
+    }
+    let (sources, subscribers) = g.hosts.split_at(2);
+    let channels: Vec<(netsim::NodeId, Channel)> = (0..8u32)
+        .map(|c| {
+            let src = sources[c as usize / 4];
+            (src, Channel::new(g.topo.ip(src), c + 1).unwrap())
+        })
+        .collect();
+    for (c, &(src, channel)) in channels.iter().enumerate() {
+        // 7 is coprime to the 38 subscriber hosts: 16 distinct hosts per
+        // channel, each host on three or four channels.
+        for k in 0..16 {
+            let h = subscribers[(c * 5 + k * 7) % subscribers.len()];
+            let at = at_ms(1 + 7 * (c * 16 + k) as u64);
+            ExpressHost::schedule(&mut sim, h, at, HostAction::Subscribe { channel, key: None });
+        }
+        // The vote is installed once the tree stands, so the install fans
+        // out over every router's downstream set.
+        let vote = HostAction::EnableProactive {
+            channel,
+            count_id: VOTE,
+            curve: ErrorToleranceCurve::new(2.0, 0.5),
+        };
+        ExpressHost::schedule(&mut sim, src, at_ms(950 + c as u64), vote);
+        let query = HostAction::CountQuery {
+            channel,
+            count_id: CountId::SUBSCRIBERS,
+            timeout: SimDuration::from_millis(400),
+        };
+        ExpressHost::schedule(&mut sim, src, at_ms(5_000 + 20 * c as u64), query);
+    }
+    // Votes change while the storm runs: each push goes out on every
+    // channel of the host that maintains the count.
+    for (i, &h) in subscribers.iter().enumerate() {
+        for round in 0..3u64 {
+            let at = at_ms(1_200 + 900 * round + 11 * i as u64);
+            let vote = HostAction::SetAppValue { count_id: VOTE, value: round + i as u64 % 3 };
+            ExpressHost::schedule(&mut sim, h, at, vote);
+        }
+    }
+    // Links 0..29 are the router spanning tree, 29..39 the extra edges,
+    // 39.. the host links.
+    let mut plan = FaultPlan::new();
+    for (i, link) in [2u32, 3, 5, 7, 9, 11, 13, 17, 19, 23, 31, 35].into_iter().enumerate() {
+        let down = 1_300 + 150 * i as u64;
+        plan = plan.link_flap(LinkId(link), at_ms(down), at_ms(down + 220));
+    }
+    plan.crash_restart(g.routers[5], at_ms(2_000), at_ms(2_400))
+        .loss_burst(LinkId(41), at_ms(3_200), 1.0, SimDuration::from_millis(1_400))
+        .loss_burst(LinkId(4), at_ms(3_300), 1.0, SimDuration::from_millis(1_200))
+        .apply(&mut sim);
+
+    sim.enable_trace(TraceConfig::default());
+    sim.run_until(at_ms(6_000));
+    let trace = sim.take_trace().expect("trace enabled").to_jsonl();
+    (trace, stats_dump(&sim))
+}
+
+#[test]
+fn multi_channel_storm_is_byte_identical_across_runs() {
+    for udp in [false, true] {
+        let (trace, stats) = run_multi_channel_storm(1, udp);
+        // The storm did reach the per-channel sweeps it is here for.
+        let mut steps = vec!["ecmp.rehome", "ecmp.conn_fail_prune", "ecmp.readvertise", "ecmp.batched_msgs"];
+        steps.push(if udp { "ecmp.expire" } else { "ecmp.keepalive_prune" });
+        for step in steps {
+            let line = stats.lines().find(|l| l.starts_with(&format!("counter {step} ")));
+            let n: u64 = line.and_then(|l| l.rsplit(' ').next()).map_or(0, |n| n.parse().unwrap());
+            assert!(n >= 2, "udp={udp}: {step} fired {n} times\n{stats}");
+        }
+        for (shards, run) in [(1, "a second run"), (2, "a 2-shard run")] {
+            let (trace2, stats2) = run_multi_channel_storm(shards, udp);
+            if let Some((n, (a, b))) = trace.lines().zip(trace2.lines()).enumerate().find(|(_, (a, b))| a != b) {
+                panic!("udp={udp}: {run} diverges at trace line {}:\n  {a}\n  {b}", n + 1);
+            }
+            assert_eq!(trace.len(), trace2.len(), "udp={udp}: {run} has a different trace length");
+            assert_eq!(stats, stats2, "udp={udp}: {run} has different stats");
+        }
+    }
 }
 
 #[test]

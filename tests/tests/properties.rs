@@ -10,6 +10,7 @@
 
 use express::fib::{Fib, Forward};
 use express::proactive::ErrorToleranceCurve;
+use express::table::{channel_key, InlineSet, Keyed, Table};
 use express_cost::{FibCostModel, MgmtStateModel};
 use express_wire::addr::{Channel, ChannelDest, Ipv4Addr};
 use express_wire::ecmp::{self, Count, CountId, CountQuery, CountResponse, EcmpMessage, ProactiveParams, ResponseStatus};
@@ -356,6 +357,138 @@ fn fib_matches_a_hash_map_model() {
         }
         let c = fib.counters();
         assert_eq!([c.forwarded, c.no_entry_drops, c.rpf_drops], counted, "pool {pool_len}");
+    }
+}
+
+/// A record as the control plane files them: it carries its key, and a
+/// value the model can tell overwrites by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rec {
+    key: u64,
+    val: u32,
+}
+
+impl Keyed for Rec {
+    type Key = u64;
+
+    fn key(&self) -> u64 {
+        self.key
+    }
+}
+
+#[test]
+fn channel_table_matches_a_btree_map_model() {
+    let mut r = rng();
+    // Key pools on both sides of every table size from the inline slot to
+    // 4096 slots: one source's consecutive channels and arbitrary ones.
+    for (case, &pool_len) in [1usize, 2, 3, 4, 6, 7, 13, 25, 97, 400, 3000].iter().enumerate() {
+        let source = arb_unicast_ip(&mut r);
+        let pool: Vec<u64> = (0..pool_len)
+            .map(|i| {
+                channel_key(if case % 2 == 0 {
+                    Channel::new(source, i as u32).unwrap()
+                } else {
+                    arb_channel(&mut r)
+                })
+            })
+            .collect();
+        let mut table: Table<Rec> = Table::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut high_water = 1;
+        // Fill, drain (every removal repairs a run in a table left at its
+        // largest size), then churn.
+        for (phase, inserts_in_8) in [(0, 7), (1, 1), (2, 4)] {
+            for step in 0..pool_len * 6 + 16 {
+                let what = format!("pool {pool_len} phase {phase} step {step}");
+                let key = pool[r.random_range(0..pool_len)];
+                let val: u32 = r.random();
+                match r.random_range(0u8..12) {
+                    0..=5 if r.random_range(0u8..8) < inserts_in_8 => {
+                        assert_eq!(table.insert(Rec { key, val }), model.insert(key, Rec { key, val }), "{what}");
+                    }
+                    6..=7 if r.random_range(0u8..8) < inserts_in_8 => {
+                        let got = table.get_or_insert_with(key, || Rec { key, val });
+                        let want = model.entry(key).or_insert(Rec { key, val });
+                        assert_eq!(got, want, "{what}");
+                        got.val ^= 1;
+                        want.val ^= 1;
+                    }
+                    0..=7 => assert_eq!(table.remove(key), model.remove(&key), "{what}"),
+                    8 => assert_eq!(table.get(key), model.get(&key), "{what}"),
+                    _ => {
+                        let (got, want) = (table.get_mut(key), model.get_mut(&key));
+                        assert_eq!(got, want, "{what}");
+                        if let (Some(got), Some(want)) = (got, want) {
+                            got.val = val;
+                            want.val = val;
+                        }
+                    }
+                }
+                assert_eq!((table.len(), table.is_empty()), (model.len(), model.is_empty()), "{what}");
+                assert!(table.capacity() >= high_water, "{what}: capacity is never given back");
+                high_water = table.capacity();
+                if step % 256 == 0 {
+                    assert_eq!(table.sorted_keys(), model.keys().copied().collect::<Vec<_>>(), "{what}");
+                }
+            }
+            // The walk an agent makes — ascending keys, each looked up —
+            // meets exactly the model's records in the model's order, and
+            // the unordered view holds the same records.
+            let walked: Vec<Rec> = table.sorted_keys().into_iter().map(|k| *table.get(k).unwrap()).collect();
+            assert_eq!(walked, model.values().copied().collect::<Vec<_>>(), "pool {pool_len} phase {phase}");
+            let mut unordered: Vec<u64> = table.iter().map(Keyed::key).collect();
+            unordered.sort_unstable();
+            assert_eq!(unordered, table.sorted_keys(), "pool {pool_len} phase {phase}");
+        }
+    }
+}
+
+#[test]
+fn inline_set_matches_a_btree_map_model() {
+    let mut r = rng();
+    for &pool_len in &[1usize, 2, 3, 4, 5, 6, 9, 13, 40, 400, 3000] {
+        let pool: Vec<u64> = (0..pool_len).map(|_| r.random()).collect();
+        let mut set: InlineSet<Rec> = InlineSet::new();
+        let mut model = std::collections::BTreeMap::new();
+        // Fill past the inline slots, drain back into them, churn around
+        // the boundary.
+        for (phase, inserts_in_8) in [(0, 7), (1, 1), (2, 4)] {
+            for step in 0..pool_len * 6 + 16 {
+                let what = format!("pool {pool_len} phase {phase} step {step}");
+                let key = pool[r.random_range(0..pool_len)];
+                let val: u32 = r.random();
+                match r.random_range(0u8..12) {
+                    0..=6 if r.random_range(0u8..8) < inserts_in_8 => {
+                        assert_eq!(set.insert(Rec { key, val }), model.insert(key, Rec { key, val }), "{what}");
+                    }
+                    0..=6 => assert_eq!(set.remove(key), model.remove(&key), "{what}"),
+                    7 => {
+                        // Drop a pseudo-random third, visiting in order.
+                        let mut seen = Vec::new();
+                        set.retain(|rec| {
+                            seen.push(rec.key);
+                            rec.val % 3 != val % 3
+                        });
+                        assert_eq!(seen, model.keys().copied().collect::<Vec<_>>(), "{what}: retain order");
+                        model.retain(|_, rec| rec.val % 3 != val % 3);
+                    }
+                    8 => assert_eq!(set.get(key), model.get(&key), "{what}"),
+                    _ => {
+                        let (got, want) = (set.get_mut(key), model.get_mut(&key));
+                        assert_eq!(got, want, "{what}");
+                        if let (Some(got), Some(want)) = (got, want) {
+                            got.val = val;
+                            want.val = val;
+                        }
+                    }
+                }
+                assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()), "{what}");
+                // Where the records live is a function of how many there are.
+                assert_eq!(set.is_inline(), model.len() <= InlineSet::<Rec>::INLINE, "{what}");
+                let listed: Vec<Rec> = set.iter().copied().collect();
+                assert_eq!(listed, model.values().copied().collect::<Vec<_>>(), "{what}: iteration order");
+            }
+        }
     }
 }
 
