@@ -39,7 +39,7 @@
 //! cargo run --release -p express-bench --bin bench_scale -- --shards 4
 //!                                  # run the suite on the sharded parallel engine
 //! cargo run --release -p express-bench --bin bench_scale -- --shard-smoke
-//!                                  # determinism smoke: classic vs sharded observables, exit 1 on divergence
+//!                                  # determinism smoke: 1-shard vs sharded observables, exit 1 on divergence
 //! cargo run --release -p express-bench --bin bench_scale -- --depth-sweep
 //!                                  # the k-ary tree at 2^12 … 2^20 sinks: deliveries/s against depth
 //! ```
@@ -406,7 +406,7 @@ fn kary_scale(depth: usize, warm: usize, meas: usize, shards: usize) -> Measurem
 /// metrics, the engine self-profiler, and a streaming JSONL trace sink at
 /// 1/1024 causal sampling (written to `io::sink` so the A/B comparison in
 /// `--overhead-check` measures instrumentation cost, not disk bandwidth).
-/// The streaming sink requires the classic engine, so `observed` implies
+/// The streaming sink requires a single shard, so `observed` implies
 /// `shards == 1`.
 fn kary_scale_obs(depth: usize, warm: usize, meas: usize, observed: bool, shards: usize) -> Measurement {
     assert!(!observed || shards == 1, "--overhead-check streams a trace sink; shards must be 1");
@@ -648,7 +648,7 @@ struct Record {
     name: String,
     subscribers: usize,
     /// Shard count the row was measured at. Absent in `bench_scale/v1`
-    /// files, where every row was the classic single-shard engine — so the
+    /// files, where every row was a single-shard run — so the
     /// back-compat default is 1. Only `shards == 1` rows gate.
     shards: usize,
     events_per_sec: f64,
@@ -721,8 +721,8 @@ fn parse_records(text: &str) -> Vec<Record> {
 /// Only `shards == 1` rows gate: sharded rows in `BENCH_scale.json` are
 /// additive documentation of the parallel engine's overhead/scaling on the
 /// recording host, and their wall-clock figures depend on core count in a
-/// way the single-shard floors do not. The gate itself always runs the
-/// classic engine.
+/// way the single-shard floors do not. The gate itself always runs at
+/// one shard.
 ///
 /// Prints the core count so single-core results aren't misread, never
 /// rewrites `BENCH_scale.json`, and exits 1 on any violation.
@@ -986,7 +986,7 @@ fn shard_smoke_observe(shards: usize) -> (u64, Vec<String>) {
 }
 
 /// The determinism smoke for the verify loop (`--shard-smoke`): run the
-/// k-ary scenario on the classic engine and on the sharded parallel engine
+/// k-ary scenario at one shard (drained inline) and sharded (in parallel)
 /// and demand identical deterministic observables. This is the cheap
 /// cross-check that the conservative-lookahead drain is still
 /// shard-count-invariant *in this build* — the full byte-level contract is
@@ -994,7 +994,7 @@ fn shard_smoke_observe(shards: usize) -> (u64, Vec<String>) {
 /// Exits 1 on any divergence.
 fn shard_smoke(shards: usize) {
     let s = shards.max(2);
-    eprintln!("bench_scale --shard-smoke: kary depth 10, classic engine vs {s} shard(s)");
+    eprintln!("bench_scale --shard-smoke: kary depth 10, 1 shard vs {s} shard(s)");
     let (ev1, obs1) = shard_smoke_observe(1);
     let (evs, obss) = shard_smoke_observe(s);
     let mut failed = false;

@@ -1,0 +1,347 @@
+//! `ShardExec`: one shard's executor — the one place an agent is handed a
+//! [`Ctx`], one event dispatch, one drain loop, and the drain-time half of
+//! the batched fan-out path.
+
+use super::world::{event_class, event_node, ArrivalCause, EventKind, FanoutSend, Shared, World};
+use super::{Agent, Ctx, HotPacketFn, Payload};
+use crate::id::{IfaceId, LinkId, NodeId};
+use crate::prof::{EventClass, WheelGauges};
+use crate::stats::TrafficClass;
+use crate::time::SimTime;
+use crate::trace::{DropReason, TraceKind};
+use crate::wheel::TimerWheel;
+
+/// One shard's executor: the shared engine state, the shard's world, the
+/// slice of agents it owns (indexed `node - base`), and the full hot-fn
+/// cache (indexed globally, read-only on the drain path). The sole shard's
+/// inline drain, the parallel workers and the coordinator's agent sweeps
+/// all go through this — there is exactly one dispatch implementation.
+pub(super) struct ShardExec<'a> {
+    pub(super) shared: &'a Shared,
+    pub(super) world: &'a mut World,
+    pub(super) agents: &'a mut [Option<Box<dyn Agent>>],
+    pub(super) hot_fns: &'a [Option<HotPacketFn>],
+}
+
+impl<'a> ShardExec<'a> {
+    /// Run `f` with the agent at `node` (owned by this shard) and a fresh
+    /// dispatch context — the only place a [`Ctx`] is built. Split borrow:
+    /// the agent slot, the world, and the shared state are disjoint — an
+    /// agent cannot reach back into the agent table.
+    pub(super) fn with_agent<F: FnOnce(&mut dyn Agent, &mut Ctx<'_>)>(&mut self, node: NodeId, f: F) {
+        let li = (node.0 - self.world.base) as usize;
+        let agent = self.agents[li].as_deref_mut().expect("no agent at node");
+        let mut ctx = Ctx {
+            shared: self.shared,
+            world: self.world,
+            node,
+        };
+        f(agent, &mut ctx);
+    }
+
+    /// Pop and run every event that sorts strictly below `lim` — a whole
+    /// segment for the sole shard, one lookahead window of it for a worker.
+    /// `peek` reports the queue head if it is below `lim`, and the two
+    /// callers differ in the wheel peek they pass for it. Workers pass the
+    /// wheel's bounded peek ([`TimerWheel::next_at_key_below`]), which
+    /// leaves buckets at or past `lim` undrained and so open for the mail
+    /// coalescing of the next window's ingest. The sole shard passes the
+    /// rotating peek ([`TimerWheel::next_at_key`], compared with `lim`
+    /// afterwards): at a segment edge it sorts the next bucket into the
+    /// current run early, so sends made by the global transition (or by the
+    /// harness between `run_until` calls) into that bucket land in the inbox
+    /// heap, where fan-outs cannot join a slot tail. Event order, traces and
+    /// stats are the same under either peek; `peak_queue_depth` is not
+    /// (`tree_1k_observed` at `--check` size: 604 rotating, 358 bounded),
+    /// and the benchmark's pinned digests include it — so the sole shard
+    /// moves to the bounded peek only together with a re-pin.
+    pub(super) fn drain_below<P>(&mut self, lim: (SimTime, u128), peek: P)
+    where
+        P: Fn(&mut TimerWheel<EventKind>, (SimTime, u128)) -> Option<(SimTime, u128)>,
+    {
+        while peek(&mut self.world.queue, lim).is_some() {
+            let (at, k, kind) = self.world.queue.pop_keyed().expect("peeked event vanished");
+            self.run_one(at, k, kind);
+        }
+    }
+
+    /// Execute one popped event: advance this shard's clock, tag the
+    /// dispatch with the event's canonical key, and run it (with profiler
+    /// attribution when enabled).
+    fn run_one(&mut self, at: SimTime, key: u128, kind: EventKind) {
+        debug_assert!(at >= self.world.now);
+        self.world.now = at;
+        self.world.cur_key = key;
+        self.world.cur_sub = 0;
+        match kind {
+            EventKind::Fanout(fs) => {
+                let before = self.world.events_processed;
+                let frame = fs.bytes.as_ref().expect("a fan-out outside a cohort owns its frame");
+                self.expand_fanout(&fs, frame);
+                self.finish_fanout_pop(before);
+            }
+            EventKind::FanoutCohort(sends) => {
+                let before = self.world.events_processed;
+                self.expand_cohort(at, sends);
+                self.finish_fanout_pop(before);
+            }
+            kind => {
+                self.world.events_processed += 1;
+                if self.world.prof.is_none() {
+                    self.dispatch_event(kind);
+                } else {
+                    let class = event_class(&kind);
+                    let node = event_node(&kind);
+                    let t0 = self.world.prof.as_mut().and_then(|p| p.event_begin());
+                    self.dispatch_event(kind);
+                    let agent = node.and_then(|n| {
+                        self.agents[(n.0 - self.world.base) as usize]
+                            .as_ref()
+                            .map(|a| a.kind_name())
+                    });
+                    if let Some(p) = &mut self.world.prof {
+                        p.event_end(class, node, agent, t0);
+                    }
+                    self.prof_gauges_if_due();
+                }
+            }
+        }
+    }
+
+    fn prof_gauges_if_due(&mut self) {
+        let World {
+            prof,
+            queue,
+            metrics,
+            now,
+            ..
+        } = &mut *self.world;
+        if let Some(p) = prof {
+            if p.gauge_due() {
+                let g = WheelGauges {
+                    occupied_slots: queue.occupied_slots(),
+                    inbox: queue.inbox_len(),
+                    overflow: queue.overflow_len(),
+                    current_run: queue.current_len(),
+                };
+                p.record_gauges(*now, queue.len(), g);
+                if let Some(m) = metrics {
+                    m.gauge(*now, "prof.queue_depth", queue.len() as u64);
+                    m.gauge(*now, "prof.wheel_occupied_slots", g.occupied_slots as u64);
+                    m.gauge(*now, "prof.wheel_inbox", g.inbox as u64);
+                    m.gauge(*now, "prof.wheel_overflow", g.overflow as u64);
+                }
+            }
+        }
+    }
+
+    /// Profiler bookkeeping after a deferred fan-out pop: record the
+    /// cohort size (deliveries this pop expanded into) and any due gauges.
+    fn finish_fanout_pop(&mut self, events_before: u64) {
+        if self.world.prof.is_some() {
+            let delivered = self.world.events_processed - events_before;
+            if let Some(p) = &mut self.world.prof {
+                p.record_cohort(delivered);
+            }
+            self.prof_gauges_if_due();
+        }
+    }
+
+    /// Expand a coalesced fan-out cohort member by member, pausing if a
+    /// smaller-keyed event lands in the queue between two members: the
+    /// remaining members are re-queued under the next member's key and the
+    /// interloper runs first — exactly the order the uncoalesced schedule
+    /// would have produced. (A *single* deferred fan-out expands
+    /// atomically, matching the eager path where its arrivals carry
+    /// consecutive keys nothing can fall between.)
+    fn expand_cohort(&mut self, at: SimTime, mut sends: Vec<FanoutSend>) {
+        let mut idx = 0;
+        // The member holding `sends[idx]`'s frame: the first at or after
+        // `idx` with a handle (a run's owner is its last member, and so is
+        // the cohort's, which a re-queued tail keeps).
+        let mut owner = 0;
+        while idx < sends.len() {
+            if idx > 0 {
+                let mk = sends[idx].key;
+                // Non-rotating probe: a same-timestamp straggler can only
+                // be in the current run or the inbox (same-bucket by
+                // construction); a rotating peek would drain the next
+                // bucket mid-expansion and break tail coalescing there.
+                if let Some(nk) = self.world.queue.peek_key_at(at) {
+                    if nk < mk {
+                        let k = mk;
+                        let kind = if sends.len() - idx == 1 {
+                            EventKind::Fanout(sends.pop().expect("idx < len"))
+                        } else {
+                            // Re-queue the tail in a recycled buffer —
+                            // splits are common under interleaved senders
+                            // and must not allocate per pause.
+                            let mut rest =
+                                self.world.fanout_spares.pop().unwrap_or_default();
+                            rest.extend(sends.drain(idx..));
+                            EventKind::FanoutCohort(rest)
+                        };
+                        self.world.push(at, k, kind);
+                        break;
+                    }
+                }
+            }
+            owner = owner.max(idx);
+            while sends[owner].bytes.is_none() {
+                owner += 1;
+            }
+            let frame = sends[owner].bytes.as_ref().expect("just found");
+            self.expand_fanout(&sends[idx], frame);
+            idx += 1;
+        }
+        sends.clear();
+        if self.world.fanout_spares.len() < World::FANOUT_SPARES_MAX {
+            self.world.fanout_spares.push(sends);
+        }
+    }
+
+    /// Expand one deferred fan-out into its per-receiver deliveries — the
+    /// drain-time half of the batched data path. Per-receiver work is
+    /// identical to an eager `Arrival` dispatch (node-down check, link-down
+    /// check, rx trace, causal context, agent dispatch) in the identical
+    /// order — under an observer it is the same `arrive` call. Link state
+    /// cannot change mid-expansion — agents have no synchronous topology
+    /// mutation API; link/node flips are themselves queued events — so the
+    /// no-observer loop hoists the link-up check out of its body, as it
+    /// does the trace/prof enablement checks (the body is branch-free on
+    /// them). Only endpoints in this shard's node range are
+    /// expanded: a cut-link fan-out is mirrored into each shard the link
+    /// touches under the same key, and the per-shard expansions partition
+    /// the eager delivery set. Trace records carry
+    /// `endpoint index << 32 | counter` sub-tags so the merged stream
+    /// reconstructs the single-shard endpoint order.
+    fn expand_fanout(&mut self, fs: &FanoutSend, bytes: &Payload) {
+        let sender = fs.node;
+        let iface = fs.iface;
+        let (class, cause) = (fs.class, fs.cause);
+        let Ok(link) = self.shared.topo.link_of(sender, iface) else {
+            return;
+        };
+        let link_ok = self.shared.topo.link_up(link);
+        let n_endpoints = self.shared.topo.link_endpoint_count(link);
+        let (base, limit) = (self.world.base, self.world.limit);
+        self.world.cur_key = fs.key;
+        if self.world.trace.is_none() && self.world.prof.is_none() {
+            // Hot loop: no tracing, no profiling — one enablement branch
+            // per *send* instead of several per delivery.
+            if n_endpoints == 2 {
+                // Point-to-point: the receiver is whichever endpoint is
+                // not the sender — no loop, no skip branch per endpoint.
+                let (a, ai) = self.shared.topo.link_endpoint(link, 0);
+                let (rx, ri) = if a == sender {
+                    self.shared.topo.link_endpoint(link, 1)
+                } else {
+                    (a, ai)
+                };
+                if rx.0 < base || rx.0 >= limit {
+                    return;
+                }
+                self.world.events_processed += 1;
+                if !self.shared.node_down[rx.index()] && link_ok {
+                    self.deliver(rx, ri, bytes, class, cause);
+                }
+                return;
+            }
+            for e in 0..n_endpoints {
+                let (rx, ri) = self.shared.topo.link_endpoint(link, e);
+                if rx == sender || rx.0 < base || rx.0 >= limit {
+                    continue;
+                }
+                self.world.events_processed += 1;
+                if self.shared.node_down[rx.index()] || !link_ok {
+                    continue;
+                }
+                self.deliver(rx, ri, bytes, class, cause);
+            }
+            return;
+        }
+        for e in 0..n_endpoints {
+            let (rx, ri) = self.shared.topo.link_endpoint(link, e);
+            if rx == sender || rx.0 < base || rx.0 >= limit {
+                continue;
+            }
+            self.world.events_processed += 1;
+            self.world.cur_sub = (e as u64) << 32;
+            let t0 = self.world.prof.as_mut().and_then(|p| p.event_begin());
+            self.arrive(rx, ri, Some(link), bytes, class, cause);
+            if self.world.prof.is_some() {
+                let agent = self.agents[(rx.0 - base) as usize].as_ref().map(|a| a.kind_name());
+                if let Some(p) = &mut self.world.prof {
+                    p.event_end(EventClass::Fanout, Some(rx), agent, t0);
+                }
+            }
+        }
+    }
+
+    /// One arrival of a frame at `node`, off `link` (`None` when the node
+    /// has no such interface): the per-receiver step an eager `Arrival`
+    /// event and the observed fan-out expansion share. Frames in flight
+    /// when a link died are dropped on arrival, as are frames addressed to
+    /// a crashed node; any other is recorded as received and delivered.
+    fn arrive(&mut self, node: NodeId, iface: IfaceId, link: Option<LinkId>, bytes: &Payload, class: TrafficClass, cause: ArrivalCause) {
+        let dropped = if self.shared.node_down[node.index()] {
+            Some(DropReason::NodeDown)
+        } else if link.is_some_and(|l| !self.shared.topo.link_up(l)) {
+            Some(DropReason::LinkDown)
+        } else {
+            None
+        };
+        if let Some(reason) = dropped {
+            if let Some(l) = link {
+                self.world.trace_drop(l, cause, reason, class);
+            }
+            return;
+        }
+        let (id, root, age) = (cause.id, cause.root, self.world.now - cause.root_at);
+        self.world.trace_push(TraceKind::PacketRx { node, iface, id, root, age, class });
+        self.deliver(node, iface, bytes, class, cause);
+    }
+
+    /// One delivery: set the causal context and dispatch through the
+    /// cached hot fn for data traffic, the dyn path otherwise.
+    fn deliver(&mut self, node: NodeId, iface: IfaceId, bytes: &Payload, class: TrafficClass, cause: ArrivalCause) {
+        self.world.cause = Some(cause);
+        let hot = if class == TrafficClass::Data {
+            self.hot_fns[node.index()]
+        } else {
+            None
+        };
+        match hot {
+            Some(f) => self.with_agent(node, |agent, ctx| f(agent, ctx, iface, bytes, class)),
+            None => self.with_agent(node, |agent, ctx| agent.on_packet(ctx, iface, bytes, class)),
+        }
+        self.world.cause = None;
+    }
+
+    /// The shard-local event dispatch body. Global transitions (link /
+    /// node / loss changes) never reach a shard queue — they dispatch
+    /// through the coordinator between parallel segments.
+    fn dispatch_event(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::Arrival { node, iface, bytes, class, cause } => {
+                let link = self.shared.topo.link_of(node, iface).ok();
+                self.arrive(node, iface, link, &bytes, class, cause);
+            }
+            EventKind::Timer { node, token, epoch } => {
+                // Timers from before a crash die with the agent that set
+                // them; a down node runs nothing.
+                if self.shared.node_down[node.index()] || self.shared.node_epoch[node.index()] != epoch {
+                    return;
+                }
+                self.world.trace_push(TraceKind::TimerFire { node, token });
+                self.with_agent(node, |agent, ctx| agent.on_timer(ctx, token));
+            }
+            EventKind::LinkChange { .. } | EventKind::NodeChange { .. } | EventKind::LossChange { .. } => {
+                unreachable!("global transitions dispatch through the coordinator, not a shard queue")
+            }
+            EventKind::Fanout(..) | EventKind::FanoutCohort(..) => {
+                unreachable!("fan-outs dispatch through expand_fanout, not dispatch_event")
+            }
+        }
+    }
+}

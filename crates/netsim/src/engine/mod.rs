@@ -1,0 +1,285 @@
+//! The discrete-event engine: event queue, agent dispatch, packet delivery,
+//! timers, link failure injection — one run loop, of which the sharded
+//! parallel runtime is the many-shard case.
+//!
+//! Protocol logic lives in [`Agent`] implementations attached one-per-node.
+//! Agents interact with the world exclusively through [`Ctx`]: sending
+//! frames, setting timers, querying unicast routing (including the RPF
+//! lookup ECMP is built on), and bumping counters.
+//!
+//! ## Delivery model
+//!
+//! * A frame sent on an interface propagates to every other endpoint of the
+//!   attached link ([`Tx::AllOnLink`]) or to one designated endpoint
+//!   ([`Tx::To`]); arrival is delayed by link latency plus serialization
+//!   (`8·len / bandwidth`).
+//! * [`Reliability::Datagram`] frames are dropped independently with the
+//!   link's loss probability. [`Reliability::Reliable`] frames are never
+//!   dropped and same-link frames arrive in send order — this models ECMP's
+//!   TCP neighbor mode (§3.2) with retransmission abstracted away; the
+//!   visible TCP property that *matters* to the protocol (failure
+//!   notification) is delivered via [`Agent::on_link_change`].
+//! * Frames are raw octets; agents parse them with `express-wire`. The
+//!   engine never interprets packet contents.
+//!
+//! ## Event ordering
+//!
+//! Every event carries a **canonical key**: `source rank << 64 | per-source
+//! counter`, where rank 0 is the external harness (fault schedules,
+//! [`Sim::schedule_timer_at`]) and node *i* has rank *i + 1*. Events
+//! execute in `(timestamp, key)` order — ties at the same microsecond
+//! resolve by key, which within one source means scheduling order. The key
+//! is a pure function of *who* scheduled the event and *how many* events
+//! that source had scheduled before — never of which shard ran the source —
+//! which is what makes the parallel engine's replay byte-identical at any
+//! shard count (see `docs/INTERNALS.md` §6). The wheel's geometry
+//! ([`WheelConfig`](crate::wheel::WheelConfig)) affects only the *cost* of
+//! scheduling, never the order. Determinism is pinned three ways: the `queue_`-prefixed property
+//! tests (wheel vs. reference heap), the golden fault-storm replay (swept
+//! over shard counts), and a golden replay at a non-default granularity.
+//!
+//! ## Batched fan-out
+//!
+//! Loss-free [`Tx::AllOnLink`] sends do not schedule one arrival per
+//! receiver: they enqueue a single deferred fan-out event that expands
+//! into its deliveries when it pops, and consecutive same-timestamp
+//! fan-outs coalesce into one queue entry (order-safely: a fan-out only
+//! joins a cohort whose members all key below it, and expansion pauses —
+//! re-queueing the rest — whenever a smaller-keyed event lands between two
+//! members). Event *order*, traces, stats, and RNG consumption are
+//! identical to the eager per-receiver schedule (pinned by the
+//! cohort-equivalence property tests); peak queue depth is bounded by
+//! queue *entries* instead of receivers. See `docs/INTERNALS.md` §5 and
+//! [`Sim::set_fanout_batching`].
+//!
+//! ## One run loop
+//!
+//! [`Sim::run`] and [`Sim::run_until`] are the same loop, and it works in
+//! **segments**. A segment is the stretch of node events (arrivals,
+//! timers, fan-outs) between two **global transitions** — link flips,
+//! crashes and restarts, loss overrides — or up to the `run_until`
+//! horizon: the loop takes the next global's `(time, key)` (or the
+//! horizon) as the bound, drains every shard strictly below it, dispatches
+//! the global, and repeats. Globals are stop-the-world because they mutate
+//! what every shard reads — the topology, the down/epoch tables, the
+//! routing caches — and sweep every agent; with all clocks standing at the
+//! transition's instant and no shard draining, each agent observes the
+//! change at the same point of the canonical order, at any shard count.
+//!
+//! "Drain a shard below a limit" is one method, `ShardExec::drain_below`,
+//! and one dispatch path (`ShardExec::run_one`) under it. The default
+//! single shard runs it inline on the calling thread for the whole
+//! segment: no threads, no mailboxes, no barriers, no sync windows.
+//! [`Sim::set_shards`] partitions the topology into contiguous node-range
+//! shards ([`crate::shard`]); each shard owns a
+//! [`TimerWheel`](crate::wheel::TimerWheel), per-node RNG/sequence slabs,
+//! and its agents, and a segment then drains on one scoped thread per
+//! shard, cut into lookahead-bounded conservative windows
+//! (barrier-per-window): the minimum cut-link latency `L` guarantees any
+//! event executed at `t ≥ min_next` produces cross-shard work no earlier
+//! than `min_next + L`, so each window safely drains
+//! `[min_next, min_next + L)` in parallel and exchanges boundary events at
+//! the barrier. The merged run — stats, metrics, profile, trace — is
+//! byte-identical to the single-shard run; `docs/INTERNALS.md` §6 derives
+//! the safe-window math and the boundary merge order.
+//!
+//! The two cases differ in one thing besides threads: how the drain peeks
+//! at the queue head. Workers use the wheel's *bounded* peek, which never
+//! sorts a bucket at or past the limit into the current run, so mail
+//! ingested at the next window's top still coalesces into slot tails. The
+//! sole shard keeps the *rotating* peek and compares afterwards: at each
+//! segment edge it does sort the next bucket early, which costs nothing in
+//! event order, traces or stats but is visible in
+//! [`Sim::peak_queue_depth`] (604 with the rotating peek, 358 with the
+//! bounded one, on the benchmark's `tree_1k_observed` at `--check` size)
+//! — and that figure is part of the benchmark's pinned digests. See
+//! `docs/INTERNALS.md` §6, "Two peeks".
+//!
+//! ## Module map
+//!
+//! | file | holds |
+//! |---|---|
+//! | `mod.rs` | the public vocabulary: [`Agent`], [`Tx`], [`Reliability`], [`TopologyChange`], [`Payload`], [`HotPacketFn`], [`NullAgent`] |
+//! | `world.rs` | `EventKind` / `FanoutSend`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, counters, fan-out coalescing) |
+//! | `ctx.rs` | [`Ctx`], the agent's window into a dispatch: queries, `send*` / the one `transmit` path, timers, counters |
+//! | `exec.rs` | `ShardExec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion |
+//! | `sync.rs` | `Sim::drain_segment`: the sole shard inline, or scoped workers under the three-barrier window protocol (`worker_loop`, mailboxes) |
+//! | `sim.rs` | [`Sim`]: construction, partitioning, scheduling, the start-up sweep, the segment loop, global-transition dispatch |
+//! | `observe.rs` | `Sim`'s trace / metrics / profiler / audit surface and the end-of-run merge of per-shard observability state |
+//! | `tests.rs` | unit tests |
+
+mod ctx;
+mod exec;
+mod observe;
+mod sim;
+mod sync;
+#[cfg(test)]
+mod tests;
+mod world;
+
+pub use ctx::Ctx;
+pub use sim::Sim;
+
+use crate::audit::AuditNodeState;
+use crate::id::{IfaceId, LinkId, NodeId};
+use crate::stats::TrafficClass;
+use crate::topology::Topology;
+use std::any::Any;
+use std::sync::Arc;
+
+/// An opaque timer cookie chosen by the agent; returned verbatim in
+/// [`Agent::on_timer`]. Agents encode what the timer means in the value.
+pub type TimerToken = u64;
+
+/// A frame's octets, reference-counted so one buffer is shared by every
+/// receiver on a link — and, via [`Ctx::send_shared`], by every outgoing
+/// interface of a forwarding hop. `&Payload` deref-coerces to `&[u8]`, so
+/// parsing code is unaffected; forwarding code clones the handle (a
+/// refcount bump) instead of the bytes.
+pub type Payload = Arc<[u8]>;
+
+/// Delivery reliability class for a transmitted frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reliability {
+    /// Subject to the link loss probability (UDP mode, data traffic).
+    Datagram,
+    /// Never lost, in-order per link (TCP neighbor mode with retransmission
+    /// abstracted; see module docs).
+    Reliable,
+}
+
+/// A structured description of one topology transition, delivered to every
+/// live agent via [`Agent::on_topology_change`]. This is the protocol-facing
+/// half of the failure model documented in `docs/FAILURE_MODEL.md`: agents
+/// that need to distinguish *what* changed (rather than just "routing is
+/// different now", which [`Agent::on_route_change`] conveys) match on this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopologyChange {
+    /// A link went down (scheduled fault or router crash).
+    LinkDown(LinkId),
+    /// A link came back up.
+    LinkUp(LinkId),
+    /// A router crashed: its agent — and all its soft state — is gone, and
+    /// every link that was up at the instant of the crash is now down.
+    NodeDown(NodeId),
+    /// A crashed router restarted with a fresh agent (empty soft state);
+    /// the links downed by its crash are back up.
+    NodeUp(NodeId),
+}
+
+/// Who on the link receives a transmitted frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tx {
+    /// Every endpoint of the link except the sender (LAN multicast, or the
+    /// single peer of a point-to-point link).
+    AllOnLink,
+    /// Only the named node (link-layer unicast on a LAN).
+    To(NodeId),
+}
+
+/// Protocol logic attached to one node.
+///
+/// All methods have defaults so simple agents implement only what they need.
+/// `as_any_mut` enables harness code to downcast and inspect protocol state
+/// after (or during) a run.
+///
+/// `Send` is a supertrait: under the sharded engine each shard's agents are
+/// dispatched from that shard's worker thread, so agent state must be
+/// thread-transferable (plain owned data — which every agent here already
+/// was; the bound rules out `Rc`/`RefCell` captures).
+pub trait Agent: Send {
+    /// Called once when the simulation starts, in node-id order.
+    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
+
+    /// A frame arrived on `iface`. The shared buffer handle is passed so
+    /// pure forwarding can re-transmit via [`Ctx::send_shared`] without
+    /// copying; `&Payload` coerces to `&[u8]` wherever octets are parsed.
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _bytes: &Payload, _class: TrafficClass) {}
+
+    /// A timer set by this agent fired.
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
+
+    /// A link attached to `iface` changed state. For a reliable-mode
+    /// neighbor this is the TCP connection-failure notification of §3.2.
+    fn on_link_change(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _up: bool) {}
+
+    /// Unicast routing was recomputed (any topology change). Routers use
+    /// this to re-evaluate per-channel RPF interfaces (§3.2 re-homing).
+    fn on_route_change(&mut self, _ctx: &mut Ctx<'_>) {}
+
+    /// A topology transition happened somewhere in the network. Delivered
+    /// to *every* live agent (not just link endpoints) after the affected
+    /// links flipped and routing was invalidated, and immediately before
+    /// the [`on_route_change`](Self::on_route_change) sweep. Protocols that
+    /// care what changed — not merely that routes moved — implement this;
+    /// e.g. a PIM RP could watch for [`TopologyChange::NodeDown`] of a peer.
+    fn on_topology_change(&mut self, _ctx: &mut Ctx<'_>, _change: TopologyChange) {}
+
+    /// A short stable label for this agent's *type* (`ecmp_router`,
+    /// `express_host`, …), used by the engine self-profiler to attribute
+    /// dispatch time per agent kind. The default is fine for agents that
+    /// never show up hot in a profile.
+    fn kind_name(&self) -> &'static str {
+        "agent"
+    }
+
+    /// Report this agent's protocol truth for the online auditor (see
+    /// [`crate::audit`]): routes with forwarding intent and counts,
+    /// host-side subscribe/source state. Takes `&self` on purpose — the
+    /// snapshot must be a *pure read* (no RNG draws, no sends, no state
+    /// mutation), so taking one can never perturb a deterministic run.
+    /// The default `None` exempts the node from per-node audit checks.
+    fn audit_state(&self, _topo: &Topology, _node: NodeId) -> Option<AuditNodeState> {
+        None
+    }
+
+    /// Data-path devirtualization hook: return
+    /// `Some(hot_packet_stub::<Self>())` to let the engine dispatch this
+    /// agent's data-class arrivals through a cached function pointer — one
+    /// concrete downcast plus a statically dispatched `on_packet` the
+    /// compiler can inline — instead of the per-event virtual call. The
+    /// engine refreshes its per-node cache whenever an agent is installed,
+    /// crashed, or restarted; control traffic keeps the dyn path. `None`
+    /// (the default) keeps every dispatch dynamic.
+    fn hot_packet_fn(&self) -> Option<HotPacketFn> {
+        None
+    }
+
+    /// Downcasting hook for inspection.
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// The devirtualized fast-path packet dispatch: a plain function pointer
+/// cached per node by the engine (see [`Agent::hot_packet_fn`]). Built
+/// with [`hot_packet_stub`].
+pub type HotPacketFn = fn(&mut dyn Agent, &mut Ctx<'_>, IfaceId, &Payload, TrafficClass);
+
+/// Build the [`HotPacketFn`] stub for concrete agent type `A` — the one
+/// expression an agent's [`Agent::hot_packet_fn`] needs:
+/// `Some(hot_packet_stub::<Self>())`. The stub downcasts the `dyn Agent`
+/// to `A` and calls `on_packet` statically, so the concrete body inlines
+/// into the stub.
+pub fn hot_packet_stub<A: Agent + 'static>() -> HotPacketFn {
+    |agent, ctx, iface, bytes, class| {
+        agent
+            .as_any_mut()
+            .downcast_mut::<A>()
+            .expect("hot-path stub cached for a different agent type")
+            .on_packet(ctx, iface, bytes, class)
+    }
+}
+
+/// A do-nothing agent for nodes without protocol logic.
+pub struct NullAgent;
+
+impl Agent for NullAgent {
+    fn kind_name(&self) -> &'static str {
+        "null"
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A factory producing a fresh agent for a restarted router.
+pub type AgentFactory = Box<dyn Fn() -> Box<dyn Agent>>;

@@ -1,0 +1,446 @@
+//! The engine's state: the event vocabulary of the queues (`EventKind`,
+//! `FanoutSend`), the read-mostly half every shard shares (`Shared`), and
+//! one shard's mutable half (`World`) — its wheel, per-node slabs,
+//! counters and the fan-out coalescing that feeds the wheel.
+
+use super::{Payload, TimerToken};
+use crate::id::{IfaceId, LinkId, NodeId};
+use crate::metrics::Metrics;
+use crate::prof::{EventClass, Profiler};
+use crate::routing::Routing;
+use crate::shard::ShardPlan;
+use crate::stats::{CounterId, Stats, TrafficClass};
+use crate::time::SimTime;
+use crate::topology::Topology;
+use crate::trace::{DropReason, PacketId, ProtoEvent, TraceKind, Tracer};
+use crate::wheel::{TimerWheel, WheelConfig};
+use express_wire::addr::Channel;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+#[derive(Debug)]
+pub(super) enum EventKind {
+    Arrival {
+        node: NodeId,
+        iface: IfaceId,
+        bytes: Payload,
+        class: TrafficClass,
+        cause: ArrivalCause,
+    },
+    Timer {
+        node: NodeId,
+        token: TimerToken,
+        /// Node restart epoch at scheduling time; a timer set by a crashed
+        /// agent must not fire into its replacement.
+        epoch: u64,
+    },
+    LinkChange {
+        link: LinkId,
+        up: bool,
+    },
+    /// Router crash (`up: false`) / restart (`up: true`); see
+    /// [`Sim::schedule_crash`].
+    NodeChange {
+        node: NodeId,
+        up: bool,
+    },
+    /// Set (`Some`) or clear (`None`) a temporary loss-probability override
+    /// on a link — the building block of time-windowed loss bursts.
+    LossChange {
+        link: LinkId,
+        loss: Option<f64>,
+    },
+    /// A deferred fan-out: one send whose per-receiver arrivals are
+    /// expanded inline when the event pops instead of being scheduled
+    /// individually (the batched data path; see `docs/INTERNALS.md` §5).
+    /// On a cut link the same event (same key) is mirrored into every
+    /// shard the link touches; each expands only its own endpoints.
+    Fanout(FanoutSend),
+    /// Consecutive same-timestamp fan-outs coalesced into one queue entry
+    /// by `World::push_fanout`; members are kept in ascending key order and
+    /// expanded against the pause rule (see `ShardExec::expand_cohort`).
+    /// The last member always owns its frame (see [`FanoutSend::bytes`]).
+    FanoutCohort(Vec<FanoutSend>),
+}
+
+/// One deferred link transmission: everything needed to expand the
+/// per-receiver arrivals of a [`Ctx::send_shared`] at drain time. Only
+/// loss-free sends defer (a lossy datagram send must draw its per-receiver
+/// RNG at send time to keep the random stream identical to the eager
+/// path), so expansion needs no RNG.
+#[derive(Debug)]
+pub(super) struct FanoutSend {
+    /// The sending node (skipped during the endpoint walk).
+    pub(super) node: NodeId,
+    /// The sender's interface; the link is re-resolved at expansion.
+    pub(super) iface: IfaceId,
+    /// The frame, by reference within a cohort: a run of consecutive
+    /// members transmitting the same handle (every router of a tree level
+    /// forwarding one derived frame) keeps a single owner, its **last**
+    /// member, and the members before it hold `None`. Joining a run moves
+    /// the handle from the old tail to the newcomer, and a paused cohort's
+    /// re-queued tail still ends in its owners, so neither touches a
+    /// refcount. A fan-out outside a cohort always owns its frame.
+    pub(super) bytes: Option<Payload>,
+    pub(super) class: TrafficClass,
+    pub(super) cause: ArrivalCause,
+    /// The canonical event key this fan-out executes under — also the key
+    /// its trace records carry in every shard that expands a mirror of it.
+    pub(super) key: u128,
+}
+
+/// The profiler's attribution class for an event (the public face of the
+/// private [`EventKind`]).
+pub(super) fn event_class(kind: &EventKind) -> EventClass {
+    match kind {
+        EventKind::Arrival { .. } => EventClass::Arrival,
+        EventKind::Timer { .. } => EventClass::Timer,
+        EventKind::LinkChange { .. } => EventClass::LinkChange,
+        EventKind::NodeChange { .. } => EventClass::NodeChange,
+        EventKind::LossChange { .. } => EventClass::LossChange,
+        EventKind::Fanout(..) | EventKind::FanoutCohort(..) => EventClass::Fanout,
+    }
+}
+
+/// The node an event dispatches into, when it has one. (Fan-outs dispatch
+/// into many nodes; the batched path attributes per delivery instead.)
+pub(super) fn event_node(kind: &EventKind) -> Option<NodeId> {
+    match kind {
+        EventKind::Arrival { node, .. } | EventKind::Timer { node, .. } => Some(*node),
+        _ => None,
+    }
+}
+
+/// Engine state read by every shard and mutated only by the coordinator
+/// between parallel windows: the topology, fault state, and the partition
+/// plan. Workers hold `&Shared`; no part of it is cloned per shard.
+pub(super) struct Shared {
+    pub(super) topo: Topology,
+    /// The run seed; per-node RNG streams derive from it (see `node_seed`).
+    pub(super) seed: u64,
+    /// Per-node "process is down" flag (router crash); arrivals and timers
+    /// for a down node are discarded.
+    pub(super) node_down: Vec<bool>,
+    /// Per-node restart epoch, bumped at each crash; guards stale timers.
+    pub(super) node_epoch: Vec<u64>,
+    /// Temporary per-link loss-probability overrides (loss bursts).
+    pub(super) loss_override: HashMap<LinkId, f64>,
+    /// Deferred fan-out batching (on by default; `Sim::set_fanout_batching`
+    /// turns it off for the eager reference semantics).
+    pub(super) batch_fanout: bool,
+    /// The shard partition ([`ShardPlan::single`] until `Sim::set_shards`).
+    pub(super) plan: ShardPlan,
+}
+
+/// Derive node `node`'s RNG seed from the run seed — a SplitMix64-style
+/// mix, so per-node streams are decorrelated and, crucially, independent
+/// of the shard layout.
+pub(super) fn node_seed(seed: u64, node: u32) -> u64 {
+    let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node as u64 + 1);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A frame's causal identity, carried by its arrival events and, while one
+/// is being dispatched, standing as the dispatch's cause: its id, the root
+/// of its causal chain, and when that root entered the wire. Frames sent
+/// during the dispatch inherit the root — this is how one data packet is
+/// followed source → receivers across forwarding hops without inspecting
+/// payloads.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ArrivalCause {
+    /// The frame's id (one per `Ctx::send`; LAN copies share it).
+    pub(super) id: PacketId,
+    /// Root of the causal chain this frame belongs to (see
+    /// `trace::TraceKind::PacketTx`).
+    pub(super) root: PacketId,
+    /// When the root frame entered the wire — the chain's birth time,
+    /// carried so delivery latency needs no lookup table.
+    pub(super) root_at: SimTime,
+}
+
+/// One remembered [`Ctx::derive_frame`] result. Holding `src` keeps the
+/// source buffer alive, so no other frame can be allocated at its address
+/// while the entry stands: pointer identity cannot alias (no ABA).
+pub(super) struct DerivedFrame {
+    pub(super) src: Payload,
+    pub(super) tag: u32,
+    pub(super) out: Payload,
+}
+
+/// One shard's mutable half of the engine: the node range `[base, limit)`,
+/// its event wheel, per-node RNG/sequence slabs, and its own observability
+/// state (stats / metrics / trace / profiler), merged into shard 0 at the
+/// end of a sharded run. The default single shard is exactly one `World`
+/// covering every node.
+pub(super) struct World {
+    /// This world's index in the plan.
+    pub(super) shard: usize,
+    /// First node id owned by this shard.
+    pub(super) base: u32,
+    /// One past the last node id owned by this shard.
+    pub(super) limit: u32,
+    /// Per-shard unicast routing cache (a pure function of the topology;
+    /// invalidated by the coordinator on every topology change).
+    pub(super) routing: Routing,
+    pub(super) stats: Stats,
+    /// Per-owned-node deterministic RNG streams, indexed `node - base`.
+    pub(super) rngs: Vec<StdRng>,
+    /// Per-owned-node canonical-key counters (`source rank << 64 | seq`).
+    pub(super) src_seq: Vec<u64>,
+    /// Per-owned-node packet-id counters (`(node + 1) << 40 | seq`).
+    pub(super) pkt_seq: Vec<u64>,
+    pub(super) now: SimTime,
+    /// The pending-event set: a calendar-queue timer wheel popping in the
+    /// deterministic `(timestamp, key)` total order (see [`crate::wheel`]).
+    pub(super) queue: TimerWheel<EventKind>,
+    pub(super) events_processed: u64,
+    /// High-water mark of this shard's event queue (capacity planning for
+    /// large-scale runs; reported by the scale benchmarks).
+    pub(super) peak_queue_depth: usize,
+    /// Structured event capture (`None` = tracing disabled, the default).
+    pub(super) trace: Option<Tracer>,
+    /// Time-series metrics (`None` = disabled, the default).
+    pub(super) metrics: Option<Metrics>,
+    /// Engine self-profiler (`None` = disabled, the default).
+    pub(super) prof: Option<Profiler>,
+    /// Causal context of the arrival currently being dispatched, if any.
+    pub(super) cause: Option<ArrivalCause>,
+    /// Canonical key of the event being dispatched — the trace tag every
+    /// record emitted during the dispatch carries.
+    pub(super) cur_key: u128,
+    /// Running sub-tag within the current event (fan-out deliveries use
+    /// `endpoint slab index << 32 | counter` so mirrored expansions merge
+    /// in endpoint order).
+    pub(super) cur_sub: u64,
+    /// The last frame derivation performed in this shard (see
+    /// [`Ctx::derive_frame`]).
+    pub(super) derived: Option<DerivedFrame>,
+    /// Derivations actually run: [`Ctx::derive_frame`] misses.
+    pub(super) frames_derived: u64,
+    /// Recycled cohort buffers from drained `FanoutCohort` events.
+    pub(super) fanout_spares: Vec<Vec<FanoutSend>>,
+    /// Scratch for the eager (lossy/unicast) send path's bulk schedule.
+    pub(super) bulk_scratch: Vec<(u128, EventKind)>,
+    /// Cross-shard events produced this window: `(dest shard, at, key,
+    /// event)`, flushed into the dest's mailbox at the window barrier.
+    pub(super) outbox: Vec<(usize, SimTime, u128, EventKind)>,
+    /// Conservative-sync windows this shard executed (sharded runs only).
+    pub(super) sync_windows: u64,
+    /// Wall time this shard's worker spent blocked at window barriers, ns.
+    pub(super) sync_stall_ns: u64,
+}
+
+impl World {
+    /// Cap on retained cohort buffers recycled between fan-out pops. The
+    /// cap bounds the *count*, not the bytes: a workload's cohort width
+    /// sets each buffer's capacity. It must cover the transient demand of
+    /// a dispatch wave — interleaved senders (e.g. the random-topology
+    /// protocol bench) keep a few hundred small cohorts in flight at
+    /// once, and a pool miss is one heap allocation per new cohort on
+    /// the hot path.
+    pub(super) const FANOUT_SPARES_MAX: usize = 256;
+
+    pub(super) fn new(topo: &Topology, seed: u64, wheel: WheelConfig, shard: usize, base: u32, limit: u32) -> World {
+        let span = (limit - base) as usize;
+        World {
+            shard,
+            base,
+            limit,
+            routing: Routing::new(),
+            stats: Stats::new(topo.link_count()),
+            rngs: (base..limit).map(|i| StdRng::seed_from_u64(node_seed(seed, i))).collect(),
+            src_seq: vec![0; span],
+            pkt_seq: vec![0; span],
+            now: SimTime::ZERO,
+            queue: TimerWheel::new(wheel),
+            events_processed: 0,
+            peak_queue_depth: 0,
+            trace: None,
+            metrics: None,
+            prof: None,
+            cause: None,
+            cur_key: 0,
+            cur_sub: 0,
+            derived: None,
+            frames_derived: 0,
+            fanout_spares: Vec::new(),
+            bulk_scratch: Vec::new(),
+            outbox: Vec::new(),
+            sync_windows: 0,
+            sync_stall_ns: 0,
+        }
+    }
+
+    /// Shard-relative slab index of an owned node.
+    #[inline]
+    pub(super) fn local(&self, node: NodeId) -> usize {
+        (node.0 - self.base) as usize
+    }
+
+    /// Allocate the next canonical event key for events scheduled by
+    /// `node` (an owned node): `rank << 64 | seq`, rank = id + 1.
+    #[inline]
+    pub(super) fn next_key(&mut self, node: NodeId) -> u128 {
+        let i = (node.0 - self.base) as usize;
+        let s = self.src_seq[i];
+        self.src_seq[i] += 1;
+        ((node.0 as u128 + 1) << 64) | s as u128
+    }
+
+    pub(super) fn push(&mut self, at: SimTime, key: u128, kind: EventKind) {
+        self.queue.push_keyed(at, key, kind);
+        if self.queue.len() > self.peak_queue_depth {
+            self.peak_queue_depth = self.queue.len();
+        }
+    }
+
+    /// Queue a deferred fan-out of `frame` at `(at, fs.key)`, coalescing
+    /// with the queue's most recent same-timestamp entry when that entry is
+    /// itself a fan-out *and* every member of it keys below the newcomer — a
+    /// forwarding hop emitting k same-latency sends back to back occupies
+    /// one queue entry instead of k. The ascending-key condition keeps pop
+    /// order canonical: a cohort pops at its first member's key, and
+    /// expansion pauses at any member a smaller-keyed interloper undercuts
+    /// (see `ShardExec::expand_cohort`).
+    ///
+    /// `fs` arrives without its frame. Joining a cohort whose tail
+    /// transmits the same handle takes that handle over from the tail (see
+    /// [`FanoutSend::bytes`]); only otherwise is `frame` made owned, so a
+    /// borrowed frame fanned out behind its own earlier send costs no
+    /// refcount operation at all.
+    pub(super) fn push_fanout(&mut self, at: SimTime, mut fs: FanoutSend, frame: Cow<'_, Payload>) {
+        debug_assert!(fs.bytes.is_none());
+        if let Some(last) = self.queue.tail_mut_at(at) {
+            let tail = match last {
+                EventKind::FanoutCohort(v) => v.last_mut(),
+                EventKind::Fanout(prev) => Some(prev),
+                _ => None,
+            };
+            if let Some(tail) = tail.filter(|t| t.key < fs.key) {
+                fs.bytes = match &tail.bytes {
+                    Some(b) if Arc::ptr_eq(b, &frame) => tail.bytes.take(),
+                    _ => Some(frame.into_owned()),
+                };
+                if let EventKind::FanoutCohort(v) = last {
+                    v.push(fs);
+                } else {
+                    // Upgrade the tail entry in place to a two-member cohort.
+                    let cohort = EventKind::FanoutCohort(self.fanout_spares.pop().unwrap_or_default());
+                    let EventKind::Fanout(prev) = std::mem::replace(last, cohort) else { unreachable!() };
+                    let EventKind::FanoutCohort(v) = last else { unreachable!() };
+                    v.push(prev);
+                    v.push(fs);
+                }
+                return;
+            }
+        }
+        fs.bytes = Some(frame.into_owned());
+        self.push(at, fs.key, EventKind::Fanout(fs));
+    }
+
+    /// Record a trace event if tracing is enabled (filters and causal
+    /// sampling applied inside; packet events carry their own root). The
+    /// record is tagged with the dispatching event's canonical key and the
+    /// running sub-counter — the shard-invariant merge order.
+    pub(super) fn trace_push(&mut self, kind: TraceKind) {
+        if let Some(t) = &mut self.trace {
+            let sub = self.cur_sub;
+            self.cur_sub += 1;
+            t.push(self.now, kind, self.cur_key, sub);
+        }
+    }
+
+    /// Record that `frame` was dropped on `link` instead of delivered.
+    pub(super) fn trace_drop(&mut self, link: LinkId, frame: ArrivalCause, reason: DropReason, class: TrafficClass) {
+        let (id, root) = (frame.id, frame.root);
+        self.trace_push(TraceKind::PacketDrop { link, id, root, reason, class });
+    }
+
+    /// Like [`trace_push`](Self::trace_push) for rootless records (protocol
+    /// events): sampled by the causal root of the arrival being dispatched,
+    /// if any, so a kept chain keeps the counter bumps it caused.
+    pub(super) fn trace_push_ambient(&mut self, kind: TraceKind) {
+        if let Some(t) = &mut self.trace {
+            let sub = self.cur_sub;
+            self.cur_sub += 1;
+            t.push_caused(self.now, kind, self.cause.map(|c| c.root), self.cur_key, sub);
+        }
+    }
+
+    /// Mirror a counter bump into the trace as a protocol event.
+    fn trace_count(&mut self, node: NodeId, name: Cow<'static, str>, channel: Option<String>, delta: u64) {
+        let event = ProtoEvent { name, channel, value: Some(delta), detail: None };
+        self.trace_push_ambient(TraceKind::Proto { node, event });
+    }
+
+    /// Bump named counter `key` by `delta` on behalf of `node`: updates
+    /// [`Stats`], feeds the metrics time series, and mirrors the bump as a
+    /// protocol trace event so existing instrumentation appears in
+    /// timelines without per-call-site changes.
+    pub(super) fn count(&mut self, node: NodeId, key: &'static str, delta: u64) {
+        self.stats.count(key, delta);
+        if let Some(m) = &mut self.metrics {
+            m.on_count(self.now, key, delta);
+        }
+        if self.trace.is_some() {
+            self.trace_count(node, Cow::Borrowed(key), None, delta);
+        }
+    }
+
+    /// Bump a pre-registered counter by handle — the per-packet fast path:
+    /// one array index when neither metrics nor tracing is on. The mirrors
+    /// resolve the interned name only when they are enabled.
+    pub(super) fn count_id(&mut self, node: NodeId, id: CounterId, delta: u64) {
+        self.stats.count_id(id, delta);
+        if self.metrics.is_some() || self.trace.is_some() {
+            let name = self.stats.name_of(id).clone();
+            if let Some(m) = &mut self.metrics {
+                m.on_count(self.now, name.as_ref(), delta);
+            }
+            if self.trace.is_some() {
+                self.trace_count(node, name, None, delta);
+            }
+        }
+    }
+
+    /// Bump the per-channel labeled counter `base{chan=channel}` through
+    /// the interned `(base, channel)` handle: no formatting on the hot
+    /// path. Mirrors keep the pre-interning shapes — the metrics series is
+    /// keyed by the full composed name, the trace event carries `base` as
+    /// the name and the channel separately (so channel filters apply).
+    pub(super) fn count_channel(&mut self, node: NodeId, base: &'static str, channel: Channel, delta: u64) {
+        let id = self.stats.channel_counter(base, channel);
+        self.stats.count_id(id, delta);
+        if self.metrics.is_some() || self.trace.is_some() {
+            if let Some(m) = &mut self.metrics {
+                let full = self.stats.name_of(id).clone();
+                m.on_count(self.now, full.as_ref(), delta);
+            }
+            if self.trace.is_some() {
+                self.trace_count(node, Cow::Borrowed(base), Some(channel.to_string()), delta);
+            }
+        }
+    }
+
+    /// Like [`count`](Self::count) but for a per-channel labeled counter
+    /// `base{chan=label}`. The label formats into [`Stats`]' interned key;
+    /// the trace event keeps `base` as the name and the label as the
+    /// channel (so channel filters apply).
+    pub(super) fn count_labeled(&mut self, node: NodeId, base: &'static str, label: &dyn std::fmt::Display, delta: u64) {
+        self.stats.count_labeled(base, label, delta);
+        if self.metrics.is_some() || self.trace.is_some() {
+            let chan = label.to_string();
+            if let Some(m) = &mut self.metrics {
+                m.on_count(self.now, &format!("{base}{{chan={chan}}}"), delta);
+            }
+            if self.trace.is_some() {
+                self.trace_count(node, Cow::Borrowed(base), Some(chan), delta);
+            }
+        }
+    }
+}

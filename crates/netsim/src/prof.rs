@@ -565,7 +565,7 @@ pub struct ProfReport {
     /// `floor(log2(deliveries))` — the non-empty power-of-two buckets,
     /// ascending.
     pub fanout_size_pow2: Vec<(u32, u64)>,
-    /// Conservative-sync windows executed (sharded runs; 0 on classic runs).
+    /// Conservative-sync windows executed (sharded runs; 0 at one shard, which meets no barrier).
     pub sync_windows: u64,
     /// Wall time all shard workers spent blocked at window barriers, ns.
     pub sync_stall_ns: u64,

@@ -52,7 +52,8 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// The trivial single-shard plan (the classic sequential engine).
+    /// The trivial single-shard plan: every node in shard 0, nothing cut —
+    /// what a `Sim` runs under until `set_shards` (drained inline, no threads).
     pub fn single(topo: &Topology) -> ShardPlan {
         ShardPlan {
             bounds: vec![0, topo.node_count() as u32],
@@ -325,7 +326,7 @@ mod tests {
                 .unwrap();
         }
         let plan = partition(&topo, 2);
-        assert_eq!(plan.shard_count(), 1, "fell back to the classic engine");
+        assert_eq!(plan.shard_count(), 1, "fell back to a single shard");
     }
 
     #[test]

@@ -503,7 +503,7 @@ pub trait TraceSink: Send {
     /// causing queue entry's key (`source rank << 64 | per-source seq`) and
     /// a per-event sub-sequence. The sharded engine emits every event
     /// through this hook so per-shard captures can be merged back into the
-    /// classic emission order; sinks that never participate in a merge
+    /// single-shard emission order; sinks that never participate in a merge
     /// (e.g. [`JsonlSink`]) ignore the tag.
     fn record_tagged(&mut self, event: TraceEvent, _key: u128, _sub: u64) {
         self.record(event);
@@ -589,7 +589,7 @@ impl TraceBuffer {
     }
 
     /// Rebuild a buffer from merged `(event, key, sub)` triples, applying
-    /// `cfg.capacity` as the classic ring would (oldest events beyond
+    /// `cfg.capacity` as a live ring would (oldest events beyond
     /// capacity are dropped and counted on top of `overwritten`).
     pub(crate) fn from_tagged(
         cfg: TraceConfig,

@@ -338,7 +338,7 @@ fn batching_is_wheel_granularity_independent() {
 fn batched_cohorts_are_shard_count_independent() {
     // The sharded parallel drain must commute with cohort batching: a
     // protocol run partitioned over 2 or 4 worker shards produces the same
-    // bytes as the classic sequential engine, batched or not.
+    // bytes as the single-shard run, batched or not.
     for batch in [true, false] {
         let (trace_1, stats_1) =
             protocol_run(5, 505, batch, WheelConfig::default(), &Partition::Shards(1));

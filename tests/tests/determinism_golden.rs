@@ -49,6 +49,12 @@ fn run_storm(seed: u64) -> (String, String) {
 /// shard-independence pin reruns it partitioned 2- and 4-way, and both
 /// demand the same golden bytes.
 fn run_storm_with(seed: u64, wheel: WheelConfig, shards: usize) -> (String, String) {
+    run_storm_sliced(seed, wheel, shards, 1)
+}
+
+/// Same storm again, its 2.6 s driven as `slices` equal `run_until` calls
+/// instead of one.
+fn run_storm_sliced(seed: u64, wheel: WheelConfig, shards: usize, slices: u64) -> (String, String) {
     let g = topogen::random_connected(30, 10, 40, LinkSpec::default(), 77);
     let mut sim = Sim::new_with_wheel(g.topo.clone(), seed, wheel);
     sim.set_shards(shards);
@@ -88,7 +94,11 @@ fn run_storm_with(seed: u64, wheel: WheelConfig, shards: usize) -> (String, Stri
         .apply(&mut sim);
 
     sim.enable_trace(TraceConfig::default());
-    sim.run_until(at_ms(2_600));
+    let end = at_ms(2_600).0;
+    assert_eq!(end % slices, 0, "slices must be equal");
+    for slice in 1..=slices {
+        sim.run_until(SimTime(end / slices * slice));
+    }
 
     let trace = sim.take_trace().expect("trace enabled").to_jsonl();
     (trace, stats_dump(&sim))
@@ -301,5 +311,28 @@ fn fault_storm_is_shard_count_independent() {
         let (trace, stats) = run_storm_with(4242, WheelConfig::default(), shards);
         assert_eq!(trace, want_trace, "trace diverged at {shards} shards");
         assert_eq!(stats, want_stats, "stats diverged at {shards} shards");
+    }
+}
+
+#[test]
+fn fault_storm_is_run_until_slicing_independent() {
+    // Where the harness cuts a run into `run_until` calls must not show:
+    // the storm as one call and as 1 000 slices of 2.6 ms — most of them
+    // ending between two events of one burst, several on a fault's own
+    // microsecond — gives the same trace, counters, per-link totals and
+    // `events_processed`, whether a segment drains inline (one shard) or
+    // in parallel windows (two). A fault search that probes a schedule
+    // slice by slice leans on exactly this. `peak_queue_depth` is
+    // deliberately not compared: every slice edge makes the sole shard's
+    // rotating peek sort the next bucket early, which moves that
+    // high-water mark and nothing else (see `ShardExec::drain_below`).
+    for shards in [1, 2] {
+        let (trace, stats) = run_storm_sliced(4242, WheelConfig::default(), shards, 1);
+        let (sliced_trace, sliced_stats) = run_storm_sliced(4242, WheelConfig::default(), shards, 1_000);
+        if let Some((n, (a, b))) = trace.lines().zip(sliced_trace.lines()).enumerate().find(|(_, (a, b))| a != b) {
+            panic!("{shards} shard(s): the sliced run diverges at trace line {}:\n  {a}\n  {b}", n + 1);
+        }
+        assert_eq!(trace.len(), sliced_trace.len(), "{shards} shard(s): trace length");
+        assert_eq!(stats, sliced_stats, "{shards} shard(s): stats dump");
     }
 }
