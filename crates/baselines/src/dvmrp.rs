@@ -291,6 +291,8 @@ impl Agent for DvmrpRouter {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.hot_data_fwd = Some(ctx.counter("dvmrp.data_fwd"));
+        // Prune state is flushed on the topology hook.
+        ctx.watch_topology();
     }
 
     fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {

@@ -491,6 +491,8 @@ impl Agent for PimRouter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.hot_data_fwd = Some(ctx.counter("pim.data_fwd"));
         ctx.set_timer(self.cfg.join_refresh, TIMER_REFRESH);
+        // Re-join on the topology hook, not a refresh period later.
+        ctx.watch_topology();
     }
 
     fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {

@@ -392,7 +392,9 @@ struct ControlPlane {
     /// flushed (batched per neighbor) before the callback returns. Empty
     /// between dispatches; its capacity is kept.
     txq: Vec<Queued>,
-    /// Interned by the first dispatch that reaches the control plane.
+    /// Interned by the first dispatch that reaches the control plane, which
+    /// is also where the router starts listening for route changes (see
+    /// [`EcmpRouter::control_if_any`]).
     ids: Option<EcmpCounters>,
 }
 
@@ -541,14 +543,30 @@ impl EcmpRouter {
 
     /// The control plane as it stands: `None` while nothing has needed one,
     /// which every caller treats as an empty one.
+    ///
+    /// The first dispatch to find one — allocated just now by
+    /// [`control`](Self::control), or earlier from outside by
+    /// [`schedule_local_count`](Self::schedule_local_count) — registers the
+    /// router for topology callbacks: from here on there may be channels to
+    /// re-home. Not in `on_start`: a router without a control plane has
+    /// nothing [`on_route_change`](Agent::on_route_change) could
+    /// re-evaluate, and on a static-route tree that is every router. `ids`
+    /// going `None` → `Some` is the once-per-agent mark of that dispatch, so
+    /// the registration lives and moves with the counter interning
+    /// (`static_route_router_holds_no_control_plane_until_the_first_count`
+    /// pins both directions: not from `on_start`, and from the first Count).
     fn control_if_any(&mut self, ctx: &mut Ctx<'_>) -> Option<Control<'_>> {
         let ControlPlane { tables, timers, txq, ids } = self.ctl.as_deref_mut()?;
+        let ids = *ids.get_or_insert_with(|| {
+            ctx.watch_topology();
+            EcmpCounters::intern(ctx)
+        });
         Some(Control {
             port: Port {
                 cfg: &self.cfg,
                 fib: &mut self.fwd.fib,
                 counters: &mut self.counters,
-                ids: *ids.get_or_insert_with(|| EcmpCounters::intern(ctx)),
+                ids,
                 txq,
                 timers,
             },
@@ -1667,7 +1685,7 @@ mod tests {
     /// faces `src`), the router holding one static route for `src`'s
     /// channel 1 toward `sink`; the hosts' scripts start empty. Returns
     /// `(sim, [src, router, sink], channel)`.
-    fn static_route_line() -> (Sim, [NodeId; 3], Channel) {
+    fn static_route_line() -> (Sim, [NodeId; 3], Channel, HookLog) {
         let mut topo = Topology::new();
         let (src, r, sink) = (topo.add_host(), topo.add_router(), topo.add_host());
         topo.connect(src, r, LinkSpec::default()).unwrap();
@@ -1676,10 +1694,11 @@ mod tests {
         let mut sim = Sim::new(topo, 1);
         let mut router = EcmpRouter::new(quiet_cfg());
         router.install_static_route(FibEntry::new(chan, 0, 0b10).unwrap());
-        sim.set_agent(r, Box::new(router));
+        let hooks = HookLog::default();
+        sim.set_agent(r, hooked(router, &hooks));
         sim.set_agent(src, Box::new(Scripted::default()));
         sim.set_agent(sink, Box::new(Scripted::default()));
-        (sim, [src, r, sink], chan)
+        (sim, [src, r, sink], chan, hooks)
     }
 
     fn script(sim: &mut Sim, host: NodeId, sends: Vec<(u64, TrafficClass, Vec<u8>)>) {
@@ -1688,7 +1707,7 @@ mod tests {
 
     #[test]
     fn ttl_expired_data_is_a_ttl_drop_and_not_a_forward() {
-        let (mut sim, [src, r, sink], chan) = static_route_line();
+        let (mut sim, [src, r, sink], chan, _) = static_route_line();
         let unknown = Channel::new(chan.source, 2).unwrap();
         let expired = vec![
             (1, TrafficClass::Data, packets::channel_data(chan, 16, 1)),
@@ -1735,7 +1754,7 @@ mod tests {
     #[test]
     fn static_route_router_holds_no_control_plane_until_the_first_count() {
         const PACKETS: u64 = 50;
-        let (mut sim, [src, r, sink], chan) = static_route_line();
+        let (mut sim, [src, r, sink], chan, hooks) = static_route_line();
         let data = (0..PACKETS)
             .map(|i| (10 + i, TrafficClass::Data, packets::channel_data(chan, 16, packets::DEFAULT_TTL)))
             .collect();
@@ -1764,6 +1783,9 @@ mod tests {
         let router = sim.agent_as::<EcmpRouter>(r).unwrap();
         assert_eq!(router.counters.data_forwarded, PACKETS);
         assert!(router.ctl.is_none(), "forwarding, a flap, a route change and a stray timer allocate nothing");
+        // Nor did `on_start` or any of it register the router: the engine
+        // handed it neither sweep of either transition.
+        assert_eq!(*hooks.lock().unwrap(), []);
         let empty = EcmpRouter {
             ctl: Some(Box::default()),
             ..EcmpRouter::new(quiet_cfg())
@@ -1783,6 +1805,137 @@ mod tests {
         assert_eq!(router.upstream_of(chan), Some(src_ip));
         assert_eq!(router.counters.counts_tx, 1, "the join went on toward the source");
         assert!(sim.agent_as::<Scripted>(src).unwrap().got >= 1);
+
+        // With a channel to re-home, the router listens: losing the link
+        // toward the source — no link of the sink's — orphans the channel.
+        sim.schedule_link_change(SimTime(1_100_000), LinkId(0), false);
+        sim.run_until(SimTime(1_200_000));
+        assert_eq!(sim.agent_as::<EcmpRouter>(r).unwrap().counters.rehomes, 1);
+        assert_eq!(sim.stats().named("ecmp.rehome"), 1);
+        assert_eq!(*hooks.lock().unwrap(), [r, r], "one transition, both sweeps");
+    }
+
+    /// Hands every callback to the agent inside (which is also what a
+    /// downcast reaches) and logs the node of each topology hook it is
+    /// given: what the engine dispatched, whatever the agent made of it.
+    struct Hooked<A> {
+        inner: A,
+        hooks: HookLog,
+    }
+
+    type HookLog = std::sync::Arc<std::sync::Mutex<Vec<NodeId>>>;
+
+    fn hooked<A: Agent + 'static>(inner: A, hooks: &HookLog) -> Box<dyn Agent> {
+        Box::new(Hooked { inner, hooks: hooks.clone() })
+    }
+
+    impl<A: Agent> Agent for Hooked<A> {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.inner.on_start(ctx)
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
+            self.inner.on_packet(ctx, iface, bytes, class)
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.inner.on_timer(ctx, token)
+        }
+        fn on_link_change(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
+            self.inner.on_link_change(ctx, iface, up)
+        }
+        fn on_route_change(&mut self, ctx: &mut Ctx<'_>) {
+            self.hooks.lock().unwrap().push(ctx.node_id());
+            self.inner.on_route_change(ctx)
+        }
+        fn on_topology_change(&mut self, ctx: &mut Ctx<'_>, change: netsim::engine::TopologyChange) {
+            self.hooks.lock().unwrap().push(ctx.node_id());
+            self.inner.on_topology_change(ctx, change)
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self.inner.as_any_mut()
+        }
+    }
+
+    #[test]
+    fn a_router_listens_from_its_first_control_dispatch_and_not_before() {
+        const DEPTH: usize = 8;
+        let g = netsim::topogen::kary_tree(2, DEPTH, LinkSpec::default());
+        let (src, sinks) = (g.hosts[0], &g.hosts[1..]);
+        let topo = g.topo.clone();
+        let up = |n: NodeId| topo.neighbors_on(n, IfaceId(0))[0].0;
+        let data = Channel::new(topo.ip(src), 1).unwrap();
+        let joined = Channel::new(topo.ip(src), 2).unwrap();
+        let mut sim = Sim::new(g.topo, 1);
+        let hooks = HookLog::default();
+
+        // Every router forwards `data` on a static route: in on interface 0
+        // (toward the source), out on all the others.
+        for &r in &g.routers {
+            let mut router = EcmpRouter::new(quiet_cfg());
+            let all = (1u32 << topo.iface_count(r)) - 1;
+            router.install_static_route(FibEntry::new(data, 0, all & !1).unwrap());
+            sim.set_agent(r, hooked(router, &hooks));
+        }
+        let waves = [10, 100, 600, 900];
+        let wave = |&at| (at, TrafficClass::Data, packets::channel_data(data, 16, packets::DEFAULT_TTL));
+        sim.set_agent(src, hooked(Scripted { sends: waves.iter().map(wave).collect(), got: 0 }, &hooks));
+        // The first sink joins a second channel at 300 ms; its Count
+        // travels the DEPTH + 1 routers between it and the source.
+        let leaf = up(sinks[0]);
+        let path: Vec<NodeId> = std::iter::successors(Some(leaf), |&r| Some(up(r)).filter(|&n| n != src)).collect();
+        assert_eq!(path.len(), DEPTH + 1);
+        let join = ecmp_from(&sim, sinks[0], leaf, tree_count(joined, 1));
+        sim.set_agent(sinks[0], hooked(Scripted { sends: vec![(300, TrafficClass::Control, join)], got: 0 }, &hooks));
+        for &h in &sinks[1..] {
+            sim.set_agent(h, hooked(Scripted::default(), &hooks));
+        }
+        // Another leaf router is given a control plane from outside, which
+        // no dispatch reaches before the count's timer at 700 ms.
+        let counter = up(sinks[sinks.len() / 2]);
+        EcmpRouter::schedule_local_count(&mut sim, counter, SimTime(700_000), data, CountId::SUBSCRIBERS, SimDuration::from_millis(50));
+
+        let ms = |t: u64| SimTime(t * 1_000);
+        let last_link = LinkId(topo.link_count() as u32 - 1); // a leaf router — its sink
+        let uplink = topo.link_of(leaf, IfaceId(0)).unwrap();
+        sim.schedule_link_change(ms(50), last_link, false);
+        sim.schedule_link_change(ms(60), last_link, true);
+        sim.schedule_link_change(ms(400), uplink, false);
+        sim.schedule_link_change(ms(500), uplink, true);
+        sim.schedule_link_change(ms(800), last_link, false);
+        sim.schedule_link_change(ms(810), last_link, true);
+        // Who was given a hook since the last look, in ascending id.
+        let hooked_since = || {
+            let mut nodes = std::mem::take(&mut *hooks.lock().unwrap());
+            nodes.sort_unstable();
+            nodes
+        };
+        // Twice per hook: one flap is two transitions.
+        let twice = |nodes: &[NodeId]| {
+            let mut nodes = [nodes, nodes, nodes, nodes].concat();
+            nodes.sort_unstable();
+            nodes
+        };
+
+        // Nothing but static routes: a flap dispatches no hook at all.
+        sim.run_until(ms(200));
+        assert_eq!(hooked_since(), []);
+        // The join made listeners of the routers it went through, and of
+        // nobody else — not of the router whose control plane only exists.
+        sim.run_until(ms(650));
+        assert_eq!(hooked_since(), twice(&path));
+        // Orphaned at 400 ms; the way back waits out the hysteresis.
+        assert_eq!(sim.agent_as::<EcmpRouter>(leaf).unwrap().counters.rehomes, 1);
+        assert_eq!(sim.stats().named("ecmp.rehome"), 1);
+        assert!(sim.agent_as::<EcmpRouter>(up(leaf)).unwrap().ctl.is_some());
+        // The count's timer was the first dispatch to meet that one.
+        sim.run_until(ms(1_000));
+        assert_eq!(hooked_since(), twice(&[&path[..], &[counter]].concat()));
+
+        // The static tree stood throughout: every wave reached every sink.
+        for &h in sinks {
+            let got = sim.agent_as::<Scripted>(h).unwrap().got;
+            assert!(got >= waves.len() as u64, "{h:?} got {got}");
+        }
+        assert_eq!(sim.stats().named("express.data_fwd"), (waves.len() * g.routers.len()) as u64);
     }
 
     /// `src — router — sinks…` over point-to-point links, nothing installed:

@@ -417,6 +417,27 @@ impl<'a> Ctx<'a> {
         self.world.push(at, key, EventKind::Timer { node, token, epoch });
     }
 
+    /// Ask to hear topology transitions: from now on every link or node
+    /// transition anywhere in the network calls this agent's
+    /// [`on_topology_change`](super::Agent::on_topology_change) and
+    /// [`on_route_change`](super::Agent::on_route_change). Nobody is told
+    /// by default — a transition costs the engine one call per hook per
+    /// listener, not per node — so an agent with state to re-evaluate when
+    /// routes move calls this once, typically from
+    /// [`on_start`](super::Agent::on_start); calling it again changes
+    /// nothing, from inside one of the two hooks included.
+    ///
+    /// It takes effect at once: the next sweep visits the node, even the
+    /// sweeps of a transition whose
+    /// [`on_link_change`](super::Agent::on_link_change) did the asking.
+    /// There is no way to stop listening; the registration belongs to the
+    /// agent and goes when the engine replaces it — a crash, a restart, a
+    /// mid-run [`Sim::set_agent`](super::Sim::set_agent) — so a replacement
+    /// that wants the callbacks asks for itself.
+    pub fn watch_topology(&mut self) {
+        self.world.listeners.insert(self.node.0);
+    }
+
     /// Whether `node`'s process is currently up (routers crashed by a
     /// scheduled fault are down until their restart).
     pub fn node_is_up(&self, node: NodeId) -> bool {

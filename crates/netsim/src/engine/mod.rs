@@ -62,9 +62,11 @@
 //! horizon) as the bound, drains every shard strictly below it, dispatches
 //! the global, and repeats. Globals are stop-the-world because they mutate
 //! what every shard reads — the topology, the down/epoch tables, the
-//! routing caches — and sweep every agent; with all clocks standing at the
-//! transition's instant and no shard draining, each agent observes the
-//! change at the same point of the canonical order, at any shard count.
+//! routing caches — and sweep the agents that listen
+//! ([`Ctx::watch_topology`]) in every shard; with all clocks standing at
+//! the transition's instant and no shard draining, each of them observes
+//! the change at the same point of the canonical order, at any shard
+//! count. A transition costs two calls per listener, not per node.
 //!
 //! "Drain a shard below a limit" is one method, `ShardExec::drain_below`,
 //! and one dispatch path (`ShardExec::run_one`) under it. The default
@@ -100,8 +102,8 @@
 //! | file | holds |
 //! |---|---|
 //! | `mod.rs` | the public vocabulary: [`Agent`], [`Tx`], [`Reliability`], [`TopologyChange`], [`Payload`], [`HotPacketFn`], [`NullAgent`] |
-//! | `world.rs` | `EventKind` / `FanoutSend`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, counters, fan-out coalescing) |
-//! | `ctx.rs` | [`Ctx`], the agent's window into a dispatch: queries, `send*` / the one `transmit` path, timers, counters |
+//! | `world.rs` | `EventKind` / `FanoutSend`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, topology listeners, counters, fan-out coalescing) |
+//! | `ctx.rs` | [`Ctx`], the agent's window into a dispatch: queries, `send*` / the one `transmit` path, timers, `watch_topology`, counters |
 //! | `exec.rs` | `ShardExec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion |
 //! | `sync.rs` | `Sim::drain_segment`: the sole shard inline, or scoped workers under the three-barrier window protocol (`worker_loop`, mailboxes) |
 //! | `sim.rs` | [`Sim`]: construction, partitioning, scheduling, the start-up sweep, the segment loop, global-transition dispatch |
@@ -149,7 +151,7 @@ pub enum Reliability {
 }
 
 /// A structured description of one topology transition, delivered to every
-/// live agent via [`Agent::on_topology_change`]. This is the protocol-facing
+/// live listening agent via [`Agent::on_topology_change`]. This is the protocol-facing
 /// half of the failure model documented in `docs/FAILURE_MODEL.md`: agents
 /// that need to distinguish *what* changed (rather than just "routing is
 /// different now", which [`Agent::on_route_change`] conveys) match on this.
@@ -205,14 +207,23 @@ pub trait Agent: Send {
 
     /// Unicast routing was recomputed (any topology change). Routers use
     /// this to re-evaluate per-channel RPF interfaces (§3.2 re-homing).
+    /// Delivered to every live agent that called [`Ctx::watch_topology`],
+    /// in ascending node id, after every listener has had the transition's
+    /// [`on_topology_change`](Self::on_topology_change); an agent that
+    /// never asked is not called.
     fn on_route_change(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// A topology transition happened somewhere in the network. Delivered
-    /// to *every* live agent (not just link endpoints) after the affected
-    /// links flipped and routing was invalidated, and immediately before
-    /// the [`on_route_change`](Self::on_route_change) sweep. Protocols that
-    /// care what changed — not merely that routes moved — implement this;
-    /// e.g. a PIM RP could watch for [`TopologyChange::NodeDown`] of a peer.
+    /// to every live agent that called [`Ctx::watch_topology`] (not just
+    /// link endpoints — those get [`on_link_change`](Self::on_link_change)
+    /// whether they listen or not), in ascending node id, after the
+    /// affected links flipped and routing was invalidated, and immediately
+    /// before the [`on_route_change`](Self::on_route_change) sweep.
+    /// Protocols that care what changed — not merely that routes moved —
+    /// implement this; e.g. a PIM RP could watch for
+    /// [`TopologyChange::NodeDown`] of a peer. The engine drops the
+    /// registration when it replaces the agent (crash, restart, mid-run
+    /// [`Sim::set_agent`]): a replacement listens only if it asks.
     fn on_topology_change(&mut self, _ctx: &mut Ctx<'_>, _change: TopologyChange) {}
 
     /// A short stable label for this agent's *type* (`ecmp_router`,

@@ -174,16 +174,34 @@ impl Sim {
     }
 
     /// Attach `agent` to `node`, replacing whatever was there. If the
-    /// simulation has already started, the new agent's `on_start` runs
-    /// immediately — replacing an agent mid-run models a process restart.
+    /// simulation has already started this is a process restart: timers the
+    /// old agent armed (and harness timers scheduled for it) are
+    /// invalidated, its [`Ctx::watch_topology`] registration is dropped, and
+    /// the new agent's `on_start` runs immediately.
     pub fn set_agent(&mut self, node: NodeId, agent: Box<dyn Agent>) {
-        self.hot_fns[node.index()] = agent.hot_packet_fn();
-        self.agents[node.index()] = Some(agent);
+        self.install_agent(node, agent);
         if self.started {
             let key = self.ext_key();
             let mut sub = 0;
             self.coord_agent(node, key, &mut sub, |agent, ctx| agent.on_start(ctx));
             self.drain_outboxes();
+        }
+    }
+
+    /// Put `agent` at `node` in place of whatever runs there — the one step
+    /// a crash (a [`NullAgent`] moves in), a restart and a mid-run
+    /// [`set_agent`](Self::set_agent) share. Once the simulation has
+    /// started, nothing the old process asked the engine for outlives it:
+    /// the epoch bump strands the timers it armed, and its topology
+    /// registration goes, so the newcomer hears transitions only if its own
+    /// `on_start` asks. (Before the start no agent has run, so there is
+    /// nothing to strand.)
+    fn install_agent(&mut self, node: NodeId, agent: Box<dyn Agent>) {
+        self.hot_fns[node.index()] = agent.hot_packet_fn();
+        self.agents[node.index()] = Some(agent);
+        if self.started {
+            self.shared.node_epoch[node.index()] += 1;
+            self.worlds[self.shared.plan.shard_of(node)].listeners.remove(&node.0);
         }
     }
 
@@ -329,7 +347,11 @@ impl Sim {
     /// Schedule a timer for `node` at absolute time `at` — the hook
     /// workload generators use to drive join/leave churn. The event is
     /// rank-0 keyed (harness scheduling order) and queued on the owning
-    /// shard.
+    /// shard. Like a timer the agent arms itself, it is bound to the
+    /// node's process as of this call: if the agent is replaced before
+    /// `at` — a crash, a restart, a mid-run [`set_agent`](Self::set_agent)
+    /// — the timer is dropped, so one scheduled while the node is down
+    /// does not reach the agent its restart installs.
     pub fn schedule_timer_at(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
         let key = self.ext_key();
         let epoch = self.shared.node_epoch[node.index()];
@@ -492,8 +514,9 @@ impl Sim {
         }
     }
 
-    /// Deliver `change` to every live agent, then run the
-    /// [`Agent::on_route_change`] sweep (routing was already invalidated).
+    /// Deliver `change` to every live agent that listens
+    /// ([`Ctx::watch_topology`]), then run the [`Agent::on_route_change`]
+    /// sweep over the same (routing was already invalidated).
     fn notify_topology_change(&mut self, change: TopologyChange, key: u128, sub: &mut u64) {
         {
             let w = &mut self.worlds[0];
@@ -510,15 +533,23 @@ impl Sim {
         self.sweep_live_agents(key, sub, |agent, ctx| agent.on_route_change(ctx));
     }
 
-    /// [`coord_agent`](Self::coord_agent) over every live agent in node-id
-    /// order (shards are ascending id ranges), with one executor per shard
-    /// instead of one per agent: a transition sweeps every node twice.
+    /// [`coord_agent`](Self::coord_agent) over every live listener in
+    /// node-id order (shards are ascending id ranges, each set walks in
+    /// ascending id), with one executor per shard: a transition costs two
+    /// calls per listener, whatever the node count. A crash drops the
+    /// registration, so a down node is in the set only if the harness
+    /// installed a listening agent on it while it was down; it is skipped
+    /// like any down node. The walk is over a copy of the set — the hook
+    /// holds the world meanwhile — and misses nothing by it: all a hook can
+    /// register is its own node, which is in the set or it would not be
+    /// running.
     fn sweep_live_agents(&mut self, key: u128, sub: &mut u64, f: impl Fn(&mut dyn Agent, &mut Ctx<'_>)) {
         for s in 0..self.worlds.len() {
             let mut exec = self.exec(s);
             exec.world.cur_key = key;
             exec.world.cur_sub = *sub;
-            for n in exec.world.base..exec.world.limit {
+            let listeners: Vec<u32> = exec.world.listeners.iter().copied().collect();
+            for n in listeners {
                 if !exec.shared.node_down[n as usize] {
                     exec.with_agent(NodeId(n), &f);
                 }
@@ -532,11 +563,9 @@ impl Sim {
             return;
         }
         self.shared.node_down[node.index()] = true;
-        self.shared.node_epoch[node.index()] += 1;
         // Soft state dies with the process (§3.2: everything a router knows
         // about channels and counts is soft state rebuilt by the protocol).
-        self.agents[node.index()] = Some(Box::new(NullAgent));
-        self.hot_fns[node.index()] = None;
+        self.install_agent(node, Box::new(NullAgent));
         // Every up link attached to the node drops; remember which, so the
         // restart restores exactly those.
         let links: Vec<LinkId> = self
@@ -577,11 +606,8 @@ impl Sim {
             Some(f) => f(),
             None => Box::new(NullAgent),
         };
-        self.hot_fns[node.index()] = agent.hot_packet_fn();
-        self.agents[node.index()] = Some(agent);
-        if self.started {
-            self.coord_agent(node, key, sub, |agent, ctx| agent.on_start(ctx));
-        }
+        self.install_agent(node, agent);
+        self.coord_agent(node, key, sub, |agent, ctx| agent.on_start(ctx));
         for &l in &links {
             self.notify_link_change(l, true, key, sub);
         }

@@ -658,3 +658,243 @@ fn derive_frame_hit_checks_the_purity_contract_in_debug_builds() {
         ctx.derive_frame(&a, 7, stamp(8));
     });
 }
+
+/// What every [`Probe`] of a run was told, in the order it was told:
+/// `(when, node, what)`.
+type HookLog = Arc<std::sync::Mutex<Vec<(SimTime, u32, String)>>>;
+
+/// Logs every callback into the run's shared [`HookLog`] (and mirrors it
+/// into the trace as a counter bump). A watching probe asks for topology
+/// callbacks twice over in `on_start` and again from inside both hooks —
+/// asking is idempotent wherever it happens; a ticking one keeps a 1 ms
+/// timer running.
+struct Probe {
+    log: HookLog,
+    watch: bool,
+    tick: bool,
+}
+
+impl Probe {
+    fn boxed(log: &HookLog, watch: bool, tick: bool) -> Box<dyn Agent> {
+        Box::new(Probe { log: log.clone(), watch, tick })
+    }
+    fn note(&self, ctx: &mut Ctx<'_>, what: String) {
+        ctx.count("probe.told", 1);
+        self.log.lock().unwrap().push((ctx.now(), ctx.node_id().0, what));
+    }
+    fn rewatch(&self, ctx: &mut Ctx<'_>) {
+        if self.watch {
+            ctx.watch_topology();
+        }
+    }
+}
+
+impl Agent for Probe {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.note(ctx, "start".into());
+        self.rewatch(ctx);
+        self.rewatch(ctx);
+        if self.tick {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        self.note(ctx, format!("timer {token}"));
+        if self.tick {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+    fn on_link_change(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
+        self.note(ctx, format!("link {iface:?} up={up}"));
+    }
+    fn on_topology_change(&mut self, ctx: &mut Ctx<'_>, change: TopologyChange) {
+        self.note(ctx, format!("topo {change:?}"));
+        self.rewatch(ctx);
+    }
+    fn on_route_change(&mut self, ctx: &mut Ctx<'_>) {
+        self.note(ctx, "route".into());
+        self.rewatch(ctx);
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A line of `routers` routers (a host at each end: `routers + 2` nodes)
+/// with a [`Probe`] on every node, watching on the nodes of `listeners`
+/// only.
+fn probe_line(routers: usize, listeners: &[u32], log: &HookLog) -> Sim {
+    let mut sim = Sim::new(crate::topogen::line(routers, LinkSpec::default()).topo, 9);
+    for n in 0..routers as u32 + 2 {
+        sim.set_agent(NodeId(n), Probe::boxed(log, listeners.contains(&n), false));
+    }
+    sim
+}
+
+/// The two sweeps of one transition as the log should hold them:
+/// `on_topology_change` at every listener, then `on_route_change` at every
+/// listener, each in ascending node id.
+fn sweeps(at_ms: u64, change: TopologyChange, listeners: &[u32]) -> Vec<(SimTime, u32, String)> {
+    let at = SimTime(at_ms * 1_000);
+    let topo = listeners.iter().map(|&n| (at, n, format!("topo {change:?}")));
+    let route = listeners.iter().map(|&n| (at, n, "route".to_string()));
+    topo.chain(route).collect()
+}
+
+fn is_sweep(what: &str) -> bool {
+    what.starts_with("topo") || what == "route"
+}
+
+#[test]
+fn topology_transitions_reach_exactly_the_listeners() {
+    use TopologyChange::*;
+    // Twelve nodes cut [0,3) [3,6) [6,9) [9,12): listeners 2 and 3 sit
+    // either side of a shard boundary, and so do the endpoints 5 and 6 of
+    // the link that flaps, neither of which listens.
+    let run = |bounds: &[u32]| -> (Vec<(SimTime, u32, String)>, String) {
+        let log = HookLog::default();
+        let mut sim = probe_line(10, &[2, 3, 8], &log);
+        sim.set_shard_bounds(bounds);
+        sim.enable_trace(TraceConfig::default());
+        // 3 comes back listening, 8 does not.
+        for (node, watch) in [(3, true), (8, false)] {
+            let log = log.clone();
+            sim.set_restart_factory(NodeId(node), Box::new(move || Probe::boxed(&log, watch, false)));
+        }
+        let ms = |t: u64| SimTime(t * 1_000);
+        sim.schedule_link_change(ms(10), LinkId(5), false);
+        sim.schedule_link_change(ms(20), LinkId(5), true);
+        sim.schedule_crash(ms(30), NodeId(3));
+        sim.schedule_link_change(ms(35), LinkId(5), false);
+        sim.schedule_restart(ms(40), NodeId(3));
+        sim.schedule_crash(ms(50), NodeId(8));
+        sim.schedule_restart(ms(60), NodeId(8));
+        sim.schedule_link_change(ms(70), LinkId(5), true);
+        sim.run();
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (log, sim.take_trace().expect("ring trace").to_jsonl())
+    };
+    let (log, trace) = run(&[0, 12]);
+
+    // Each transition: every live listener once per hook, all of
+    // `on_topology_change` before any `on_route_change`, ascending id.
+    let swept: Vec<_> = log.iter().filter(|(.., what)| is_sweep(what)).cloned().collect();
+    let want = [
+        sweeps(10, LinkDown(LinkId(5)), &[2, 3, 8]),
+        sweeps(20, LinkUp(LinkId(5)), &[2, 3, 8]),
+        sweeps(30, NodeDown(NodeId(3)), &[2, 8]),
+        sweeps(35, LinkDown(LinkId(5)), &[2, 8]), // 3 is down
+        sweeps(40, NodeUp(NodeId(3)), &[2, 3, 8]), // its replacement asked
+        sweeps(50, NodeDown(NodeId(8)), &[2, 3]),
+        sweeps(60, NodeUp(NodeId(8)), &[2, 3]), // its replacement did not
+        sweeps(70, LinkUp(LinkId(5)), &[2, 3]),
+    ]
+    .concat();
+    assert_eq!(swept, want);
+
+    // An endpoint that never asked hears of its own link and nothing else.
+    let told = |node: u32| -> Vec<(u64, &str)> {
+        let of_node = log.iter().filter(|&&(_, n, _)| n == node);
+        of_node.map(|(at, _, what)| (at.0 / 1_000, what.as_str())).collect()
+    };
+    let want = [
+        (0, "start"),
+        (10, "link IfaceId(1) up=false"),
+        (20, "link IfaceId(1) up=true"),
+        (35, "link IfaceId(1) up=false"),
+        (70, "link IfaceId(1) up=true"),
+    ];
+    assert_eq!(told(5), want);
+    // The replacement at 8 was started and told of its links coming back;
+    // the registration of the agent it replaced is not its own.
+    let after_restart: Vec<_> = told(8).into_iter().filter(|&(at, _)| at >= 60).collect();
+    assert_eq!(after_restart, [(60, "start"), (60, "link IfaceId(0) up=true"), (60, "link IfaceId(1) up=true")]);
+
+    for bounds in [&[0, 6, 12][..], &[0, 3, 6, 9, 12]] {
+        let (sharded_log, sharded_trace) = run(bounds);
+        assert_eq!(sharded_log, log, "hook order diverges at bounds {bounds:?}");
+        assert_eq!(sharded_trace, trace, "trace diverges at bounds {bounds:?}");
+    }
+}
+
+#[test]
+fn a_transition_costs_two_dispatches_per_listener_at_any_node_count() {
+    // Every node logs every hook call, so the count below is the number of
+    // dispatches the engine made — not the number that did something.
+    for routers in [8, 9_998] {
+        let log = HookLog::default();
+        let mut sim = probe_line(routers, &[1, 4, 6], &log);
+        sim.schedule_link_change(SimTime(10_000), LinkId(2), false);
+        sim.schedule_link_change(SimTime(20_000), LinkId(2), true);
+        sim.run();
+        let dispatched = log.lock().unwrap().iter().filter(|(.., what)| is_sweep(what)).count();
+        assert_eq!(dispatched, 2 * (2 * 3), "{} nodes", routers + 2);
+    }
+}
+
+#[test]
+fn a_replaced_agent_inherits_neither_timers_nor_registration() {
+    let log = HookLog::default();
+    // Node 1 starts out listening, with a 1 ms timer chain running.
+    let mut sim = probe_line(4, &[], &log);
+    sim.set_agent(NodeId(1), Probe::boxed(&log, true, true));
+    sim.run_until(SimTime(5_500));
+    let told_since = |from: usize| -> Vec<(u64, String)> {
+        let log = log.lock().unwrap();
+        let of_node = log[from..].iter().filter(|&&(_, n, _)| n == 1);
+        of_node.map(|(at, _, what)| (at.0, what.clone())).collect()
+    };
+    assert_eq!(told_since(0).last(), Some(&(5_000, "timer 0".to_string())));
+
+    // Replaced mid-run by an agent that asks for nothing: the old chain's
+    // 6 ms timer must not fire into it, and the flap of its own link
+    // reaches it as a link change only. A harness timer belongs to the
+    // process it was scheduled for: the one set before the replacement is
+    // stranded with the old agent's own, the one set after it arrives.
+    sim.schedule_timer_at(NodeId(1), SimTime(7_000), 9);
+    let mark = log.lock().unwrap().len();
+    sim.set_agent(NodeId(1), Probe::boxed(&log, false, false));
+    sim.schedule_timer_at(NodeId(1), SimTime(7_500), 10);
+    sim.schedule_link_change(SimTime(8_000), LinkId(0), false);
+    sim.run_until(SimTime(9_000));
+    let want = [
+        (5_500, "start".to_string()),
+        (7_500, "timer 10".to_string()),
+        (8_000, "link IfaceId(0) up=false".to_string()),
+    ];
+    assert_eq!(told_since(mark), want);
+
+    // A replacement that asks is heard — on its own registration.
+    let mark = log.lock().unwrap().len();
+    sim.set_agent(NodeId(1), Probe::boxed(&log, true, false));
+    sim.schedule_link_change(SimTime(10_000), LinkId(0), true);
+    sim.run_until(SimTime(11_000));
+    let want = [
+        (9_000, "start".to_string()),
+        (10_000, "link IfaceId(0) up=true".to_string()),
+        (10_000, format!("topo {:?}", TopologyChange::LinkUp(LinkId(0)))),
+        (10_000, "route".to_string()),
+    ];
+    assert_eq!(told_since(mark), want);
+
+    // The same rule across a crash: a harness timer set while the node is
+    // down was set for the dead process, and does not reach the agent the
+    // restart installs, even when it is due after the restart.
+    let mark = log.lock().unwrap().len();
+    let factory_log = log.clone();
+    sim.set_restart_factory(NodeId(1), Box::new(move || Probe::boxed(&factory_log, false, false)));
+    sim.schedule_crash(SimTime(12_000), NodeId(1));
+    sim.schedule_restart(SimTime(14_000), NodeId(1));
+    sim.run_until(SimTime(13_000));
+    sim.schedule_timer_at(NodeId(1), SimTime(16_000), 11);
+    sim.run_until(SimTime(17_000));
+    sim.schedule_timer_at(NodeId(1), SimTime(18_000), 12);
+    sim.run_until(SimTime(19_000));
+    let want = [
+        (14_000, "start".to_string()),
+        (14_000, "link IfaceId(0) up=true".to_string()),
+        (14_000, "link IfaceId(1) up=true".to_string()),
+        (18_000, "timer 12".to_string()),
+    ];
+    assert_eq!(told_since(mark), want);
+}

@@ -18,7 +18,7 @@ use express_wire::addr::Channel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 #[derive(Debug)]
@@ -124,7 +124,9 @@ pub(super) struct Shared {
     /// Per-node "process is down" flag (router crash); arrivals and timers
     /// for a down node are discarded.
     pub(super) node_down: Vec<bool>,
-    /// Per-node restart epoch, bumped at each crash; guards stale timers.
+    /// Per-node process epoch, bumped whenever a started simulation replaces
+    /// the node's agent (crash, restart, mid-run `Sim::set_agent`); guards
+    /// stale timers.
     pub(super) node_epoch: Vec<u64>,
     /// Temporary per-link loss-probability overrides (loss bursts).
     pub(super) loss_override: HashMap<LinkId, f64>,
@@ -194,6 +196,12 @@ pub(super) struct World {
     pub(super) src_seq: Vec<u64>,
     /// Per-owned-node packet-id counters (`(node + 1) << 40 | seq`).
     pub(super) pkt_seq: Vec<u64>,
+    /// The owned nodes a topology transition is delivered to, by node id
+    /// ([`Ctx::watch_topology`] adds, `Sim::install_agent` drops). A
+    /// `BTreeSet`: registrations arrive in any node order, a sweep walks in
+    /// ascending id, and an empty set — every FIB-seeded tree — costs
+    /// nothing to hold or walk.
+    pub(super) listeners: BTreeSet<u32>,
     pub(super) now: SimTime,
     /// The pending-event set: a calendar-queue timer wheel popping in the
     /// deterministic `(timestamp, key)` total order (see [`crate::wheel`]).
@@ -256,6 +264,7 @@ impl World {
             rngs: (base..limit).map(|i| StdRng::seed_from_u64(node_seed(seed, i))).collect(),
             src_seq: vec![0; span],
             pkt_seq: vec![0; span],
+            listeners: BTreeSet::new(),
             now: SimTime::ZERO,
             queue: TimerWheel::new(wheel),
             events_processed: 0,

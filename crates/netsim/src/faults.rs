@@ -218,8 +218,9 @@ mod tests {
     }
 
     impl Agent for Probe {
-        fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             self.started += 1;
+            ctx.watch_topology();
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _i: IfaceId, _b: &Payload, _c: TrafficClass) {
             self.packets += 1;
