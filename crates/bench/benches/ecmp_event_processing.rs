@@ -110,8 +110,8 @@ fn bench_per_message(_: &mut Criterion) {
         sim.run();
         let clocked = sim.agent_as::<Clocked>(transit).unwrap();
         assert_eq!(clocked.calls, 2 * PAIRS, "every Count reached the router");
-        assert_eq!(clocked.router.counters.subscribes, PAIRS);
-        assert_eq!(clocked.router.counters.unsubscribes, PAIRS);
+        assert_eq!(clocked.router.counters().subscribes, PAIRS);
+        assert_eq!(clocked.router.counters().unsubscribes, PAIRS);
         for (best, ns) in best.iter_mut().zip(clocked.ns) {
             *best = best.min(ns as f64 / PAIRS as f64);
         }

@@ -68,7 +68,7 @@ fn run(cache: bool) -> (u64, f64, u64) {
     let rejects: u64 = g
         .routers
         .iter()
-        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters.auth_rejects)
+        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters().auth_rejects)
         .sum();
     (rejoin_ctrl, verdict_ms, rejects)
 }

@@ -345,7 +345,7 @@ fn hysteresis_ablation() {
         sim.run_until(at_ms(10_000));
         let rehomes: u64 = [r0, r1, r2, r3]
             .iter()
-            .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters.rehomes)
+            .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters().rehomes)
             .sum();
         println!("{}", harness::row(&[name.to_string(), rehomes.to_string()], &[12, 9]));
     }

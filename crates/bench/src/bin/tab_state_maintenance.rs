@@ -44,7 +44,7 @@ fn main() {
         c.sim.run_until(end);
         let wall = t0.elapsed();
         let core = c.sim.agent_as::<EcmpRouter>(c.core).unwrap();
-        let events = core.counters.subscribes + core.counters.unsubscribes;
+        let events = core.counters().subscribes + core.counters().unsubscribes;
         // Wall-clock throughput of the whole simulation (all routers, all
         // packet hops) — a conservative lower bound on single-router event
         // throughput.

@@ -329,8 +329,8 @@ mod tests {
         c.sim.run_until(end);
         let core = c.sim.agent_as::<EcmpRouter>(c.core).unwrap();
         // Every subscribe and unsubscribe crossed the core.
-        assert_eq!(core.counters.subscribes, 50);
-        assert_eq!(core.counters.unsubscribes, 50);
+        assert_eq!(core.counters().subscribes, 50);
+        assert_eq!(core.counters().unsubscribes, 50);
         assert_eq!(core.fib().len(), 0, "all channels torn down");
     }
 }

@@ -85,13 +85,12 @@ impl Keyed for FibEntry {
 pub struct Fib {
     entries: Table<FibEntry>,
     counters: FibCounters,
-    /// Last channel resolved by [`lookup`](Self::lookup) with a copy of
-    /// its entry — a one-line cache in front of the table probe. Channel
-    /// popularity in a forwarding run is extremely skewed (a router on a
-    /// distribution tree sees one channel millions of times), so the
-    /// steady state is a two-word compare instead of a hash and a probe.
-    /// Invalidated by every mutating entry point.
-    cached: Option<(Channel, FibEntry)>,
+    /// The slot [`lookup`](Self::lookup) last found its entry in, tried
+    /// first by the next one (see [`Table::get_hinted`]): channel popularity
+    /// in a forwarding run is extremely skewed — a router on a distribution
+    /// tree sees one channel millions of times — so the steady state is a
+    /// key compare instead of a hash and a probe.
+    last_slot: u32,
 }
 
 impl Fib {
@@ -102,13 +101,11 @@ impl Fib {
 
     /// Install or replace the entry for `channel`.
     pub fn install(&mut self, entry: FibEntry) {
-        self.cached = None;
         self.entries.insert(entry);
     }
 
     /// Remove the entry for `channel`; returns it if present.
     pub fn remove(&mut self, channel: Channel) -> Option<FibEntry> {
-        self.cached = None;
         self.entries.remove(channel_key(channel))
     }
 
@@ -117,11 +114,10 @@ impl Fib {
         self.entries.get(channel_key(channel))
     }
 
-    /// Mutable access to the entry for `channel`. Invalidates the lookup
-    /// cache: the caller may edit the entry in place. (An entry's setters
-    /// reach its interfaces only, never the `(S, E)` it is filed under.)
+    /// Mutable access to the entry for `channel`: the caller may edit it in
+    /// place. (An entry's setters reach its interfaces only, never the
+    /// `(S, E)` it is filed under.)
     pub fn get_mut(&mut self, channel: Channel) -> Option<&mut FibEntry> {
-        self.cached = None;
         self.entries.get_mut(channel_key(channel))
     }
 
@@ -137,15 +133,8 @@ impl Fib {
     /// (TTL expiry) before a packet counts as forwarded, and hands the
     /// outcome it settled on to [`record`](Self::record).
     pub(crate) fn decide(&mut self, channel: Channel, in_iface: u8) -> Forward {
-        let e = match self.cached {
-            Some((c, e)) if c == channel => e,
-            _ => match self.get(channel) {
-                None => return Forward::NoEntry,
-                Some(&e) => {
-                    self.cached = Some((channel, e));
-                    e
-                }
-            },
+        let Some(e) = self.entries.get_hinted(channel_key(channel), &mut self.last_slot) else {
+            return Forward::NoEntry;
         };
         if e.in_iface() != in_iface {
             Forward::WrongInterface

@@ -273,7 +273,10 @@ impl ChannelState {
 }
 
 /// Counters the router exposes for experiments (beyond the global named
-/// counters it also bumps via `ctx.count`).
+/// counters it also bumps via `ctx.count`), as read by
+/// [`EcmpRouter::counters`]. The three `data_*` fields are read off the
+/// forwarding plane (its FIB's counters, plus the subcast forwards), the
+/// rest are kept by the control plane — zero while the router has none.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RouterCounters {
     /// Subscribe events processed (0→n or new-neighbor Counts).
@@ -396,7 +399,15 @@ struct ControlPlane {
     /// is also where the router starts listening for route changes (see
     /// [`EcmpRouter::control_if_any`]).
     ids: Option<EcmpCounters>,
+    /// Locally-initiated count results (router-initiated queries, §3.1).
+    local_results: Vec<LocalResult>,
+    /// The control-side [`RouterCounters`]; its `data_*` fields stay zero
+    /// (the forwarding plane has those).
+    counters: RouterCounters,
 }
+
+/// One finished router-initiated count: `(when, channel, countId, total)`.
+type LocalResult = (SimTime, Channel, CountId, u64);
 
 /// The ECMP router agent.
 ///
@@ -407,26 +418,40 @@ struct ControlPlane {
 /// then stands for an empty one — a router given only static routes never
 /// has it.
 pub struct EcmpRouter {
-    cfg: RouterConfig,
     fwd: ForwardingPlane,
-    /// `None` ≡ empty: no channel, pending count, timer or neighbor.
+    /// `None` ≡ empty: no channel, pending count, timer or neighbor, no
+    /// count result, every control-side counter zero.
     ctl: Option<Box<ControlPlane>>,
-    /// Locally-initiated count results (router-initiated queries, §3.1).
-    pub local_results: Vec<(SimTime, Channel, CountId, u64)>,
-    /// Experiment counters.
-    pub counters: RouterCounters,
+    /// Last: a forwarded packet reads `fwd` and never this.
+    cfg: RouterConfig,
 }
 
 impl EcmpRouter {
     /// A router with the given configuration.
     pub fn new(cfg: RouterConfig) -> Self {
         EcmpRouter {
-            cfg,
             fwd: ForwardingPlane::default(),
             ctl: None,
-            local_results: Vec::new(),
-            counters: RouterCounters::default(),
+            cfg,
         }
+    }
+
+    /// The experiment counters as they stand.
+    pub fn counters(&self) -> RouterCounters {
+        let fib = self.fwd.fib.counters();
+        RouterCounters {
+            data_forwarded: fib.forwarded + self.fwd.subcast_forwarded,
+            data_no_entry: fib.no_entry_drops,
+            data_rpf_drop: fib.rpf_drops,
+            ..self.ctl.as_ref().map_or_else(RouterCounters::default, |c| c.counters)
+        }
+    }
+
+    /// Results of the counts this router initiated itself (§3.1), oldest
+    /// first: see [`initiate_count`](Self::initiate_count) and
+    /// [`schedule_local_count`](Self::schedule_local_count).
+    pub fn local_results(&self) -> &[(SimTime, Channel, CountId, u64)] {
+        self.ctl.as_ref().map_or(&[], |c| &c.local_results)
     }
 
     /// Read-only access to the FIB (memory accounting, experiments).
@@ -556,7 +581,7 @@ impl EcmpRouter {
     /// (`static_route_router_holds_no_control_plane_until_the_first_count`
     /// pins both directions: not from `on_start`, and from the first Count).
     fn control_if_any(&mut self, ctx: &mut Ctx<'_>) -> Option<Control<'_>> {
-        let ControlPlane { tables, timers, txq, ids } = self.ctl.as_deref_mut()?;
+        let ControlPlane { tables, timers, txq, ids, local_results, counters } = self.ctl.as_deref_mut()?;
         let ids = *ids.get_or_insert_with(|| {
             ctx.watch_topology();
             EcmpCounters::intern(ctx)
@@ -565,12 +590,12 @@ impl EcmpRouter {
             port: Port {
                 cfg: &self.cfg,
                 fib: &mut self.fwd.fib,
-                counters: &mut self.counters,
+                counters,
                 ids,
                 txq,
                 timers,
             },
-            local_results: &mut self.local_results,
+            local_results,
             t: tables,
         })
     }
@@ -894,7 +919,7 @@ impl Port<'_> {
 /// looks a channel's record up once and carries it through.
 struct Control<'a> {
     port: Port<'a>,
-    local_results: &'a mut Vec<(SimTime, Channel, CountId, u64)>,
+    local_results: &'a mut Vec<LocalResult>,
     t: &'a mut Tables,
 }
 
@@ -1585,11 +1610,11 @@ impl Agent for EcmpRouter {
         // Only the ECMP arm can queue control messages, so only it flushes.
         match packets::classify(bytes, me) {
             Ok(Classified::ChannelData { channel, header }) => {
-                self.fwd.forward_data(&mut self.counters, ctx, iface, bytes, channel, header);
+                self.fwd.forward_data(ctx, iface, bytes, channel, header);
             }
             Ok(Classified::Ecmp { from, messages, .. }) => self.on_ecmp(ctx, iface, from, messages),
             Ok(Classified::Encapsulated { outer, inner }) => {
-                self.fwd.forward_subcast(&mut self.counters, ctx, outer, inner);
+                self.fwd.forward_subcast(ctx, outer, inner);
             }
             Ok(Classified::Other { header }) => {
                 if header.dst != me {
@@ -1723,17 +1748,23 @@ mod tests {
         let router = sim.agent_as::<EcmpRouter>(r).unwrap();
         let fib = router.fib().counters();
         assert_eq!((fib.forwarded, fib.no_entry_drops, fib.rpf_drops), (0, 1, 0));
-        assert_eq!(router.counters.data_forwarded, 0);
-        assert_eq!(router.counters.data_no_entry, 1);
+        assert_eq!(router.counters().data_forwarded, 0);
+        assert_eq!(router.counters().data_no_entry, 1);
     }
 
     #[test]
     fn router_size_is_pinned() {
-        // 320 B on x86-64: config 64, forwarding plane 128, control-plane
-        // pointer 8, results 24, counters 96 (docs/INTERNALS.md §8). The
-        // bound is the largest size whose glibc chunk is still 336 B — the
-        // whole per-router heap of a one-route forwarding hop.
-        assert!(std::mem::size_of::<EcmpRouter>() <= 328, "{}", std::mem::size_of::<EcmpRouter>());
+        // 160 B on x86-64 (docs/INTERNALS.md §8):
+        //    88  forwarding plane: FIB 56 (one-slot table 24, its counters
+        //        24, last-slot hint 4 + 4 padding), interned counter handles
+        //        12 (+ 4 padding), subcast counter 8, pool pointer 8
+        //     8  control-plane pointer
+        //    64  config
+        // The bound is the largest size whose glibc chunk is still 176 B — the whole per-router heap of a one-route forwarding hop;
+        // 8 B past it and every router of a tree costs 16 more.
+        let size = std::mem::size_of::<EcmpRouter>();
+        assert!(size <= 168, "{size}");
+        assert_eq!((std::mem::size_of::<ForwardingPlane>(), std::mem::size_of::<RouterConfig>()), (88, 64));
     }
 
     /// Everything the control-plane accessors and the audit sweep report.
@@ -1781,38 +1812,49 @@ mod tests {
         assert!(got > 0 && got < PACKETS, "the flap lost some of the {PACKETS} packets, not all: {got}");
         let topo = sim.topology().clone();
         let router = sim.agent_as::<EcmpRouter>(r).unwrap();
-        assert_eq!(router.counters.data_forwarded, PACKETS);
+        assert_eq!(router.counters().data_forwarded, PACKETS);
         assert!(router.ctl.is_none(), "forwarding, a flap, a route change and a stray timer allocate nothing");
         // Nor did `on_start` or any of it register the router: the engine
         // handed it neither sweep of either transition.
         assert_eq!(*hooks.lock().unwrap(), []);
-        let empty = EcmpRouter {
-            ctl: Some(Box::default()),
-            ..EcmpRouter::new(quiet_cfg())
+        // Absent ≡ empty: every accessor reads the same just before the
+        // plane is allocated and just after, the data counters included.
+        let view = |router: &EcmpRouter| {
+            let control = control_view(router, &topo, r, chan, sink_ip);
+            format!("{control} {:?} {:?}", router.counters(), router.local_results())
         };
-        assert_eq!(
-            control_view(router, &topo, r, chan, sink_ip),
-            control_view(&empty, &topo, r, chan, sink_ip),
-            "absent ≡ empty"
-        );
+        let absent = view(router);
+        assert!(absent.contains(&format!("data_forwarded: {PACKETS},")) && absent.contains(" subscribes: 0,"), "{absent}");
+        router.ctl = Some(Box::default());
+        assert_eq!(view(router), absent);
+        router.ctl = None;
 
         // The first Count allocates it, and is a join like any other.
         sim.run_until(SimTime(1_000_000));
         let router = sim.agent_as::<EcmpRouter>(r).unwrap();
         assert!(router.ctl.is_some());
-        assert_eq!(router.counters.subscribes, 1);
+        assert_eq!(router.counters().data_forwarded, PACKETS, "what the forwarding plane counted stands");
+        assert_eq!(router.counters().subscribes, 1);
         assert_eq!(router.downstream_of(chan), vec![(sink_ip, 1, true)]);
         assert_eq!(router.upstream_of(chan), Some(src_ip));
-        assert_eq!(router.counters.counts_tx, 1, "the join went on toward the source");
+        assert_eq!(router.counters().counts_tx, 1, "the join went on toward the source");
         assert!(sim.agent_as::<Scripted>(src).unwrap().got >= 1);
 
         // With a channel to re-home, the router listens: losing the link
         // toward the source — no link of the sink's — orphans the channel.
         sim.schedule_link_change(SimTime(1_100_000), LinkId(0), false);
         sim.run_until(SimTime(1_200_000));
-        assert_eq!(sim.agent_as::<EcmpRouter>(r).unwrap().counters.rehomes, 1);
+        assert_eq!(sim.agent_as::<EcmpRouter>(r).unwrap().counters().rehomes, 1);
         assert_eq!(sim.stats().named("ecmp.rehome"), 1);
         assert_eq!(*hooks.lock().unwrap(), [r, r], "one transition, both sweeps");
+
+        // A count the router initiates itself reports where the accessor
+        // reads: one link toward the one member.
+        assert_eq!(sim.agent_as::<EcmpRouter>(r).unwrap().local_results(), []);
+        let at = SimTime(1_300_000);
+        EcmpRouter::schedule_local_count(&mut sim, r, at, chan, CountId::LINKS, SimDuration::from_millis(50));
+        sim.run_until(SimTime(1_400_000));
+        assert_eq!(sim.agent_as::<EcmpRouter>(r).unwrap().local_results(), [(at, chan, CountId::LINKS, 1)]);
     }
 
     /// Hands every callback to the agent inside (which is also what a
@@ -1923,7 +1965,7 @@ mod tests {
         sim.run_until(ms(650));
         assert_eq!(hooked_since(), twice(&path));
         // Orphaned at 400 ms; the way back waits out the hysteresis.
-        assert_eq!(sim.agent_as::<EcmpRouter>(leaf).unwrap().counters.rehomes, 1);
+        assert_eq!(sim.agent_as::<EcmpRouter>(leaf).unwrap().counters().rehomes, 1);
         assert_eq!(sim.stats().named("ecmp.rehome"), 1);
         assert!(sim.agent_as::<EcmpRouter>(up(leaf)).unwrap().ctl.is_some());
         // The count's timer was the first dispatch to meet that one.
@@ -2011,7 +2053,7 @@ mod tests {
             let router = sim.agent_as::<EcmpRouter>(r).unwrap();
             let mut fib: Vec<[u8; 12]> = router.fib().iter().map(|e| e.raw()).collect();
             fib.sort_unstable();
-            let c = router.counters;
+            let c = router.counters();
             let ctl = router.ctl.as_ref().unwrap();
             format!(
                 "{} fib {fib:?} sub {} unsub {} tx {} auth {} pending {} timers {}",
@@ -2031,7 +2073,7 @@ mod tests {
         sim.run();
         assert_eq!(view(&mut sim), before);
         let router = sim.agent_as::<EcmpRouter>(r).unwrap();
-        assert_eq!(router.counters.counts_rx, 1 + 4, "every Count was received");
+        assert_eq!(router.counters().counts_rx, 1 + 4, "every Count was received");
         // The only answer is the rejection of the unreachable join; nothing
         // went upstream.
         assert_eq!(sim.stats().named("ecmp.response_tx"), 1);
@@ -2076,8 +2118,8 @@ mod tests {
             assert_eq!(owned(&mut sim), idle, "a later cycle reuses what the first one left");
         }
         let router = sim.agent_as::<EcmpRouter>(r).unwrap();
-        assert_eq!((router.counters.subscribes, router.counters.unsubscribes), (3, 3));
-        assert_eq!(router.counters.counts_tx, 6, "each join and each prune went on toward the source");
+        assert_eq!((router.counters().subscribes, router.counters().unsubscribes), (3, 3));
+        assert_eq!(router.counters().counts_tx, 6, "each join and each prune went on toward the source");
         assert_eq!(sim.agent_as::<Scripted>(src).unwrap().got, 6);
     }
 

@@ -3,11 +3,10 @@
 //! The paper prices this state separately (§5.1: fast-path memory, 12 B
 //! per channel) from the management-level state of §5.2, which the fast
 //! path never reads. The same cut is made here: a [`ForwardingPlane`] is
-//! the FIB, the interned per-packet counters and the forwarding-buffer
+//! the FIB, the per-packet counters and a pointer to the forwarding-buffer
 //! pool, and a router that only forwards holds nothing else (see
 //! `docs/INTERNALS.md` §8 for the byte budget).
 
-use super::RouterCounters;
 use crate::fib::{Fib, Forward};
 use express_wire::addr::Channel;
 use express_wire::ipv4::{self, Ipv4Repr};
@@ -29,8 +28,16 @@ pub(super) struct ForwardingPlane {
     /// Interned handles for the per-packet counters, registered in
     /// `on_start` so the forwarding fast path bumps by array index.
     hot: Option<HotCounters>,
-    /// Recycled forwarding buffers (see [`PayloadPool`]).
-    pool: PayloadPool,
+    /// Subcast packets forwarded. With the FIB's own counters — every
+    /// other data packet is counted there, once, under the decision it met
+    /// — this makes up the `data_*` fields of
+    /// [`RouterCounters`](super::RouterCounters).
+    pub(super) subcast_forwarded: u64,
+    /// Recycled forwarding buffers (see [`PayloadPool`]), allocated by the
+    /// first frame this router patches itself: on a distribution tree that
+    /// is one router per level and wave, the others are handed the patched
+    /// frame by [`Ctx::derive_frame`].
+    pool: Option<Box<PayloadPool>>,
 }
 
 impl ForwardingPlane {
@@ -46,7 +53,6 @@ impl ForwardingPlane {
     /// Forward channel data per §3.4.
     pub(super) fn forward_data(
         &mut self,
-        counters: &mut RouterCounters,
         ctx: &mut Ctx<'_>,
         iface: IfaceId,
         bytes: &Payload,
@@ -67,34 +73,21 @@ impl ForwardingPlane {
                 // One TTL patch per arriving frame: every out-interface (and
                 // every receiver behind each) shares the patched buffer, and
                 // so does every other router handed the same frame.
-                let out = self.pool.derive(ctx, bytes, header.ttl - 1);
+                let out = self.derive(ctx, bytes, header.ttl - 1);
                 ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-                counters.data_forwarded += 1;
                 match self.hot {
                     Some(h) => ctx.count_id(h.data_fwd, 1),
                     None => ctx.count("express.data_fwd", 1),
                 }
             }
-            Forward::NoEntry => {
-                counters.data_no_entry += 1;
-                ctx.count("express.no_entry_drop", 1);
-            }
-            Forward::WrongInterface => {
-                counters.data_rpf_drop += 1;
-                ctx.count("express.rpf_drop", 1);
-            }
+            Forward::NoEntry => ctx.count("express.no_entry_drop", 1),
+            Forward::WrongInterface => ctx.count("express.rpf_drop", 1),
         }
     }
 
     /// Subcast (§2.1): decapsulate and forward toward downstream receivers
     /// only, preserving the single-source check (outer src must be S).
-    pub(super) fn forward_subcast(
-        &mut self,
-        counters: &mut RouterCounters,
-        ctx: &mut Ctx<'_>,
-        outer: Ipv4Repr,
-        inner: Vec<u8>,
-    ) {
+    pub(super) fn forward_subcast(&mut self, ctx: &mut Ctx<'_>, outer: Ipv4Repr, inner: Vec<u8>) {
         let Ok(inner_hdr) = Ipv4Repr::parse(&inner) else { return };
         if !inner_hdr.dst.is_single_source_multicast() {
             return;
@@ -119,10 +112,11 @@ impl ForwardingPlane {
         let mask = e.oif_mask();
         // A decapsulated frame arrives in no shared buffer, so there is no
         // handle another router could present: patch it here.
-        let out = self.pool.patch_ttl(&inner, inner_hdr.ttl - 1);
+        let pool = self.pool.get_or_insert_with(Box::default);
+        let out = pool.patch_ttl(&inner, inner_hdr.ttl - 1);
         ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-        self.pool.release(out);
-        counters.data_forwarded += 1;
+        pool.release(out);
+        self.subcast_forwarded += 1;
         match self.hot {
             Some(h) => ctx.count_id(h.subcast_fwd, 1),
             None => ctx.count("express.subcast_fwd", 1),
@@ -140,8 +134,22 @@ impl ForwardingPlane {
             ctx.count("express.unroutable", 1);
             return;
         };
-        let out = self.pool.derive(ctx, bytes, header.ttl - 1);
+        let out = self.derive(ctx, bytes, header.ttl - 1);
         ctx.send_shared(hop.iface, out, class, Reliability::Datagram, Tx::To(hop.next));
+    }
+
+    /// The frame a hop forwards for the arriving `src`: `src` with the TTL
+    /// rewritten to `new_ttl`, from the engine's derivation memo when
+    /// another router was handed the same frame just before, patched here
+    /// (and parked for recycling) otherwise. The patch depends on `src`'s
+    /// octets and `new_ttl` alone, which is the memo's contract.
+    fn derive(&mut self, ctx: &mut Ctx<'_>, src: &Payload, new_ttl: u8) -> Payload {
+        ctx.derive_frame(src, u32::from(new_ttl), |octets| {
+            let pool = self.pool.get_or_insert_with(Box::default);
+            let out = pool.patch_ttl(octets, new_ttl);
+            pool.release(out.clone());
+            out
+        })
     }
 }
 
@@ -159,34 +167,14 @@ impl ForwardingPlane {
 /// patch), so whether a given forward hit or missed the pool can never
 /// change emitted bytes or event order, and replay determinism is
 /// unaffected.
-///
-/// The first parked handle lives inline: a router with one packet in
-/// flight at a time (every hop of a distribution tree in steady state)
-/// never allocates the spill `Vec`, and finding its buffer costs no pointer
-/// chase.
 #[derive(Default)]
 struct PayloadPool {
-    first: Option<Payload>,
-    spill: Vec<Payload>,
+    parked: Vec<Payload>,
 }
 
 impl PayloadPool {
-    /// At most this many parked handles, the inline one included; beyond
-    /// it, returns are dropped.
+    /// At most this many parked handles; beyond it, returns are dropped.
     const CAP: usize = 8;
-
-    /// The frame a hop forwards for the arriving `src`: `src` with the TTL
-    /// rewritten to `new_ttl`, from the engine's derivation memo when
-    /// another router was handed the same frame just before, patched here
-    /// (and parked for recycling) otherwise. The patch depends on `src`'s
-    /// octets and `new_ttl` alone, which is the memo's contract.
-    fn derive(&mut self, ctx: &mut Ctx<'_>, src: &Payload, new_ttl: u8) -> Payload {
-        ctx.derive_frame(src, u32::from(new_ttl), |octets| {
-            let out = self.patch_ttl(octets, new_ttl);
-            self.release(out.clone());
-            out
-        })
-    }
 
     /// Copy `bytes` into a recycled (or fresh) shared buffer with the TTL
     /// rewritten to `new_ttl` and the header checksum recomputed, so one
@@ -209,13 +197,8 @@ impl PayloadPool {
     /// clones, freshly allocated otherwise.
     fn acquire(&mut self, bytes: &[u8]) -> Payload {
         let reusable = |s: &mut Payload| s.len() == bytes.len() && Payload::get_mut(s).is_some();
-        let parked = if self.first.as_mut().is_some_and(reusable) {
-            self.first.take()
-        } else {
-            let hit = self.spill.iter_mut().position(reusable);
-            hit.map(|idx| self.spill.swap_remove(idx))
-        };
-        match parked {
+        let hit = self.parked.iter_mut().position(reusable);
+        match hit.map(|idx| self.parked.swap_remove(idx)) {
             Some(mut arc) => {
                 Payload::get_mut(&mut arc).expect("checked unique").copy_from_slice(bytes);
                 arc
@@ -226,17 +209,9 @@ impl PayloadPool {
 
     /// Park a handle for reuse once its delivery clones drop.
     fn release(&mut self, arc: Payload) {
-        if self.first.is_none() {
-            self.first = Some(arc);
-        } else if 1 + self.spill.len() < Self::CAP {
-            self.spill.push(arc);
+        if self.parked.len() < Self::CAP {
+            self.parked.push(arc);
         }
-    }
-
-    /// Handles currently parked.
-    #[cfg(test)]
-    fn parked(&self) -> usize {
-        usize::from(self.first.is_some()) + self.spill.len()
     }
 }
 
@@ -345,6 +320,11 @@ mod tests {
             assert_eq!(sim.frames_derived(), wave * (DEPTH as u64 + 1));
         }
         assert_eq!(sim.stats().named("express.data_fwd"), 2 * g.routers.len() as u64);
+        // Only a router that patched a frame owns a pool to park it in.
+        // (Debug builds re-derive on every memo hit to check the memo's
+        // contract, so there every router patches.)
+        let pools = g.routers.iter().filter(|&&r| sim.agent_as::<EcmpRouter>(r).unwrap().fwd.pool.is_some());
+        assert_eq!(pools.count(), if cfg!(debug_assertions) { g.routers.len() } else { DEPTH + 1 });
         let first = sim.agent_as::<Tap>(sinks[0]).unwrap().got.clone();
         for &h in sinks {
             let got = &sim.agent_as::<Tap>(h).unwrap().got;
@@ -375,32 +355,36 @@ mod tests {
         assert_eq!(second.as_ptr() as usize, addr, "unique buffer is recycled");
         assert_eq!(Ipv4Repr::parse(&second).unwrap().ttl, 62);
 
-        // A still-shared handle — parked inline here — must NOT be
-        // recycled, and the bytes its holder sees must not change.
+        // A still-shared handle must NOT be recycled, and the bytes its
+        // holder sees must not change.
         let held = second.clone();
         pool.release(second);
-        assert!(pool.spill.is_empty(), "the only parked handle sits inline");
         let third = pool.patch_ttl(&pkt, 61);
         assert_ne!(third.as_ptr() as usize, addr, "shared buffer stays intact");
         assert_eq!(Ipv4Repr::parse(&held).unwrap().ttl, 62);
 
-        // Once its holder lets go, the inline buffer is the one reused.
-        drop(held);
+        // Once its holder lets go, it is reusable again — and found behind
+        // a handle that still is not.
+        let busy = third.clone();
         pool.release(third);
+        pool.parked.swap(0, 1);
+        drop(held);
         let fourth = pool.patch_ttl(&pkt, 60);
-        assert_eq!(fourth.as_ptr() as usize, addr, "inline slot is probed first");
+        assert_eq!(fourth.as_ptr() as usize, addr, "every parked handle is probed");
+        assert_eq!(Ipv4Repr::parse(&busy).unwrap().ttl, 61);
     }
 
     #[test]
     fn payload_pool_one_in_flight_never_spills() {
         let pkt = data_packet();
         let mut pool = PayloadPool::default();
+        let mut capacity = None;
         for round in 0..1000u32 {
             let out = pool.patch_ttl(&pkt, 63 - (round % 60) as u8);
             pool.release(out);
+            assert_eq!(pool.parked.len(), 1);
+            assert_eq!(*capacity.get_or_insert(pool.parked.capacity()), pool.parked.capacity(), "round {round}");
         }
-        assert_eq!(pool.parked(), 1);
-        assert_eq!(pool.spill.capacity(), 0, "the spill Vec was never allocated");
     }
 
     #[test]
@@ -412,7 +396,7 @@ mod tests {
         for h in &held {
             pool.release(h.clone());
         }
-        assert_eq!(pool.parked(), PayloadPool::CAP);
+        assert_eq!(pool.parked.len(), PayloadPool::CAP);
         assert_eq!(PayloadPool::CAP, 8);
         // None of them is reusable while its holder lives.
         let fresh = pool.patch_ttl(&pkt, 63);

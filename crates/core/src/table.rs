@@ -139,6 +139,24 @@ impl<T: Keyed<Key = u64>> Table<T> {
         slots[probe(slots, key)?].as_ref()
     }
 
+    /// [`get`](Self::get), looking first in slot `*hint` and leaving there
+    /// the slot the record was found in: a caller that keeps asking for one
+    /// key pays a compare, not a hash and a probe. The hint is checked
+    /// against the key every time, so any value is safe and no insert,
+    /// removal or growth has to reset it.
+    pub fn get_hinted(&self, key: u64, hint: &mut u32) -> Option<&T> {
+        let slots = self.slots();
+        if let Some(Some(record)) = slots.get(*hint as usize) {
+            if record.key() == key {
+                return Some(record);
+            }
+        }
+        let i = probe(slots, key)?;
+        let record = slots[i].as_ref()?;
+        *hint = i as u32;
+        Some(record)
+    }
+
     /// Mutable access to the record filed under `key`.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
         let i = probe(self.slots(), key)?;
@@ -463,6 +481,29 @@ mod tests {
         }
         assert!(t.is_empty());
         assert_eq!(t.capacity(), cap, "capacity is kept for the next working set");
+    }
+
+    #[test]
+    fn a_hint_is_left_at_the_record_and_is_never_more_than_a_shortcut() {
+        let mut t = Table::new();
+        for k in 0..50 {
+            t.insert(Rec(k, 0));
+        }
+        let mut hint = u32::MAX;
+        assert_eq!(t.get_hinted(33, &mut hint), Some(&Rec(33, 0)));
+        assert_eq!(t.slots()[hint as usize], Some(Rec(33, 0)));
+        // A key that is not there leaves the hint where it was, and the
+        // next question for the hinted key is still answered.
+        let at = hint;
+        assert_eq!(t.get_hinted(99, &mut hint), None);
+        assert_eq!(hint, at);
+        t.get_mut(33).unwrap().1 = 7;
+        assert_eq!(t.get_hinted(33, &mut hint), Some(&Rec(33, 7)));
+        // The record goes; the slot, vacant or refilled, answers for no
+        // key but its own.
+        assert_eq!(t.remove(33), Some(Rec(33, 7)));
+        assert_eq!(t.get_hinted(33, &mut hint), None);
+        assert_eq!(t.get_hinted(34, &mut hint), Some(&Rec(34, 0)));
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn unauthorized_sender_counted_and_dropped() {
     let total_no_entry: u64 = g
         .routers
         .iter()
-        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters.data_no_entry)
+        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters().data_no_entry)
         .sum();
     assert_eq!(total_no_entry, 1);
     assert_eq!(sim.stats().named("express.no_entry_drop"), 1);
@@ -209,7 +209,7 @@ fn cached_key_rejects_locally_second_bad_join() {
     let rejects: u64 = g
         .routers
         .iter()
-        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters.auth_rejects)
+        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters().auth_rejects)
         .sum();
     assert!(rejects >= 1, "a router rejected locally from cache");
     let hb = sim.agent_as::<ExpressHost>(bad).unwrap();
@@ -405,7 +405,7 @@ fn link_failure_rehomes_and_data_flows_again() {
     assert_eq!(h.data_received(chan), 6, "pre-failure packet + 5 post-rehome packets");
     let rehomes: u64 = [r0, r1, r2, r3]
         .iter()
-        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters.rehomes)
+        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters().rehomes)
         .sum();
     assert!(rehomes >= 1, "at least one channel re-home occurred");
 }
@@ -604,8 +604,8 @@ fn router_initiated_link_count_without_source_cooperation() {
     );
     sim.run_until(at_ms(20_000));
     let router = sim.agent_as::<EcmpRouter>(root).unwrap();
-    assert_eq!(router.local_results.len(), 1, "one local result");
-    let (_, c, id, links) = router.local_results[0];
+    assert_eq!(router.local_results().len(), 1, "one local result");
+    let (_, c, id, links) = router.local_results()[0];
     assert_eq!(c, chan);
     assert_eq!(id, CountId::LINKS);
     // Below the root: 2 mid ifaces + 2*2 leaf-router ifaces + root's own 2
@@ -818,7 +818,7 @@ fn weighted_tree_size_counts_link_metrics() {
     );
     sim.run_until(at_ms(20_000));
     let router = sim.agent_as::<EcmpRouter>(r0).unwrap();
-    let (_, _, _, weight) = router.local_results[0];
+    let (_, _, _, weight) = router.local_results()[0];
     // r0 contributes 1 (to r1) + 10 (to r2); r1 and r2 contribute their
     // host links (metric 1 each) = 13 total.
     assert_eq!(weight, 13, "metric-weighted tree size");

@@ -1,13 +1,13 @@
 //! [`Ctx`]: what an agent can see and do during one dispatch.
 
-use super::world::{ArrivalCause, DerivedFrame, EventKind, FanoutSend, Shared, World};
+use super::world::{packet_id, ArrivalCause, DerivedFrame, EventKind, FanoutSend, Shared, World};
 use super::{Payload, Reliability, TimerToken, Tx};
 use crate::id::{IfaceId, NodeId};
 use crate::routing::NextHop;
 use crate::stats::{CounterId, TrafficClass};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeKind, Topology};
-use crate::trace::{DropReason, PacketId, ProtoEvent, TraceKind, TraceLevel};
+use crate::trace::{DropReason, ProtoEvent, TraceKind, TraceLevel};
 use express_wire::addr::{Channel, Ipv4Addr};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -60,8 +60,7 @@ impl<'a> Ctx<'a> {
     /// from the run seed, so one node's draws are independent of every
     /// other node's — and of the shard layout.
     pub fn rng(&mut self) -> &mut StdRng {
-        let i = self.world.local(self.node);
-        &mut self.world.rngs[i]
+        self.world.rng(self.shared.seed, self.node)
     }
 
     /// Bump a named global counter (`<proto>.<event>` convention; see
@@ -284,7 +283,7 @@ impl<'a> Ctx<'a> {
         // forwarded copy), otherwise it starts a new chain. Ids are drawn
         // from the sender's own counter so they are shard-invariant.
         let li = self.world.local(node);
-        let id = PacketId(((node.0 as u64 + 1) << 40) | self.world.pkt_seq[li]);
+        let id = packet_id(node, self.world.pkt_seq[li]);
         self.world.pkt_seq[li] += 1;
         let (cause, root, root_at) = match self.world.cause {
             Some(c) => (Some(c.id), c.root, c.root_at),
@@ -313,7 +312,7 @@ impl<'a> Ctx<'a> {
             && (rel == Reliability::Reliable || loss <= 0.0)
         {
             let key = self.world.next_key(node);
-            let fanout = |bytes| FanoutSend { node, iface, bytes, class, cause: frame, key };
+            let fanout = |bytes| FanoutSend::new(iface, bytes, class, frame, key);
             // A fan-out on a cut link is mirrored — same key — into every
             // other shard the link touches; each shard expands only its own
             // endpoint range, so the union of expansions is exactly the
@@ -354,7 +353,7 @@ impl<'a> Ctx<'a> {
             }
             let lost = rel == Reliability::Datagram
                 && loss > 0.0
-                && self.world.rngs[li].random::<f64>() < loss;
+                && self.world.rng(self.shared.seed, node).random::<f64>() < loss;
             if lost {
                 self.world.stats.record_drop(link);
                 if let Some(m) = &mut self.world.metrics {
@@ -412,7 +411,7 @@ impl<'a> Ctx<'a> {
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
         let node = self.node;
         let at = self.world.now + delay;
-        let epoch = self.shared.node_epoch[node.index()];
+        let epoch = self.shared.epoch(node);
         let key = self.world.next_key(node);
         self.world.push(at, key, EventKind::Timer { node, token, epoch });
     }

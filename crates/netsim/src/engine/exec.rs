@@ -162,7 +162,7 @@ impl<'a> ShardExec<'a> {
         let mut owner = 0;
         while idx < sends.len() {
             if idx > 0 {
-                let mk = sends[idx].key;
+                let mk = sends[idx].key();
                 // Non-rotating probe: a same-timestamp straggler can only
                 // be in the current run or the inbox (same-bucket by
                 // construction); a rotating peek would drain the next
@@ -216,16 +216,16 @@ impl<'a> ShardExec<'a> {
     /// `endpoint index << 32 | counter` sub-tags so the merged stream
     /// reconstructs the single-shard endpoint order.
     fn expand_fanout(&mut self, fs: &FanoutSend, bytes: &Payload) {
-        let sender = fs.node;
-        let iface = fs.iface;
-        let (class, cause) = (fs.class, fs.cause);
+        let sender = fs.node();
+        let iface = fs.iface();
+        let (class, cause) = (fs.class(), fs.cause);
         let Ok(link) = self.shared.topo.link_of(sender, iface) else {
             return;
         };
         let link_ok = self.shared.topo.link_up(link);
         let n_endpoints = self.shared.topo.link_endpoint_count(link);
         let (base, limit) = (self.world.base, self.world.limit);
-        self.world.cur_key = fs.key;
+        self.world.cur_key = fs.key();
         if self.world.trace.is_none() && self.world.prof.is_none() {
             // Hot loop: no tracing, no profiling — one enablement branch
             // per *send* instead of several per delivery.
@@ -330,7 +330,7 @@ impl<'a> ShardExec<'a> {
             EventKind::Timer { node, token, epoch } => {
                 // Timers from before a crash die with the agent that set
                 // them; a down node runs nothing.
-                if self.shared.node_down[node.index()] || self.shared.node_epoch[node.index()] != epoch {
+                if self.shared.node_down[node.index()] || self.shared.epoch(node) != epoch {
                     return;
                 }
                 self.world.trace_push(TraceKind::TimerFire { node, token });

@@ -75,17 +75,8 @@ impl Sim {
     /// replay run at a non-default granularity).
     pub fn new_with_wheel(topo: Topology, seed: u64, wheel: WheelConfig) -> Self {
         let n = topo.node_count();
-        let plan = ShardPlan::single(&topo);
-        let shared = Shared {
-            topo,
-            seed,
-            node_down: vec![false; n],
-            node_epoch: vec![0; n],
-            loss_override: HashMap::new(),
-            batch_fanout: true,
-            plan,
-        };
-        let worlds = vec![World::new(&shared.topo, seed, wheel, 0, 0, n as u32)];
+        let shared = Shared::new(topo, seed);
+        let worlds = vec![World::new(&shared.topo, wheel, 0, 0, n as u32)];
         Sim {
             shared,
             worlds,
@@ -167,7 +158,7 @@ impl Sim {
         self.worlds = (0..plan.shard_count())
             .map(|s| {
                 let (base, limit) = plan.range(s);
-                World::new(&self.shared.topo, self.shared.seed, self.wheel_cfg, s, base, limit)
+                World::new(&self.shared.topo, self.wheel_cfg, s, base, limit)
             })
             .collect();
         self.shared.plan = plan;
@@ -200,7 +191,7 @@ impl Sim {
         self.hot_fns[node.index()] = agent.hot_packet_fn();
         self.agents[node.index()] = Some(agent);
         if self.started {
-            self.shared.node_epoch[node.index()] += 1;
+            self.shared.bump_epoch(node);
             self.worlds[self.shared.plan.shard_of(node)].listeners.remove(&node.0);
         }
     }
@@ -354,7 +345,7 @@ impl Sim {
     /// does not reach the agent its restart installs.
     pub fn schedule_timer_at(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
         let key = self.ext_key();
-        let epoch = self.shared.node_epoch[node.index()];
+        let epoch = self.shared.epoch(node);
         let s = self.shared.plan.shard_of(node);
         self.worlds[s].push(at, key, EventKind::Timer { node, token, epoch });
     }

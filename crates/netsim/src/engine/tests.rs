@@ -898,3 +898,113 @@ fn a_replaced_agent_inherits_neither_timers_nor_registration() {
     ];
     assert_eq!(told_since(mark), want);
 }
+
+/// Draws three values from its node's stream on each timer.
+#[derive(Default)]
+struct Dice {
+    rolled: Vec<u64>,
+}
+
+impl Agent for Dice {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
+        for _ in 0..3 {
+            let v = ctx.rng().next_u64();
+            self.rolled.push(v);
+        }
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn a_node_draws_its_own_seeded_stream_whenever_it_first_draws() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    const SEED: u64 = 0xD1CE;
+    const ROUTERS: usize = 9;
+    let stream = |node: NodeId, draws: usize| -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(world::node_seed(SEED, node.0));
+        (0..draws).map(|_| rng.next_u64()).collect()
+    };
+    for shards in [1, 2, 4] {
+        let g = crate::topogen::line(ROUTERS, LinkSpec::default());
+        let n = g.topo.node_count() as u32;
+        let mut sim = Sim::new(g.topo, SEED);
+        sim.set_shards(shards);
+        assert_eq!(sim.shard_count(), shards);
+        for i in 0..n {
+            sim.set_agent(NodeId(i), Box::<Dice>::default());
+        }
+        // Nodes 0, 1 and N−1 draw at t = 0; node 1 and a mid-line node —
+        // in a shard nobody has drawn in yet when there are four — draw
+        // again or for the first time mid-run.
+        let (first, last, late) = (NodeId(0), NodeId(n - 1), NodeId(n / 2));
+        for node in [first, NodeId(1), last] {
+            sim.schedule_timer_at(node, SimTime::ZERO, 0);
+        }
+        sim.run_until(SimTime(10));
+        // A shard nobody drew in holds no streams: the two in the middle.
+        assert_eq!(sim.worlds.iter().filter(|w| !w.rngs_seeded()).count(), shards.saturating_sub(2));
+        sim.schedule_timer_at(NodeId(1), SimTime(5_000), 0);
+        sim.schedule_timer_at(late, SimTime(5_000), 0);
+        sim.run();
+        for (node, draws) in [(first, 3), (NodeId(1), 6), (last, 3), (late, 3)] {
+            assert_eq!(sim.agent_as::<Dice>(node).unwrap().rolled, stream(node, draws), "{node} at {shards} shard(s)");
+        }
+    }
+}
+
+#[test]
+fn fanout_send_is_48_bytes_and_rebuilds_what_it_packs() {
+    assert!(std::mem::size_of::<world::FanoutSend>() <= 48, "{}", std::mem::size_of::<world::FanoutSend>());
+    // The extremes of every packed field: the last node whose rank fits a
+    // packet id, the last interface, both classes, a 48-bit sequence number.
+    for (node, iface, class, seq) in [
+        (NodeId(0), IfaceId(0), TrafficClass::Data, 0u64),
+        (NodeId((1 << 24) - 2), IfaceId(31), TrafficClass::Control, (1 << 48) - 1),
+        (NodeId(0x00AB_CDEF), IfaceId(17), TrafficClass::Data, 0x1234_5678_9ABC),
+    ] {
+        let id = world::packet_id(node, 0xFF_FFFF_FFFF);
+        let cause = world::ArrivalCause { id, root: crate::trace::PacketId(3), root_at: SimTime(9) };
+        let key = (u128::from(node.0) + 1) << 64 | u128::from(seq);
+        let fs = world::FanoutSend::new(iface, None, class, cause, key);
+        assert_eq!((fs.node(), fs.iface(), fs.class(), fs.key()), (node, iface, class, key));
+    }
+}
+
+/// The bytes of per-node and per-link table rows — the agent's heap chunk
+/// included — that forwarding one packet over one router-to-router hop
+/// indexes: what the sending router's transmit reads and writes, then what
+/// the expansion and delivery at the receiving router do. Each row is a
+/// cache line the hop may miss on, so their sum is the host-independent
+/// form of "cache lines touched per delivery" (docs/INTERNALS.md §8 has the
+/// table with the sizes before).
+#[test]
+fn a_forwarding_hop_indexes_under_400_bytes_of_rows() {
+    use std::mem::size_of;
+    /// `express::router::tests::router_size_is_pinned`'s bound: the agent of
+    /// a forwarding hop.
+    const AGENT: usize = 168;
+    // A glibc chunk: the 8-byte size word in front, rounded up to 16.
+    let chunk = |size: usize| (size + 8).div_ceil(16) * 16;
+    let (node_id, iface_id, link_id) = (size_of::<NodeId>(), size_of::<IfaceId>(), size_of::<LinkId>());
+    let iface_range = 8; // (start: u32, len: u8, cap: u8), padded
+    let link_of = iface_range + link_id; // topology: the node's range, its slab slot
+    let transmit = link_of
+        + size_of::<bool>()             // link state
+        + size_of::<u32>()              // interned spec index (the spec itself is shared)
+        + size_of::<[u64; 2]>()         // stats: the link's data pair
+        + 2 * size_of::<u64>()          // the sender's packet-id and key counters
+        + size_of::<world::FanoutSend>(); // the cohort member (single plan: no link mask)
+    let delivery = link_of
+        + size_of::<bool>()             // link state, re-read at expansion
+        + 2 * size_of::<u32>()          // the link's endpoint range
+        + 2 * (node_id + iface_id).next_multiple_of(4) // its two endpoints
+        + size_of::<bool>()             // receiver's down flag
+        + size_of::<Option<HotPacketFn>>()
+        + size_of::<Option<Box<dyn Agent>>>()
+        + chunk(AGENT);
+    assert_eq!(chunk(AGENT), 176);
+    assert!(transmit + delivery <= 400, "{transmit} + {delivery}");
+}

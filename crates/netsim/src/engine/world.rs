@@ -71,12 +71,13 @@ pub(super) enum EventKind {
 /// loss-free sends defer (a lossy datagram send must draw its per-receiver
 /// RNG at send time to keep the random stream identical to the eager
 /// path), so expansion needs no RNG.
+///
+/// 48 bytes, and a wide tree level keeps a million of them alive: the frame
+/// handle, the causal identity, and one word for the rest. The sender is
+/// not stored — `cause.id` was minted by it and carries its rank — and
+/// neither is the rank half of the canonical key, which is the same number.
 #[derive(Debug)]
 pub(super) struct FanoutSend {
-    /// The sending node (skipped during the endpoint walk).
-    pub(super) node: NodeId,
-    /// The sender's interface; the link is re-resolved at expansion.
-    pub(super) iface: IfaceId,
     /// The frame, by reference within a cohort: a run of consecutive
     /// members transmitting the same handle (every router of a tree level
     /// forwarding one derived frame) keeps a single owner, its **last**
@@ -85,11 +86,61 @@ pub(super) struct FanoutSend {
     /// re-queued tail still ends in its owners, so neither touches a
     /// refcount. A fan-out outside a cohort always owns its frame.
     pub(super) bytes: Option<Payload>,
-    pub(super) class: TrafficClass,
     pub(super) cause: ArrivalCause,
+    /// `seq << 16 | iface << 8 | class`: the sender's interface (the link
+    /// is re-resolved at expansion), the traffic class, and the sequence
+    /// half of the canonical key in 48 bits — one node would have to
+    /// schedule 2⁴⁸ events to outgrow them.
+    tag: u64,
+}
+
+/// Packet ids are `rank << 40 | per-sender counter`, rank = node id + 1 —
+/// the rank canonical keys carry in their upper half.
+const PACKET_RANK_SHIFT: u32 = 40;
+
+/// The next packet id of `node`, whose counter stands at `seq`.
+pub(super) fn packet_id(node: NodeId, seq: u64) -> PacketId {
+    PacketId((node.0 as u64 + 1) << PACKET_RANK_SHIFT | seq)
+}
+
+impl FanoutSend {
+    /// A fan-out of the frame `cause` names, which the node that minted
+    /// `cause.id` sends out `iface` under canonical key `key`.
+    pub(super) fn new(iface: IfaceId, bytes: Option<Payload>, class: TrafficClass, cause: ArrivalCause, key: u128) -> FanoutSend {
+        let seq = key as u64;
+        debug_assert!(seq >> 48 == 0, "a node scheduled 2^48 events");
+        let tag = seq << 16 | u64::from(iface.0) << 8 | class as u64;
+        let fs = FanoutSend { bytes, cause, tag };
+        debug_assert!(fs.key() == key, "a fan-out is sent by the node that minted its frame's id");
+        fs
+    }
+
+    fn rank(&self) -> u64 {
+        self.cause.id.0 >> PACKET_RANK_SHIFT
+    }
+
+    /// The sending node (skipped during the endpoint walk).
+    pub(super) fn node(&self) -> NodeId {
+        NodeId(self.rank() as u32 - 1)
+    }
+
+    pub(super) fn iface(&self) -> IfaceId {
+        IfaceId((self.tag >> 8) as u8)
+    }
+
+    pub(super) fn class(&self) -> TrafficClass {
+        if self.tag & 0xFF == TrafficClass::Data as u64 {
+            TrafficClass::Data
+        } else {
+            TrafficClass::Control
+        }
+    }
+
     /// The canonical event key this fan-out executes under — also the key
     /// its trace records carry in every shard that expands a mirror of it.
-    pub(super) key: u128,
+    pub(super) fn key(&self) -> u128 {
+        u128::from(self.rank()) << 64 | u128::from(self.tag >> 16)
+    }
 }
 
 /// The profiler's attribution class for an event (the public face of the
@@ -126,8 +177,9 @@ pub(super) struct Shared {
     pub(super) node_down: Vec<bool>,
     /// Per-node process epoch, bumped whenever a started simulation replaces
     /// the node's agent (crash, restart, mid-run `Sim::set_agent`); guards
-    /// stale timers.
-    pub(super) node_epoch: Vec<u64>,
+    /// stale timers. Empty ≡ every node at epoch 0: allocated by the first
+    /// replacement (see [`epoch`](Self::epoch)).
+    node_epoch: Vec<u64>,
     /// Temporary per-link loss-probability overrides (loss bursts).
     pub(super) loss_override: HashMap<LinkId, f64>,
     /// Deferred fan-out batching (on by default; `Sim::set_fanout_batching`
@@ -135,6 +187,34 @@ pub(super) struct Shared {
     pub(super) batch_fanout: bool,
     /// The shard partition ([`ShardPlan::single`] until `Sim::set_shards`).
     pub(super) plan: ShardPlan,
+}
+
+impl Shared {
+    pub(super) fn new(topo: Topology, seed: u64) -> Shared {
+        Shared {
+            node_down: vec![false; topo.node_count()],
+            node_epoch: Vec::new(),
+            loss_override: HashMap::new(),
+            batch_fanout: true,
+            plan: ShardPlan::single(&topo),
+            topo,
+            seed,
+        }
+    }
+
+    /// `node`'s process epoch: how many times its agent has been replaced
+    /// since the simulation started.
+    pub(super) fn epoch(&self, node: NodeId) -> u64 {
+        self.node_epoch.get(node.index()).copied().unwrap_or(0)
+    }
+
+    /// `node`'s agent was replaced: timers bound to the old epoch are dead.
+    pub(super) fn bump_epoch(&mut self, node: NodeId) {
+        if self.node_epoch.is_empty() {
+            self.node_epoch = vec![0; self.node_down.len()];
+        }
+        self.node_epoch[node.index()] += 1;
+    }
 }
 
 /// Derive node `node`'s RNG seed from the run seed — a SplitMix64-style
@@ -191,7 +271,9 @@ pub(super) struct World {
     pub(super) routing: Routing,
     pub(super) stats: Stats,
     /// Per-owned-node deterministic RNG streams, indexed `node - base`.
-    pub(super) rngs: Vec<StdRng>,
+    /// Empty until a node of this shard first draws (see
+    /// [`rng`](Self::rng)).
+    rngs: Vec<StdRng>,
     /// Per-owned-node canonical-key counters (`source rank << 64 | seq`).
     pub(super) src_seq: Vec<u64>,
     /// Per-owned-node packet-id counters (`(node + 1) << 40 | seq`).
@@ -253,7 +335,7 @@ impl World {
     /// the hot path.
     pub(super) const FANOUT_SPARES_MAX: usize = 256;
 
-    pub(super) fn new(topo: &Topology, seed: u64, wheel: WheelConfig, shard: usize, base: u32, limit: u32) -> World {
+    pub(super) fn new(topo: &Topology, wheel: WheelConfig, shard: usize, base: u32, limit: u32) -> World {
         let span = (limit - base) as usize;
         World {
             shard,
@@ -261,7 +343,7 @@ impl World {
             limit,
             routing: Routing::new(),
             stats: Stats::new(topo.link_count()),
-            rngs: (base..limit).map(|i| StdRng::seed_from_u64(node_seed(seed, i))).collect(),
+            rngs: Vec::new(),
             src_seq: vec![0; span],
             pkt_seq: vec![0; span],
             listeners: BTreeSet::new(),
@@ -291,6 +373,24 @@ impl World {
         (node.0 - self.base) as usize
     }
 
+    /// Owned node `node`'s RNG stream under run seed `seed`. A stream is a
+    /// pure function of `(seed, node)`, so when its table comes to exist is
+    /// not observable: the shard's first draw seeds the streams of all its
+    /// nodes, and a run that never draws — no lossy link, no randomized
+    /// agent — holds none.
+    pub(super) fn rng(&mut self, seed: u64, node: NodeId) -> &mut StdRng {
+        if self.rngs.is_empty() {
+            self.rngs = (self.base..self.limit).map(|i| StdRng::seed_from_u64(node_seed(seed, i))).collect();
+        }
+        let i = self.local(node);
+        &mut self.rngs[i]
+    }
+
+    #[cfg(test)]
+    pub(super) fn rngs_seeded(&self) -> bool {
+        !self.rngs.is_empty()
+    }
+
     /// Allocate the next canonical event key for events scheduled by
     /// `node` (an owned node): `rank << 64 | seq`, rank = id + 1.
     #[inline]
@@ -308,7 +408,7 @@ impl World {
         }
     }
 
-    /// Queue a deferred fan-out of `frame` at `(at, fs.key)`, coalescing
+    /// Queue a deferred fan-out of `frame` at `(at, fs.key())`, coalescing
     /// with the queue's most recent same-timestamp entry when that entry is
     /// itself a fan-out *and* every member of it keys below the newcomer — a
     /// forwarding hop emitting k same-latency sends back to back occupies
@@ -330,7 +430,7 @@ impl World {
                 EventKind::Fanout(prev) => Some(prev),
                 _ => None,
             };
-            if let Some(tail) = tail.filter(|t| t.key < fs.key) {
+            if let Some(tail) = tail.filter(|t| t.key() < fs.key()) {
                 fs.bytes = match &tail.bytes {
                     Some(b) if Arc::ptr_eq(b, &frame) => tail.bytes.take(),
                     _ => Some(frame.into_owned()),
@@ -349,7 +449,7 @@ impl World {
             }
         }
         fs.bytes = Some(frame.into_owned());
-        self.push(at, fs.key, EventKind::Fanout(fs));
+        self.push(at, fs.key(), EventKind::Fanout(fs));
     }
 
     /// Record a trace event if tracing is enabled (filters and causal

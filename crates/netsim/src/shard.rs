@@ -44,7 +44,8 @@ pub struct ShardPlan {
     /// `bounds[0] == 0`, `bounds[last] == node_count`. Shard `s` owns
     /// nodes `[bounds[s], bounds[s+1])`.
     bounds: Vec<u32>,
-    /// Per link: bitmask of shards owning at least one endpoint.
+    /// Per link: bitmask of shards owning at least one endpoint. Empty for
+    /// the single-shard plan, where every link's mask is shard 0's bit.
     link_masks: Vec<u64>,
     /// Minimum one-way latency over cut links — the conservative safe
     /// window. `SimDuration(u64::MAX)` when no link is cut.
@@ -57,7 +58,7 @@ impl ShardPlan {
     pub fn single(topo: &Topology) -> ShardPlan {
         ShardPlan {
             bounds: vec![0, topo.node_count() as u32],
-            link_masks: vec![1; topo.link_count()],
+            link_masks: Vec::new(),
             lookahead: SimDuration(u64::MAX),
         }
     }
@@ -86,12 +87,15 @@ impl ShardPlan {
 
     /// Bitmask of shards owning at least one endpoint of `link`.
     pub fn link_mask(&self, link: LinkId) -> u64 {
+        if self.link_masks.is_empty() {
+            return 1;
+        }
         self.link_masks[link.0 as usize]
     }
 
     /// Does `link` span more than one shard?
     pub fn is_cut(&self, link: LinkId) -> bool {
-        self.link_masks[link.0 as usize].count_ones() > 1
+        self.link_mask(link).count_ones() > 1
     }
 
     /// Number of cut links.

@@ -75,10 +75,20 @@ impl CounterId {
     }
 }
 
+/// A link's control and drop counters: `[control packets, control octets,
+/// drops]`.
+type ColdRow = [u64; 3];
+
 /// All measurement state for one simulation run.
 #[derive(Debug, Default)]
 pub struct Stats {
-    per_link: Vec<LinkStats>,
+    /// Per link, `[data packets, data octets]`: the pair a data
+    /// transmission bumps, and all of a link's row that one touches.
+    link_data: Vec<[u64; 2]>,
+    /// Per link, the rest of its row. Empty ≡ all zero: allocated (for
+    /// every link) by the first control transmission or drop, so a run
+    /// that only forwards data never holds it.
+    link_cold: Vec<ColdRow>,
     /// Interned counter slots, indexed by [`CounterId`].
     values: Vec<u64>,
     /// Whether the slot has ever been bumped (even by zero). Registration
@@ -103,43 +113,63 @@ impl Stats {
     /// Stats sized for `links` links.
     pub fn new(links: usize) -> Self {
         Stats {
-            per_link: vec![LinkStats::default(); links],
+            link_data: vec![[0; 2]; links],
             ..Stats::default()
         }
     }
 
+    /// The control and drop counters, allocated here if this is the first
+    /// write to them.
+    fn cold_mut(&mut self) -> &mut [ColdRow] {
+        if self.link_cold.is_empty() {
+            self.link_cold = vec![[0; 3]; self.link_data.len()];
+        }
+        &mut self.link_cold
+    }
+
     pub(crate) fn record_tx(&mut self, link: LinkId, bytes: usize, class: TrafficClass) {
-        let s = &mut self.per_link[link.index()];
         match class {
             TrafficClass::Data => {
-                s.data_packets += 1;
-                s.data_bytes += bytes as u64;
+                let [packets, octets] = &mut self.link_data[link.index()];
+                *packets += 1;
+                *octets += bytes as u64;
             }
             TrafficClass::Control => {
-                s.control_packets += 1;
-                s.control_bytes += bytes as u64;
+                let [packets, octets, _] = &mut self.cold_mut()[link.index()];
+                *packets += 1;
+                *octets += bytes as u64;
             }
         }
     }
 
     pub(crate) fn record_drop(&mut self, link: LinkId) {
-        self.per_link[link.index()].drops += 1;
+        self.cold_mut()[link.index()][2] += 1;
     }
 
     /// Counters for one link.
     pub fn link(&self, link: LinkId) -> LinkStats {
-        self.per_link[link.index()]
+        let [data_packets, data_bytes] = self.link_data[link.index()];
+        let [control_packets, control_bytes, drops] = self.link_cold.get(link.index()).copied().unwrap_or_default();
+        LinkStats {
+            data_packets,
+            data_bytes,
+            control_packets,
+            control_bytes,
+            drops,
+        }
     }
 
     /// Sum of the counters over all links.
     pub fn total(&self) -> LinkStats {
         let mut t = LinkStats::default();
-        for s in &self.per_link {
-            t.data_packets += s.data_packets;
-            t.data_bytes += s.data_bytes;
-            t.control_packets += s.control_packets;
-            t.control_bytes += s.control_bytes;
-            t.drops += s.drops;
+        for [packets, octets] in &self.link_data {
+            t.data_packets += packets;
+            t.data_bytes += octets;
+        }
+        for [packets, octets, drops] in &self.link_cold {
+            t.control_packets += packets;
+            t.control_bytes += octets;
+            t.drops += drops;
         }
         t
     }
@@ -147,7 +177,7 @@ impl Stats {
     /// Number of links with any data traffic — the "links used by the
     /// channel" measure a transit domain counts in §3.1.
     pub fn links_carrying_data(&self) -> usize {
-        self.per_link.iter().filter(|s| s.data_packets > 0).count()
+        self.link_data.iter().filter(|[packets, _]| *packets > 0).count()
     }
 
     /// Intern `key`, returning its stable handle. Registering does **not**
@@ -243,19 +273,23 @@ impl Stats {
     /// Merge-and-drain another `Stats` into this one: per-link counters are
     /// added elementwise (both sides are sized for the full topology — each
     /// shard of a sharded run keeps a full-size link table and only touches
-    /// its own links), and every *touched* named counter in `other` is added
+    /// its own links; a control and drop half nobody wrote stays
+    /// unallocated), and every *touched* named counter in `other` is added
     /// under the same key here. `other` is left zeroed but keeps its intern
     /// tables, so [`CounterId`] handles held by agents stay valid across
     /// repeated `run_until` calls. Counters are matched **by name**, not by
     /// handle — per-shard interning order differs.
     pub(crate) fn absorb(&mut self, other: &mut Stats) {
-        for (dst, src) in self.per_link.iter_mut().zip(other.per_link.iter_mut()) {
-            dst.data_packets += src.data_packets;
-            dst.data_bytes += src.data_bytes;
-            dst.control_packets += src.control_packets;
-            dst.control_bytes += src.control_bytes;
-            dst.drops += src.drops;
-            *src = LinkStats::default();
+        fn drain_rows<const N: usize>(dst: &mut [[u64; N]], src: &mut [[u64; N]]) {
+            for (d, s) in dst.iter_mut().flatten().zip(src.iter_mut().flatten()) {
+                *d += std::mem::take(s);
+            }
+        }
+        drain_rows(&mut self.link_data, &mut other.link_data);
+        // A shard that never wrote its control and drop half has nothing to
+        // add, and leaves the receiving side's unallocated if it was.
+        if !other.link_cold.is_empty() {
+            drain_rows(self.cold_mut(), &mut other.link_cold);
         }
         for i in 0..other.values.len() {
             if other.touched[i] {
@@ -302,6 +336,76 @@ mod tests {
         assert_eq!(s.total().bytes(), 170);
         assert_eq!(s.total().drops, 1);
         assert_eq!(s.links_carrying_data(), 2);
+    }
+
+    /// The link table against one `LinkStats` per link, through a seeded
+    /// sequence of transmissions, drops and merges of two `Stats` whose
+    /// control-and-drop halves come to exist at different times.
+    #[test]
+    fn link_table_matches_a_row_per_link_model() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const LINKS: usize = 7;
+        fn add(to: &mut LinkStats, m: &LinkStats) {
+            to.data_packets += m.data_packets;
+            to.data_bytes += m.data_bytes;
+            to.control_packets += m.control_packets;
+            to.control_bytes += m.control_bytes;
+            to.drops += m.drops;
+        }
+        let check = |s: &Stats, model: &[LinkStats]| {
+            let mut total = LinkStats::default();
+            for (l, m) in model.iter().enumerate() {
+                assert_eq!(s.link(LinkId(l as u32)), *m, "link {l}");
+                add(&mut total, m);
+            }
+            assert_eq!(s.total(), total);
+            assert_eq!(s.links_carrying_data(), model.iter().filter(|m| m.data_packets > 0).count());
+        };
+        // Which side writes control traffic or drops first: neither (data
+        // only), the absorbing one, the absorbed one, both.
+        for (cold_a, cold_b) in [(false, false), (true, false), (false, true), (true, true)] {
+            let mut rng = StdRng::seed_from_u64(u64::from(cold_a) * 2 + u64::from(cold_b));
+            let mut sides = [(Stats::new(LINKS), [LinkStats::default(); LINKS]), (Stats::new(LINKS), [LinkStats::default(); LINKS])];
+            sides[0].0.count("kept", 1);
+            for round in 0..4 {
+                for (side, cold) in [(0, cold_a), (1, cold_b)] {
+                    let (s, model) = &mut sides[side];
+                    for _ in 0..40 {
+                        let l = rng.random_range(0..LINKS);
+                        let bytes = rng.random_range(1..1500usize);
+                        // The last link sees no data; the first nothing else.
+                        match rng.random_range(0..if cold && round > 0 { 3u32 } else { 1 }) {
+                            0 if l < LINKS - 1 => {
+                                s.record_tx(LinkId(l as u32), bytes, TrafficClass::Data);
+                                model[l].data_packets += 1;
+                                model[l].data_bytes += bytes as u64;
+                            }
+                            1 if l > 0 => {
+                                s.record_tx(LinkId(l as u32), bytes, TrafficClass::Control);
+                                model[l].control_packets += 1;
+                                model[l].control_bytes += bytes as u64;
+                            }
+                            2 if l > 0 => {
+                                s.record_drop(LinkId(l as u32));
+                                model[l].drops += 1;
+                            }
+                            _ => {}
+                        }
+                    }
+                    check(s, model);
+                }
+                let [(a, model_a), (b, model_b)] = &mut sides;
+                a.absorb(b);
+                for (m, src) in model_a.iter_mut().zip(model_b.iter_mut()) {
+                    add(m, &std::mem::take(src));
+                }
+                check(a, model_a);
+                check(b, model_b);
+                assert_eq!(a.link_cold.is_empty(), !(round > 0 && (cold_a || cold_b)), "allocated by the first write only");
+            }
+            assert_eq!(sides[0].0.named_counters().collect::<Vec<_>>(), vec![("kept", 1)]);
+        }
     }
 
     #[test]

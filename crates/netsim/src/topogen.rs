@@ -24,16 +24,24 @@ pub struct GenTopo {
     pub hosts: Vec<NodeId>,
 }
 
+/// An empty topology sized for a tree of `routers` routers and `hosts`
+/// hosts — one link fewer than nodes.
+fn tree_with_capacity(routers: usize, hosts: usize) -> Topology {
+    Topology::with_capacity(routers, hosts, routers + hosts - 1)
+}
+
 /// A star: one hub router; each of `n_hosts` hosts hangs off its own chain
 /// of `path_len` routers from the hub (the §5.1 worst case: every receiver
 /// `h` hops from the source with no sharing except at the root).
 ///
 /// The source host attaches directly to the hub and is `hosts[0]`.
 pub fn star(n_hosts: usize, path_len: usize, spec: LinkSpec) -> GenTopo {
-    let mut t = Topology::new();
+    let (n_routers, n_hosts_all) = (1 + n_hosts * path_len, n_hosts + 1);
+    let mut t = tree_with_capacity(n_routers, n_hosts_all);
     let hub = t.add_router();
-    let mut routers = vec![hub];
-    let mut hosts = Vec::with_capacity(n_hosts + 1);
+    let mut routers = Vec::with_capacity(n_routers);
+    routers.push(hub);
+    let mut hosts = Vec::with_capacity(n_hosts_all);
     let src = t.add_host();
     t.connect(src, hub, spec).unwrap();
     hosts.push(src);
@@ -64,12 +72,16 @@ pub fn star(n_hosts: usize, path_len: usize, spec: LinkSpec) -> GenTopo {
 /// `hosts[0]` is the source at the root.
 pub fn kary_tree(fanout: usize, depth: usize, spec: LinkSpec) -> GenTopo {
     assert!(fanout >= 1 && depth >= 1);
-    let mut t = Topology::new();
+    let leaves = fanout.pow(depth as u32);
+    let n_routers: usize = (0..=depth as u32).map(|d| fanout.pow(d)).sum();
+    let mut t = tree_with_capacity(n_routers, 1 + leaves);
     let root = t.add_router();
-    let mut routers = vec![root];
+    let mut routers = Vec::with_capacity(n_routers);
+    routers.push(root);
     let src = t.add_host();
     t.connect(src, root, spec).unwrap();
-    let mut hosts = vec![src];
+    let mut hosts = Vec::with_capacity(1 + leaves);
+    hosts.push(src);
     let mut level = vec![root];
     for d in 1..=depth {
         let mut next = Vec::with_capacity(level.len() * fanout);
@@ -98,7 +110,7 @@ pub fn kary_tree(fanout: usize, depth: usize, spec: LinkSpec) -> GenTopo {
 /// A line of `n` routers with one host at each end; `hosts[0]` at router 0.
 pub fn line(n: usize, spec: LinkSpec) -> GenTopo {
     assert!(n >= 1);
-    let mut t = Topology::new();
+    let mut t = tree_with_capacity(n, 2);
     let mut routers = Vec::with_capacity(n);
     for i in 0..n {
         let r = t.add_router();
@@ -261,6 +273,20 @@ mod tests {
         let g = line(5, LinkSpec::default());
         let mut r = Routing::new();
         assert_eq!(r.hops(&g.topo, g.hosts[0], g.hosts[1]), Some(6));
+    }
+
+    #[test]
+    fn closed_form_generators_allocate_exactly_what_they_fill() {
+        let spec = LinkSpec::default();
+        for g in [kary_tree(2, 5, spec), kary_tree(3, 3, spec), star(3, 3, spec), line(5, spec)] {
+            assert_eq!(g.topo.arena_slack(), 0);
+            assert_eq!((g.routers.capacity(), g.hosts.capacity()), (g.routers.len(), g.hosts.len()));
+        }
+        // A router with more than four interfaces outgrows its first slots;
+        // the topology is the same one, with the slab regrown.
+        let wide = kary_tree(4, 2, spec);
+        assert!(wide.topo.arena_slack() > 0);
+        assert_eq!(wide.topo.iface_count(wide.routers[0]), 5);
     }
 
     #[test]

@@ -20,11 +20,15 @@
 //!   range to the slab's end with doubled capacity (classic slab
 //!   relocation; the abandoned range is accepted fragmentation, bounded by
 //!   the 32-interface cap).
-//! * Per-link fields (`link_specs`, `link_up`, `ep_ranges`) are flat `Vec`s
-//!   indexed by `LinkId`. A link's endpoint list is an *exact-sized*
+//! * Per-link fields (`link_spec_ix`, `link_state`, `ep_ranges`) are flat
+//!   `Vec`s indexed by `LinkId`. A link's endpoint list is an *exact-sized*
 //!   `(start, len)` range into a shared `ep_slab: Vec<(NodeId, IfaceId)>` —
 //!   endpoints never change after [`connect`](Topology::connect) /
 //!   [`add_lan`](Topology::add_lan), so no capacity slack is needed.
+//! * Link specs are **interned**: a link holds a 4-byte index into the
+//!   table of distinct specs (`specs`), told apart by bit pattern. A
+//!   generated topology has one to three of them, so the 32-byte
+//!   [`LinkSpec`] is stored that many times, not once per link.
 //!
 //! Building an `N`-node topology therefore performs O(1) *allocations*
 //! (amortized `Vec` doubling on a handful of flat arrays) instead of the
@@ -36,6 +40,7 @@
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::time::SimDuration;
 use express_wire::addr::Ipv4Addr;
+use std::collections::HashMap;
 
 /// Whether a node is a router (forwards) or an end host (sources/sinks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,6 +58,8 @@ pub struct LinkSpec {
     pub latency: SimDuration,
     /// Transmission rate in bits per second (serialization delay =
     /// 8·bytes / bandwidth). `u64::MAX` disables serialization delay.
+    /// Must be at least 1: a link that never finishes serializing a frame
+    /// is rejected with [`TopoError::ZeroBandwidth`].
     pub bandwidth_bps: u64,
     /// Independent per-packet loss probability for datagram traffic
     /// (reliable stream traffic is never dropped — retransmission is
@@ -108,6 +115,8 @@ pub enum TopoError {
     NoSuchInterface(NodeId, IfaceId),
     /// A link was specified with routing metric 0 (the minimum is 1).
     ZeroMetric,
+    /// A link was specified with a bandwidth of 0 bits per second.
+    ZeroBandwidth,
 }
 
 impl core::fmt::Display for TopoError {
@@ -118,6 +127,7 @@ impl core::fmt::Display for TopoError {
             TopoError::NoSuchLink(l) => write!(f, "no such link {l}"),
             TopoError::NoSuchInterface(n, i) => write!(f, "no such interface {n}/{i}"),
             TopoError::ZeroMetric => write!(f, "link metric must be at least 1"),
+            TopoError::ZeroBandwidth => write!(f, "link bandwidth must be at least 1 bit per second"),
         }
     }
 }
@@ -140,8 +150,22 @@ struct EpRange {
     len: u32,
 }
 
+/// Interface slots a router's first attachment reserves (the common tree
+/// degree is ≤ 3) …
+const ROUTER_SLOTS: u8 = 4;
+/// … and a host's (almost always a single uplink).
+const HOST_SLOTS: u8 = 1;
+
 /// Placeholder filling unused capacity slots in the interface slab.
 const NO_LINK: LinkId = LinkId(u32::MAX);
+
+/// What tells two specs apart: the bit pattern of every field (`0.0` and
+/// `-0.0` loss are two specs, and each reads back as it was given).
+type SpecBits = (u64, u64, u64, u32);
+
+fn spec_bits(spec: &LinkSpec) -> SpecBits {
+    (spec.latency.0, spec.bandwidth_bps, spec.loss.to_bits(), spec.metric)
+}
 
 /// The network graph, stored as NodeId/LinkId-indexed arenas (see the
 /// module docs for the layout and its scaling rationale).
@@ -155,8 +179,12 @@ pub struct Topology {
     /// interface `i`; slots in `[r.start + r.len, r.start + r.cap)` are
     /// unused capacity (`NO_LINK`).
     iface_slab: Vec<LinkId>,
-    /// Per-link physical spec.
-    link_specs: Vec<LinkSpec>,
+    /// The distinct link specs, in order of first use.
+    specs: Vec<LinkSpec>,
+    /// Bit pattern → index into `specs`.
+    spec_index: HashMap<SpecBits, u32>,
+    /// Per-link index into `specs`.
+    link_spec_ix: Vec<u32>,
     /// Per-link up/down state.
     link_state: Vec<bool>,
     /// Per-link endpoint range into `ep_slab`.
@@ -169,6 +197,39 @@ impl Topology {
     /// An empty topology.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty topology with every arena sized for `routers` routers of at
+    /// most four interfaces, `hosts` single-homed hosts and `links`
+    /// point-to-point links — what the closed-form generators build. A
+    /// topology built to those counts never regrows an arena, so it holds
+    /// no doubling slack; one that outgrows them grows like any other.
+    pub(crate) fn with_capacity(routers: usize, hosts: usize, links: usize) -> Self {
+        let mut t = Self::default();
+        let nodes = routers + hosts;
+        t.kinds.reserve_exact(nodes);
+        t.iface_ranges.reserve_exact(nodes);
+        t.iface_slab.reserve_exact(ROUTER_SLOTS as usize * routers + HOST_SLOTS as usize * hosts);
+        t.link_spec_ix.reserve_exact(links);
+        t.link_state.reserve_exact(links);
+        t.ep_ranges.reserve_exact(links);
+        t.ep_slab.reserve_exact(2 * links);
+        t
+    }
+
+    /// Elements allocated but not filled, over the seven arenas.
+    #[cfg(test)]
+    pub(crate) fn arena_slack(&self) -> usize {
+        fn slack<T>(v: &Vec<T>) -> usize {
+            v.capacity() - v.len()
+        }
+        slack(&self.kinds)
+            + slack(&self.iface_ranges)
+            + slack(&self.iface_slab)
+            + slack(&self.link_spec_ix)
+            + slack(&self.link_state)
+            + slack(&self.ep_ranges)
+            + slack(&self.ep_slab)
     }
 
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
@@ -197,7 +258,7 @@ impl Topology {
 
     /// Number of links.
     pub fn link_count(&self) -> usize {
-        self.link_specs.len()
+        self.link_spec_ix.len()
     }
 
     /// All node ids.
@@ -248,7 +309,7 @@ impl Topology {
 
     /// The physical spec of `link`.
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        self.link_specs[link.index()]
+        self.specs[self.link_spec_ix[link.index()] as usize]
     }
 
     /// Is `link` currently up?
@@ -285,6 +346,44 @@ impl Topology {
         self.ep_slab[r.start as usize + idx]
     }
 
+    /// Where a spec enters the topology: checked, then filed under its bit
+    /// pattern — a new entry of `specs` only if no link had it before. The
+    /// previous link's spec is compared first, so a generator handing every
+    /// link the same spec never hashes.
+    fn intern_spec(&mut self, spec: LinkSpec) -> Result<u32, TopoError> {
+        if spec.metric == 0 {
+            return Err(TopoError::ZeroMetric);
+        }
+        if spec.bandwidth_bps == 0 {
+            return Err(TopoError::ZeroBandwidth);
+        }
+        let bits = spec_bits(&spec);
+        if let Some(&last) = self.link_spec_ix.last() {
+            if spec_bits(&self.specs[last as usize]) == bits {
+                return Ok(last);
+            }
+        }
+        let specs = &mut self.specs;
+        Ok(*self.spec_index.entry(bits).or_insert_with(|| {
+            specs.push(spec);
+            specs.len() as u32 - 1
+        }))
+    }
+
+    /// A new up link with `spec` and no endpoints yet; an invalid spec
+    /// consumes no id.
+    fn add_link(&mut self, spec: LinkSpec) -> Result<LinkId, TopoError> {
+        let ix = self.intern_spec(spec)?;
+        let link = LinkId(self.link_spec_ix.len() as u32);
+        self.link_spec_ix.push(ix);
+        self.link_state.push(true);
+        self.ep_ranges.push(EpRange {
+            start: self.ep_slab.len() as u32,
+            len: 0,
+        });
+        Ok(link)
+    }
+
     fn attach(&mut self, node: NodeId, link: LinkId) -> Result<IfaceId, TopoError> {
         let r = *self
             .iface_ranges
@@ -295,14 +394,12 @@ impl Topology {
         }
         let mut r = r;
         if r.len == r.cap {
-            // Relocate the range to the slab's end with more capacity.
-            // Routers start at 4 slots (the common tree degree is ≤ 3),
-            // hosts at 1 (almost always a single uplink); growth doubles,
-            // capped at the 32-interface bound.
+            // Relocate the range to the slab's end with more capacity;
+            // growth doubles, capped at the 32-interface bound.
             let new_cap = if r.cap == 0 {
                 match self.kinds[node.index()] {
-                    NodeKind::Router => 4,
-                    NodeKind::Host => 1,
+                    NodeKind::Router => ROUTER_SLOTS,
+                    NodeKind::Host => HOST_SLOTS,
                 }
             } else {
                 (r.cap as usize * 2).min(32) as u8
@@ -332,20 +429,11 @@ impl Topology {
     /// On an interface error the link id is still consumed (a dead,
     /// endpoint-less link remains) — callers that resample on failure, like
     /// the random topology generators, rely on this id-assignment behavior
-    /// staying stable across layout changes. A zero `spec.metric` is
-    /// rejected before anything is consumed.
+    /// staying stable across layout changes. A zero `spec.metric` or
+    /// `spec.bandwidth_bps` is rejected before anything is consumed.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> Result<LinkId, TopoError> {
-        if spec.metric == 0 {
-            return Err(TopoError::ZeroMetric);
-        }
-        let link = LinkId(self.link_specs.len() as u32);
         // Reserve the link slot first so `attach` records a valid id.
-        self.link_specs.push(spec);
-        self.link_state.push(true);
-        self.ep_ranges.push(EpRange {
-            start: self.ep_slab.len() as u32,
-            len: 0,
-        });
+        let link = self.add_link(spec)?;
         let ia = self.attach(a, link)?;
         let ib = self.attach(b, link)?;
         let start = self.ep_slab.len() as u32;
@@ -359,16 +447,7 @@ impl Topology {
     /// returns the link id. Datagrams sent to a multicast destination on a
     /// LAN reach every attached node except the sender.
     pub fn add_lan(&mut self, members: &[NodeId], spec: LinkSpec) -> Result<LinkId, TopoError> {
-        if spec.metric == 0 {
-            return Err(TopoError::ZeroMetric);
-        }
-        let link = LinkId(self.link_specs.len() as u32);
-        self.link_specs.push(spec);
-        self.link_state.push(true);
-        self.ep_ranges.push(EpRange {
-            start: self.ep_slab.len() as u32,
-            len: 0,
-        });
+        let link = self.add_link(spec)?;
         let start = self.ep_slab.len() as u32;
         for &m in members {
             let i = self.attach(m, link)?;
@@ -493,6 +572,74 @@ mod tests {
         assert_eq!(t.add_lan(&[a, b], free), Err(TopoError::ZeroMetric));
         assert_eq!((t.link_count(), t.iface_count(a)), (0, 0));
         assert_eq!(t.connect(a, b, LinkSpec::default()), Ok(LinkId(0)));
+    }
+
+    #[test]
+    fn zero_bandwidth_is_rejected_and_consumes_nothing() {
+        // Such a link used to be accepted, and the first transmission on it
+        // divided by its bandwidth.
+        let mut t = Topology::new();
+        let a = t.add_host();
+        let b = t.add_host();
+        let stalled = LinkSpec { bandwidth_bps: 0, ..Default::default() };
+        assert_eq!(t.connect(a, b, stalled), Err(TopoError::ZeroBandwidth));
+        assert_eq!(t.add_lan(&[a, b], stalled), Err(TopoError::ZeroBandwidth));
+        assert_eq!((t.link_count(), t.iface_count(a), t.specs.len()), (0, 0, 0));
+        assert_eq!(t.connect(a, b, LinkSpec { bandwidth_bps: 1, ..Default::default() }), Ok(LinkId(0)));
+    }
+
+    #[test]
+    fn every_link_reads_back_the_spec_it_was_given() {
+        // The links of a random graph, rebuilt with a spec per link: runs
+        // of one spec, specs that come back after others, specs that differ
+        // in one field or one bit (`0.0` / `-0.0` loss), all distinct ones.
+        let g = crate::topogen::random_connected(40, 30, 20, LinkSpec::default(), 7);
+        let spec_for = |l: usize| match l % 10 {
+            0..=3 => LinkSpec::default(),
+            4 => LinkSpec { loss: -0.0, ..Default::default() },
+            5 => LinkSpec { loss: 0.0, ..LinkSpec::lan() },
+            6 => LinkSpec { metric: 2, ..Default::default() },
+            7 => LinkSpec { bandwidth_bps: u64::MAX, ..Default::default() },
+            _ => LinkSpec { latency: SimDuration::from_micros(l as u64), loss: l as f64 / 1e3, ..Default::default() },
+        };
+        let mut t = Topology::new();
+        for n in g.topo.node_ids() {
+            t.add_node(g.topo.kind(n));
+        }
+        let mut given = Vec::new();
+        for l in 0..g.topo.link_count() {
+            let spec = spec_for(l);
+            match *g.topo.link_endpoints(LinkId(l as u32)) {
+                [(a, _), (b, _)] => assert_eq!(t.connect(a, b, spec), Ok(LinkId(l as u32))),
+                // The generator's own failed attempts: ids without endpoints.
+                _ => assert_eq!(t.add_link(spec), Ok(LinkId(l as u32))),
+            }
+            given.push(spec);
+        }
+        // One more id consumed by a connect that fails, under a spec of its
+        // own, and a link after it.
+        let hub = t.add_router();
+        for _ in 0..32 {
+            let x = t.add_router();
+            given.push(spec_for(given.len()));
+            t.connect(hub, x, *given.last().unwrap()).unwrap();
+        }
+        let odd = LinkSpec { metric: 77, ..LinkSpec::wan(3) };
+        assert_eq!(t.connect(hub, NodeId(0), odd), Err(TopoError::TooManyInterfaces(hub)));
+        given.push(odd);
+        given.push(LinkSpec::default());
+        t.connect(NodeId(0), NodeId(1), LinkSpec::default()).unwrap();
+
+        assert_eq!(t.link_count(), given.len());
+        for (l, want) in given.iter().enumerate() {
+            let got = t.link_spec(LinkId(l as u32));
+            assert_eq!(spec_bits(&got), spec_bits(want), "link {l}");
+        }
+        let mut distinct: Vec<SpecBits> = given.iter().map(spec_bits).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(t.specs.len(), distinct.len(), "one stored spec per bit pattern");
+        assert!(distinct.len() > 20 && distinct.len() < given.len() / 2);
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn main() {
     let rogue_dropped: u64 = g
         .routers
         .iter()
-        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters.data_no_entry)
+        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().counters().data_no_entry)
         .sum();
     println!("pirate packets reaching any viewer: {rogue_delivered}");
     println!("pirate packets counted-and-dropped at the first hop: {rogue_dropped}");

@@ -333,7 +333,10 @@ fn fib_matches_a_hash_map_model() {
                         }
                     }
                     _ => {
-                        // Twice: the second answer comes from the front cache.
+                        // Twice: the second answer comes from the slot the
+                        // first one left as a hint — and the first one's
+                        // hint is whatever the installs and removals since
+                        // the last lookup made of it.
                         for _ in 0..2 {
                             let d = fib.lookup(chan, iface);
                             assert_eq!(d, model_decision(&model, chan, iface), "{what}");
@@ -395,6 +398,9 @@ fn channel_table_matches_a_btree_map_model() {
         let mut table: Table<Rec> = Table::new();
         let mut model = std::collections::BTreeMap::new();
         let mut high_water = 1;
+        // A slot hint carried through every insert, removal and growth —
+        // stale most of the time, out of range to begin with.
+        let mut hint = u32::MAX;
         // Fill, drain (every removal repairs a run in a table left at its
         // largest size), then churn.
         for (phase, inserts_in_8) in [(0, 7), (1, 1), (2, 4)] {
@@ -414,7 +420,12 @@ fn channel_table_matches_a_btree_map_model() {
                         want.val ^= 1;
                     }
                     0..=7 => assert_eq!(table.remove(key), model.remove(&key), "{what}"),
-                    8 => assert_eq!(table.get(key), model.get(&key), "{what}"),
+                    8 => {
+                        assert_eq!(table.get(key), model.get(&key), "{what}");
+                        for _ in 0..2 {
+                            assert_eq!(table.get_hinted(key, &mut hint), model.get(&key), "{what}");
+                        }
+                    }
                     _ => {
                         let (got, want) = (table.get_mut(key), model.get_mut(&key));
                         assert_eq!(got, want, "{what}");
