@@ -130,11 +130,11 @@ fn run_kary(depth: usize, packets_n: usize, prof_cfg: ProfConfig, trace_path: Op
 /// Count channel-labeled protocol events in a parsed trace — the
 /// per-channel view of where the (sampled) traffic went.
 fn print_hot_channels(events: &TraceBuffer) {
-    let mut per_chan: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut per_chan: BTreeMap<String, u64> = BTreeMap::new();
     for e in events.events() {
         if let TraceKind::Proto { event, .. } = &e.kind {
             if let Some(c) = &event.channel {
-                *per_chan.entry(c.as_str()).or_default() += 1;
+                *per_chan.entry(c.to_string()).or_default() += 1;
             }
         }
     }
@@ -142,8 +142,8 @@ fn print_hot_channels(events: &TraceBuffer) {
         return;
     }
     println!("\n-- hottest channels (sampled trace events) --");
-    let mut rows: Vec<(&str, u64)> = per_chan.into_iter().collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let mut rows: Vec<(String, u64)> = per_chan.into_iter().collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     for (chan, n) in rows.iter().take(10) {
         println!("chan {chan:<24} {n:>8} events");
     }

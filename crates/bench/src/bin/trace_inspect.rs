@@ -165,7 +165,7 @@ fn print_latency_histograms(events: &[TraceEvent]) {
             }
             let (Some(chan), Some(v)) = (&event.channel, event.value) else { continue };
             per_chan
-                .entry(chan.clone())
+                .entry(chan.to_string())
                 .or_insert_with(|| Histogram::new(netsim::metrics::DEFAULT_LATENCY_BOUNDS_US))
                 .observe(v);
         }

@@ -831,7 +831,7 @@ impl Agent for ExpressHost {
             .subscriptions
             .iter()
             .filter(|(_, sub)| sub.confirmed)
-            .map(|(chan, _)| chan.to_string())
+            .map(|(chan, _)| netsim::audit::label(chan))
             .collect();
         subscribed.sort();
         // Sourcing truth: channels with source soft state carry the latest
@@ -839,11 +839,11 @@ impl Agent for ExpressHost {
         let mut sourcing: Vec<(String, Option<u64>)> = self
             .sourced
             .iter()
-            .map(|(chan, st)| (chan.to_string(), Some(st.last_estimate)))
+            .map(|(chan, st)| (netsim::audit::label(chan), Some(st.last_estimate)))
             .collect();
         for chan in &self.sent_channels {
             if !self.sourced.contains_key(chan) {
-                sourcing.push((chan.to_string(), None));
+                sourcing.push((netsim::audit::label(chan), None));
             }
         }
         sourcing.sort();

@@ -1650,7 +1650,7 @@ impl Agent for EcmpRouter {
 
     fn audit_state(&self, _topo: &Topology, _node: NodeId) -> Option<AuditNodeState> {
         let route = |st: &ChannelState| AuditRoute {
-            channel: st.channel.to_string(),
+            channel: netsim::audit::label(st.channel),
             oif_mask: u64::from(st.oif_mask()),
             upstream_iface: st.upstream.map(|(iface, _)| iface),
             advertised: Some(st.advertised),

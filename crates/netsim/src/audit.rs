@@ -30,16 +30,15 @@
 //! ([`TraceConfig::sample_one_in`]) would hide entire chains from the
 //! checks, so [`TraceSink::on_attach`] panics if sampling is configured.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 use crate::id::{IfaceId, LinkId, NodeId};
+use crate::json::{self, Out};
 use crate::metrics::{Histogram, Metrics, MetricsConfig, DEFAULT_LATENCY_BOUNDS_US};
 use crate::stats::TrafficClass;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{
-    write_jsonl_line, write_str_field, PacketId, TraceConfig, TraceEvent, TraceKind, TraceSink, Tee,
-};
+use crate::trace::{write_jsonl_line, PacketId, ProtoEvent, TraceConfig, TraceEvent, TraceKind, TraceSink, Tee};
 
 /// `audit/v1` — the report schema version.
 pub const AUDIT_SCHEMA: &str = "audit/v1";
@@ -66,6 +65,17 @@ pub struct AuditRoute {
     /// The sum of validated downstream counts (what `advertised` should
     /// equal after quiescence; `None` for protocols without counts).
     pub downstream_sum: Option<u64>,
+}
+
+/// A channel / group label for [`AuditRoute::channel`] and the
+/// [`AuditNodeState`] lists: `channel`'s `Display` form, written into a
+/// string sized for it up front. A snapshot renders one per route and
+/// subscription of every node; grown from empty each costs three
+/// allocations, not one.
+pub fn label(channel: impl std::fmt::Display) -> String {
+    let mut label = String::with_capacity(32);
+    let _ = write!(label, "{channel}");
+    label
 }
 
 /// What one node reports for auditing: its routes plus its host-side
@@ -266,15 +276,75 @@ impl AuditConfig {
 
 // ---- the auditor ---------------------------------------------------------
 
-/// Per-causal-chain streaming state.
+/// A set of small integers, 64 to a word, as `(word number, bits)` pairs
+/// sorted by word number. Memory follows the words touched rather than the
+/// largest member — ids the engine numbers densely pack 64 to a pair, and an
+/// id a garbled capture invents costs one pair — and ids arrive in runs, so
+/// the word last asked about, or the one after it, usually answers without
+/// a search.
 #[derive(Debug, Default)]
-struct RootState {
-    /// Receivers that already got a delivery from this chain (A2 dup).
-    delivered: BTreeSet<NodeId>,
-    /// `(node, link)` transmissions already seen on this chain (A2 loop).
-    tx_links: BTreeSet<(NodeId, LinkId)>,
-    /// Bounded window of this chain's events, oldest first.
-    window: VecDeque<TraceEvent>,
+struct SparseBits {
+    words: Vec<(u32, u64)>,
+    near: usize,
+}
+
+impl SparseBits {
+    /// Where word `w` is (`Ok`), or where it would go (`Err`).
+    fn find(&mut self, w: u32) -> Result<usize, usize> {
+        let near = [self.near, self.near + 1].into_iter().find(|&at| self.words.get(at).is_some_and(|e| e.0 == w));
+        let found = near.map_or_else(|| self.words.binary_search_by_key(&w, |e| e.0), Ok);
+        let (Ok(at) | Err(at)) = found;
+        self.near = at;
+        found
+    }
+
+    /// Add `i`; `true` if it was not a member.
+    fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = ((i / 64) as u32, 1u64 << (i % 64));
+        let at = self.find(w).unwrap_or_else(|at| {
+            self.words.insert(at, (w, 0));
+            at
+        });
+        let bits = &mut self.words[at].1;
+        let new = *bits & bit == 0;
+        *bits |= bit;
+        new
+    }
+
+    fn contains(&mut self, i: usize) -> bool {
+        self.find((i / 64) as u32).is_ok_and(|at| self.words[at].1 & (1 << (i % 64)) != 0)
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+    }
+}
+
+/// Per-causal-chain streaming state: two bit sets and a ring, a few hundred
+/// bytes for a chain that crosses a few thousand links.
+#[derive(Debug, Default)]
+struct Chain {
+    root: u64,
+    /// Receivers that already got a delivery from this chain (A2 dup), by
+    /// node id.
+    delivered: SparseBits,
+    /// `(node, link)` transmissions already seen on this chain (A2 loop),
+    /// by pair index (see [`Auditor::pair_index`]) …
+    tx: SparseBits,
+    /// … and the pairs that have none.
+    tx_unindexed: BTreeSet<(NodeId, LinkId)>,
+    /// The chain's last [`AuditConfig::window_len`] events, a ring written
+    /// at `pushed % window_len`.
+    window: Vec<TraceEvent>,
+    pushed: usize,
+}
+
+impl Chain {
+    /// The window, oldest event first.
+    fn window(&self) -> Vec<TraceEvent> {
+        let oldest = self.pushed % self.window.len().max(1);
+        self.window[oldest..].iter().chain(&self.window[..oldest]).cloned().collect()
+    }
 }
 
 /// Per-run event counts for the health summary.
@@ -306,8 +376,26 @@ impl AuditHealth {
 }
 
 /// A prior snapshot's A1 inputs: the allowed `(node, link)` set and the
-/// set of nodes that supplied an [`AuditNodeState`] at the time.
-type PrevSnapshot = (BTreeSet<(NodeId, LinkId)>, BTreeSet<NodeId>);
+/// set of nodes that supplied an [`AuditNodeState`] at the time, each in
+/// ascending order in one allocation.
+type PrevSnapshot = (Vec<(NodeId, LinkId)>, Vec<NodeId>);
+
+/// Tables indexed directly by a node or link id take ids below this; the
+/// engine's address plan ends there (a packet id carries its sender in 24
+/// bits). An id at or past it — a garbled capture's — is tracked exactly,
+/// in ordered maps, so what a table can grow to is bounded by this and not
+/// by what a record claims.
+const DENSE_IDS: u32 = 1 << 24;
+
+const NO_NODE: u32 = u32::MAX;
+
+/// `table[i]`, the table grown with `empty` entries to hold it.
+fn entry<T: Clone>(table: &mut Vec<T>, i: usize, empty: T) -> &mut T {
+    if table.len() <= i {
+        table.resize(i + 1, empty);
+    }
+    &mut table[i]
+}
 
 /// The streaming invariant checker. Implements [`TraceSink`]; attach it
 /// with [`Sim::add_trace_sink`](crate::engine::Sim::add_trace_sink) (live)
@@ -318,10 +406,19 @@ pub struct Auditor {
     violations: Vec<AuditViolation>,
     health: AuditHealth,
     latency: Histogram,
-    /// Watched delivery counter names (from [`MetricsConfig::watch`]).
+    /// Watched delivery counter names (from [`MetricsConfig::watch`]) and,
+    /// per [`CounterId`](crate::stats::CounterId) seen on a mirrored bump,
+    /// whether its name is one of them — compared once.
     watch: Vec<String>,
-    /// Data transmissions since the last snapshot: `(node, link)` → first
-    /// event that used the pair (A1 input).
+    watch_ids: Vec<Option<bool>>,
+    /// Per link, the first two nodes seen putting data on it: a
+    /// `(node, link)` pair's index in the bit sets is `2·link + slot`.
+    senders: Vec<[u32; 2]>,
+    /// Pairs the previous snapshot allowed, by pair index: a transmission
+    /// on one of them cannot breach A1 and is not kept.
+    allowed_prev: SparseBits,
+    /// Data transmissions since the last snapshot on any other pair:
+    /// `(node, link)` → first event that used the pair (A1 input).
     used: BTreeMap<(NodeId, LinkId), TraceEvent>,
     /// The previous snapshot's allowed set + audited set: A1 judges an
     /// interval against the union of its two bracketing snapshots, so a
@@ -329,14 +426,21 @@ pub struct Auditor {
     /// the closing snapshot) cannot false-positive.
     prev: Option<PrevSnapshot>,
     snapshots: u64,
-    /// Per-chain A2 state, FIFO-bounded by `cfg.max_roots`.
-    roots: HashMap<u64, RootState>,
-    root_order: VecDeque<u64>,
-    /// Last data arrival per node, consumed by the matching watched proto
-    /// event at the same timestamp to form a delivery (root, receiver).
-    recent_rx: HashMap<NodeId, (SimTime, u64)>,
-    /// Embedded metrics: fault marks + watched delivery timestamps drive
-    /// the A4 evaluation via
+    /// Per-chain A2 state: a ring of `cfg.max_roots` slots reused oldest
+    /// first (`opened` counts the chains ever given one), found through
+    /// `slot_of` — or without it while records keep naming the chain in
+    /// slot `cur`.
+    chains: Vec<Chain>,
+    slot_of: HashMap<u64, u32>,
+    cur: usize,
+    opened: usize,
+    /// Last data arrival `(at, root)` per node, consumed by the matching
+    /// watched proto event at the same timestamp to form a delivery (root,
+    /// receiver); nodes past [`DENSE_IDS`] in the map.
+    recent_rx: Vec<Option<(SimTime, u64)>>,
+    recent_rx_far: BTreeMap<u32, Option<(SimTime, u64)>>,
+    /// Embedded metrics: fault marks + watched delivery instants drive the
+    /// A4 evaluation via
     /// [`reconvergence_after`](Metrics::reconvergence_after) /
     /// [`delivery_gaps`](Metrics::delivery_gaps).
     metrics: Metrics,
@@ -365,19 +469,24 @@ impl Auditor {
     /// event it sees.
     pub fn new(cfg: AuditConfig) -> Self {
         let mcfg = MetricsConfig::default();
-        let watch = mcfg.watch.clone();
         Auditor {
             cfg,
             violations: Vec::new(),
             health: AuditHealth::default(),
             latency: Histogram::new(DEFAULT_LATENCY_BOUNDS_US),
-            watch,
+            watch: mcfg.watch.clone(),
+            watch_ids: Vec::new(),
+            senders: Vec::new(),
+            allowed_prev: SparseBits::default(),
             used: BTreeMap::new(),
             prev: None,
             snapshots: 0,
-            roots: HashMap::new(),
-            root_order: VecDeque::new(),
-            recent_rx: HashMap::new(),
+            chains: Vec::new(),
+            slot_of: HashMap::new(),
+            cur: 0,
+            opened: 0,
+            recent_rx: Vec::new(),
+            recent_rx_far: BTreeMap::new(),
             metrics: Metrics::new(mcfg),
             last_at: SimTime(0),
             finished: false,
@@ -413,123 +522,149 @@ impl Auditor {
         // A1: every data transmission since the last snapshot must sit in
         // the union of the bracketing snapshots' allowed sets; nodes not
         // audited at either end are exempt.
+        // (A pair the previous snapshot allowed never entered `used`.)
         let used = std::mem::take(&mut self.used);
         for ((node, link), ev) in used {
             if !self.cfg.enabled(AuditCheck::OnTree) {
                 break;
             }
-            let audited_now = snap.audited.contains(&node);
-            let audited_before = self.prev.as_ref().is_some_and(|(_, a)| a.contains(&node));
-            if !audited_now && !audited_before {
-                continue;
-            }
-            let allowed_now = snap.allowed.contains(&(node, link));
-            let allowed_before = self.prev.as_ref().is_some_and(|(al, _)| al.contains(&(node, link)));
-            if !allowed_now && !allowed_before {
-                let root = ev.kind.root_id();
-                let window = root
-                    .and_then(|r| self.roots.get(&r.0))
-                    .map(|s| s.window.iter().cloned().collect())
-                    .unwrap_or_default();
-                self.violations.push(AuditViolation {
-                    check: AuditCheck::OnTree,
-                    at: snap.at,
-                    root,
-                    summary: format!("off-tree data transmission: node n{} put data on link l{} which is on no audited source tree", node.0, link.0),
-                    offending: Some(ev),
-                    window,
-                });
+            let before = self.prev.as_ref();
+            let audited = snap.audited.contains(&node) || before.is_some_and(|(_, a)| a.binary_search(&node).is_ok());
+            let allowed =
+                snap.allowed.contains(&(node, link)) || before.is_some_and(|(al, _)| al.binary_search(&(node, link)).is_ok());
+            if audited && !allowed {
+                let summary = format!("off-tree data transmission: node n{} put data on link l{} which is on no audited source tree", node.0, link.0);
+                self.breach(AuditCheck::OnTree, snap.at, ev.kind.root_id(), Some(&ev), summary);
             }
         }
         if check_counts && self.cfg.enabled(AuditCheck::CountConvergence) {
             self.check_counts(snap);
         }
-        self.prev = Some((snap.allowed.clone(), snap.audited.clone()));
+        self.prev = Some((snap.allowed.iter().copied().collect(), snap.audited.iter().copied().collect()));
+        let mut allowed: Vec<usize> = snap.allowed.iter().filter_map(|&(n, l)| self.pair_index(n, l)).collect();
+        allowed.sort_unstable();
+        self.allowed_prev.clear();
+        for pair in allowed {
+            self.allowed_prev.insert(pair);
+        }
         self.snapshots += 1;
+    }
+
+    /// Record a violation of `check`: on chain `root`, whose window goes
+    /// with it, or on no chain.
+    fn breach(&mut self, check: AuditCheck, at: SimTime, root: Option<PacketId>, offending: Option<&TraceEvent>, summary: String) {
+        let window = root.map(|r| self.window_of(r.0)).unwrap_or_default();
+        self.violations.push(AuditViolation { check, at, root, summary, offending: offending.cloned(), window });
     }
 
     /// A3 — count convergence at a quiescent checkpoint.
     fn check_counts(&mut self, snap: &AuditSnapshot) {
         let slack = self.cfg.count_slack;
         for (chan, truth) in &snap.channels {
+            let members = truth.subscribers;
+            let a3 = AuditCheck::CountConvergence;
             for &(node, advertised, downstream_sum) in &truth.routers {
                 if advertised.abs_diff(downstream_sum) > slack {
-                    self.violations.push(AuditViolation {
-                        check: AuditCheck::CountConvergence,
-                        at: snap.at,
-                        root: None,
-                        summary: format!(
-                            "router n{} on {chan}: advertised {advertised} ≠ validated downstream sum {downstream_sum} (slack {slack})",
-                            node.0
-                        ),
-                        offending: None,
-                        window: Vec::new(),
-                    });
+                    let summary = format!(
+                        "router n{} on {chan}: advertised {advertised} ≠ validated downstream sum {downstream_sum} (slack {slack})",
+                        node.0
+                    );
+                    self.breach(a3, snap.at, None, None, summary);
                 }
             }
-            if let Some((node, advertised)) = truth.root_advertised {
-                if advertised.abs_diff(truth.subscribers) > slack {
-                    self.violations.push(AuditViolation {
-                        check: AuditCheck::CountConvergence,
-                        at: snap.at,
-                        root: None,
-                        summary: format!(
-                            "root router n{} on {chan}: advertised {advertised} ≠ subscriber truth {} (slack {slack})",
-                            node.0, truth.subscribers
-                        ),
-                        offending: None,
-                        window: Vec::new(),
-                    });
-                }
+            if let Some((node, advertised)) = truth.root_advertised.filter(|r| r.1.abs_diff(members) > slack) {
+                let summary =
+                    format!("root router n{} on {chan}: advertised {advertised} ≠ subscriber truth {members} (slack {slack})", node.0);
+                self.breach(a3, snap.at, None, None, summary);
             }
-            if let Some((node, estimate)) = truth.source_estimate {
-                if estimate.abs_diff(truth.subscribers) > slack {
-                    self.violations.push(AuditViolation {
-                        check: AuditCheck::CountConvergence,
-                        at: snap.at,
-                        root: None,
-                        summary: format!(
-                            "source n{} on {chan}: estimate {estimate} ≠ subscriber truth {} (slack {slack})",
-                            node.0, truth.subscribers
-                        ),
-                        offending: None,
-                        window: Vec::new(),
-                    });
-                }
+            if let Some((node, estimate)) = truth.source_estimate.filter(|s| s.1.abs_diff(members) > slack) {
+                let summary = format!("source n{} on {chan}: estimate {estimate} ≠ subscriber truth {members} (slack {slack})", node.0);
+                self.breach(a3, snap.at, None, None, summary);
             }
         }
     }
 
-    fn root_state(&mut self, root: u64) -> &mut RootState {
-        if !self.roots.contains_key(&root) {
-            if self.roots.len() >= self.cfg.max_roots {
-                if let Some(old) = self.root_order.pop_front() {
-                    self.roots.remove(&old);
-                }
-            }
-            self.roots.insert(root, RootState::default());
-            self.root_order.push_back(root);
+    /// The bit-set index of the pair `(node, link)`: `2·link` plus which of
+    /// the link's first two data senders `node` is. A point-to-point link
+    /// has no third; a LAN's later senders, and links past [`DENSE_IDS`],
+    /// have no index and are tracked in ordered sets.
+    fn pair_index(&mut self, node: NodeId, link: LinkId) -> Option<usize> {
+        if link.0 >= DENSE_IDS {
+            return None;
         }
-        self.roots.get_mut(&root).expect("just inserted")
+        for (slot, sender) in entry(&mut self.senders, link.index(), [NO_NODE; 2]).iter_mut().enumerate() {
+            if *sender == NO_NODE {
+                *sender = node.0;
+            }
+            if *sender == node.0 {
+                return Some(2 * link.index() + slot);
+            }
+        }
+        None
+    }
+
+    /// `node`'s last data arrival, if it has not been consumed.
+    fn recent_rx(&mut self, node: NodeId) -> &mut Option<(SimTime, u64)> {
+        if node.0 >= DENSE_IDS {
+            return self.recent_rx_far.entry(node.0).or_default();
+        }
+        entry(&mut self.recent_rx, node.index(), None)
+    }
+
+    /// The state of chain `root`, opened — evicting the oldest tracked
+    /// chain when `cfg.max_roots` are open — if it is not tracked.
+    fn chain(&mut self, root: u64) -> &mut Chain {
+        if self.chains.get(self.cur).is_none_or(|c| c.root != root) {
+            self.cur = match self.slot_of.get(&root) {
+                Some(&slot) => slot as usize,
+                None => {
+                    // Slots fill in order, then turn over in the same order.
+                    let slot = self.opened % self.cfg.max_roots;
+                    self.opened += 1;
+                    if slot == self.chains.len() {
+                        self.chains.push(Chain::default());
+                    } else {
+                        let old = &mut self.chains[slot];
+                        self.slot_of.remove(&old.root);
+                        old.delivered.clear();
+                        old.tx.clear();
+                        old.tx_unindexed.clear();
+                        old.window.clear();
+                        old.pushed = 0;
+                    }
+                    self.chains[slot].root = root;
+                    self.slot_of.insert(root, slot as u32);
+                    slot
+                }
+            };
+        }
+        &mut self.chains[self.cur]
     }
 
     fn push_window(&mut self, root: u64, ev: &TraceEvent) {
         let cap = self.cfg.window_len;
-        let s = self.root_state(root);
-        if cap == 0 {
-            return;
+        let c = self.chain(root);
+        if c.window.len() < cap {
+            c.window.push(ev.clone());
+        } else if cap > 0 {
+            c.window[c.pushed % cap].clone_from(ev);
         }
-        if s.window.len() >= cap {
-            s.window.pop_front();
-        }
-        s.window.push_back(ev.clone());
+        c.pushed += 1;
     }
 
     fn window_of(&self, root: u64) -> Vec<TraceEvent> {
-        self.roots
-            .get(&root)
-            .map(|s| s.window.iter().cloned().collect())
-            .unwrap_or_default()
+        self.slot_of.get(&root).map(|&slot| self.chains[slot as usize].window()).unwrap_or_default()
+    }
+
+    /// Is `proto` a bump of (or an event named as) a watched delivery
+    /// counter?
+    fn watched(&mut self, proto: &ProtoEvent) -> bool {
+        let watch = &self.watch;
+        let by_name = || watch.iter().any(|w| w == proto.name.as_str());
+        let Some(id) = proto.counter else { return by_name() };
+        let known = *entry(&mut self.watch_ids, id.index(), None).get_or_insert_with(by_name);
+        debug_assert_eq!(known, by_name(), "a counter handle names one counter for the life of the stream");
+        known
     }
 
     /// A4 — evaluated once, when the capture is finalized.
@@ -538,68 +673,37 @@ impl Auditor {
             return;
         }
         let Some(b) = self.cfg.recovery else { return };
+        let a4 = AuditCheck::RecoveryBounds;
         if self.metrics.deliveries().is_empty() {
-            self.violations.push(AuditViolation {
-                check: AuditCheck::RecoveryBounds,
-                at: self.last_at,
-                root: None,
-                summary: format!(
-                    "no deliveries observed in the stream window [{} µs, {} µs]",
-                    b.stream_start.micros(),
-                    b.stream_end.micros()
-                ),
-                offending: None,
-                window: Vec::new(),
-            });
-            return;
+            let summary = format!(
+                "no deliveries observed in the stream window [{} µs, {} µs]",
+                b.stream_start.micros(),
+                b.stream_end.micros()
+            );
+            return self.breach(a4, self.last_at, None, None, summary);
         }
+        let bound = b.max_reconvergence.micros();
         for (mark, change, rec) in self.metrics.reconvergence_report() {
             match rec {
                 Some(d) if d > b.max_reconvergence => {
-                    self.violations.push(AuditViolation {
-                        check: AuditCheck::RecoveryBounds,
-                        at: mark,
-                        root: None,
-                        summary: format!(
-                            "reconvergence after {change:?} took {} µs > bound {} µs",
-                            d.micros(),
-                            b.max_reconvergence.micros()
-                        ),
-                        offending: None,
-                        window: Vec::new(),
-                    });
+                    let summary = format!("reconvergence after {change:?} took {} µs > bound {bound} µs", d.micros());
+                    self.breach(a4, mark, None, None, summary);
                 }
                 None if mark + b.max_reconvergence <= b.stream_end => {
-                    self.violations.push(AuditViolation {
-                        check: AuditCheck::RecoveryBounds,
-                        at: mark,
-                        root: None,
-                        summary: format!(
-                            "no delivery after {change:?} within bound {} µs",
-                            b.max_reconvergence.micros()
-                        ),
-                        offending: None,
-                        window: Vec::new(),
-                    });
+                    self.breach(a4, mark, None, None, format!("no delivery after {change:?} within bound {bound} µs"));
                 }
                 _ => {}
             }
         }
         for (gap_start, gap_end) in self.metrics.delivery_gaps(b.stream_start, b.stream_end, b.max_gap) {
-            self.violations.push(AuditViolation {
-                check: AuditCheck::RecoveryBounds,
-                at: gap_start,
-                root: None,
-                summary: format!(
-                    "delivery gap [{} µs, {} µs] = {} µs > bound {} µs",
-                    gap_start.micros(),
-                    gap_end.micros(),
-                    (gap_end - gap_start).micros(),
-                    b.max_gap.micros()
-                ),
-                offending: None,
-                window: Vec::new(),
-            });
+            let summary = format!(
+                "delivery gap [{} µs, {} µs] = {} µs > bound {} µs",
+                gap_start.micros(),
+                gap_end.micros(),
+                (gap_end - gap_start).micros(),
+                b.max_gap.micros()
+            );
+            self.breach(a4, gap_start, None, None, summary);
         }
     }
 
@@ -627,6 +731,10 @@ impl TraceSink for Auditor {
     }
 
     fn record(&mut self, event: TraceEvent) {
+        self.record_ref(&event, 0, 0);
+    }
+
+    fn record_ref(&mut self, event: &TraceEvent, _key: u128, _sub: u64) {
         self.last_at = event.at;
         match &event.kind {
             TraceKind::PacketTx {
@@ -639,25 +747,22 @@ impl TraceSink for Auditor {
                 if cause.is_none() {
                     self.health.data_roots += 1;
                 }
-                self.used.entry((*node, *link)).or_insert_with(|| event.clone());
+                let pair = self.pair_index(*node, *link);
+                if !pair.is_some_and(|p| self.allowed_prev.contains(p)) {
+                    self.used.entry((*node, *link)).or_insert_with(|| event.clone());
+                }
                 // A2 loop: one causal chain may cross each (node, link)
                 // once — a second pass means the chain revisited the node.
-                let dup = !self.root_state(root.0).tx_links.insert((*node, *link));
+                let chain = self.chain(root.0);
+                let dup = !match pair {
+                    Some(p) => chain.tx.insert(p),
+                    None => chain.tx_unindexed.insert((*node, *link)),
+                };
                 if dup && self.cfg.enabled(AuditCheck::NoDupNoLoop) {
-                    let window = self.window_of(root.0);
-                    self.violations.push(AuditViolation {
-                        check: AuditCheck::NoDupNoLoop,
-                        at: event.at,
-                        root: Some(*root),
-                        summary: format!(
-                            "forwarding loop: chain {root} crossed node n{} → link l{} more than once",
-                            node.0, link.0
-                        ),
-                        offending: Some(event.clone()),
-                        window,
-                    });
+                    let summary = format!("forwarding loop: chain {root} crossed node n{} → link l{} more than once", node.0, link.0);
+                    self.breach(AuditCheck::NoDupNoLoop, event.at, Some(*root), Some(event), summary);
                 }
-                self.push_window(root.0, &event);
+                self.push_window(root.0, event);
             }
             TraceKind::PacketRx { node, root, age, class, .. } => {
                 self.health.pkt_rx += 1;
@@ -665,13 +770,13 @@ impl TraceSink for Auditor {
                     return;
                 }
                 self.latency.observe(age.micros());
-                self.recent_rx.insert(*node, (event.at, root.0));
-                self.push_window(root.0, &event);
+                *self.recent_rx(*node) = Some((event.at, root.0));
+                self.push_window(root.0, event);
             }
             TraceKind::PacketDrop { root, class, .. } => {
                 self.health.drops += 1;
                 if *class == TrafficClass::Data {
-                    self.push_window(root.0, &event);
+                    self.push_window(root.0, event);
                 }
             }
             TraceKind::TimerFire { .. } => self.health.timers += 1,
@@ -681,37 +786,22 @@ impl TraceSink for Auditor {
             }
             TraceKind::Proto { node, event: proto } => {
                 self.health.proto += 1;
-                if !self.watch.iter().any(|w| w == proto.name.as_ref()) {
+                if !self.watched(proto) {
                     return;
                 }
                 // One watched counter bump = one delivery (the value field
                 // carries latency / delta, not a count of deliveries).
                 self.health.deliveries += 1;
-                let name = proto.name.clone().into_owned();
-                self.metrics.on_count(event.at, &name, 1);
+                self.metrics.on_delivery(event.at, 1);
                 // A2 dup: pair this delivery with the data arrival being
                 // dispatched (same node, same timestamp) and its chain.
-                let Some((rx_at, root)) = self.recent_rx.get(node).copied() else {
+                let Some((_, root)) = self.recent_rx(*node).take_if(|rx| rx.0 == event.at) else {
                     return;
                 };
-                if rx_at != event.at {
-                    return;
-                }
-                self.recent_rx.remove(node);
-                let dup = !self.root_state(root).delivered.insert(*node);
+                let dup = !self.chain(root).delivered.insert(node.index());
                 if dup && self.cfg.enabled(AuditCheck::NoDupNoLoop) {
-                    let window = self.window_of(root);
-                    self.violations.push(AuditViolation {
-                        check: AuditCheck::NoDupNoLoop,
-                        at: event.at,
-                        root: Some(PacketId(root)),
-                        summary: format!(
-                            "duplicate delivery: receiver n{} got chain p{root} more than once",
-                            node.0
-                        ),
-                        offending: Some(event.clone()),
-                        window,
-                    });
+                    let summary = format!("duplicate delivery: receiver n{} got chain p{root} more than once", node.0);
+                    self.breach(AuditCheck::NoDupNoLoop, event.at, Some(PacketId(root)), Some(event), summary);
                 }
             }
         }
@@ -796,6 +886,11 @@ impl AuditReport {
             let _ = write!(out, "  latency p50/p99/max {p50}/{p99}/{max} µs");
         }
         out.push('\n');
+        let jsonl = |ev: &TraceEvent| {
+            let mut line = Vec::new();
+            write_jsonl_line(&mut line, ev);
+            json::into_string(line)
+        };
         for v in &self.violations {
             let _ = write!(out, "  [{}] t={}µs", v.check, v.at.micros());
             if let Some(r) = v.root {
@@ -803,14 +898,10 @@ impl AuditReport {
             }
             let _ = writeln!(out, " {}", v.summary);
             if let Some(ev) = &v.offending {
-                out.push_str("        offending: ");
-                write_jsonl_line(&mut out, ev);
-                out.push('\n');
+                let _ = writeln!(out, "        offending: {}", jsonl(ev));
             }
             for w in &v.window {
-                out.push_str("        | ");
-                write_jsonl_line(&mut out, w);
-                out.push('\n');
+                let _ = writeln!(out, "        | {}", jsonl(w));
             }
         }
         out
@@ -820,54 +911,58 @@ impl AuditReport {
     /// line per violation (offending/window events in the trace JSONL v2
     /// record shape).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"{AUDIT_SCHEMA}\",\"clean\":{},\"violations\":{},\"snapshots\":{}}}",
-            self.clean,
-            self.violations.len(),
-            self.snapshots
-        );
+        let mut out = Vec::new();
+        out.put(b"{\"schema\":");
+        json::string(&mut out, AUDIT_SCHEMA);
+        out.put(if self.clean { b",\"clean\":true" } else { b",\"clean\":false" });
+        json::field_u64(&mut out, "violations", self.violations.len() as u64);
+        json::field_u64(&mut out, "snapshots", self.snapshots);
+        out.put(b"}\n{\"kind\":\"health\"");
         let h = &self.health;
-        let _ = write!(
-            out,
-            "{{\"kind\":\"health\",\"events\":{},\"pkt_tx\":{},\"pkt_rx\":{},\"drops\":{},\"timers\":{},\"topo\":{},\"proto\":{},\"data_roots\":{},\"deliveries\":{}",
-            h.events(), h.pkt_tx, h.pkt_rx, h.drops, h.timers, h.topo, h.proto, h.data_roots, h.deliveries
-        );
+        for (key, v) in [
+            ("events", h.events()),
+            ("pkt_tx", h.pkt_tx),
+            ("pkt_rx", h.pkt_rx),
+            ("drops", h.drops),
+            ("timers", h.timers),
+            ("topo", h.topo),
+            ("proto", h.proto),
+            ("data_roots", h.data_roots),
+            ("deliveries", h.deliveries),
+        ] {
+            json::field_u64(&mut out, key, v);
+        }
         if let (Some(p50), Some(p99), Some(max)) =
             (self.latency.quantile(0.5), self.latency.quantile(0.99), self.latency.max())
         {
-            let _ = write!(out, ",\"latency_p50_us\":{p50},\"latency_p99_us\":{p99},\"latency_max_us\":{max}");
+            json::field_u64(&mut out, "latency_p50_us", p50);
+            json::field_u64(&mut out, "latency_p99_us", p99);
+            json::field_u64(&mut out, "latency_max_us", max);
         }
-        out.push_str("}\n");
+        out.put(b"}\n");
         for v in &self.violations {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"violation\",\"check\":\"{}\",\"at_us\":{}",
-                v.check,
-                v.at.micros()
-            );
+            out.put(b"{\"kind\":\"violation\"");
+            json::field_str(&mut out, "check", v.check.id());
+            json::field_u64(&mut out, "at_us", v.at.micros());
             if let Some(r) = v.root {
-                let _ = write!(out, ",\"root\":{}", r.0);
+                json::field_u64(&mut out, "root", r.0);
             }
-            write_str_field(&mut out, "summary", &v.summary);
+            json::field_str(&mut out, "summary", &v.summary);
             if let Some(ev) = &v.offending {
-                out.push_str(",\"offending\":");
+                json::key(&mut out, "offending");
                 write_jsonl_line(&mut out, ev);
             }
             if !v.window.is_empty() {
-                out.push_str(",\"window\":[");
+                json::key(&mut out, "window");
                 for (i, w) in v.window.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                    out.put(if i == 0 { b"[" } else { b"," });
                     write_jsonl_line(&mut out, w);
                 }
-                out.push(']');
+                out.put(b"]");
             }
-            out.push_str("}\n");
+            out.put(b"}\n");
         }
-        out
+        json::into_string(out)
     }
 }
 
@@ -916,12 +1011,7 @@ mod tests {
             at: SimTime(at),
             kind: TraceKind::Proto {
                 node: NodeId(node),
-                event: crate::trace::ProtoEvent {
-                    name: "host.data_rx".into(),
-                    channel: None,
-                    value: Some(at),
-                    detail: None,
-                },
+                event: ProtoEvent { name: "host.data_rx".into(), value: Some(at), ..ProtoEvent::default() },
             },
         }
     }
@@ -1005,7 +1095,7 @@ mod tests {
             at: SimTime(1),
             kind: TraceKind::Proto {
                 node: NodeId(0),
-                event: crate::trace::ProtoEvent { name: "ecmp.count_tx".into(), channel: None, value: Some(1), detail: None },
+                event: ProtoEvent { name: "ecmp.count_tx".into(), value: Some(1), ..ProtoEvent::default() },
             },
         };
         a.record(unwatched);
@@ -1140,7 +1230,12 @@ mod tests {
         for r in 0..64u64 {
             a.record(data_tx(r, r, r, None, 0, 0));
         }
-        assert!(a.roots.len() <= 4);
+        assert_eq!((a.chains.len(), a.slot_of.len()), (4, 4));
         assert!(a.is_clean());
+        // Oldest first: the four chains opened last are the ones tracked.
+        let mut tracked: Vec<u64> = a.chains.iter().map(|c| c.root).collect();
+        tracked.sort_unstable();
+        assert_eq!(tracked, vec![60, 61, 62, 63]);
+        assert!(tracked.iter().all(|r| a.slot_of[r] as usize == a.chains.iter().position(|c| c.root == *r).unwrap()));
     }
 }

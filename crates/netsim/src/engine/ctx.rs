@@ -4,7 +4,8 @@ use super::world::{packet_id, ArrivalCause, DerivedFrame, EventKind, FanoutSend,
 use super::{Payload, Reliability, TimerToken, Tx};
 use crate::id::{IfaceId, NodeId};
 use crate::routing::NextHop;
-use crate::stats::{CounterId, TrafficClass};
+use crate::metrics::Metrics;
+use crate::stats::{CounterId, Name, TrafficClass};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeKind, Topology};
 use crate::trace::{DropReason, ProtoEvent, TraceKind, TraceLevel};
@@ -129,7 +130,7 @@ impl<'a> Ctx<'a> {
         if let Some(t) = &mut w.trace {
             if t.level_on(TraceLevel::PROTOCOL) {
                 let event = build(ProtoEvent {
-                    name: Cow::Borrowed(name),
+                    name: Name::Static(name),
                     ..ProtoEvent::default()
                 });
                 let ambient = w.cause.map(|c| c.root);
@@ -272,11 +273,11 @@ impl<'a> Ctx<'a> {
         if let Some(m) = &mut self.world.metrics {
             // Aggregate per-class transmission series, so experiments get
             // data/control timelines without sampling Stats in a loop.
-            let key = match class {
-                TrafficClass::Data => "link.data_pkts",
-                TrafficClass::Control => "link.control_pkts",
+            let series = match class {
+                TrafficClass::Data => Metrics::LINK_DATA_PKTS,
+                TrafficClass::Control => Metrics::LINK_CONTROL_PKTS,
             };
-            m.on_count(self.world.now, key, 1);
+            m.bump(series, self.world.now, 1);
         }
         // Causal identity: a fresh id per send; a send performed while an
         // arrival is being dispatched inherits that chain's root (it is a
@@ -357,7 +358,7 @@ impl<'a> Ctx<'a> {
             if lost {
                 self.world.stats.record_drop(link);
                 if let Some(m) = &mut self.world.metrics {
-                    m.on_count(self.world.now, "link.drops", 1);
+                    m.bump(Metrics::LINK_DROPS, self.world.now, 1);
                 }
                 self.world.trace_drop(link, frame, DropReason::Loss, class);
                 continue;

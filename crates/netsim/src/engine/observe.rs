@@ -9,7 +9,7 @@ use crate::metrics::{Metrics, MetricsConfig};
 use crate::prof::{ProfConfig, Profiler};
 use crate::time::SimTime;
 use crate::trace::{Tee, TraceBuffer, TraceConfig, TraceEvent, TraceSink, Tracer};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 impl Sim {
     /// Turn on structured event tracing into the default in-memory ring
@@ -146,7 +146,7 @@ impl Sim {
                 continue;
             };
             snap.audited.insert(node);
-            for route in &state.routes {
+            for route in state.routes {
                 let mut mask = route.oif_mask;
                 while mask != 0 {
                     let iface = IfaceId(mask.trailing_zeros() as u8);
@@ -155,26 +155,26 @@ impl Sim {
                         snap.allowed.insert((node, link));
                     }
                 }
-                let truth = snap.channels.entry(route.channel.clone()).or_default();
+                let truth = truth_of(&mut snap.channels, &route.channel);
                 if let (Some(adv), Some(sum)) = (route.advertised, route.downstream_sum) {
                     truth.routers.push((node, adv, sum));
                 }
                 if let (Some(up), Some(adv)) = (route.upstream_iface, route.advertised) {
                     if let Ok(link) = topo.link_of(node, up) {
-                        upstreams.push((route.channel.clone(), node, link, adv));
+                        upstreams.push((route.channel, node, link, adv));
                     }
                 }
             }
             for chan in &state.subscribed {
-                snap.channels.entry(chan.clone()).or_default().subscribers += 1;
+                truth_of(&mut snap.channels, chan).subscribers += 1;
             }
-            for (chan, estimate) in &state.sourcing {
+            for (chan, estimate) in state.sourcing {
                 // A source may put data on any of its links: the tree
                 // starts at its access link(s).
                 for link in topo.links_of(node) {
                     snap.allowed.insert((node, link));
                 }
-                sources.insert(chan.clone(), (node, *estimate));
+                sources.insert(chan, (node, estimate));
             }
         }
         for (chan, node, link, adv) in upstreams {
@@ -318,6 +318,16 @@ impl Sim {
             }
         }
     }
+}
+
+/// `channels[chan]`, made empty if there is none — a label that is already
+/// a key (every route and subscription but a channel's first) is not copied
+/// to look it up.
+fn truth_of<'a>(channels: &'a mut BTreeMap<String, ChannelTruth>, chan: &str) -> &'a mut ChannelTruth {
+    if !channels.contains_key(chan) {
+        channels.insert(chan.to_string(), ChannelTruth::default());
+    }
+    channels.get_mut(chan).expect("a key, or just made one")
 }
 
 /// Consume a finished sink chain into its [`TraceBuffer`], looking through

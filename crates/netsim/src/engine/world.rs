@@ -9,10 +9,10 @@ use crate::metrics::Metrics;
 use crate::prof::{EventClass, Profiler};
 use crate::routing::Routing;
 use crate::shard::ShardPlan;
-use crate::stats::{CounterId, Stats, TrafficClass};
+use crate::stats::{CounterId, Name, Stats, TrafficClass};
 use crate::time::SimTime;
 use crate::topology::Topology;
-use crate::trace::{DropReason, PacketId, ProtoEvent, TraceKind, Tracer};
+use crate::trace::{ChanLabel, DropReason, PacketId, ProtoEvent, TraceKind, Tracer};
 use crate::wheel::{TimerWheel, WheelConfig};
 use express_wire::addr::Channel;
 use rand::rngs::StdRng;
@@ -481,75 +481,65 @@ impl World {
         }
     }
 
-    /// Mirror a counter bump into the trace as a protocol event.
-    fn trace_count(&mut self, node: NodeId, name: Cow<'static, str>, channel: Option<String>, delta: u64) {
-        let event = ProtoEvent { name, channel, value: Some(delta), detail: None };
-        self.trace_push_ambient(TraceKind::Proto { node, event });
-    }
-
-    /// Bump named counter `key` by `delta` on behalf of `node`: updates
-    /// [`Stats`], feeds the metrics time series, and mirrors the bump as a
-    /// protocol trace event so existing instrumentation appears in
-    /// timelines without per-call-site changes.
-    pub(super) fn count(&mut self, node: NodeId, key: &'static str, delta: u64) {
-        self.stats.count(key, delta);
+    /// The observed half of a counter bump: feed counter `id`'s metrics
+    /// series and mirror the bump into the trace as a protocol event, so
+    /// existing instrumentation appears in timelines without per-call-site
+    /// changes. The event is built from what is already interned — the
+    /// counter's name and handle, or for a labeled counter (`labeled`) its
+    /// base as the name and the label beside it, so channel filters apply —
+    /// and allocates nothing.
+    fn mirror(&mut self, node: NodeId, id: CounterId, labeled: Option<(&'static str, ChanLabel)>, delta: u64) {
         if let Some(m) = &mut self.metrics {
-            m.on_count(self.now, key, delta);
+            m.on_count(self.now, id, &self.stats, delta);
         }
         if self.trace.is_some() {
-            self.trace_count(node, Cow::Borrowed(key), None, delta);
+            let (name, channel, counter) = match labeled {
+                Some((base, label)) => (Name::Static(base), Some(label), None),
+                None => (self.stats.name_of(id).clone(), None, Some(id)),
+            };
+            let event = ProtoEvent { name, channel, value: Some(delta), detail: None, counter };
+            self.trace_push_ambient(TraceKind::Proto { node, event });
         }
+    }
+
+    /// Bump named counter `key` by `delta` on behalf of `node`:
+    /// [`count_id`](Self::count_id) behind an intern probe.
+    pub(super) fn count(&mut self, node: NodeId, key: &'static str, delta: u64) {
+        let id = self.stats.counter(key);
+        self.count_id(node, id, delta);
     }
 
     /// Bump a pre-registered counter by handle — the per-packet fast path:
-    /// one array index when neither metrics nor tracing is on. The mirrors
-    /// resolve the interned name only when they are enabled.
+    /// one array index when neither metrics nor tracing is on.
     pub(super) fn count_id(&mut self, node: NodeId, id: CounterId, delta: u64) {
         self.stats.count_id(id, delta);
         if self.metrics.is_some() || self.trace.is_some() {
-            let name = self.stats.name_of(id).clone();
-            if let Some(m) = &mut self.metrics {
-                m.on_count(self.now, name.as_ref(), delta);
-            }
-            if self.trace.is_some() {
-                self.trace_count(node, name, None, delta);
-            }
+            self.mirror(node, id, None, delta);
         }
     }
 
     /// Bump the per-channel labeled counter `base{chan=channel}` through
     /// the interned `(base, channel)` handle: no formatting on the hot
     /// path. Mirrors keep the pre-interning shapes — the metrics series is
-    /// keyed by the full composed name, the trace event carries `base` as
-    /// the name and the channel separately (so channel filters apply).
+    /// the full composed name's, the trace event carries `base` as the name
+    /// and the channel separately.
     pub(super) fn count_channel(&mut self, node: NodeId, base: &'static str, channel: Channel, delta: u64) {
         let id = self.stats.channel_counter(base, channel);
         self.stats.count_id(id, delta);
         if self.metrics.is_some() || self.trace.is_some() {
-            if let Some(m) = &mut self.metrics {
-                let full = self.stats.name_of(id).clone();
-                m.on_count(self.now, full.as_ref(), delta);
-            }
-            if self.trace.is_some() {
-                self.trace_count(node, Cow::Borrowed(base), Some(channel.to_string()), delta);
-            }
+            self.mirror(node, id, Some((base, ChanLabel::Channel(channel))), delta);
         }
     }
 
-    /// Like [`count`](Self::count) but for a per-channel labeled counter
-    /// `base{chan=label}`. The label formats into [`Stats`]' interned key;
-    /// the trace event keeps `base` as the name and the label as the
-    /// channel (so channel filters apply).
+    /// Like [`count_channel`](Self::count_channel) for any label that
+    /// prints: formatted into [`Stats`]' interned key on every bump, and
+    /// once more for the trace event when one is wanted.
     pub(super) fn count_labeled(&mut self, node: NodeId, base: &'static str, label: &dyn std::fmt::Display, delta: u64) {
-        self.stats.count_labeled(base, label, delta);
+        let id = self.stats.labeled_counter(base, label);
+        self.stats.count_id(id, delta);
         if self.metrics.is_some() || self.trace.is_some() {
-            let chan = label.to_string();
-            if let Some(m) = &mut self.metrics {
-                m.on_count(self.now, &format!("{base}{{chan={chan}}}"), delta);
-            }
-            if self.trace.is_some() {
-                self.trace_count(node, Cow::Borrowed(base), Some(chan), delta);
-            }
+            let shown = self.trace.is_some().then(|| (base, ChanLabel::Text(label.to_string())));
+            self.mirror(node, id, shown, delta);
         }
     }
 }

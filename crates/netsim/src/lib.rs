@@ -37,6 +37,7 @@ pub mod audit;
 pub mod engine;
 pub mod faults;
 pub mod id;
+mod json;
 pub mod metrics;
 pub mod prof;
 pub mod routing;
@@ -55,7 +56,7 @@ pub use audit::{
 };
 pub use engine::{hot_packet_stub, Agent, Ctx, HotPacketFn, Payload, Sim, TimerToken, TopologyChange};
 pub use wheel::{TimerWheel, WheelConfig};
-pub use stats::CounterId;
+pub use stats::{CounterId, Name};
 pub use faults::{FaultEvent, FaultPlan};
 pub use id::{IfaceId, LinkId, NodeId};
 pub use metrics::{CounterSnapshot, Histogram, Metrics, MetricsConfig};
@@ -64,6 +65,6 @@ pub use topology::{LinkSpec, NodeKind, Topology};
 pub use prof::{EventClass, ProfConfig, ProfReport, Profiler, WheelGauges};
 pub use shard::ShardPlan;
 pub use trace::{
-    parse_flat_json_object, JsonlSink, PacketId, PacketPath, ProtoEvent, SampleSpec, Tee,
+    parse_flat_json_object, ChanLabel, JsonlSink, PacketId, PacketPath, ProtoEvent, SampleSpec, Tee,
     TraceBuffer, TraceConfig, TraceEvent, TraceKind, TraceLevel, TraceMeta, TraceSink, Tracer,
 };

@@ -13,8 +13,8 @@
 //!
 //! * **Delivery watch**: counters named in [`MetricsConfig::watch`]
 //!   (`host.data_rx` and `group.data_rx` by default) are treated as data
-//!   deliveries; their exact timestamps are kept so probes resolve far
-//!   below the bucket width.
+//!   deliveries; their exact instants are kept so probes resolve far below
+//!   the bucket width.
 //! * **Fault marks**: every topology transition is recorded, giving the
 //!   fault schedule as it executed.
 //! * **Convergence probes**: [`Metrics::reconvergence_after`] measures the
@@ -29,7 +29,7 @@
 //! `docs/OBSERVABILITY.md`: times in microseconds, sizes in octets.
 
 use crate::engine::TopologyChange;
-use crate::stats::Stats;
+use crate::stats::{CounterId, Name, Stats};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -199,6 +199,17 @@ impl Histogram {
     }
 }
 
+/// One counter's time series.
+#[derive(Debug)]
+struct Series {
+    name: Name,
+    /// Named in [`MetricsConfig::watch`]: a bump is a delivery.
+    watched: bool,
+    /// Bucketed deltas (bucket i covers `[i·w, (i+1)·w)`); empty until the
+    /// first bump.
+    buckets: Vec<u64>,
+}
+
 /// All metric state for one run. Created by
 /// [`Sim::enable_metrics`](crate::engine::Sim::enable_metrics); fed by the
 /// engine on every counter bump and topology change.
@@ -206,30 +217,50 @@ impl Histogram {
 pub struct Metrics {
     bucket_us: u64,
     watch: Vec<String>,
-    /// Per-counter bucketed deltas (bucket i covers `[i·w, (i+1)·w)`).
-    series: BTreeMap<String, Vec<u64>>,
+    /// The three per-class link series ([`Metrics::LINK_DATA_PKTS`] …),
+    /// then one series per counter in first-bump order. A bump reaches its
+    /// series by index; names are compared when a counter is first seen and
+    /// when something is read or merged.
+    series: Vec<Series>,
+    /// [`CounterId`] → index into `series` ([`UNBOUND`] until the counter's
+    /// first bump).
+    by_id: Vec<u32>,
     /// Named point-in-time samples.
     gauges: BTreeMap<String, Vec<(SimTime, u64)>>,
     /// Named fixed-bucket histograms.
     hists: BTreeMap<String, Histogram>,
-    /// Exact timestamps of watched (delivery) counter bumps, in time order.
-    deliveries: Vec<SimTime>,
+    /// Watched (delivery) bumps as `(instant, how many)` runs, in time order.
+    deliveries: Vec<(SimTime, u64)>,
     /// Topology transitions as they executed.
     faults: Vec<(SimTime, TopologyChange)>,
 }
 
+const UNBOUND: u32 = u32::MAX;
+
 impl Metrics {
+    /// Series index of `link.data_pkts`: data frames entering the wire.
+    pub(crate) const LINK_DATA_PKTS: usize = 0;
+    /// Series index of `link.control_pkts`.
+    pub(crate) const LINK_CONTROL_PKTS: usize = 1;
+    /// Series index of `link.drops`: frames the loss process discarded.
+    pub(crate) const LINK_DROPS: usize = 2;
+
     /// Empty metrics with the given configuration.
     pub fn new(cfg: MetricsConfig) -> Self {
-        Metrics {
+        let mut m = Metrics {
             bucket_us: cfg.bucket.micros().max(1),
             watch: cfg.watch,
-            series: BTreeMap::new(),
+            series: Vec::new(),
+            by_id: Vec::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             deliveries: Vec::new(),
             faults: Vec::new(),
+        };
+        for name in ["link.data_pkts", "link.control_pkts", "link.drops"] {
+            m.slot_of(&Name::Static(name));
         }
+        m
     }
 
     /// The time-series bucket width.
@@ -237,21 +268,54 @@ impl Metrics {
         SimDuration(self.bucket_us)
     }
 
-    /// Engine hook: a named counter was bumped by `delta` at `now`.
-    pub(crate) fn on_count(&mut self, now: SimTime, key: &str, delta: u64) {
-        let idx = (now.micros() / self.bucket_us) as usize;
-        let series = match self.series.get_mut(key) {
-            Some(s) => s,
-            None => self.series.entry(key.to_string()).or_default(),
-        };
-        if series.len() <= idx {
-            series.resize(idx + 1, 0);
+    /// The series named `name`, created empty if there is none yet.
+    fn slot_of(&mut self, name: &Name) -> usize {
+        if let Some(slot) = self.series.iter().position(|s| s.name == *name) {
+            return slot;
         }
-        series[idx] += delta;
-        if self.watch.iter().any(|w| w == key) {
-            for _ in 0..delta {
-                self.deliveries.push(now);
+        self.series.push(Series {
+            name: name.clone(),
+            watched: self.watch.iter().any(|w| w == name.as_str()),
+            buckets: Vec::new(),
+        });
+        self.series.len() - 1
+    }
+
+    /// Engine hook: counter `id` of `stats` was bumped by `delta` at `now`.
+    pub(crate) fn on_count(&mut self, now: SimTime, id: CounterId, stats: &Stats, delta: u64) {
+        let slot = match self.by_id.get(id.index()) {
+            Some(&slot) if slot != UNBOUND => slot as usize,
+            _ => {
+                let slot = self.slot_of(stats.name_of(id));
+                if self.by_id.len() <= id.index() {
+                    self.by_id.resize(id.index() + 1, UNBOUND);
+                }
+                self.by_id[id.index()] = slot as u32;
+                slot
             }
+        };
+        self.bump(slot, now, delta);
+    }
+
+    /// Add `delta` to series `slot` at `now`.
+    pub(crate) fn bump(&mut self, slot: usize, now: SimTime, delta: u64) {
+        let idx = (now.micros() / self.bucket_us) as usize;
+        let series = &mut self.series[slot];
+        if series.buckets.len() <= idx {
+            series.buckets.resize(idx + 1, 0);
+        }
+        series.buckets[idx] += delta;
+        if series.watched {
+            self.on_delivery(now, delta);
+        }
+    }
+
+    /// `n` watched deliveries at `now` (not before the last one recorded).
+    pub(crate) fn on_delivery(&mut self, now: SimTime, n: u64) {
+        match self.deliveries.last_mut() {
+            Some((at, run)) if *at == now => *run += n,
+            _ if n > 0 => self.deliveries.push((now, n)),
+            _ => {}
         }
     }
 
@@ -287,17 +351,19 @@ impl Metrics {
 
     /// Merge-and-drain another `Metrics` into this one: series are added
     /// elementwise by name, gauges merge-sorted by time (this side's samples
-    /// first on ties), histograms merged bucket-wise, delivery timestamps
-    /// merge-sorted. Fault marks are coordinator-recorded (shard 0 only in a
-    /// sharded run) but merged defensively all the same. `other` is left
-    /// empty.
+    /// first on ties), histograms merged bucket-wise, delivery runs
+    /// merge-sorted the same way. Fault marks are coordinator-recorded
+    /// (shard 0 only in a sharded run) but merged defensively all the same.
+    /// `other` is left empty, its counters still bound to their series.
     pub(crate) fn absorb(&mut self, other: &mut Metrics) {
-        for (name, src) in std::mem::take(&mut other.series) {
-            let dst = self.series.entry(name).or_default();
-            if dst.len() < src.len() {
-                dst.resize(src.len(), 0);
+        for src in &mut other.series {
+            let src_buckets = std::mem::take(&mut src.buckets);
+            let slot = self.slot_of(&src.name);
+            let dst = &mut self.series[slot].buckets;
+            if dst.len() < src_buckets.len() {
+                dst.resize(src_buckets.len(), 0);
             }
-            for (d, s) in dst.iter_mut().zip(src) {
+            for (d, s) in dst.iter_mut().zip(src_buckets) {
                 *d += s;
             }
         }
@@ -314,7 +380,7 @@ impl Metrics {
             }
         }
         let src = std::mem::take(&mut other.deliveries);
-        self.deliveries = merge_by_time(std::mem::take(&mut self.deliveries), src, |&t| t);
+        self.deliveries = merge_by_time(std::mem::take(&mut self.deliveries), src, |e| e.0);
         let faults = std::mem::take(&mut other.faults);
         self.faults.extend(faults);
         self.faults.sort_by_key(|&(t, _)| t);
@@ -325,7 +391,7 @@ impl Metrics {
     /// The bucketed series of counter `name` (empty if never bumped).
     /// Bucket `i` holds the total delta in `[i·w, (i+1)·w)`.
     pub fn series(&self, name: &str) -> &[u64] {
-        self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
+        self.series.iter().find(|s| s.name.as_str() == name).map_or(&[], |s| &s.buckets)
     }
 
     /// Sample the series at `t`, i.e. the delta accumulated in `t`'s bucket.
@@ -334,9 +400,17 @@ impl Metrics {
         self.series(name).get(idx).copied().unwrap_or(0)
     }
 
+    /// Every series that was ever bumped, `(name, buckets)` sorted by name.
+    fn recorded(&self) -> Vec<(&str, &[u64])> {
+        let mut all: Vec<(&str, &[u64])> =
+            self.series.iter().filter(|s| !s.buckets.is_empty()).map(|s| (s.name.as_str(), &s.buckets[..])).collect();
+        all.sort_unstable_by_key(|&(name, _)| name);
+        all
+    }
+
     /// Names of all recorded series, sorted.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
+        self.recorded().into_iter().map(|(name, _)| name)
     }
 
     /// The samples of gauge `name`.
@@ -354,8 +428,13 @@ impl Metrics {
         self.hists.keys().map(String::as_str)
     }
 
-    /// Exact timestamps of watched (delivery) counter bumps.
-    pub fn deliveries(&self) -> &[SimTime] {
+    /// Watched (delivery) counter bumps as `(instant, how many)` runs in
+    /// time order: deliveries at one instant — every leaf of a tree level
+    /// receives a packet in the same microsecond — share a run, so a long
+    /// stream costs memory per distinct instant, not per delivery. The
+    /// probes below read the instants only. (After a sharded run's merge an
+    /// instant can head more than one consecutive run.)
+    pub fn deliveries(&self) -> &[(SimTime, u64)] {
         &self.deliveries
     }
 
@@ -371,8 +450,8 @@ impl Metrics {
     /// restored delivery" reconvergence measure. `None` if delivery never
     /// resumed.
     pub fn reconvergence_after(&self, mark: SimTime) -> Option<SimDuration> {
-        let idx = self.deliveries.partition_point(|&t| t < mark);
-        self.deliveries.get(idx).map(|&t| t - mark)
+        let idx = self.deliveries.partition_point(|&(t, _)| t < mark);
+        self.deliveries.get(idx).map(|&(t, _)| t - mark)
     }
 
     /// [`reconvergence_after`](Self::reconvergence_after) applied to every
@@ -390,7 +469,7 @@ impl Metrics {
     pub fn delivery_gaps(&self, start: SimTime, end: SimTime, min_gap: SimDuration) -> Vec<(SimTime, SimTime)> {
         let mut gaps = Vec::new();
         let mut prev = start;
-        for &t in &self.deliveries {
+        for &(t, n) in &self.deliveries {
             if t < start {
                 continue;
             }
@@ -401,6 +480,10 @@ impl Metrics {
                 gaps.push((prev, t));
             }
             prev = t;
+            // The rest of the run follows at distance zero.
+            if min_gap == SimDuration::ZERO {
+                gaps.extend(std::iter::repeat_n((t, t), n as usize - 1));
+            }
         }
         if end > prev && end - prev >= min_gap {
             gaps.push((prev, end));
@@ -415,7 +498,7 @@ impl Metrics {
     /// padded to a common length.
     pub fn series_json(&self, names: &[&str]) -> String {
         let selected: Vec<(&str, &[u64])> = if names.is_empty() {
-            self.series.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect()
+            self.recorded()
         } else {
             names.iter().map(|&n| (n, self.series(n))).collect()
         };
@@ -509,27 +592,48 @@ mod tests {
         SimTime(n * 1_000)
     }
 
+    /// Metrics fed the way the engine feeds them: by handle into `stats`.
+    struct Fed {
+        m: Metrics,
+        stats: Stats,
+    }
+
+    impl Fed {
+        fn new(cfg: MetricsConfig) -> Fed {
+            Fed { m: Metrics::new(cfg), stats: Stats::new(0) }
+        }
+
+        fn count(&mut self, at: SimTime, key: &'static str, delta: u64) {
+            let id = self.stats.counter(key);
+            self.m.on_count(at, id, &self.stats, delta);
+        }
+    }
+
     #[test]
     fn series_buckets_by_time() {
-        let mut m = Metrics::new(MetricsConfig::default().bucket(SimDuration::from_millis(100)));
-        m.on_count(ms(10), "x.tx", 1);
-        m.on_count(ms(90), "x.tx", 2);
-        m.on_count(ms(250), "x.tx", 5);
+        let mut f = Fed::new(MetricsConfig::default().bucket(SimDuration::from_millis(100)));
+        f.count(ms(10), "x.tx", 1);
+        f.count(ms(90), "x.tx", 2);
+        f.count(ms(250), "x.tx", 5);
+        let m = f.m;
         assert_eq!(m.series("x.tx"), &[3, 0, 5]);
         assert_eq!(m.series_at("x.tx", ms(50)), 3);
         assert_eq!(m.series_at("x.tx", ms(299)), 5);
         assert_eq!(m.series_at("x.tx", ms(999)), 0);
         assert_eq!(m.series("missing"), &[] as &[u64]);
+        // The link series exist from the start and show once bumped.
+        assert_eq!(m.series_names().collect::<Vec<_>>(), vec!["x.tx"]);
     }
 
     #[test]
     fn watched_deliveries_and_reconvergence() {
-        let mut m = Metrics::new(MetricsConfig::default());
-        m.on_count(ms(100), "host.data_rx", 1);
-        m.on_count(ms(110), "host.data_rx", 1);
-        m.mark_fault(ms(150), TopologyChange::LinkDown(LinkId(3)));
-        m.on_count(ms(400), "host.data_rx", 1);
-        m.on_count(ms(410), "other.counter", 1); // not watched
+        let mut f = Fed::new(MetricsConfig::default());
+        f.count(ms(100), "host.data_rx", 1);
+        f.count(ms(110), "host.data_rx", 1);
+        f.m.mark_fault(ms(150), TopologyChange::LinkDown(LinkId(3)));
+        f.count(ms(400), "host.data_rx", 1);
+        f.count(ms(410), "other.counter", 1); // not watched
+        let m = f.m;
         assert_eq!(m.deliveries().len(), 3);
         assert_eq!(m.reconvergence_after(ms(150)), Some(SimDuration::from_millis(250)));
         assert_eq!(m.reconvergence_after(ms(500)), None);
@@ -637,10 +741,39 @@ mod tests {
 
     #[test]
     fn series_json_pads_and_selects() {
-        let mut m = Metrics::new(MetricsConfig::default());
-        m.on_count(ms(50), "a", 1);
-        m.on_count(ms(250), "b", 2);
-        let json = m.series_json(&["a", "b"]);
+        let mut f = Fed::new(MetricsConfig::default());
+        f.count(ms(250), "b", 2);
+        f.count(ms(50), "a", 1);
+        f.m.bump(Metrics::LINK_DROPS, ms(60), 4);
+        let json = f.m.series_json(&["a", "b"]);
         assert_eq!(json, "{\"bucket_ms\":100,\"series\":{\"a\":[1,0,0],\"b\":[0,0,2]}}");
+        // Everything recorded, sorted by name whatever the bump order.
+        let all = f.m.series_json(&[]);
+        assert_eq!(all, "{\"bucket_ms\":100,\"series\":{\"a\":[1,0,0],\"b\":[0,0,2],\"link.drops\":[4,0,0]}}");
+    }
+
+    /// Deliveries at one instant share a run; the probes read instants.
+    #[test]
+    fn deliveries_are_runs_of_equal_instants() {
+        let mut f = Fed::new(MetricsConfig::default());
+        for _ in 0..1_000 {
+            f.count(ms(10), "host.data_rx", 1);
+        }
+        f.count(ms(10), "group.data_rx", 3);
+        f.count(ms(40), "host.data_rx", 2);
+        f.count(ms(40), "host.data_rx", 0);
+        assert_eq!(f.m.deliveries(), &[(ms(10), 1_003), (ms(40), 2)]);
+        assert_eq!(f.m.reconvergence_after(ms(11)), Some(SimDuration::from_millis(29)));
+        assert_eq!(f.m.delivery_gaps(ms(0), ms(50), SimDuration::from_millis(10)), vec![(ms(0), ms(10)), (ms(10), ms(40)), (ms(40), ms(50))]);
+        // A zero bound asks for every consecutive pair, a run's own included.
+        assert_eq!(f.m.delivery_gaps(ms(20), ms(40), SimDuration::ZERO), vec![(ms(20), ms(40)), (ms(40), ms(40))]);
+        // A merge interleaves the other side's runs by instant, ours first.
+        let mut g = Fed::new(MetricsConfig::default());
+        g.count(ms(10), "host.data_rx", 5);
+        g.count(ms(20), "host.data_rx", 1);
+        f.m.absorb(&mut g.m);
+        assert_eq!(f.m.deliveries(), &[(ms(10), 1_003), (ms(10), 5), (ms(20), 1), (ms(40), 2)]);
+        assert_eq!(f.m.series("host.data_rx"), &[1_008]);
+        assert!(g.m.deliveries().is_empty() && g.m.series("host.data_rx").is_empty());
     }
 }

@@ -44,9 +44,9 @@
 //! either live runs or saved JSON).
 
 use crate::id::NodeId;
+use crate::json::{self, Out};
 use crate::time::SimTime;
 use crate::trace::parse_flat_json_object;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -188,7 +188,10 @@ pub struct Profiler {
     counts: [u64; EventClass::COUNT],
     sampled_ns: [u64; EventClass::COUNT],
     sampled_hits: [u64; EventClass::COUNT],
-    agents: BTreeMap<&'static str, AgentAccum>,
+    /// Per agent kind, in first-seen order; `last_agent` indexes the kind
+    /// of the previous event, which is most often this one's too.
+    agents: Vec<(&'static str, AgentAccum)>,
+    last_agent: usize,
     node_ns: Vec<u64>,
     node_hits: Vec<u64>,
     gauges: Vec<GaugeSample>,
@@ -224,7 +227,8 @@ impl Profiler {
             counts: [0; EventClass::COUNT],
             sampled_ns: [0; EventClass::COUNT],
             sampled_hits: [0; EventClass::COUNT],
-            agents: BTreeMap::new(),
+            agents: Vec::new(),
+            last_agent: 0,
             node_ns: vec![0; node_count],
             node_hits: vec![0; node_count],
             gauges: Vec::new(),
@@ -294,7 +298,7 @@ impl Profiler {
         self.counts[ci] += 1;
         let dt = started.map(|t| t.elapsed().as_nanos() as u64);
         if let Some(name) = agent {
-            let a = self.agents.entry(name).or_default();
+            let a = self.agent_mut(name);
             a.count += 1;
             if let Some(ns) = dt {
                 a.sampled_ns += ns;
@@ -309,6 +313,21 @@ impl Profiler {
                 self.node_hits[n.index()] += 1;
             }
         }
+    }
+
+    /// The accumulator of agent kind `name`. A kind's name is one string
+    /// literal, so its address finds it; two literals that spell the same
+    /// name share an accumulator all the same.
+    fn agent_mut(&mut self, name: &'static str) -> &mut AgentAccum {
+        let same = |have: &str| std::ptr::eq(have, name);
+        if !self.agents.get(self.last_agent).is_some_and(|a| same(a.0)) {
+            let found = self.agents.iter().position(|a| same(a.0)).or_else(|| self.agents.iter().position(|a| a.0 == name));
+            self.last_agent = found.unwrap_or_else(|| {
+                self.agents.push((name, AgentAccum::default()));
+                self.agents.len() - 1
+            });
+        }
+        &mut self.agents[self.last_agent].1
     }
 
     pub(crate) fn gauge_due(&self) -> bool {
@@ -371,7 +390,7 @@ impl Profiler {
             self.sampled_hits[i] += std::mem::take(&mut other.sampled_hits[i]);
         }
         for (name, a) in std::mem::take(&mut other.agents) {
-            let dst = self.agents.entry(name).or_default();
+            let dst = self.agent_mut(name);
             dst.count += a.count;
             dst.sampled_ns += a.sampled_ns;
             dst.sampled_hits += a.sampled_hits;
@@ -445,7 +464,7 @@ impl Profiler {
                 }
             })
             .collect();
-        let agents = self
+        let mut agents: Vec<KindStat> = self
             .agents
             .iter()
             .map(|(name, a)| KindStat {
@@ -456,6 +475,7 @@ impl Profiler {
                 est_total_ns: est(a.sampled_ns, a.sampled_hits, a.count),
             })
             .collect();
+        agents.sort_by(|a, b| a.kind.cmp(&b.kind));
         let mut hot: Vec<NodeStat> = self
             .node_ns
             .iter()
@@ -577,70 +597,79 @@ impl ProfReport {
     /// line-oriented shape as the trace JSONL, parseable with
     /// [`parse_flat_json_object`].
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.gauges.len() * 64);
-        let _ = write!(
-            out,
-            "{{\"schema\":\"prof/v1\",\"events\":{},\"sample_every\":{},\"timer_cost_ns\":{},\"peak_queue_depth\":{},\"overhead_ns\":{}",
-            self.events, self.sample_every, self.timer_cost_ns, self.peak_queue_depth, self.overhead_ns
+        let mut out = Vec::with_capacity(1024 + self.gauges.len() * 64);
+        // One flat object of unsigned fields: `open`, already JSON up to
+        // its first value, then `,"key":value` for each of the rest.
+        fn line(out: &mut Vec<u8>, open: &[u8], first: u64, rest: &[(&str, u64)]) {
+            json::num(out, open, first);
+            for &(key, v) in rest {
+                json::field_u64(out, key, v);
+            }
+        }
+        line(
+            &mut out,
+            b"{\"schema\":\"prof/v1\",\"events\":",
+            self.events,
+            &[
+                ("sample_every", self.sample_every),
+                ("timer_cost_ns", self.timer_cost_ns),
+                ("peak_queue_depth", self.peak_queue_depth as u64),
+                ("overhead_ns", self.overhead_ns),
+            ],
         );
         if let Some(s) = self.setup_ns {
-            let _ = write!(out, ",\"setup_ns\":{s}");
+            json::field_u64(&mut out, "setup_ns", s);
         }
         if let Some(r) = self.run_ns {
-            let _ = write!(out, ",\"run_ns\":{r}");
+            json::field_u64(&mut out, "run_ns", r);
         }
         if self.fanout_cohorts > 0 {
-            let _ = write!(
-                out,
-                ",\"fanout_cohorts\":{},\"fanout_deliveries\":{},\"fanout_max_cohort\":{}",
-                self.fanout_cohorts, self.fanout_deliveries, self.fanout_max_cohort
-            );
+            json::field_u64(&mut out, "fanout_cohorts", self.fanout_cohorts);
+            json::field_u64(&mut out, "fanout_deliveries", self.fanout_deliveries);
+            json::field_u64(&mut out, "fanout_max_cohort", self.fanout_max_cohort);
         }
         if self.sync_windows > 0 {
-            let _ = write!(
-                out,
-                ",\"sync_windows\":{},\"sync_stall_ns\":{}",
-                self.sync_windows, self.sync_stall_ns
-            );
+            json::field_u64(&mut out, "sync_windows", self.sync_windows);
+            json::field_u64(&mut out, "sync_stall_ns", self.sync_stall_ns);
         }
-        out.push_str("}\n");
+        out.put(b"}\n");
         for &(p, n) in &self.fanout_size_pow2 {
-            let _ = writeln!(out, "{{\"cohort_pow2\":{p},\"cohorts\":{n}}}");
+            line(&mut out, b"{\"cohort_pow2\":", p.into(), &[("cohorts", n)]);
+            out.put(b"}\n");
         }
-        for k in &self.kinds {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"{}\",\"count\":{},\"sampled\":{},\"sampled_ns\":{},\"est_ns\":{}}}",
-                k.kind, k.count, k.sampled_hits, k.sampled_ns, k.est_total_ns
-            );
-        }
-        for a in &self.agents {
-            let _ = writeln!(
-                out,
-                "{{\"agent\":\"{}\",\"count\":{},\"sampled\":{},\"sampled_ns\":{},\"est_ns\":{}}}",
-                a.kind, a.count, a.sampled_hits, a.sampled_ns, a.est_total_ns
-            );
+        for (label, stats) in [("{\"kind\":", &self.kinds), ("{\"agent\":", &self.agents)] {
+            for k in stats {
+                out.put(label.as_bytes());
+                json::string(&mut out, &k.kind);
+                line(
+                    &mut out,
+                    b",\"count\":",
+                    k.count,
+                    &[("sampled", k.sampled_hits), ("sampled_ns", k.sampled_ns), ("est_ns", k.est_total_ns)],
+                );
+                out.put(b"}\n");
+            }
         }
         for n in &self.hot_nodes {
-            let _ = writeln!(
-                out,
-                "{{\"node\":{},\"sampled\":{},\"sampled_ns\":{}}}",
-                n.node, n.sampled_hits, n.sampled_ns
-            );
+            line(&mut out, b"{\"node\":", n.node.into(), &[("sampled", n.sampled_hits), ("sampled_ns", n.sampled_ns)]);
+            out.put(b"}\n");
         }
         for g in &self.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"gauge_t_us\":{},\"queue\":{},\"occupied\":{},\"inbox\":{},\"overflow\":{},\"current\":{}}}",
+            line(
+                &mut out,
+                b"{\"gauge_t_us\":",
                 g.at.micros(),
-                g.queue_depth,
-                g.wheel.occupied_slots,
-                g.wheel.inbox,
-                g.wheel.overflow,
-                g.wheel.current_run
+                &[
+                    ("queue", g.queue_depth as u64),
+                    ("occupied", g.wheel.occupied_slots as u64),
+                    ("inbox", g.wheel.inbox as u64),
+                    ("overflow", g.wheel.overflow as u64),
+                    ("current", g.wheel.current_run as u64),
+                ],
             );
+            out.put(b"}\n");
         }
-        out
+        json::into_string(out)
     }
 
     /// Parse a `prof/v1` document written by [`to_json`](Self::to_json).

@@ -18,9 +18,11 @@
 
 use crate::id::LinkId;
 use express_wire::addr::Channel;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Whether a packet is application data or protocol control traffic.
 /// Separated so experiments can report control overhead independently of
@@ -70,8 +72,97 @@ pub struct CounterId(u32);
 
 impl CounterId {
     #[inline]
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// A counter key or trace-event name: a string literal, or a composed key
+/// (`base{chan=…}`) held once by the [`Stats`] table that interned it and
+/// shared from there. Cloning either never allocates, so a counter bump
+/// mirrored into the trace carries its name for a refcount at most.
+/// Compares, hashes and prints as the string it holds.
+#[derive(Debug, Clone)]
+pub enum Name {
+    /// A string literal.
+    Static(&'static str),
+    /// A composed or imported name.
+    Shared(Arc<str>),
+}
+
+impl Name {
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Name::Static(s) => s,
+            Name::Shared(s) => s,
+        }
+    }
+}
+
+impl Default for Name {
+    fn default() -> Self {
+        Name::Static("")
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Self {
+        Name::Static(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name::Shared(s.into())
+    }
+}
+
+impl From<Cow<'static, str>> for Name {
+    fn from(s: Cow<'static, str>) -> Self {
+        match s {
+            Cow::Borrowed(s) => Name::Static(s),
+            Cow::Owned(s) => s.into(),
+        }
     }
 }
 
@@ -96,16 +187,16 @@ pub struct Stats {
     /// a key appears only once some call site has counted with it, exactly
     /// as under the pre-interning map representation.
     touched: Vec<bool>,
-    /// Slot names, indexed by [`CounterId`] (static for plain keys, owned
+    /// Slot names, indexed by [`CounterId`] (static for plain keys, shared
     /// for labeled ones).
-    names: Vec<Cow<'static, str>>,
+    names: Vec<Name>,
     /// Name → slot. Keyed by the full composed key.
-    by_name: HashMap<Cow<'static, str>, CounterId>,
+    by_name: HashMap<Name, CounterId>,
     /// `(base, channel)` → slot, so per-channel labeled bumps skip even the
     /// key formatting. Bases are compared by string content.
     by_channel: HashMap<(&'static str, Channel), CounterId>,
-    /// Reusable key-formatting buffer for [`count_labeled`](Self::count_labeled)
-    /// (avoids an allocation per bump once the key is interned).
+    /// Reusable key-formatting buffer for composed keys (no allocation per
+    /// lookup once the key is interned).
     scratch: String,
 }
 
@@ -188,10 +279,10 @@ impl Stats {
         if let Some(&id) = self.by_name.get(key.as_ref()) {
             return id;
         }
-        self.insert_slot(key)
+        self.insert_slot(key.into())
     }
 
-    fn insert_slot(&mut self, key: Cow<'static, str>) -> CounterId {
+    fn insert_slot(&mut self, key: Name) -> CounterId {
         let id = CounterId(u32::try_from(self.values.len()).expect("counter slots exhausted"));
         self.values.push(0);
         self.touched.push(false);
@@ -211,20 +302,36 @@ impl Stats {
         use std::fmt::Write;
         self.scratch.clear();
         let _ = write!(self.scratch, "{base}{{chan={channel}}}");
-        let id = match self.by_name.get(self.scratch.as_str()) {
-            Some(&id) => id,
-            None => {
-                let key = Cow::Owned(self.scratch.clone());
-                self.insert_slot(key)
-            }
-        };
+        let id = self.scratch_counter();
         self.by_channel.insert((base, channel), id);
         id
     }
 
+    /// The slot of the key standing in `scratch`, interned if it is new.
+    fn scratch_counter(&mut self) -> CounterId {
+        match self.by_name.get(self.scratch.as_str()) {
+            Some(&id) => id,
+            None => {
+                let key = Name::Shared(self.scratch.as_str().into());
+                self.insert_slot(key)
+            }
+        }
+    }
+
+    /// Intern the labeled key `base{chan=label}` and return its handle. The
+    /// key is formatted into a reused buffer on every call and allocated
+    /// once, when it is new; when the label is a [`Channel`],
+    /// [`channel_counter`](Self::channel_counter) skips the formatting too.
+    pub fn labeled_counter(&mut self, base: &str, label: &dyn fmt::Display) -> CounterId {
+        use std::fmt::Write;
+        self.scratch.clear();
+        let _ = write!(self.scratch, "{base}{{chan={label}}}");
+        self.scratch_counter()
+    }
+
     /// The interned name behind `id` (the full composed key for labeled
     /// counters).
-    pub fn name_of(&self, id: CounterId) -> &Cow<'static, str> {
+    pub fn name_of(&self, id: CounterId) -> &Name {
         &self.names[id.index()]
     }
 
@@ -246,22 +353,10 @@ impl Stats {
     }
 
     /// Bump a labeled counter `base{chan=label}` — e.g.
-    /// `ecmp.count_msgs{chan=(10.0.0.5, 232.0.0.1)}`. The composed key is
-    /// interned: the first bump of a distinct key allocates it, every later
-    /// bump formats into a reused scratch buffer and looks it up by `&str`.
-    /// When the label is a [`Channel`], prefer
-    /// [`channel_counter`](Self::channel_counter) + [`count_id`](Self::count_id),
-    /// which skips the per-bump formatting entirely.
+    /// `ecmp.count_msgs{chan=(10.0.0.5, 232.0.0.1)}` — through
+    /// [`labeled_counter`](Self::labeled_counter).
     pub fn count_labeled(&mut self, base: &str, label: &dyn fmt::Display, delta: u64) {
-        use std::fmt::Write;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let _ = write!(scratch, "{base}{{chan={label}}}");
-        let id = match self.by_name.get(scratch.as_str()) {
-            Some(&id) => id,
-            None => self.insert_slot(Cow::Owned(scratch.clone())),
-        };
-        self.scratch = scratch;
+        let id = self.labeled_counter(base, label);
         self.count_id(id, delta);
     }
 
@@ -293,8 +388,11 @@ impl Stats {
         }
         for i in 0..other.values.len() {
             if other.touched[i] {
-                let key = other.names[i].clone();
-                let id = self.counter(key);
+                let key = &other.names[i];
+                let id = match self.by_name.get(key.as_str()) {
+                    Some(&id) => id,
+                    None => self.insert_slot(key.clone()),
+                };
                 self.count_id(id, other.values[i]);
                 other.values[i] = 0;
                 other.touched[i] = false;
@@ -444,7 +542,7 @@ mod tests {
         s.count("express.data_fwd", 1);
         assert_eq!(s.named("express.data_fwd"), 5);
         assert_eq!(s.counter("express.data_fwd"), id);
-        assert_eq!(s.name_of(id).as_ref(), "express.data_fwd");
+        assert_eq!(s.name_of(id).as_str(), "express.data_fwd");
         // A zero-delta bump still surfaces the key (matches the old map
         // behavior of `count(key, 0)`).
         let other = s.counter("ecmp.auth_reject");

@@ -58,10 +58,11 @@
 
 use crate::engine::TopologyChange;
 use crate::id::{IfaceId, LinkId, NodeId};
-use crate::stats::TrafficClass;
+use crate::json::{self, Line, Out};
+use crate::stats::{CounterId, Name, TrafficClass};
 use crate::time::{SimDuration, SimTime};
+use express_wire::addr::{Channel, Ipv4Addr};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
 
 /// Trace schema version written in the `trace_header` line. Version 2 added
 /// the header/footer lines themselves, the `root` field on drop records and
@@ -100,37 +101,92 @@ impl DropReason {
     }
 }
 
-/// A protocol-level event emitted by an agent through
-/// [`Ctx::trace`](crate::engine::Ctx::trace): a `<proto>.<event>` name plus
-/// optional channel label, value and free-form detail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtoEvent {
-    /// Event name, `<proto>.<event>` (e.g. `ecmp.rehome`).
-    pub name: std::borrow::Cow<'static, str>,
-    /// Channel / group label (e.g. `(10.0.0.5, 232.0.0.1)`), if the event
-    /// concerns one channel. Drives the [`TraceConfig::channels`] filter.
-    pub channel: Option<String>,
-    /// An associated quantity (a count, a latency in µs, a delta).
-    pub value: Option<u64>,
-    /// Free-form human-readable detail.
-    pub detail: Option<String>,
+/// A protocol event's channel / group label: a typed [`Channel`], which is
+/// copied into the event and only rendered — as its `Display` form,
+/// `(10.0.0.5, 232.0.0.1)` — by whoever exports or filters it, or free text.
+/// Two labels are equal when they render the same.
+#[derive(Debug, Clone)]
+pub enum ChanLabel {
+    /// An EXPRESS channel.
+    Channel(Channel),
+    /// Anything else, already rendered (a group address, an imported label).
+    Text(String),
 }
 
-impl Default for ProtoEvent {
-    fn default() -> Self {
-        ProtoEvent {
-            name: std::borrow::Cow::Borrowed(""),
-            channel: None,
-            value: None,
-            detail: None,
+impl PartialEq for ChanLabel {
+    fn eq(&self, other: &ChanLabel) -> bool {
+        match (self, other) {
+            (ChanLabel::Channel(a), ChanLabel::Channel(b)) => a == b,
+            (a, b) => a.to_string() == b.to_string(),
         }
     }
 }
 
+impl Eq for ChanLabel {}
+
+impl std::fmt::Display for ChanLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChanLabel::Channel(c) => c.fmt(f),
+            ChanLabel::Text(t) => f.write_str(t),
+        }
+    }
+}
+
+impl From<Channel> for ChanLabel {
+    fn from(c: Channel) -> Self {
+        ChanLabel::Channel(c)
+    }
+}
+
+impl From<Ipv4Addr> for ChanLabel {
+    fn from(group: Ipv4Addr) -> Self {
+        ChanLabel::Text(group.to_string())
+    }
+}
+
+impl From<&str> for ChanLabel {
+    fn from(t: &str) -> Self {
+        ChanLabel::Text(t.to_string())
+    }
+}
+
+/// A protocol-level event emitted by an agent through
+/// [`Ctx::trace`](crate::engine::Ctx::trace): a `<proto>.<event>` name plus
+/// optional channel label, value and free-form detail. Building one with a
+/// literal name, a [`Channel`] label and a value allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ProtoEvent {
+    /// Event name, `<proto>.<event>` (e.g. `ecmp.rehome`).
+    pub name: Name,
+    /// Channel / group label (e.g. `(10.0.0.5, 232.0.0.1)`), if the event
+    /// concerns one channel. Drives the [`TraceConfig::channels`] filter.
+    pub channel: Option<ChanLabel>,
+    /// An associated quantity (a count, a latency in µs, a delta).
+    pub value: Option<u64>,
+    /// Free-form human-readable detail.
+    pub detail: Option<String>,
+    /// On a mirrored counter bump whose `name` is the counter's interned
+    /// key: that counter's handle in the emitting simulation's
+    /// [`Stats`](crate::stats::Stats), so a consumer on the live stream can
+    /// index a table by it instead of comparing names. A hint, not part of
+    /// the event: `==` ignores it and no export carries it.
+    pub counter: Option<CounterId>,
+}
+
+impl PartialEq for ProtoEvent {
+    fn eq(&self, other: &ProtoEvent) -> bool {
+        (&self.name, &self.channel, self.value, &self.detail) == (&other.name, &other.channel, other.value, &other.detail)
+    }
+}
+
+impl Eq for ProtoEvent {}
+
 impl ProtoEvent {
-    /// Attach a channel label (anything `Display`, typically a `Channel`).
-    pub fn chan(mut self, c: impl std::fmt::Display) -> Self {
-        self.channel = Some(c.to_string());
+    /// Attach a channel label: a [`Channel`] as it is, a group address or
+    /// text rendered.
+    pub fn chan(mut self, c: impl Into<ChanLabel>) -> Self {
+        self.channel = Some(c.into());
         self
     }
 
@@ -422,7 +478,7 @@ impl TraceConfig {
         if let Some(channels) = &self.channels {
             if let TraceKind::Proto { event, .. } = kind {
                 if let Some(c) = &event.channel {
-                    if !channels.contains(c) {
+                    if !channels.contains(&c.to_string()) {
                         return false;
                     }
                 }
@@ -480,8 +536,16 @@ impl PacketPath {
 // ---- sinks ---------------------------------------------------------------
 
 /// Where admitted trace events go. The engine filters (level / node /
-/// channel / sampling) *before* calling [`record`](Self::record), so a sink
-/// only ever sees events that should be kept — its job is retention.
+/// channel / sampling) *before* a sink sees an event, so a sink only ever
+/// sees events that should be kept — its job is retention.
+///
+/// The engine builds each record once and lends it to the sink chain
+/// through [`record_ref`](Self::record_ref); a [`Tee`] lends the same
+/// record to every child. A sink that only reads the record (a serializer,
+/// a checker) implements `record_ref` and routes [`record`](Self::record)
+/// into it; a sink that keeps records implements `record` /
+/// [`record_tagged`](Self::record_tagged) and inherits the `record_ref`
+/// that clones for it.
 ///
 /// Implementations must account for anything they fail to retain via
 /// [`discarded`](Self::discarded): ring overwrite, I/O errors — whatever
@@ -507,6 +571,13 @@ pub trait TraceSink: Send {
     /// (e.g. [`JsonlSink`]) ignore the tag.
     fn record_tagged(&mut self, event: TraceEvent, _key: u128, _sub: u64) {
         self.record(event);
+    }
+
+    /// Take one event by reference, with its ordering tag — what the
+    /// [`Tracer`] and [`Tee`] call. The default clones the event into
+    /// [`record_tagged`](Self::record_tagged).
+    fn record_ref(&mut self, event: &TraceEvent, key: u128, sub: u64) {
+        self.record_tagged(event.clone(), key, sub);
     }
 
     /// How many admitted events this sink failed to retain (ring
@@ -635,22 +706,6 @@ impl TraceBuffer {
         self.ring.iter()
     }
 
-    /// Record an event, applying this buffer's own filters and sampling —
-    /// standalone use in unit tests; under a [`Tracer`] the tracer filters
-    /// and the buffer's [`TraceSink::record`] stores unconditionally.
-    #[cfg(test)]
-    pub(crate) fn push(&mut self, at: SimTime, kind: TraceKind) {
-        if !self.cfg.admits(&kind) {
-            return;
-        }
-        if let (Some(s), Some(root)) = (self.cfg.sample, kind.root_id()) {
-            if !s.keeps(root) {
-                return;
-            }
-        }
-        self.store(TraceEvent { at, kind }, (0, 0));
-    }
-
     fn store(&mut self, event: TraceEvent, tag: (u128, u64)) {
         if self.ring.len() >= self.cfg.capacity {
             self.ring.pop_front();
@@ -738,22 +793,16 @@ impl TraceBuffer {
     /// `docs/OBSERVABILITY.md`). Deterministic: two identical runs produce
     /// byte-identical output.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.ring.len() * 64 + 96);
-        let _ = write!(
-            out,
-            "{{\"ev\":\"trace_header\",\"version\":{TRACE_SCHEMA_VERSION},\"source\":\"ring\",\"events\":{},\"discarded\":{}",
-            self.ring.len(),
-            self.overwritten
-        );
-        if let Some(s) = &self.cfg.sample {
-            let _ = write!(out, ",\"sample\":{}", s.denominator);
-        }
-        out.push_str("}\n");
+        let mut out = Vec::with_capacity(self.ring.len() * 64 + 96);
+        open_header(&mut out, "ring");
+        json::field_u64(&mut out, "events", self.ring.len() as u64);
+        json::field_u64(&mut out, "discarded", self.overwritten);
+        close_header(&mut out, &self.cfg.sample);
         for e in &self.ring {
             write_jsonl_line(&mut out, e);
-            out.push('\n');
+            out.put(b"\n");
         }
-        out
+        json::into_string(out)
     }
 
     /// Parse events from JSON Lines previously produced by
@@ -803,7 +852,9 @@ impl TraceSink for TraceBuffer {
 /// carrying the final event and discarded counts.
 pub struct JsonlSink<W: std::io::Write + Send + 'static> {
     out: W,
-    buf: String,
+    buf: Vec<u8>,
+    /// Where a line of bounded length is built before it joins `buf`.
+    line: Line<LINE_BYTES>,
     /// Flush threshold in bytes.
     flush_at: usize,
     /// Events currently serialized in `buf` (lost together on write error).
@@ -818,6 +869,21 @@ pub struct JsonlSink<W: std::io::Write + Send + 'static> {
 /// Buffered bytes before a backend write (64 KiB).
 const JSONL_FLUSH_BYTES: usize = 64 * 1024;
 
+/// `{"ev":"trace_header","version":2,"source":"…"`, left open for the
+/// source's own fields.
+fn open_header(out: &mut Vec<u8>, source: &str) {
+    out.put(b"{\"ev\":\"trace_header\"");
+    json::field_u64(out, "version", TRACE_SCHEMA_VERSION);
+    json::field_str(out, "source", source);
+}
+
+fn close_header(out: &mut Vec<u8>, sample: &Option<SampleSpec>) {
+    if let Some(s) = sample {
+        json::field_u64(out, "sample", s.denominator);
+    }
+    out.put(b"}\n");
+}
+
 impl JsonlSink<std::io::BufWriter<std::fs::File>> {
     /// Create (truncating) `path` and stream the capture to it.
     pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
@@ -831,7 +897,8 @@ impl<W: std::io::Write + Send + 'static> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         JsonlSink {
             out,
-            buf: String::with_capacity(JSONL_FLUSH_BYTES + 1024),
+            buf: Vec::with_capacity(JSONL_FLUSH_BYTES + 1024),
+            line: Line::new(),
             flush_at: JSONL_FLUSH_BYTES,
             buf_events: 0,
             events: 0,
@@ -857,21 +924,15 @@ impl<W: std::io::Write + Send + 'static> JsonlSink<W> {
             return;
         }
         self.header_written = true;
-        let _ = write!(
-            self.buf,
-            "{{\"ev\":\"trace_header\",\"version\":{TRACE_SCHEMA_VERSION},\"source\":\"stream\""
-        );
-        if let Some(s) = &self.sample {
-            let _ = write!(self.buf, ",\"sample\":{}", s.denominator);
-        }
-        self.buf.push_str("}\n");
+        open_header(&mut self.buf, "stream");
+        close_header(&mut self.buf, &self.sample);
     }
 
     fn drain_buf(&mut self) {
         if self.buf.is_empty() {
             return;
         }
-        if self.out.write_all(self.buf.as_bytes()).is_err() {
+        if self.out.write_all(&self.buf).is_err() {
             self.discarded += self.buf_events;
             self.events -= self.buf_events.min(self.events);
         }
@@ -887,9 +948,22 @@ impl<W: std::io::Write + Send + 'static> TraceSink for JsonlSink<W> {
     }
 
     fn record(&mut self, event: TraceEvent) {
+        self.record_ref(&event, 0, 0);
+    }
+
+    fn record_ref(&mut self, event: &TraceEvent, _key: u128, _sub: u64) {
         self.write_header();
-        write_jsonl_line(&mut self.buf, &event);
-        self.buf.push('\n');
+        if text_len(event) <= LINE_TEXT_MAX {
+            self.line.clear();
+            write_jsonl_line(&mut self.line, event);
+            self.line.put(b"\n");
+            self.buf.put(self.line.bytes());
+        } else {
+            // A name, label or detail as long as its author made it:
+            // straight into the heap buffer.
+            write_jsonl_line(&mut self.buf, event);
+            self.buf.push(b'\n');
+        }
         self.events += 1;
         self.buf_events += 1;
         if self.buf.len() >= self.flush_at {
@@ -911,12 +985,10 @@ impl<W: std::io::Write + Send + 'static> TraceSink for JsonlSink<W> {
             self.finished = true;
             self.write_header();
             self.drain_buf();
-            let _ = write!(
-                self.buf,
-                "{{\"ev\":\"trace_footer\",\"events\":{},\"discarded\":{}}}",
-                self.events, self.discarded
-            );
-            self.buf.push('\n');
+            self.buf.put(b"{\"ev\":\"trace_footer\"");
+            json::field_u64(&mut self.buf, "events", self.events);
+            json::field_u64(&mut self.buf, "discarded", self.discarded);
+            self.buf.put(b"}\n");
             self.drain_buf();
         }
         self.out.flush()
@@ -945,9 +1017,9 @@ impl<W: std::io::Write + Send + 'static> TraceSink for JsonlSink<W> {
 /// transparently when a second sink is attached.
 ///
 /// Semantics:
-/// - [`record_tagged`](TraceSink::record_tagged) clones the event for all
-///   children but the last, which receives the original (no clone on the
-///   single-child fast path).
+/// - [`record_ref`](TraceSink::record_ref) lends the one event to each
+///   child in turn; the tee itself never clones it (a child that keeps
+///   events clones for itself).
 /// - [`discarded`](TraceSink::discarded) is the **sum** over children: any
 ///   child losing events makes the combined capture incomplete.
 /// - [`flush`](TraceSink::flush) / [`finish`](TraceSink::finish) run on
@@ -991,6 +1063,13 @@ impl Tee {
     pub fn into_sinks(self) -> Vec<Box<dyn TraceSink>> {
         self.sinks
     }
+
+    /// Run `op` on every child, an earlier one's error notwithstanding;
+    /// the first error is the result.
+    fn on_every(&mut self, op: impl FnMut(&mut Box<dyn TraceSink>) -> std::io::Result<()>) -> std::io::Result<()> {
+        let results: Vec<_> = self.sinks.iter_mut().map(op).collect();
+        results.into_iter().collect()
+    }
 }
 
 impl std::fmt::Debug for Tee {
@@ -1010,15 +1089,16 @@ impl TraceSink for Tee {
     }
 
     fn record(&mut self, event: TraceEvent) {
-        self.record_tagged(event, 0, 0);
+        self.record_ref(&event, 0, 0);
     }
 
     fn record_tagged(&mut self, event: TraceEvent, key: u128, sub: u64) {
-        if let Some((last, rest)) = self.sinks.split_last_mut() {
-            for s in rest {
-                s.record_tagged(event.clone(), key, sub);
-            }
-            last.record_tagged(event, key, sub);
+        self.record_ref(&event, key, sub);
+    }
+
+    fn record_ref(&mut self, event: &TraceEvent, key: u128, sub: u64) {
+        for s in &mut self.sinks {
+            s.record_ref(event, key, sub);
         }
     }
 
@@ -1027,29 +1107,11 @@ impl TraceSink for Tee {
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        let mut first_err = None;
-        for s in &mut self.sinks {
-            if let Err(e) = s.flush() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.on_every(|s| s.flush())
     }
 
     fn finish(&mut self) -> std::io::Result<()> {
-        let mut first_err = None;
-        for s in &mut self.sinks {
-            if let Err(e) = s.finish() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.on_every(|s| s.finish())
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1070,6 +1132,9 @@ impl TraceSink for Tee {
 /// admitted events to its [`TraceSink`].
 pub struct Tracer {
     cfg: TraceConfig,
+    /// Every level on and no node or channel filter set, so
+    /// [`TraceConfig::admits`] has nothing to reject.
+    admits_all: bool,
     sink: Box<dyn TraceSink>,
 }
 
@@ -1087,7 +1152,8 @@ impl Tracer {
     /// [`on_attach`](TraceSink::on_attach) hook runs here).
     pub fn new(cfg: TraceConfig, mut sink: Box<dyn TraceSink>) -> Self {
         sink.on_attach(&cfg);
-        Tracer { cfg, sink }
+        let admits_all = cfg.level.includes(TraceLevel::ALL) && cfg.nodes.is_none() && cfg.channels.is_none();
+        Tracer { cfg, admits_all, sink }
     }
 
     /// A tracer capturing into a fresh in-memory ring configured by `cfg`.
@@ -1159,8 +1225,8 @@ impl Tracer {
     /// Record an event, sampling by the record's own root or — for rootless
     /// records like protocol events — by `ambient_root` (the arrival being
     /// dispatched when the event fired). Events with no root at all always
-    /// pass sampling. `key`/`sub` are the canonical ordering tag forwarded
-    /// to [`TraceSink::record_tagged`].
+    /// pass sampling. `key`/`sub` are the canonical ordering tag. The record
+    /// is built here, once, and lent to the sink chain.
     pub(crate) fn push_caused(
         &mut self,
         at: SimTime,
@@ -1169,7 +1235,7 @@ impl Tracer {
         key: u128,
         sub: u64,
     ) {
-        if !self.cfg.admits(&kind) {
+        if !self.admits_all && !self.cfg.admits(&kind) {
             return;
         }
         if let Some(s) = self.cfg.sample {
@@ -1179,7 +1245,7 @@ impl Tracer {
                 }
             }
         }
-        self.sink.record_tagged(TraceEvent { at, kind }, key, sub);
+        self.sink.record_ref(&TraceEvent { at, kind }, key, sub);
     }
 }
 
@@ -1241,90 +1307,74 @@ impl TraceMeta {
     }
 }
 
-pub(crate) fn write_str_field(out: &mut String, key: &str, val: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
-    for ch in val.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn class_str(class: TrafficClass) -> &'static str {
+fn class_str(class: TrafficClass) -> &'static [u8] {
     match class {
-        TrafficClass::Data => "data",
-        TrafficClass::Control => "control",
+        TrafficClass::Data => b",\"class\":\"data\"}",
+        TrafficClass::Control => b",\"class\":\"control\"}",
     }
 }
 
-pub(crate) fn write_jsonl_line(out: &mut String, e: &TraceEvent) {
-    let t = e.at.micros();
+/// The longest line a record without text can serialize to: a `pkt_tx`
+/// with a cause and every integer at its type's maximum.
+const FIXED_LINE_MAX: usize = 208;
+
+/// The text a record may carry and still be built in a [`JsonlSink`]'s
+/// line: the engine's own events — a `<proto>.<event>` name, a typed
+/// channel — stay well under it.
+const LINE_TEXT_MAX: usize = 48;
+
+/// Room for the longest record without text, `LINE_TEXT_MAX` bytes of text
+/// with every one of them escaped six-fold, the newline, and the twenty
+/// bytes an integer's last write may cover.
+const LINE_BYTES: usize = FIXED_LINE_MAX + 6 * LINE_TEXT_MAX + 1 + 20;
+
+/// How many bytes of text (name, label, detail) `e` carries, before
+/// escaping. A typed channel renders to at most 34.
+fn text_len(e: &TraceEvent) -> usize {
+    let TraceKind::Proto { event, .. } = &e.kind else { return 0 };
+    let label = match &event.channel {
+        Some(ChanLabel::Text(t)) => t.len(),
+        Some(ChanLabel::Channel(_)) | None => 0,
+    };
+    event.name.len() + label + event.detail.as_ref().map_or(0, String::len)
+}
+
+/// `e` as one trace JSONL v2 line, without the newline.
+pub(crate) fn write_jsonl_line(out: &mut impl Out, e: &TraceEvent) {
+    use json::num;
+    num(out, b"{\"t\":", e.at.micros());
     match &e.kind {
-        TraceKind::PacketTx {
-            node,
-            iface,
-            link,
-            id,
-            cause,
-            root,
-            bytes,
-            class,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"t\":{t},\"ev\":\"pkt_tx\",\"node\":{},\"iface\":{},\"link\":{},\"id\":{},\"root\":{}",
-                node.0, iface.0, link.0, id.0, root.0
-            );
+        TraceKind::PacketTx { node, iface, link, id, cause, root, bytes, class } => {
+            num(out, b",\"ev\":\"pkt_tx\",\"node\":", node.0.into());
+            num(out, b",\"iface\":", iface.0.into());
+            num(out, b",\"link\":", link.0.into());
+            num(out, b",\"id\":", id.0);
+            num(out, b",\"root\":", root.0);
             if let Some(c) = cause {
-                let _ = write!(out, ",\"cause\":{}", c.0);
+                num(out, b",\"cause\":", c.0);
             }
-            let _ = write!(out, ",\"bytes\":{bytes},\"class\":\"{}\"}}", class_str(*class));
+            num(out, b",\"bytes\":", (*bytes).into());
+            out.put(class_str(*class));
         }
-        TraceKind::PacketRx {
-            node,
-            iface,
-            id,
-            root,
-            age,
-            class,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"t\":{t},\"ev\":\"pkt_rx\",\"node\":{},\"iface\":{},\"id\":{},\"root\":{},\"age_us\":{},\"class\":\"{}\"}}",
-                node.0,
-                iface.0,
-                id.0,
-                root.0,
-                age.micros(),
-                class_str(*class)
-            );
+        TraceKind::PacketRx { node, iface, id, root, age, class } => {
+            num(out, b",\"ev\":\"pkt_rx\",\"node\":", node.0.into());
+            num(out, b",\"iface\":", iface.0.into());
+            num(out, b",\"id\":", id.0);
+            num(out, b",\"root\":", root.0);
+            num(out, b",\"age_us\":", age.micros());
+            out.put(class_str(*class));
         }
-        TraceKind::PacketDrop {
-            link,
-            id,
-            root,
-            reason,
-            class,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"t\":{t},\"ev\":\"drop\",\"link\":{},\"id\":{},\"root\":{},\"reason\":\"{}\",\"class\":\"{}\"}}",
-                link.0,
-                id.0,
-                root.0,
-                reason.as_str(),
-                class_str(*class)
-            );
+        TraceKind::PacketDrop { link, id, root, reason, class } => {
+            num(out, b",\"ev\":\"drop\",\"link\":", link.0.into());
+            num(out, b",\"id\":", id.0);
+            num(out, b",\"root\":", root.0);
+            json::field_str(out, "reason", reason.as_str());
+            out.put(class_str(*class));
         }
         TraceKind::TimerFire { node, token } => {
-            let _ = write!(out, "{{\"t\":{t},\"ev\":\"timer\",\"node\":{},\"token\":{token}}}", node.0);
+            num(out, b",\"ev\":\"timer\",\"node\":", node.0.into());
+            num(out, b",\"token\":", *token);
+            out.put(b"}");
         }
         TraceKind::Topology(change) => {
             let (kind, entity) = match change {
@@ -1333,21 +1383,38 @@ pub(crate) fn write_jsonl_line(out: &mut String, e: &TraceEvent) {
                 TopologyChange::NodeDown(n) => ("node_down", n.0),
                 TopologyChange::NodeUp(n) => ("node_up", n.0),
             };
-            let _ = write!(out, "{{\"t\":{t},\"ev\":\"topo\",\"change\":\"{kind}\",\"entity\":{entity}}}");
+            out.put(b",\"ev\":\"topo\"");
+            json::field_str(out, "change", kind);
+            num(out, b",\"entity\":", entity.into());
+            out.put(b"}");
         }
         TraceKind::Proto { node, event } => {
-            let _ = write!(out, "{{\"t\":{t},\"ev\":\"proto\",\"node\":{}", node.0);
-            write_str_field(out, "name", &event.name);
-            if let Some(c) = &event.channel {
-                write_str_field(out, "chan", c);
+            num(out, b",\"ev\":\"proto\",\"node\":", node.0.into());
+            out.put(b",\"name\":");
+            json::string(out, &event.name);
+            match &event.channel {
+                Some(ChanLabel::Channel(c)) => {
+                    // `Channel`'s `Display`, by hand: "(source, group)".
+                    let mut open: &[u8] = b",\"chan\":\"(";
+                    for Ipv4Addr([a, b, c, d]) in [c.source, c.group()] {
+                        num(out, open, a.into());
+                        num(out, b".", b.into());
+                        num(out, b".", c.into());
+                        num(out, b".", d.into());
+                        open = b", ";
+                    }
+                    out.put(b")\"");
+                }
+                Some(ChanLabel::Text(c)) => json::field_str(out, "chan", c),
+                None => {}
             }
             if let Some(v) = event.value {
-                let _ = write!(out, ",\"value\":{v}");
+                num(out, b",\"value\":", v);
             }
             if let Some(d) = &event.detail {
-                write_str_field(out, "detail", d);
+                json::field_str(out, "detail", d);
             }
-            out.push('}');
+            out.put(b"}");
         }
     }
 }
@@ -1429,6 +1496,10 @@ fn parse_jsonl_line(line: &str) -> Option<TraceEvent> {
     let m = parse_flat_json_object(line)?;
     let at = SimTime(m.get("t")?.parse().ok()?);
     let u64f = |k: &str| -> Option<u64> { m.get(k)?.parse().ok() };
+    // Ids narrower than 64 bits: a value that does not fit is a garbled
+    // line, not the id it would wrap to.
+    let u32f = |k: &str| -> Option<u32> { u64f(k)?.try_into().ok() };
+    let iface = || -> Option<IfaceId> { Some(IfaceId(u64f("iface")?.try_into().ok()?)) };
     let class = || -> TrafficClass {
         match m.get("class").map(String::as_str) {
             Some("control") => TrafficClass::Control,
@@ -1437,18 +1508,18 @@ fn parse_jsonl_line(line: &str) -> Option<TraceEvent> {
     };
     let kind = match m.get("ev")?.as_str() {
         "pkt_tx" => TraceKind::PacketTx {
-            node: NodeId(u64f("node")? as u32),
-            iface: IfaceId(u64f("iface")? as u8),
-            link: LinkId(u64f("link")? as u32),
+            node: NodeId(u32f("node")?),
+            iface: iface()?,
+            link: LinkId(u32f("link")?),
             id: PacketId(u64f("id")?),
             cause: u64f("cause").map(PacketId),
             root: PacketId(u64f("root")?),
-            bytes: u64f("bytes")? as u32,
+            bytes: u32f("bytes")?,
             class: class(),
         },
         "pkt_rx" => TraceKind::PacketRx {
-            node: NodeId(u64f("node")? as u32),
-            iface: IfaceId(u64f("iface")? as u8),
+            node: NodeId(u32f("node")?),
+            iface: iface()?,
             id: PacketId(u64f("id")?),
             root: PacketId(u64f("root")?),
             age: SimDuration(u64f("age_us")?),
@@ -1457,7 +1528,7 @@ fn parse_jsonl_line(line: &str) -> Option<TraceEvent> {
         "drop" => {
             let id = PacketId(u64f("id")?);
             TraceKind::PacketDrop {
-                link: LinkId(u64f("link")? as u32),
+                link: LinkId(u32f("link")?),
                 id,
                 // v1 drops carried no root; fall back to the frame id so old
                 // captures still parse (path joins just lose drop hops).
@@ -1471,11 +1542,11 @@ fn parse_jsonl_line(line: &str) -> Option<TraceEvent> {
             }
         }
         "timer" => TraceKind::TimerFire {
-            node: NodeId(u64f("node")? as u32),
+            node: NodeId(u32f("node")?),
             token: u64f("token")?,
         },
         "topo" => {
-            let entity = u64f("entity")? as u32;
+            let entity = u32f("entity")?;
             TraceKind::Topology(match m.get("change")?.as_str() {
                 "link_down" => TopologyChange::LinkDown(LinkId(entity)),
                 "link_up" => TopologyChange::LinkUp(LinkId(entity)),
@@ -1485,12 +1556,13 @@ fn parse_jsonl_line(line: &str) -> Option<TraceEvent> {
             })
         }
         "proto" => TraceKind::Proto {
-            node: NodeId(u64f("node")? as u32),
+            node: NodeId(u32f("node")?),
             event: ProtoEvent {
-                name: std::borrow::Cow::Owned(m.get("name")?.clone()),
-                channel: m.get("chan").cloned(),
+                name: m.get("name")?.clone().into(),
+                channel: m.get("chan").cloned().map(ChanLabel::Text),
                 value: u64f("value"),
                 detail: m.get("detail").cloned(),
+                counter: None,
             },
         },
         _ => return None,
@@ -1501,6 +1573,25 @@ fn parse_jsonl_line(line: &str) -> Option<TraceEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use express_wire::addr::ChannelDest;
+    use std::fmt::Write as _;
+
+    impl TraceBuffer {
+        /// Record an event, applying this buffer's own filters and
+        /// sampling (under a [`Tracer`] the tracer filters and the buffer's
+        /// [`TraceSink::record`] stores unconditionally).
+        fn push(&mut self, at: SimTime, kind: TraceKind) {
+            if !self.cfg.admits(&kind) {
+                return;
+            }
+            if let (Some(s), Some(root)) = (self.cfg.sample, kind.root_id()) {
+                if !s.keeps(root) {
+                    return;
+                }
+            }
+            self.store(TraceEvent { at, kind }, (0, 0));
+        }
+    }
 
     fn tx(id: u64, root: u64, cause: Option<u64>, node: u32, link: u32) -> TraceKind {
         TraceKind::PacketTx {
@@ -1568,12 +1659,7 @@ mod tests {
         let mut b = TraceBuffer::new(TraceConfig::default().channels(["A".to_string()]));
         let ev = |chan: Option<&str>| TraceKind::Proto {
             node: NodeId(0),
-            event: ProtoEvent {
-                name: "x.y".into(),
-                channel: chan.map(String::from),
-                value: None,
-                detail: None,
-            },
+            event: ProtoEvent { name: "x.y".into(), channel: chan.map(ChanLabel::from), ..ProtoEvent::default() },
         };
         b.push(SimTime(0), ev(Some("A")));
         b.push(SimTime(0), ev(Some("B"))); // filtered
@@ -1738,7 +1824,7 @@ mod tests {
         tr.push(SimTime(0), TraceKind::TimerFire { node: NodeId(0), token: 1 }, 0, 2); // level-filtered
         let proto = |v: u64| TraceKind::Proto {
             node: NodeId(0),
-            event: ProtoEvent { name: "x.y".into(), channel: None, value: Some(v), detail: None },
+            event: ProtoEvent { name: "x.y".into(), value: Some(v), ..ProtoEvent::default() },
         };
         // Proto sampled by ambient root when supplied, kept otherwise.
         tr.push_caused(SimTime(1), proto(1), Some(PacketId(root)), 0, 3);
@@ -1770,6 +1856,14 @@ mod tests {
             "{\"t\":11,\"ev\":\"topo\",\"change\":\"melt\",\"entity\":3}", // unknown change
             "not json at all",
             "[1,2,3]",                                   // not an object
+            // Ids that do not fit their type are garbage, not the id they
+            // would wrap to (iface 0, node 5, link 2, bytes 100).
+            "{\"t\":12,\"ev\":\"pkt_rx\",\"node\":3,\"iface\":256,\"id\":1,\"root\":1,\"age_us\":9,\"class\":\"data\"}",
+            "{\"t\":12,\"ev\":\"timer\",\"node\":4294967301,\"token\":2}",
+            "{\"t\":12,\"ev\":\"drop\",\"link\":4294967298,\"id\":41,\"root\":41,\"reason\":\"loss\",\"class\":\"data\"}",
+            "{\"t\":12,\"ev\":\"pkt_tx\",\"node\":0,\"iface\":0,\"link\":2,\"id\":1,\"root\":1,\"bytes\":4294967396,\"class\":\"data\"}",
+            "{\"t\":12,\"ev\":\"topo\",\"change\":\"link_up\",\"entity\":4294967296}",
+            "{\"t\":12,\"ev\":\"proto\",\"node\":18446744073709551615,\"name\":\"x.y\"}",
         ] {
             text.push_str(bad);
             text.push('\n');
@@ -1931,5 +2025,199 @@ mod tests {
         assert_eq!(jsonl_events, Some(2));
         ring_lens.sort_unstable();
         assert_eq!(ring_lens, vec![1, 3]);
+    }
+
+    // ---- the byte-level writer against the `core::fmt` one it replaced ---
+
+    fn oracle_str_field(out: &mut String, key: &str, val: &str) {
+        let _ = write!(out, ",\"{key}\":\"");
+        for ch in val.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// The schema v2 line writer as it stood before [`crate::json`]:
+    /// `write!` for every integer, `Display` for a channel. Kept as the
+    /// oracle [`write_jsonl_line`] is compared against.
+    fn oracle_line(out: &mut String, e: &TraceEvent) {
+        let class_str = |c: &TrafficClass| match c {
+            TrafficClass::Data => "data",
+            TrafficClass::Control => "control",
+        };
+        let t = e.at.micros();
+        match &e.kind {
+            TraceKind::PacketTx { node, iface, link, id, cause, root, bytes, class } => {
+                let _ = write!(
+                    out,
+                    "{{\"t\":{t},\"ev\":\"pkt_tx\",\"node\":{},\"iface\":{},\"link\":{},\"id\":{},\"root\":{}",
+                    node.0, iface.0, link.0, id.0, root.0
+                );
+                if let Some(c) = cause {
+                    let _ = write!(out, ",\"cause\":{}", c.0);
+                }
+                let _ = write!(out, ",\"bytes\":{bytes},\"class\":\"{}\"}}", class_str(class));
+            }
+            TraceKind::PacketRx { node, iface, id, root, age, class } => {
+                let _ = write!(
+                    out,
+                    "{{\"t\":{t},\"ev\":\"pkt_rx\",\"node\":{},\"iface\":{},\"id\":{},\"root\":{},\"age_us\":{},\"class\":\"{}\"}}",
+                    node.0, iface.0, id.0, root.0, age.micros(), class_str(class)
+                );
+            }
+            TraceKind::PacketDrop { link, id, root, reason, class } => {
+                let _ = write!(
+                    out,
+                    "{{\"t\":{t},\"ev\":\"drop\",\"link\":{},\"id\":{},\"root\":{},\"reason\":\"{}\",\"class\":\"{}\"}}",
+                    link.0, id.0, root.0, reason.as_str(), class_str(class)
+                );
+            }
+            TraceKind::TimerFire { node, token } => {
+                let _ = write!(out, "{{\"t\":{t},\"ev\":\"timer\",\"node\":{},\"token\":{token}}}", node.0);
+            }
+            TraceKind::Topology(change) => {
+                let (kind, entity) = match change {
+                    TopologyChange::LinkDown(l) => ("link_down", l.0),
+                    TopologyChange::LinkUp(l) => ("link_up", l.0),
+                    TopologyChange::NodeDown(n) => ("node_down", n.0),
+                    TopologyChange::NodeUp(n) => ("node_up", n.0),
+                };
+                let _ = write!(out, "{{\"t\":{t},\"ev\":\"topo\",\"change\":\"{kind}\",\"entity\":{entity}}}");
+            }
+            TraceKind::Proto { node, event } => {
+                let _ = write!(out, "{{\"t\":{t},\"ev\":\"proto\",\"node\":{}", node.0);
+                oracle_str_field(out, "name", &event.name);
+                if let Some(c) = &event.channel {
+                    oracle_str_field(out, "chan", &c.to_string());
+                }
+                if let Some(v) = event.value {
+                    let _ = write!(out, ",\"value\":{v}");
+                }
+                if let Some(d) = &event.detail {
+                    oracle_str_field(out, "detail", d);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Every record shape at both ends of every integer's range, and
+    /// protocol events whose strings hold everything a string can.
+    fn differential_events() -> Vec<TraceEvent> {
+        let mut kinds = Vec::new();
+        for big in [false, true] {
+            let (n, i, t) = if big { (u32::MAX, u8::MAX, u64::MAX) } else { (0, 0, 0) };
+            for class in [TrafficClass::Data, TrafficClass::Control] {
+                for cause in [None, Some(PacketId(t))] {
+                    kinds.push(TraceKind::PacketTx {
+                        node: NodeId(n),
+                        iface: IfaceId(i),
+                        link: LinkId(n),
+                        id: PacketId(t),
+                        cause,
+                        root: PacketId(t),
+                        bytes: n,
+                        class,
+                    });
+                }
+                kinds.push(TraceKind::PacketRx {
+                    node: NodeId(n),
+                    iface: IfaceId(i),
+                    id: PacketId(t),
+                    root: PacketId(t),
+                    age: SimDuration(t),
+                    class,
+                });
+                for reason in [DropReason::Loss, DropReason::LinkDown, DropReason::NodeDown] {
+                    kinds.push(TraceKind::PacketDrop { link: LinkId(n), id: PacketId(t), root: PacketId(t), reason, class });
+                }
+            }
+            kinds.push(TraceKind::TimerFire { node: NodeId(n), token: t });
+            kinds.extend(
+                [TopologyChange::LinkDown(LinkId(n)), TopologyChange::LinkUp(LinkId(n)), TopologyChange::NodeDown(NodeId(n)), TopologyChange::NodeUp(NodeId(n))]
+                    .map(TraceKind::Topology),
+            );
+        }
+        let nasty = ["", "plain", "q\"uote", "back\\slash", "new\nline", "tab\tbell\u{7}nul\u{0}unit\u{1f}", "é ✓ 日本 \u{1f980}", "}{\",\":[]"];
+        let channels = [
+            Channel::new(Ipv4Addr::new(10, 0, 0, 5), 1).unwrap(),
+            Channel::new(Ipv4Addr::new(1, 22, 133, 254), ChannelDest::MAX).unwrap(),
+            Channel::new(Ipv4Addr::new(223, 255, 255, 255), 0).unwrap(),
+        ];
+        for (k, s) in nasty.iter().enumerate() {
+            let event = ProtoEvent { name: s.to_string().into(), value: (k % 2 == 0).then_some(u64::MAX >> k), ..ProtoEvent::default() };
+            kinds.push(TraceKind::Proto { node: NodeId(k as u32), event: event.clone() });
+            kinds.push(TraceKind::Proto { node: NodeId(0), event: event.clone().chan(*s).detail(*s) });
+            kinds.push(TraceKind::Proto { node: NodeId(0), event: ProtoEvent { name: "host.data_rx".into(), ..event }.chan(channels[k % 3]) });
+        }
+        kinds.into_iter().flat_map(|kind| [0, u64::MAX].map(|at| TraceEvent { at: SimTime(at), kind: kind.clone() })).collect()
+    }
+
+    #[test]
+    fn byte_writer_matches_the_fmt_oracle_and_round_trips() {
+        let events = differential_events();
+        let mut sink = JsonlSink::new(Vec::new());
+        for e in &events {
+            let mut expected = String::new();
+            oracle_line(&mut expected, e);
+            let mut direct = Vec::new();
+            write_jsonl_line(&mut direct, e);
+            assert_eq!(json::into_string(direct), expected, "{e:?}");
+            sink.record_ref(e, 0, 0);
+        }
+        // The longest fixed-shape line is what the stack line is sized by.
+        let longest = events.iter().filter(|e| !matches!(e.kind, TraceKind::Proto { .. })).map(|e| {
+            let mut line = Vec::new();
+            write_jsonl_line(&mut line, e);
+            line.len()
+        });
+        assert_eq!(longest.max(), Some(FIXED_LINE_MAX));
+        // And the most a line-built record with text can: every byte of
+        // its allowance a control character, the widest channel, a value.
+        let widest = Channel::new(Ipv4Addr::new(223, 255, 255, 255), ChannelDest::MAX).unwrap();
+        let event = ProtoEvent { name: "\u{1}".repeat(LINE_TEXT_MAX).into(), ..ProtoEvent::default() }.chan(widest).value(u64::MAX);
+        let worst = TraceEvent { at: SimTime(u64::MAX), kind: TraceKind::Proto { node: NodeId(u32::MAX), event } };
+        assert_eq!(text_len(&worst), LINE_TEXT_MAX);
+        let mut line = Vec::new();
+        write_jsonl_line(&mut line, &worst);
+        assert!(line.len() + 1 + 20 <= LINE_BYTES, "{} bytes", line.len());
+        sink.record_ref(&worst, 0, 0);
+        let mut events = events;
+        events.push(worst);
+        // Through the sink (stack line for fixed shapes, heap for strings),
+        // the same bytes line by line — and they parse back to the events.
+        sink.finish().unwrap();
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("{\"ev\":\"trace_header\",\"version\":2,\"source\":\"stream\"}"));
+        for e in &events {
+            let mut expected = String::new();
+            oracle_line(&mut expected, e);
+            assert_eq!(lines.next(), Some(expected.as_str()));
+        }
+        assert_eq!(lines.next(), Some(format!("{{\"ev\":\"trace_footer\",\"events\":{},\"discarded\":0}}", events.len()).as_str()));
+        assert_eq!(TraceBuffer::parse_jsonl(&text), events);
+    }
+
+    #[test]
+    fn a_typed_channel_label_is_its_display_form() {
+        let c = Channel::new(Ipv4Addr::new(10, 0, 0, 5), 1).unwrap();
+        let typed = ChanLabel::from(c);
+        assert_eq!(typed.to_string(), "(10.0.0.5, 232.0.0.1)");
+        assert_eq!(typed, ChanLabel::from("(10.0.0.5, 232.0.0.1)"));
+        assert_ne!(typed, ChanLabel::from("(10.0.0.5, 232.0.0.2)"));
+        // The channel filter sees the same text whichever way it was attached.
+        let cfg = TraceConfig::default().channels(["(10.0.0.5, 232.0.0.1)".to_string()]);
+        let ev = |label: ChanLabel| TraceKind::Proto { node: NodeId(0), event: ProtoEvent::default().chan(label) };
+        assert!(cfg.admits(&ev(typed)));
+        assert!(!cfg.admits(&ev(Channel::new(Ipv4Addr::new(10, 0, 0, 6), 1).unwrap().into())));
     }
 }
