@@ -1,13 +1,12 @@
 //! Shortest-path maintenance cost under topology churn: building one
 //! destination-rooted tree (a Dijkstra plus a DFS, answering every origin)
-//! versus a cached query, and the payoff of selective link-down
-//! invalidation (only the trees that used the failed link are rebuilt; the
-//! rest keep answering from cache).
+//! versus a cached query, and what a link flap costs when the cached trees
+//! are repaired in place against dropping and rebuilding them.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsim::routing::Routing;
 use netsim::topogen::{self, GenTopo};
-use netsim::topology::LinkSpec;
+use netsim::topology::{LinkSpec, Topology};
 use netsim::LinkId;
 use std::hint::black_box;
 
@@ -40,52 +39,72 @@ fn bench_recompute(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm the trees toward sixteen destinations, kill one link, then re-answer
-/// every router origin toward each of them: `invalidate_link` rebuilds only
-/// the trees that used the link (plus the link's two endpoint trees, for the
-/// simulated SPF count), `invalidate` rebuilds all sixteen.
-fn bench_invalidation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dijkstra/link_down");
+/// One link flap under sixteen warm destination trees on the benchmark of
+/// record's graph (`isp_churn_faults`: 1 000 routers, 400 chords, 4 000
+/// hosts), every router re-answering toward every destination after each
+/// transition. `repair` is what the engine does (`link_down` / `link_up`:
+/// two endpoint-tree builds for the simulated SPF count, thirty-two repairs);
+/// `rebuild` is the drop-and-rebuild it replaced, spelled with `invalidate`
+/// (the same two endpoint builds, then sixteen cold builds after each
+/// transition). A bridge is in every tree; an on-cycle chord in a few.
+fn bench_link_flap(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dijkstra/link_flap");
     g.sample_size(20);
-    let n = 200usize;
-    let gt = topo(n);
+    let gt = topogen::random_connected(1000, 400, 4000, LinkSpec::default(), 1);
     let dests = &gt.hosts[..16];
-    let answer_all = |r: &mut Routing| {
+    let answer_all = |r: &mut Routing, topo: &Topology| {
         for &d in dests {
             for &o in &gt.routers {
-                r.next_hop(&gt.topo, o, d);
+                r.next_hop(topo, o, d);
             }
         }
     };
-    let warm = || {
-        let mut r = Routing::new();
-        answer_all(&mut r);
-        r
+    let ends = |l: LinkId| match *gt.topo.link_endpoints(l) {
+        [(a, _), (b, _)] => Some((a, b)),
+        _ => None, // an id a failed `connect` consumed
     };
-    // Links are created spanning-tree first, then the redundant "extra"
-    // shortcut edges, then host attachments; kill an extra edge — the case
-    // where only the trees that adopted the shortcut must be rebuilt.
-    let link = LinkId(n as u32);
-    g.throughput(Throughput::Elements((dests.len() * gt.routers.len()) as u64));
-    for (label, selective) in [("selective", true), ("full_flush", false)] {
-        g.bench_function(BenchmarkId::new(label, n), |b| {
-            b.iter_batched(
-                warm,
-                |mut r| {
-                    if selective {
-                        r.invalidate_link(&gt.topo, black_box(link));
-                    } else {
-                        r.invalidate();
+    let cut_off = |l: LinkId| {
+        ends(l).is_some_and(|(a, b)| {
+            let mut cut = gt.topo.clone();
+            cut.set_link_up(l, false);
+            Routing::new().distance(&cut, a, b).is_none()
+        })
+    };
+    // Links are created spanning-tree first, then the chords, then the host
+    // attachments.
+    let bridge = (0..999).map(LinkId).find(|&l| cut_off(l)).expect("a tree link no chord bypasses");
+    let chord = (999..1399).map(LinkId).find(|&l| ends(l).is_some()).expect("a chord");
+    assert!(!cut_off(chord));
+    g.throughput(Throughput::Elements(2 * (dests.len() * gt.routers.len()) as u64));
+    for (shape, link) in [("bridge", bridge), ("on_cycle", chord)] {
+        let (a, b) = ends(link).expect("chosen with two ends");
+        for repair in [true, false] {
+            let mut topo = gt.topo.clone();
+            let mut r = Routing::new();
+            answer_all(&mut r, &topo);
+            let label = if repair { "repair" } else { "rebuild" };
+            g.bench_function(BenchmarkId::new(label, shape), |bench| {
+                bench.iter(|| {
+                    for up in [false, true] {
+                        if !repair && !up {
+                            r.next_hop(&topo, a, b);
+                            r.next_hop(&topo, b, a);
+                        }
+                        topo.set_link_up(black_box(link), up);
+                        match (repair, up) {
+                            (true, false) => r.link_down(&topo, link),
+                            (true, true) => r.link_up(&topo, link),
+                            (false, _) => r.invalidate(),
+                        }
+                        answer_all(&mut r, &topo);
                     }
-                    answer_all(&mut r);
                     r.tree_build_count()
-                },
-                BatchSize::SmallInput,
-            )
-        });
+                })
+            });
+        }
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_recompute, bench_invalidation);
+criterion_group!(benches, bench_recompute, bench_link_flap);
 criterion_main!(benches);

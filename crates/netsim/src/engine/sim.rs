@@ -436,20 +436,23 @@ impl Sim {
         let mut sub = 0u64;
         match kind {
             EventKind::LinkChange { link, up } => {
-                if self.shared.topo.link_up(link) != up {
-                    self.shared.topo.set_link_up(link, up);
-                    if up {
-                        // A new link can shorten any path: full flush.
-                        for w in &mut self.worlds {
-                            w.routing.invalidate();
-                        }
-                    } else {
-                        // A removed link only perturbs the shortest-path
-                        // trees that actually crossed it.
-                        for w in &mut self.worlds {
-                            w.routing.invalidate_link(&self.shared.topo, link);
+                let topo = &self.shared.topo;
+                let mut held_down = false;
+                for &(n, _) in topo.link_endpoints(link) {
+                    // A crashed endpoint holds the link down whatever is
+                    // asked of it; the change edits what its restart will
+                    // restore.
+                    if let Some(restore) = self.crash_downed_links.get_mut(&n) {
+                        held_down = true;
+                        if !up {
+                            restore.retain(|&l| l != link);
+                        } else if !restore.contains(&link) {
+                            restore.push(link);
                         }
                     }
+                }
+                if !held_down && topo.link_up(link) != up {
+                    self.flip_link(link, up);
                     self.notify_link_change(link, up, key, &mut sub);
                     let change = if up {
                         TopologyChange::LinkUp(link)
@@ -507,7 +510,7 @@ impl Sim {
 
     /// Deliver `change` to every live agent that listens
     /// ([`Ctx::watch_topology`]), then run the [`Agent::on_route_change`]
-    /// sweep over the same (routing was already invalidated).
+    /// sweep over the same (routing was already repaired).
     fn notify_topology_change(&mut self, change: TopologyChange, key: u128, sub: &mut u64) {
         {
             let w = &mut self.worlds[0];
@@ -549,6 +552,20 @@ impl Sim {
         }
     }
 
+    /// Mark `link` up or down and repair every shard's cached routes: one
+    /// link at a time, since a repair takes the trees to be right but for
+    /// the link it is given.
+    fn flip_link(&mut self, link: LinkId, up: bool) {
+        self.shared.topo.set_link_up(link, up);
+        for w in &mut self.worlds {
+            if up {
+                w.routing.link_up(&self.shared.topo, link);
+            } else {
+                w.routing.link_down(&self.shared.topo, link);
+            }
+        }
+    }
+
     fn process_crash(&mut self, node: NodeId, key: u128, sub: &mut u64) {
         if self.shared.node_down[node.index()] {
             return;
@@ -566,13 +583,15 @@ impl Sim {
             .into_iter()
             .filter(|&l| self.shared.topo.link_up(l))
             .collect();
+        // Every origin recomputes, so the per-link accounting has nothing
+        // left to read.
+        for w in &mut self.worlds {
+            w.routing.forget_origins();
+        }
         for &l in &links {
-            self.shared.topo.set_link_up(l, false);
+            self.flip_link(l, false);
         }
         self.crash_downed_links.insert(node, links.clone());
-        for w in &mut self.worlds {
-            w.routing.invalidate();
-        }
         // The crashed node is marked down above, so only its neighbors hear.
         for &l in &links {
             self.notify_link_change(l, false, key, sub);
@@ -586,11 +605,14 @@ impl Sim {
         }
         self.shared.node_down[node.index()] = false;
         let links = self.crash_downed_links.remove(&node).unwrap_or_default();
-        for &l in &links {
-            self.shared.topo.set_link_up(l, true);
-        }
         for w in &mut self.worlds {
-            w.routing.invalidate();
+            w.routing.forget_origins();
+        }
+        for &l in &links {
+            // (Up already if another crashed endpoint restarted first.)
+            if !self.shared.topo.link_up(l) {
+                self.flip_link(l, true);
+            }
         }
         // Fresh process: factory-built agent with empty soft state.
         let agent = match self.restart_factories.get(&node) {

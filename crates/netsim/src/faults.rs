@@ -328,6 +328,43 @@ mod tests {
     }
 
     #[test]
+    fn a_link_change_under_a_crashed_endpoint_edits_what_the_restart_restores() {
+        // a - b - c; b is down from 1 ms to 3 ms, and at 2 ms one of its
+        // links is told to change.
+        let line = |down_first: bool, up: bool| {
+            let mut t = Topology::new();
+            let [a, b, c] = [(); 3].map(|()| t.add_router());
+            let ab = t.connect(a, b, LinkSpec::default()).unwrap();
+            let bc = t.connect(b, c, LinkSpec::default()).unwrap();
+            let mut sim = Sim::new(t, 3);
+            sim.set_agent(a, Box::new(Probe::default()));
+            if down_first {
+                sim.schedule_link_change(SimTime(500), ab, false);
+            }
+            sim.schedule_crash(SimTime(1_000), b);
+            sim.schedule_link_change(SimTime(2_000), ab, up);
+            sim.run_until(SimTime(2_500));
+            // Whatever was asked, a crashed node's links are down, and the
+            // live end heard nothing at 2 ms.
+            assert!(!sim.topology().link_up(ab) && !sim.topology().link_up(bc));
+            let heard = &sim.agent_as::<Probe>(a).unwrap().link_changes;
+            assert!(heard.iter().all(|&(at, ..)| at != SimTime(2_000)), "{heard:?}");
+            sim.schedule_restart(SimTime(3_000), b);
+            sim.run_until(SimTime(4_000));
+            assert!(sim.topology().link_up(bc));
+            let (topo, routing) = sim.routing_mut();
+            assert_eq!(routing.distance(topo, c, a).is_some(), topo.link_up(ab));
+            sim.topology().link_up(ab)
+        };
+        // A LinkDown under the crash is not forgotten by the restart …
+        assert!(!line(false, false));
+        // … a LinkUp waits for it, and one that changes nothing changes nothing.
+        assert!(line(true, true));
+        assert!(line(false, true));
+        assert!(!line(true, false));
+    }
+
+    #[test]
     fn stale_timers_do_not_fire_into_restarted_agent() {
         let (mut sim, a, b, _l) = pair();
         // `a` arms a pile of long timers, then crashes and restarts before

@@ -50,25 +50,46 @@
 //! this file; the equivalence is checked there on over a million (origin,
 //! destination) pairs.
 //!
-//! ## Invalidation
+//! ## Repair
 //!
-//! Invalidation is **incremental** where that is provably safe: a link going
-//! *down* drops only the trees in which that link is some node's chosen
-//! parent link ([`Routing::invalidate_link`]) — removing an edge the DFS
-//! never took changes no distance, and the edge led to an already-visited
-//! node when it was scanned, so no discovery changes either. A link coming
-//! up, a crash, or a restart falls back to the full flush
-//! ([`Routing::invalidate`]).
+//! A single-link transition **repairs every cached tree in place**
+//! ([`Routing::link_down`], [`Routing::link_up`]) to exactly what the build
+//! above would make of the new topology, in work proportional to the nodes
+//! that re-home. Only an *affected set* is recomputed:
+//!
+//! * **Down:** the endpoints whose parent interface is on the link, and
+//!   everything under them. Any other node's least path avoided the link and
+//!   survives at its length, and every shortest path of the cut graph was a
+//!   shortest path before — the least of a subset that keeps the old least —
+//!   so the node keeps its hop.
+//! * **Up:** with `near` the least endpoint distance, the endpoints `b` with
+//!   `near + metric ≤ dist(b)`, closed under relaxations that are strictly
+//!   shorter *or newly tight*: the nodes with a path over the link no longer
+//!   than their distance. Any other node keeps its set of shortest paths.
+//!
+//! One Dijkstra over the set, seeded from its unaffected boundary, then gives
+//! each node its parent as it is popped. Its tight predecessors are strictly
+//! nearer (metrics ≥ 1), so unaffected or already popped: their root paths
+//! are final and least. The parent is the one whose root path plus the step
+//! into the node is lexicographically least, found by walking two candidates'
+//! parent pointers to their lowest common ancestor (step whichever stands
+//! farther) and comparing the two steps just below it by the build's key —
+//! two paths to one node differ where they first part. That is the node the
+//! DFS would have discovered it from, LANs and parallel links included.
+//!
+//! A crash or restart is its node's links flipped one at a time;
+//! [`Routing::invalidate`] remains for a topology edited by hand.
 //!
 //! ## Counters: simulated work and host work
 //!
 //! [`Routing::compute_count`] is a **simulated** statistic: the SPF runs the
-//! modelled routers perform, one per origin per invalidation that touched
-//! that origin's own shortest-path tree. It is kept with one bit per origin
-//! ("has resolved a route since its last flush"); a link-down clears exactly
-//! the origins whose own tree crossed the link, read off the trees rooted at
-//! the link's endpoints. [`Routing::tree_build_count`] is the **host** work
-//! actually done: destination trees built.
+//! modelled routers perform, one per origin per transition that touched that
+//! origin's own shortest-path tree. It is kept with one bit per origin ("has
+//! resolved a route since its last flush"): a link-up clears every origin, a
+//! link-down exactly those whose own tree crossed the link — the affected
+//! sets of the trees toward the link's endpoints. The **host** work is
+//! [`Routing::tree_build_count`], [`Routing::tree_repair_count`] and
+//! [`Routing::nodes_rehomed`].
 
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::topology::Topology;
@@ -87,21 +108,31 @@ pub struct NextHop {
     pub metric: u32,
 }
 
+type Hops = Vec<Option<NextHop>>;
+
 /// One destination's cached shortest-path tree.
 #[derive(Debug)]
 struct Tree {
     /// `hops[o]` = `o`'s next hop toward the destination (None if
     /// unreachable or `o` is the destination).
-    hops: Vec<Option<NextHop>>,
-    /// Every node with a hop, parents before children (DFS preorder).
-    order: Vec<NodeId>,
-    /// Bitset over link ids: the links that are some node's chosen parent
-    /// link — the tree's edges.
-    used_links: Vec<u64>,
+    hops: Hops,
 }
+
+/// A link whose state is taken as given instead of read from the topology:
+/// the transition being applied, whichever side of it the topology is on.
+type Flip = Option<(LinkId, bool)>;
 
 fn bit(i: usize) -> (usize, u64) {
     (i / 64, 1u64 << (i % 64))
+}
+
+/// `v`'s distance to `dest` in the tree `hops` (`u32::MAX` if unreachable).
+fn dist_in(hops: &Hops, dest: NodeId, v: NodeId) -> u32 {
+    if v == dest {
+        0
+    } else {
+        hops[v.index()].map_or(u32::MAX, |h| h.metric)
+    }
 }
 
 /// Cached shortest-path routing state. Holds nothing per node until the
@@ -113,6 +144,8 @@ pub struct Routing {
     toward: Vec<Option<Box<Tree>>>,
     /// Bitset over origins: has resolved a route since its last flush.
     resolved: Vec<u64>,
+    /// Working memory of builds and repairs, sized by the first build.
+    scratch: Scratch,
     generation: u64,
     computes: u64,
     queries: u64,
@@ -125,67 +158,83 @@ impl Routing {
         Self::default()
     }
 
-    /// Drop all cached trees (topology changed in a way that can create
-    /// new shortest paths). Bumps the generation counter that protocols can
-    /// watch to detect recomputation.
+    /// Drop all cached trees and mark every origin for a fresh simulated
+    /// SPF run: for a topology edited by hand. Bumps the generation.
     pub fn invalidate(&mut self) {
         self.toward.clear();
         self.resolved.clear();
         self.generation += 1;
     }
 
-    /// Incremental invalidation for a link that went **down**: drop only
-    /// the trees in which `link` is some node's parent link (see the module
-    /// docs for why the others are byte-for-byte what a rebuild would
-    /// produce), and mark for a fresh simulated SPF run exactly the resolved
-    /// origins whose own shortest-path tree crossed `link`. Origin `o`'s tree
-    /// crossed it iff, toward some endpoint `b` of the link, `o` is or hangs
-    /// under a child of `b` attached over `link`. Still bumps the generation
-    /// (the topology did change).
+    /// Mark every origin for a fresh simulated SPF run (a crash or restart
+    /// is about to flip several links).
+    pub(crate) fn forget_origins(&mut self) {
+        self.resolved.clear();
+    }
+
+    /// `link` went **down**: repair every cached tree (module docs) and mark
+    /// for a fresh simulated SPF run exactly the resolved origins whose own
+    /// shortest-path tree crossed `link`: those that, toward some endpoint
+    /// `b` of the link, are or hang under a child of `b` attached over it —
+    /// the affected set of the tree toward `b`. An endpoint tree that is not
+    /// cached is built for that reading, as it stood before, and not kept.
     ///
-    /// `topo` may already have `link` marked down: the endpoint trees are
-    /// needed as they stood before the change, so a missing one is built
-    /// with `link` counted as up.
-    pub fn invalidate_link(&mut self, topo: &Topology, link: LinkId) {
+    /// `topo` may or may not have `link` marked down yet; but for `link` it
+    /// must be the topology the cached trees stand on.
+    pub fn link_down(&mut self, topo: &Topology, link: LinkId) {
         self.generation += 1;
-        if self.resolved.iter().any(|&w| w != 0) {
-            let mut over_link = vec![false; topo.node_count()];
-            for &(b, _) in topo.link_endpoints(link) {
-                let tree = tree_toward(&mut self.toward, &mut self.tree_builds, topo, b, Some(link));
-                for &o in &tree.order {
-                    let hop = tree.hops[o.index()].expect("ordered nodes have a hop");
-                    over_link[o.index()] = if hop.next == b {
-                        topo.link_of(o, hop.iface) == Ok(link)
-                    } else {
-                        over_link[hop.next.index()]
-                    };
-                    if over_link[o.index()] {
-                        // (A node added since the last query has no word yet.)
-                        let (w, m) = bit(o.index());
-                        if let Some(word) = self.resolved.get_mut(w) {
-                            *word &= !m;
-                        }
-                    }
+        let account = self.resolved.iter().any(|&w| w != 0);
+        let (resolved, s) = (&mut self.resolved, &mut self.scratch);
+        let mut flush = |affected: &[NodeId]| {
+            for o in affected {
+                // (A node added since the last query has no word yet.)
+                let (w, m) = bit(o.index());
+                if let Some(word) = resolved.get_mut(w) {
+                    *word &= !m;
                 }
             }
+        };
+        let endpoints = topo.link_endpoints(link);
+        for (dest, tree) in self.toward.iter_mut().enumerate() {
+            let Some(tree) = tree else { continue };
+            let dest = NodeId(dest as u32);
+            s.repair(topo, link, false, dest, &mut tree.hops);
+            if account && endpoints.iter().any(|&(b, _)| b == dest) {
+                flush(&s.affected);
+            }
         }
-        // An endpoint tree built just now that does not use `link` is also
-        // the tree of the topology without it, so it may stay.
-        let (w, m) = bit(link.index());
-        for t in &mut self.toward {
-            if t.as_ref().is_some_and(|t| t.used_links.get(w).is_some_and(|x| x & m != 0)) {
-                *t = None;
+        for &(b, _) in endpoints {
+            if account && self.toward.get(b.index()).is_none_or(|t| t.is_none()) {
+                let mut hops = core::mem::take(&mut s.transient);
+                build_tree(topo, b, Some((link, true)), &mut hops, s);
+                self.tree_builds += 1;
+                s.begin(topo, &mut hops);
+                s.mark_under(topo, link, &hops);
+                flush(&s.affected);
+                s.transient = hops;
             }
         }
     }
 
-    /// Monotone counter incremented by every [`invalidate`](Self::invalidate)
-    /// and [`invalidate_link`](Self::invalidate_link).
+    /// `link` came **up**: repair every cached tree (module docs) and mark
+    /// every origin for a fresh simulated SPF run — a new link can shorten
+    /// any path. `topo` may or may not have `link` marked up yet.
+    pub fn link_up(&mut self, topo: &Topology, link: LinkId) {
+        self.generation += 1;
+        self.resolved.clear();
+        for (dest, tree) in self.toward.iter_mut().enumerate() {
+            let Some(tree) = tree else { continue };
+            self.scratch.repair(topo, link, true, NodeId(dest as u32), &mut tree.hops);
+        }
+    }
+
+    /// Monotone counter incremented by every [`invalidate`](Self::invalidate),
+    /// [`link_down`](Self::link_down) and [`link_up`](Self::link_up).
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Simulated SPF runs so far: one per origin per invalidation that
+    /// Simulated SPF runs so far: one per origin per transition that
     /// touched that origin's own shortest-path tree — what the modelled
     /// routers would compute, not what this process did (that is
     /// [`tree_build_count`](Self::tree_build_count)). Together with
@@ -200,10 +249,21 @@ impl Routing {
         self.queries
     }
 
-    /// Destination trees actually built (one Dijkstra plus one DFS each):
-    /// the host work behind the answers.
+    /// Destination trees built from nothing (one Dijkstra plus one DFS
+    /// each), the uncached endpoint trees of a link-down included: host
+    /// work, in no digest.
     pub fn tree_build_count(&self) -> u64 {
         self.tree_builds
+    }
+
+    /// Cached trees repaired in place: one per cached tree per transition.
+    pub fn tree_repair_count(&self) -> u64 {
+        self.scratch.repairs
+    }
+
+    /// Nodes whose hop those repairs recomputed — the affected sets, summed.
+    pub fn nodes_rehomed(&self) -> u64 {
+        self.scratch.rehomed
     }
 
     /// The next hop from `from` toward node `to`, or `None` if unreachable
@@ -222,7 +282,7 @@ impl Routing {
         if from == to || to.index() >= topo.node_count() {
             return None;
         }
-        let tree = tree_toward(&mut self.toward, &mut self.tree_builds, topo, to, None);
+        let tree = tree_toward(&mut self.toward, &mut self.tree_builds, &mut self.scratch, topo, to);
         tree.hops.get(from.index()).copied().flatten()
     }
 
@@ -274,86 +334,83 @@ impl Routing {
     }
 }
 
-/// The cached tree toward `dest`, built on a miss over the up links plus
-/// `assume_up`. Takes the two fields it touches so callers can keep using
-/// the rest of the [`Routing`] while they hold the tree.
+/// The cached tree toward `dest`, built on a miss. Takes the fields it
+/// touches so callers can keep using the rest of the [`Routing`] while they
+/// hold the tree.
 fn tree_toward<'a>(
     toward: &'a mut Vec<Option<Box<Tree>>>,
     builds: &mut u64,
+    scratch: &mut Scratch,
     topo: &Topology,
     dest: NodeId,
-    assume_up: Option<LinkId>,
 ) -> &'a Tree {
     if toward.len() < topo.node_count() {
         toward.resize_with(topo.node_count(), || None);
     }
     toward[dest.index()].get_or_insert_with(|| {
         *builds += 1;
-        Box::new(build_tree(topo, dest, assume_up))
+        let mut hops = Vec::new();
+        build_tree(topo, dest, None, &mut hops, scratch);
+        Box::new(Tree { hops })
     })
 }
 
-/// Call `f(metric, neighbor, neighbor's iface)` for every neighbor of `v`
-/// over every link that is up or is `assume_up`, in `v`'s interface order.
-fn for_each_neighbor(
-    topo: &Topology,
-    v: NodeId,
-    assume_up: Option<LinkId>,
-    mut f: impl FnMut(u32, NodeId, IfaceId),
-) {
+/// Call `f(metric, v's iface, neighbor, neighbor's iface)` for every
+/// neighbor of `v` over every up link (`flip` overriding one link's state),
+/// in `v`'s interface order.
+fn for_each_neighbor(topo: &Topology, v: NodeId, flip: Flip, mut f: impl FnMut(u32, IfaceId, NodeId, IfaceId)) {
     for i in 0..topo.iface_count(v) {
-        let Ok(link) = topo.link_of(v, IfaceId(i as u8)) else { continue };
-        if !topo.link_up(link) && Some(link) != assume_up {
+        let iv = IfaceId(i as u8);
+        let Ok(link) = topo.link_of(v, iv) else { continue };
+        let up = match flip {
+            Some((l, up)) if l == link => up,
+            _ => topo.link_up(link),
+        };
+        if !up {
             continue;
         }
         let metric = topo.link_spec(link).metric;
         for &(u, iu) in topo.link_endpoints(link) {
             if u != v {
-                f(metric, u, iu);
+                f(metric, iv, u, iu);
             }
         }
     }
 }
 
-/// The shortest-path tree toward `dest`: a distance-only Dijkstra from
-/// `dest`, then a lexicographic DFS over the tight edges (module docs).
-fn build_tree(topo: &Topology, dest: NodeId, assume_up: Option<LinkId>) -> Tree {
+/// The shortest-path tree toward `dest`, into `hops`: a distance-only
+/// Dijkstra from `dest`, then a lexicographic DFS over the tight edges
+/// (module docs). The cold path, and the oracle the repairs are tested
+/// against.
+fn build_tree(topo: &Topology, dest: NodeId, flip: Flip, hops: &mut Hops, s: &mut Scratch) {
     let n = topo.node_count();
-    let mut dist: Vec<u32> = vec![u32::MAX; n];
-    dist[dest.index()] = 0;
-    let mut heap = BinaryHeap::from([Reverse((0u32, dest))]);
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v.index()] {
-            continue;
+    s.dist.clear();
+    s.dist.resize(n, u32::MAX);
+    s.heap.clear();
+    s.offer(dest, 0);
+    while let Some(Reverse((d, v))) = s.heap.pop() {
+        if d <= s.dist[v.index()] {
+            for_each_neighbor(topo, v, flip, |metric, _, u, _| s.offer(u, d.saturating_add(metric)));
         }
-        for_each_neighbor(topo, v, assume_up, |metric, u, _| {
-            let nd = d.saturating_add(metric);
-            if nd < dist[u.index()] {
-                dist[u.index()] = nd;
-                heap.push(Reverse((nd, u)));
-            }
-        });
     }
+    let (dist, stack) = (&s.dist, &mut s.stack);
 
-    let mut hops: Vec<Option<NextHop>> = vec![None; n];
-    let mut order = Vec::new();
-    let mut used_links = vec![0u64; topo.link_count().div_ceil(64)];
+    hops.clear();
+    hops.resize(n, None);
     // Pending tree edges `(key…, parent)`, each node's batch sorted so the
     // least key pops first; a node is discovered when first *popped*, which
     // is the recursive DFS's order. The root entry's key is never compared.
-    let mut stack = vec![(Reverse(0u32), dest, IfaceId(0), dest)];
+    stack.clear();
+    stack.push((Reverse(0u32), dest, IfaceId(0), dest));
     while let Some((_, u, iface, parent)) = stack.pop() {
         if u != dest {
             if hops[u.index()].is_some() {
                 continue;
             }
             hops[u.index()] = Some(NextHop { iface, next: parent, metric: dist[u.index()] });
-            order.push(u);
-            let (w, m) = bit(topo.link_of(u, iface).expect("endpoint iface exists").index());
-            used_links[w] |= m;
         }
         let batch = stack.len();
-        for_each_neighbor(topo, u, assume_up, |metric, c, ic| {
+        for_each_neighbor(topo, u, flip, |metric, _, c, ic| {
             let dc = dist[c.index()];
             if dc != u32::MAX && dc == dist[u.index()].saturating_add(metric) && hops[c.index()].is_none() {
                 stack.push((Reverse(metric), c, ic, u));
@@ -361,7 +418,176 @@ fn build_tree(topo: &Topology, dest: NodeId, assume_up: Option<LinkId>) -> Tree 
         });
         stack[batch..].sort_unstable_by(|a, b| b.cmp(a));
     }
-    Tree { hops, order, used_links }
+}
+
+/// Per-node working memory, reused from call to call: a warm transition
+/// allocates nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// `stamp[v] == epoch`: `v` is affected by the repair under way and not
+    /// settled; `epoch + 1`: affected and settled. Anything less: untouched.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// New distances of the affected nodes (a build's distances, in a build).
+    dist: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u32, NodeId)>>,
+    /// The affected set, in discovery order.
+    affected: Vec<NodeId>,
+    /// `build_tree`'s DFS stack.
+    stack: Vec<(Reverse<u32>, NodeId, IfaceId, NodeId)>,
+    /// The hops of an endpoint tree built for the accounting alone.
+    transient: Hops,
+    /// Host-work counters: repairs run, affected nodes over all of them,
+    /// candidate parents compared by walking to their common ancestor.
+    repairs: u64,
+    rehomed: u64,
+    path_compares: u64,
+}
+
+impl Scratch {
+    /// Bring the tree `hops` toward `dest` to the topology with `link` up or
+    /// down, from the one with `link` the other way (module docs).
+    fn repair(&mut self, topo: &Topology, link: LinkId, up: bool, dest: NodeId, hops: &mut Hops) {
+        self.begin(topo, hops);
+        if up {
+            // Seeds: the endpoints `link` brings no farther than they were.
+            let endpoints = topo.link_endpoints(link);
+            let near = endpoints.iter().map(|&(b, _)| dist_in(hops, dest, b)).min().unwrap_or(u32::MAX);
+            let over = near.saturating_add(topo.link_spec(link).metric);
+            for &(b, _) in endpoints {
+                if over != u32::MAX && over <= dist_in(hops, dest, b) {
+                    self.affect(b);
+                    self.offer(b, over);
+                }
+            }
+        } else {
+            // Seeds: what the unaffected neighbors offer the affected set.
+            self.mark_under(topo, link, hops);
+            for i in 0..self.affected.len() {
+                let v = self.affected[i];
+                for_each_neighbor(topo, v, Some((link, false)), |metric, _, u, _| {
+                    if !self.is_affected(u) {
+                        self.offer(v, dist_in(hops, dest, u).saturating_add(metric));
+                    }
+                });
+            }
+        }
+        self.settle(topo, Some((link, up)), dest, hops, up);
+        self.repairs += 1;
+        self.rehomed += self.affected.len() as u64;
+    }
+
+    /// Start on `hops` with an empty affected set.
+    fn begin(&mut self, topo: &Topology, hops: &mut Hops) {
+        let n = topo.node_count();
+        // (Nodes added since the tree was built are unreachable in it.)
+        hops.resize(n, None);
+        self.stamp.resize(n.max(self.stamp.len()), 0);
+        self.dist.resize(n.max(self.dist.len()), u32::MAX);
+        if self.epoch >= u32::MAX - 3 {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        self.affected.clear();
+        self.heap.clear();
+    }
+
+    fn is_affected(&self, v: NodeId) -> bool {
+        self.stamp[v.index()] >= self.epoch
+    }
+
+    /// Put `v` in the affected set (once), infinitely far until offered less.
+    fn affect(&mut self, v: NodeId) {
+        if !self.is_affected(v) {
+            self.stamp[v.index()] = self.epoch;
+            self.dist[v.index()] = u32::MAX;
+            self.affected.push(v);
+        }
+    }
+
+    /// Offer `v` (affected and unsettled, in a repair) a path of length `d`.
+    fn offer(&mut self, v: NodeId, d: u32) {
+        if d < self.dist[v.index()] {
+            self.dist[v.index()] = d;
+            self.heap.push(Reverse((d, v)));
+        }
+    }
+
+    /// Link-down: affect the endpoints whose parent interface is on `link`
+    /// and everything under them.
+    fn mark_under(&mut self, topo: &Topology, link: LinkId, hops: &Hops) {
+        for &(b, ib) in topo.link_endpoints(link) {
+            if hops[b.index()].is_some_and(|h| h.iface == ib) {
+                self.affect(b);
+            }
+        }
+        let mut i = 0;
+        while let Some(&a) = self.affected.get(i) {
+            // (Children over `link` itself are the endpoints above.)
+            for_each_neighbor(topo, a, Some((link, false)), |_, _, u, _| {
+                if hops[u.index()].is_some_and(|h| h.next == a) {
+                    self.affect(u);
+                }
+            });
+            i += 1;
+        }
+    }
+
+    /// Dijkstra over the affected set from the seeded heap. A node popped
+    /// takes, among its tight predecessors — all settled — the one with the
+    /// least root path. With `grow` (link-up) a relaxation that ties or
+    /// beats an untouched node's distance affects it; without (link-down)
+    /// the set is closed. Affected nodes never reached lose their hop.
+    fn settle(&mut self, topo: &Topology, flip: Flip, dest: NodeId, hops: &mut Hops, grow: bool) {
+        while let Some(Reverse((d, v))) = self.heap.pop() {
+            if self.stamp[v.index()] != self.epoch || d > self.dist[v.index()] {
+                continue;
+            }
+            self.stamp[v.index()] = self.epoch + 1;
+            let mut parent: Option<NextHop> = None;
+            for_each_neighbor(topo, v, flip, |metric, iv, u, _| {
+                let (nd, du) = (d.saturating_add(metric), dist_in(hops, dest, u));
+                if self.stamp[u.index()] == self.epoch {
+                    self.offer(u, nd);
+                } else if du.saturating_add(metric) == d {
+                    // Settled or untouched, so final: a tight predecessor.
+                    let via = NextHop { iface: iv, next: u, metric: d };
+                    if parent.is_none_or(|p| self.path_less(hops, dest, v, via, p)) {
+                        parent = Some(via);
+                    }
+                } else if grow && nd <= du {
+                    // Untouched (a settled node is nearer than `v`).
+                    self.affect(u);
+                    self.offer(u, nd);
+                }
+            });
+            debug_assert!(parent.is_some(), "{v} was offered {d} by a settled neighbor");
+            hops[v.index()] = parent;
+        }
+        for &v in &self.affected {
+            if self.stamp[v.index()] == self.epoch {
+                hops[v.index()] = None;
+            }
+        }
+    }
+
+    /// Is the root path ending in the step `a` into `v` lexicographically
+    /// below the one ending in `b`? Walks both up to their lowest common
+    /// ancestor and compares the steps just below it by `build_tree`'s key.
+    fn path_less(&mut self, hops: &Hops, dest: NodeId, v: NodeId, a: NextHop, b: NextHop) -> bool {
+        self.path_compares += 1;
+        let (mut x, mut y) = ((v, a), (v, b));
+        while x.1.next != y.1.next {
+            // The farther parent is not the common ancestor: step over it.
+            let c = if dist_in(hops, dest, x.1.next) >= dist_in(hops, dest, y.1.next) { &mut x } else { &mut y };
+            let p = c.1.next;
+            *c = (p, hops[p.index()].expect("a node farther than another is not the root"));
+        }
+        // One parent, so the larger link metric is the larger distance.
+        let key = |(c, hop): (NodeId, NextHop)| (Reverse(hop.metric), c, hop.iface);
+        key(x) < key(y)
+    }
 }
 
 #[cfg(test)]
@@ -518,7 +744,7 @@ mod tests {
             if case % 2 == 0 {
                 t.set_link_up(dead, false);
             }
-            r.invalidate_link(&t, dead);
+            r.link_down(&t, dead);
             t.set_link_up(dead, false);
 
             let flushed: Vec<NodeId> = t
@@ -534,18 +760,144 @@ mod tests {
         }
     }
 
+    /// Flip random links under warm trees; after every flip each cached
+    /// tree must equal a cold build on the topology as it now stands.
+    /// Returns how many of the compared trees the flip had changed.
+    fn flap_differential(cases: usize, seed: u64) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut changed, mut scratch, mut want) = (0, Scratch::default(), Vec::new());
+        for case in 0..cases {
+            let mut t = random_topo(&mut rng);
+            let n = t.node_count() as u32;
+            let mut r = Routing::new();
+            for _ in 0..rng.random_range(1u32..8) {
+                r.next_hop(&t, NodeId(rng.random_range(0..n)), NodeId(rng.random_range(0..n)));
+            }
+            for flip in 0..40 {
+                let link = LinkId(rng.random_range(0..t.link_count() as u32));
+                let up = !t.link_up(link);
+                let before: Vec<Option<Hops>> = r.toward.iter().map(|t| t.as_ref().map(|t| t.hops.clone())).collect();
+                // The engine flips the topology first; both orders must work.
+                if rng.random() {
+                    t.set_link_up(link, up);
+                }
+                if up {
+                    r.link_up(&t, link);
+                } else {
+                    r.link_down(&t, link);
+                }
+                t.set_link_up(link, up);
+                for (dest, tree) in r.toward.iter().enumerate() {
+                    let Some(tree) = tree else { continue };
+                    build_tree(&t, NodeId(dest as u32), None, &mut want, &mut scratch);
+                    let differs = tree.hops.iter().zip(&want).position(|(got, want)| got != want);
+                    assert_eq!(differs, None, "case {case} flip {flip}: {link} up={up}, toward n{dest}: first such origin");
+                    assert_eq!(tree.hops.len(), want.len());
+                    changed += usize::from(before[dest].as_ref() != Some(&want));
+                }
+                // More destinations join mid-sequence, on whatever stands.
+                if flip % 8 == 7 {
+                    r.next_hop(&t, NodeId(rng.random_range(0..n)), NodeId(rng.random_range(0..n)));
+                }
+            }
+        }
+        changed
+    }
+
+    #[test]
+    fn repaired_trees_equal_rebuilt_trees_under_random_flaps() {
+        let changed = flap_differential(400, 0x5EED_0022);
+        assert!(changed >= 30_000, "only {changed} compared trees had changed");
+    }
+
+    /// The same, ten times as long: for changes to this file.
+    #[test]
+    #[ignore = "deep run: cargo test --release -p netsim routing -- --include-ignored"]
+    fn repaired_trees_equal_rebuilt_trees_deep() {
+        let changed = flap_differential(4_000, 0x5EED_0023);
+        assert!(changed >= 300_000, "only {changed} compared trees had changed");
+    }
+
+    #[test]
+    fn a_flap_in_the_middle_of_a_line_rehomes_the_far_half_and_compares_nothing() {
+        let g = crate::topogen::line(100_000, LinkSpec::default());
+        let (mut t, link) = (g.topo, LinkId(50_000));
+        let mut r = Routing::new();
+        // Far host toward router 0: one cached tree, one resolved origin.
+        assert_eq!(r.next_hop(&t, g.hosts[1], g.routers[0]).unwrap().metric, 100_000);
+        // Behind the link: routers 50 001 … 99 999 and the far host.
+        let far = 50_000;
+        t.set_link_up(link, false);
+        r.link_down(&t, link);
+        assert_eq!(r.nodes_rehomed(), far);
+        assert_eq!(r.next_hop(&t, g.hosts[1], g.routers[0]), None);
+        assert_eq!(r.next_hop(&t, g.routers[50_000], g.routers[0]).unwrap().metric, 50_000);
+        t.set_link_up(link, true);
+        r.link_up(&t, link);
+        assert_eq!(r.nodes_rehomed(), 2 * far);
+        assert_eq!(r.next_hop(&t, g.hosts[1], g.routers[0]).unwrap().metric, 100_000);
+        // The one cached tree was never rebuilt: the other two builds are
+        // the link's endpoint trees, read for the simulated count and dropped.
+        assert_eq!((r.tree_build_count(), r.tree_repair_count(), r.scratch.path_compares), (3, 2, 0));
+        assert_eq!(r.toward.iter().flatten().count(), 1);
+    }
+
+    #[test]
+    fn a_bridge_flap_under_sixteen_trees_builds_two_and_repairs_thirty_two() {
+        let g = crate::topogen::random_connected(1000, 400, 4000, LinkSpec::default(), 1);
+        let mut t = g.topo;
+        let mut r = Routing::new();
+        for &d in &g.hosts[..16] {
+            for &o in g.routers.iter().step_by(7) {
+                r.next_hop(&t, o, d);
+            }
+        }
+        assert_eq!(r.tree_build_count(), 16);
+        // A router–router bridge: cut, its ends cannot reach each other.
+        let bridge = (0..t.link_count() as u32)
+            .map(LinkId)
+            .find(|&l| {
+                let &[(a, _), (b, _)] = t.link_endpoints(l) else { return false };
+                let mut cut = t.clone();
+                cut.set_link_up(l, false);
+                Routing::new().distance(&cut, a, b).is_none()
+            })
+            .expect("a random recursive tree with 400 chords has bridges");
+        let computes = r.compute_count();
+        t.set_link_up(bridge, false);
+        r.link_down(&t, bridge);
+        t.set_link_up(bridge, true);
+        r.link_up(&t, bridge);
+        // Every origin re-resolves (the link-up cleared them all), against
+        // trees that are what a cold build makes of the restored topology.
+        let (mut scratch, mut want) = (Scratch::default(), Vec::new());
+        for &d in &g.hosts[..16] {
+            for &o in g.routers.iter().step_by(7) {
+                r.next_hop(&t, o, d);
+            }
+            build_tree(&t, d, None, &mut want, &mut scratch);
+            assert_eq!(r.toward[d.index()].as_ref().unwrap().hops, want);
+        }
+        // (The parent commit: 2 + 16 + 16 builds.)
+        assert_eq!((r.tree_build_count(), r.tree_repair_count()), (18, 32));
+        assert!(r.nodes_rehomed() > 0 && r.nodes_rehomed() < 2 * 16 * 5_000 / 4, "{}", r.nodes_rehomed());
+        assert_eq!(r.compute_count(), computes + g.routers.iter().step_by(7).count() as u64);
+    }
+
     #[test]
     fn unqueried_routing_holds_no_per_node_state() {
         let mut t = crate::topogen::line(100_000, LinkSpec::default()).topo;
         let (hub, link) = (NodeId(0), LinkId(50_000));
         let mut r = Routing::new();
         t.set_link_up(link, false);
-        r.invalidate_link(&t, link);
+        r.link_down(&t, link);
         t.set_link_up(link, true);
-        r.invalidate();
+        r.link_up(&t, link);
         assert_eq!(r.generation(), 2);
         assert_eq!((r.toward.capacity(), r.resolved.capacity()), (0, 0));
-        assert_eq!(r.tree_build_count(), 0);
+        let s = &r.scratch;
+        assert_eq!((s.stamp.capacity(), s.dist.capacity(), s.affected.capacity(), s.transient.capacity()), (0, 0, 0, 0));
+        assert_eq!((r.tree_build_count(), r.tree_repair_count()), (0, 0));
         // And once queried, the destination slots cost one pointer a node.
         r.next_hop(&t, hub, NodeId(1));
         assert_eq!(r.tree_build_count(), 1);
@@ -653,7 +1005,7 @@ mod tests {
         // The unused backup link going down flushes nothing: all four trees
         // run over the line, none over a-c.
         t.set_link_up(l_ac, false);
-        r.invalidate_link(&t, l_ac);
+        r.link_down(&t, l_ac);
         for &o in &[a, b, c, d] {
             r.next_hop(&t, o, c);
         }
@@ -663,13 +1015,13 @@ mod tests {
         // The b-d spur is on every origin's tree (it is the only way to
         // reach d), so its failure flushes all four tables.
         t.set_link_up(l_ac, true);
-        r.invalidate(); // restore clean slate after link-up
+        r.link_up(&t, l_ac);
         for &o in &[a, b, c, d] {
             r.next_hop(&t, o, c);
         }
         let before = r.compute_count();
         t.set_link_up(l_bd, false);
-        r.invalidate_link(&t, l_bd);
+        r.link_down(&t, l_bd);
         // Only origins whose tree used b-d recompute. All four reach d via
         // b-d, so all four recompute.
         for &o in &[a, b, c, d] {
@@ -683,7 +1035,7 @@ mod tests {
     #[test]
     fn selective_invalidation_matches_full_recompute() {
         // Random-ish mesh: verify that after a link-down handled by
-        // invalidate_link, every cached or recomputed answer equals a
+        // link_down, every cached or repaired answer equals a
         // from-scratch Routing over the same degraded topology.
         let mut t = Topology::new();
         let nodes: Vec<NodeId> = (0..8).map(|_| t.add_router()).collect();
@@ -704,7 +1056,7 @@ mod tests {
                 }
             }
             t.set_link_up(dead, false);
-            r.invalidate_link(&t, dead);
+            r.link_down(&t, dead);
             let mut fresh = Routing::new();
             for &o in &nodes {
                 for &to in &nodes {
