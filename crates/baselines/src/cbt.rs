@@ -267,10 +267,6 @@ impl Agent for CbtRouter {
         self.hot_data_fwd = Some(ctx.counter("cbt.data_fwd"));
     }
 
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
         let me = ctx.my_ip();
         let Ok(header) = Ipv4Repr::parse(bytes) else { return };

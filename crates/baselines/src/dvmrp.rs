@@ -295,10 +295,6 @@ impl Agent for DvmrpRouter {
         ctx.watch_topology();
     }
 
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
         let me = ctx.my_ip();
         let Ok(header) = Ipv4Repr::parse(bytes) else { return };

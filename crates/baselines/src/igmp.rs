@@ -243,10 +243,6 @@ impl Agent for GroupHost {
         self.hot_data_rx = Some(ctx.counter("group.data_rx"));
     }
 
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
         let Ok(header) = Ipv4Repr::parse(bytes) else { return };
         let payload = &bytes[ipv4::HEADER_LEN..ipv4::HEADER_LEN + header.payload_len];

@@ -90,10 +90,6 @@ impl Agent for UnicastSink {
         "unicast_sink"
     }
 
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
         let Ok(header) = Ipv4Repr::parse(bytes) else { return };
         if header.dst == ctx.my_ip() && header.protocol == Protocol::Udp {
@@ -114,10 +110,6 @@ pub struct UnicastRouter;
 impl Agent for UnicastRouter {
     fn kind_name(&self) -> &'static str {
         "unicast_router"
-    }
-
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, class: TrafficClass) {

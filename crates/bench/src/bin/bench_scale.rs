@@ -151,9 +151,6 @@ impl Agent for AccountingSink {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.data_rx = Some(ctx.counter("sink.data_rx"));
     }
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &netsim::Payload, _class: TrafficClass) {
         let me = ctx.my_ip();
         if let Ok(packets::Classified::ChannelData { channel, header }) = packets::classify(bytes, me) {

@@ -62,9 +62,6 @@ impl Agent for LeafSink {
     fn kind_name(&self) -> &'static str {
         "leaf_sink"
     }
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &netsim::Payload, _class: TrafficClass) {
         let me = ctx.my_ip();
         if let Ok(packets::Classified::ChannelData { channel, .. }) = packets::classify(bytes, me) {

@@ -745,10 +745,6 @@ impl Agent for ExpressHost {
         self.hot_subcast_tx = Some(ctx.counter("host.subcast_tx"));
     }
 
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
         let me = ctx.my_ip();
         match packets::classify(bytes, me) {

@@ -1573,10 +1573,6 @@ impl Agent for EcmpRouter {
         "ecmp_router"
     }
 
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.fwd.intern_counters(ctx);
         let cfg = self.cfg;
@@ -1760,10 +1756,13 @@ mod tests {
         //        12 (+ 4 padding), subcast counter 8, pool pointer 8
         //     8  control-plane pointer
         //    64  config
-        // The bound is the largest size whose glibc chunk is still 176 B — the whole per-router heap of a one-route forwarding hop;
-        // 8 B past it and every router of a tree costs 16 more.
+        // A router is a row of the engine's pool of routers: `size_of`
+        // bytes, no allocator header or rounding, and `Option` (the row's
+        // tombstone) adds none. Each byte is 2 MiB on the 2²⁰-subscriber
+        // tree, the whole per-router memory of a one-route forwarding hop.
         let size = std::mem::size_of::<EcmpRouter>();
-        assert!(size <= 168, "{size}");
+        assert!(size <= 160, "{size}");
+        assert_eq!(std::mem::size_of::<Option<EcmpRouter>>(), size);
         assert_eq!((std::mem::size_of::<ForwardingPlane>(), std::mem::size_of::<RouterConfig>()), (88, 64));
     }
 

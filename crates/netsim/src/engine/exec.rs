@@ -2,8 +2,9 @@
 //! [`Ctx`], one event dispatch, one drain loop, and the drain-time half of
 //! the batched fan-out path.
 
+use super::store::AgentStore;
 use super::world::{event_class, event_node, ArrivalCause, EventKind, FanoutSend, Shared, World};
-use super::{Agent, Ctx, HotPacketFn, Payload};
+use super::{Agent, Ctx, Payload};
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::prof::{EventClass, WheelGauges};
 use crate::stats::TrafficClass;
@@ -11,32 +12,29 @@ use crate::time::SimTime;
 use crate::trace::{DropReason, TraceKind};
 use crate::wheel::TimerWheel;
 
-/// One shard's executor: the shared engine state, the shard's world, the
-/// slice of agents it owns (indexed `node - base`), and the full hot-fn
-/// cache (indexed globally, read-only on the drain path). The sole shard's
-/// inline drain, the parallel workers and the coordinator's agent sweeps
-/// all go through this — there is exactly one dispatch implementation.
+/// One shard's executor: the shared engine state, the shard's world and
+/// its agent store. The sole shard's inline drain, the parallel workers and
+/// the coordinator's agent sweeps all go through this — there is exactly
+/// one dispatch implementation.
 pub(super) struct ShardExec<'a> {
     pub(super) shared: &'a Shared,
     pub(super) world: &'a mut World,
-    pub(super) agents: &'a mut [Option<Box<dyn Agent>>],
-    pub(super) hot_fns: &'a [Option<HotPacketFn>],
+    pub(super) agents: &'a mut AgentStore,
 }
 
 impl<'a> ShardExec<'a> {
     /// Run `f` with the agent at `node` (owned by this shard) and a fresh
-    /// dispatch context — the only place a [`Ctx`] is built. Split borrow:
-    /// the agent slot, the world, and the shared state are disjoint — an
-    /// agent cannot reach back into the agent table.
+    /// dispatch context — one of the two places a [`Ctx`] is built, the
+    /// other being [`deliver`](Self::deliver). Split borrow: the agent
+    /// store, the world, and the shared state are disjoint — an agent
+    /// cannot reach back into the store.
     pub(super) fn with_agent<F: FnOnce(&mut dyn Agent, &mut Ctx<'_>)>(&mut self, node: NodeId, f: F) {
-        let li = (node.0 - self.world.base) as usize;
-        let agent = self.agents[li].as_deref_mut().expect("no agent at node");
         let mut ctx = Ctx {
             shared: self.shared,
             world: self.world,
             node,
         };
-        f(agent, &mut ctx);
+        f(self.agents.agent(node), &mut ctx);
     }
 
     /// Pop and run every event that sorts strictly below `lim` — a whole
@@ -94,11 +92,7 @@ impl<'a> ShardExec<'a> {
                     let node = event_node(&kind);
                     let t0 = self.world.prof.as_mut().and_then(|p| p.event_begin());
                     self.dispatch_event(kind);
-                    let agent = node.and_then(|n| {
-                        self.agents[(n.0 - self.world.base) as usize]
-                            .as_ref()
-                            .map(|a| a.kind_name())
-                    });
+                    let agent = node.map(|n| self.agents.agent_ref(n).kind_name());
                     if let Some(p) = &mut self.world.prof {
                         p.event_end(class, node, agent, t0);
                     }
@@ -270,9 +264,9 @@ impl<'a> ShardExec<'a> {
             let t0 = self.world.prof.as_mut().and_then(|p| p.event_begin());
             self.arrive(rx, ri, Some(link), bytes, class, cause);
             if self.world.prof.is_some() {
-                let agent = self.agents[(rx.0 - base) as usize].as_ref().map(|a| a.kind_name());
+                let agent = self.agents.agent_ref(rx).kind_name();
                 if let Some(p) = &mut self.world.prof {
-                    p.event_end(EventClass::Fanout, Some(rx), agent, t0);
+                    p.event_end(EventClass::Fanout, Some(rx), Some(agent), t0);
                 }
             }
         }
@@ -302,19 +296,17 @@ impl<'a> ShardExec<'a> {
         self.deliver(node, iface, bytes, class, cause);
     }
 
-    /// One delivery: set the causal context and dispatch through the
-    /// cached hot fn for data traffic, the dyn path otherwise.
+    /// One delivery: set the causal context and hand the frame to the
+    /// receiver's pool, which calls its type's `on_packet` statically —
+    /// data and control alike.
     fn deliver(&mut self, node: NodeId, iface: IfaceId, bytes: &Payload, class: TrafficClass, cause: ArrivalCause) {
         self.world.cause = Some(cause);
-        let hot = if class == TrafficClass::Data {
-            self.hot_fns[node.index()]
-        } else {
-            None
+        let mut ctx = Ctx {
+            shared: self.shared,
+            world: self.world,
+            node,
         };
-        match hot {
-            Some(f) => self.with_agent(node, |agent, ctx| f(agent, ctx, iface, bytes, class)),
-            None => self.with_agent(node, |agent, ctx| agent.on_packet(ctx, iface, bytes, class)),
-        }
+        self.agents.on_packet(node, &mut ctx, iface, bytes, class);
         self.world.cause = None;
     }
 

@@ -101,10 +101,11 @@
 //!
 //! | file | holds |
 //! |---|---|
-//! | `mod.rs` | the public vocabulary: [`Agent`], [`Tx`], [`Reliability`], [`TopologyChange`], [`Payload`], [`HotPacketFn`], [`NullAgent`] |
+//! | `mod.rs` | the public vocabulary: [`Agent`], [`IntoAgent`], [`Tx`], [`Reliability`], [`TopologyChange`], [`Payload`], [`NullAgent`] |
 //! | `world.rs` | `EventKind` / `FanoutSend`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, topology listeners, counters, fan-out coalescing) |
+//! | `store.rs` | `AgentStore`: one shard's agents, a pool per concrete type and a 4-byte slot per node; the sealed half of [`IntoAgent`] |
 //! | `ctx.rs` | [`Ctx`], the agent's window into a dispatch: queries, `send*` / the one `transmit` path, timers, `watch_topology`, counters |
-//! | `exec.rs` | `ShardExec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion |
+//! | `exec.rs` | `ShardExec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion, `deliver` |
 //! | `sync.rs` | `Sim::drain_segment`: the sole shard inline, or scoped workers under the three-barrier window protocol (`worker_loop`, mailboxes) |
 //! | `sim.rs` | [`Sim`]: construction, partitioning, scheduling, the start-up sweep, the segment loop, global-transition dispatch |
 //! | `observe.rs` | `Sim`'s trace / metrics / profiler / audit surface and the end-of-run merge of per-shard observability state |
@@ -114,6 +115,7 @@ mod ctx;
 mod exec;
 mod observe;
 mod sim;
+mod store;
 mod sync;
 #[cfg(test)]
 mod tests;
@@ -244,14 +246,9 @@ pub trait Agent: Send {
         None
     }
 
-    /// Data-path devirtualization hook: return
-    /// `Some(hot_packet_stub::<Self>())` to let the engine dispatch this
-    /// agent's data-class arrivals through a cached function pointer — one
-    /// concrete downcast plus a statically dispatched `on_packet` the
-    /// compiler can inline — instead of the per-event virtual call. The
-    /// engine refreshes its per-node cache whenever an agent is installed,
-    /// crashed, or restarted; control traffic keeps the dyn path. `None`
-    /// (the default) keeps every dispatch dynamic.
+    /// Ignored by the engine, which dispatches every agent's packets
+    /// through the pool of its concrete type (see [`Sim::set_agent`]); kept
+    /// only because the `benchmark` package's agents still override it.
     fn hot_packet_fn(&self) -> Option<HotPacketFn> {
         None
     }
@@ -260,16 +257,11 @@ pub trait Agent: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The devirtualized fast-path packet dispatch: a plain function pointer
-/// cached per node by the engine (see [`Agent::hot_packet_fn`]). Built
-/// with [`hot_packet_stub`].
+/// What [`Agent::hot_packet_fn`] returns. Ignored by the engine.
 pub type HotPacketFn = fn(&mut dyn Agent, &mut Ctx<'_>, IfaceId, &Payload, TrafficClass);
 
-/// Build the [`HotPacketFn`] stub for concrete agent type `A` — the one
-/// expression an agent's [`Agent::hot_packet_fn`] needs:
-/// `Some(hot_packet_stub::<Self>())`. The stub downcasts the `dyn Agent`
-/// to `A` and calls `on_packet` statically, so the concrete body inlines
-/// into the stub.
+/// A [`HotPacketFn`] that calls `A::on_packet` on a `dyn Agent` holding an
+/// `A`. Ignored by the engine, like [`Agent::hot_packet_fn`].
 pub fn hot_packet_stub<A: Agent + 'static>() -> HotPacketFn {
     |agent, ctx, iface, bytes, class| {
         agent
@@ -279,6 +271,17 @@ pub fn hot_packet_stub<A: Agent + 'static>() -> HotPacketFn {
             .on_packet(ctx, iface, bytes, class)
     }
 }
+
+/// What [`Sim::set_agent`] accepts: a `Box<A>` of a concrete agent type —
+/// the agent moves out of its box into the pool of type `A` — or a
+/// `Box<dyn Agent>`, which stays boxed in the one pool of boxed agents
+/// (restart factories, code that picks among agent types at run time).
+/// Sealed: these are the only implementations.
+pub trait IntoAgent: store::Place {}
+
+impl<A: Agent + 'static> IntoAgent for Box<A> {}
+
+impl IntoAgent for Box<dyn Agent> {}
 
 /// A do-nothing agent for nodes without protocol logic.
 pub struct NullAgent;

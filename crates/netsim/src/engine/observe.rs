@@ -137,12 +137,12 @@ impl Sim {
         // each channel's source host.
         let mut upstreams: Vec<(String, NodeId, LinkId, u64)> = Vec::new();
         let mut sources: HashMap<String, (NodeId, Option<u64>)> = HashMap::new();
-        for (idx, agent) in self.agents.iter().enumerate() {
+        for idx in 0..topo.node_count() {
             if self.shared.node_down[idx] {
                 continue;
             }
             let node = NodeId(idx as u32);
-            let Some(state) = agent.as_deref().and_then(|a| a.audit_state(topo, node)) else {
+            let Some(state) = self.agent_ref(node).audit_state(topo, node) else {
                 continue;
             };
             snap.audited.insert(node);

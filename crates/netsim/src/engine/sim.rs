@@ -3,8 +3,9 @@
 //! the stop-the-world dispatch of global transitions.
 
 use super::exec::ShardExec;
+use super::store::{AgentStore, Row};
 use super::world::{event_class, EventKind, Shared, World};
-use super::{Agent, AgentFactory, Ctx, HotPacketFn, NullAgent, TimerToken, TopologyChange};
+use super::{Agent, AgentFactory, Ctx, IntoAgent, NullAgent, TimerToken, TopologyChange};
 use crate::id::{LinkId, NodeId};
 use crate::routing::Routing;
 use crate::shard::{self, ShardPlan};
@@ -32,11 +33,9 @@ pub struct Sim {
     /// One world per shard (`worlds.len() == shared.plan.shard_count()`).
     /// After a sharded run, shard 0 holds the merged stats/metrics/prof.
     pub(super) worlds: Vec<World>,
-    pub(super) agents: Vec<Option<Box<dyn Agent>>>,
-    /// Per-node devirtualized data-path dispatch (see
-    /// [`Agent::hot_packet_fn`]); refreshed whenever an agent is installed,
-    /// crashed, or restarted. `None` = dyn dispatch.
-    pub(super) hot_fns: Vec<Option<HotPacketFn>>,
+    /// One agent store per shard, `stores[s]` holding the agents of
+    /// `worlds[s]`'s nodes.
+    pub(super) stores: Vec<AgentStore>,
     /// Global transitions (link / node / loss changes): coordinator-owned,
     /// dispatched stop-the-world between parallel segments so every shard
     /// observes a topology change at the same instant.
@@ -80,8 +79,7 @@ impl Sim {
         Sim {
             shared,
             worlds,
-            agents: (0..n).map(|_| Some(Box::new(NullAgent) as Box<dyn Agent>)).collect(),
-            hot_fns: vec![None; n],
+            stores: vec![AgentStore::new(0, n as u32)],
             global_queue: TimerWheel::new(wheel),
             global_peak: 0,
             ext_seq: EXT_SEQ_BASE,
@@ -155,12 +153,18 @@ impl Sim {
                 && self.worlds[0].prof.is_none(),
             "set_shards/set_shard_bounds must be called before enabling trace/metrics/prof"
         );
-        self.worlds = (0..plan.shard_count())
+        let (worlds, mut stores): (Vec<World>, Vec<AgentStore>) = (0..plan.shard_count())
             .map(|s| {
                 let (base, limit) = plan.range(s);
-                World::new(&self.shared.topo, self.wheel_cfg, s, base, limit)
+                (World::new(&self.shared.topo, self.wheel_cfg, s, base, limit), AgentStore::new(base, limit))
             })
-            .collect();
+            .unzip();
+        // Agents installed so far move to their new shards' stores; none
+        // has run, so none can tell.
+        for old in std::mem::take(&mut self.stores) {
+            old.rehome(&mut stores, &plan);
+        }
+        (self.worlds, self.stores) = (worlds, stores);
         self.shared.plan = plan;
     }
 
@@ -169,8 +173,14 @@ impl Sim {
     /// old agent armed (and harness timers scheduled for it) are
     /// invalidated, its [`Ctx::watch_topology`] registration is dropped, and
     /// the new agent's `on_start` runs immediately.
-    pub fn set_agent(&mut self, node: NodeId, agent: Box<dyn Agent>) {
-        self.install_agent(node, agent);
+    ///
+    /// A `Box<A>` of a concrete type is unboxed into the pool of every `A`
+    /// in the node's shard; a `Box<dyn Agent>` keeps its box, in the pool of
+    /// boxed agents (see [`IntoAgent`]). Either way the replaced agent is
+    /// dropped where it stood, and its row is reused by the next agent of
+    /// its kind.
+    pub fn set_agent(&mut self, node: NodeId, agent: impl IntoAgent) {
+        agent.place(self, node);
         if self.started {
             let key = self.ext_key();
             let mut sub = 0;
@@ -187,12 +197,12 @@ impl Sim {
     /// registration goes, so the newcomer hears transitions only if its own
     /// `on_start` asks. (Before the start no agent has run, so there is
     /// nothing to strand.)
-    fn install_agent(&mut self, node: NodeId, agent: Box<dyn Agent>) {
-        self.hot_fns[node.index()] = agent.hot_packet_fn();
-        self.agents[node.index()] = Some(agent);
+    pub(super) fn install_agent<R: Row>(&mut self, node: NodeId, agent: R) {
+        let s = self.shared.plan.shard_of(node);
+        self.stores[s].put(node, agent);
         if self.started {
             self.shared.bump_epoch(node);
-            self.worlds[self.shared.plan.shard_of(node)].listeners.remove(&node.0);
+            self.worlds[s].listeners.remove(&node.0);
         }
     }
 
@@ -208,10 +218,14 @@ impl Sim {
         self.shared.batch_fanout = on;
     }
 
-    /// Borrow the agent on `node` for inspection (panics while that same
-    /// agent is being dispatched).
+    /// Borrow the agent on `node` for inspection.
     pub fn agent_mut(&mut self, node: NodeId) -> &mut dyn Agent {
-        self.agents[node.index()].as_deref_mut().expect("agent in dispatch")
+        self.stores[self.shared.plan.shard_of(node)].agent(node)
+    }
+
+    /// The agent on `node`, read-only.
+    pub(super) fn agent_ref(&self, node: NodeId) -> &dyn Agent {
+        self.stores[self.shared.plan.shard_of(node)].agent_ref(node)
     }
 
     /// Downcast the agent on `node` to a concrete type.
@@ -359,7 +373,7 @@ impl Sim {
             return;
         }
         self.started = true;
-        for i in 0..self.agents.len() {
+        for i in 0..self.shared.topo.node_count() {
             let mut sub = 0;
             self.coord_agent(NodeId(i as u32), i as u128, &mut sub, |agent, ctx| agent.on_start(ctx));
         }
@@ -373,14 +387,12 @@ impl Sim {
         }
     }
 
-    /// Shard `s`'s executor: its world and the slice of agents it owns.
+    /// Shard `s`'s executor: its world and its agents.
     pub(super) fn exec(&mut self, s: usize) -> ShardExec<'_> {
-        let world = &mut self.worlds[s];
         ShardExec {
             shared: &self.shared,
-            agents: &mut self.agents[world.base as usize..world.limit as usize],
-            world,
-            hot_fns: &self.hot_fns,
+            world: &mut self.worlds[s],
+            agents: &mut self.stores[s],
         }
     }
 
@@ -573,7 +585,7 @@ impl Sim {
         self.shared.node_down[node.index()] = true;
         // Soft state dies with the process (§3.2: everything a router knows
         // about channels and counts is soft state rebuilt by the protocol).
-        self.install_agent(node, Box::new(NullAgent));
+        self.install_agent(node, NullAgent);
         // Every up link attached to the node drops; remember which, so the
         // restart restores exactly those.
         let links: Vec<LinkId> = self
@@ -615,11 +627,13 @@ impl Sim {
             }
         }
         // Fresh process: factory-built agent with empty soft state.
-        let agent = match self.restart_factories.get(&node) {
-            Some(f) => f(),
-            None => Box::new(NullAgent),
-        };
-        self.install_agent(node, agent);
+        match self.restart_factories.get(&node) {
+            Some(f) => {
+                let agent = f();
+                self.install_agent(node, agent);
+            }
+            None => self.install_agent(node, NullAgent),
+        }
         self.coord_agent(node, key, sub, |agent, ctx| agent.on_start(ctx));
         for &l in &links {
             self.notify_link_change(l, true, key, sub);

@@ -5,7 +5,7 @@
 
 use super::exec::ShardExec;
 use super::world::EventKind;
-use super::{Agent, HotPacketFn, Sim};
+use super::Sim;
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 use std::borrow::Cow;
@@ -139,18 +139,13 @@ impl Sim {
         let barrier_b = Barrier::new(s_count + 1);
         let barrier_c = Barrier::new(s_count + 1);
         let shared = &self.shared;
-        let hot_fns: &[Option<HotPacketFn>] = &self.hot_fns;
         std::thread::scope(|scope| {
-            let mut agents_rest: &mut [Option<Box<dyn Agent>>] = &mut self.agents;
-            for (s, world) in self.worlds.iter_mut().enumerate() {
-                let span = (world.limit - world.base) as usize;
-                let (agents, rest) = agents_rest.split_at_mut(span);
-                agents_rest = rest;
+            for (s, (world, agents)) in self.worlds.iter_mut().zip(&mut self.stores).enumerate() {
                 let (mailboxes, nexts, cmd) = (&mailboxes, &nexts, &cmd);
                 let (ba, bb, bc) = (&barrier_a, &barrier_b, &barrier_c);
                 scope.spawn(move || {
                     worker_loop(
-                        ShardExec { shared, world, agents, hot_fns },
+                        ShardExec { shared, world, agents },
                         s,
                         bound,
                         mailboxes,

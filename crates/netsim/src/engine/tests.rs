@@ -354,9 +354,6 @@ fn batched_fanout_counts_expanded_deliveries_and_bounds_depth() {
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _i: IfaceId, _b: &Payload, _c: TrafficClass) {
                 self.got += 1;
             }
-            fn hot_packet_fn(&self) -> Option<HotPacketFn> {
-                Some(hot_packet_stub::<Self>())
-            }
             fn as_any_mut(&mut self) -> &mut dyn Any {
                 self
             }
@@ -384,32 +381,36 @@ fn batched_fanout_counts_expanded_deliveries_and_bounds_depth() {
 }
 
 #[test]
-fn hot_packet_stub_dispatches_to_concrete_agent() {
+fn data_and_control_reach_a_typed_agent_through_its_pool() {
     let (mut sim, a, b) = two_nodes(1);
-    struct Hot {
-        got: Vec<Vec<u8>>,
-    }
-    impl Agent for Hot {
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _i: IfaceId, bytes: &Payload, _c: TrafficClass) {
-            self.got.push(bytes.to_vec());
-        }
-        fn hot_packet_fn(&self) -> Option<HotPacketFn> {
-            Some(hot_packet_stub::<Self>())
+    struct Both;
+    impl Agent for Both {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send(IfaceId(0), b"data", TrafficClass::Data, Reliability::Reliable, Tx::AllOnLink);
+            ctx.send(IfaceId(0), b"ctl", TrafficClass::Control, Reliability::Reliable, Tx::AllOnLink);
         }
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
     }
-    sim.set_agent(
-        a,
-        Box::new(Pinger {
-            payload: b"via-hot-fn".to_vec(),
-            replies: 0,
-        }),
-    );
-    sim.set_agent(b, Box::new(Hot { got: vec![] }));
+    struct Typed {
+        got: Vec<(Vec<u8>, TrafficClass)>,
+    }
+    impl Agent for Typed {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _i: IfaceId, bytes: &Payload, class: TrafficClass) {
+            self.got.push((bytes.to_vec(), class));
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+    sim.set_agent(a, Box::new(Both));
+    sim.set_agent(b, Box::new(Typed { got: vec![] }));
     sim.run();
-    assert_eq!(sim.agent_as::<Hot>(b).unwrap().got, vec![b"via-hot-fn".to_vec()]);
+    let got = &sim.agent_as::<Typed>(b).unwrap().got;
+    assert_eq!(*got, [(b"data".to_vec(), TrafficClass::Data), (b"ctl".to_vec(), TrafficClass::Control)]);
+    // Two types, two pools of one row each; node ids are not rows.
+    assert_eq!(sim.stores[0].pool_lens(), [1, 1]);
 }
 
 #[test]
@@ -958,11 +959,13 @@ fn a_node_draws_its_own_seeded_stream_whenever_it_first_draws() {
 #[test]
 fn fanout_send_is_48_bytes_and_rebuilds_what_it_packs() {
     assert!(std::mem::size_of::<world::FanoutSend>() <= 48, "{}", std::mem::size_of::<world::FanoutSend>());
-    // The extremes of every packed field: the last node whose rank fits a
-    // packet id, the last interface, both classes, a 48-bit sequence number.
+    // The extremes of every packed field: the last node of the address plan
+    // (its rank, `MAX_NODES`, still fits a packet id with a 40-bit counter
+    // at 2^40 − 1), the last interface, both classes, a 48-bit sequence
+    // number.
     for (node, iface, class, seq) in [
         (NodeId(0), IfaceId(0), TrafficClass::Data, 0u64),
-        (NodeId((1 << 24) - 2), IfaceId(31), TrafficClass::Control, (1 << 48) - 1),
+        (NodeId(Topology::MAX_NODES - 1), IfaceId(31), TrafficClass::Control, (1 << 48) - 1),
         (NodeId(0x00AB_CDEF), IfaceId(17), TrafficClass::Data, 0x1234_5678_9ABC),
     ] {
         let id = world::packet_id(node, 0xFF_FFFF_FFFF);
@@ -973,7 +976,7 @@ fn fanout_send_is_48_bytes_and_rebuilds_what_it_packs() {
     }
 }
 
-/// The bytes of per-node and per-link table rows — the agent's heap chunk
+/// The bytes of per-node and per-link table rows — the agent's pool row
 /// included — that forwarding one packet over one router-to-router hop
 /// indexes: what the sending router's transmit reads and writes, then what
 /// the expansion and delivery at the receiving router do. Each row is a
@@ -981,13 +984,11 @@ fn fanout_send_is_48_bytes_and_rebuilds_what_it_packs() {
 /// form of "cache lines touched per delivery" (docs/INTERNALS.md §8 has the
 /// table with the sizes before).
 #[test]
-fn a_forwarding_hop_indexes_under_400_bytes_of_rows() {
+fn a_forwarding_hop_indexes_under_310_bytes_of_rows() {
     use std::mem::size_of;
     /// `express::router::tests::router_size_is_pinned`'s bound: the agent of
-    /// a forwarding hop.
-    const AGENT: usize = 168;
-    // A glibc chunk: the 8-byte size word in front, rounded up to 16.
-    let chunk = |size: usize| (size + 8).div_ceil(16) * 16;
+    /// a forwarding hop, and its pool row — `Option` adds no byte to it.
+    const AGENT: usize = 160;
     let (node_id, iface_id, link_id) = (size_of::<NodeId>(), size_of::<IfaceId>(), size_of::<LinkId>());
     let iface_range = 8; // (start: u32, len: u8, cap: u8), padded
     let link_of = iface_range + link_id; // topology: the node's range, its slab slot
@@ -1002,9 +1003,142 @@ fn a_forwarding_hop_indexes_under_400_bytes_of_rows() {
         + 2 * size_of::<u32>()          // the link's endpoint range
         + 2 * (node_id + iface_id).next_multiple_of(4) // its two endpoints
         + size_of::<bool>()             // receiver's down flag
-        + size_of::<Option<HotPacketFn>>()
-        + size_of::<Option<Box<dyn Agent>>>()
-        + chunk(AGENT);
-    assert_eq!(chunk(AGENT), 176);
-    assert!(transmit + delivery <= 400, "{transmit} + {delivery}");
+        + size_of::<store::Slot>()      // receiver's slot: pool and row
+        + size_of::<Box<[u8; 1]>>()     // the pool's pointer to the row's chunk
+        + AGENT;                        // the row
+    assert_eq!(size_of::<store::Slot>(), 4);
+    assert!(transmit + delivery < 310, "{transmit} + {delivery}");
+}
+
+/// Forwards everything to the agent it wraps, `as_any_mut` included — the
+/// shape of a tracing or tampering wrapper.
+struct Wrap<A>(A);
+
+impl<A: Agent> Agent for Wrap<A> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.0.on_start(ctx)
+    }
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
+        self.0.on_packet(ctx, iface, bytes, class)
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        self.0.on_timer(ctx, token)
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.0.as_any_mut()
+    }
+}
+
+#[test]
+fn a_thousand_restarts_and_replacements_reuse_their_rows() {
+    let log = HookLog::default();
+    let mut sim = probe_line(3, &[2], &log);
+    let factory_log = log.clone();
+    sim.set_restart_factory(NodeId(2), Box::new(move || Probe::boxed(&factory_log, true, false)));
+    sim.start();
+    let mut first = None;
+    for cycle in 0..1_000u64 {
+        let t = SimTime(cycle * 10_000);
+        sim.schedule_crash(t + SimDuration::from_millis(1), NodeId(2));
+        sim.schedule_restart(t + SimDuration::from_millis(2), NodeId(2));
+        sim.run_until(t + SimDuration::from_millis(5));
+        // Mid-run replacement of a typed agent by one of its own type.
+        sim.set_agent(NodeId(3), Box::new(Echo { seen: vec![], reply: false }));
+        let lens = sim.stores[0].pool_lens();
+        assert_eq!(*first.get_or_insert_with(|| lens.clone()), lens, "cycle {cycle}");
+    }
+    // Probes (boxed, before the start and from the factory) and the one Echo.
+    assert_eq!(first.unwrap(), [5, 1]);
+    assert!(sim.node_is_up(NodeId(2)));
+    let told = log.lock().unwrap().iter().filter(|&&(_, n, ref what)| n == 2 && what == "start").count();
+    assert_eq!(told, 1 + 1_000, "the first start and one per restart");
+}
+
+#[test]
+fn agent_as_finds_the_agent_behind_a_wrapper_and_a_box() {
+    let (mut sim, a, b) = two_nodes(1);
+    sim.set_agent(a, Box::new(Wrap(Pinger { payload: b"in".to_vec(), replies: 0 })));
+    let boxed: Box<dyn Agent> = Box::new(Echo { seen: vec![], reply: true });
+    sim.set_agent(b, boxed);
+    sim.run();
+    // The wrapper has its own pool; downcasts go through its `as_any_mut`.
+    assert_eq!(sim.agent_as::<Pinger>(a).unwrap().replies, 1);
+    assert!(sim.agent_as::<Wrap<Pinger>>(a).is_none());
+    assert_eq!(sim.agent_as::<Echo>(b).unwrap().seen.len(), 1);
+    assert_eq!(sim.stores[0].pool_lens(), [1, 1]);
+}
+
+#[test]
+fn agents_installed_before_partitioning_run_as_in_one_shard() {
+    // Typed, wrapped and boxed agents, then the partition.
+    let run = |partition: &dyn Fn(&mut Sim)| -> (u64, String, String) {
+        let t = crate::topogen::line(16, LinkSpec::default()).topo;
+        let mut sim = Sim::new(t, 11);
+        for i in 0..16 {
+            match i % 3 {
+                0 => sim.set_agent(NodeId(i), Box::new(Forward)),
+                1 => sim.set_agent(NodeId(i), Box::new(Wrap(Forward))),
+                _ => sim.set_agent(NodeId(i), Box::new(Forward) as Box<dyn Agent>),
+            }
+        }
+        sim.set_agent(NodeId(0), Box::new(Pinger { payload: b"walk".to_vec(), replies: 0 }));
+        partition(&mut sim);
+        sim.enable_trace(TraceConfig::default());
+        sim.schedule_link_change(SimTime(3_000), LinkId(9), false);
+        sim.schedule_link_change(SimTime(4_000), LinkId(9), true);
+        sim.run();
+        let stats = format!("{:?}", sim.stats().named_counters().collect::<Vec<_>>());
+        let trace = sim.take_trace().expect("ring trace").to_jsonl();
+        (sim.events_processed(), stats, trace)
+    };
+    let one = run(&|_| {});
+    assert!(one.0 > 0);
+    assert_eq!(run(&|sim| sim.set_shards(2)), one, "set_shards(2)");
+    assert_eq!(run(&|sim| sim.set_shard_bounds(&[0, 5, 11, 18])), one, "set_shard_bounds");
+    let mut sim = Sim::new(crate::topogen::line(16, LinkSpec::default()).topo, 11);
+    sim.set_agent(NodeId(3), Box::new(Forward));
+    sim.set_shard_bounds(&[0, 5, 11, 18]);
+    assert_eq!((sim.stores[0].pool_lens(), sim.stores[1].pool_lens()), (vec![1], vec![]));
+}
+
+#[test]
+fn a_tombstoned_agents_timer_never_fires_into_its_rows_next_occupant() {
+    /// Arms token 7 for 5 ms out when `arm`; logs every timer it hears.
+    struct Ticker {
+        arm: bool,
+        log: HookLog,
+    }
+    impl Agent for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if self.arm {
+                ctx.set_timer(SimDuration::from_millis(5), 7);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+            self.log.lock().unwrap().push((ctx.now(), ctx.node_id().0, format!("timer {token}")));
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+    let ticker = |log: &HookLog, arm| Box::new(Ticker { arm, log: log.clone() });
+    for shards in [1, 2] {
+        let log = HookLog::default();
+        let (mut sim, a, b) = two_nodes(1);
+        sim.set_shards(shards);
+        sim.set_agent(a, ticker(&log, true));
+        sim.run_until(SimTime(1_000));
+        // `a`'s row is tombstoned; at one shard `b`'s newcomer takes it
+        // over, then `a` gets a row of its own again.
+        sim.set_agent(a, Box::new(NullAgent));
+        sim.set_agent(b, ticker(&log, false));
+        sim.set_agent(a, ticker(&log, false));
+        if shards == 1 {
+            assert_eq!(sim.stores[0].pool_lens(), [2]);
+        }
+        sim.run();
+        assert_eq!(*log.lock().unwrap(), [], "{shards} shard(s)");
+        // The timer is still in the queue and runs to nothing.
+        assert_eq!(sim.now(), SimTime(5_000));
+    }
 }

@@ -98,6 +98,11 @@ pub(super) struct FanoutSend {
 /// the rank canonical keys carry in their upper half.
 const PACKET_RANK_SHIFT: u32 = 40;
 
+// The last node's rank, `MAX_NODES`, fits above the counter: a sender
+// never shifts its rank out of the id (and so never reads as rank 0, the
+// harness's).
+const _: () = assert!((Topology::MAX_NODES as u64) < 1 << (u64::BITS - PACKET_RANK_SHIFT));
+
 /// The next packet id of `node`, whose counter stands at `seq`.
 pub(super) fn packet_id(node: NodeId, seq: u64) -> PacketId {
     PacketId((node.0 as u64 + 1) << PACKET_RANK_SHIFT | seq)

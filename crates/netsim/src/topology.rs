@@ -194,6 +194,13 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// The most nodes a topology holds. Node *i* is 10.a.b.c with a.b.c =
+    /// *i*, so the last node is 10.255.255.254 and the /8's broadcast
+    /// address is nobody's. The same bound keeps an agent-store row index
+    /// in 24 bits and a packet id's sender rank, *i* + 1, in the 24 bits
+    /// above its 40-bit counter.
+    pub const MAX_NODES: u32 = (1 << 24) - 1;
+
     /// An empty topology.
     pub fn new() -> Self {
         Self::default()
@@ -234,8 +241,7 @@ impl Topology {
 
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.kinds.len() as u32);
-        // 10.a.b.c from the node index; the /8 gives 2^24 addresses.
-        assert!(id.0 < (1 << 24), "topology exceeds the 10.0.0.0/8 address plan");
+        assert!(id.0 < Self::MAX_NODES, "topology exceeds the 10.0.0.0/8 address plan");
         self.kinds.push(kind);
         self.iface_ranges.push(IfaceRange { start: 0, len: 0, cap: 0 });
         id

@@ -210,10 +210,6 @@ impl Agent for SessionRelayHost {
         "relay_host"
     }
 
-    fn hot_packet_fn(&self) -> Option<netsim::HotPacketFn> {
-        Some(netsim::hot_packet_stub::<Self>())
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(self.heartbeat, 0);
     }

@@ -8,7 +8,8 @@
 //! allocation per delivery (before the by-reference record path: ≈ 2.5 per
 //! event).
 //!
-//! A binary of its own: the counting allocator is process-wide.
+//! A binary of its own: the counting allocator (`counting_alloc`) is
+//! process-wide.
 
 use express::host::{ExpressHost, HostAction};
 use express::router::{EcmpRouter, RouterConfig};
@@ -17,35 +18,10 @@ use netsim::time::SimTime;
 use netsim::topogen;
 use netsim::topology::LinkSpec;
 use netsim::{extract_auditor, AuditCheck, AuditConfig, Auditor, JsonlSink, MetricsConfig, ProfConfig, Sim, TraceConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method defers to `System` with the caller's arguments
-// unchanged; the only added state is a relaxed counter that publishes
-// nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded verbatim; `ptr` came from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+mod counting_alloc;
+use counting_alloc::ALLOCS;
 
 /// Takes the capture's bytes and drops them.
 struct Discard(u64);
