@@ -18,7 +18,6 @@ use express_wire::ipv4::{self, Ipv4Repr, Protocol};
 use netsim::engine::{Agent, Ctx, Payload, Reliability, Tx};
 use netsim::id::IfaceId;
 use netsim::stats::TrafficClass;
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
 /// Per-group bidirectional tree state.
@@ -259,10 +258,6 @@ impl CbtRouter {
 }
 
 impl Agent for CbtRouter {
-    fn kind_name(&self) -> &'static str {
-        "cbt_router"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.hot_data_fwd = Some(ctx.counter("cbt.data_fwd"));
     }
@@ -304,10 +299,6 @@ impl Agent for CbtRouter {
             }
             _ => {}
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

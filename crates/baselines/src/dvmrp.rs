@@ -19,7 +19,6 @@ use netsim::id::{IfaceId, NodeId};
 use netsim::topology::Topology;
 use netsim::stats::TrafficClass;
 use netsim::time::{SimDuration, SimTime};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Counters for experiments.
@@ -46,9 +45,6 @@ pub struct DvmrpRouter {
     /// Every (S, G) this router has accepted data for on the RPF
     /// interface — the keys the audit truth snapshot reports routes for.
     seen: std::collections::BTreeSet<(Ipv4Addr, Ipv4Addr)>,
-    /// Fault-injection flag: flood as if no local member existed (see
-    /// [`set_mis_pruning_for_audit_test`](Self::set_mis_pruning_for_audit_test)).
-    mis_prune: bool,
     /// Experiment counters.
     pub counters: DvmrpCounters,
     /// Interned handle for the per-packet forward counter (registered in
@@ -70,7 +66,6 @@ impl DvmrpRouter {
             pruned_upstream: HashMap::new(),
             prune_lifetime,
             seen: std::collections::BTreeSet::new(),
-            mis_prune: false,
             counters: DvmrpCounters::default(),
             hot_data_fwd: None,
         }
@@ -80,16 +75,6 @@ impl DvmrpRouter {
     /// broadcast-and-prune pays even with zero local interest.
     pub fn prune_state_entries(&self) -> usize {
         self.pruned_downstream.len() + self.pruned_upstream.len()
-    }
-
-    /// Negative-test hook: make the router flood as if it had no local
-    /// group members — member interfaces are dropped from the flood set
-    /// and the router prunes upstream as soon as downstream routers do.
-    /// The audit truth snapshot keeps reporting the member interface, so
-    /// last-hop deliveries stop while the auditor still expects them and
-    /// the A4 recovery/delivery-gap check fires.
-    pub fn set_mis_pruning_for_audit_test(&mut self, on: bool) {
-        self.mis_prune = on;
     }
 
     /// [`Self::router_iface_mask`] recomputed from the shared topology —
@@ -186,7 +171,7 @@ impl DvmrpRouter {
                 oifs |= util::iface_bit(i);
             }
         }
-        let member_mask = if self.mis_prune { 0 } else { self.members.member_mask(g) };
+        let member_mask = self.members.member_mask(g);
         oifs |= member_mask & !util::iface_bit(iface);
         if oifs != 0 {
             let out = util::derive_ttl(ctx, bytes, header.ttl - 1);
@@ -285,10 +270,6 @@ impl Default for DvmrpRouter {
 }
 
 impl Agent for DvmrpRouter {
-    fn kind_name(&self) -> &'static str {
-        "dvmrp_router"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.hot_data_fwd = Some(ctx.counter("dvmrp.data_fwd"));
         // Prune state is flushed on the topology hook.
@@ -379,10 +360,6 @@ impl Agent for DvmrpRouter {
             })
             .collect();
         Some(AuditNodeState { routes, ..Default::default() })
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -20,7 +20,6 @@ use netsim::stats::TrafficClass;
 use netsim::time::{SimDuration, SimTime};
 use netsim::Sim;
 use rand::RngExt;
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
 /// Which IGMP version a host speaks.
@@ -235,10 +234,6 @@ impl GroupHost {
 }
 
 impl Agent for GroupHost {
-    fn kind_name(&self) -> &'static str {
-        "group_host"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.hot_data_rx = Some(ctx.counter("group.data_rx"));
     }
@@ -320,10 +315,6 @@ impl Agent for GroupHost {
         let sourcing = self.sent_groups.iter().map(|g| (g.to_string(), None)).collect();
         Some(AuditNodeState { subscribed, sourcing, ..Default::default() })
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A standalone IGMP querier: multicasts a general query on interface 0
@@ -348,10 +339,6 @@ impl IgmpQuerier {
 }
 
 impl Agent for IgmpQuerier {
-    fn kind_name(&self) -> &'static str {
-        "igmp_querier"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(self.interval, 0);
     }
@@ -369,10 +356,6 @@ impl Agent for IgmpQuerier {
         self.queries_sent += 1;
         ctx.count("igmp.query_tx", 1);
         ctx.set_timer(self.interval, 0);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

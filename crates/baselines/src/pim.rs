@@ -31,7 +31,6 @@ use netsim::engine::{Agent, Ctx, Payload, Reliability, TopologyChange, Tx};
 use netsim::id::IfaceId;
 use netsim::stats::TrafficClass;
 use netsim::time::{SimDuration, SimTime};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// PIM-SM configuration.
@@ -484,10 +483,6 @@ impl PimRouter {
 }
 
 impl Agent for PimRouter {
-    fn kind_name(&self) -> &'static str {
-        "pim_router"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.hot_data_fwd = Some(ctx.counter("pim.data_fwd"));
         ctx.set_timer(self.cfg.join_refresh, TIMER_REFRESH);
@@ -567,10 +562,6 @@ impl Agent for PimRouter {
         self.purge_expired(ctx.now());
         self.refresh_joins(ctx);
         ctx.count("pim.recovery_rejoin", 1);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

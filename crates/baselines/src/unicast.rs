@@ -14,7 +14,6 @@ use netsim::id::{IfaceId, NodeId};
 use netsim::stats::TrafficClass;
 use netsim::time::SimTime;
 use netsim::Sim;
-use std::any::Any;
 use std::collections::HashMap;
 
 /// A source that reaches its receivers with one unicast copy each.
@@ -48,10 +47,6 @@ impl UnicastSource {
 }
 
 impl Agent for UnicastSource {
-    fn kind_name(&self) -> &'static str {
-        "unicast_source"
-    }
-
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let Some(payload_len) = self.bursts.remove(&token) else { return };
         let me = ctx.my_ip();
@@ -64,10 +59,6 @@ impl Agent for UnicastSource {
                 ctx.count("unicast.copies_tx", 1);
             }
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -86,20 +77,12 @@ impl UnicastSink {
 }
 
 impl Agent for UnicastSink {
-    fn kind_name(&self) -> &'static str {
-        "unicast_sink"
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
         let Ok(header) = Ipv4Repr::parse(bytes) else { return };
         if header.dst == ctx.my_ip() && header.protocol == Protocol::Udp {
             self.received.push((ctx.now(), header.src, header.payload_len));
             ctx.count("unicast.data_rx", 1);
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -108,19 +91,11 @@ impl Agent for UnicastSink {
 pub struct UnicastRouter;
 
 impl Agent for UnicastRouter {
-    fn kind_name(&self) -> &'static str {
-        "unicast_router"
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, class: TrafficClass) {
         let Ok(header) = Ipv4Repr::parse(bytes) else { return };
         if header.dst != ctx.my_ip() && !header.dst.is_multicast() {
             let _ = util::forward_unicast(ctx, bytes, header, class);
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

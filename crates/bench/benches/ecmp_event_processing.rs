@@ -23,7 +23,6 @@ use netsim::stats::TrafficClass;
 use netsim::time::SimTime;
 use netsim::topology::{LinkSpec, Topology};
 use netsim::{Agent, Ctx, IfaceId, Sim};
-use std::any::Any;
 use std::time::Instant;
 
 fn bench_churn(c: &mut Criterion) {
@@ -70,9 +69,6 @@ impl Agent for Clocked {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.router.on_timer(ctx, token);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

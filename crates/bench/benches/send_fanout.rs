@@ -18,7 +18,6 @@ use netsim::stats::TrafficClass;
 use netsim::time::SimTime;
 use netsim::topology::{LinkSpec, Topology};
 use netsim::{Agent, Ctx, IfaceId, Sim};
-use std::any::Any;
 
 struct Blaster {
     pkt: Vec<u8>,
@@ -27,9 +26,6 @@ struct Blaster {
 impl Agent for Blaster {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         ctx.send(IfaceId(0), &self.pkt, TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -45,9 +41,6 @@ impl Agent for Sink {
         if let Some(id) = self.rx {
             ctx.count_id(id, 1);
         }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,12 +1,9 @@
 //! Per-packet accounting cost: the counter paths an agent can take on the
-//! data fast path, from the legacy string/`Display` APIs down to the
-//! interned [`CounterId`] bump that the zero-copy fan-out work pairs with.
+//! data fast path, from the string API down to the interned [`CounterId`]
+//! bump that the zero-copy fan-out work pairs with.
 //!
 //! The ladder, slowest to fastest:
 //!
-//! * `count_labeled` — formats `base{chan=…}` through `Display` into a
-//!   reused scratch buffer, then probes by name (the pre-interning hot
-//!   path at every delivery);
 //! * `count` — hash probe on a static key;
 //! * `channel_counter` + `count_id` — hash probe on the `(base, Channel)`
 //!   pair, no formatting;
@@ -21,11 +18,6 @@ fn bench_counters(c: &mut Criterion) {
     let chan = Channel::new(Ipv4Addr::new(10, 0, 0, 1), 7).unwrap();
     let mut g = c.benchmark_group("stats/count");
     g.throughput(Throughput::Elements(1));
-
-    let mut s = Stats::new(0);
-    g.bench_function("count_labeled_display", |b| {
-        b.iter(|| s.count_labeled(black_box("sink.rx_pkts"), &black_box(chan), 1))
-    });
 
     let mut s = Stats::new(0);
     g.bench_function("count_static_str", |b| {

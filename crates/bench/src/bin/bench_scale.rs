@@ -67,7 +67,6 @@ use netsim::topogen;
 use netsim::topology::{LinkSpec, Topology};
 use netsim::{Agent, Ctx, IfaceId, JsonlSink, MetricsConfig, ProfConfig, Sim, TraceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::any::Any;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -113,15 +112,8 @@ struct Blaster {
 }
 
 impl Agent for Blaster {
-    fn kind_name(&self) -> &'static str {
-        "blaster"
-    }
-
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         ctx.send_shared(IfaceId(0), self.pkt.clone(), TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -144,10 +136,6 @@ impl AccountingSink {
 }
 
 impl Agent for AccountingSink {
-    fn kind_name(&self) -> &'static str {
-        "accounting_sink"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.data_rx = Some(ctx.counter("sink.data_rx"));
     }
@@ -170,9 +158,6 @@ impl Agent for AccountingSink {
             ctx.count_id(pkts, 1);
             ctx.count_id(bytes_id, header.payload_len as u64);
         }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -32,7 +32,6 @@ use netsim::{
     Agent, Ctx, IfaceId, JsonlSink, MetricsConfig, ProfConfig, ProfReport, Sim, TraceBuffer,
     TraceConfig,
 };
-use std::any::Any;
 use std::collections::BTreeMap;
 
 const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -43,14 +42,8 @@ struct Blaster {
 }
 
 impl Agent for Blaster {
-    fn kind_name(&self) -> &'static str {
-        "blaster"
-    }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         ctx.send(IfaceId(0), &self.pkt, TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -59,17 +52,11 @@ impl Agent for Blaster {
 struct LeafSink;
 
 impl Agent for LeafSink {
-    fn kind_name(&self) -> &'static str {
-        "leaf_sink"
-    }
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &netsim::Payload, _class: TrafficClass) {
         let me = ctx.my_ip();
         if let Ok(packets::Classified::ChannelData { channel, .. }) = packets::classify(bytes, me) {
             ctx.count_channel("sink.data_rx", channel, 1);
         }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

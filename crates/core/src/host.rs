@@ -38,7 +38,6 @@ use netsim::topology::Topology;
 use netsim::stats::{CounterId, TrafficClass};
 use netsim::time::{SimDuration, SimTime};
 use netsim::Sim;
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Actions the harness can schedule on a host.
@@ -734,10 +733,6 @@ pub fn send_subscription(ctx: &mut Ctx<'_>, channel: Channel, key: Option<Channe
 }
 
 impl Agent for ExpressHost {
-    fn kind_name(&self) -> &'static str {
-        "express_host"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.hot_data_rx = Some(ctx.counter("host.data_rx"));
         self.hot_ecmp_tx = Some(ctx.counter("host.ecmp_tx"));
@@ -844,10 +839,6 @@ impl Agent for ExpressHost {
         }
         sourcing.sort();
         Some(AuditNodeState { subscribed, sourcing, ..Default::default() })
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -46,7 +46,6 @@ use netsim::stats::{CounterId, TrafficClass};
 use netsim::time::{SimDuration, SimTime};
 use netsim::transport::RttEstimator;
 use netsim::NodeKind;
-use std::any::Any;
 use std::collections::BTreeMap;
 
 mod forward;
@@ -468,19 +467,6 @@ impl EcmpRouter {
     /// propagate counts, exactly like a manually configured route.
     pub fn install_static_route(&mut self, entry: FibEntry) {
         self.fwd.fib.install(entry);
-    }
-
-    /// Skew the advertised upstream count for `channel` without
-    /// re-aggregating the downstream entries. The router's truth snapshot
-    /// ([`Agent::audit_state`]) keeps reporting the skewed `advertised`
-    /// against the honest `downstream_sum`, so the auditor's A3 count
-    /// check fires. Negative-test hook only: real code paths always set
-    /// `advertised` from the aggregate of validated downstream entries.
-    pub fn skew_advertised_for_audit_test(&mut self, channel: Channel, delta: u64) {
-        let channels = self.ctl.as_mut().map(|c| &mut c.tables.channels);
-        if let Some(st) = channels.and_then(|t| t.get_mut(channel_key(channel))) {
-            st.advertised = st.advertised.saturating_add(delta);
-        }
     }
 
     /// The per-channel protocol state, if any was ever created.
@@ -1569,10 +1555,6 @@ impl Control<'_> {
 }
 
 impl Agent for EcmpRouter {
-    fn kind_name(&self) -> &'static str {
-        "ecmp_router"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.fwd.intern_counters(ctx);
         let cfg = self.cfg;
@@ -1658,10 +1640,6 @@ impl Agent for EcmpRouter {
         routes.sort_by(|a, b| a.channel.cmp(&b.channel));
         Some(AuditNodeState { routes, ..Default::default() })
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -1689,9 +1667,6 @@ mod tests {
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _bytes: &Payload, _class: TrafficClass) {
             self.got += 1;
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1891,7 +1866,7 @@ mod tests {
             self.hooks.lock().unwrap().push(ctx.node_id());
             self.inner.on_topology_change(ctx, change)
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self.inner.as_any_mut()
         }
     }

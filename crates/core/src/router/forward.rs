@@ -225,7 +225,6 @@ mod tests {
     use netsim::engine::Agent;
     use netsim::time::SimTime;
     use netsim::{topogen, LinkSpec, NodeId, Sim, Topology};
-    use std::any::Any;
 
     fn data_packet() -> Vec<u8> {
         let chan = Channel::new(Ipv4Addr::new(10, 0, 0, 1), 1).unwrap();
@@ -247,9 +246,6 @@ mod tests {
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
             self.got.push(bytes.clone());
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

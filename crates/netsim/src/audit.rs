@@ -814,18 +814,6 @@ impl TraceSink for Auditor {
         }
         Ok(())
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 /// Recover an [`Auditor`] from a finished sink chain — the sink itself, or

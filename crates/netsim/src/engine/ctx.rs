@@ -72,15 +72,6 @@ impl<'a> Ctx<'a> {
         self.world.count(node, key, delta);
     }
 
-    /// Bump the per-channel labeled counter `base{chan=label}` — e.g.
-    /// `ctx.count_labeled("ecmp.count_msgs", &chan, 1)` yields
-    /// `ecmp.count_msgs{chan=(10.0.0.5, 232.0.0.1)}`. Interned: one
-    /// allocation per distinct key for the lifetime of the run.
-    pub fn count_labeled(&mut self, base: &'static str, label: &dyn std::fmt::Display, delta: u64) {
-        let node = self.node;
-        self.world.count_labeled(node, base, label, delta);
-    }
-
     /// Intern `key` and return its [`CounterId`] handle for use with
     /// [`count_id`](Self::count_id). Register hot counters once (typically
     /// in [`Agent::on_start`](super::Agent::on_start)); registration alone
@@ -99,11 +90,11 @@ impl<'a> Ctx<'a> {
         self.world.count_id(node, id, delta);
     }
 
-    /// Bump the per-channel labeled counter `base{chan=channel}` — the fast
-    /// path behind [`count_labeled`](Self::count_labeled) for the common
-    /// case where the label *is* a [`Channel`]: the composed key is
+    /// Bump the per-channel labeled counter `base{chan=channel}` — e.g.
+    /// `ctx.count_channel("ecmp.count_msgs", chan, 1)` bumps
+    /// `ecmp.count_msgs{chan=(10.0.0.5, 232.0.0.1)}`. The composed key is
     /// formatted once per distinct `(base, channel)` pair for the run, and
-    /// every later bump is a hash probe on the pair (no `Display` work).
+    /// every later bump is a hash probe on the pair.
     pub fn count_channel(&mut self, base: &'static str, channel: Channel, delta: u64) {
         let node = self.node;
         self.world.count_channel(node, base, channel, delta);

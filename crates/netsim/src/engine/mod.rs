@@ -125,6 +125,7 @@ pub use ctx::Ctx;
 pub use sim::Sim;
 
 use crate::audit::AuditNodeState;
+use crate::downcast::AsAny;
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::stats::TrafficClass;
 use crate::topology::Topology;
@@ -183,15 +184,18 @@ pub enum Tx {
 
 /// Protocol logic attached to one node.
 ///
-/// All methods have defaults so simple agents implement only what they need.
-/// `as_any_mut` enables harness code to downcast and inspect protocol state
-/// after (or during) a run.
+/// Every method has a default, so an agent implements only what it needs.
+/// The type itself supplies the rest: [`as_any_mut`](Self::as_any_mut) (how
+/// [`Sim::agent_as`] downcasts to inspect protocol state) and
+/// [`kind_name`](Self::kind_name) (the profiler's label). Override those
+/// two only in a wrapper, to forward to the agent it wraps.
 ///
 /// `Send` is a supertrait: under the sharded engine each shard's agents are
 /// dispatched from that shard's worker thread, so agent state must be
 /// thread-transferable (plain owned data — which every agent here already
-/// was; the bound rules out `Rc`/`RefCell` captures).
-pub trait Agent: Send {
+/// was; the bound rules out `Rc`/`RefCell` captures). An agent is also
+/// `'static`: it owns its state.
+pub trait Agent: Send + AsAny {
     /// Called once when the simulation starts, in node-id order.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
@@ -228,12 +232,12 @@ pub trait Agent: Send {
     /// [`Sim::set_agent`]): a replacement listens only if it asks.
     fn on_topology_change(&mut self, _ctx: &mut Ctx<'_>, _change: TopologyChange) {}
 
-    /// A short stable label for this agent's *type* (`ecmp_router`,
-    /// `express_host`, …), used by the engine self-profiler to attribute
-    /// dispatch time per agent kind. The default is fine for agents that
-    /// never show up hot in a profile.
+    /// This agent's *type*, by which the engine self-profiler attributes
+    /// dispatch time: [`type_name`](std::any::type_name), which a report
+    /// renders as a short label (`express::router::EcmpRouter` →
+    /// `ecmp_router`; see [`crate::prof`]).
     fn kind_name(&self) -> &'static str {
-        "agent"
+        std::any::type_name::<Self>()
     }
 
     /// Report this agent's protocol truth for the online auditor (see
@@ -253,8 +257,10 @@ pub trait Agent: Send {
         None
     }
 
-    /// Downcasting hook for inspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// This agent as `Any`, for [`Sim::agent_as`] to downcast.
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.any_mut()
+    }
 }
 
 /// What [`Agent::hot_packet_fn`] returns. Ignored by the engine.
@@ -286,14 +292,7 @@ impl IntoAgent for Box<dyn Agent> {}
 /// A do-nothing agent for nodes without protocol logic.
 pub struct NullAgent;
 
-impl Agent for NullAgent {
-    fn kind_name(&self) -> &'static str {
-        "null"
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+impl Agent for NullAgent {}
 
 /// A factory producing a fresh agent for a restarted router.
 pub type AgentFactory = Box<dyn Fn() -> Box<dyn Agent>>;

@@ -9,11 +9,12 @@
 //! "The agent store".
 
 use super::{Agent, Ctx, NullAgent, Payload, Sim};
+use crate::downcast::AsAny;
 use crate::id::{IfaceId, NodeId};
 use crate::shard::ShardPlan;
 use crate::stats::TrafficClass;
 use crate::topology::Topology;
-use std::any::{Any, TypeId};
+use std::any::TypeId;
 
 /// Bits of a [`Slot`] that index a row.
 const ROW_BITS: u32 = 24;
@@ -91,7 +92,7 @@ impl Place for Box<dyn Agent> {
 }
 
 /// A pool of one row type, seen by the store.
-trait Pool: Send {
+trait Pool: Send + AsAny {
     fn agent(&mut self, row: usize) -> &mut dyn Agent;
     fn agent_ref(&self, row: usize) -> &dyn Agent;
     fn on_packet(&mut self, row: usize, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass);
@@ -99,7 +100,6 @@ trait Pool: Send {
     fn remove(&mut self, row: usize);
     /// Move the agent at `row` to `node` in `dst`.
     fn move_to(&mut self, row: usize, dst: &mut AgentStore, node: NodeId);
-    fn as_any_mut(&mut self) -> &mut dyn Any;
     #[cfg(test)]
     fn len(&self) -> usize;
 }
@@ -169,9 +169,6 @@ impl<R: Row> Pool for PoolOf<R> {
         let agent = self.cell(row).take().expect("a slot names a live row");
         dst.put(node, agent);
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     #[cfg(test)]
     fn len(&self) -> usize {
         self.len
@@ -222,7 +219,8 @@ impl AgentStore {
             self.pools.push((ty, Box::new(PoolOf::<R> { chunks: Vec::new(), len: 0, free: Vec::new() })));
             self.pools.len() - 1
         });
-        let pool = self.pools[p].1.as_any_mut().downcast_mut::<PoolOf<R>>().expect("a pool holds the type it was made for");
+        // The pool, not its `Box`, which is `Any` too.
+        let pool = AsAny::any_mut(&mut *self.pools[p].1).downcast_mut::<PoolOf<R>>().expect("a pool holds the type it was made for");
         self.slots[li] = Slot::new(p, pool.insert(agent));
     }
 

@@ -17,9 +17,6 @@ impl Agent for Echo {
             ctx.send(iface, bytes, class, Reliability::Reliable, Tx::AllOnLink);
         }
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Sends one frame at start.
@@ -35,9 +32,6 @@ impl Agent for Pinger {
     }
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _bytes: &Payload, _class: TrafficClass) {
         self.replies += 1;
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -137,9 +131,6 @@ fn lossy_link_drops_datagrams_not_reliable() {
             }
             ctx.send(IfaceId(0), b"r", TrafficClass::Data, Reliability::Reliable, Tx::AllOnLink);
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
     let mut sim = Sim::new(t, 1);
     sim.set_agent(a, Box::new(Blaster));
@@ -172,9 +163,6 @@ fn lan_multicast_and_unicast_delivery() {
                 Tx::To(self.target),
             );
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
     let mut sim = Sim::new(t, 2);
     sim.set_agent(r, Box::new(LanSender { target: h1 }));
@@ -204,9 +192,6 @@ fn timers_fire_in_order() {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
             self.fired.push((ctx.now(), token));
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
     let mut t = Topology::new();
@@ -238,9 +223,6 @@ fn link_change_notifies_endpoints_and_drops_in_flight() {
         }
         fn on_link_change(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, up: bool) {
             self.changes.push((ctx.now(), up));
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
     sim.set_agent(
@@ -278,9 +260,6 @@ fn run_until_stops_at_time() {
         }
         fn on_link_change(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, up: bool) {
             self.log.push((ctx.now(), format!("link up={up}")));
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
     // The horizon's edges are the run loop's, whichever way a segment drains.
@@ -343,9 +322,6 @@ fn batched_fanout_counts_expanded_deliveries_and_bounds_depth() {
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerToken) {
                 ctx.send(IfaceId(0), b"data", TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
             }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct Sink {
             got: u64,
@@ -353,9 +329,6 @@ fn batched_fanout_counts_expanded_deliveries_and_bounds_depth() {
         impl Agent for Sink {
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _i: IfaceId, _b: &Payload, _c: TrafficClass) {
                 self.got += 1;
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim = Sim::new(t, 3);
@@ -389,9 +362,6 @@ fn data_and_control_reach_a_typed_agent_through_its_pool() {
             ctx.send(IfaceId(0), b"data", TrafficClass::Data, Reliability::Reliable, Tx::AllOnLink);
             ctx.send(IfaceId(0), b"ctl", TrafficClass::Control, Reliability::Reliable, Tx::AllOnLink);
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
     struct Typed {
         got: Vec<(Vec<u8>, TrafficClass)>,
@@ -399,9 +369,6 @@ fn data_and_control_reach_a_typed_agent_through_its_pool() {
     impl Agent for Typed {
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _i: IfaceId, bytes: &Payload, class: TrafficClass) {
             self.got.push((bytes.to_vec(), class));
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
     sim.set_agent(a, Box::new(Both));
@@ -436,9 +403,6 @@ fn determinism_same_seed_same_trace() {
                     ctx.send(IfaceId(0), b"d", TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
                 }
             }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut sim = Sim::new(t, seed);
         sim.set_agent(a, Box::new(Blast));
@@ -461,9 +425,6 @@ fn send_on_down_link_fails() {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             assert!(!ctx.send(IfaceId(0), b"x", TrafficClass::Data, Reliability::Reliable, Tx::AllOnLink));
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
     sim.set_agent(a, Box::new(TrySend));
     sim.start();
@@ -480,9 +441,6 @@ impl Agent for Forward {
         if (out.0 as usize) < ctx.iface_count() {
             ctx.send_shared(out, bytes.clone(), class, Reliability::Reliable, Tx::AllOnLink);
         }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -585,9 +543,6 @@ fn in_dispatch(f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) -> u64 {
     impl<F: FnOnce(&mut Ctx<'_>) + Send + 'static> Agent for Once<F> {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             (self.0.take().expect("started once"))(ctx)
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
     let (mut sim, a, _) = two_nodes(1);
@@ -715,9 +670,6 @@ impl Agent for Probe {
     fn on_route_change(&mut self, ctx: &mut Ctx<'_>) {
         self.note(ctx, "route".into());
         self.rewatch(ctx);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -912,9 +864,6 @@ impl Agent for Dice {
             let v = ctx.rng().next_u64();
             self.rolled.push(v);
         }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1116,9 +1065,6 @@ fn a_tombstoned_agents_timer_never_fires_into_its_rows_next_occupant() {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
             self.log.lock().unwrap().push((ctx.now(), ctx.node_id().0, format!("timer {token}")));
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
     let ticker = |log: &HookLog, arm| Box::new(Ticker { arm, log: log.clone() });

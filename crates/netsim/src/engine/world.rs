@@ -535,16 +535,4 @@ impl World {
             self.mirror(node, id, Some((base, ChanLabel::Channel(channel))), delta);
         }
     }
-
-    /// Like [`count_channel`](Self::count_channel) for any label that
-    /// prints: formatted into [`Stats`]' interned key on every bump, and
-    /// once more for the trace event when one is wanted.
-    pub(super) fn count_labeled(&mut self, node: NodeId, base: &'static str, label: &dyn std::fmt::Display, delta: u64) {
-        let id = self.stats.labeled_counter(base, label);
-        self.stats.count_id(id, delta);
-        if self.metrics.is_some() || self.trace.is_some() {
-            let shown = self.trace.is_some().then(|| (base, ChanLabel::Text(label.to_string())));
-            self.mirror(node, id, shown, delta);
-        }
-    }
 }

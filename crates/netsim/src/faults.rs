@@ -205,7 +205,6 @@ mod tests {
     use crate::id::IfaceId;
     use crate::stats::TrafficClass;
     use crate::topology::{LinkSpec, Topology};
-    use std::any::Any;
 
     /// Counts everything that happens to it.
     #[derive(Default)]
@@ -234,9 +233,6 @@ mod tests {
         fn on_topology_change(&mut self, ctx: &mut Ctx<'_>, change: TopologyChange) {
             self.topo_changes.push((ctx.now(), change));
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Sends one datagram per millisecond forever (bounded by run_until).
@@ -248,9 +244,6 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
             ctx.send(IfaceId(0), b"tick", TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
             ctx.set_timer(SimDuration::from_millis(1), 0);
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -375,9 +368,6 @@ mod tests {
                 for k in 0..10 {
                     ctx.set_timer(SimDuration::from_millis(50 + k), k);
                 }
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         sim.set_agent(a, Box::new(Armer));

@@ -50,6 +50,34 @@ pub mod trace;
 pub mod transport;
 pub mod wheel;
 
+/// Sealed: no other crate can name [`AsAny`](downcast::AsAny), so its methods
+/// never shadow theirs, and outside this crate the provided downcasts of
+/// `Agent` and `TraceSink` are the only way to reach it.
+mod downcast {
+    use std::any::Any;
+
+    /// Downcast helpers every `'static` type has, so a trait with this as a
+    /// supertrait provides its downcasts instead of asking each impl to
+    /// write `self`.
+    pub trait AsAny: Any {
+        fn any_ref(&self) -> &dyn Any;
+        fn any_mut(&mut self) -> &mut dyn Any;
+        fn into_any_box(self: Box<Self>) -> Box<dyn Any>;
+    }
+
+    impl<T: Any> AsAny for T {
+        fn any_ref(&self) -> &dyn Any {
+            self
+        }
+        fn any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn into_any_box(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+}
+
 pub use audit::{
     extract_auditor, AuditCheck, AuditConfig, AuditNodeState, AuditReport, AuditRoute,
     AuditSnapshot, AuditViolation, Auditor, ChannelTruth, RecoveryBounds,

@@ -8,7 +8,8 @@
 //!
 //! * **Per event class** ([`EventClass`]: arrival, timer, link/node/loss
 //!   change) — exact event counts, *sampled* wall-time.
-//! * **Per agent type** ([`Agent::kind_name`](crate::engine::Agent::kind_name):
+//! * **Per agent type** ([`Agent::kind_name`](crate::engine::Agent::kind_name),
+//!   the type's name, reported as the snake_case of its last path segment:
 //!   `ecmp_router`, `express_host`, …) — the protocol-logic half of the
 //!   attribution.
 //! * **Per node** — sampled dispatch time by node id, surfacing hot spots
@@ -47,6 +48,7 @@ use crate::id::NodeId;
 use crate::json::{self, Out};
 use crate::time::SimTime;
 use crate::trace::parse_flat_json_object;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -168,6 +170,40 @@ struct AgentAccum {
     count: u64,
     sampled_ns: u64,
     sampled_hits: u64,
+}
+
+impl AgentAccum {
+    fn add(&mut self, other: AgentAccum) {
+        self.count += other.count;
+        self.sampled_ns += other.sampled_ns;
+        self.sampled_hits += other.sampled_hits;
+    }
+}
+
+/// The report label of an agent kind (a [`type_name`](std::any::type_name)):
+/// the snake_case of the type's last path segment, generics stripped —
+/// `express::router::EcmpRouter` → `ecmp_router`, `spans::Timed<A>` →
+/// `timed`. A name that is already a bare label (`blaster`) is itself.
+fn kind_label(name: &str) -> String {
+    let path = name.split('<').next().unwrap_or(name);
+    let ident: Vec<char> = path.rsplit("::").next().unwrap_or(path).chars().collect();
+    let mut label = String::with_capacity(ident.len() + 4);
+    for (i, &c) in ident.iter().enumerate() {
+        if c.is_uppercase() {
+            // A word starts at a capital after a lower-case letter or a
+            // digit, or at the capital that ends an acronym (`IPHost` →
+            // `ip_host`).
+            let prev = i.checked_sub(1).map(|j| ident[j]);
+            let next_lower = ident.get(i + 1).is_some_and(|n| n.is_lowercase());
+            if prev.is_some_and(|p| p.is_lowercase() || p.is_ascii_digit() || (p.is_uppercase() && next_lower)) {
+                label.push('_');
+            }
+            label.extend(c.to_lowercase());
+        } else {
+            label.push(c);
+        }
+    }
+    label
 }
 
 /// The engine self-profiler. Attach with
@@ -315,9 +351,9 @@ impl Profiler {
         }
     }
 
-    /// The accumulator of agent kind `name`. A kind's name is one string
-    /// literal, so its address finds it; two literals that spell the same
-    /// name share an accumulator all the same.
+    /// The accumulator of agent kind `name`. A kind's name is one static
+    /// string (its type's `type_name`), so its address finds it; two copies
+    /// that spell the same name share an accumulator all the same.
     fn agent_mut(&mut self, name: &'static str) -> &mut AgentAccum {
         let same = |have: &str| std::ptr::eq(have, name);
         if !self.agents.get(self.last_agent).is_some_and(|a| same(a.0)) {
@@ -390,10 +426,7 @@ impl Profiler {
             self.sampled_hits[i] += std::mem::take(&mut other.sampled_hits[i]);
         }
         for (name, a) in std::mem::take(&mut other.agents) {
-            let dst = self.agent_mut(name);
-            dst.count += a.count;
-            dst.sampled_ns += a.sampled_ns;
-            dst.sampled_hits += a.sampled_hits;
+            self.agent_mut(name).add(a);
         }
         for (dst, src) in self.node_ns.iter_mut().zip(other.node_ns.iter_mut()) {
             *dst += std::mem::take(src);
@@ -464,18 +497,20 @@ impl Profiler {
                 }
             })
             .collect();
-        let mut agents: Vec<KindStat> = self
-            .agents
-            .iter()
-            .map(|(name, a)| KindStat {
-                kind: (*name).to_string(),
+        let mut by_label: BTreeMap<String, AgentAccum> = BTreeMap::new();
+        for &(name, a) in &self.agents {
+            by_label.entry(kind_label(name)).or_default().add(a);
+        }
+        let agents: Vec<KindStat> = by_label
+            .into_iter()
+            .map(|(kind, a)| KindStat {
+                kind,
                 count: a.count,
                 sampled_hits: a.sampled_hits,
                 sampled_ns: a.sampled_ns,
                 est_total_ns: est(a.sampled_ns, a.sampled_hits, a.count),
             })
             .collect();
-        agents.sort_by(|a, b| a.kind.cmp(&b.kind));
         let mut hot: Vec<NodeStat> = self
             .node_ns
             .iter()
@@ -890,6 +925,30 @@ mod tests {
         let echo = r.agents.iter().find(|a| a.kind == "echo").unwrap();
         assert_eq!(echo.count, 101);
         assert!(r.setup_ns.is_some() && r.run_ns.is_some());
+    }
+
+    mod nested {
+        pub struct IPHost;
+        pub struct Wrapper<A>(pub A);
+    }
+
+    #[test]
+    fn an_agent_kind_renders_as_its_types_last_segment_in_snake_case() {
+        use std::any::type_name;
+        assert_eq!(kind_label(type_name::<nested::IPHost>()), "ip_host");
+        assert_eq!(kind_label(type_name::<nested::Wrapper<nested::IPHost>>()), "wrapper");
+        assert_eq!(kind_label("express::router::EcmpRouter"), "ecmp_router");
+        assert_eq!(kind_label("relay::SessionRelayHost"), "session_relay_host");
+        assert_eq!(kind_label("baselines::igmp::IGMPQuerier"), "igmp_querier");
+        assert_eq!(kind_label("accounting_sink"), "accounting_sink");
+        // Two types that render alike report as one row.
+        let mut p = Profiler::new(ProfConfig::default(), 1);
+        for name in ["a::EcmpRouter", "b::EcmpRouter", "a::EcmpRouter"] {
+            let t0 = p.event_begin();
+            p.event_end(EventClass::Timer, None, Some(name), t0);
+        }
+        let labels: Vec<_> = p.report().agents.iter().map(|a| (a.kind.clone(), a.count)).collect();
+        assert_eq!(labels, [("ecmp_router".to_string(), 3)]);
     }
 
     #[test]

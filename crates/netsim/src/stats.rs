@@ -302,31 +302,12 @@ impl Stats {
         use std::fmt::Write;
         self.scratch.clear();
         let _ = write!(self.scratch, "{base}{{chan={channel}}}");
-        let id = self.scratch_counter();
+        let id = match self.by_name.get(self.scratch.as_str()) {
+            Some(&id) => id,
+            None => self.insert_slot(Name::Shared(self.scratch.as_str().into())),
+        };
         self.by_channel.insert((base, channel), id);
         id
-    }
-
-    /// The slot of the key standing in `scratch`, interned if it is new.
-    fn scratch_counter(&mut self) -> CounterId {
-        match self.by_name.get(self.scratch.as_str()) {
-            Some(&id) => id,
-            None => {
-                let key = Name::Shared(self.scratch.as_str().into());
-                self.insert_slot(key)
-            }
-        }
-    }
-
-    /// Intern the labeled key `base{chan=label}` and return its handle. The
-    /// key is formatted into a reused buffer on every call and allocated
-    /// once, when it is new; when the label is a [`Channel`],
-    /// [`channel_counter`](Self::channel_counter) skips the formatting too.
-    pub fn labeled_counter(&mut self, base: &str, label: &dyn fmt::Display) -> CounterId {
-        use std::fmt::Write;
-        self.scratch.clear();
-        let _ = write!(self.scratch, "{base}{{chan={label}}}");
-        self.scratch_counter()
     }
 
     /// The interned name behind `id` (the full composed key for labeled
@@ -349,14 +330,6 @@ impl Stats {
     /// with [`counter`](Self::counter) and bump via [`count_id`](Self::count_id).
     pub fn count(&mut self, key: impl Into<Cow<'static, str>>, delta: u64) {
         let id = self.counter(key);
-        self.count_id(id, delta);
-    }
-
-    /// Bump a labeled counter `base{chan=label}` — e.g.
-    /// `ecmp.count_msgs{chan=(10.0.0.5, 232.0.0.1)}` — through
-    /// [`labeled_counter`](Self::labeled_counter).
-    pub fn count_labeled(&mut self, base: &str, label: &dyn fmt::Display, delta: u64) {
-        let id = self.labeled_counter(base, label);
         self.count_id(id, delta);
     }
 
@@ -521,12 +494,15 @@ mod tests {
         let mut s = Stats::new(0);
         s.count(String::from("x.y"), 1);
         s.count("x.y", 1);
-        s.count_labeled("ecmp.count_msgs", &"10.0.0.1", 2);
-        s.count_labeled("ecmp.count_msgs", &"10.0.0.1", 3);
-        s.count_labeled("ecmp.count_msgs", &"10.0.0.2", 1);
+        let [a, b] = [1, 2].map(|n| Channel::new(Ipv4Addr::new(10, 0, 0, n), 1).unwrap());
+        let id = s.channel_counter("ecmp.count_msgs", a);
+        s.count_id(id, 2);
+        s.count_id(id, 3);
+        let id = s.channel_counter("ecmp.count_msgs", b);
+        s.count_id(id, 1);
         assert_eq!(s.named("x.y"), 2);
-        assert_eq!(s.named("ecmp.count_msgs{chan=10.0.0.1}"), 5);
-        assert_eq!(s.named("ecmp.count_msgs{chan=10.0.0.2}"), 1);
+        assert_eq!(s.named(&format!("ecmp.count_msgs{{chan={a}}}")), 5);
+        assert_eq!(s.named(&format!("ecmp.count_msgs{{chan={b}}}")), 1);
         // Base key untouched by labeled bumps.
         assert_eq!(s.named("ecmp.count_msgs"), 0);
         assert_eq!(s.named_counters().count(), 3);
@@ -561,9 +537,9 @@ mod tests {
         let id = s.channel_counter("ecmp.count_msgs", chan);
         assert_eq!(s.channel_counter("ecmp.count_msgs", chan), id);
         s.count_id(id, 7);
-        // The composed key matches what count_labeled would have built, so
-        // both routes land on the same slot.
-        s.count_labeled("ecmp.count_msgs", &chan, 1);
+        // The composed key is an ordinary string key, so a bump by name
+        // lands on the same slot.
+        s.count(format!("ecmp.count_msgs{{chan={chan}}}"), 1);
         assert_eq!(s.named(&format!("ecmp.count_msgs{{chan={chan}}}")), 8);
         assert_eq!(s.named_counters().count(), 1);
     }

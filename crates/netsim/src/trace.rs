@@ -56,6 +56,7 @@
 //! [`TraceBuffer::to_jsonl`]. The schema is documented in
 //! `docs/OBSERVABILITY.md`.
 
+use crate::downcast::AsAny;
 use crate::engine::TopologyChange;
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::json::{self, Line, Out};
@@ -554,7 +555,13 @@ impl PacketPath {
 ///
 /// Sinks are `Send` because the sharded engine hands each shard's sink to
 /// that shard's worker thread for the duration of a drain window.
-pub trait TraceSink: Send {
+///
+/// The type itself supplies the downcasts ([`as_any`](Self::as_any),
+/// [`as_any_mut`](Self::as_any_mut), [`into_any`](Self::into_any)) by which
+/// the engine finds a [`TraceBuffer`] or an
+/// [`Auditor`](crate::audit::Auditor) in a sink chain. Override them only in
+/// a wrapper, to forward to the sink it wraps.
+pub trait TraceSink: Send + AsAny {
     /// The tracer configuration this sink is attached under. Called once by
     /// [`Tracer::new`]; sinks that write self-describing output (e.g.
     /// [`JsonlSink`]'s header line) capture what they need here.
@@ -597,16 +604,22 @@ pub trait TraceSink: Send {
         self.flush()
     }
 
-    /// Downcast support (e.g. recovering the [`TraceBuffer`] behind
+    /// This sink as `Any` (e.g. recovering the [`TraceBuffer`] behind
     /// [`Sim::trace`](crate::engine::Sim::trace)).
-    fn as_any(&self) -> &dyn std::any::Any;
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.any_ref()
+    }
 
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+    /// This sink as mutable `Any`.
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self.any_mut()
+    }
 
-    /// Consuming downcast support (e.g.
+    /// This sink as an owned `Any` (e.g.
     /// [`Sim::take_trace`](crate::engine::Sim::take_trace)).
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self.into_any_box()
+    }
 }
 
 /// The in-memory event ring plus capture filters — the default sink.
@@ -826,18 +839,6 @@ impl TraceSink for TraceBuffer {
     fn discarded(&self) -> u64 {
         self.overwritten
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 /// A buffered write-through JSON Lines sink: events are serialized into an
@@ -993,18 +994,6 @@ impl<W: std::io::Write + Send + 'static> TraceSink for JsonlSink<W> {
         }
         self.out.flush()
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 // ---- tee -----------------------------------------------------------------
@@ -1112,18 +1101,6 @@ impl TraceSink for Tee {
 
     fn finish(&mut self) -> std::io::Result<()> {
         self.on_every(|s| s.finish())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 
@@ -1966,15 +1943,6 @@ mod tests {
                 } else {
                     Ok(())
                 }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
             }
         }
         let count = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));

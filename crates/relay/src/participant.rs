@@ -18,7 +18,6 @@ use netsim::id::{IfaceId, NodeId};
 use netsim::stats::TrafficClass;
 use netsim::time::{SimDuration, SimTime};
 use netsim::Sim;
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Standby policy for the backup SR channel (§4.2).
@@ -251,10 +250,6 @@ impl Participant {
 }
 
 impl Agent for Participant {
-    fn kind_name(&self) -> &'static str {
-        "relay_participant"
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
         let Ok(header) = Ipv4Repr::parse(bytes) else { return };
         let payload = &bytes[ipv4::HEADER_LEN..ipv4::HEADER_LEN + header.payload_len];
@@ -319,10 +314,6 @@ impl Agent for Participant {
         } else if token == TIMER_LIVENESS {
             self.check_liveness(ctx);
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -18,7 +18,6 @@ use netsim::engine::{Agent, Ctx, Payload, Reliability, Tx};
 use netsim::id::IfaceId;
 use netsim::stats::TrafficClass;
 use netsim::time::SimDuration;
-use std::any::Any;
 use std::collections::HashMap;
 
 /// IPv4 protocol number used for the relay application protocol.
@@ -206,10 +205,6 @@ impl SessionRelayHost {
 }
 
 impl Agent for SessionRelayHost {
-    fn kind_name(&self) -> &'static str {
-        "relay_host"
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(self.heartbeat, 0);
     }
@@ -262,10 +257,6 @@ impl Agent for SessionRelayHost {
             }
             _ => {}
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -10,7 +10,6 @@ use netsim::engine::{Agent, Ctx};
 use netsim::stats::TrafficClass;
 use netsim::topology::Topology;
 use netsim::{IfaceId, Payload, Sim};
-use std::any::Any;
 use std::sync::atomic::Ordering;
 
 mod counting_alloc;
@@ -25,9 +24,6 @@ struct Sink {
 impl Agent for Sink {
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _bytes: &Payload, _class: TrafficClass) {
         self.got += 1;
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

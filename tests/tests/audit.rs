@@ -4,8 +4,9 @@
 //! * Passing: the golden fault-storm scenario (the determinism pin's
 //!   recipe) replayed with an auditor attached must come back clean.
 //! * Firing: a deliberately corrupted `EcmpRouter` FIB trips A1, a
-//!   duplicating forwarder trips both halves of A2, a skewed advertised
-//!   count trips A3, and a mis-pruning DVMRP variant trips A4.
+//!   duplicating forwarder trips both halves of A2, an `EcmpRouter` whose
+//!   [`Tamper`] skews its advertised count trips A3, and a DVMRP router
+//!   whose `Tamper` drops its data trips A4.
 //!
 //! Together with the negative runs, the suite proves the auditor's checks
 //! are live — a checker that can never fire verifies nothing.
@@ -23,10 +24,9 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::topogen;
 use netsim::topology::LinkSpec;
 use netsim::{
-    extract_auditor, Agent, AuditCheck, AuditConfig, Auditor, Ctx, IfaceId, LinkId, NodeId,
-    Payload, RecoveryBounds, Sim, Topology, TraceConfig,
+    extract_auditor, Agent, AuditCheck, AuditConfig, AuditNodeState, Auditor, Ctx, IfaceId, LinkId,
+    NodeId, Payload, RecoveryBounds, Sim, TimerToken, Topology, TopologyChange, TraceConfig,
 };
-use std::any::Any;
 
 fn at_ms(ms: u64) -> SimTime {
     SimTime(ms * 1000)
@@ -109,6 +109,55 @@ fn golden_fault_storm_replays_audit_clean() {
     assert!(report.snapshots > 0, "checkpoints + fault refreshes should snapshot");
 }
 
+// ---- a hostile wrapper for the negative runs -----------------------------
+
+/// An agent `A` that misbehaves on demand: otherwise it forwards every
+/// call to `A`. Its downcast is its own, so `agent_as::<Tamper<A>>` reaches
+/// the switches mid-run.
+struct Tamper<A> {
+    inner: A,
+    /// Added to every advertised count `audit_state` reports (A3).
+    skew_advertised: u64,
+    /// Drop inbound data before `A` sees it, while `A` stays joined (A4).
+    drop_data: bool,
+}
+
+impl<A> Tamper<A> {
+    fn new(inner: A) -> Self {
+        Tamper { inner, skew_advertised: 0, drop_data: false }
+    }
+}
+
+impl<A: Agent> Agent for Tamper<A> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_start(ctx)
+    }
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
+        if !(self.drop_data && class == TrafficClass::Data) {
+            self.inner.on_packet(ctx, iface, bytes, class)
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        self.inner.on_timer(ctx, token)
+    }
+    fn on_link_change(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
+        self.inner.on_link_change(ctx, iface, up)
+    }
+    fn on_route_change(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_route_change(ctx)
+    }
+    fn on_topology_change(&mut self, ctx: &mut Ctx<'_>, change: TopologyChange) {
+        self.inner.on_topology_change(ctx, change)
+    }
+    fn audit_state(&self, topo: &Topology, node: NodeId) -> Option<AuditNodeState> {
+        let mut state = self.inner.audit_state(topo, node)?;
+        for route in &mut state.routes {
+            route.advertised = route.advertised.map(|n| n + self.skew_advertised);
+        }
+        Some(state)
+    }
+}
+
 // ---- shared EXPRESS fixture for the negative runs -----------------------
 
 /// src — r0 — r1 — rcv, plus a bystander host `b` on r1's third
@@ -122,7 +171,8 @@ struct Line {
     chan: Channel,
 }
 
-fn express_line() -> Line {
+/// The line with `r0` running `r0_agent`.
+fn express_line(r0_agent: impl Agent) -> Line {
     let mut t = Topology::new();
     let r0 = t.add_router();
     let r1 = t.add_router();
@@ -134,9 +184,8 @@ fn express_line() -> Line {
     let b = t.add_host();
     t.connect(b, r1, LinkSpec::default()).unwrap();
     let mut sim = Sim::new(t, 11);
-    for r in [r0, r1] {
-        sim.set_agent(r, Box::new(EcmpRouter::new(RouterConfig::default())));
-    }
+    sim.set_agent(r0, Box::new(r0_agent));
+    sim.set_agent(r1, Box::new(EcmpRouter::new(RouterConfig::default())));
     for h in [src, rcv, b] {
         sim.set_agent(h, Box::new(ExpressHost::new()));
     }
@@ -160,7 +209,7 @@ fn stream(sim: &mut Sim, src: NodeId, chan: Channel, from_ms: u64, to_ms: u64) {
 /// the next checkpoint must flag the off-tree transmissions.
 #[test]
 fn corrupted_fib_trips_on_tree_check() {
-    let mut l = express_line();
+    let mut l = express_line(EcmpRouter::new(RouterConfig::default()));
     l.sim.add_trace_sink(Box::new(Auditor::default()));
     stream(&mut l.sim, l.src, l.chan, 500, 580);
     // The healthy tree passes this checkpoint; only post-corruption
@@ -199,14 +248,11 @@ fn corrupted_fib_trips_on_tree_check() {
 /// must trip count convergence at the next quiescent checkpoint.
 #[test]
 fn skewed_advertised_count_trips_count_convergence() {
-    let mut l = express_line();
+    let mut l = express_line(Tamper::new(EcmpRouter::new(RouterConfig::default())));
     l.sim.add_trace_sink(Box::new(Auditor::default()));
     l.sim.run_until(at_ms(400));
     l.sim.audit_checkpoint();
-    {
-        let r0 = l.sim.agent_as::<EcmpRouter>(l.r0).expect("r0 is an EcmpRouter");
-        r0.skew_advertised_for_audit_test(l.chan, 5);
-    }
+    l.sim.agent_as::<Tamper<EcmpRouter>>(l.r0).expect("r0 is a tampered EcmpRouter").skew_advertised = 5;
     l.sim.run_until(at_ms(500));
     l.sim.audit_checkpoint();
     let auditor = finish_audit(&mut l.sim);
@@ -234,9 +280,6 @@ impl Agent for DupForwarder {
             ctx.send(IfaceId(1), bytes, TrafficClass::Data, netsim::engine::Reliability::Datagram, netsim::engine::Tx::AllOnLink);
         }
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Source: one data frame per timer fire.
@@ -245,9 +288,6 @@ struct PulseSource;
 impl Agent for PulseSource {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         ctx.send(IfaceId(0), &[0u8; 32], TrafficClass::Data, netsim::engine::Reliability::Datagram, netsim::engine::Tx::AllOnLink);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -259,9 +299,6 @@ impl Agent for CountingSink {
         if class == TrafficClass::Data {
             ctx.count("host.data_rx", 1);
         }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -300,9 +337,9 @@ fn duplicating_forwarder_trips_no_dup_no_loop() {
 
 // ---- A4 firing path -----------------------------------------------------
 
-/// A DVMRP router that ignores local membership never delivers to the
-/// joined member; with recovery bounds configured the auditor must flag
-/// the silent stream.
+/// A DVMRP router that drops the stream never delivers to the joined
+/// member; with recovery bounds configured the auditor must flag the
+/// silent stream.
 #[test]
 fn mis_pruning_dvmrp_trips_recovery_bounds() {
     let mut t = Topology::new();
@@ -312,8 +349,8 @@ fn mis_pruning_dvmrp_trips_recovery_bounds() {
     let member = t.add_host();
     t.connect(member, r, LinkSpec::default()).unwrap();
     let mut sim = Sim::new(t, 9);
-    let mut router = DvmrpRouter::new();
-    router.set_mis_pruning_for_audit_test(true);
+    let mut router = Tamper::new(DvmrpRouter::new());
+    router.drop_data = true;
     sim.set_agent(r, Box::new(router));
     sim.set_agent(src, Box::new(GroupHost::new(IgmpVersion::V2)));
     sim.set_agent(member, Box::new(GroupHost::new(IgmpVersion::V2)));

@@ -27,7 +27,6 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::topogen;
 use netsim::topology::{LinkSpec, Topology};
 use netsim::{Agent, Ctx, IfaceId, LinkId, Payload, Sim, TraceConfig, WheelConfig};
-use std::any::Any;
 use std::fmt::Write as _;
 
 fn at_ms(ms: u64) -> SimTime {
@@ -186,27 +185,26 @@ impl Agent for Hub {
             ctx.send_fanout(self.all & 0xAAAA_AAAA, &self.own, class, Reliability::Datagram);
         }
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
-/// A receiver that counts each frame under its octets and answers it with a
-/// zero-delay timer: an event at the delivery's own timestamp, keyed by the
+/// A receiver that counts each frame under the name of its octets and
+/// answers it with a zero-delay timer: an event at the delivery's own timestamp, keyed by the
 /// receiver — below the hub's remaining cohort members whenever the
 /// receiver's id is below the hub's.
 struct Nudger;
 
 impl Agent for Nudger {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
-        ctx.count_labeled("nudger.rx", &String::from_utf8_lossy(bytes), 1);
+        let frame = match &bytes[..] {
+            b"forwarded" => "nudger.rx{frame=forwarded}",
+            b"hub's own" => "nudger.rx{frame=hub's own}",
+            _ => "nudger.rx{frame=other}",
+        };
+        ctx.count(frame, 1);
         ctx.set_timer(SimDuration::ZERO, 0);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         ctx.count("nudger.nudge", 1);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -218,9 +216,6 @@ struct Feeder {
 impl Agent for Feeder {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         ctx.send_shared(IfaceId(0), self.frame.clone(), TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -268,12 +263,13 @@ fn interloper_inside_a_shared_handle_run_delivers_the_right_frames() {
     for traced in [true, false] {
         let reference = interloper_run(false, 1, traced);
         for want in [
-            "counter nudger.rx{chan=forwarded} 24\n",
-            "counter nudger.rx{chan=hub's own} 12\n",
+            "counter nudger.rx{frame=forwarded} 24\n",
+            "counter nudger.rx{frame=hub's own} 12\n",
             "counter nudger.nudge 36\n",
         ] {
             assert!(reference.1.contains(want), "no {want:?} in\n{}", reference.1);
         }
+        assert!(!reference.1.contains("frame=other"), "a mangled frame in\n{}", reference.1);
         for shards in [1usize, 2, 4] {
             for batch in [true, false] {
                 let got = interloper_run(batch, shards, traced);

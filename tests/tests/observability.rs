@@ -7,6 +7,11 @@
 use express::host::{ExpressHost, HostAction};
 use express::router::{EcmpRouter, RouterConfig};
 use express_wire::addr::Channel;
+use mcast_baselines::cbt::CbtRouter;
+use mcast_baselines::dvmrp::DvmrpRouter;
+use mcast_baselines::igmp::{GroupHost, GroupHostAction, IgmpQuerier, IgmpVersion};
+use mcast_baselines::pim::{PimConfig, PimRouter};
+use mcast_baselines::unicast::{UnicastRouter, UnicastSink, UnicastSource};
 use netsim::stats::LinkStats;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::LinkSpec;
@@ -15,6 +20,7 @@ use netsim::{
     JsonlSink, LinkId, MetricsConfig, NodeId, ProfConfig, Sim, Topology, TraceBuffer, TraceConfig,
     TraceKind,
 };
+use session_relay::{FloorControl, Participant, SessionRelayHost, StandbyMode};
 
 fn at_ms(ms: u64) -> SimTime {
     SimTime(ms * 1000)
@@ -342,10 +348,34 @@ fn discarded_counter_surfaces_in_header() {
 /// The engine self-profiler attributes every event: exact per-class counts
 /// sum to the engine's event total, agent attribution uses the protocol
 /// kind names, and the gauge timeline/wheel snapshots are populated.
+///
+/// Beside the EXPRESS diamond, a LAN holds one agent of every other type
+/// the crates define (and a node running none) and carries one multicast
+/// frame, so every label `prof/v1` can print is pinned here.
 #[test]
 fn profiler_attributes_all_events() {
-    let d = diamond();
+    let mut d = diamond();
+    let t = &mut d.topo;
+    let routers = [(); 4].map(|_| t.add_router());
+    let hosts = [(); 7].map(|_| t.add_host());
+    t.add_lan(&[&routers[..], &hosts[..]].concat(), LinkSpec::lan()).unwrap();
+    let rp = t.ip(routers[0]);
+    let chan = Channel::new(t.ip(hosts[0]), 1).unwrap();
     let (mut sim, _) = express_diamond(&d, 13, RouterConfig::default(), (100, 1_000));
+    sim.set_agent(routers[0], Box::new(PimRouter::new(PimConfig::new(rp))));
+    sim.set_agent(routers[1], Box::new(CbtRouter::new(rp)));
+    sim.set_agent(routers[2], Box::new(DvmrpRouter::new()));
+    sim.set_agent(routers[3], Box::new(UnicastRouter));
+    sim.set_agent(hosts[0], Box::new(GroupHost::new(IgmpVersion::V2)));
+    sim.set_agent(hosts[1], Box::new(IgmpQuerier::new(SimDuration::from_secs(125), 100)));
+    sim.set_agent(hosts[2], Box::new(UnicastSource::new(vec![])));
+    sim.set_agent(hosts[3], Box::new(UnicastSink::new()));
+    let heartbeat = SimDuration::from_secs(10);
+    sim.set_agent(hosts[4], Box::new(SessionRelayHost::new(chan, FloorControl::open(), heartbeat)));
+    sim.set_agent(hosts[5], Box::new(Participant::new(chan, None, StandbyMode::Cold, heartbeat)));
+    // hosts[6] runs no agent.
+    let group = express_wire::addr::Ipv4Addr::new(224, 5, 5, 5);
+    GroupHost::schedule(&mut sim, hosts[0], at_ms(50), GroupHostAction::SendData { group, payload_len: 8 });
     sim.enable_prof(ProfConfig::default().sample_every(2).gauge_every(32));
     sim.run_until(at_ms(1_500));
     let events = sim.events_processed();
@@ -354,8 +384,24 @@ fn profiler_attributes_all_events() {
     let class_total: u64 = report.kinds.iter().map(|k| k.count).sum();
     assert_eq!(class_total, events, "per-class counts must sum to the total");
     let agent_names: Vec<&str> = report.agents.iter().map(|a| a.kind.as_str()).collect();
-    assert!(agent_names.contains(&"ecmp_router"), "missing router attribution: {agent_names:?}");
-    assert!(agent_names.contains(&"express_host"), "missing host attribution: {agent_names:?}");
+    assert_eq!(
+        agent_names,
+        [
+            "cbt_router",
+            "dvmrp_router",
+            "ecmp_router",
+            "express_host",
+            "group_host",
+            "igmp_querier",
+            "null_agent",
+            "participant",
+            "pim_router",
+            "session_relay_host",
+            "unicast_router",
+            "unicast_sink",
+            "unicast_source",
+        ]
+    );
     assert!(!report.gauges.is_empty(), "gauge timeline empty");
     assert!(report.peak_queue_depth > 0);
     assert!(report.kinds.iter().any(|k| k.kind == "arrival" && k.est_total_ns > 0));
