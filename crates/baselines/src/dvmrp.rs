@@ -154,7 +154,9 @@ impl DvmrpRouter {
             }
             return;
         }
-        self.seen.insert((s, g));
+        if self.seen.insert((s, g)) {
+            ctx.audit_changed();
+        }
         if header.ttl <= 1 {
             return;
         }
@@ -283,6 +285,10 @@ impl Agent for DvmrpRouter {
         match header.protocol {
             Protocol::Igmp => {
                 let changed = self.members.update(iface, payload, ctx.now());
+                if !changed.is_empty() {
+                    // Member interfaces are part of every route's mask.
+                    ctx.audit_changed();
+                }
                 for g in changed {
                     if self.members.any_members(g) {
                         // New member: graft every pruned source of the group.

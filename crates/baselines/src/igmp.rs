@@ -165,11 +165,13 @@ impl GroupHost {
     fn do_action(&mut self, ctx: &mut Ctx<'_>, action: GroupHostAction) {
         match action {
             GroupHostAction::Join { group, sources } => {
+                ctx.audit_changed();
                 self.memberships.insert(group, Membership { sources });
                 self.send_report(ctx, group);
             }
             GroupHostAction::Leave { group } => {
                 if self.memberships.remove(&group).is_some() {
+                    ctx.audit_changed();
                     match self.version {
                         IgmpVersion::V2 => {
                             let mut buf = [0u8; IgmpV2::WIRE_LEN];
@@ -206,7 +208,9 @@ impl GroupHost {
                 }
             }
             GroupHostAction::SendData { group, payload_len } => {
-                self.sent_groups.insert(group);
+                if self.sent_groups.insert(group) {
+                    ctx.audit_changed();
+                }
                 let pkt = util::group_data(ctx.my_ip(), group, payload_len, util::DEFAULT_TTL);
                 ctx.send(IfaceId(0), &pkt, TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
                 ctx.count("group.data_tx", 1);

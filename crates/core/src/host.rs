@@ -415,6 +415,7 @@ impl ExpressHost {
                     self.events.push(HostEvent::SubscriptionResult { at, channel, ok: false });
                     return;
                 };
+                ctx.audit_changed();
                 self.subscriptions.insert(
                     channel,
                     Subscription {
@@ -439,6 +440,7 @@ impl ExpressHost {
             }
             HostAction::Unsubscribe { channel } => {
                 if self.subscriptions.remove(&channel).is_some() {
+                    ctx.audit_changed();
                     if let Some((iface, up)) = self.first_hop(ctx, channel.source) {
                         let msg = EcmpMessage::from(Count {
                             channel,
@@ -451,7 +453,9 @@ impl ExpressHost {
                 }
             }
             HostAction::SendData { channel, payload_len } => {
-                self.sent_channels.insert(channel);
+                if self.sent_channels.insert(channel) {
+                    ctx.audit_changed();
+                }
                 let pkt = packets::channel_data(channel, payload_len, packets::DEFAULT_TTL);
                 // Out every interface (hosts have one); the network enforces
                 // the single-source rule, not the sender.
@@ -510,6 +514,7 @@ impl ExpressHost {
             }
             HostAction::InstallKey { channel, key } => {
                 self.sourced.entry(channel).or_default().key = Some(key);
+                ctx.audit_changed();
             }
             HostAction::EnableProactive {
                 channel,
@@ -663,6 +668,9 @@ impl ExpressHost {
                 (Some(_), _) => ResponseStatus::InvalidAuthenticator,
                 (None, _) => ResponseStatus::Ok,
             };
+            // The first Count makes the source state, and an accepted one
+            // moves the estimate.
+            ctx.audit_changed();
             if status == ResponseStatus::Ok {
                 st.last_estimate = c.count;
                 self.events.push(HostEvent::SubscriberEstimate {
@@ -688,6 +696,7 @@ impl ExpressHost {
     fn handle_response(&mut self, ctx: &mut Ctx<'_>, r: CountResponse) {
         let at = ctx.now();
         if let Some(sub) = self.subscriptions.get_mut(&r.channel) {
+            ctx.audit_changed();
             match r.status {
                 ResponseStatus::Ok => {
                     if !sub.confirmed {
@@ -845,6 +854,81 @@ impl Agent for ExpressHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use express_wire::ipv4::Ipv4Repr;
+    use netsim::LinkSpec;
+
+    /// A neighbor that sends each `(at ms, class, frame)` of its script out
+    /// interface 0.
+    struct Scripted(Vec<(u64, TrafficClass, Vec<u8>)>);
+
+    impl Agent for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (token, (at_ms, ..)) in self.0.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_millis(*at_ms), token as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let (_, class, frame) = &self.0[token as usize];
+            ctx.send(IfaceId(0), frame, *class, Reliability::Datagram, Tx::AllOnLink);
+        }
+    }
+
+    #[test]
+    fn nonsense_input_leaves_subscriptions_source_state_and_counters_as_they_were() {
+        let mut topo = Topology::new();
+        let (host, peer) = (topo.add_host(), topo.add_host());
+        topo.connect(host, peer, LinkSpec::default()).unwrap();
+        let (host_ip, peer_ip) = (topo.ip(host), topo.ip(peer));
+        // The host subscribes to `theirs` (its source is the peer) and
+        // sources `mine`, keyed, with the peer reporting 2 subscribers.
+        let (theirs, other) = (Channel::new(peer_ip, 1).unwrap(), Channel::new(peer_ip, 2).unwrap());
+        let mine = Channel::new(host_ip, 1).unwrap();
+        let ecmp = |m: EcmpMessage| packets::ecmp_unicast(peer_ip, host_ip, EcmpMode::Udp, &[m]).to_vec();
+        let count = |channel, count, key| EcmpMessage::from(Count { channel, count_id: CountId::SUBSCRIBERS, count, key });
+        let verdict = |channel, key| EcmpMessage::from(CountResponse { channel, count_id: CountId::SUBSCRIBERS, status: ResponseStatus::Ok, key });
+        let truncated = {
+            let frame = ecmp(count(mine, 1, Some(7)));
+            // Whole IP header, ECMP payload three octets short.
+            let mut short = frame[..frame.len() - 3].to_vec();
+            let header = Ipv4Repr::parse(&frame).unwrap();
+            Ipv4Repr { payload_len: header.payload_len - 3, ..header }.emit(&mut short).unwrap();
+            short
+        };
+        let mut script = vec![(5, TrafficClass::Control, ecmp(count(mine, 2, Some(7))))];
+        let nonsense = [
+            ecmp(verdict(other, Some(7))), // a verdict nobody awaits
+            ecmp(verdict(theirs, None)),   // one for a subscription long confirmed
+            ecmp(count(other, 5, None)),   // a Count for a channel it does not source
+            ecmp(count(other, 0, None)),   // a leave for it
+            ecmp(count(theirs, 0, None)),
+            packets::channel_data(other, 32, packets::DEFAULT_TTL), // data it never asked for
+            truncated,
+            ecmp(count(mine, 9, None))[..30].to_vec(), // cut inside the IP header
+        ];
+        script.extend(nonsense.into_iter().enumerate().map(|(i, f)| (100 + i as u64, TrafficClass::Control, f)));
+        let mut sim = Sim::new(topo, 1);
+        sim.set_agent(host, Box::new(ExpressHost::new()));
+        sim.set_agent(peer, Box::new(Scripted(script)));
+        let at = |ms: u64| SimTime(ms * 1000);
+        ExpressHost::schedule(&mut sim, host, at(1), HostAction::Subscribe { channel: theirs, key: None });
+        ExpressHost::schedule(&mut sim, host, at(1), HostAction::InstallKey { channel: mine, key: 7 });
+        ExpressHost::schedule(&mut sim, host, at(2), HostAction::SendData { channel: mine, payload_len: 32 });
+
+        let view = |sim: &mut Sim| {
+            let counters: Vec<(String, u64)> = sim.stats().named_counters().map(|(k, v)| (k.to_string(), v)).collect();
+            let topo = sim.topology().clone();
+            let h = sim.agent_as::<ExpressHost>(host).unwrap();
+            format!("{:?} {:?} {:?} {:?} {counters:?}", h.subscribed_channels(), h.sourced, h.audit_state(&topo, host), h.events)
+        };
+        sim.run_until(at(50));
+        let before = view(&mut sim);
+        assert!(before.contains("last_estimate: 2"), "{before}");
+        let sent = sim.stats().total().data_packets + sim.stats().total().control_packets;
+        sim.run();
+        assert_eq!(view(&mut sim), before);
+        let total = sim.stats().total();
+        assert_eq!(total.data_packets + total.control_packets - sent, 8, "every frame of the script was sent");
+    }
 
     #[test]
     fn allocate_channels_locally() {

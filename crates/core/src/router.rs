@@ -714,8 +714,11 @@ impl Port<'_> {
         }
     }
 
-    /// Make the FIB entry of `st`'s channel what the record says.
-    fn sync_fib(&mut self, st: &ChannelState) {
+    /// Make the FIB entry of `st`'s channel what the record says. Every
+    /// change to a record that stays passes through here, so this is also
+    /// where the router tells the auditor its report moved.
+    fn sync_fib(&mut self, ctx: &mut Ctx<'_>, st: &ChannelState) {
+        ctx.audit_changed();
         // No interface with validated weight is no validated weight at all
         // (a zero Count removes its entry): nothing to forward to.
         let mask = st.oif_mask();
@@ -736,9 +739,11 @@ impl Port<'_> {
     fn settle(&mut self, ctx: &mut Ctx<'_>, st: &mut ChannelState) -> bool {
         let spent = self.propagate_upstream(ctx, st);
         if spent {
+            // The caller drops the record: its route leaves the report.
+            ctx.audit_changed();
             self.fib.remove(st.channel);
         } else {
-            self.sync_fib(st);
+            self.sync_fib(ctx, st);
         }
         spent
     }
@@ -874,7 +879,7 @@ impl Port<'_> {
             };
             self.send(ctx, oi, oa, msg);
         }
-        self.sync_fib(st);
+        self.sync_fib(ctx, st);
         // Orphaned with subscribers below us (the upstream crashed or the
         // network partitioned): arm the exponential-backoff re-join so the
         // subtree reattaches as soon as a route to the source reappears.
@@ -964,6 +969,8 @@ impl Control<'_> {
                 self.port.send(ctx, iface, from, resp);
                 return;
             }
+            // A new record, or one that found its upstream again.
+            ctx.audit_changed();
         }
 
         // Authentication (§3.2): if we have a cached key, validate locally;
@@ -1052,7 +1059,7 @@ impl Control<'_> {
                     };
                     self.port.send(ctx, ui, ua, msg);
                 }
-                self.port.sync_fib(st);
+                self.port.sync_fib(ctx, st);
                 return;
             }
         }

@@ -38,6 +38,7 @@ use crate::json::{self, Out};
 use crate::metrics::{Histogram, Metrics, MetricsConfig, DEFAULT_LATENCY_BOUNDS_US};
 use crate::stats::TrafficClass;
 use crate::time::{SimDuration, SimTime};
+use crate::topology::Topology;
 use crate::trace::{write_jsonl_line, PacketId, ProtoEvent, TraceConfig, TraceEvent, TraceKind, TraceSink, Tee};
 
 /// `audit/v1` — the report schema version.
@@ -97,7 +98,7 @@ pub struct AuditNodeState {
 
 /// Per-channel ground truth assembled from an engine sweep of
 /// [`AuditNodeState`]s, resolved against the topology.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelTruth {
     /// Every router's `(node, advertised, downstream_sum)` for this
     /// channel, when both counts are reported.
@@ -115,7 +116,7 @@ pub struct ChannelTruth {
 /// [`Sim::audit_snapshot`](crate::engine::Sim::audit_snapshot) and fed to
 /// [`Auditor::apply_snapshot`]. Drives A1 (allowed transmission set) and
 /// A3 (count truth).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditSnapshot {
     /// When the snapshot was taken.
     pub at: SimTime,
@@ -311,6 +312,12 @@ impl SparseBits {
         new
     }
 
+    fn remove(&mut self, i: usize) {
+        if let Ok(at) = self.find((i / 64) as u32) {
+            self.words[at].1 &= !(1 << (i % 64));
+        }
+    }
+
     fn contains(&mut self, i: usize) -> bool {
         self.find((i / 64) as u32).is_ok_and(|at| self.words[at].1 & (1 << (i % 64)) != 0)
     }
@@ -375,10 +382,83 @@ impl AuditHealth {
     }
 }
 
-/// A prior snapshot's A1 inputs: the allowed `(node, link)` set and the
-/// set of nodes that supplied an [`AuditNodeState`] at the time, each in
-/// ascending order in one allocation.
-type PrevSnapshot = (Vec<(NodeId, LinkId)>, Vec<NodeId>);
+/// One entry of a node's report, its channel label interned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fact {
+    /// An [`AuditRoute`]'s counts, and the link its upstream interface is on.
+    Route { chan: u32, advertised: Option<u64>, downstream_sum: Option<u64>, upstream: Option<LinkId> },
+    Subscribed(u32),
+    Sourcing(u32, Option<u64>),
+}
+
+/// The protocol truth the auditor judges by: what the reports it has read
+/// say now, and what the refresh being applied took out of it.
+#[derive(Debug, Default)]
+struct Truth {
+    /// Nodes that reported a state.
+    audited: BTreeSet<NodeId>,
+    /// `(node, link)` pairs on some channel's source tree.
+    allowed: BTreeSet<(NodeId, LinkId)>,
+    /// Each audited node's routes, subscriptions and sources, `(node, i)`
+    /// its `i`-th in report order — the order a sweep visits them in.
+    facts: BTreeMap<(NodeId, u32), Fact>,
+    /// Channel labels, each interned once, in label order.
+    labels: BTreeMap<String, u32>,
+    /// Nodes and pairs the refresh being applied removed: A1 judges an
+    /// interval by truth ∪ left, which is the union of the two refreshes
+    /// that bracket it.
+    left_audited: BTreeSet<NodeId>,
+    left_allowed: BTreeSet<(NodeId, LinkId)>,
+    /// A node's new links, its old ones and its new facts, kept between
+    /// updates so that reading a report allocates nothing here.
+    scratch: (Vec<LinkId>, Vec<LinkId>, Vec<Fact>),
+}
+
+impl Truth {
+    fn intern(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.labels.get(label) {
+            return id;
+        }
+        let id = self.labels.len() as u32;
+        self.labels.insert(label.to_string(), id);
+        id
+    }
+
+    /// Per-channel count truth as a sweep resolves it: a route's upstream
+    /// faces the channel's source when the source's links — every one of
+    /// them is allowed, as a source's are — include the upstream link.
+    fn channels(&self) -> BTreeMap<String, ChannelTruth> {
+        let n = self.labels.len();
+        let (mut truth, mut source) = (vec![None::<ChannelTruth>; n], vec![None; n]);
+        let mut upstreams = Vec::new();
+        for (&(node, _), &fact) in &self.facts {
+            match fact {
+                Fact::Route { chan, advertised, downstream_sum, upstream } => {
+                    let t = truth[chan as usize].get_or_insert_default();
+                    if let (Some(adv), Some(sum)) = (advertised, downstream_sum) {
+                        t.routers.push((node, adv, sum));
+                    }
+                    if let (Some(link), Some(adv)) = (upstream, advertised) {
+                        upstreams.push((chan as usize, node, link, adv));
+                    }
+                }
+                Fact::Subscribed(chan) => truth[chan as usize].get_or_insert_default().subscribers += 1,
+                Fact::Sourcing(chan, estimate) => source[chan as usize] = Some((node, estimate)),
+            }
+        }
+        for (chan, node, link, adv) in upstreams {
+            if source[chan].is_some_and(|(src, _)| self.allowed.contains(&(src, link))) {
+                truth[chan].get_or_insert_default().root_advertised = Some((node, adv));
+            }
+        }
+        for (chan, src) in source.into_iter().enumerate() {
+            if let Some((src, Some(estimate))) = src {
+                truth[chan].get_or_insert_default().source_estimate = Some((src, estimate));
+            }
+        }
+        self.labels.iter().filter_map(|(label, &id)| Some((label.clone(), truth[id as usize].take()?))).collect()
+    }
+}
 
 /// Tables indexed directly by a node or link id take ids below this; the
 /// engine's address plan ends there (a packet id carries its sender in 24
@@ -414,17 +494,17 @@ pub struct Auditor {
     /// Per link, the first two nodes seen putting data on it: a
     /// `(node, link)` pair's index in the bit sets is `2·link + slot`.
     senders: Vec<[u32; 2]>,
-    /// Pairs the previous snapshot allowed, by pair index: a transmission
-    /// on one of them cannot breach A1 and is not kept.
+    /// The allowed pairs of `truth`, by pair index: a transmission on one
+    /// of them cannot breach A1 and is not kept.
     allowed_prev: SparseBits,
     /// Data transmissions since the last snapshot on any other pair:
     /// `(node, link)` → first event that used the pair (A1 input).
     used: BTreeMap<(NodeId, LinkId), TraceEvent>,
-    /// The previous snapshot's allowed set + audited set: A1 judges an
+    /// The truth as of the last snapshot, kept and diffed: A1 judges an
     /// interval against the union of its two bracketing snapshots, so a
     /// mid-interval tree change (or a crash that destroys an agent before
     /// the closing snapshot) cannot false-positive.
-    prev: Option<PrevSnapshot>,
+    truth: Truth,
     snapshots: u64,
     /// Per-chain A2 state: a ring of `cfg.max_roots` slots reused oldest
     /// first (`opened` counts the chains ever given one), found through
@@ -479,7 +559,7 @@ impl Auditor {
             senders: Vec::new(),
             allowed_prev: SparseBits::default(),
             used: BTreeMap::new(),
-            prev: None,
+            truth: Truth::default(),
             snapshots: 0,
             chains: Vec::new(),
             slot_of: HashMap::new(),
@@ -518,35 +598,131 @@ impl Auditor {
     /// quiescent checkpoints (count propagation is not instantaneous), as
     /// [`Sim::audit_checkpoint`](crate::engine::Sim::audit_checkpoint)
     /// does; the engine's automatic post-fault refreshes pass `false`.
+    ///
+    /// The snapshot replaces the truth the auditor holds, as a diff: the
+    /// same update, and the same A1 and A3 code, as the engine's refreshes,
+    /// which hand over only the nodes whose reports may have moved.
     pub fn apply_snapshot(&mut self, snap: &AuditSnapshot, check_counts: bool) {
-        // A1: every data transmission since the last snapshot must sit in
-        // the union of the bracketing snapshots' allowed sets; nodes not
-        // audited at either end are exempt.
-        // (A pair the previous snapshot allowed never entered `used`.)
+        let t = &mut self.truth;
+        let gone: Vec<NodeId> = t.audited.difference(&snap.audited).copied().collect();
+        for node in gone {
+            t.audited.remove(&node);
+            t.left_audited.insert(node);
+        }
+        t.audited.extend(&snap.audited);
+        let gone: Vec<(NodeId, LinkId)> = t.allowed.difference(&snap.allowed).copied().collect();
+        let came: Vec<(NodeId, LinkId)> = snap.allowed.difference(&t.allowed).copied().collect();
+        gone.into_iter().for_each(|pair| self.allow(pair, false));
+        came.into_iter().for_each(|pair| self.allow(pair, true));
+        self.close(snap.at, check_counts.then_some(&snap.channels));
+    }
+
+    /// Diff `node`'s report — `None`: it reports nothing, or is down — into
+    /// the truth, resolving its interfaces against `topo` as
+    /// [`Sim::audit_snapshot`](crate::engine::Sim::audit_snapshot) does.
+    pub(crate) fn update_node(&mut self, topo: &Topology, node: NodeId, state: Option<AuditNodeState>) {
+        let t = &mut self.truth;
+        let (mut links, mut had, mut facts) = std::mem::take(&mut t.scratch);
+        if state.is_some() {
+            t.audited.insert(node);
+        } else if t.audited.remove(&node) {
+            t.left_audited.insert(node);
+        }
+        for route in state.iter().flat_map(|s| &s.routes) {
+            let mut mask = route.oif_mask;
+            while mask != 0 {
+                links.extend(topo.link_of(node, IfaceId(mask.trailing_zeros() as u8)).ok());
+                mask &= mask - 1;
+            }
+            let upstream = route.upstream_iface.and_then(|i| topo.link_of(node, i).ok());
+            let chan = t.intern(&route.channel);
+            facts.push(Fact::Route { chan, advertised: route.advertised, downstream_sum: route.downstream_sum, upstream });
+        }
+        for chan in state.iter().flat_map(|s| &s.subscribed) {
+            facts.push(Fact::Subscribed(t.intern(chan)));
+        }
+        for (chan, estimate) in state.iter().flat_map(|s| &s.sourcing) {
+            // A source may put data on any of its links.
+            links.extend((0..topo.iface_count(node)).filter_map(|i| topo.link_of(node, IfaceId(i as u8)).ok()));
+            facts.push(Fact::Sourcing(t.intern(chan), *estimate));
+        }
+        let node_facts = (node, 0)..=(node, u32::MAX);
+        if !t.facts.range(node_facts.clone()).map(|(_, f)| f).eq(&facts) {
+            while let Some((&key, _)) = t.facts.range(node_facts.clone()).next() {
+                t.facts.remove(&key);
+            }
+            t.facts.extend(facts.drain(..).enumerate().map(|(i, f)| ((node, i as u32), f)));
+        }
+        links.sort_unstable();
+        links.dedup();
+        had.extend(t.allowed.range((node, LinkId(0))..=(node, LinkId(u32::MAX))).map(|&(_, l)| l));
+        for &link in had.iter().filter(|l| links.binary_search(l).is_err()) {
+            self.allow((node, link), false);
+        }
+        for &link in links.iter().filter(|l| had.binary_search(l).is_err()) {
+            self.allow((node, link), true);
+        }
+        links.clear();
+        had.clear();
+        facts.clear();
+        self.truth.scratch = (links, had, facts);
+    }
+
+    /// Close the interval since the previous snapshot against the truth the
+    /// [`update_node`](Self::update_node)s since then left.
+    pub(crate) fn refresh(&mut self, at: SimTime, check_counts: bool) {
+        let channels = check_counts.then(|| self.truth.channels());
+        self.close(at, channels.as_ref());
+    }
+
+    /// The truth held, as the snapshot a full sweep at `at` would take.
+    #[cfg(debug_assertions)]
+    pub(crate) fn truth(&self, at: SimTime) -> AuditSnapshot {
+        let t = &self.truth;
+        AuditSnapshot { at, audited: t.audited.clone(), allowed: t.allowed.clone(), channels: t.channels() }
+    }
+
+    /// Add `pair` to the allowed set, or take it out (into the pairs that
+    /// left at this refresh).
+    fn allow(&mut self, pair: (NodeId, LinkId), on: bool) {
+        if on {
+            if self.truth.allowed.insert(pair) {
+                if let Some(p) = self.pair_index(pair.0, pair.1) {
+                    self.allowed_prev.insert(p);
+                }
+            }
+        } else if self.truth.allowed.remove(&pair) {
+            self.truth.left_allowed.insert(pair);
+            if let Some(p) = self.pair_index(pair.0, pair.1) {
+                self.allowed_prev.remove(p);
+            }
+        }
+    }
+
+    /// The one A1 and A3 pass of a snapshot: every data transmission since
+    /// the previous snapshot must sit in the union of the bracketing
+    /// snapshots' allowed sets, nodes audited at neither end exempt (a pair
+    /// the previous snapshot allowed never entered `used`); then, given
+    /// `channels`, count convergence.
+    fn close(&mut self, at: SimTime, channels: Option<&BTreeMap<String, ChannelTruth>>) {
         let used = std::mem::take(&mut self.used);
         for ((node, link), ev) in used {
             if !self.cfg.enabled(AuditCheck::OnTree) {
                 break;
             }
-            let before = self.prev.as_ref();
-            let audited = snap.audited.contains(&node) || before.is_some_and(|(_, a)| a.binary_search(&node).is_ok());
-            let allowed =
-                snap.allowed.contains(&(node, link)) || before.is_some_and(|(al, _)| al.binary_search(&(node, link)).is_ok());
+            let t = &self.truth;
+            let audited = t.audited.contains(&node) || t.left_audited.contains(&node);
+            let allowed = t.allowed.contains(&(node, link)) || t.left_allowed.contains(&(node, link));
             if audited && !allowed {
                 let summary = format!("off-tree data transmission: node n{} put data on link l{} which is on no audited source tree", node.0, link.0);
-                self.breach(AuditCheck::OnTree, snap.at, ev.kind.root_id(), Some(&ev), summary);
+                self.breach(AuditCheck::OnTree, at, ev.kind.root_id(), Some(&ev), summary);
             }
         }
-        if check_counts && self.cfg.enabled(AuditCheck::CountConvergence) {
-            self.check_counts(snap);
+        if let Some(channels) = channels.filter(|_| self.cfg.enabled(AuditCheck::CountConvergence)) {
+            self.check_counts(at, channels);
         }
-        self.prev = Some((snap.allowed.iter().copied().collect(), snap.audited.iter().copied().collect()));
-        let mut allowed: Vec<usize> = snap.allowed.iter().filter_map(|&(n, l)| self.pair_index(n, l)).collect();
-        allowed.sort_unstable();
-        self.allowed_prev.clear();
-        for pair in allowed {
-            self.allowed_prev.insert(pair);
-        }
+        self.truth.left_audited.clear();
+        self.truth.left_allowed.clear();
         self.snapshots += 1;
     }
 
@@ -558,9 +734,9 @@ impl Auditor {
     }
 
     /// A3 — count convergence at a quiescent checkpoint.
-    fn check_counts(&mut self, snap: &AuditSnapshot) {
+    fn check_counts(&mut self, at: SimTime, channels: &BTreeMap<String, ChannelTruth>) {
         let slack = self.cfg.count_slack;
-        for (chan, truth) in &snap.channels {
+        for (chan, truth) in channels {
             let members = truth.subscribers;
             let a3 = AuditCheck::CountConvergence;
             for &(node, advertised, downstream_sum) in &truth.routers {
@@ -569,17 +745,17 @@ impl Auditor {
                         "router n{} on {chan}: advertised {advertised} ≠ validated downstream sum {downstream_sum} (slack {slack})",
                         node.0
                     );
-                    self.breach(a3, snap.at, None, None, summary);
+                    self.breach(a3, at, None, None, summary);
                 }
             }
             if let Some((node, advertised)) = truth.root_advertised.filter(|r| r.1.abs_diff(members) > slack) {
                 let summary =
                     format!("root router n{} on {chan}: advertised {advertised} ≠ subscriber truth {members} (slack {slack})", node.0);
-                self.breach(a3, snap.at, None, None, summary);
+                self.breach(a3, at, None, None, summary);
             }
             if let Some((node, estimate)) = truth.source_estimate.filter(|s| s.1.abs_diff(members) > slack) {
                 let summary = format!("source n{} on {chan}: estimate {estimate} ≠ subscriber truth {members} (slack {slack})", node.0);
-                self.breach(a3, snap.at, None, None, summary);
+                self.breach(a3, at, None, None, summary);
             }
         }
     }

@@ -429,6 +429,33 @@ impl<'a> Ctx<'a> {
         self.world.listeners.insert(self.node.0);
     }
 
+    /// Tell the online auditor that what this agent's
+    /// [`audit_state`](super::Agent::audit_state) would report may have
+    /// changed in this dispatch. The auditor's refreshes re-read only the
+    /// nodes marked since the last one, so **the contract is: every
+    /// dispatch that changes the report calls this** — before or after the
+    /// change, once or many times (marks are idempotent). Marking when
+    /// nothing changed costs one re-read and is never wrong; a change
+    /// without a mark leaves the auditor judging by a stale tree, which
+    /// debug builds catch at the next refresh by comparing against
+    /// [`Sim::audit_snapshot`](super::Sim::audit_snapshot).
+    ///
+    /// The engine marks on the agent's behalf where a change comes from
+    /// outside a dispatch: when it installs an agent (crash, restart,
+    /// [`Sim::set_agent`](super::Sim::set_agent)), when the harness reaches
+    /// in through [`Sim::agent_mut`](super::Sim::agent_mut) /
+    /// [`Sim::agent_as`](super::Sim::agent_as), at both endpoints of a link
+    /// that goes up or down (a report may read the topology — and whatever
+    /// an [`on_link_change`](super::Agent::on_link_change) changes is
+    /// covered by that mark), and at every node when an auditor joins the
+    /// sink chain. Without an auditor this is one branch.
+    ///
+    /// A call on `Ctx`, not a hook: wrappers that hand their `Ctx` to the
+    /// agent they wrap pass the mark through unchanged.
+    pub fn audit_changed(&mut self) {
+        self.world.mark_audit(self.node);
+    }
+
     /// Whether `node`'s process is currently up (routers crashed by a
     /// scheduled fault are down until their restart).
     pub fn node_is_up(&self, node: NodeId) -> bool {

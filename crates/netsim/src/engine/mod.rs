@@ -102,7 +102,7 @@
 //! | file | holds |
 //! |---|---|
 //! | `mod.rs` | the public vocabulary: [`Agent`], [`IntoAgent`], [`Tx`], [`Reliability`], [`TopologyChange`], [`Payload`], [`NullAgent`] |
-//! | `world.rs` | `EventKind` / `FanoutSend`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, topology listeners, counters, fan-out coalescing) |
+//! | `world.rs` | `EventKind` / `FanoutSend`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, topology listeners, audit marks, counters, fan-out coalescing) |
 //! | `store.rs` | `AgentStore`: one shard's agents, a pool per concrete type and a 4-byte slot per node; the sealed half of [`IntoAgent`] |
 //! | `ctx.rs` | [`Ctx`], the agent's window into a dispatch: queries, `send*` / the one `transmit` path, timers, `watch_topology`, counters |
 //! | `exec.rs` | `ShardExec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion, `deliver` |
@@ -246,6 +246,12 @@ pub trait Agent: Send + AsAny {
     /// snapshot must be a *pure read* (no RNG draws, no sends, no state
     /// mutation), so taking one can never perturb a deterministic run.
     /// The default `None` exempts the node from per-node audit checks.
+    ///
+    /// The report must be a function of the agent's state, its node's own
+    /// links' up/down state and the static topology; and a dispatch that
+    /// changes it calls [`Ctx::audit_changed`]. The auditor reads only
+    /// marked nodes, so an unmarked change goes unseen until the node is
+    /// next marked (the engine's own marks are listed there).
     fn audit_state(&self, _topo: &Topology, _node: NodeId) -> Option<AuditNodeState> {
         None
     }

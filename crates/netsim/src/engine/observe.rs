@@ -2,6 +2,7 @@
 //! metrics, the self-profiler, the auditor's snapshots — and the fold of
 //! per-shard observability state into shard 0 when a run ends.
 
+use super::world::AuditMarks;
 use super::Sim;
 use crate::audit::{AuditSnapshot, Auditor, ChannelTruth};
 use crate::id::{IfaceId, LinkId, NodeId};
@@ -24,6 +25,7 @@ impl Sim {
         for w in &mut self.worlds {
             w.trace = Some(Tracer::ring(cfg.clone()));
         }
+        self.sync_audit_marks();
     }
 
     /// Turn on structured event tracing into an explicit [`TraceSink`] —
@@ -41,6 +43,7 @@ impl Sim {
              across shards — use enable_trace + take_trace, or keep the default shard count"
         );
         self.worlds[0].trace = Some(Tracer::new(cfg, sink));
+        self.sync_audit_marks();
     }
 
     /// The captured in-memory trace, if tracing is enabled *and* backed by
@@ -74,13 +77,16 @@ impl Sim {
         let mut cfg = None;
         let mut streams = Vec::with_capacity(self.worlds.len());
         let mut overwritten = 0u64;
-        for w in &mut self.worlds {
+        let taken: Option<()> = self.worlds.iter_mut().try_for_each(|w| {
             let buffer = sink_into_buffer(w.trace.take()?.finish())?;
             cfg.get_or_insert_with(|| buffer.config().clone());
             let (events, over) = buffer.into_tagged();
             overwritten += over;
             streams.push(events);
-        }
+            Some(())
+        });
+        self.sync_audit_marks();
+        taken?;
         Some(TraceBuffer::from_tagged(cfg?, merge_tagged(streams), overwritten))
     }
 
@@ -92,7 +98,9 @@ impl Sim {
         // Not a shortcut past a merge: the sole shard's chain may hold a
         // streaming sink, a tee or an auditor, and comes back whole.
         if let [world] = &mut self.worlds[..] {
-            return world.trace.take().map(Tracer::finish);
+            let sink = world.trace.take().map(Tracer::finish);
+            self.sync_audit_marks();
+            return sink;
         }
         self.take_trace().map(|b| Box::new(b) as Box<dyn TraceSink>)
     }
@@ -112,12 +120,20 @@ impl Sim {
             "add_trace_sink requires shards=1: a streaming sink cannot be merged \
              across shards — use enable_trace + take_trace, or keep the default shard count"
         );
-        if sink.as_any().is::<Auditor>() {
-            self.audit_attached = true;
-        }
         match &mut self.worlds[0].trace {
             Some(tracer) => tracer.add_sink(sink),
             None => self.worlds[0].trace = Some(Tracer::new(TraceConfig::default(), sink)),
+        }
+        self.sync_audit_marks();
+    }
+
+    /// Keep audit marks exactly while an [`Auditor`] is in the sink chain —
+    /// wherever in it, and however it got there — with every node marked
+    /// when the chain changes under one: a new auditor has read nothing.
+    fn sync_audit_marks(&mut self) {
+        let audited = self.worlds[0].trace.as_mut().is_some_and(|t| find_auditor_mut(t.sink_mut()).is_some());
+        for w in &mut self.worlds {
+            w.audit_marks = audited.then(|| AuditMarks::all(w.base, w.limit));
         }
     }
 
@@ -126,6 +142,11 @@ impl Sim {
     /// interface masks against the topology into `(node, link)` tree
     /// membership plus per-channel count truth. A pure read — taking a
     /// snapshot never perturbs the run.
+    ///
+    /// This is the reference, not what the auditor's refreshes pay: they
+    /// re-read only the nodes marked since the last one (see
+    /// [`Ctx::audit_changed`](super::Ctx::audit_changed)), and debug builds
+    /// check at every refresh that the truth so kept equals this sweep.
     pub fn audit_snapshot(&self) -> AuditSnapshot {
         let topo = &self.shared.topo;
         let mut snap = AuditSnapshot {
@@ -204,18 +225,45 @@ impl Sim {
         self.audit_refresh(true);
     }
 
-    /// Refresh the auditor's snapshot (A1 only unless `check_counts`).
-    /// Runs automatically after every topology transition so the allowed
-    /// tree tracks faults; gated on one bool when audit is off.
+    /// Refresh the auditor's truth (A1 only unless `check_counts`): re-read
+    /// [`Agent::audit_state`](super::Agent::audit_state) of the nodes
+    /// marked since the last refresh, hand each report to the auditor to
+    /// diff into the truth it keeps, and close the A1 interval. Runs
+    /// automatically around every topology transition so the allowed tree
+    /// tracks faults; one branch when no auditor is in the chain. Debug
+    /// builds compare the truth with the full [`audit_snapshot`](Self::audit_snapshot)
+    /// each time, so every audited test checks the marks.
     pub(super) fn audit_refresh(&mut self, check_counts: bool) {
-        if !self.audit_attached {
+        if self.worlds[0].audit_marks.is_none() {
             return;
         }
-        let snap = self.audit_snapshot();
-        if let Some(tracer) = self.worlds[0].trace.as_mut() {
-            if let Some(auditor) = find_auditor_mut(tracer.sink_mut()) {
-                auditor.apply_snapshot(&snap, check_counts);
-            }
+        #[cfg(debug_assertions)]
+        let reference = self.audit_snapshot();
+        // Marks are kept only with an auditor, and an auditor runs only at
+        // one shard (`add_trace_sink`, `enable_trace_sink`).
+        let world = &mut self.worlds[0];
+        let (Some(marks), Some(tracer)) = (&mut world.audit_marks, &mut world.trace) else { return };
+        let auditor = find_auditor_mut(tracer.sink_mut()).expect("audit marks are kept only while an auditor is in the chain");
+        let (topo, agents) = (&self.shared.topo, &self.stores[0]);
+        for node in marks.take() {
+            let state = match self.shared.node_down[node.index()] {
+                true => None,
+                false => agents.agent_ref(node).audit_state(topo, node),
+            };
+            auditor.update_node(topo, node, state);
+        }
+        auditor.refresh(world.now, check_counts);
+        #[cfg(debug_assertions)]
+        {
+            let truth = auditor.truth(reference.at);
+            debug_assert!(
+                truth == reference,
+                "the auditor's truth is not the full sweep's — a report changed without Ctx::audit_changed: \
+                 allowed differs at {:?}, audited at {:?}, channels agree: {}",
+                truth.allowed.symmetric_difference(&reference.allowed).take(8).collect::<Vec<_>>(),
+                truth.audited.symmetric_difference(&reference.audited).take(8).collect::<Vec<_>>(),
+                truth.channels == reference.channels,
+            );
         }
     }
 
@@ -343,8 +391,8 @@ fn sink_into_buffer(sink: Box<dyn TraceSink>) -> Option<TraceBuffer> {
     }
 }
 
-/// Find the live [`Auditor`] in a sink chain — the sink itself or a child
-/// of a [`Tee`].
+/// Find the live [`Auditor`] in a sink chain — the sink itself or, at any
+/// depth, a child of a [`Tee`].
 fn find_auditor_mut(sink: &mut dyn TraceSink) -> Option<&mut Auditor> {
     if sink.as_any().is::<Auditor>() {
         return sink.as_any_mut().downcast_mut::<Auditor>();
@@ -353,7 +401,7 @@ fn find_auditor_mut(sink: &mut dyn TraceSink) -> Option<&mut Auditor> {
         .downcast_mut::<Tee>()?
         .sinks_mut()
         .iter_mut()
-        .find_map(|s| s.as_any_mut().downcast_mut::<Auditor>())
+        .find_map(|s| find_auditor_mut(s.as_mut()))
 }
 
 /// Stable k-way merge of per-shard tagged trace streams by head

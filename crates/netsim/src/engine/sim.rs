@@ -48,10 +48,6 @@ pub struct Sim {
     /// rebuild per-shard wheels.
     pub(super) wheel_cfg: WheelConfig,
     pub(super) started: bool,
-    /// An [`Auditor`](crate::audit::Auditor) sits in the sink chain: topology transitions trigger
-    /// an automatic snapshot refresh (A1 tree updates). One bool — audit
-    /// truly costs nothing when no auditor was attached.
-    pub(super) audit_attached: bool,
     /// Links downed by a node's crash, restored at its restart.
     pub(super) crash_downed_links: HashMap<NodeId, Vec<LinkId>>,
     /// Per-node factories used by [`schedule_restart`](Self::schedule_restart)
@@ -85,7 +81,6 @@ impl Sim {
             ext_seq: EXT_SEQ_BASE,
             wheel_cfg: wheel,
             started: false,
-            audit_attached: false,
             crash_downed_links: HashMap::new(),
             restart_factories: HashMap::new(),
         }
@@ -196,10 +191,12 @@ impl Sim {
     /// the epoch bump strands the timers it armed, and its topology
     /// registration goes, so the newcomer hears transitions only if its own
     /// `on_start` asks. (Before the start no agent has run, so there is
-    /// nothing to strand.)
+    /// nothing to strand.) The auditor re-reads the node at its next
+    /// refresh.
     pub(super) fn install_agent<R: Row>(&mut self, node: NodeId, agent: R) {
         let s = self.shared.plan.shard_of(node);
         self.stores[s].put(node, agent);
+        self.worlds[s].mark_audit(node);
         if self.started {
             self.shared.bump_epoch(node);
             self.worlds[s].listeners.remove(&node.0);
@@ -218,9 +215,13 @@ impl Sim {
         self.shared.batch_fanout = on;
     }
 
-    /// Borrow the agent on `node` for inspection.
+    /// Borrow the agent on `node` for inspection. Whatever the caller
+    /// changes through it, the auditor re-reads the node at its next
+    /// refresh (see [`Ctx::audit_changed`]).
     pub fn agent_mut(&mut self, node: NodeId) -> &mut dyn Agent {
-        self.stores[self.shared.plan.shard_of(node)].agent(node)
+        let s = self.shared.plan.shard_of(node);
+        self.worlds[s].mark_audit(node);
+        self.stores[s].agent(node)
     }
 
     /// The agent on `node`, read-only.
@@ -566,9 +567,13 @@ impl Sim {
 
     /// Mark `link` up or down and repair every shard's cached routes: one
     /// link at a time, since a repair takes the trees to be right but for
-    /// the link it is given.
+    /// the link it is given. Its endpoints' audit reports may read the
+    /// link's state, so the auditor re-reads them.
     fn flip_link(&mut self, link: LinkId, up: bool) {
         self.shared.topo.set_link_up(link, up);
+        for &(n, _) in self.shared.topo.link_endpoints(link) {
+            self.worlds[self.shared.plan.shard_of(n)].mark_audit(n);
+        }
         for w in &mut self.worlds {
             if up {
                 w.routing.link_up(&self.shared.topo, link);

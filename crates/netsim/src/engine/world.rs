@@ -328,6 +328,47 @@ pub(super) struct World {
     pub(super) sync_windows: u64,
     /// Wall time this shard's worker spent blocked at window barriers, ns.
     pub(super) sync_stall_ns: u64,
+    /// The owned nodes whose [`Agent::audit_state`](super::Agent::audit_state)
+    /// may have moved since the auditor last read them ([`Ctx::audit_changed`]
+    /// and the engine's own marks). `None` — no auditor in the sink chain —
+    /// makes a mark one branch.
+    pub(super) audit_marks: Option<AuditMarks>,
+}
+
+/// A set of owned nodes: a bit each, and the members in the order they were
+/// marked, so taking them costs the members and not the shard.
+pub(super) struct AuditMarks {
+    base: u32,
+    bits: Vec<u64>,
+    marked: Vec<NodeId>,
+}
+
+impl AuditMarks {
+    /// Every node of `[base, limit)` marked: what an auditor that has read
+    /// nothing yet needs.
+    pub(super) fn all(base: u32, limit: u32) -> AuditMarks {
+        let mut marks = AuditMarks { base, bits: vec![0; (limit - base).div_ceil(64) as usize], marked: Vec::new() };
+        (base..limit).for_each(|n| marks.mark(NodeId(n)));
+        marks
+    }
+
+    pub(super) fn mark(&mut self, node: NodeId) {
+        let li = (node.0 - self.base) as usize;
+        let (word, bit) = (&mut self.bits[li / 64], 1u64 << (li % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.marked.push(node);
+        }
+    }
+
+    /// The marked nodes, unmarked as they are taken.
+    pub(super) fn take(&mut self) -> impl Iterator<Item = NodeId> + '_ {
+        let AuditMarks { base, bits, marked } = self;
+        marked.drain(..).inspect(move |n| {
+            let li = (n.0 - *base) as usize;
+            bits[li / 64] &= !(1u64 << (li % 64));
+        })
+    }
 }
 
 impl World {
@@ -369,6 +410,14 @@ impl World {
             outbox: Vec::new(),
             sync_windows: 0,
             sync_stall_ns: 0,
+            audit_marks: None,
+        }
+    }
+
+    /// `node`'s audit state may have moved (a no-op without an auditor).
+    pub(super) fn mark_audit(&mut self, node: NodeId) {
+        if let Some(marks) = &mut self.audit_marks {
+            marks.mark(node);
         }
     }
 

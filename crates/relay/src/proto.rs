@@ -177,6 +177,68 @@ mod tests {
         assert!(RelayMsg::parse(&[]).is_err());
     }
 
+    /// A parse that re-emits what it accepts and checks the re-emitted
+    /// bytes parse back equal: `true` if it accepted.
+    type Parser = fn(&[u8]) -> bool;
+
+    /// Every message kind `to_vec` writes, with the parser that reads it.
+    fn hostile_cases() -> Vec<(Vec<u8>, Parser)> {
+        fn msg(b: &[u8]) -> bool {
+            let Ok(m) = RelayMsg::parse(b) else { return false };
+            assert_eq!(RelayMsg::parse(&m.to_vec()), Ok(m));
+            true
+        }
+        fn header(b: &[u8]) -> bool {
+            let Ok(h) = RelayedHeader::parse(b) else { return false };
+            assert_eq!(RelayedHeader::parse(&h.to_vec()), Ok(h));
+            true
+        }
+        let msgs = [
+            RelayMsg::FloorRequest,
+            RelayMsg::FloorRelease,
+            RelayMsg::FloorGrant,
+            RelayMsg::FloorDeny,
+            RelayMsg::Speech { len: 512 },
+            RelayMsg::ReceptionReport { highest_seq: 9000, lost: 17 },
+            RelayMsg::AnnounceDirectChannel { source: Ipv4Addr::new(10, 0, 0, 7), channel: 0x00AB_CDEF },
+        ];
+        let mut cases: Vec<(Vec<u8>, Parser)> = msgs.iter().map(|m| (m.to_vec(), msg as Parser)).collect();
+        cases.push((RelayedHeader { seq: 42, orig_src: Ipv4Addr::new(10, 1, 2, 3) }.to_vec(), header));
+        cases
+    }
+
+    #[test]
+    fn every_message_kind_is_rejected_at_every_truncation() {
+        for (bytes, parse) in hostile_cases() {
+            assert!(parse(&bytes), "{bytes:?}: its own encoding is rejected");
+            for cut in 0..bytes.len() {
+                assert!(!parse(&bytes[..cut]), "{bytes:?}: accepted its first {cut} octets");
+            }
+        }
+    }
+
+    #[test]
+    fn flipped_bytes_never_panic_and_what_parses_re_emits() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for (bytes, parse) in hostile_cases() {
+            for _ in 0..2_000 {
+                let mut b = bytes.clone();
+                for _ in 0..1 + next() % 3 {
+                    let at = (next() % b.len() as u64) as usize;
+                    b[at] ^= 1 + (next() % 255) as u8;
+                }
+                parse(&b);
+            }
+        }
+    }
+
     #[test]
     fn relayed_header_roundtrip() {
         let h = RelayedHeader {

@@ -25,7 +25,7 @@ use netsim::topogen;
 use netsim::topology::LinkSpec;
 use netsim::{
     extract_auditor, Agent, AuditCheck, AuditConfig, AuditNodeState, Auditor, Ctx, IfaceId, LinkId,
-    NodeId, Payload, RecoveryBounds, Sim, TimerToken, Topology, TopologyChange, TraceConfig,
+    NodeId, Payload, RecoveryBounds, Sim, Tee, TimerToken, Topology, TopologyChange, TraceBuffer, TraceConfig,
 };
 
 fn at_ms(ms: u64) -> SimTime {
@@ -204,13 +204,35 @@ fn stream(sim: &mut Sim, src: NodeId, chan: Channel, from_ms: u64, to_ms: u64) {
 
 // ---- A1 firing path -----------------------------------------------------
 
+/// How a test hands its auditor to the simulation. However it gets into the
+/// sink chain, the engine must find it and keep its truth current.
+#[derive(Clone, Copy)]
+enum Attach {
+    /// `Sim::add_trace_sink`, beside whatever capture runs.
+    AddSink,
+    /// `Sim::enable_trace_sink`, as the whole chain.
+    EnableSink,
+    /// `Sim::enable_trace_sink` with a tee of a ring and the auditor.
+    Tee,
+}
+
+fn attach(sim: &mut Sim, how: Attach, auditor: Auditor) {
+    match how {
+        Attach::AddSink => sim.add_trace_sink(Box::new(auditor)),
+        Attach::EnableSink => sim.enable_trace_sink(TraceConfig::default(), Box::new(auditor)),
+        Attach::Tee => {
+            let ring = TraceBuffer::new(TraceConfig::default());
+            sim.enable_trace_sink(TraceConfig::default(), Box::new(Tee::from_sinks(vec![Box::new(ring), Box::new(auditor)])));
+        }
+    }
+}
+
 /// Corrupting r1's FIB with an extra outgoing interface (toward the
 /// bystander) diverges the data path from the router's own channel truth;
 /// the next checkpoint must flag the off-tree transmissions.
-#[test]
-fn corrupted_fib_trips_on_tree_check() {
+fn corrupted_fib_trips_a1(how: Attach) {
     let mut l = express_line(EcmpRouter::new(RouterConfig::default()));
-    l.sim.add_trace_sink(Box::new(Auditor::default()));
+    attach(&mut l.sim, how, Auditor::default());
     stream(&mut l.sim, l.src, l.chan, 500, 580);
     // The healthy tree passes this checkpoint; only post-corruption
     // intervals may produce violations below.
@@ -230,6 +252,7 @@ fn corrupted_fib_trips_on_tree_check() {
     l.sim.audit_checkpoint();
 
     let auditor = finish_audit(&mut l.sim);
+    assert_eq!(auditor.snapshots(), 2, "both checkpoints reach the auditor");
     let a1: Vec<_> = auditor
         .violations()
         .iter()
@@ -240,6 +263,77 @@ fn corrupted_fib_trips_on_tree_check() {
     assert!(v.summary.contains(&format!("n{}", l.r1.0)), "breach localized to r1: {}", v.summary);
     assert!(v.offending.is_some(), "A1 carries the offending event");
     assert!(!v.window.is_empty(), "A1 carries the causal window");
+}
+
+#[test]
+fn corrupted_fib_trips_on_tree_check() {
+    corrupted_fib_trips_a1(Attach::AddSink);
+}
+
+#[test]
+fn corrupted_fib_trips_on_tree_check_with_the_auditor_as_the_whole_chain() {
+    corrupted_fib_trips_a1(Attach::EnableSink);
+}
+
+#[test]
+fn corrupted_fib_trips_on_tree_check_with_the_auditor_in_a_tee() {
+    corrupted_fib_trips_a1(Attach::Tee);
+}
+
+// ---- the audit truth follows what a router does -------------------------
+
+/// A router that lost its upstream takes it back while refusing a join: the
+/// only thing the join changes is where the router's upstream points, and
+/// for the router next to the source that is the root of the channel's
+/// count truth. The next refresh must re-read it — debug builds compare the
+/// auditor's truth with a full sweep there.
+#[test]
+fn a_refused_join_that_restores_the_upstream_is_re_read() {
+    let mut t = Topology::new();
+    let r0 = t.add_router();
+    let src = t.add_host();
+    let uplink = t.connect(src, r0, LinkSpec::default()).unwrap();
+    let (a, b) = (t.add_host(), t.add_host());
+    t.connect(a, r0, LinkSpec::default()).unwrap();
+    t.connect(b, r0, LinkSpec::default()).unwrap();
+    let mut sim = Sim::new(t, 5);
+    sim.set_agent(r0, Box::new(EcmpRouter::new(RouterConfig::default())));
+    for h in [src, a, b] {
+        sim.set_agent(h, Box::new(ExpressHost::new()));
+    }
+    sim.add_trace_sink(Box::new(Auditor::default()));
+    let chan = Channel::new(sim.topology().ip(src), 1).unwrap();
+    ExpressHost::schedule(&mut sim, src, at_ms(1), HostAction::InstallKey { channel: chan, key: 7 });
+    ExpressHost::schedule(&mut sim, a, at_ms(2), HostAction::Subscribe { channel: chan, key: Some(7) });
+    // The uplink flaps: r0 is orphaned, and the way back waits out the
+    // re-home hysteresis (2 s) or the re-join back-off (500 ms).
+    sim.schedule_link_change(at_ms(100), uplink, false);
+    sim.schedule_link_change(at_ms(200), uplink, true);
+    // Inside that wait, a join with the wrong key: r0 finds its upstream
+    // again on the way to refusing it.
+    ExpressHost::schedule(&mut sim, b, at_ms(300), HostAction::Subscribe { channel: chan, key: Some(8) });
+    sim.run_until(at_ms(350));
+    sim.audit_checkpoint();
+
+    assert!(!sim.agent_as::<ExpressHost>(b).unwrap().is_subscribed(chan), "the wrong key is refused");
+    let router = sim.agent_as::<EcmpRouter>(r0).unwrap();
+    assert_eq!(router.upstream_of(chan), Some(chan.source), "the refused join restored the upstream");
+    assert_eq!(router.counters().rehomes, 1, "only the orphaning re-homed");
+}
+
+/// A mid-run `set_agent` changes what the node reports without any
+/// dispatch of the old agent saying so: the engine marks the node itself.
+#[test]
+fn a_replaced_agent_is_re_read() {
+    let mut l = express_line(EcmpRouter::new(RouterConfig::default()));
+    l.sim.add_trace_sink(Box::new(Auditor::default()));
+    l.sim.run_until(at_ms(400));
+    l.sim.audit_checkpoint();
+    // r1 forgets the channel: a fresh router reports no route.
+    l.sim.set_agent(l.r1, Box::new(EcmpRouter::new(RouterConfig::default())));
+    l.sim.run_until(at_ms(410));
+    l.sim.audit_checkpoint();
+    assert!(!l.sim.agent_as::<EcmpRouter>(l.r1).unwrap().on_tree(l.chan));
 }
 
 // ---- A3 firing path -----------------------------------------------------
