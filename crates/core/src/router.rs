@@ -320,6 +320,12 @@ struct EcmpCounters {
     rehome: CounterId,
     readvertise: CounterId,
     conn_fail_prune: CounterId,
+    rejoin_retry: CounterId,
+    expire: CounterId,
+    keepalive_prune: CounterId,
+    query_timeout: CounterId,
+    boot_query: CounterId,
+    auth_reject: CounterId,
 }
 
 impl EcmpCounters {
@@ -336,6 +342,12 @@ impl EcmpCounters {
             rehome: ctx.counter("ecmp.rehome"),
             readvertise: ctx.counter("ecmp.readvertise"),
             conn_fail_prune: ctx.counter("ecmp.conn_fail_prune"),
+            rejoin_retry: ctx.counter("ecmp.rejoin_retry"),
+            expire: ctx.counter("ecmp.expire"),
+            keepalive_prune: ctx.counter("ecmp.keepalive_prune"),
+            query_timeout: ctx.counter("ecmp.query_timeout"),
+            boot_query: ctx.counter("ecmp.boot_query"),
+            auth_reject: ctx.counter("ecmp.auth_reject"),
         }
     }
 }
@@ -986,7 +998,7 @@ impl Control<'_> {
         };
         if reject {
             self.port.counters.auth_rejects += 1;
-            ctx.count("ecmp.auth_reject", 1);
+            ctx.count_id(self.port.ids.auth_reject, 1);
             let resp = CountResponse {
                 channel,
                 count_id: CountId::SUBSCRIBERS,
@@ -1227,18 +1239,18 @@ impl Control<'_> {
         }
         if q.count_id == CountId::ALL_CHANNELS {
             // Re-advertise every channel we send upstream via `from`.
-            for key in self.t.channels.sorted_keys() {
-                let Some(st) = self.t.channels.get(key) else { continue };
-                let Some((up_iface, up_addr)) = st.upstream else { continue };
-                if up_addr == from && st.advertised > 0 {
-                    let msg = Count {
-                        channel: st.channel,
-                        count_id: CountId::SUBSCRIBERS,
-                        count: st.aggregate(),
-                        key: st.cached_key(),
-                    };
-                    self.port.send(ctx, up_iface, from, msg);
-                }
+            let readvertised = self.t.channels.picked(|st| {
+                let (up_iface, _) = st.upstream.filter(|&(_, a)| a == from && st.advertised > 0)?;
+                let msg = Count {
+                    channel: st.channel,
+                    count_id: CountId::SUBSCRIBERS,
+                    count: st.aggregate(),
+                    key: st.cached_key(),
+                };
+                Some((up_iface, msg))
+            });
+            for (_, (up_iface, msg)) in readvertised {
+                self.port.send(ctx, up_iface, from, msg);
             }
             return;
         }
@@ -1333,7 +1345,7 @@ impl Control<'_> {
             }
             _ => {
                 self.port.counters.auth_rejects += waiting.len() as u64;
-                ctx.count("ecmp.auth_reject", waiting.len() as u64);
+                ctx.count_id(self.port.ids.auth_reject, waiting.len() as u64);
                 // Forward the denial and tear down *tentative* entries. A
                 // downstream neighbor may carry joins under several keys
                 // (e.g. an edge router with both valid and invalid
@@ -1359,22 +1371,20 @@ impl Control<'_> {
         }
     }
 
-    /// Apply `change` to the downstream set of every channel, in channel
-    /// order; each channel it shrinks counts as one unsubscribe under
-    /// `counter` and settles (prune upstream, FIB, teardown).
+    /// Drop the downstream entries `drop` says yes to, channel by channel
+    /// in channel order; each channel that loses one counts as one
+    /// unsubscribe under `counter` and settles (prune upstream, FIB,
+    /// teardown).
     fn shrink_downstream(
         &mut self,
         ctx: &mut Ctx<'_>,
         counter: impl Fn(&mut Ctx<'_>),
-        change: impl Fn(&mut InlineSet<DownstreamEntry>),
+        drop: impl Fn(&DownstreamEntry) -> bool,
     ) {
-        for key in self.t.channels.sorted_keys() {
+        let shrinking = self.t.channels.picked(|st| st.downstream.iter().any(&drop).then_some(()));
+        for (key, ()) in shrinking {
             let Some(st) = self.t.channels.get_mut(key) else { continue };
-            let before = st.downstream.len();
-            change(&mut st.downstream);
-            if st.downstream.len() == before {
-                continue;
-            }
+            st.downstream.retain(|e| !drop(e));
             self.port.counters.unsubscribes += 1;
             counter(ctx);
             if self.port.settle(ctx, st) {
@@ -1388,10 +1398,11 @@ impl Control<'_> {
         let now = ctx.now();
         let refresh = self.port.cfg.udp_refresh;
         let horizon = refresh.saturating_mul(u64::from(self.port.cfg.udp_robustness));
+        let expire = self.port.ids.expire;
         self.shrink_downstream(
             ctx,
-            |ctx| ctx.count("ecmp.expire", 1),
-            |d| d.retain(|e| e.iface != iface || now.since(e.refreshed) <= horizon),
+            |ctx| ctx.count_id(expire, 1),
+            |e| e.iface == iface && now.since(e.refreshed) > horizon,
         );
         // General query soliciting Counts for all channels (§3.3).
         self.port.send_multicast(ctx, iface, general_query(CountId::ALL_CHANNELS, 1_000));
@@ -1421,28 +1432,25 @@ impl Control<'_> {
             }
             alive
         });
+        let keepalive_prune = self.port.ids.keepalive_prune;
         for addr in dead {
-            self.shrink_downstream(
-                ctx,
-                |ctx| ctx.count("ecmp.keepalive_prune", 1),
-                |d| {
-                    d.remove(addr);
-                },
-            );
+            self.shrink_downstream(ctx, |ctx| ctx.count_id(keepalive_prune, 1), |e| e.addr == addr);
         }
         self.port.timers.arm(ctx, interval, TimerPurpose::NeighborProbe { iface });
     }
 
-    /// Re-evaluate RPF for every channel after a routing change; apply or
-    /// schedule (hysteresis) the §3.2 re-home.
+    /// Re-evaluate RPF for every channel after a routing change — one query
+    /// each, in slot order — and apply or schedule (hysteresis) the §3.2
+    /// re-home of those whose hop moved, in channel order. A sweep in which
+    /// nothing moved allocates nothing.
     fn reevaluate_upstreams(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        for key in self.t.channels.sorted_keys() {
-            let Some(st) = self.t.channels.get_mut(key) else { continue };
+        let moved = self.t.channels.picked(|st| {
             let new_hop = rpf_hop(ctx, st.channel.source);
-            if new_hop == st.upstream {
-                continue;
-            }
+            (new_hop != st.upstream).then_some(new_hop)
+        });
+        for (key, new_hop) in moved {
+            let Some(st) = self.t.channels.get_mut(key) else { continue };
             if now < st.hold_down_until {
                 if !st.rehome_pending {
                     st.rehome_pending = true;
@@ -1465,7 +1473,7 @@ impl Control<'_> {
             return; // recovered via a route change, or nothing left to join
         }
         self.port.counters.rejoin_retries += 1;
-        ctx.count("ecmp.rejoin_retry", 1);
+        ctx.count_id(self.port.ids.rejoin_retry, 1);
         ctx.trace("ecmp.rejoin_retry", |e| e.chan(chan).value(attempt as u64));
         match rpf_hop(ctx, chan.source) {
             // apply_rehome sends the current aggregate upstream — the
@@ -1481,13 +1489,10 @@ impl Control<'_> {
     /// re-learns the subtree. Idempotent for an upstream that kept its
     /// state — the Count simply confirms the value it already holds.
     fn readvertise_on(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
-        for key in self.t.channels.sorted_keys() {
+        let homed = self.t.channels.picked(|st| st.upstream.filter(|&(ui, _)| ui == iface && st.aggregate() > 0));
+        for (key, (ui, ua)) in homed {
             let Some(st) = self.t.channels.get_mut(key) else { continue };
-            let Some((ui, ua)) = st.upstream else { continue };
             let agg = st.aggregate();
-            if ui != iface || agg == 0 {
-                continue;
-            }
             st.advertised = agg;
             ctx.count_id(self.port.ids.readvertise, 1);
             let msg = Count {
@@ -1505,11 +1510,7 @@ impl Control<'_> {
     /// downstream entry learned over the dead interface.
     fn prune_behind(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
         let conn_fail_prune = self.port.ids.conn_fail_prune;
-        self.shrink_downstream(
-            ctx,
-            |ctx| ctx.count_id(conn_fail_prune, 1),
-            |d| d.retain(|e| e.iface != iface),
-        );
+        self.shrink_downstream(ctx, |ctx| ctx.count_id(conn_fail_prune, 1), |e| e.iface == iface);
     }
 
     /// Dispatch an armed timer.
@@ -1522,7 +1523,7 @@ impl Control<'_> {
             } => {
                 let live = self.t.pending.get(&(channel, count_id)).is_some_and(|p| p.generation == generation);
                 if live {
-                    ctx.count("ecmp.query_timeout", 1);
+                    ctx.count_id(self.port.ids.query_timeout, 1);
                     self.finish_aggregation(ctx, channel, count_id);
                 }
             }
@@ -1576,7 +1577,7 @@ impl Agent for EcmpRouter {
                 // within a round-trip instead of a refresh interval.
                 if cfg.boot_query {
                     control.port.send_multicast(ctx, iface, general_query(CountId::ALL_CHANNELS, 1_000));
-                    ctx.count("ecmp.boot_query", 1);
+                    ctx.count_id(control.port.ids.boot_query, 1);
                 }
             }
             // §3.3 neighbor discovery on every interface. Stagger the first
@@ -1606,7 +1607,7 @@ impl Agent for EcmpRouter {
                     self.fwd.forward_unicast(ctx, bytes, header, class);
                 }
             }
-            Err(_) => ctx.count("express.parse_error", 1),
+            Err(_) => self.fwd.count_parse_error(ctx),
         }
     }
 
@@ -1746,6 +1747,22 @@ mod tests {
         assert!(size <= 160, "{size}");
         assert_eq!(std::mem::size_of::<Option<EcmpRouter>>(), size);
         assert_eq!((std::mem::size_of::<ForwardingPlane>(), std::mem::size_of::<RouterConfig>()), (88, 64));
+    }
+
+    #[test]
+    fn routing_size_is_pinned() {
+        // 240 B on x86-64 (docs/INTERNALS.md §6, §7): the destination slots
+        // and the origin bitset 48, the scratch arrays and counters 160 (the
+        // radix queue behind one 8 B box), four counters 32. A `Routing` sits inline in every shard's world, also where
+        // nothing ever asks a route: 800 B more in it (what the queue's 33
+        // buckets take inline) moved `star_100k_data` `peak_rss_mb`
+        // 10.3 → 10.96–11.0 MB, and the same bytes boxed read 10.3. Not the
+        // bytes themselves: the heap kept its extent and its live bytes, but
+        // the bigger world block moved where a zeroed, sparsely written
+        // per-node table is carved from — recycled pages, already resident,
+        // instead of fresh ones that stay untouched (INTERNALS §6).
+        let size = std::mem::size_of::<netsim::routing::Routing>();
+        assert!(size <= 240, "{size}");
     }
 
     /// Everything the control-plane accessors and the audit sweep report.
@@ -2060,6 +2077,104 @@ mod tests {
         assert_eq!(sim.stats().named("ecmp.response_tx"), 1);
         assert_eq!(sim.agent_as::<Scripted>(stranger).unwrap().got, 1);
         assert_eq!(sim.agent_as::<Scripted>(src).unwrap().got, upstream_got);
+    }
+
+    /// A host that keeps every frame it is handed.
+    #[derive(Default)]
+    struct Tap {
+        frames: Vec<(SimTime, Vec<u8>)>,
+    }
+
+    impl Agent for Tap {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
+            self.frames.push((ctx.now(), bytes.to_vec()));
+        }
+    }
+
+    /// `src` reached over two taps: `p1` one hop from the router, `p2` two
+    /// (their router links are metric 1 and 2), the router's link to `p1`
+    /// down; a scripted member behind the router. Returns the simulation,
+    /// `[src, p1, p2, router, member]` and the link to `p1`.
+    fn two_upstreams() -> (Sim, [NodeId; 5], LinkId) {
+        let mut topo = Topology::new();
+        let (src, p1, p2) = (topo.add_host(), topo.add_host(), topo.add_host());
+        let (r, member) = (topo.add_router(), topo.add_host());
+        topo.connect(src, p1, LinkSpec::default()).unwrap();
+        topo.connect(src, p2, LinkSpec::default()).unwrap();
+        let near = topo.connect(r, p1, LinkSpec::default()).unwrap();
+        topo.connect(r, p2, LinkSpec { metric: 2, ..LinkSpec::default() }).unwrap();
+        topo.connect(member, r, LinkSpec::default()).unwrap();
+        topo.set_link_up(near, false);
+        let mut sim = Sim::new(topo, 1);
+        sim.set_agent(r, Box::new(EcmpRouter::new(quiet_cfg())));
+        for h in [p1, p2] {
+            sim.set_agent(h, Box::<Tap>::default());
+        }
+        sim.set_agent(member, Box::<Scripted>::default());
+        (sim, [src, p1, p2, r, member], near)
+    }
+
+    #[test]
+    fn a_route_change_rehomes_in_channel_order_whatever_the_table_history() {
+        use netsim::trace::{TraceConfig, TraceEvent, TraceKind};
+        const CHANNELS: u32 = 24;
+        let flap = SimTime(2_000_000);
+        let run = |history: &[(u32, u64)]| {
+            let (mut sim, [src, p1, p2, r, member], near) = two_upstreams();
+            let count = |e: u32, n| tree_count(Channel::new(sim.topology().ip(src), e).unwrap(), n);
+            let sends = history.iter().enumerate();
+            let sends = sends.map(|(i, &(e, n))| (10 + i as u64, TrafficClass::Control, count(e, n)));
+            let sends = sends.map(|(at, class, c)| (at, class, ecmp_from(&sim, member, r, c)));
+            let sends = sends.collect();
+            script(&mut sim, member, sends);
+            sim.enable_trace(TraceConfig::default().nodes([r]));
+            sim.schedule_link_change(flap, near, true);
+            sim.run_until(SimTime(1_000_000));
+            let router = sim.agent_as::<EcmpRouter>(r).unwrap();
+            let slots: Vec<u64> = router.channels().unwrap().iter().map(|st| channel_key(st.channel)).collect();
+            sim.run_until(SimTime(3_000_000));
+            let after = |frames: &[(SimTime, Vec<u8>)]| frames.iter().filter(|f| f.0 >= flap).cloned().collect();
+            let frames: [Vec<_>; 2] = [p1, p2].map(|h| after(&sim.agent_as::<Tap>(h).unwrap().frames));
+            let records = sim.trace().unwrap().events();
+            let records = records.filter(|e| e.at >= flap && matches!(e.kind, TraceKind::Proto { .. }));
+            let records: Vec<_> = records.cloned().collect();
+            (slots, frames, records, sim.topology().ip(p2))
+        };
+        // The same channels joined in ascending order, and in descending
+        // order after twenty others that then leave: two slot orders.
+        let ascending: Vec<(u32, u64)> = (1..=CHANNELS).map(|e| (e, 1)).collect();
+        let extra = CHANNELS + 1..=CHANNELS + 20;
+        let churned = extra.clone().map(|e| (e, 1)).chain((1..=CHANNELS).rev().map(|e| (e, 1)));
+        let churned: Vec<(u32, u64)> = churned.chain(extra.map(|e| (e, 0))).collect();
+        let (slots_a, frames_a, records_a, p2_ip) = run(&ascending);
+        let (slots_b, frames_b, records_b, _) = run(&churned);
+        let sorted = |mut v: Vec<u64>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(slots_a.len(), CHANNELS as usize);
+        assert_eq!(sorted(slots_a.clone()), sorted(slots_b.clone()), "the same channels");
+        assert_ne!(slots_a, slots_b, "in two slot orders");
+
+        // One Count segment to the new upstream, one of zero Counts to the
+        // old, byte for byte the same; so is every record the sweep made (a
+        // re-home's own and its counter's).
+        assert_eq!(frames_a.each_ref().map(|f| f.len()), [1, 1]);
+        assert_eq!(frames_a, frames_b);
+        let rehome = |e: &&TraceEvent| {
+            matches!(&e.kind, TraceKind::Proto { event, .. } if event.name == "ecmp.rehome" && event.detail.is_some())
+        };
+        assert_eq!(records_a.iter().filter(rehome).count(), CHANNELS as usize);
+        assert_eq!(records_a, records_b);
+        // The order is the channels' own.
+        let Ok(Classified::Ecmp { messages, .. }) = packets::classify(&frames_a[1][0].1, p2_ip) else {
+            panic!("an ECMP segment")
+        };
+        let order: Vec<u64> = messages.map(|m| match m {
+            EcmpMessage::Count(c) if c.count == 0 => channel_key(c.channel),
+            other => panic!("{other:?}"),
+        }).collect();
+        assert_eq!(order, sorted(slots_a));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use netsim::stats::{CounterId, TrafficClass};
 struct HotCounters {
     data_fwd: CounterId,
     subcast_fwd: CounterId,
+    parse_error: CounterId,
 }
 
 /// The state of the §3.4 fast path.
@@ -47,7 +48,16 @@ impl ForwardingPlane {
         self.hot = Some(HotCounters {
             data_fwd: ctx.counter("express.data_fwd"),
             subcast_fwd: ctx.counter("express.subcast_fwd"),
+            parse_error: ctx.counter("express.parse_error"),
         });
+    }
+
+    /// A packet that did not parse.
+    pub(super) fn count_parse_error(&self, ctx: &mut Ctx<'_>) {
+        match self.hot {
+            Some(h) => ctx.count_id(h.parse_error, 1),
+            None => ctx.count("express.parse_error", 1),
+        }
     }
 
     /// Forward channel data per §3.4.

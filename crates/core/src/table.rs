@@ -10,7 +10,7 @@
 //! of inserts and removals that ends in the same contents. [`InlineSet`]
 //! iterates in ascending key order; [`Table`] probes in an order that
 //! depends on past collisions, so agents walk it through
-//! [`Table::sorted_keys`].
+//! [`Table::picked`].
 
 use express_wire::addr::Channel;
 
@@ -242,18 +242,28 @@ impl<T: Keyed<Key = u64>> Table<T> {
     /// Every record, in slot order — no particular order, and not the same
     /// one for equal contents reached by different histories. Fit for sums
     /// and for callers that sort; anything whose *effects* follow the
-    /// iteration order walks [`sorted_keys`](Self::sorted_keys) instead.
+    /// iteration order walks [`picked`](Self::picked) instead.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.slots().iter().flatten()
     }
 
-    /// The keys present, ascending: the order an agent visits its records
-    /// in, a function of the contents alone. A snapshot, so the walk may
-    /// insert and remove as it goes.
-    pub fn sorted_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.iter().map(Keyed::key).collect();
-        keys.sort_unstable();
-        keys
+    /// `pick`'s answer for each record it answers for, as `(key, answer)` in
+    /// ascending key order: the order an agent acts on its records in, a
+    /// function of the contents alone. `pick` sees every record once, in
+    /// slot order. A snapshot, so the walk over it may insert and remove as
+    /// it goes; one allocation if anything is picked, none if nothing is.
+    pub fn picked<V>(&self, mut pick: impl FnMut(&T) -> Option<V>) -> Vec<(u64, V)> {
+        let mut picked = Vec::new();
+        for record in self.iter() {
+            if let Some(v) = pick(record) {
+                if picked.is_empty() {
+                    picked.reserve_exact(self.len());
+                }
+                picked.push((record.key(), v));
+            }
+        }
+        picked.sort_unstable_by_key(|&(key, _)| key);
+        picked
     }
 }
 
@@ -475,7 +485,7 @@ mod tests {
         }
         let cap = t.capacity();
         assert!(t.len() * 4 <= cap * 3);
-        assert_eq!(t.sorted_keys(), (0..100).collect::<Vec<_>>());
+        assert_eq!(t.picked(|r| Some(r.1)), (0..100).map(|k| (k, 0)).collect::<Vec<_>>());
         for k in 0..100 {
             assert_eq!(t.remove(k), Some(Rec(k, 0)));
         }

@@ -53,6 +53,10 @@ pub struct Sim {
     /// Per-node factories used by [`schedule_restart`](Self::schedule_restart)
     /// to build the post-restart agent (empty soft state).
     pub(super) restart_factories: HashMap<NodeId, AgentFactory>,
+    /// The listener set a transition sweep walks, copied here (see
+    /// [`sweep_live_agents`](Self::sweep_live_agents)); empty between
+    /// sweeps, its capacity kept.
+    pub(super) sweep_buf: Vec<u32>,
 }
 
 impl Sim {
@@ -83,6 +87,7 @@ impl Sim {
             started: false,
             crash_downed_links: HashMap::new(),
             restart_factories: HashMap::new(),
+            sweep_buf: Vec::new(),
         }
     }
 
@@ -549,20 +554,24 @@ impl Sim {
     /// like any down node. The walk is over a copy of the set — the hook
     /// holds the world meanwhile — and misses nothing by it: all a hook can
     /// register is its own node, which is in the set or it would not be
-    /// running.
+    /// running. The copy goes into one buffer the sweeps reuse.
     fn sweep_live_agents(&mut self, key: u128, sub: &mut u64, f: impl Fn(&mut dyn Agent, &mut Ctx<'_>)) {
+        let mut listeners = core::mem::take(&mut self.sweep_buf);
         for s in 0..self.worlds.len() {
             let mut exec = self.exec(s);
             exec.world.cur_key = key;
             exec.world.cur_sub = *sub;
-            let listeners: Vec<u32> = exec.world.listeners.iter().copied().collect();
-            for n in listeners {
+            listeners.clear();
+            listeners.extend(exec.world.listeners.iter());
+            for &n in &listeners {
                 if !exec.shared.node_down[n as usize] {
                     exec.with_agent(NodeId(n), &f);
                 }
             }
             *sub = exec.world.cur_sub;
         }
+        listeners.clear();
+        self.sweep_buf = listeners;
     }
 
     /// Mark `link` up or down and repair every shard's cached routes: one

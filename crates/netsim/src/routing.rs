@@ -48,7 +48,20 @@
 //!
 //! The origin-rooted Dijkstra survives as the test oracle at the bottom of
 //! this file; the equivalence is checked there on over a million (origin,
-//! destination) pairs.
+//! destination) pairs. The oracle, being the model, pops in `(distance, node
+//! id)` order; the build does not need to, since its Dijkstra yields
+//! distances only and the DFS makes every choice.
+//!
+//! ## The queue
+//!
+//! Both Dijkstras — a build's and a repair's — run on a monotone radix
+//! queue: every push is at least the last pop, since metrics are ≥ 1, so the
+//! queue needs no heap order, and entries at one distance pop in no
+//! particular order — immaterial to a build (distances only) and to a repair
+//! (a parent is strictly nearer than its child). Its buckets are one box,
+//! allocated by the first push, so a `Routing` that is never queried holds
+//! none and is no bigger inline. A walk reads each node's interfaces from
+//! the [`Topology`] itself.
 //!
 //! ## Repair
 //!
@@ -95,7 +108,6 @@ use crate::id::{IfaceId, LinkId, NodeId};
 use crate::topology::Topology;
 use core::cmp::Reverse;
 use express_wire::addr::Ipv4Addr;
-use std::collections::BinaryHeap;
 
 /// A next-hop decision: leave through `iface` toward neighbor `next`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,6 +390,60 @@ fn for_each_neighbor(topo: &Topology, v: NodeId, flip: Flip, mut f: impl FnMut(u
     }
 }
 
+/// A monotone priority queue of `(distance, node)` — a radix heap. Every
+/// push is at least the last pop, which holds because metrics are ≥ 1.
+/// Bucket 0 holds the entries at the last popped distance; bucket `b > 0`
+/// those whose distance first differs from it in bit `b - 1`. A pop takes
+/// from bucket 0, refilling it first from the lowest non-empty bucket: its
+/// least distance becomes the last pop and its entries move to lower
+/// buckets, so an entry moves at most 32 times. Entries at one distance pop
+/// in no particular order: a build uses distances only, and a repair's
+/// parents are strictly nearer than the node they are chosen for. The
+/// queue is one box, allocated by the first push: a [`Routing`] that is
+/// never queried holds none, and its inline size does not carry the 33
+/// buckets (INTERNALS §6).
+#[derive(Debug, Default)]
+struct RadixQueue(Option<Box<Buckets>>);
+
+#[derive(Debug)]
+struct Buckets {
+    last: u32,
+    b: [Vec<(u32, NodeId)>; 33],
+}
+
+impl Buckets {
+    fn push(&mut self, d: u32, v: NodeId) {
+        debug_assert!(d >= self.last, "{v} pushed at {d}, below the last pop {}", self.last);
+        self.b[32 - (d ^ self.last).leading_zeros() as usize].push((d, v));
+    }
+}
+
+impl RadixQueue {
+    fn clear(&mut self) {
+        if let Some(q) = &mut self.0 {
+            q.last = 0;
+            q.b.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    fn push(&mut self, d: u32, v: NodeId) {
+        let q = self.0.get_or_insert_with(|| Box::new(Buckets { last: 0, b: std::array::from_fn(|_| Vec::new()) }));
+        q.push(d, v);
+    }
+
+    fn pop(&mut self) -> Option<(u32, NodeId)> {
+        let q = self.0.as_deref_mut()?;
+        if q.b[0].is_empty() {
+            let b = q.b.iter().position(|b| !b.is_empty())?;
+            let mut moved = core::mem::take(&mut q.b[b]);
+            q.last = moved.iter().map(|&(d, _)| d).min().expect("a non-empty bucket");
+            moved.drain(..).for_each(|(d, v)| q.push(d, v));
+            q.b[b] = moved;
+        }
+        q.b[0].pop()
+    }
+}
+
 /// The shortest-path tree toward `dest`, into `hops`: a distance-only
 /// Dijkstra from `dest`, then a lexicographic DFS over the tight edges
 /// (module docs). The cold path, and the oracle the repairs are tested
@@ -386,9 +452,9 @@ fn build_tree(topo: &Topology, dest: NodeId, flip: Flip, hops: &mut Hops, s: &mu
     let n = topo.node_count();
     s.dist.clear();
     s.dist.resize(n, u32::MAX);
-    s.heap.clear();
+    s.queue.clear();
     s.offer(dest, 0);
-    while let Some(Reverse((d, v))) = s.heap.pop() {
+    while let Some((d, v)) = s.queue.pop() {
         if d <= s.dist[v.index()] {
             for_each_neighbor(topo, v, flip, |metric, _, u, _| s.offer(u, d.saturating_add(metric)));
         }
@@ -430,7 +496,7 @@ struct Scratch {
     epoch: u32,
     /// New distances of the affected nodes (a build's distances, in a build).
     dist: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u32, NodeId)>>,
+    queue: RadixQueue,
     /// The affected set, in discovery order.
     affected: Vec<NodeId>,
     /// `build_tree`'s DFS stack.
@@ -490,7 +556,7 @@ impl Scratch {
         }
         self.epoch += 2;
         self.affected.clear();
-        self.heap.clear();
+        self.queue.clear();
     }
 
     fn is_affected(&self, v: NodeId) -> bool {
@@ -510,7 +576,7 @@ impl Scratch {
     fn offer(&mut self, v: NodeId, d: u32) {
         if d < self.dist[v.index()] {
             self.dist[v.index()] = d;
-            self.heap.push(Reverse((d, v)));
+            self.queue.push(d, v);
         }
     }
 
@@ -534,13 +600,13 @@ impl Scratch {
         }
     }
 
-    /// Dijkstra over the affected set from the seeded heap. A node popped
+    /// Dijkstra over the affected set from the seeded queue. A node popped
     /// takes, among its tight predecessors — all settled — the one with the
     /// least root path. With `grow` (link-up) a relaxation that ties or
     /// beats an untouched node's distance affects it; without (link-down)
     /// the set is closed. Affected nodes never reached lose their hop.
     fn settle(&mut self, topo: &Topology, flip: Flip, dest: NodeId, hops: &mut Hops, grow: bool) {
-        while let Some(Reverse((d, v))) = self.heap.pop() {
+        while let Some((d, v)) = self.queue.pop() {
             if self.stamp[v.index()] != self.epoch || d > self.dist[v.index()] {
                 continue;
             }
@@ -596,6 +662,7 @@ mod tests {
     use crate::topology::LinkSpec;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::collections::BinaryHeap;
 
     /// The reference the destination trees must reproduce: one origin's
     /// link-state SPF exactly as the modelled routers run it.
@@ -660,16 +727,41 @@ mod tests {
         Oracle { hops: first_hop, used_links }
     }
 
+    /// What a seeded graph looks like beyond its size: the largest metric,
+    /// and whether LANs are many (one per two nodes, 1–11 members, so some
+    /// have one or two) or few (one per eight nodes, 3–6 members).
+    #[derive(Debug, Clone, Copy)]
+    struct Shape {
+        max_metric: u32,
+        many_lans: bool,
+    }
+
+    const SMALL: Shape = Shape { max_metric: 7, many_lans: false };
+
+    /// The shapes beyond [`SMALL`]: metrics up to 2²⁰, so the radix queue's
+    /// buckets split on high bits; LAN-heavy; both.
+    const WIDE: [Shape; 3] = [
+        Shape { max_metric: 1 << 20, many_lans: false },
+        Shape { max_metric: 7, many_lans: true },
+        Shape { max_metric: 1 << 20, many_lans: true },
+    ];
+
     /// A seeded graph of 24–47 routers and hosts with point-to-point links
     /// (parallel ones included), a few multi-member LANs, metrics 1..=7 and
     /// about one link in six down. Not necessarily connected.
     fn random_topo(rng: &mut StdRng) -> Topology {
+        random_shaped(rng, SMALL)
+    }
+
+    /// [`random_topo`] in another [`Shape`].
+    fn random_shaped(rng: &mut StdRng, shape: Shape) -> Topology {
         let mut t = Topology::new();
         let n = rng.random_range(24usize..48);
         let nodes: Vec<NodeId> = (0..n)
             .map(|_| if rng.random_range(0u32..4) == 0 { t.add_host() } else { t.add_router() })
             .collect();
-        let spec = |rng: &mut StdRng| LinkSpec { metric: rng.random_range(1u32..8), ..Default::default() };
+        let max = shape.max_metric;
+        let spec = |rng: &mut StdRng| LinkSpec { metric: rng.random_range(1u32..max + 1), ..Default::default() };
         for _ in 0..rng.random_range(n..2 * n) {
             let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
             if a != b {
@@ -682,9 +774,10 @@ mod tests {
                 }
             }
         }
-        for _ in 0..n / 8 {
+        let (lans, sizes) = if shape.many_lans { (n / 2, 1usize..12) } else { (n / 8, 3usize..7) };
+        for _ in 0..lans {
             let mut members: Vec<NodeId> =
-                (0..rng.random_range(3usize..7)).map(|_| nodes[rng.random_range(0..n)]).collect();
+                (0..rng.random_range(sizes.clone())).map(|_| nodes[rng.random_range(0..n)]).collect();
             members.sort_unstable();
             members.dedup();
             let s = spec(rng);
@@ -718,6 +811,72 @@ mod tests {
             pairs += assert_matches_oracle(&mut Routing::new(), &t, &format!("case {case}"));
         }
         assert!(pairs >= 1_000_000, "only {pairs} pairs checked");
+    }
+
+    #[test]
+    fn destination_trees_match_origin_spf_with_wide_metrics_and_many_lans() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0014);
+        for shape in WIDE {
+            for case in 0..100 {
+                let t = random_shaped(&mut rng, shape);
+                assert_matches_oracle(&mut Routing::new(), &t, &format!("{shape:?} case {case}"));
+            }
+        }
+    }
+
+    /// A topology grown under cached trees (a host, a link, a LAN) routes
+    /// toward the destinations cached since exactly as a fresh `Routing`
+    /// does — the per-node scratch grows with it — and after
+    /// [`Routing::invalidate`] toward every destination; so does one handed
+    /// a different topology of the same counts after `invalidate`.
+    #[test]
+    fn a_grown_or_replaced_topology_routes_like_a_fresh_routing() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0015);
+        for case in 0..60 {
+            let shape = if case % 2 == 0 { SMALL } else { WIDE[2] };
+            let mut t = random_shaped(&mut rng, shape);
+            let n = t.node_count() as u32;
+            let mut r = Routing::new();
+            let cached: Vec<NodeId> = (0..4).map(|_| NodeId(rng.random_range(0..n))).collect();
+            for (&d, o) in cached.iter().zip(t.node_ids()) {
+                r.next_hop(&t, o, d);
+            }
+            let pick = |rng: &mut StdRng, t: &Topology| NodeId(rng.random_range(0..t.node_count() as u32));
+            let host = t.add_host();
+            let _ = t.connect(host, pick(&mut rng, &t), LinkSpec::default());
+            let (a, b) = (pick(&mut rng, &t), pick(&mut rng, &t));
+            let _ = t.connect(a, b, LinkSpec { metric: 2, ..Default::default() });
+            let members = [pick(&mut rng, &t), pick(&mut rng, &t), host];
+            let _ = t.add_lan(&members, LinkSpec::lan());
+            for o in t.node_ids() {
+                let want = oracle(&t, o);
+                for d in t.node_ids().filter(|d| !cached.contains(d)) {
+                    assert_eq!(r.next_hop(&t, o, d), want.hops[d.index()], "case {case}: grown, {o} toward {d}");
+                }
+            }
+            r.invalidate();
+            assert_matches_oracle(&mut r, &t, &format!("case {case}: grown, invalidated"));
+        }
+        // A ring and the same nodes rewired at random: the same counts.
+        let ring = |order: &[usize]| {
+            let mut t = Topology::new();
+            let nodes: Vec<NodeId> = (0..order.len()).map(|_| t.add_router()).collect();
+            for (i, &a) in order.iter().enumerate() {
+                let b = order[(i + 1) % order.len()];
+                t.connect(nodes[a], nodes[b], LinkSpec::default()).unwrap();
+            }
+            t
+        };
+        let mut order: Vec<usize> = (0..30).collect();
+        let (t, mut r) = (ring(&order), Routing::new());
+        assert_matches_oracle(&mut r, &t, "ring");
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..i + 1));
+        }
+        let shuffled = ring(&order);
+        assert_eq!((shuffled.node_count(), shuffled.link_count()), (t.node_count(), t.link_count()));
+        r.invalidate();
+        assert_matches_oracle(&mut r, &shuffled, "shuffled ring after invalidate");
     }
 
     #[test]
@@ -763,11 +922,11 @@ mod tests {
     /// Flip random links under warm trees; after every flip each cached
     /// tree must equal a cold build on the topology as it now stands.
     /// Returns how many of the compared trees the flip had changed.
-    fn flap_differential(cases: usize, seed: u64) -> usize {
+    fn flap_differential(cases: usize, seed: u64, shape: Shape) -> usize {
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut changed, mut scratch, mut want) = (0, Scratch::default(), Vec::new());
         for case in 0..cases {
-            let mut t = random_topo(&mut rng);
+            let mut t = random_shaped(&mut rng, shape);
             let n = t.node_count() as u32;
             let mut r = Routing::new();
             for _ in 0..rng.random_range(1u32..8) {
@@ -806,15 +965,23 @@ mod tests {
 
     #[test]
     fn repaired_trees_equal_rebuilt_trees_under_random_flaps() {
-        let changed = flap_differential(400, 0x5EED_0022);
+        let changed = flap_differential(400, 0x5EED_0022, SMALL);
         assert!(changed >= 30_000, "only {changed} compared trees had changed");
+    }
+
+    #[test]
+    fn repaired_trees_equal_rebuilt_trees_with_wide_metrics_and_many_lans() {
+        for (i, shape) in WIDE.into_iter().enumerate() {
+            let changed = flap_differential(60, 0x5EED_0024 + i as u64, shape);
+            assert!(changed >= 3_000, "{shape:?}: only {changed} compared trees had changed");
+        }
     }
 
     /// The same, ten times as long: for changes to this file.
     #[test]
     #[ignore = "deep run: cargo test --release -p netsim routing -- --include-ignored"]
     fn repaired_trees_equal_rebuilt_trees_deep() {
-        let changed = flap_differential(4_000, 0x5EED_0023);
+        let changed = flap_differential(4_000, 0x5EED_0023, SMALL);
         assert!(changed >= 300_000, "only {changed} compared trees had changed");
     }
 

@@ -397,6 +397,8 @@ fn channel_table_matches_a_btree_map_model() {
             .collect();
         let mut table: Table<Rec> = Table::new();
         let mut model = std::collections::BTreeMap::new();
+        // The keys in the order `Table::picked` hands out what it picks.
+        let sorted_keys = |t: &Table<Rec>| t.picked(|_| Some(())).into_iter().map(|(k, ())| k).collect::<Vec<_>>();
         let mut high_water = 1;
         // A slot hint carried through every insert, removal and growth —
         // stale most of the time, out of range to begin with.
@@ -439,17 +441,22 @@ fn channel_table_matches_a_btree_map_model() {
                 assert!(table.capacity() >= high_water, "{what}: capacity is never given back");
                 high_water = table.capacity();
                 if step % 256 == 0 {
-                    assert_eq!(table.sorted_keys(), model.keys().copied().collect::<Vec<_>>(), "{what}");
+                    assert_eq!(sorted_keys(&table), model.keys().copied().collect::<Vec<_>>(), "{what}");
                 }
             }
-            // The walk an agent makes — ascending keys, each looked up —
-            // meets exactly the model's records in the model's order, and
-            // the unordered view holds the same records.
-            let walked: Vec<Rec> = table.sorted_keys().into_iter().map(|k| *table.get(k).unwrap()).collect();
+            // The walk an agent makes — `picked` in ascending keys, then each
+            // key looked up — finds every record it was handed and meets
+            // exactly the model's records in the model's order, and the
+            // unordered view holds the same records.
+            let walked = table.picked(|r| Some(*r));
+            for &(k, r) in &walked {
+                assert_eq!(table.get(k), Some(&r), "pool {pool_len} phase {phase}: {k:#x} picked, not found");
+            }
+            let walked: Vec<Rec> = walked.into_iter().map(|(_, r)| r).collect();
             assert_eq!(walked, model.values().copied().collect::<Vec<_>>(), "pool {pool_len} phase {phase}");
             let mut unordered: Vec<u64> = table.iter().map(Keyed::key).collect();
             unordered.sort_unstable();
-            assert_eq!(unordered, table.sorted_keys(), "pool {pool_len} phase {phase}");
+            assert_eq!(unordered, sorted_keys(&table), "pool {pool_len} phase {phase}");
         }
     }
 }
