@@ -29,6 +29,7 @@ use crate::channel::ChannelAllocator;
 use crate::counting::{PendingCount, ReplyTo};
 use crate::packets::{self, Classified, EcmpMode};
 use crate::proactive::ErrorToleranceCurve;
+use crate::table::{InlineSet, Keyed};
 use express_wire::addr::{Channel, Ipv4Addr};
 use express_wire::ecmp::{ChannelKey, Count, CountId, CountQuery, CountResponse, EcmpMessage, ResponseStatus};
 use netsim::audit::AuditNodeState;
@@ -177,8 +178,23 @@ pub enum HostEvent {
     },
 }
 
+/// A harness-scheduled action waiting for its timer.
+#[derive(Debug, Clone)]
+struct PendingAction {
+    token: u64,
+    action: HostAction,
+}
+
+impl Keyed for PendingAction {
+    type Key = u64;
+    fn key(&self) -> u64 {
+        self.token
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Subscription {
+    channel: Channel,
     key: Option<ChannelKey>,
     confirmed: bool,
     /// countIds the source maintains proactively (§6 installs seen on this
@@ -188,6 +204,13 @@ struct Subscription {
     subscribed_at: SimTime,
     /// Set at the first data delivery; the join latency was observed then.
     first_data_seen: bool,
+}
+
+impl Keyed for Subscription {
+    type Key = Channel;
+    fn key(&self) -> Channel {
+        self.channel
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -205,10 +228,13 @@ struct SourceState {
 ///
 /// Its maps are ordered: whatever the host does once per subscription,
 /// direct subscriber or pending query, it does in ascending key order.
+/// Pending actions and subscriptions sit in [`InlineSet`]s, which hold up
+/// to four records in place: a host joining or leaving one channel at a
+/// time changes membership without a heap block.
 pub struct ExpressHost {
-    actions: BTreeMap<u64, HostAction>,
+    actions: InlineSet<PendingAction>,
     next_action_token: u64,
-    subscriptions: BTreeMap<Channel, Subscription>,
+    subscriptions: InlineSet<Subscription>,
     sourced: BTreeMap<Channel, SourceState>,
     app_values: BTreeMap<CountId, u64>,
     pending_queries: BTreeMap<(Channel, CountId), PendingCount>,
@@ -236,7 +262,10 @@ pub struct ExpressHost {
     /// off so the steady-state receive path never grows the event `Vec`
     /// — at scale those doublings are the host's only data-path
     /// allocations. Control-plane events (subscription results, count
-    /// replies) are always logged; they are rare and part of the API.
+    /// replies) are always logged: they are part of the API. They are not
+    /// rare on a churning host — every join to an unauthenticated channel
+    /// appends a `SubscriptionResult`, one per membership cycle — so a
+    /// harness that churns for long reads and clears `events`.
     log_data_events: bool,
 }
 
@@ -255,9 +284,9 @@ impl ExpressHost {
     /// A fresh host.
     pub fn new() -> Self {
         ExpressHost {
-            actions: BTreeMap::new(),
+            actions: InlineSet::new(),
             next_action_token: ACTION_TOKEN_BASE,
-            subscriptions: BTreeMap::new(),
+            subscriptions: InlineSet::new(),
             sourced: BTreeMap::new(),
             app_values: BTreeMap::new(),
             pending_queries: BTreeMap::new(),
@@ -289,7 +318,7 @@ impl ExpressHost {
             .expect("node agent is not an ExpressHost");
         let token = host.next_action_token;
         host.next_action_token += 1;
-        host.actions.insert(token, action);
+        host.actions.insert(PendingAction { token, action });
         sim.schedule_timer_at(node, at, token);
     }
 
@@ -305,13 +334,13 @@ impl ExpressHost {
 
     /// Channels this host is currently subscribed to, ascending.
     pub fn subscribed_channels(&self) -> Vec<Channel> {
-        self.subscriptions.keys().copied().collect()
+        self.subscriptions.iter().map(|sub| sub.channel).collect()
     }
 
     /// Is a subscription to `channel` live (and, for auth channels,
     /// confirmed)?
     pub fn is_subscribed(&self, channel: Channel) -> bool {
-        self.subscriptions.contains_key(&channel)
+        self.subscriptions.get(channel).is_some()
     }
 
     /// Data packets received on `channel`.
@@ -416,16 +445,14 @@ impl ExpressHost {
                     return;
                 };
                 ctx.audit_changed();
-                self.subscriptions.insert(
+                self.subscriptions.insert(Subscription {
                     channel,
-                    Subscription {
-                        key,
-                        confirmed: key.is_none(),
-                        proactive_ids: Vec::new(),
-                        subscribed_at: at,
-                        first_data_seen: false,
-                    },
-                );
+                    key,
+                    confirmed: key.is_none(),
+                    proactive_ids: Vec::new(),
+                    subscribed_at: at,
+                    first_data_seen: false,
+                });
                 ctx.trace("host.subscribe", |e| e.chan(channel));
                 if key.is_none() {
                     self.events.push(HostEvent::SubscriptionResult { at, channel, ok: true });
@@ -439,7 +466,7 @@ impl ExpressHost {
                 self.send_ecmp(ctx, iface, up, msg);
             }
             HostAction::Unsubscribe { channel } => {
-                if self.subscriptions.remove(&channel).is_some() {
+                if self.subscriptions.remove(channel).is_some() {
                     ctx.audit_changed();
                     if let Some((iface, up)) = self.first_hop(ctx, channel.source) {
                         let msg = EcmpMessage::from(Count {
@@ -537,7 +564,8 @@ impl ExpressHost {
                 // whose source maintains this count proactively (§6): the
                 // vote change flows toward the source through the routers'
                 // error-tolerance curves.
-                for (&channel, sub) in &self.subscriptions {
+                for sub in self.subscriptions.iter() {
+                    let channel = sub.channel;
                     if !sub.proactive_ids.contains(&count_id) {
                         continue;
                     }
@@ -559,9 +587,9 @@ impl ExpressHost {
         if q.count_id == CountId::ALL_CHANNELS {
             // General query: re-advertise every live subscription (§3.3);
             // no report suppression.
-            for (&channel, sub) in &self.subscriptions {
+            for sub in self.subscriptions.iter() {
                 let msg = Count {
-                    channel,
+                    channel: sub.channel,
                     count_id: CountId::SUBSCRIBERS,
                     count: 1,
                     key: sub.key,
@@ -583,14 +611,14 @@ impl ExpressHost {
         // A proactive install (§6): remember the countId so later value
         // changes are pushed unsolicited.
         if q.proactive.is_some() {
-            if let Some(sub) = self.subscriptions.get_mut(&q.channel) {
+            if let Some(sub) = self.subscriptions.get_mut(q.channel) {
                 if !sub.proactive_ids.contains(&q.count_id) {
                     sub.proactive_ids.push(q.count_id);
                 }
             }
         }
         // Per-channel queries only concern subscribed channels.
-        let Some(sub) = self.subscriptions.get(&q.channel) else { return };
+        let Some(sub) = self.subscriptions.get(q.channel) else { return };
         let key = sub.key;
         let value = if q.count_id == CountId::SUBSCRIBERS {
             1
@@ -695,7 +723,7 @@ impl ExpressHost {
 
     fn handle_response(&mut self, ctx: &mut Ctx<'_>, r: CountResponse) {
         let at = ctx.now();
-        if let Some(sub) = self.subscriptions.get_mut(&r.channel) {
+        if let Some(sub) = self.subscriptions.get_mut(r.channel) {
             ctx.audit_changed();
             match r.status {
                 ResponseStatus::Ok => {
@@ -709,7 +737,7 @@ impl ExpressHost {
                     }
                 }
                 _ => {
-                    self.subscriptions.remove(&r.channel);
+                    self.subscriptions.remove(r.channel);
                     self.events.push(HostEvent::SubscriptionResult {
                         at,
                         channel: r.channel,
@@ -753,7 +781,7 @@ impl Agent for ExpressHost {
         let me = ctx.my_ip();
         match packets::classify(bytes, me) {
             Ok(Classified::ChannelData { channel, header })
-                if self.subscriptions.get(&channel).map(|s| s.confirmed).unwrap_or(false) => {
+                if self.subscriptions.get(channel).map(|s| s.confirmed).unwrap_or(false) => {
                     let at = ctx.now();
                     if self.log_data_events {
                         self.events.push(HostEvent::DataReceived {
@@ -779,7 +807,7 @@ impl Agent for ExpressHost {
                             None => e,
                         }
                     });
-                    if let Some(sub) = self.subscriptions.get_mut(&channel) {
+                    if let Some(sub) = self.subscriptions.get_mut(channel) {
                         if !sub.first_data_seen {
                             sub.first_data_seen = true;
                             let join = at - sub.subscribed_at;
@@ -802,7 +830,7 @@ impl Agent for ExpressHost {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if let Some(action) = self.actions.remove(&token) {
+        if let Some(PendingAction { action, .. }) = self.actions.remove(token) {
             self.do_action(ctx, action);
             return;
         }
@@ -830,8 +858,8 @@ impl Agent for ExpressHost {
         let mut subscribed: Vec<String> = self
             .subscriptions
             .iter()
-            .filter(|(_, sub)| sub.confirmed)
-            .map(|(chan, _)| netsim::audit::label(chan))
+            .filter(|sub| sub.confirmed)
+            .map(|sub| netsim::audit::label(sub.channel))
             .collect();
         subscribed.sort();
         // Sourcing truth: channels with source soft state carry the latest

@@ -1,7 +1,8 @@
 //! Keyed storage for records that carry their own key: the open-addressed
 //! [`Table`] behind the FIB and the router's channel table, and the small
-//! ordered [`InlineSet`] behind a channel's downstream neighbours and a
-//! pending count's awaited neighbours.
+//! ordered [`InlineSet`] behind a channel's downstream neighbours, a
+//! pending count's awaited neighbours, and a host's pending actions and
+//! subscriptions.
 //!
 //! Neither has a separate key column — a record says what it is filed under
 //! ([`Keyed`]) — and neither is seeded: where a record sits, and the order
@@ -13,6 +14,7 @@
 //! [`Table::picked`].
 
 use express_wire::addr::Channel;
+use std::collections::VecDeque;
 
 /// A record that carries the key it is filed under. The key must not
 /// change while the record sits in a container.
@@ -272,8 +274,11 @@ const INLINE: usize = 4;
 
 /// A small set of records in ascending key order: up to
 /// [`INLINE`](Self::INLINE) of them stored in place, more than that in one
-/// heap vector. Which of the two holds the records depends on their number
-/// alone, so a set that shrinks back moves back in place.
+/// heap ring buffer. Which of the two holds the records depends on their
+/// number alone, so a set that shrinks back moves back in place. The ring
+/// makes adding a new largest key and removing the smallest O(1), so a
+/// queue of pending records (a host's scheduled actions, fired in the
+/// order they were made) costs no shift per record.
 ///
 /// Sized for a channel's downstream neighbours: a transit router has one
 /// or two, an edge router a few hosts.
@@ -287,7 +292,7 @@ enum Repr<T> {
     /// `slots[..len]` are occupied and ascending, the rest vacant.
     Inline { slots: [Slot<T>; INLINE], len: usize },
     /// More than [`InlineSet::INLINE`] records, ascending.
-    Heap(Vec<T>),
+    Heap(VecDeque<T>),
 }
 
 impl<T> Default for InlineSet<T> {
@@ -323,18 +328,21 @@ impl<T: Keyed> InlineSet<T> {
         self.len() == 0
     }
 
-    /// Are the records stored in place (no heap vector)?
+    /// Are the records stored in place (no heap ring)?
     pub fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
     }
 
     /// The records in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        let (inline, heap): (&[Slot<T>], &[T]) = match &self.repr {
-            Repr::Inline { slots, len } => (&slots[..*len], &[]),
-            Repr::Heap(v) => (&[], v),
+        let (inline, front, back): (&[Slot<T>], &[T], &[T]) = match &self.repr {
+            Repr::Inline { slots, len } => (&slots[..*len], &[], &[]),
+            Repr::Heap(v) => {
+                let (front, back) = v.as_slices();
+                (&[], front, back)
+            }
         };
-        inline.iter().flatten().chain(heap)
+        inline.iter().flatten().chain(front).chain(back)
     }
 
     /// Where `key` is (`Ok`) or would go (`Err`) among the occupied
@@ -386,7 +394,7 @@ impl<T: Keyed> InlineSet<T> {
                     None
                 }
                 Err(i) => {
-                    let mut v = Vec::with_capacity(2 * Self::INLINE);
+                    let mut v = VecDeque::with_capacity(2 * Self::INLINE);
                     v.extend(slots.iter_mut().filter_map(Option::take));
                     v.insert(i, record);
                     self.repr = Repr::Heap(v);
@@ -413,7 +421,7 @@ impl<T: Keyed> InlineSet<T> {
                 *len -= 1;
                 return removed;
             }
-            Repr::Heap(v) => v.remove(v.binary_search_by_key(&key, Keyed::key).ok()?),
+            Repr::Heap(v) => v.remove(v.binary_search_by_key(&key, Keyed::key).ok()?)?,
         };
         self.move_in_place_if_small();
         Some(removed)
@@ -441,7 +449,7 @@ impl<T: Keyed> InlineSet<T> {
         }
     }
 
-    /// A heap vector that has shrunk to what fits in place is given up.
+    /// A heap ring that has shrunk to what fits in place is given up.
     fn move_in_place_if_small(&mut self) {
         let Repr::Heap(v) = &mut self.repr else { return };
         if v.len() > Self::INLINE {
@@ -535,5 +543,18 @@ mod tests {
         assert_eq!(s.iter().map(Keyed::key).collect::<Vec<_>>(), [3, 4, 7]);
         assert_eq!(s.remove(5), None);
         assert_eq!(s.len(), 3);
+        // Used as a queue while spilled (the largest key in, the smallest
+        // out), the heap ring wraps; order and lookups must not notice.
+        for k in 8..=12 {
+            s.insert(Rec(k, 0));
+        }
+        for k in 13..40u32 {
+            let first = s.iter().next().map(Keyed::key).unwrap();
+            assert_eq!(s.remove(first).map(|r| r.0), Some(first));
+            s.insert(Rec(k.into(), k));
+            let keys: Vec<u64> = s.iter().map(Keyed::key).collect();
+            assert!(keys.len() == 8 && keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+            assert_eq!(s.get(k.into()), Some(&Rec(k.into(), k)));
+        }
     }
 }

@@ -21,7 +21,7 @@ use express_wire::addr::Channel;
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Whether a packet is application data or protocol control traffic.
@@ -166,6 +166,52 @@ impl From<Cow<'static, str>> for Name {
     }
 }
 
+/// The interning maps' hasher: multiply-rotate over 8-byte words. Their
+/// keys are names and channels the engine and its agents choose, not
+/// outside input, so SipHash's resistance to chosen keys buys nothing, and
+/// a labeled bump (`ecmp.count_msgs` per Count sent) hashes a name and a
+/// channel every time.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            self.add(rest.iter().rev().fold(0, |word, &b| word << 8 | u64::from(b)));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map from an interned key to its slot.
+type Interned<K> = HashMap<K, CounterId, BuildHasherDefault<WordHasher>>;
+
 /// A link's control and drop counters: `[control packets, control octets,
 /// drops]`.
 type ColdRow = [u64; 3];
@@ -191,10 +237,10 @@ pub struct Stats {
     /// for labeled ones).
     names: Vec<Name>,
     /// Name → slot. Keyed by the full composed key.
-    by_name: HashMap<Name, CounterId>,
+    by_name: Interned<Name>,
     /// `(base, channel)` → slot, so per-channel labeled bumps skip even the
     /// key formatting. Bases are compared by string content.
-    by_channel: HashMap<(&'static str, Channel), CounterId>,
+    by_channel: Interned<(&'static str, Channel)>,
     /// Reusable key-formatting buffer for composed keys (no allocation per
     /// lookup once the key is interned).
     scratch: String,

@@ -17,25 +17,41 @@
 //!   `[s·g, (s+1)·g)`. The wheel keeps `slots` consecutive buckets — the
 //!   *horizon* is `slots × granularity` microseconds past the cursor. Both
 //!   parameters are rounded up to powers of two so bucket math is shift/mask.
-//! * **Cursor.** `cursor_slot` is the next undrained bucket. Events land in
-//!   a plain `Vec` per slot, *unordered*; ordering is imposed only when the
+//! * **Cursor.** `cursor_slot` is the next undrained bucket. Events land
+//!   in their slot's list, *unordered*; ordering is imposed only when the
 //!   cursor reaches the slot and its contents are sorted into the `current`
 //!   run.
 //! * **`current`.** The bucket being drained, sorted descending `(at, seq)`
 //!   and popped off the tail — O(1) per pop with sequential access, and the
 //!   sort itself is O(k) for the dominant case of a same-timestamp cohort
 //!   already in push (= seq) order. Events scheduled *behind* the cursor
-//!   mid-drain (same-bucket re-arms during dispatch) go to a small `inbox`
-//!   heap merged at pop time. Both hold only behind-cursor events, so their
+//!   go to an `inbox` heap merged at pop time: same-bucket re-arms during
+//!   dispatch, and everything pushed after a peek has sorted a bucket ahead
+//!   of the clock into the run (a drain that stops at a segment edge peeks
+//!   one bucket past it). Both hold only behind-cursor events, so their
 //!   minimum is always earlier than anything still racked on the wheel.
+//!   The inbox is a heap: O(log n) per event, and an event there can never
+//!   join a slot tail's fan-out cohort.
 //! * **Overflow.** Events beyond the horizon (protocol refresh timers tens
 //!   of seconds out) go to an ordinary min-heap. When wheel and `current`
 //!   are both empty the wheel re-seats: the cursor jumps to the overflow
 //!   minimum's bucket and every overflow event within the new horizon is
 //!   racked into slots.
+//! * **Rewind.** A peek on an otherwise empty wheel re-seats the cursor
+//!   onto a timer seconds ahead (a `CountQuery` deadline), and every event
+//!   the run then schedules would land in the inbox. So a push behind the
+//!   cursor, into an empty inbox, more than one horizon (`slots ×
+//!   granularity`) behind it, *rewinds* the cursor to its own bucket
+//!   instead: the current run and everything racked lie past the new
+//!   horizon, so they move to overflow, and the push racks. The cost is
+//!   one move per re-seated entry, paid once per re-seat. A push less than
+//!   a horizon behind stays in the inbox: undoing every look-ahead would
+//!   also rewind the one-bucket peek at a segment edge, which moves
+//!   `peak_queue_depth` (fan-outs would coalesce in slot tails instead) —
+//!   a number the benchmark pins.
 //! * **Occupancy bitmap.** One bit per slot, scanned a `u64` word at a time
 //!   with `trailing_zeros`, so advancing the cursor over sparse regions
-//!   skips 64 empty buckets per instruction instead of probing each `Vec`.
+//!   skips 64 empty buckets per instruction instead of probing each slot.
 //!
 //! ## Determinism tie-break
 //!
@@ -53,16 +69,20 @@
 //!
 //! ## Allocation behavior
 //!
-//! A drained bucket's buffer is recycled into the next bucket that receives
-//! its *first* push (a small spare pool, routed at push time), so after
-//! warm-up the steady-state allocation rate of the scheduler itself is ~0
-//! per event. Routing spares at push time rather than parking them on the
-//! just-drained slot also bounds the wheel's footprint to a few cohort
-//! buffers: in a short run the cursor never completes a revolution, so a
-//! buffer left on a drained slot would be dead weight — at million-node
-//! scale that was hundreds of megabytes of abandoned capacity, and the
-//! resident-set bloat cost more in cache and TLB misses than the buckets
-//! saved.
+//! Every racked entry lives in one node arena; a slot is a linked list
+//! through it (first and last node, appended in push order), and a drained
+//! bucket's nodes go back on a free list that the next pushes take from.
+//! The wheel therefore holds at most its peak number of racked entries,
+//! however they were spread over buckets, and after warm-up it allocates
+//! nothing per event. A buffer per slot cannot do both. A burst of joins
+//! spread over a hundred milliseconds occupies ~800 buckets at once, each
+//! of which then grows to the ~40 entries its later Count arrivals bring:
+//! recycling buffers that fit those buckets holds ~3 MB where the entries
+//! take 0.4 MB, and capping the recycled buffers allocates per bucket. A
+//! buffer left on its drained slot is worse still: in a short run the
+//! cursor never completes a revolution, and at million-node scale that was
+//! hundreds of megabytes of abandoned capacity. The `current` run is one
+//! vector that keeps the capacity of the largest bucket drained.
 
 use crate::time::SimTime;
 use std::collections::BinaryHeap;
@@ -107,6 +127,16 @@ struct Entry<T> {
     item: T,
 }
 
+/// No node: the end of a slot's list, an empty slot, an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena cell: a racked entry (`None` while on the free list) and the
+/// next node of its slot's list or of the free list.
+struct Node<T> {
+    entry: Option<Entry<T>>,
+    next: u32,
+}
+
 // Ordering is *inverted* so `BinaryHeap` (a max-heap) pops the earliest
 // `(at, seq)` first — the same trick the engine's old global heap used.
 impl<T> PartialEq for Entry<T> {
@@ -135,10 +165,11 @@ pub struct TimerWheel<T> {
     shift: u32,
     slot_mask: u64,
     nslots: usize,
-    /// `slots[s & slot_mask]` holds events of absolute bucket `s` for
-    /// `s ∈ [cursor_slot, cursor_slot + nslots)`; unordered.
-    slots: Vec<Vec<Entry<T>>>,
-    /// One bit per slot position; a set bit means the slot `Vec` is
+    /// `slots[s & slot_mask]` is the first and last node of absolute bucket
+    /// `s`'s list for `s ∈ [cursor_slot, cursor_slot + nslots)`, in push
+    /// order; `(NIL, NIL)` when the bucket is empty.
+    slots: Vec<(u32, u32)>,
+    /// One bit per slot position; a set bit means the slot's list is
     /// non-empty. Scanned wordwise with `trailing_zeros`.
     occupancy: Vec<u64>,
     /// Next undrained absolute bucket index.
@@ -148,17 +179,14 @@ pub struct TimerWheel<T> {
     /// tail in O(1) with sequential access. Its max (= tail = min by time)
     /// is always `<=` anything on the wheel or in overflow.
     current: Vec<Entry<T>>,
-    /// Events pushed *behind* the cursor mid-drain (same-bucket re-arms);
-    /// few at a time, merged with `current` at pop by `(at, seq)`.
+    /// Events pushed *behind* the cursor (same-bucket re-arms, pushes after
+    /// a look-ahead peek), merged with `current` at pop by `(at, seq)`.
     inbox: BinaryHeap<Entry<T>>,
     /// Events past the horizon, re-racked on re-seat.
     overflow: BinaryHeap<Entry<T>>,
-    /// Recycled slot buffers. A drained bucket's capacity is handed to the
-    /// next bucket that receives its *first* push — not back to the drained
-    /// slot, which (in a short run) may never be hit again. Routing at push
-    /// time keeps total wheel footprint ~2 cohort buffers instead of one
-    /// abandoned buffer per drained bucket.
-    spares: Vec<Vec<Entry<T>>>,
+    /// Every racked entry, and the vacated nodes chained from `free`.
+    nodes: Vec<Node<T>>,
+    free: u32,
     next_seq: u128,
     len: usize,
 }
@@ -173,13 +201,14 @@ impl<T> TimerWheel<T> {
             shift: gran.trailing_zeros(),
             slot_mask: (nslots - 1) as u64,
             nslots,
-            slots: (0..nslots).map(|_| Vec::new()).collect(),
+            slots: vec![(NIL, NIL); nslots],
             occupancy: vec![0u64; nslots.div_ceil(64)],
             cursor_slot: 0,
             current: Vec::new(),
             inbox: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
-            spares: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
             next_seq: 0,
             len: 0,
         }
@@ -238,20 +267,55 @@ impl<T> TimerWheel<T> {
         self.occupancy[pos >> 6] &= !(1u64 << (pos & 63));
     }
 
-    /// Cap on retained spare buffers; beyond it, drained buffers are freed.
-    const SPARES_MAX: usize = 4;
-
-    /// Append `e` to the slot at ring position `pos`, seeding the slot with
-    /// a recycled spare buffer on its first push.
+    /// Append `e` to the list of the slot at ring position `pos`, in a
+    /// vacated node if there is one.
     #[inline]
     fn rack_at(&mut self, pos: usize, e: Entry<T>) {
-        if self.slots[pos].capacity() == 0 {
-            if let Some(sp) = self.spares.pop() {
-                self.slots[pos] = sp;
+        let node = Node { entry: Some(e), next: NIL };
+        let i = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("racked entries exceed u32")
+            }
+            i => {
+                self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+                i
+            }
+        };
+        match self.slots[pos] {
+            (NIL, _) => {
+                self.slots[pos] = (i, i);
+                self.mark(pos);
+            }
+            (_, last) => {
+                self.nodes[last as usize].next = i;
+                self.slots[pos].1 = i;
             }
         }
-        self.slots[pos].push(e);
-        self.mark(pos);
+    }
+
+    /// Empty the slot at ring position `pos` into `dst`, in push order,
+    /// and put its nodes on the free list.
+    fn unrack(&mut self, pos: usize, dst: &mut impl Extend<Entry<T>>) {
+        let (mut i, _) = std::mem::replace(&mut self.slots[pos], (NIL, NIL));
+        self.clear(pos);
+        while i != NIL {
+            let node = &mut self.nodes[i as usize];
+            dst.extend(node.entry.take());
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = i;
+            i = next;
+        }
+    }
+
+    /// The entries racked in the slot at ring position `pos`, in push order.
+    fn racked(&self, pos: usize) -> impl Iterator<Item = &Entry<T>> {
+        let mut i = self.slots[pos].0;
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(i as usize)?;
+            i = node.next;
+            node.entry.as_ref()
+        })
     }
 
     /// Schedule `item` at `at`. O(1) amortized while `at` is within the
@@ -278,9 +342,15 @@ impl<T> TimerWheel<T> {
         let s = self.bucket_of(e.at);
         self.len += 1;
         if s < self.cursor_slot {
-            // Behind the cursor: its bucket was already drained, so it joins
-            // the small merge heap directly (same-bucket re-arm).
-            self.inbox.push(e);
+            if self.inbox.is_empty() && self.cursor_slot - s > self.nslots as u64 {
+                self.rewind(s);
+                let pos = (s & self.slot_mask) as usize;
+                self.rack_at(pos, e);
+            } else {
+                // Behind the cursor: its bucket was already drained, so it
+                // joins the merge heap directly.
+                self.inbox.push(e);
+            }
         } else if s - self.cursor_slot < self.nslots as u64 {
             let pos = (s & self.slot_mask) as usize;
             self.rack_at(pos, e);
@@ -289,67 +359,40 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// Schedule a whole same-timestamp cohort at `at` in one operation:
-    /// the bucket is resolved once and every item is appended to it
-    /// consecutively. Items take consecutive sequence numbers in iteration
-    /// order, so the cohort pops FIFO exactly as if pushed one by one —
-    /// [`push`](Self::push)ing each item yields the identical pop stream,
-    /// this just skips the per-item bucket routing. Behind-cursor and
-    /// past-horizon timestamps fall back to per-item routing (those paths
-    /// are per-item heap pushes regardless).
+    /// Move the cursor back to bucket `to`, more than one horizon behind it
+    /// (see the module docs, "Rewind"). The current run's bucket and every
+    /// racked bucket then lie at or past `to + slots`, so all of them move
+    /// to overflow.
+    #[cold]
+    fn rewind(&mut self, to: u64) {
+        debug_assert!(self.inbox.is_empty() && self.cursor_slot - to > self.nslots as u64);
+        let mut overflow = std::mem::take(&mut self.overflow);
+        for wi in 0..self.occupancy.len() {
+            while self.occupancy[wi] != 0 {
+                let pos = (wi << 6) + self.occupancy[wi].trailing_zeros() as usize;
+                self.unrack(pos, &mut overflow);
+            }
+        }
+        overflow.extend(self.current.drain(..));
+        self.overflow = overflow;
+        self.cursor_slot = to;
+    }
+
+    /// Schedule a whole same-timestamp cohort at `at`: items take
+    /// consecutive sequence numbers in iteration order, so the cohort pops
+    /// FIFO exactly as if [`push`](Self::push)ed one by one.
     pub fn schedule_bulk<I: IntoIterator<Item = T>>(&mut self, at: SimTime, items: I) {
-        let s = self.bucket_of(at);
-        if s >= self.cursor_slot && s - self.cursor_slot < self.nslots as u64 {
-            let pos = (s & self.slot_mask) as usize;
-            if self.slots[pos].capacity() == 0 {
-                if let Some(sp) = self.spares.pop() {
-                    self.slots[pos] = sp;
-                }
-            }
-            let mut n = 0usize;
-            for item in items {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.slots[pos].push(Entry { at, seq, item });
-                n += 1;
-            }
-            if n > 0 {
-                self.mark(pos);
-                self.len += n;
-            }
-        } else {
-            for item in items {
-                self.push(at, item);
-            }
+        for item in items {
+            self.push(at, item);
         }
     }
 
     /// [`schedule_bulk`](Self::schedule_bulk) with caller-supplied tie-break
-    /// keys: the bucket is resolved once and every `(key, item)` pair is
-    /// appended to it. Pop order is `(at, key)` regardless of append order
-    /// (the bucket sort restores it).
+    /// keys. Pop order is `(at, key)` regardless of append order (the
+    /// bucket sort restores it).
     pub fn schedule_bulk_keyed<I: IntoIterator<Item = (u128, T)>>(&mut self, at: SimTime, items: I) {
-        let s = self.bucket_of(at);
-        if s >= self.cursor_slot && s - self.cursor_slot < self.nslots as u64 {
-            let pos = (s & self.slot_mask) as usize;
-            if self.slots[pos].capacity() == 0 {
-                if let Some(sp) = self.spares.pop() {
-                    self.slots[pos] = sp;
-                }
-            }
-            let mut n = 0usize;
-            for (key, item) in items {
-                self.slots[pos].push(Entry { at, seq: key, item });
-                n += 1;
-            }
-            if n > 0 {
-                self.mark(pos);
-                self.len += n;
-            }
-        } else {
-            for (key, item) in items {
-                self.push_keyed(at, key, item);
-            }
+        for (key, item) in items {
+            self.push_keyed(at, key, item);
         }
     }
 
@@ -371,8 +414,9 @@ impl<T> TimerWheel<T> {
         if s < self.cursor_slot || s - self.cursor_slot >= self.nslots as u64 {
             return None;
         }
-        let pos = (s & self.slot_mask) as usize;
-        self.slots[pos].last_mut().filter(|e| e.at == at).map(|e| &mut e.item)
+        let (_, last) = self.slots[(s & self.slot_mask) as usize];
+        let e = self.nodes.get_mut(last as usize)?.entry.as_mut()?;
+        (e.at == at).then_some(&mut e.item)
     }
 
     /// [`push`](Self::push), but first offer the item to
@@ -464,23 +508,17 @@ impl<T> TimerWheel<T> {
                 continue;
             }
             if let Some(s) = slot_next {
-                let pos = (s & self.slot_mask) as usize;
-                self.clear(pos);
                 self.cursor_slot = s + 1;
-                // Take the bucket (leaving the slot at zero capacity — its
-                // buffer will be re-seeded at first push via `rack_at`) and
-                // sort it into a run. `Entry`'s inverted `Ord` makes this
-                // descending `(at, seq)`, so the earliest entry sits at the
-                // tail; pdqsort recognizes the common already-ordered case
-                // (a same-timestamp cohort is pushed in seq order) and
-                // handles it in O(k).
-                let mut v = std::mem::take(&mut self.slots[pos]);
-                v.sort_unstable();
+                // Move the bucket into the run and sort it. `Entry`'s
+                // inverted `Ord` makes this descending `(at, seq)`, so the
+                // earliest entry sits at the tail; pdqsort recognizes the
+                // common already-ordered case (a same-timestamp cohort is
+                // pushed in seq order) and handles it in O(k).
                 debug_assert!(self.current.is_empty());
-                let old = std::mem::replace(&mut self.current, v);
-                if old.capacity() > 0 && self.spares.len() < Self::SPARES_MAX {
-                    self.spares.push(old);
-                }
+                let mut run = std::mem::take(&mut self.current);
+                self.unrack((s & self.slot_mask) as usize, &mut run);
+                run.sort_unstable();
+                self.current = run;
                 continue;
             }
             return false;
@@ -564,10 +602,9 @@ impl<T> TimerWheel<T> {
         // Wheel buckets partition time, so the wheel region's minimum lives
         // in the first occupied slot (an O(bucket) scan, once per window
         // end — not per pop).
-        let slot_min = self.next_occupied_slot().and_then(|s| {
-            let pos = (s & self.slot_mask) as usize;
-            self.slots[pos].iter().map(|e| (e.at, e.seq)).min()
-        });
+        let slot_min = self
+            .next_occupied_slot()
+            .and_then(|s| self.racked((s & self.slot_mask) as usize).map(|e| (e.at, e.seq)).min());
         let ovf_min = self.overflow.peek().map(|e| (e.at, e.seq));
         let next = match (slot_min, ovf_min) {
             (Some(a), Some(b)) => a.min(b),
@@ -649,6 +686,54 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, T)> {
             self.heap.pop().map(|e| (e.at, e.item))
         }
+        fn peek_at(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
+    }
+
+    /// Peek a far-future entry, then push earlier ones: the shape of a
+    /// drain that stops at a segment edge with only a deadline pending
+    /// (the peek re-seats the cursor onto it) followed by a burst of new
+    /// work. Entries up to two horizons past the deadline are racked by
+    /// the re-seat and must move back to overflow when the first earlier
+    /// push rewinds the cursor; so must the current run, which holds the
+    /// deadline itself.
+    fn far_peek_then_earlier_pushes(
+        rng: &mut StdRng,
+        w: &mut TimerWheel<u32>,
+        h: &mut HeapRef<u32>,
+        now: &mut SimTime,
+        tag: &mut u32,
+    ) {
+        let horizon = w.horizon_us();
+        // Past everything pending, so that the clock still lies more than
+        // two horizons short of it once the rest has popped.
+        let latest = h.heap.iter().map(|e| e.at).fold(*now, SimTime::max);
+        let far = latest + crate::time::SimDuration(2 * horizon + 1 + rng.random_range(0..horizon));
+        let mut push = |w: &mut TimerWheel<u32>, h: &mut HeapRef<u32>, at: SimTime| {
+            w.push(at, *tag);
+            h.push(at, *tag);
+            *tag += 1;
+        };
+        push(w, h, far);
+        for _ in 0..rng.random_range(0..6u32) {
+            push(w, h, far + crate::time::SimDuration(rng.random_range(0..2 * horizon)));
+        }
+        // Everything due before the deadline pops first, so that the peek
+        // below finds the wheel region empty and must re-seat.
+        while h.peek_at().is_some_and(|at| at < far) {
+            let (got, expect) = (w.pop(), h.pop());
+            assert_eq!(got, expect, "drain before the far peek diverged");
+            *now = expect.expect("peeked").0;
+        }
+        assert_eq!(w.next_at(), Some(far), "the peek re-seats onto the deadline");
+        push(w, h, *now + crate::time::SimDuration(rng.random_range(0..horizon)));
+        assert_eq!(w.inbox_len(), 0, "a push a horizon behind the cursor rewinds it");
+        // Later pushes: behind the rewound cursor (to the inbox) or not.
+        for _ in 0..rng.random_range(0..8u32) {
+            push(w, h, *now + crate::time::SimDuration(rng.random_range(0..horizon)));
+        }
+        assert_eq!(w.len(), h.heap.len());
     }
 
     fn drain_both<T: PartialEq + std::fmt::Debug>(mut w: TimerWheel<T>, mut h: HeapRef<T>) {
@@ -679,10 +764,14 @@ mod tests {
             let mut w = TimerWheel::new(cfg);
             let mut h = HeapRef::new();
             let mut now = SimTime::ZERO;
+            let mut tag = 0u32;
             // Interleave pushes and pops the way the engine does: every
             // pushed timestamp is >= the last popped timestamp.
-            for step in 0..2_000u32 {
-                if rng.random::<f64>() < 0.6 || w.is_empty() {
+            for _ in 0..2_000u32 {
+                let roll = rng.random::<f64>();
+                if roll < 0.01 {
+                    far_peek_then_earlier_pushes(&mut rng, &mut w, &mut h, &mut now, &mut tag);
+                } else if roll < 0.6 || w.is_empty() {
                     // Spread: mostly near-future, sometimes far past the
                     // horizon so the overflow/re-seat path is exercised.
                     let ahead = if rng.random::<f64>() < 0.1 {
@@ -690,8 +779,9 @@ mod tests {
                     } else {
                         rng.random_range(0..5_000u64)
                     };
-                    w.push(now + crate::time::SimDuration(ahead), step);
-                    h.push(now + crate::time::SimDuration(ahead), step);
+                    w.push(now + crate::time::SimDuration(ahead), tag);
+                    h.push(now + crate::time::SimDuration(ahead), tag);
+                    tag += 1;
                 } else {
                     let got = w.pop();
                     let expect = h.pop();
