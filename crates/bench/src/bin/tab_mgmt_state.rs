@@ -43,12 +43,6 @@ fn main() {
     println!("\nMeasured per-channel state in this implementation's router:");
     harness::header(&["channels", "mgmt bytes", "bytes/chan"], &[10, 12, 12]);
     for n_channels in [10usize, 100, 500] {
-        let mut c = harness::churn_setup(2, n_channels, 7);
-        // Subscribe only (cancel the unsubscribes by running to mid-window).
-        let g_routers = c.routers.clone();
-        // Re-schedule: churn_setup interleaves; instead run a plain join-only
-        // scenario on a small tree.
-        let _ = (&mut c, g_routers);
         let g = netsim::topogen::kary_tree(2, 2, netsim::topology::LinkSpec::default());
         let mut sim = harness::express_sim(&g, 9);
         let src = g.hosts[0];

@@ -69,10 +69,10 @@ fn main() {
     println!("  (~3,500 cycles/event) and 33,000 events/s at 43%. The rate above");
     println!("  is for the full simulation (N routers + packet delivery), and");
     println!("  ns/event is what one simulated event of it costs. The router");
-    println!("  alone — one Count through `EcmpRouter::on_packet` at a transit");
-    println!("  router, join or leave — is clocked in ns/message by `cargo bench");
-    println!("  --bench ecmp_event_processing`: hundreds of cycles, an order");
-    println!("  below the paper's figure (EXPERIMENTS.md E3 has the numbers).\n");
+    println!("  alone — `EcmpRouter::on_packet` per ECMP packet under join/leave");
+    println!("  churn — is timed by the benchmark of record's `router.on_packet_ns`");
+    println!("  row (`isp_churn_faults --trace 1`, benchmark/README.md): under a");
+    println!("  microsecond, an order below the paper's ~9 us (EXPERIMENTS.md E3).\n");
 
     println!("--- Ablation: TCP vs UDP neighbor mode, long-lived channels ---");
     println!("    (100 channels held for 10 minutes; control messages sent)");

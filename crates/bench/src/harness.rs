@@ -1,6 +1,6 @@
-//! Shared scenario builders for the figure/table binaries and Criterion
-//! benches: EXPRESS networks, subscriber workloads, the §6 proactive
-//! counting scenario, and small table-printing helpers.
+//! Shared scenario builders for the figure/table binaries: EXPRESS
+//! networks, subscriber workloads, the §6 proactive counting scenario,
+//! and small table-printing helpers.
 
 use express::host::{ExpressHost, HostAction};
 use express::proactive::ErrorToleranceCurve;
@@ -238,8 +238,6 @@ pub fn header(names: &[&str], widths: &[usize]) {
 pub struct ChurnSetup {
     /// The simulation, fully scheduled (not yet run).
     pub sim: Sim,
-    /// All router nodes.
-    pub routers: Vec<NodeId>,
     /// The single core router every event traverses.
     pub core: NodeId,
     /// When the last event fires.
@@ -270,7 +268,7 @@ pub fn churn_setup(n_neighbors: usize, n_channels: usize, seed: u64) -> ChurnSet
     }
     let g = GenTopo {
         topo: t,
-        routers: routers.clone(),
+        routers,
         hosts: vec![src],
     };
     let mut sim = express_sim(&g, seed);
@@ -292,7 +290,6 @@ pub fn churn_setup(n_neighbors: usize, n_channels: usize, seed: u64) -> ChurnSet
     }
     ChurnSetup {
         sim,
-        routers,
         core,
         end: at + SimDuration::from_secs(1),
     }

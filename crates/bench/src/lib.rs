@@ -6,7 +6,6 @@
 //!
 //! * Figure/table binaries live in `src/bin/` — each prints the rows or
 //!   series the paper reports.
-//! * Criterion micro/macro benches live in `benches/`.
 //! * [`harness`] holds the shared scenario builders.
 
 #![forbid(unsafe_code)]

@@ -15,11 +15,14 @@
 //! `peak_queue_depth` is deliberately **excluded** from the comparison: the
 //! entry count in the queue is the one figure deferral legitimately changes
 //! (k arrivals collapse into one cohort entry — that collapse is the
-//! optimization), and it is pinned separately by the bench regression gate.
+//! optimization), and it is pinned separately: exactly by the benchmark's
+//! digests (`benchmark/expected/`) and by `data_plane_allocs`.
 
 use express::host::{ExpressHost, HostAction};
+use express::packets;
 use express::router::{EcmpRouter, RouterConfig};
 use express_wire::addr::Channel;
+use express_wire::fib::FibEntry;
 use netsim::engine::{Reliability, Tx};
 use netsim::faults::FaultPlan;
 use netsim::stats::TrafficClass;
@@ -258,6 +261,37 @@ fn interloper_run(batch: bool, shards: usize, traced: bool) -> (String, String) 
     observe(&sim, trace)
 }
 
+/// §5.3's binary tree, depth 10, forwarding on static routes alone: every
+/// router's FIB holds the channel on all interfaces but its upstream one, a
+/// `Feeder` at the root host sends five frames, and a `Nudger` at every
+/// other host answers each delivery — a multi-hop static-FIB fan-out with
+/// no control plane, cut across shards at every level.
+fn static_tree_run(batch: bool, partition: &Partition) -> (String, String) {
+    let g = topogen::kary_tree(2, 10, LinkSpec::default());
+    let chan = Channel::new(g.topo.ip(g.hosts[0]), 1).unwrap();
+    let mut sim = Sim::new(g.topo, 7);
+    partition.apply(&mut sim);
+    sim.set_fanout_batching(batch);
+    let cfg = RouterConfig { neighbor_probe: None, boot_query: false, ..RouterConfig::default() };
+    for &r in &g.routers {
+        let oifs = ((1u32 << sim.topology().iface_count(r)) - 1) & !1;
+        let mut router = EcmpRouter::new(cfg);
+        router.install_static_route(FibEntry::new(chan, 0, oifs).unwrap());
+        sim.set_agent(r, Box::new(router));
+    }
+    sim.set_agent(g.hosts[0], Box::new(Feeder { frame: packets::channel_data(chan, 100, 64).into() }));
+    for &h in &g.hosts[1..] {
+        sim.set_agent(h, Box::new(Nudger));
+    }
+    for k in 1..=5 {
+        sim.schedule_timer_at(g.hosts[0], at_ms(k), 0);
+    }
+    sim.enable_trace(TraceConfig::default());
+    sim.run_until(at_ms(30));
+    let trace = sim.take_trace().expect("trace enabled").to_jsonl();
+    observe(&sim, trace)
+}
+
 #[test]
 fn interloper_inside_a_shared_handle_run_delivers_the_right_frames() {
     for traced in [true, false] {
@@ -330,20 +364,33 @@ fn batching_is_wheel_granularity_independent() {
     assert_eq!(stats_f, stats_r, "batched stats diverged from reference drain");
 }
 
+/// `run` produces the same bytes at 2 and 4 shards as at one, and what it
+/// delivered at one shard shows `delivered` in its stats.
+fn assert_shard_count_independent(name: &str, delivered: &str, run: impl Fn(&Partition) -> (String, String)) {
+    let (trace_1, stats_1) = run(&Partition::Shards(1));
+    assert!(stats_1.contains(delivered), "{name}: no {delivered:?} in\n{stats_1}");
+    for shards in [2usize, 4] {
+        let (trace_s, stats_s) = run(&Partition::Shards(shards));
+        assert_eq!(trace_s, trace_1, "{name} trace diverged at {shards} shards");
+        assert_eq!(stats_s, stats_1, "{name} stats diverged at {shards} shards");
+    }
+}
+
 #[test]
 fn batched_cohorts_are_shard_count_independent() {
     // The sharded parallel drain must commute with cohort batching: a
-    // protocol run partitioned over 2 or 4 worker shards produces the same
-    // bytes as the single-shard run, batched or not.
+    // protocol run, and a static-FIB tree's fan-out, partitioned over 2 or
+    // 4 worker shards produce the same bytes as the single-shard run,
+    // batched or not. The tree's five frames reach all 1 024 sinks.
     for batch in [true, false] {
-        let (trace_1, stats_1) =
-            protocol_run(5, 505, batch, WheelConfig::default(), &Partition::Shards(1));
-        for shards in [2usize, 4] {
-            let (trace_s, stats_s) =
-                protocol_run(5, 505, batch, WheelConfig::default(), &Partition::Shards(shards));
-            assert_eq!(trace_s, trace_1, "trace diverged at {shards} shards (batch {batch})");
-            assert_eq!(stats_s, stats_1, "stats diverged at {shards} shards (batch {batch})");
-        }
+        assert_shard_count_independent(&format!("protocol (batch {batch})"), "counter host.data_rx ", |p| {
+            protocol_run(5, 505, batch, WheelConfig::default(), p)
+        });
+        assert_shard_count_independent(
+            &format!("static tree (batch {batch})"),
+            "counter nudger.rx{frame=other} 5120\n",
+            |p| static_tree_run(batch, p),
+        );
     }
 }
 

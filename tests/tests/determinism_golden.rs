@@ -110,8 +110,9 @@ fn stats_dump(sim: &Sim) -> String {
     let _ = writeln!(stats, "events_processed {}", sim.events_processed());
     // peak_queue_depth is deliberately NOT part of the golden: it is a
     // capacity high-water mark, the one figure that legitimately depends
-    // on the shard count (per-shard queues peak independently). The scale
-    // benchmark regression gate pins it for single-shard runs instead.
+    // on the shard count (per-shard queues peak independently). The
+    // benchmark's digests and `data_plane_allocs` pin it for single-shard
+    // runs instead.
     for (k, v) in sim.stats().named_counters() {
         let _ = writeln!(stats, "counter {k} {v}");
     }

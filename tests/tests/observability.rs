@@ -138,7 +138,7 @@ fn express_data_never_leaves_the_tree() {
     assert!(sim.stats().link(on_tree).data_packets > 0);
 }
 
-/// Acceptance criterion: tracing + metrics + causal sampling + the engine
+/// The acceptance bar: tracing + metrics + causal sampling + the engine
 /// self-profiler disabled vs enabled changes no named counter and no
 /// per-link statistic — observability is pure observation.
 #[test]
