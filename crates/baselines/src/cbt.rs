@@ -33,24 +33,11 @@ struct CbtState {
     on_tree: bool,
 }
 
-/// Counters for experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CbtCounters {
-    /// Join requests sent.
-    pub joins_tx: u64,
-    /// Data packets forwarded on the tree.
-    pub data_forwarded: u64,
-    /// Packets tunnelled to the core (non-member senders).
-    pub tunnelled: u64,
-}
-
 /// The CBT router agent. All groups share one configured core.
 pub struct CbtRouter {
     core: Ipv4Addr,
     members: MembershipDb,
     trees: HashMap<Ipv4Addr, CbtState>,
-    /// Experiment counters.
-    pub counters: CbtCounters,
     /// Interned handle for the per-packet forward counter (registered in
     /// `on_start`; `forward_on_tree` bumps it by index).
     hot_data_fwd: Option<netsim::CounterId>,
@@ -63,7 +50,6 @@ impl CbtRouter {
             core,
             members: MembershipDb::new(),
             trees: HashMap::new(),
-            counters: CbtCounters::default(),
             hot_data_fwd: None,
         }
     }
@@ -105,7 +91,6 @@ impl CbtRouter {
             originator,
         };
         self.send_cbt(ctx, hop.iface, up, msg);
-        self.counters.joins_tx += 1;
         ctx.trace("cbt.join_tx", |e| e.chan(group).detail(format!("core {core}")));
     }
 
@@ -140,7 +125,6 @@ impl CbtRouter {
                             originator,
                         };
                         self.send_cbt(ctx, hop.iface, up, msg);
-                        self.counters.joins_tx += 1;
                     }
                 }
             }
@@ -204,7 +188,7 @@ impl CbtRouter {
     fn forward_on_tree(&mut self, ctx: &mut Ctx<'_>, bytes: &Payload, header: Ipv4Repr, in_iface: Option<IfaceId>) {
         let group = header.dst;
         let Some(st) = self.trees.get(&group) else { return };
-        if !st.on_tree || header.ttl <= 1 {
+        if !st.on_tree {
             return;
         }
         let mut out_mask = 0u32;
@@ -218,27 +202,15 @@ impl CbtRouter {
         if let Some(i) = in_iface {
             out_mask &= !util::iface_bit(i);
         }
-        if out_mask == 0 {
-            return;
-        }
-        let out = util::derive_ttl(ctx, bytes, header.ttl - 1);
-        ctx.send_fanout(out_mask, &out, TrafficClass::Data, Reliability::Datagram);
-        self.counters.data_forwarded += 1;
-        match self.hot_data_fwd {
-            Some(id) => ctx.count_id(id, 1),
-            None => ctx.count("cbt.data_fwd", 1),
-        }
+        let fwd = self.hot_data_fwd.expect("counters are interned in on_start");
+        util::forward_data(ctx, bytes, header, out_mask, fwd);
     }
 
     fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, header: Ipv4Repr) {
         let group = header.dst;
         let on_tree = self.trees.get(&group).map(|t| t.on_tree).unwrap_or(false);
         // Data from a directly attached host.
-        let src_is_local = ctx
-            .neighbors_on(iface)
-            .iter()
-            .any(|&(n, _)| ctx.topology().ip(n) == header.src && ctx.topology().kind(n) == netsim::NodeKind::Host);
-        if src_is_local && !on_tree {
+        if util::src_is_local(ctx, iface, header.src) && !on_tree {
             // Non-member sender: tunnel to the core (the packet goes up as
             // unicast and is multicast out from there — §7.1's description
             // of Simple/CBT-style root distribution).
@@ -246,7 +218,6 @@ impl CbtRouter {
                 if let Some(hop) = ctx.next_hop_ip(self.core) {
                     let nxt = hop.next;
                     ctx.send(hop.iface, &tunnel, TrafficClass::Data, Reliability::Datagram, Tx::To(nxt));
-                    self.counters.tunnelled += 1;
                     ctx.count("cbt.tunnel_tx", 1);
                 }
             }

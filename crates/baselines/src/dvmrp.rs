@@ -14,25 +14,12 @@ use express_wire::addr::Ipv4Addr;
 use express_wire::dvmrp::DvmrpMessage;
 use express_wire::ipv4::{self, Ipv4Repr, Protocol};
 use netsim::audit::{AuditNodeState, AuditRoute};
-use netsim::engine::{Agent, Ctx, Payload, Reliability, TopologyChange};
+use netsim::engine::{Agent, Ctx, Payload, TopologyChange};
 use netsim::id::{IfaceId, NodeId};
 use netsim::topology::Topology;
 use netsim::stats::TrafficClass;
 use netsim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
-
-/// Counters for experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DvmrpCounters {
-    /// Data packets flooded/forwarded.
-    pub data_forwarded: u64,
-    /// Prunes sent upstream.
-    pub prunes_tx: u64,
-    /// Grafts sent upstream.
-    pub grafts_tx: u64,
-    /// Data packets dropped by the RPF check (broadcast duplicates).
-    pub rpf_drops: u64,
-}
 
 /// The DVMRP router agent.
 pub struct DvmrpRouter {
@@ -45,8 +32,6 @@ pub struct DvmrpRouter {
     /// Every (S, G) this router has accepted data for on the RPF
     /// interface — the keys the audit truth snapshot reports routes for.
     seen: std::collections::BTreeSet<(Ipv4Addr, Ipv4Addr)>,
-    /// Experiment counters.
-    pub counters: DvmrpCounters,
     /// Interned handle for the per-packet forward counter (registered in
     /// `on_start`; the flood path bumps it by index).
     hot_data_fwd: Option<netsim::CounterId>,
@@ -66,7 +51,6 @@ impl DvmrpRouter {
             pruned_upstream: HashMap::new(),
             prune_lifetime,
             seen: std::collections::BTreeSet::new(),
-            counters: DvmrpCounters::default(),
             hot_data_fwd: None,
         }
     }
@@ -126,12 +110,8 @@ impl DvmrpRouter {
         // RPF check: accept only on the interface toward the source
         // (or directly from an attached source host).
         let rpf_iface = ctx.rpf(s).map(|h| h.iface);
-        let src_is_local = ctx
-            .neighbors_on(iface)
-            .iter()
-            .any(|&(n, _)| ctx.topology().ip(n) == s && ctx.topology().kind(n) == netsim::NodeKind::Host);
+        let src_is_local = util::src_is_local(ctx, iface, s);
         if rpf_iface != Some(iface) && !src_is_local {
-            self.counters.rpf_drops += 1;
             ctx.count("dvmrp.rpf_drop", 1);
             // Prune on a non-RPF arrival (the PIM-DM assert/prune): tell
             // the neighbor not to send (S,G) here again, so redundant
@@ -149,7 +129,6 @@ impl DvmrpRouter {
                     lifetime_secs: self.prune_lifetime.millis().div_ceil(1000) as u32,
                 };
                 util::send_control_to(ctx, iface, up, Protocol::Other(200), &msg.to_vec());
-                self.counters.prunes_tx += 1;
                 ctx.count("dvmrp.prune_tx", 1);
             }
             return;
@@ -175,15 +154,8 @@ impl DvmrpRouter {
         }
         let member_mask = self.members.member_mask(g);
         oifs |= member_mask & !util::iface_bit(iface);
-        if oifs != 0 {
-            let out = util::derive_ttl(ctx, bytes, header.ttl - 1);
-            ctx.send_fanout(oifs, &out, TrafficClass::Data, Reliability::Datagram);
-            self.counters.data_forwarded += 1;
-            match self.hot_data_fwd {
-                Some(id) => ctx.count_id(id, 1),
-                None => ctx.count("dvmrp.data_fwd", 1),
-            }
-        }
+        let fwd = self.hot_data_fwd.expect("counters are interned in on_start");
+        util::forward_data(ctx, bytes, header, oifs, fwd);
         // No interested parties below us and none locally ⇒ prune upstream.
         if oifs == 0 && member_mask == 0 && !src_is_local {
             self.send_prune(ctx, s, g);
@@ -210,7 +182,6 @@ impl DvmrpRouter {
             lifetime_secs: lifetime.millis().div_ceil(1000) as u32,
         };
         util::send_control_to(ctx, hop.iface, up, Protocol::Other(200) /* DVMRP */, &msg.to_vec());
-        self.counters.prunes_tx += 1;
         ctx.count("dvmrp.prune_tx", 1);
         ctx.trace("dvmrp.prune_tx", |e| e.chan(g).detail(format!("source {s}")));
     }
@@ -223,7 +194,6 @@ impl DvmrpRouter {
         let up = ctx.ip_of(hop.next);
         let msg = DvmrpMessage::Graft { source: s, group: g };
         util::send_control_to(ctx, hop.iface, up, Protocol::Other(200), &msg.to_vec());
-        self.counters.grafts_tx += 1;
         ctx.count("dvmrp.graft_tx", 1);
         ctx.trace("dvmrp.graft_tx", |e| e.chan(g).detail(format!("source {s}")));
     }

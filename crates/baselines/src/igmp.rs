@@ -277,10 +277,7 @@ impl Agent for GroupHost {
                     if included {
                         self.received
                             .push((ctx.now(), header.dst, header.src, header.payload_len));
-                        match self.hot_data_rx {
-                            Some(id) => ctx.count_id(id, 1),
-                            None => ctx.count("group.data_rx", 1),
-                        }
+                        ctx.count_id(self.hot_data_rx.expect("counters are interned in on_start"), 1);
                     } else {
                         // The packet still crossed the last-hop link; the v3
                         // filter only saves the application, not the link —
@@ -435,11 +432,6 @@ impl MembershipDb {
         changed
     }
 
-    /// Any member for `group` on `iface`?
-    pub fn has_members(&self, iface: IfaceId, group: Ipv4Addr) -> bool {
-        self.entries.contains_key(&(iface, group))
-    }
-
     /// Any member for `group` on any interface?
     pub fn any_members(&self, group: Ipv4Addr) -> bool {
         self.entries.keys().any(|(_, g)| *g == group)
@@ -457,19 +449,6 @@ impl MembershipDb {
             }
         }
         m
-    }
-
-    /// Interfaces with members for `group`.
-    pub fn member_ifaces(&self, group: Ipv4Addr) -> Vec<IfaceId> {
-        let mut v: Vec<IfaceId> = self
-            .entries
-            .keys()
-            .filter(|(_, g)| *g == group)
-            .map(|(i, _)| *i)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
     }
 
     /// All groups with any membership.
@@ -509,8 +488,7 @@ mod tests {
         IgmpV2::Report { group: g(1) }.emit(&mut buf).unwrap();
         let changed = db.update(IfaceId(0), &buf, SimTime(0));
         assert_eq!(changed, vec![g(1)]);
-        assert!(db.has_members(IfaceId(0), g(1)));
-        assert!(!db.has_members(IfaceId(1), g(1)));
+        assert_eq!(db.member_mask(g(1)), 1 << 0, "a member on interface 0 only");
         IgmpV2::Leave { group: g(1) }.emit(&mut buf).unwrap();
         db.update(IfaceId(0), &buf, SimTime(1));
         assert!(!db.any_members(g(1)));
@@ -528,7 +506,7 @@ mod tests {
             }],
         };
         db.update(IfaceId(3), &rep.to_vec(), SimTime(0));
-        assert!(db.has_members(IfaceId(3), g(2)));
+        assert_eq!(db.member_mask(g(2)), 1 << 3);
         // INCLUDE{} leaves.
         let leave = IgmpV3::Report {
             records: vec![GroupRecord {
@@ -559,7 +537,6 @@ mod tests {
         IgmpV2::Report { group: g(1) }.emit(&mut buf).unwrap();
         db.update(IfaceId(0), &buf, SimTime(0));
         db.update(IfaceId(2), &buf, SimTime(0));
-        assert_eq!(db.member_ifaces(g(1)), vec![IfaceId(0), IfaceId(2)]);
         assert_eq!(db.member_mask(g(1)), 0b101);
         assert_eq!(db.member_mask(g(2)), 0);
         assert_eq!(db.groups(), vec![g(1)]);

@@ -101,21 +101,6 @@ struct SgMeta {
     register_stopped: bool,
 }
 
-/// Counters for experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PimCounters {
-    /// Join/Prune messages sent.
-    pub join_prunes_tx: u64,
-    /// Register (encapsulated) packets sent toward the RP.
-    pub registers_tx: u64,
-    /// RegisterStops sent (RP role).
-    pub register_stops_tx: u64,
-    /// Data packets forwarded natively.
-    pub data_forwarded: u64,
-    /// SPT switchovers performed at this router.
-    pub spt_switches: u64,
-}
-
 const TIMER_REFRESH: u64 = 1;
 
 /// The PIM-SM router agent.
@@ -128,8 +113,6 @@ pub struct PimRouter {
     /// Interfaces pruned off the shared tree per (S,G) — the (S,G,rpt)
     /// records, held as one port mask per source/group pair.
     rpt_pruned: HashMap<(Ipv4Addr, Ipv4Addr), u32>,
-    /// Experiment counters.
-    pub counters: PimCounters,
     /// Interned handle for the per-packet forward counter (registered in
     /// `on_start`; `emit_data` bumps it by index).
     hot_data_fwd: Option<netsim::CounterId>,
@@ -145,7 +128,6 @@ impl PimRouter {
             sg: HashMap::new(),
             sg_meta: HashMap::new(),
             rpt_pruned: HashMap::new(),
-            counters: PimCounters::default(),
             hot_data_fwd: None,
         }
     }
@@ -175,7 +157,6 @@ impl PimRouter {
             groups: vec![GroupBlock { group, joins, prunes }],
         };
         util::send_control_to(ctx, iface, upstream, Protocol::Pim, &msg.to_vec());
-        self.counters.join_prunes_tx += 1;
         ctx.count("pim.join_prune_tx", 1);
         ctx.trace("pim.join_prune_tx", |e| e.chan(group).detail(format!("to {upstream}")));
     }
@@ -273,29 +254,17 @@ impl PimRouter {
     }
 
     fn emit_data(&mut self, ctx: &mut Ctx<'_>, bytes: &Payload, header: Ipv4Repr, oifs: u32) {
-        if header.ttl <= 1 || oifs == 0 {
-            return;
-        }
-        let out = util::derive_ttl(ctx, bytes, header.ttl - 1);
-        ctx.send_fanout(oifs, &out, TrafficClass::Data, Reliability::Datagram);
-        self.counters.data_forwarded += 1;
-        match self.hot_data_fwd {
-            Some(id) => ctx.count_id(id, 1),
-            None => ctx.count("pim.data_fwd", 1),
-        }
+        let fwd = self.hot_data_fwd.expect("counters are interned in on_start");
+        util::forward_data(ctx, bytes, header, oifs, fwd);
     }
 
     /// Handle a native multicast data packet.
     fn handle_data(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, header: Ipv4Repr) {
         let s = header.src;
         let g = header.dst;
-        let _now = ctx.now();
 
         // DR duty: source directly attached on this interface ⇒ register.
-        let src_is_local = ctx
-            .neighbors_on(iface)
-            .iter()
-            .any(|&(n, _)| ctx.topology().ip(n) == s && ctx.topology().kind(n) == netsim::NodeKind::Host);
+        let src_is_local = util::src_is_local(ctx, iface, s);
         if src_is_local && !self.am_rp(ctx) {
             let meta = self.sg_meta.entry((s, g)).or_default();
             if !meta.register_stopped {
@@ -303,7 +272,6 @@ impl PimRouter {
                     if let Some(hop) = ctx.next_hop_ip(self.cfg.rp) {
                         let nxt = hop.next;
                         ctx.send(hop.iface, &tunnel, TrafficClass::Data, Reliability::Datagram, Tx::To(nxt));
-                        self.counters.registers_tx += 1;
                         ctx.count("pim.register_tx", 1);
                     }
                 }
@@ -359,7 +327,6 @@ impl PimRouter {
         meta.shared_packets += 1;
         if meta.shared_packets > threshold {
             meta.on_spt = true;
-            self.counters.spt_switches += 1;
             ctx.count("pim.spt_switch", 1);
             ctx.trace("pim.spt_switch", |e| e.chan(g).detail(format!("source {s}")));
             self.join_source_tree(ctx, s, g);
@@ -397,7 +364,6 @@ impl PimRouter {
             // The register came from the DR (outer source).
             if let Some(hop) = ctx.next_hop_ip(outer.src) {
                 util::send_control_to(ctx, hop.iface, outer.src, Protocol::Pim, &stop.to_vec());
-                self.counters.register_stops_tx += 1;
                 ctx.count("pim.register_stop_tx", 1);
             }
         }

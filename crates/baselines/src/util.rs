@@ -3,7 +3,8 @@
 use express_wire::addr::Ipv4Addr;
 use express_wire::ipv4::{self, Ipv4Repr, Protocol};
 use netsim::engine::{Ctx, Payload, Reliability, Tx};
-use netsim::stats::TrafficClass;
+use netsim::stats::{CounterId, TrafficClass};
+use netsim::NodeKind;
 
 /// Default TTL for generated datagrams.
 pub const DEFAULT_TTL: u8 = 64;
@@ -83,15 +84,28 @@ pub fn derive_ttl(ctx: &mut Ctx<'_>, src: &Payload, new_ttl: u8) -> Payload {
 /// — a function of `bytes` and `new_ttl` alone, as [`derive_ttl`] requires.
 pub fn patch_ttl(bytes: &[u8], new_ttl: u8) -> Payload {
     let mut arc: Payload = Payload::from(bytes);
-    let out = Payload::get_mut(&mut arc).expect("freshly built, uniquely owned");
-    if out.len() >= ipv4::HEADER_LEN {
-        out[8] = new_ttl;
-        out[10] = 0;
-        out[11] = 0;
-        let ck = express_wire::checksum::checksum(&out[..ipv4::HEADER_LEN]);
-        out[10..12].copy_from_slice(&ck.to_be_bytes());
-    }
+    ipv4::set_ttl(Payload::get_mut(&mut arc).expect("freshly built, uniquely owned"), new_ttl);
     arc
+}
+
+/// The tail of every baseline's multicast data path: send the frame, its
+/// TTL decremented, out each interface in `oifs`, and bump `fwd` once. A
+/// frame whose TTL runs out here, or that has nowhere to go, goes nowhere.
+pub fn forward_data(ctx: &mut Ctx<'_>, bytes: &Payload, header: Ipv4Repr, oifs: u32, fwd: CounterId) {
+    if header.ttl <= 1 || oifs == 0 {
+        return;
+    }
+    let out = derive_ttl(ctx, bytes, header.ttl - 1);
+    ctx.send_fanout(oifs, &out, TrafficClass::Data, Reliability::Datagram);
+    ctx.count_id(fwd, 1);
+}
+
+/// Was the frame that arrived on `iface` sent by `src` itself, a host on
+/// that link? A first-hop router treats such data as its local sender's.
+pub fn src_is_local(ctx: &Ctx<'_>, iface: netsim::IfaceId, src: Ipv4Addr) -> bool {
+    ctx.neighbors_on(iface)
+        .iter()
+        .any(|&(n, _)| ctx.topology().ip(n) == src && ctx.topology().kind(n) == NodeKind::Host)
 }
 
 /// Forward a unicast datagram one hop along the shortest path; returns true

@@ -24,7 +24,6 @@ struct PimTopo {
     sim: Sim,
     src: NodeId,
     rcv: NodeId,
-    routers: [NodeId; 3],
 }
 
 fn pim_topo(spt_threshold: Option<u64>) -> PimTopo {
@@ -54,7 +53,6 @@ fn pim_topo(spt_threshold: Option<u64>) -> PimTopo {
         sim,
         src,
         rcv,
-        routers: [r0, r1, r2],
     }
 }
 
@@ -76,15 +74,10 @@ fn pim_sm_delivers_via_rp_then_spt() {
     let rcv = pt.sim.agent_as::<GroupHost>(pt.rcv).unwrap();
     assert!(rcv.data_received(g1()) >= 18, "stream delivered: {}", rcv.data_received(g1()));
     // Registers flowed, then stopped; an SPT switch happened somewhere.
-    let mut registers = 0;
-    let mut switches = 0;
-    let mut stops = 0;
-    for r in pt.routers {
-        let pr = pt.sim.agent_as::<PimRouter>(r).unwrap();
-        registers += pr.counters.registers_tx;
-        switches += pr.counters.spt_switches;
-        stops += pr.counters.register_stops_tx;
-    }
+    let stats = pt.sim.stats();
+    let registers = stats.named("pim.register_tx");
+    let switches = stats.named("pim.spt_switch");
+    let stops = stats.named("pim.register_stop_tx");
     assert!(registers >= 1, "DR registered to the RP");
     assert!(switches >= 1, "last-hop switched to the SPT");
     assert!(stops >= 1, "RP sent RegisterStop");
@@ -187,8 +180,7 @@ fn cbt_nonmember_sender_tunnels_to_core() {
     sim.run_until(at_ms(2000));
     let rcv = sim.agent_as::<GroupHost>(hm).unwrap();
     assert_eq!(rcv.data_received(g1()), 1);
-    let sender_router = sim.agent_as::<CbtRouter>(rs).unwrap();
-    assert_eq!(sender_router.counters.tunnelled, 1, "non-member data tunnelled");
+    assert_eq!(sim.stats().named("cbt.tunnel_tx"), 1, "non-member data tunnelled");
 }
 
 #[test]

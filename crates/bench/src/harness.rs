@@ -67,14 +67,6 @@ pub fn total_fib_entries(sim: &mut Sim, routers: &[NodeId]) -> usize {
         .sum()
 }
 
-/// Sum of management-state bytes across `routers` (§5.2 measured).
-pub fn total_mgmt_bytes(sim: &mut Sim, routers: &[NodeId]) -> usize {
-    routers
-        .iter()
-        .map(|&r| sim.agent_as::<EcmpRouter>(r).unwrap().mgmt_state_bytes())
-        .sum()
-}
-
 /// The §6 / Figure 8 workload: subscription times for ~250 subscribers —
 /// "an initial burst of subscriptions at time 0, followed by slow
 /// subscriptions until time 200, a burst of subscriptions at time 200,

@@ -11,7 +11,7 @@
 
 use crate::table::{InlineSet, Keyed};
 use express_wire::addr::Ipv4Addr;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 
 /// Where the aggregated result should go when this node finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,9 +50,6 @@ pub struct PendingCount {
     local_contribution: u64,
     /// Where to send the total.
     pub reply_to: ReplyTo,
-    /// Absolute deadline: on expiry a *partial* reply is sent from whatever
-    /// has arrived.
-    pub deadline: SimTime,
     /// Monotone instance id so stale timers for a replaced query are
     /// ignored (lazy cancellation).
     pub generation: u64,
@@ -64,7 +61,6 @@ impl PendingCount {
         neighbors: impl IntoIterator<Item = Ipv4Addr>,
         local_contribution: u64,
         reply_to: ReplyTo,
-        deadline: SimTime,
         generation: u64,
     ) -> Self {
         let mut awaiting = InlineSet::new();
@@ -75,7 +71,6 @@ impl PendingCount {
             awaiting,
             local_contribution,
             reply_to,
-            deadline,
             generation,
         }
     }
@@ -96,11 +91,6 @@ impl PendingCount {
     /// Have all awaited neighbors answered?
     pub fn complete(&self) -> bool {
         self.awaiting.iter().all(|a| a.value.is_some())
-    }
-
-    /// Number of neighbors that have not answered yet.
-    pub fn outstanding(&self) -> usize {
-        self.awaiting.iter().filter(|a| a.value.is_none()).count()
     }
 
     /// The (possibly partial) total: local contribution plus every received
@@ -135,9 +125,8 @@ mod tests {
 
     #[test]
     fn aggregates_when_all_answer() {
-        let mut p = PendingCount::new([ip(1), ip(2)], 5, ReplyTo::Local, SimTime(1_000_000), 0);
+        let mut p = PendingCount::new([ip(1), ip(2)], 5, ReplyTo::Local, 0);
         assert!(!p.complete());
-        assert_eq!(p.outstanding(), 2);
         assert!(p.record(ip(1), 10));
         assert!(!p.complete());
         assert!(p.record(ip(2), 20));
@@ -147,29 +136,23 @@ mod tests {
 
     #[test]
     fn partial_total_on_timeout() {
-        let mut p = PendingCount::new(
-            [ip(1), ip(2), ip(3)],
-            0,
-            ReplyTo::Upstream(ip(9)),
-            SimTime(5),
-            1,
-        );
+        let mut p = PendingCount::new([ip(1), ip(2), ip(3)], 0, ReplyTo::Upstream(ip(9)), 1);
         p.record(ip(2), 7);
         // Deadline fires with one of three answers: partial reply is 7.
         assert_eq!(p.total(), 7);
-        assert_eq!(p.outstanding(), 2);
+        assert!(!p.complete());
     }
 
     #[test]
     fn unexpected_neighbor_rejected() {
-        let mut p = PendingCount::new([ip(1)], 0, ReplyTo::Local, SimTime(0), 0);
+        let mut p = PendingCount::new([ip(1)], 0, ReplyTo::Local, 0);
         assert!(!p.record(ip(99), 1));
         assert_eq!(p.total(), 0);
     }
 
     #[test]
     fn duplicate_overwrites() {
-        let mut p = PendingCount::new([ip(1)], 0, ReplyTo::Local, SimTime(0), 0);
+        let mut p = PendingCount::new([ip(1)], 0, ReplyTo::Local, 0);
         p.record(ip(1), 3);
         p.record(ip(1), 4);
         assert_eq!(p.total(), 4);
@@ -178,7 +161,7 @@ mod tests {
 
     #[test]
     fn no_neighbors_is_immediately_complete() {
-        let p = PendingCount::new([], 11, ReplyTo::Local, SimTime(0), 0);
+        let p = PendingCount::new([], 11, ReplyTo::Local, 0);
         assert!(p.complete());
         assert_eq!(p.total(), 11);
     }

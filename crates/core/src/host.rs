@@ -243,15 +243,10 @@ pub struct ExpressHost {
     pub events: Vec<HostEvent>,
     /// Local channel allocation database (created lazily with the host IP).
     allocator: Option<ChannelAllocator>,
-    /// Interned handle for the per-delivery counter (registered in
-    /// `on_start`, bumped by array index on every received data packet).
-    hot_data_rx: Option<CounterId>,
-    /// Interned transmit-side counters (ECMP control, channel data,
-    /// subcast), registered alongside `hot_data_rx` so steady-state
-    /// sends never touch the string-keyed counter map.
-    hot_ecmp_tx: Option<CounterId>,
-    hot_data_tx: Option<CounterId>,
-    hot_subcast_tx: Option<CounterId>,
+    /// Interned handles of the per-packet counters, registered in
+    /// `on_start` (which the engine runs before any dispatch) so every
+    /// send and delivery bumps by array index.
+    hot: Option<HotCounters>,
     /// Channels this host has ever transmitted data on — the sender-side
     /// truth the auditor's single-source check reads. Sending does not
     /// create `sourced` soft state (that needs a key install), so this is
@@ -269,6 +264,15 @@ pub struct ExpressHost {
     log_data_events: bool,
 }
 
+/// Handles of the counters a host bumps per packet sent or delivered.
+#[derive(Debug, Clone, Copy)]
+struct HotCounters {
+    data_rx: CounterId,
+    ecmp_tx: CounterId,
+    data_tx: CounterId,
+    subcast_tx: CounterId,
+}
+
 /// Action tokens live above this bound; below are internal timers.
 const ACTION_TOKEN_BASE: u64 = 1 << 32;
 /// Internal timer: query deadline; low bits hold the generation.
@@ -281,6 +285,10 @@ impl Default for ExpressHost {
 }
 
 impl ExpressHost {
+    fn hot(&self) -> HotCounters {
+        self.hot.expect("counters are interned in on_start")
+    }
+
     /// A fresh host.
     pub fn new() -> Self {
         ExpressHost {
@@ -293,10 +301,7 @@ impl ExpressHost {
             query_gen: 0,
             events: Vec::new(),
             allocator: None,
-            hot_data_rx: None,
-            hot_ecmp_tx: None,
-            hot_data_tx: None,
-            hot_subcast_tx: None,
+            hot: None,
             sent_channels: BTreeSet::new(),
             log_data_events: true,
         }
@@ -428,10 +433,7 @@ impl ExpressHost {
             None => Tx::AllOnLink,
         };
         ctx.send_shared(iface, pkt, TrafficClass::Control, Reliability::Datagram, tx);
-        match self.hot_ecmp_tx {
-            Some(id) => ctx.count_id(id, 1),
-            None => ctx.count("host.ecmp_tx", 1),
-        }
+        ctx.count_id(self.hot().ecmp_tx, 1);
     }
 
     fn do_action(&mut self, ctx: &mut Ctx<'_>, action: HostAction) {
@@ -487,10 +489,7 @@ impl ExpressHost {
                 // Out every interface (hosts have one); the network enforces
                 // the single-source rule, not the sender.
                 ctx.send(IfaceId(0), &pkt, TrafficClass::Data, Reliability::Datagram, Tx::AllOnLink);
-                match self.hot_data_tx {
-                    Some(id) => ctx.count_id(id, 1),
-                    None => ctx.count("host.data_tx", 1),
-                }
+                ctx.count_id(self.hot().data_tx, 1);
             }
             HostAction::Subcast { channel, via, payload_len } => {
                 let inner = packets::channel_data(channel, payload_len, packets::DEFAULT_TTL);
@@ -500,10 +499,7 @@ impl ExpressHost {
                     if let Some((iface, next)) = self.first_hop(ctx, via) {
                         let tx = ctx.resolve(next).map(Tx::To).unwrap_or(Tx::AllOnLink);
                         ctx.send(iface, &pkt, TrafficClass::Data, Reliability::Datagram, tx);
-                        match self.hot_subcast_tx {
-                            Some(id) => ctx.count_id(id, 1),
-                            None => ctx.count("host.subcast_tx", 1),
-                        }
+                        ctx.count_id(self.hot().subcast_tx, 1);
                     }
                 }
             }
@@ -523,8 +519,7 @@ impl ExpressHost {
                             awaited.extend(st.direct_subs.iter().copied());
                         }
                     }
-                    let deadline = ctx.now() + timeout;
-                    let pending = PendingCount::new(awaited.iter().copied(), 0, ReplyTo::Local, deadline, generation);
+                    let pending = PendingCount::new(awaited.iter().copied(), 0, ReplyTo::Local, generation);
                     self.pending_queries.insert((channel, count_id), pending);
                     let msg = EcmpMessage::from(CountQuery {
                         channel,
@@ -771,10 +766,12 @@ pub fn send_subscription(ctx: &mut Ctx<'_>, channel: Channel, key: Option<Channe
 
 impl Agent for ExpressHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.hot_data_rx = Some(ctx.counter("host.data_rx"));
-        self.hot_ecmp_tx = Some(ctx.counter("host.ecmp_tx"));
-        self.hot_data_tx = Some(ctx.counter("host.data_tx"));
-        self.hot_subcast_tx = Some(ctx.counter("host.subcast_tx"));
+        self.hot = Some(HotCounters {
+            data_rx: ctx.counter("host.data_rx"),
+            ecmp_tx: ctx.counter("host.ecmp_tx"),
+            data_tx: ctx.counter("host.data_tx"),
+            subcast_tx: ctx.counter("host.subcast_tx"),
+        });
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, _class: TrafficClass) {
@@ -790,10 +787,7 @@ impl Agent for ExpressHost {
                             payload_len: header.payload_len,
                         });
                     }
-                    match self.hot_data_rx {
-                        Some(id) => ctx.count_id(id, 1),
-                        None => ctx.count("host.data_rx", 1),
-                    }
+                    ctx.count_id(self.hot().data_rx, 1);
                     // End-to-end delivery latency: age of the causal chain
                     // this frame belongs to (source send → here).
                     let age = ctx.packet_age();

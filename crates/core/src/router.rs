@@ -57,8 +57,6 @@ pub struct RouterConfig {
     /// Period of the UDP-mode general query on multi-access interfaces
     /// (the IGMP-query analogue of §3.2).
     pub udp_refresh: SimDuration,
-    /// Missed refresh rounds before a UDP-mode downstream entry expires.
-    pub udp_robustness: u32,
     /// Damping delay before re-homing a channel after a route change
     /// ("hysteresis is applied to prevent route oscillation", §3.2).
     pub hysteresis: SimDuration,
@@ -74,16 +72,6 @@ pub struct RouterConfig {
     /// authenticated join to travel to the source for validation — the
     /// ablation quantifying what the cache buys.
     pub cache_keys: bool,
-    /// Base delay of the exponential-backoff re-join retry: when a channel
-    /// still has subscribers but RPF yields no upstream (partition, or the
-    /// upstream crashed and routing has not re-converged), the router
-    /// retries the join at `base`, `2·base`, `4·base`, … capped at
-    /// [`rejoin_backoff_max`](Self::rejoin_backoff_max), until a route
-    /// exists. `None` disables retries (the pre-fault-model behavior:
-    /// recovery waits for the next routing change).
-    pub rejoin_backoff: Option<SimDuration>,
-    /// Ceiling for the re-join backoff delay.
-    pub rejoin_backoff_max: SimDuration,
     /// Send an immediate ALL_CHANNELS general query on every UDP-mode
     /// interface at start, instead of waiting one full
     /// [`udp_refresh`](Self::udp_refresh) interval. A router restarting
@@ -98,17 +86,27 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             udp_refresh: SimDuration::from_secs(60),
-            udp_robustness: 2,
             hysteresis: SimDuration::from_secs(2),
             mode_override: None,
             neighbor_probe: Some(SimDuration::from_secs(30)),
             cache_keys: true,
-            rejoin_backoff: Some(SimDuration::from_millis(500)),
-            rejoin_backoff_max: SimDuration::from_secs(30),
             boot_query: false,
         }
     }
 }
+
+/// Missed refresh rounds before a UDP-mode downstream entry expires.
+const UDP_ROBUSTNESS: u64 = 2;
+
+/// Base delay of the exponential-backoff re-join retry: when a channel
+/// still has subscribers but RPF yields no upstream (partition, or the
+/// upstream crashed and routing has not re-converged), the router retries
+/// the join at this delay, then twice it, four times it, … capped at
+/// [`REJOIN_BACKOFF_MAX`], until a route exists.
+const REJOIN_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
+/// Ceiling for the re-join backoff delay.
+const REJOIN_BACKOFF_MAX: SimDuration = SimDuration::from_secs(30);
 
 /// What a pending timer means (tokens are keys of `Timers::meta`).
 #[derive(Debug, Clone)]
@@ -138,7 +136,7 @@ enum TimerPurpose {
         timeout: SimDuration,
     },
     /// Retry joining upstream after RPF came up empty (exponential
-    /// backoff; see `RouterConfig::rejoin_backoff`).
+    /// backoff; see [`REJOIN_BACKOFF`]).
     RejoinRetry { channel: Channel, attempt: u32 },
 }
 
@@ -286,10 +284,6 @@ pub struct RouterCounters {
     pub counts_rx: u64,
     /// Count messages sent.
     pub counts_tx: u64,
-    /// Queries received.
-    pub queries_rx: u64,
-    /// Queries sent (forwarded or periodic).
-    pub queries_tx: u64,
     /// Data packets forwarded.
     pub data_forwarded: u64,
     /// Data packets dropped with no FIB entry (§3.4 count-and-drop).
@@ -300,8 +294,6 @@ pub struct RouterCounters {
     pub auth_rejects: u64,
     /// Channel re-homings applied after topology changes.
     pub rehomes: u64,
-    /// Backoff re-join retries fired while no upstream route existed.
-    pub rejoin_retries: u64,
 }
 
 /// Handles of the `ecmp.*` counters a message or a re-home bumps, interned
@@ -679,10 +671,7 @@ impl Port<'_> {
                 // and the trace keeps the channel as a field of its own.
                 ctx.count_channel("ecmp.count_msgs", c.channel, 1);
             }
-            EcmpMessage::CountQuery(_) => {
-                self.counters.queries_tx += 1;
-                ctx.count_id(self.ids.query_tx, 1);
-            }
+            EcmpMessage::CountQuery(_) => ctx.count_id(self.ids.query_tx, 1),
             EcmpMessage::CountResponse(_) => ctx.count_id(self.ids.response_tx, 1),
         }
         self.txq.push((iface, to, msg));
@@ -721,7 +710,6 @@ impl Port<'_> {
         let frame = packets::ecmp_multicast(ctx.my_ip(), &[msg]);
         ctx.send_shared(iface, frame, TrafficClass::Control, Reliability::Datagram, Tx::AllOnLink);
         if matches!(msg, EcmpMessage::CountQuery(_)) {
-            self.counters.queries_tx += 1;
             ctx.count_id(self.ids.query_tx, 1);
         }
     }
@@ -902,15 +890,15 @@ impl Port<'_> {
 
     /// Arm the backoff re-join retry for an orphaned channel.
     fn arm_rejoin_retry(&mut self, ctx: &mut Ctx<'_>, st: &mut ChannelState, attempt: u32) {
-        let Some(base) = self.cfg.rejoin_backoff else { return };
         if st.rejoin_pending {
             return;
         }
         st.rejoin_pending = true;
         let delay = SimDuration::from_micros(
-            base.micros()
+            REJOIN_BACKOFF
+                .micros()
                 .saturating_mul(1u64 << attempt.min(20))
-                .min(self.cfg.rejoin_backoff_max.micros()),
+                .min(REJOIN_BACKOFF_MAX.micros()),
         );
         let channel = st.channel;
         self.timers.arm(ctx, delay, TimerPurpose::RejoinRetry { channel, attempt });
@@ -1085,7 +1073,6 @@ impl Control<'_> {
     fn start_aggregation(&mut self, ctx: &mut Ctx<'_>, q: CountQuery, reply_to: ReplyTo) {
         let channel = q.channel;
         let count_id = q.count_id;
-        let now = ctx.now();
 
         // Proactive install: remember the curve and push the query down the
         // tree; no aggregation record (updates flow continuously).
@@ -1146,7 +1133,7 @@ impl Control<'_> {
 
         self.t.pending_gen += 1;
         let generation = self.t.pending_gen;
-        let pc = PendingCount::new(targets.iter().map(|&(_, a)| a), local, reply_to, now + budget, generation);
+        let pc = PendingCount::new(targets.iter().map(|&(_, a)| a), local, reply_to, generation);
         let complete = pc.complete();
         self.t.pending.insert((channel, count_id), Box::new(pc));
 
@@ -1223,7 +1210,6 @@ impl Control<'_> {
     /// query from a neighbor router — a router only *answers* queries for
     /// channels it has downstream state for).
     fn handle_query(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, from: Ipv4Addr, q: CountQuery) {
-        self.port.counters.queries_rx += 1;
         ctx.count_id(self.port.ids.query_rx, 1);
         if q.count_id == CountId::NEIGHBORS {
             // Neighbor discovery (§3.3): answer directly.
@@ -1397,7 +1383,7 @@ impl Control<'_> {
     fn udp_refresh(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId) {
         let now = ctx.now();
         let refresh = self.port.cfg.udp_refresh;
-        let horizon = refresh.saturating_mul(u64::from(self.port.cfg.udp_robustness));
+        let horizon = refresh.saturating_mul(UDP_ROBUSTNESS);
         let expire = self.port.ids.expire;
         self.shrink_downstream(
             ctx,
@@ -1472,7 +1458,6 @@ impl Control<'_> {
         if st.upstream.is_some() || st.aggregate() == 0 {
             return; // recovered via a route change, or nothing left to join
         }
-        self.port.counters.rejoin_retries += 1;
         ctx.count_id(self.port.ids.rejoin_retry, 1);
         ctx.trace("ecmp.rejoin_retry", |e| e.chan(chan).value(attempt as u64));
         match rpf_hop(ctx, chan.source) {
@@ -1733,20 +1718,21 @@ mod tests {
 
     #[test]
     fn router_size_is_pinned() {
-        // 160 B on x86-64 (docs/INTERNALS.md §8):
+        // 136 B on x86-64 (docs/INTERNALS.md §8):
         //    88  forwarding plane: FIB 56 (one-slot table 24, its counters
         //        24, last-slot hint 4 + 4 padding), interned counter handles
         //        12 (+ 4 padding), subcast counter 8, pool pointer 8
         //     8  control-plane pointer
-        //    64  config
+        //    40  config: two durations 16, the optional probe period 16,
+        //        the mode override and two flags 3 (+ 5 padding)
         // A router is a row of the engine's pool of routers: `size_of`
         // bytes, no allocator header or rounding, and `Option` (the row's
         // tombstone) adds none. Each byte is 2 MiB on the 2²⁰-subscriber
         // tree, the whole per-router memory of a one-route forwarding hop.
         let size = std::mem::size_of::<EcmpRouter>();
-        assert!(size <= 160, "{size}");
+        assert!(size <= 136, "{size}");
         assert_eq!(std::mem::size_of::<Option<EcmpRouter>>(), size);
-        assert_eq!((std::mem::size_of::<ForwardingPlane>(), std::mem::size_of::<RouterConfig>()), (88, 64));
+        assert_eq!((std::mem::size_of::<ForwardingPlane>(), std::mem::size_of::<RouterConfig>()), (88, 40));
     }
 
     #[test]
@@ -2223,7 +2209,6 @@ mod tests {
     fn router_config_defaults_sane() {
         let c = RouterConfig::default();
         assert!(c.udp_refresh > SimDuration::ZERO);
-        assert!(c.udp_robustness >= 1);
         assert!(c.mode_override.is_none());
     }
 

@@ -52,12 +52,13 @@ impl ForwardingPlane {
         });
     }
 
+    fn hot(&self) -> HotCounters {
+        self.hot.expect("counters are interned in on_start")
+    }
+
     /// A packet that did not parse.
     pub(super) fn count_parse_error(&self, ctx: &mut Ctx<'_>) {
-        match self.hot {
-            Some(h) => ctx.count_id(h.parse_error, 1),
-            None => ctx.count("express.parse_error", 1),
-        }
+        ctx.count_id(self.hot().parse_error, 1);
     }
 
     /// Forward channel data per §3.4.
@@ -85,10 +86,7 @@ impl ForwardingPlane {
                 // so does every other router handed the same frame.
                 let out = self.derive(ctx, bytes, header.ttl - 1);
                 ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-                match self.hot {
-                    Some(h) => ctx.count_id(h.data_fwd, 1),
-                    None => ctx.count("express.data_fwd", 1),
-                }
+                ctx.count_id(self.hot().data_fwd, 1);
             }
             Forward::NoEntry => ctx.count("express.no_entry_drop", 1),
             Forward::WrongInterface => ctx.count("express.rpf_drop", 1),
@@ -127,10 +125,7 @@ impl ForwardingPlane {
         ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
         pool.release(out);
         self.subcast_forwarded += 1;
-        match self.hot {
-            Some(h) => ctx.count_id(h.subcast_fwd, 1),
-            None => ctx.count("express.subcast_fwd", 1),
-        }
+        ctx.count_id(self.hot().subcast_fwd, 1);
     }
 
     /// Plain unicast forwarding (the substrate: relays, subcast transit,
@@ -191,14 +186,7 @@ impl PayloadPool {
     /// patch serves every out-interface of the hop via `send_shared`.
     fn patch_ttl(&mut self, bytes: &[u8], new_ttl: u8) -> Payload {
         let mut arc = self.acquire(bytes);
-        let out = Payload::get_mut(&mut arc).expect("unique by construction");
-        if out.len() >= ipv4::HEADER_LEN {
-            out[8] = new_ttl;
-            out[10] = 0;
-            out[11] = 0;
-            let ck = express_wire::checksum::checksum(&out[..ipv4::HEADER_LEN]);
-            out[10..12].copy_from_slice(&ck.to_be_bytes());
-        }
+        ipv4::set_ttl(Payload::get_mut(&mut arc).expect("unique by construction"), new_ttl);
         arc
     }
 

@@ -627,7 +627,6 @@ fn udp_mode_silent_host_expires_and_prunes() {
             r,
             Box::new(EcmpRouter::new(RouterConfig {
                 udp_refresh: SimDuration::from_secs(2),
-                udp_robustness: 2,
                 mode_override: Some(express::packets::EcmpMode::Udp),
                 ..Default::default()
             })),
@@ -646,6 +645,12 @@ fn udp_mode_silent_host_expires_and_prunes() {
     // The subscriber silently dies (agent replaced with a fresh host that
     // knows nothing of the subscription and so will not answer refreshes).
     sim.set_agent(sub, Box::new(ExpressHost::new()));
+    // The entry's last refresh was the join, just after t = 0. It outlives
+    // two refresh periods and is gone by the sweep that ends the third.
+    sim.run_until(at_ms(5_000));
+    assert!(sim.agent_as::<EcmpRouter>(edge).unwrap().on_tree(chan), "kept for 2 refresh periods");
+    sim.run_until(at_ms(6_010));
+    assert!(!sim.agent_as::<EcmpRouter>(edge).unwrap().on_tree(chan), "expired within 3 refresh periods");
     sim.run_until(at_ms(30_000));
     let router = sim.agent_as::<EcmpRouter>(edge).unwrap();
     assert!(!router.on_tree(chan), "stale subscription expired and pruned");

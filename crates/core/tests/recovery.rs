@@ -14,6 +14,7 @@ use express::router::{EcmpRouter, RouterConfig};
 use express_wire::addr::Channel;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::LinkSpec;
+use netsim::trace::{TraceConfig, TraceKind, TraceLevel};
 use netsim::{topogen, FaultPlan, LinkId, NodeKind, Sim};
 
 fn at_ms(ms: u64) -> SimTime {
@@ -266,7 +267,6 @@ fn orphaned_subtree_rejoins_with_backoff_after_partition_heals() {
             r,
             Box::new(EcmpRouter::new(RouterConfig {
                 hysteresis: SimDuration::from_millis(100),
-                rejoin_backoff: Some(SimDuration::from_millis(500)),
                 ..Default::default()
             })),
         );
@@ -280,22 +280,44 @@ fn orphaned_subtree_rejoins_with_backoff_after_partition_heals() {
     FaultPlan::new()
         .link_down(l13, at_ms(2_000))
         .link_down(l23, at_ms(2_000))
-        .link_up(l23, at_ms(10_000))
+        .link_up(l23, at_ms(70_000))
         .apply(&mut sim);
     ExpressHost::schedule(&mut sim, src, at_ms(5_000), HostAction::SendData { channel: chan, payload_len: 10 });
     for i in 0..3 {
         ExpressHost::schedule(
             &mut sim,
             src,
-            at_ms(11_000 + i * 500),
+            at_ms(71_000 + i * 500),
             HostAction::SendData { channel: chan, payload_len: 10 },
         );
     }
-    sim.run_until(at_ms(13_000));
+    sim.enable_trace(TraceConfig::default().level(TraceLevel::PROTOCOL));
+    sim.run_until(at_ms(73_000));
 
-    // Backoff retries fired while partitioned (at ~2.6 s, 3.6 s, 5.6 s,
-    // 9.6 s) without finding a route...
-    assert!(sim.stats().named("ecmp.rejoin_retry") >= 2, "exponential-backoff retries while orphaned");
+    // Backoff retries fired while partitioned without finding a route:
+    // attempt k 0.5 s · 2ᵏ after the one before it, the delay capped at
+    // 30 s, counted from the orphaning at 2.1 s (the cut plus the 100 ms
+    // hysteresis)...
+    let retries: Vec<(u64, u64)> = sim
+        .take_trace()
+        .unwrap()
+        .events()
+        .filter_map(|e| match &e.kind {
+            TraceKind::Proto { event, .. } if &*event.name == "ecmp.rejoin_retry" && event.counter.is_none() => {
+                Some((e.at.0 / 1000, event.value.unwrap()))
+            }
+            _ => None,
+        })
+        .collect();
+    let (mut at, mut delay) = (2_100, 500);
+    let expected: Vec<(u64, u64)> = (0..7)
+        .map(|attempt| {
+            at += delay.min(30_000);
+            delay *= 2;
+            (at, attempt)
+        })
+        .collect();
+    assert_eq!(retries, expected, "exponential-backoff retries while orphaned");
     // ...and once l23 returned, the subtree re-joined and data flowed.
     assert!(sim.agent_as::<EcmpRouter>(r3).unwrap().on_tree(chan));
     let h = sim.agent_as::<ExpressHost>(sub).unwrap();

@@ -140,15 +140,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Record a point-in-time gauge sample (no-op when metrics are
-    /// disabled) — e.g. a router's current subscriber count for a channel.
-    pub fn gauge(&mut self, name: &str, value: u64) {
-        let now = self.world.now;
-        if let Some(m) = &mut self.world.metrics {
-            m.gauge(now, name, value);
-        }
-    }
-
     /// Inside an [`Agent::on_packet`](super::Agent::on_packet) dispatch: the age of the causal
     /// packet chain the arriving frame belongs to — now minus the time the
     /// *original* frame (not the last hop's copy) entered the wire. This is

@@ -103,13 +103,7 @@ impl<'a> ShardExec<'a> {
     }
 
     fn prof_gauges_if_due(&mut self) {
-        let World {
-            prof,
-            queue,
-            metrics,
-            now,
-            ..
-        } = &mut *self.world;
+        let World { prof, queue, now, .. } = &mut *self.world;
         if let Some(p) = prof {
             if p.gauge_due() {
                 let g = WheelGauges {
@@ -119,12 +113,6 @@ impl<'a> ShardExec<'a> {
                     current_run: queue.current_len(),
                 };
                 p.record_gauges(*now, queue.len(), g);
-                if let Some(m) = metrics {
-                    m.gauge(*now, "prof.queue_depth", queue.len() as u64);
-                    m.gauge(*now, "prof.wheel_occupied_slots", g.occupied_slots as u64);
-                    m.gauge(*now, "prof.wheel_inbox", g.inbox as u64);
-                    m.gauge(*now, "prof.wheel_overflow", g.overflow as u64);
-                }
             }
         }
     }

@@ -61,12 +61,6 @@ impl Sim {
         self.worlds[0].trace.as_ref()
     }
 
-    /// The active tracer of shard 0, mutably (e.g. to flush its sink
-    /// mid-run).
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.worlds[0].trace.as_mut()
-    }
-
     /// Detach the captured ring trace (tracing stops), e.g. to export it
     /// after a run. `None` when tracing is off or backed by a custom sink
     /// (then use [`finish_trace`](Self::finish_trace)). The per-shard
@@ -283,19 +277,13 @@ impl Sim {
         self.worlds[0].metrics.as_ref()
     }
 
-    /// Mutable metrics (for harness-level gauges and histograms).
-    pub fn metrics_mut(&mut self) -> Option<&mut Metrics> {
-        self.worlds[0].metrics.as_mut()
-    }
-
     /// Turn on the engine self-profiler (replaces any previous profiler;
     /// off by default — when off, one branch per event). Event counts per
     /// [`EventClass`](crate::prof::EventClass) are exact; wall-time
     /// attribution is *sampled* (one event in
     /// [`ProfConfig::sample_every`]) to bound overhead. Wheel and
     /// queue gauges are snapshotted every [`ProfConfig::gauge_every`]
-    /// events and, when metrics are also enabled, mirrored into `prof.*`
-    /// gauge series. Under sharding each shard profiles its own drain
+    /// events. Under sharding each shard profiles its own drain
     /// (sampling its own event stream) and the per-shard profiles are
     /// merged when the run completes; conservative-sync stalls surface as
     /// `sync_windows` / `sync_stall_ns` in the report.
@@ -332,29 +320,8 @@ impl Sim {
     /// Fold per-shard observability state into shard 0 at the end of a
     /// run: stats, metrics, and profiles merge associatively (sources are
     /// drained but keep their intern tables, so repeated `run_until`
-    /// calls keep accumulating); per-shard load-balance gauges are
-    /// recorded first when metrics are on.
+    /// calls keep accumulating).
     pub(super) fn merge_worlds(&mut self) {
-        // The `prof.shard.*` / `prof.sync.*` gauges describe a partition;
-        // a single-shard metrics dump must not grow them.
-        if self.worlds.len() == 1 {
-            return;
-        }
-        if self.worlds[0].metrics.is_some() {
-            let now = self.worlds[0].now;
-            let rows: Vec<(u64, u64, u64)> = self
-                .worlds
-                .iter()
-                .map(|w| (w.events_processed, w.sync_windows, w.sync_stall_ns))
-                .collect();
-            let total_windows: u64 = rows.iter().map(|r| r.1).sum();
-            let m = self.worlds[0].metrics.as_mut().expect("checked above");
-            for (k, (ev, _, stall)) in rows.iter().enumerate() {
-                m.gauge(now, &format!("prof.shard.{k}.events"), *ev);
-                m.gauge(now, &format!("prof.shard.{k}.stall_ns"), *stall);
-            }
-            m.gauge(now, "prof.sync.windows", total_windows);
-        }
         let (w0, rest) = self.worlds.split_first_mut().expect("at least one shard");
         for w in rest {
             w0.stats.absorb(&mut w.stats);

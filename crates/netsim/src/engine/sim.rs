@@ -257,11 +257,6 @@ impl Sim {
         &self.worlds[0].stats
     }
 
-    /// Mutable measurement state (for harness-level counters).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.worlds[0].stats
-    }
-
     /// Unicast routing (for harness-level queries like path lengths).
     pub fn routing_mut(&mut self) -> (&Topology, &mut Routing) {
         (&self.shared.topo, &mut self.worlds[0].routing)

@@ -937,7 +937,7 @@ fn a_forwarding_hop_indexes_under_310_bytes_of_rows() {
     use std::mem::size_of;
     /// `express::router::tests::router_size_is_pinned`'s bound: the agent of
     /// a forwarding hop, and its pool row — `Option` adds no byte to it.
-    const AGENT: usize = 160;
+    const AGENT: usize = 136;
     let (node_id, iface_id, link_id) = (size_of::<NodeId>(), size_of::<IfaceId>(), size_of::<LinkId>());
     let iface_range = 8; // (start: u32, len: u8, cap: u8), padded
     let link_of = iface_range + link_id; // topology: the node's range, its slab slot

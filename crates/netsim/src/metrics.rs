@@ -1,5 +1,5 @@
-//! Time-series metrics: windowed sampling of named counters, gauges,
-//! fixed-bucket histograms, and post-fault convergence probes.
+//! Time-series metrics: windowed sampling of named counters, fixed-bucket
+//! histograms, and post-fault convergence probes.
 //!
 //! The flat end-of-run counter map ([`crate::stats::Stats`]) answers *how
 //! much*; this module answers *when*. When enabled
@@ -225,8 +225,6 @@ pub struct Metrics {
     /// [`CounterId`] → index into `series` ([`UNBOUND`] until the counter's
     /// first bump).
     by_id: Vec<u32>,
-    /// Named point-in-time samples.
-    gauges: BTreeMap<String, Vec<(SimTime, u64)>>,
     /// Named fixed-bucket histograms.
     hists: BTreeMap<String, Histogram>,
     /// Watched (delivery) bumps as `(instant, how many)` runs, in time order.
@@ -252,7 +250,6 @@ impl Metrics {
             watch: cfg.watch,
             series: Vec::new(),
             by_id: Vec::new(),
-            gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             deliveries: Vec::new(),
             faults: Vec::new(),
@@ -261,11 +258,6 @@ impl Metrics {
             m.slot_of(&Name::Static(name));
         }
         m
-    }
-
-    /// The time-series bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        SimDuration(self.bucket_us)
     }
 
     /// The series named `name`, created empty if there is none yet.
@@ -324,11 +316,6 @@ impl Metrics {
         self.faults.push((now, change));
     }
 
-    /// Record a point-in-time sample of gauge `name`.
-    pub fn gauge(&mut self, now: SimTime, name: &str, value: u64) {
-        self.gauges.entry(name.to_string()).or_default().push((now, value));
-    }
-
     /// Record an observation into histogram `name`, creating it with
     /// [`DEFAULT_LATENCY_BOUNDS_US`] if absent. Create it first with
     /// [`histogram_with_bounds`](Self::histogram_with_bounds) for custom
@@ -350,10 +337,10 @@ impl Metrics {
     }
 
     /// Merge-and-drain another `Metrics` into this one: series are added
-    /// elementwise by name, gauges merge-sorted by time (this side's samples
-    /// first on ties), histograms merged bucket-wise, delivery runs
-    /// merge-sorted the same way. Fault marks are coordinator-recorded
-    /// (shard 0 only in a sharded run) but merged defensively all the same.
+    /// elementwise by name, histograms merged bucket-wise, delivery runs
+    /// merge-sorted by time (this side's first on ties). Fault marks are
+    /// coordinator-recorded (shard 0 only in a sharded run) but merged
+    /// defensively all the same.
     /// `other` is left empty, its counters still bound to their series.
     pub(crate) fn absorb(&mut self, other: &mut Metrics) {
         for src in &mut other.series {
@@ -366,10 +353,6 @@ impl Metrics {
             for (d, s) in dst.iter_mut().zip(src_buckets) {
                 *d += s;
             }
-        }
-        for (name, src) in std::mem::take(&mut other.gauges) {
-            let dst = self.gauges.entry(name).or_default();
-            *dst = merge_by_time(std::mem::take(dst), src, |e| e.0);
         }
         for (name, src) in std::mem::take(&mut other.hists) {
             match self.hists.get_mut(&name) {
@@ -413,19 +396,9 @@ impl Metrics {
         self.recorded().into_iter().map(|(name, _)| name)
     }
 
-    /// The samples of gauge `name`.
-    pub fn gauge_samples(&self, name: &str) -> &[(SimTime, u64)] {
-        self.gauges.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Histogram `name`, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
-    }
-
-    /// Names of all histograms, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.hists.keys().map(String::as_str)
     }
 
     /// Watched (delivery) counter bumps as `(instant, how many)` runs in

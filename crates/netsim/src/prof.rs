@@ -1,10 +1,9 @@
 //! Engine self-profiler: where does wall-clock time go at million-node
 //! scale?
 //!
-//! The scale work (ROADMAP: sharded engine) needs to know which event
-//! classes and agent types dominate a run, and how the timer wheel and
-//! event queue behave over time, *before* partitioning decisions can be
-//! made. The profiler attributes engine time three ways:
+//! A run at the paper's scale is decided by which event classes and agent
+//! types dominate it, and by how the timer wheel and event queue behave
+//! over time. The profiler attributes engine time three ways:
 //!
 //! * **Per event class** ([`EventClass`]: arrival, timer, link/node/loss
 //!   change) — exact event counts, *sampled* wall-time.
@@ -33,8 +32,7 @@
 //! pending-event queue depth and the timer wheel's internals — occupied
 //! slots, behind-cursor inbox, overflow heap, current drain run (see
 //! [`crate::wheel`]) — into a bounded timeline (thinned by doubling the
-//! interval when full). When metrics are enabled the same samples are
-//! mirrored as `prof.*` gauge series.
+//! interval when full).
 //!
 //! Like tracing and metrics, the profiler is **off by default** and costs
 //! one branch per event when off. Enable with
@@ -305,11 +303,6 @@ impl Profiler {
     /// Calibrated cost of one timing bracket (two clock reads), ns.
     pub fn timer_cost_ns(&self) -> u64 {
         self.timer_cost_ns
-    }
-
-    /// Events dispatched under the profiler so far.
-    pub fn events_seen(&self) -> u64 {
-        self.seen
     }
 
     // ---- engine hooks ----------------------------------------------------
@@ -1029,7 +1022,7 @@ mod tests {
         assert_eq!(r.peak_queue_depth, 9);
         assert_eq!((r.sync_windows, r.sync_stall_ns), (2, 3_000));
         // The source is drained but still usable.
-        assert_eq!(b.events_seen(), 0);
+        assert_eq!(b.report().events, 0);
         let parsed = ProfReport::from_json(&r.to_json()).expect("parses");
         assert_eq!(parsed, r);
         assert!(r.render().contains("conservative sync"));

@@ -311,12 +311,6 @@ impl Stats {
         t
     }
 
-    /// Number of links with any data traffic — the "links used by the
-    /// channel" measure a transit domain counts in §3.1.
-    pub fn links_carrying_data(&self) -> usize {
-        self.link_data.iter().filter(|[packets, _]| *packets > 0).count()
-    }
-
     /// Intern `key`, returning its stable handle. Registering does **not**
     /// make the counter visible in [`named_counters`](Self::named_counters);
     /// only bumping does.
@@ -452,7 +446,6 @@ mod tests {
         assert_eq!(s.link(LinkId(0)).packets(), 2);
         assert_eq!(s.total().bytes(), 170);
         assert_eq!(s.total().drops, 1);
-        assert_eq!(s.links_carrying_data(), 2);
     }
 
     /// The link table against one `LinkStats` per link, through a seeded
@@ -477,7 +470,6 @@ mod tests {
                 add(&mut total, m);
             }
             assert_eq!(s.total(), total);
-            assert_eq!(s.links_carrying_data(), model.iter().filter(|m| m.data_packets > 0).count());
         };
         // Which side writes control traffic or drops first: neither (data
         // only), the absorbing one, the absorbed one, both.

@@ -504,14 +504,6 @@ impl Topology {
         out.dedup();
         out
     }
-
-    /// The interface of `node` that attaches to `link`, if any.
-    pub fn iface_on_link(&self, node: NodeId, link: LinkId) -> Option<IfaceId> {
-        self.link_endpoints(link)
-            .iter()
-            .find(|&&(n, _)| n == node)
-            .map(|&(_, i)| i)
-    }
 }
 
 #[cfg(test)]
@@ -672,7 +664,7 @@ mod tests {
         assert_eq!(t.link_endpoints(lan).len(), 3);
         let nbrs = t.neighbors_on(r, IfaceId(0));
         assert_eq!(nbrs.len(), 2);
-        assert_eq!(t.iface_on_link(h1, lan), Some(IfaceId(0)));
+        assert_eq!(t.link_of(h1, IfaceId(0)), Ok(lan));
     }
 
     #[test]

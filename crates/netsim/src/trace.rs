@@ -40,7 +40,7 @@
 //! interesting unit is the *causal chain* (one original send plus every
 //! forwarded copy), not the individual event. [`TraceConfig::sample_one_in`]
 //! keeps or drops whole chains by hashing the chain's **root packet id**:
-//! a chain is kept iff `splitmix64(root ^ salt) % n == 0`. Packet ids are
+//! a chain is kept iff `splitmix64(root) % n == 0`. Packet ids are
 //! assigned deterministically and unconditionally by the engine, so two
 //! same-seed runs keep exactly the same chains and emit **byte-identical**
 //! sampled output — the same determinism contract the golden fault-storm
@@ -339,7 +339,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Deterministic causal-chain sampling: keep a chain iff
-/// `splitmix64(root ^ salt) % denominator == 0`.
+/// `splitmix64(root) % denominator == 0`.
 ///
 /// Because the decision is a pure function of the chain's root [`PacketId`]
 /// (assigned deterministically by the engine whether or not tracing is on),
@@ -349,9 +349,6 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct SampleSpec {
     /// Keep one chain in `denominator` on average. `0` and `1` keep all.
     pub denominator: u64,
-    /// Mixed into the hash so different captures can select different
-    /// chain subsets from the same run. Default `0`.
-    pub salt: u64,
 }
 
 impl SampleSpec {
@@ -360,7 +357,7 @@ impl SampleSpec {
         if self.denominator <= 1 {
             return true;
         }
-        splitmix64(root.0 ^ self.salt).is_multiple_of(self.denominator)
+        splitmix64(root.0).is_multiple_of(self.denominator)
     }
 }
 
@@ -429,21 +426,8 @@ impl TraceConfig {
         self.sample = if n <= 1 {
             None
         } else {
-            Some(SampleSpec {
-                denominator: n,
-                salt: self.sample.map_or(0, |s| s.salt),
-            })
+            Some(SampleSpec { denominator: n })
         };
-        self
-    }
-
-    /// Salt the sampling hash (selects a different deterministic chain
-    /// subset). No effect unless [`sample_one_in`](Self::sample_one_in) is
-    /// also set.
-    pub fn sample_salt(mut self, salt: u64) -> Self {
-        if let Some(s) = &mut self.sample {
-            s.salt = salt;
-        }
         self
     }
 
@@ -1712,7 +1696,7 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_chain_complete() {
-        let spec = SampleSpec { denominator: 4, salt: 0 };
+        let spec = SampleSpec { denominator: 4 };
         // Pure function of root: same answer every call.
         for r in 0..256u64 {
             assert_eq!(spec.keeps(PacketId(r)), spec.keeps(PacketId(r)));
@@ -1720,9 +1704,6 @@ mod tests {
         // Roughly 1/4 of roots kept (well-mixed hash; loose bounds).
         let kept = (0..4096u64).filter(|r| spec.keeps(PacketId(*r))).count();
         assert!((700..1400).contains(&kept), "kept {kept}/4096 at 1/4");
-        // A different salt selects a different subset.
-        let salted = SampleSpec { denominator: 4, salt: 0xdead_beef };
-        assert!((0..4096u64).any(|r| spec.keeps(PacketId(r)) != salted.keeps(PacketId(r))));
 
         // Chain completeness: a kept root keeps its tx, forwarded copies,
         // rx and drops; a dropped root drops all of them.
@@ -1746,8 +1727,8 @@ mod tests {
     fn sample_one_in_builder_normalizes() {
         assert!(TraceConfig::default().sample_one_in(0).sample.is_none());
         assert!(TraceConfig::default().sample_one_in(1).sample.is_none());
-        let cfg = TraceConfig::default().sample_one_in(1024).sample_salt(7);
-        assert_eq!(cfg.sample, Some(SampleSpec { denominator: 1024, salt: 7 }));
+        let cfg = TraceConfig::default().sample_one_in(1024);
+        assert_eq!(cfg.sample, Some(SampleSpec { denominator: 1024 }));
     }
 
     #[test]

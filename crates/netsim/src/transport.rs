@@ -1,16 +1,13 @@
 //! Neighbor-transport helpers shared by the protocol crates.
 //!
 //! The engine gives protocols two delivery classes (reliable / datagram);
-//! what remains of "TCP mode" vs "UDP mode" (paper §3.2) is bookkeeping that
-//! lives here:
-//!
-//! * [`RttEstimator`] — the "measured round-trip time to its upstream
-//!   neighbor" that ECMP uses to decrement CountQuery timeouts per hop
-//!   (§3.1).
-//! * [`Keepalive`] — the "single per-neighbor keepalive \[that\] is sufficient
-//!   to detect a connection failure" in TCP mode (§3.2).
+//! what remains of "TCP mode" vs "UDP mode" (paper §3.2) is bookkeeping.
+//! Here is [`RttEstimator`], the "measured round-trip time to its upstream
+//! neighbor" that ECMP uses to decrement CountQuery timeouts per hop
+//! (§3.1). The per-neighbor keepalive of TCP mode is the ECMP router's
+//! neighbor probe.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Exponentially-weighted moving average RTT estimator (the classic
 /// TCP-style smoother: `srtt ← (1-g)·srtt + g·sample`, g = 1/8).
@@ -65,47 +62,6 @@ impl RttEstimator {
     }
 }
 
-/// Keepalive failure detection for a reliable-mode neighbor: the peer is
-/// declared dead if nothing has been heard for `interval × misses`.
-#[derive(Debug, Clone, Copy)]
-pub struct Keepalive {
-    interval: SimDuration,
-    misses: u32,
-    last_heard: SimTime,
-}
-
-impl Keepalive {
-    /// Track a neighbor with the given probe interval and tolerated misses.
-    pub fn new(now: SimTime, interval: SimDuration, misses: u32) -> Self {
-        Keepalive {
-            interval,
-            misses: misses.max(1),
-            last_heard: now,
-        }
-    }
-
-    /// Note that any traffic arrived from the peer at `now` (data counts as
-    /// a keepalive, as in TCP).
-    pub fn heard(&mut self, now: SimTime) {
-        self.last_heard = self.last_heard.max(now);
-    }
-
-    /// Is the peer considered failed at `now`?
-    pub fn expired(&self, now: SimTime) -> bool {
-        now.since(self.last_heard) > self.interval.saturating_mul(u64::from(self.misses))
-    }
-
-    /// When the next keepalive probe should be sent.
-    pub fn next_probe_at(&self) -> SimTime {
-        self.last_heard + self.interval
-    }
-
-    /// The probe interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,23 +91,5 @@ mod tests {
         let mut e = RttEstimator::new();
         e.sample(SimDuration::from_millis(15));
         assert_eq!(e.hop_decrement(), SimDuration::from_millis(30));
-    }
-
-    #[test]
-    fn keepalive_expiry() {
-        let t0 = SimTime::ZERO;
-        let mut k = Keepalive::new(t0, SimDuration::from_secs(30), 3);
-        assert!(!k.expired(t0 + SimDuration::from_secs(89)));
-        assert!(k.expired(t0 + SimDuration::from_secs(91)));
-        k.heard(t0 + SimDuration::from_secs(60));
-        assert!(!k.expired(t0 + SimDuration::from_secs(149)));
-        assert_eq!(k.next_probe_at(), t0 + SimDuration::from_secs(90));
-    }
-
-    #[test]
-    fn heard_never_goes_backward() {
-        let mut k = Keepalive::new(SimTime(100), SimDuration::from_secs(1), 1);
-        k.heard(SimTime(50));
-        assert_eq!(k.next_probe_at(), SimTime(100) + SimDuration::from_secs(1));
     }
 }

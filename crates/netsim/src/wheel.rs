@@ -378,18 +378,10 @@ impl<T> TimerWheel<T> {
         self.cursor_slot = to;
     }
 
-    /// Schedule a whole same-timestamp cohort at `at`: items take
-    /// consecutive sequence numbers in iteration order, so the cohort pops
-    /// FIFO exactly as if [`push`](Self::push)ed one by one.
-    pub fn schedule_bulk<I: IntoIterator<Item = T>>(&mut self, at: SimTime, items: I) {
-        for item in items {
-            self.push(at, item);
-        }
-    }
-
-    /// [`schedule_bulk`](Self::schedule_bulk) with caller-supplied tie-break
-    /// keys. Pop order is `(at, key)` regardless of append order (the
-    /// bucket sort restores it).
+    /// Schedule a whole same-timestamp cohort at `at` under caller-supplied
+    /// tie-break keys, as [`push_keyed`](Self::push_keyed) one by one. Pop
+    /// order is `(at, key)` regardless of append order (the bucket sort
+    /// restores it).
     pub fn schedule_bulk_keyed<I: IntoIterator<Item = (u128, T)>>(&mut self, at: SimTime, items: I) {
         for (key, item) in items {
             self.push_keyed(at, key, item);
@@ -417,26 +409,6 @@ impl<T> TimerWheel<T> {
         let (_, last) = self.slots[(s & self.slot_mask) as usize];
         let e = self.nodes.get_mut(last as usize)?.entry.as_mut()?;
         (e.at == at).then_some(&mut e.item)
-    }
-
-    /// [`push`](Self::push), but first offer the item to
-    /// [`tail_mut_at(at)`](Self::tail_mut_at): `merge(&mut tail, item)`
-    /// returning `Ok(())` coalesces the two into one queue entry
-    /// ([`len`](Self::len) is unchanged); `Err(item)` hands the item back
-    /// for a normal push. Returns `true` when the item was coalesced.
-    pub fn push_coalesced<M>(&mut self, at: SimTime, item: T, merge: M) -> bool
-    where
-        M: FnOnce(&mut T, T) -> Result<(), T>,
-    {
-        let item = match self.tail_mut_at(at) {
-            Some(tail) => match merge(tail, item) {
-                Ok(()) => return true,
-                Err(back) => back,
-            },
-            None => item,
-        };
-        self.push(at, item);
-        false
     }
 
     /// Find the next occupied slot position at or after the cursor, within
@@ -882,8 +854,8 @@ mod tests {
 
     #[test]
     fn queue_bulk_schedule_matches_individual_pushes() {
-        // A bulk cohort interleaved with singles must pop exactly as if
-        // every item had been pushed one by one (the reference).
+        // Same-timestamp cohorts interleaved with singles must pop exactly
+        // as the reference heap pops them.
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut w = TimerWheel::new(WheelConfig {
@@ -896,16 +868,15 @@ mod tests {
             for _ in 0..500 {
                 match rng.random_range(0..3u32) {
                     0 => {
-                        // Bulk cohort: near, behind-cursor-adjacent, or
-                        // deep overflow timestamps all exercised.
+                        // A cohort: near, behind-cursor-adjacent, or deep
+                        // overflow timestamps all exercised.
                         let at = now + crate::time::SimDuration(rng.random_range(0..8_000_000u64));
                         let k = rng.random_range(0..6usize);
-                        let items: Vec<u32> = (0..k as u32).map(|i| tag + i).collect();
-                        tag += k as u32;
-                        for &it in &items {
+                        for it in tag..tag + k as u32 {
                             h.push(at, it);
+                            w.push(at, it);
                         }
-                        w.schedule_bulk(at, items);
+                        tag += k as u32;
                     }
                     1 => {
                         let at = now + crate::time::SimDuration(rng.random_range(0..5_000u64));
@@ -929,22 +900,21 @@ mod tests {
 
     #[test]
     fn queue_coalesce_merges_only_the_same_timestamp_tail() {
-        // Model the engine's fan-out cohorts: items are Vec<u32> and the
-        // merge concatenates. Pop order must equal the per-item reference.
-        let merge = |tail: &mut Vec<u32>, item: Vec<u32>| {
-            tail.extend_from_slice(&item);
-            Ok(())
-        };
+        // Model the engine's fan-out cohorts: items are Vec<u32>, and a
+        // fold appends to the tail. Pop order must equal the per-item
+        // reference.
         let mut w = TimerWheel::new(WheelConfig::default());
         let at = SimTime(10_000);
-        assert!(!w.push_coalesced(at, vec![0], merge)); // empty bucket: plain push
-        assert!(w.push_coalesced(at, vec![1], merge)); // merges into tail
-        assert!(w.push_coalesced(at, vec![2], merge));
-        assert_eq!(w.len(), 1, "coalesced pushes occupy one entry");
+        assert!(w.tail_mut_at(at).is_none(), "empty bucket");
+        w.push(at, vec![0]);
+        w.tail_mut_at(at).unwrap().push(1);
+        w.tail_mut_at(at).unwrap().push(2);
+        assert_eq!(w.len(), 1, "folded items occupy one entry");
         // A different timestamp in the same bucket becomes the new tail
         // and breaks the chain.
         w.push(SimTime(10_050), vec![99]);
-        assert!(!w.push_coalesced(at, vec![3], merge));
+        assert!(w.tail_mut_at(at).is_none());
+        w.push(at, vec![3]);
         assert_eq!(w.len(), 3);
         assert_eq!(w.pop(), Some((at, vec![0, 1, 2])));
         assert_eq!(w.pop(), Some((at, vec![3])));
@@ -954,13 +924,14 @@ mod tests {
 
     #[test]
     fn queue_coalesce_declined_merge_falls_back_to_push() {
-        // The merge closure can refuse (the engine declines across
-        // non-mergeable kinds); the item must land as its own entry.
+        // A caller may look at the tail and decline to fold (the engine
+        // declines across non-mergeable kinds): the offer changes nothing,
+        // and the item pushed instead lands as its own entry behind it.
         let mut w = TimerWheel::new(WheelConfig::default());
         let at = SimTime(640);
         w.push(at, 7u32);
-        let refused = |_: &mut u32, item: u32| Err(item);
-        assert!(!w.push_coalesced(at, 8, refused));
+        assert_eq!(w.tail_mut_at(at).copied(), Some(7));
+        w.push(at, 8);
         assert_eq!(w.len(), 2);
         assert_eq!(w.pop(), Some((at, 7)));
         assert_eq!(w.pop(), Some((at, 8)));
@@ -969,21 +940,18 @@ mod tests {
     #[test]
     fn queue_coalesce_never_merges_behind_cursor() {
         // Once the cursor passed the bucket, same-timestamp pushes route
-        // to the inbox heap — coalescing there could reorder, so it must
-        // not happen.
+        // to the inbox heap — folding there could reorder, so no tail is
+        // offered.
         let mut w = TimerWheel::new(WheelConfig {
             granularity_us: 1_024,
             slots: 16,
         });
-        let merge = |tail: &mut Vec<u32>, item: Vec<u32>| {
-            tail.extend_from_slice(&item);
-            Ok(())
-        };
         w.push(SimTime(100), vec![0]);
         assert_eq!(w.pop(), Some((SimTime(100), vec![0])));
         // Same bucket as the popped event; cursor already past it.
-        assert!(!w.push_coalesced(SimTime(200), vec![1], merge));
-        assert!(!w.push_coalesced(SimTime(200), vec![2], merge));
+        w.push(SimTime(200), vec![1]);
+        assert!(w.tail_mut_at(SimTime(200)).is_none());
+        w.push(SimTime(200), vec![2]);
         assert_eq!(w.len(), 2);
         assert_eq!(w.pop(), Some((SimTime(200), vec![1])));
         assert_eq!(w.pop(), Some((SimTime(200), vec![2])));

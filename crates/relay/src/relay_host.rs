@@ -194,14 +194,6 @@ impl SessionRelayHost {
             RelayMsg::FloorGrant | RelayMsg::FloorDeny | RelayMsg::AnnounceDirectChannel { .. } => {}
         }
     }
-
-    /// Speak as the session's primary source (the lecturer resides on the
-    /// SR host itself, §4.1) — callable from harness-scheduled hooks.
-    pub fn primary_speech(&mut self, ctx: &mut Ctx<'_>, len: usize) {
-        let me = ctx.my_ip();
-        *self.relayed.entry(me).or_insert(0) += 1;
-        self.put_on_channel(ctx, me, len);
-    }
 }
 
 impl Agent for SessionRelayHost {

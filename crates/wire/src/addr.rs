@@ -64,16 +64,6 @@ impl Ipv4Addr {
         self.0[0] == 232
     }
 
-    /// Is this a link-local multicast address, `224.0.0.0/24`?
-    pub const fn is_link_local_multicast(self) -> bool {
-        self.0[0] == 224 && self.0[1] == 0 && self.0[2] == 0
-    }
-
-    /// Is this in the administratively-scoped range `239.0.0.0/8`?
-    pub const fn is_admin_scoped(self) -> bool {
-        self.0[0] == 239
-    }
-
     /// Is this a plausible unicast address (not multicast, not unspecified,
     /// not the broadcast address)?
     pub fn is_unicast(self) -> bool {
@@ -223,9 +213,6 @@ mod tests {
         assert!(!Ipv4Addr::new(240, 0, 0, 0).is_multicast());
         assert!(Ipv4Addr::new(232, 1, 2, 3).is_single_source_multicast());
         assert!(!Ipv4Addr::new(233, 1, 2, 3).is_single_source_multicast());
-        assert!(Ipv4Addr::new(224, 0, 0, 106).is_link_local_multicast());
-        assert!(!Ipv4Addr::new(224, 0, 1, 0).is_link_local_multicast());
-        assert!(Ipv4Addr::new(239, 1, 1, 1).is_admin_scoped());
         assert!(Ipv4Addr::new(10, 0, 0, 1).is_unicast());
         assert!(!Ipv4Addr::UNSPECIFIED.is_unicast());
     }

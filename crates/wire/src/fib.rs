@@ -89,16 +89,6 @@ impl FibEntry {
         self.raw[8..12].copy_from_slice(&mask.to_be_bytes());
     }
 
-    /// Replace the incoming (RPF) interface, e.g. after a topology change
-    /// re-homes the channel (§3.2).
-    pub fn set_in_iface(&mut self, iface: u8) -> Result<()> {
-        if iface >= MAX_INTERFACES {
-            return Err(WireError::Malformed);
-        }
-        self.raw[7] = iface & 0x1F;
-        Ok(())
-    }
-
     /// Add interface `iface` to the outgoing set.
     pub fn add_oif(&mut self, iface: u8) -> Result<()> {
         if iface >= MAX_INTERFACES {
@@ -106,20 +96,6 @@ impl FibEntry {
         }
         self.set_oif_mask(self.oif_mask() | (1 << iface));
         Ok(())
-    }
-
-    /// Remove interface `iface` from the outgoing set.
-    pub fn remove_oif(&mut self, iface: u8) -> Result<()> {
-        if iface >= MAX_INTERFACES {
-            return Err(WireError::Malformed);
-        }
-        self.set_oif_mask(self.oif_mask() & !(1 << iface));
-        Ok(())
-    }
-
-    /// Does the outgoing set contain `iface`?
-    pub const fn has_oif(&self, iface: u8) -> bool {
-        iface < MAX_INTERFACES && self.oif_mask() & (1 << iface) != 0
     }
 
     /// Iterate the outgoing interface indices.
@@ -165,10 +141,7 @@ mod tests {
     fn rejects_interface_out_of_range() {
         assert_eq!(FibEntry::new(chan(), 32, 0), Err(WireError::Malformed));
         let mut e = FibEntry::new(chan(), 0, 0).unwrap();
-        assert!(e.set_in_iface(31).is_ok());
-        assert_eq!(e.set_in_iface(32), Err(WireError::Malformed));
         assert_eq!(e.add_oif(32), Err(WireError::Malformed));
-        assert_eq!(e.remove_oif(40), Err(WireError::Malformed));
     }
 
     #[test]
@@ -178,13 +151,8 @@ mod tests {
         e.add_oif(5).unwrap();
         e.add_oif(5).unwrap(); // idempotent
         e.add_oif(0).unwrap();
-        assert!(e.has_oif(5));
-        assert!(e.has_oif(0));
-        assert!(!e.has_oif(1));
+        assert_eq!(e.oif_mask(), 1 << 5 | 1);
         assert_eq!(e.fanout(), 2);
-        e.remove_oif(5).unwrap();
-        assert!(!e.has_oif(5));
-        assert_eq!(e.fanout(), 1);
     }
 
     #[test]

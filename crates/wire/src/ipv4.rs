@@ -131,6 +131,19 @@ impl Ipv4Repr {
     }
 }
 
+/// Rewrite the TTL of the datagram in `buf` and recompute its header
+/// checksum in place: what a forwarding hop does to every frame it sends
+/// on. A buffer shorter than a header is left as it is.
+pub fn set_ttl(buf: &mut [u8], ttl: u8) {
+    if buf.len() >= HEADER_LEN {
+        buf[8] = ttl;
+        buf[10] = 0;
+        buf[11] = 0;
+        let ck = checksum::checksum(&buf[..HEADER_LEN]);
+        buf[10..12].copy_from_slice(&ck.to_be_bytes());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -292,7 +292,7 @@ fn sampled_stream_is_deterministic_and_chains_complete() {
 
     // Chain completeness: per root, the sampled capture has either all of
     // the full trace's packet records or none — decided by the hash filter.
-    let spec = SampleSpec { denominator: 4, salt: 0 };
+    let spec = SampleSpec { denominator: 4 };
     let root_counts = |jsonl: &str| -> std::collections::BTreeMap<u64, usize> {
         let mut m = std::collections::BTreeMap::new();
         for e in TraceBuffer::parse_jsonl(jsonl) {
