@@ -83,14 +83,22 @@ impl Keyed for FibEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct Fib {
+    /// Looked up through [`Table::get_hinted`]: channel popularity in a
+    /// forwarding run is extremely skewed — a router on a distribution tree
+    /// sees one channel millions of times — so the steady state is a key
+    /// compare instead of a hash and a probe.
     entries: Table<FibEntry>,
-    counters: FibCounters,
-    /// The slot [`lookup`](Self::lookup) last found its entry in, tried
-    /// first by the next one (see [`Table::get_hinted`]): channel popularity
-    /// in a forwarding run is extremely skewed — a router on a distribution
-    /// tree sees one channel millions of times — so the steady state is a
-    /// key compare instead of a hash and a probe.
-    last_slot: u32,
+    forwarded: u64,
+    /// The two drop counters, allocated by the first drop: a forward never
+    /// touches them, and a router on a working tree never drops.
+    drops: Option<Box<Drops>>,
+}
+
+/// The drop half of [`FibCounters`].
+#[derive(Debug, Default)]
+struct Drops {
+    no_entry: u64,
+    rpf: u64,
 }
 
 impl Fib {
@@ -133,7 +141,7 @@ impl Fib {
     /// (TTL expiry) before a packet counts as forwarded, and hands the
     /// outcome it settled on to [`record`](Self::record).
     pub(crate) fn decide(&mut self, channel: Channel, in_iface: u8) -> Forward {
-        let Some(e) = self.entries.get_hinted(channel_key(channel), &mut self.last_slot) else {
+        let Some(e) = self.entries.get_hinted(channel_key(channel)) else {
             return Forward::NoEntry;
         };
         if e.in_iface() != in_iface {
@@ -147,9 +155,9 @@ impl Fib {
     /// Count one packet handled per `decision`.
     pub(crate) fn record(&mut self, decision: Forward) {
         match decision {
-            Forward::To(_) => self.counters.forwarded += 1,
-            Forward::NoEntry => self.counters.no_entry_drops += 1,
-            Forward::WrongInterface => self.counters.rpf_drops += 1,
+            Forward::To(_) => self.forwarded += 1,
+            Forward::NoEntry => self.drops.get_or_insert_with(Box::default).no_entry += 1,
+            Forward::WrongInterface => self.drops.get_or_insert_with(Box::default).rpf += 1,
         }
     }
 
@@ -171,7 +179,8 @@ impl Fib {
 
     /// The drop/forward counters.
     pub fn counters(&self) -> FibCounters {
-        self.counters
+        let (no_entry_drops, rpf_drops) = self.drops.as_ref().map_or((0, 0), |d| (d.no_entry, d.rpf));
+        FibCounters { forwarded: self.forwarded, no_entry_drops, rpf_drops }
     }
 
     /// Iterate all entries (in table order, which is no particular order).
@@ -200,6 +209,7 @@ mod tests {
         fib.install(FibEntry::new(chan(1), 0, 0b0110).unwrap());
         assert_eq!(fib.lookup(chan(1), 0), Forward::To(0b0110));
         assert_eq!(fib.counters().forwarded, 1);
+        assert!(fib.drops.is_none(), "a forward allocates no drop counters");
     }
 
     #[test]
@@ -212,6 +222,7 @@ mod tests {
         assert_eq!(fib.lookup(rogue, 0), Forward::NoEntry);
         assert_eq!(fib.counters().no_entry_drops, 1);
         assert_eq!(fib.counters().forwarded, 0);
+        assert!(fib.drops.is_some(), "the first drop allocates them");
     }
 
     #[test]

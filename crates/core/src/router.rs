@@ -443,7 +443,7 @@ impl EcmpRouter {
     pub fn counters(&self) -> RouterCounters {
         let fib = self.fwd.fib.counters();
         RouterCounters {
-            data_forwarded: fib.forwarded + self.fwd.subcast_forwarded,
+            data_forwarded: fib.forwarded + self.fwd.subcast_forwarded(),
             data_no_entry: fib.no_entry_drops,
             data_rpf_drop: fib.rpf_drops,
             ..self.ctl.as_ref().map_or_else(RouterCounters::default, |c| c.counters)
@@ -1592,7 +1592,7 @@ impl Agent for EcmpRouter {
                     self.fwd.forward_unicast(ctx, bytes, header, class);
                 }
             }
-            Err(_) => self.fwd.count_parse_error(ctx),
+            Err(_) => ctx.count("express.parse_error", 1),
         }
     }
 
@@ -1718,10 +1718,11 @@ mod tests {
 
     #[test]
     fn router_size_is_pinned() {
-        // 136 B on x86-64 (docs/INTERNALS.md §8):
-        //    88  forwarding plane: FIB 56 (one-slot table 24, its counters
-        //        24, last-slot hint 4 + 4 padding), interned counter handles
-        //        12 (+ 4 padding), subcast counter 8, pool pointer 8
+        // 104 B on x86-64 (docs/INTERNALS.md §8), first what a forward of
+        // channel data reads:
+        //    56  forwarding plane: FIB 40 (one-slot table 24, forwarded
+        //        counter 8, drop-counter pointer 8), the `data_fwd` handle
+        //        4 (+ 4 padding), the pointer to the cold half 8
         //     8  control-plane pointer
         //    40  config: two durations 16, the optional probe period 16,
         //        the mode override and two flags 3 (+ 5 padding)
@@ -1729,10 +1730,14 @@ mod tests {
         // bytes, no allocator header or rounding, and `Option` (the row's
         // tombstone) adds none. Each byte is 2 MiB on the 2²⁰-subscriber
         // tree, the whole per-router memory of a one-route forwarding hop.
-        let size = std::mem::size_of::<EcmpRouter>();
-        assert!(size <= 136, "{size}");
-        assert_eq!(std::mem::size_of::<Option<EcmpRouter>>(), size);
-        assert_eq!((std::mem::size_of::<ForwardingPlane>(), std::mem::size_of::<RouterConfig>()), (88, 40));
+        // The bytes a forward reads are the forwarding plane's 56, one
+        // contiguous span of the row (the hop ledger in netsim's engine
+        // tests counts the cache lines it may cross).
+        use std::mem::size_of;
+        let size = size_of::<EcmpRouter>();
+        assert!(size <= 104, "{size}");
+        assert_eq!(size_of::<Option<EcmpRouter>>(), size);
+        assert_eq!((size_of::<ForwardingPlane>(), size_of::<Fib>(), size_of::<RouterConfig>()), (56, 40, 40));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The paper prices this state separately (§5.1: fast-path memory, 12 B
 //! per channel) from the management-level state of §5.2, which the fast
 //! path never reads. The same cut is made here: a [`ForwardingPlane`] is
-//! the FIB, the per-packet counters and a pointer to the forwarding-buffer
-//! pool, and a router that only forwards holds nothing else (see
-//! `docs/INTERNALS.md` §8 for the byte budget).
+//! the FIB, the forward counter's handle and a pointer to the rest (the
+//! forwarding-buffer pool and the subcast count), and a router that only
+//! forwards holds nothing else (see `docs/INTERNALS.md` §8 for the byte
+//! budget).
 
 use crate::fib::{Fib, Forward};
 use express_wire::addr::Channel;
@@ -14,51 +15,46 @@ use netsim::engine::{Ctx, Payload, Reliability, Tx};
 use netsim::id::IfaceId;
 use netsim::stats::{CounterId, TrafficClass};
 
-/// Pre-registered [`CounterId`]s for the counters on the data fast path.
-#[derive(Debug, Clone, Copy)]
-struct HotCounters {
-    data_fwd: CounterId,
-    subcast_fwd: CounterId,
-    parse_error: CounterId,
-}
-
 /// The state of the §3.4 fast path.
 #[derive(Default)]
 pub(super) struct ForwardingPlane {
     pub(super) fib: Fib,
-    /// Interned handles for the per-packet counters, registered in
-    /// `on_start` so the forwarding fast path bumps by array index.
-    hot: Option<HotCounters>,
+    /// The handle of `express.data_fwd`, interned in `on_start` so a
+    /// forward bumps it by array index.
+    data_fwd: Option<CounterId>,
+    /// What a forward of channel data never reads, allocated by the first
+    /// event that needs it: on a distribution tree only the router of each
+    /// level that patches the frame (see [`derive`](Self::derive)) has one.
+    cold: Option<Box<ColdPlane>>,
+}
+
+/// The part of the forwarding plane a forward of channel data does not
+/// touch: the buffer pool a memo miss patches into, and the subcast count.
+#[derive(Default)]
+struct ColdPlane {
+    /// Recycled forwarding buffers (see [`PayloadPool`]).
+    pool: PayloadPool,
     /// Subcast packets forwarded. With the FIB's own counters — every
     /// other data packet is counted there, once, under the decision it met
     /// — this makes up the `data_*` fields of
     /// [`RouterCounters`](super::RouterCounters).
-    pub(super) subcast_forwarded: u64,
-    /// Recycled forwarding buffers (see [`PayloadPool`]), allocated by the
-    /// first frame this router patches itself: on a distribution tree that
-    /// is one router per level and wave, the others are handed the patched
-    /// frame by [`Ctx::derive_frame`].
-    pool: Option<Box<PayloadPool>>,
+    subcast_forwarded: u64,
 }
 
 impl ForwardingPlane {
-    /// Intern the per-packet counters once; the forwarding fast path bumps
-    /// them by handle (registration alone surfaces nothing).
+    /// Intern the per-packet counter once; the forwarding fast path bumps
+    /// it by handle (registration alone surfaces nothing).
     pub(super) fn intern_counters(&mut self, ctx: &mut Ctx<'_>) {
-        self.hot = Some(HotCounters {
-            data_fwd: ctx.counter("express.data_fwd"),
-            subcast_fwd: ctx.counter("express.subcast_fwd"),
-            parse_error: ctx.counter("express.parse_error"),
-        });
+        self.data_fwd = Some(ctx.counter("express.data_fwd"));
     }
 
-    fn hot(&self) -> HotCounters {
-        self.hot.expect("counters are interned in on_start")
+    fn cold(&mut self) -> &mut ColdPlane {
+        self.cold.get_or_insert_with(Box::default)
     }
 
-    /// A packet that did not parse.
-    pub(super) fn count_parse_error(&self, ctx: &mut Ctx<'_>) {
-        ctx.count_id(self.hot().parse_error, 1);
+    /// Subcast packets forwarded (see [`ColdPlane::subcast_forwarded`]).
+    pub(super) fn subcast_forwarded(&self) -> u64 {
+        self.cold.as_ref().map_or(0, |c| c.subcast_forwarded)
     }
 
     /// Forward channel data per §3.4.
@@ -86,7 +82,7 @@ impl ForwardingPlane {
                 // so does every other router handed the same frame.
                 let out = self.derive(ctx, bytes, header.ttl - 1);
                 ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-                ctx.count_id(self.hot().data_fwd, 1);
+                ctx.count_id(self.data_fwd.expect("counters are interned in on_start"), 1);
             }
             Forward::NoEntry => ctx.count("express.no_entry_drop", 1),
             Forward::WrongInterface => ctx.count("express.rpf_drop", 1),
@@ -120,12 +116,12 @@ impl ForwardingPlane {
         let mask = e.oif_mask();
         // A decapsulated frame arrives in no shared buffer, so there is no
         // handle another router could present: patch it here.
-        let pool = self.pool.get_or_insert_with(Box::default);
-        let out = pool.patch_ttl(&inner, inner_hdr.ttl - 1);
+        let cold = self.cold();
+        let out = cold.pool.patch_ttl(&inner, inner_hdr.ttl - 1);
         ctx.send_fanout(mask, &out, TrafficClass::Data, Reliability::Datagram);
-        pool.release(out);
-        self.subcast_forwarded += 1;
-        ctx.count_id(self.hot().subcast_fwd, 1);
+        cold.pool.release(out);
+        cold.subcast_forwarded += 1;
+        ctx.count("express.subcast_fwd", 1);
     }
 
     /// Plain unicast forwarding (the substrate: relays, subcast transit,
@@ -150,7 +146,7 @@ impl ForwardingPlane {
     /// octets and `new_ttl` alone, which is the memo's contract.
     fn derive(&mut self, ctx: &mut Ctx<'_>, src: &Payload, new_ttl: u8) -> Payload {
         ctx.derive_frame(src, u32::from(new_ttl), |octets| {
-            let pool = self.pool.get_or_insert_with(Box::default);
+            let pool = &mut self.cold().pool;
             let out = pool.patch_ttl(octets, new_ttl);
             pool.release(out.clone());
             out
@@ -314,10 +310,14 @@ mod tests {
             assert_eq!(sim.frames_derived(), wave * (DEPTH as u64 + 1));
         }
         assert_eq!(sim.stats().named("express.data_fwd"), 2 * g.routers.len() as u64);
-        // Only a router that patched a frame owns a pool to park it in.
-        // (Debug builds re-derive on every memo hit to check the memo's
-        // contract, so there every router patches.)
-        let pools = g.routers.iter().filter(|&&r| sim.agent_as::<EcmpRouter>(r).unwrap().fwd.pool.is_some());
+        // Only a router that patched a frame holds the cold half of its
+        // forwarding plane, and a frame parked in its pool. (Debug builds
+        // re-derive on every memo hit to check the memo's contract, so
+        // there every router patches.)
+        let pools = g.routers.iter().filter(|&&r| {
+            let cold = sim.agent_as::<EcmpRouter>(r).unwrap().fwd.cold.as_deref();
+            cold.is_some_and(|c| !c.pool.parked.is_empty())
+        });
         assert_eq!(pools.count(), if cfg!(debug_assertions) { g.routers.len() } else { DEPTH + 1 });
         let first = sim.agent_as::<Tap>(sinks[0]).unwrap().got.clone();
         for &h in sinks {

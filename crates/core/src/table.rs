@@ -70,7 +70,9 @@ enum Store<T> {
     Inline(Slot<T>),
     /// `slots.len()` is a power of two ≥ [`Table::MIN_SLOTS`] and
     /// `len ≤ ¾ · slots.len()`, so every probe sequence ends at a vacancy.
-    Heap { slots: Box<[Slot<T>]>, len: usize },
+    /// `hint` is the slot [`get_hinted`](Table::get_hinted) last found a
+    /// record in; the inline store needs none, its one slot is the hint.
+    Heap { slots: Box<[Slot<T>]>, len: u32, hint: u32 },
 }
 
 /// An exact-match table of records keyed by a `u64` each one carries.
@@ -121,7 +123,7 @@ impl<T: Keyed<Key = u64>> Table<T> {
     pub fn len(&self) -> usize {
         match &self.store {
             Store::Inline(slot) => usize::from(slot.is_some()),
-            Store::Heap { len, .. } => *len,
+            Store::Heap { len, .. } => *len as usize,
         }
     }
 
@@ -141,13 +143,16 @@ impl<T: Keyed<Key = u64>> Table<T> {
         slots[probe(slots, key)?].as_ref()
     }
 
-    /// [`get`](Self::get), looking first in slot `*hint` and leaving there
-    /// the slot the record was found in: a caller that keeps asking for one
-    /// key pays a compare, not a hash and a probe. The hint is checked
-    /// against the key every time, so any value is safe and no insert,
-    /// removal or growth has to reset it.
-    pub fn get_hinted(&self, key: u64, hint: &mut u32) -> Option<&T> {
-        let slots = self.slots();
+    /// [`get`](Self::get), looking first in the slot the last call found
+    /// its record in and leaving there the slot this one finds: a caller
+    /// that keeps asking for one key pays a compare, not a hash and a
+    /// probe. The hint is checked against the key every time, so any value
+    /// is safe and no insert or removal has to reset it.
+    pub fn get_hinted(&mut self, key: u64) -> Option<&T> {
+        let (slots, hint): (&[Slot<T>], _) = match &mut self.store {
+            Store::Inline(slot) => return slot.as_ref().filter(|r| r.key() == key),
+            Store::Heap { slots, hint, .. } => (slots, hint),
+        };
         if let Some(Some(record)) = slots.get(*hint as usize) {
             if record.key() == key {
                 return Some(record);
@@ -206,7 +211,7 @@ impl<T: Keyed<Key = u64>> Table<T> {
                 grown[i] = Some(e);
             }
             vacancy = probe(&grown, record.key());
-            self.store = Store::Heap { slots: grown, len };
+            self.store = Store::Heap { slots: grown, len: len as u32, hint: 0 };
         }
         let i = vacancy.expect("a table under its load bound has a vacancy");
         self.slots_mut()[i] = Some(record);
@@ -220,7 +225,7 @@ impl<T: Keyed<Key = u64>> Table<T> {
     pub fn remove(&mut self, key: u64) -> Option<T> {
         let mut hole = probe(self.slots(), key)?;
         let removed = self.slots_mut()[hole].take()?;
-        let Store::Heap { slots, len } = &mut self.store else {
+        let Store::Heap { slots, len, .. } = &mut self.store else {
             return Some(removed);
         };
         *len -= 1;
@@ -507,21 +512,30 @@ mod tests {
         for k in 0..50 {
             t.insert(Rec(k, 0));
         }
-        let mut hint = u32::MAX;
-        assert_eq!(t.get_hinted(33, &mut hint), Some(&Rec(33, 0)));
-        assert_eq!(t.slots()[hint as usize], Some(Rec(33, 0)));
+        let hint = |t: &Table<Rec>| match t.store {
+            Store::Heap { hint, .. } => hint as usize,
+            Store::Inline(_) => unreachable!("fifty records live on the heap"),
+        };
+        assert_eq!(t.get_hinted(33), Some(&Rec(33, 0)));
+        assert_eq!(t.slots()[hint(&t)], Some(Rec(33, 0)));
         // A key that is not there leaves the hint where it was, and the
         // next question for the hinted key is still answered.
-        let at = hint;
-        assert_eq!(t.get_hinted(99, &mut hint), None);
-        assert_eq!(hint, at);
+        let at = hint(&t);
+        assert_eq!(t.get_hinted(99), None);
+        assert_eq!(hint(&t), at);
         t.get_mut(33).unwrap().1 = 7;
-        assert_eq!(t.get_hinted(33, &mut hint), Some(&Rec(33, 7)));
+        assert_eq!(t.get_hinted(33), Some(&Rec(33, 7)));
         // The record goes; the slot, vacant or refilled, answers for no
         // key but its own.
         assert_eq!(t.remove(33), Some(Rec(33, 7)));
-        assert_eq!(t.get_hinted(33, &mut hint), None);
-        assert_eq!(t.get_hinted(34, &mut hint), Some(&Rec(34, 0)));
+        assert_eq!(t.get_hinted(33), None);
+        assert_eq!(t.get_hinted(34), Some(&Rec(34, 0)));
+        // The one-record table answers from its inline slot, hint-free.
+        let mut one = Table::new();
+        one.insert(Rec(5, 1));
+        assert_eq!(one.get_hinted(5), Some(&Rec(5, 1)));
+        assert_eq!(one.get_hinted(6), None);
+        assert_eq!(std::mem::size_of::<Table<express_wire::fib::FibEntry>>(), 24);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! [`Ctx`]: what an agent can see and do during one dispatch.
 
-use super::world::{packet_id, ArrivalCause, DerivedFrame, EventKind, FanoutSend, Shared, World};
+use super::world::{packet_id, ArrivalCause, DerivedFrame, EventKind, FanoutSend, Member, Shared, World};
 use super::{Payload, Reliability, TimerToken, Tx};
 use crate::id::{IfaceId, NodeId};
 use crate::routing::NextHop;
@@ -294,8 +294,7 @@ impl<'a> Ctx<'a> {
             && matches!(tx, Tx::AllOnLink)
             && (rel == Reliability::Reliable || loss <= 0.0)
         {
-            let key = self.world.next_key(node);
-            let fanout = |bytes| FanoutSend::new(iface, bytes, class, frame, key);
+            let member = Member::new(iface, class, id, self.world.next_key(node));
             // A fan-out on a cut link is mirrored — same key — into every
             // other shard the link touches; each shard expands only its own
             // endpoint range, so the union of expansions is exactly the
@@ -306,11 +305,11 @@ impl<'a> Ctx<'a> {
                 while m != 0 {
                     let d = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let mirror = EventKind::Fanout(fanout(Some(Payload::clone(&payload))));
-                    self.world.outbox.push((d, arrive, key, mirror));
+                    let mirror = FanoutSend { bytes: Payload::clone(&payload), root, root_at, member };
+                    self.world.outbox.push((d, arrive, member.key(), EventKind::Fanout(mirror)));
                 }
             }
-            self.world.push_fanout(arrive, fanout(None), payload);
+            self.world.push_fanout(arrive, member, root, root_at, payload);
             return true;
         }
         // Eager path (lossy or unicast sends, or batching off): indexed

@@ -3,13 +3,13 @@
 //! the batched fan-out path.
 
 use super::store::AgentStore;
-use super::world::{event_class, event_node, ArrivalCause, EventKind, FanoutSend, Shared, World};
+use super::world::{event_class, event_node, ArrivalCause, Cohort, EventKind, FanoutSend, Member, Run, Shared, World};
 use super::{Agent, Ctx, Payload};
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::prof::{EventClass, WheelGauges};
 use crate::stats::TrafficClass;
 use crate::time::SimTime;
-use crate::trace::{DropReason, TraceKind};
+use crate::trace::{DropReason, PacketId, TraceKind};
 use crate::wheel::TimerWheel;
 
 /// One shard's executor: the shared engine state, the shard's world and
@@ -74,13 +74,12 @@ impl<'a> ShardExec<'a> {
         match kind {
             EventKind::Fanout(fs) => {
                 let before = self.world.events_processed;
-                let frame = fs.bytes.as_ref().expect("a fan-out outside a cohort owns its frame");
-                self.expand_fanout(&fs, frame);
+                self.expand_fanout(fs.member, fs.root, fs.root_at, &fs.bytes);
                 self.finish_fanout_pop(before);
             }
-            EventKind::FanoutCohort(sends) => {
+            EventKind::FanoutCohort(cohort) => {
                 let before = self.world.events_processed;
-                self.expand_cohort(at, sends);
+                self.expand_cohort(at, cohort);
                 self.finish_fanout_pop(before);
             }
             kind => {
@@ -136,49 +135,43 @@ impl<'a> ShardExec<'a> {
     /// would have produced. (A *single* deferred fan-out expands
     /// atomically, matching the eager path where its arrivals carry
     /// consecutive keys nothing can fall between.)
-    fn expand_cohort(&mut self, at: SimTime, mut sends: Vec<FanoutSend>) {
-        let mut idx = 0;
-        // The member holding `sends[idx]`'s frame: the first at or after
-        // `idx` with a handle (a run's owner is its last member, and so is
-        // the cohort's, which a re-queued tail keeps).
-        let mut owner = 0;
-        while idx < sends.len() {
-            if idx > 0 {
-                let mk = sends[idx].key();
-                // Non-rotating probe: a same-timestamp straggler can only
-                // be in the current run or the inbox (same-bucket by
-                // construction); a rotating peek would drain the next
-                // bucket mid-expansion and break tail coalescing there.
-                if let Some(nk) = self.world.queue.peek_key_at(at) {
-                    if nk < mk {
-                        let k = mk;
-                        let kind = if sends.len() - idx == 1 {
-                            EventKind::Fanout(sends.pop().expect("idx < len"))
-                        } else {
-                            // Re-queue the tail in a recycled buffer —
-                            // splits are common under interleaved senders
-                            // and must not allocate per pause.
-                            let mut rest =
-                                self.world.fanout_spares.pop().unwrap_or_default();
-                            rest.extend(sends.drain(idx..));
-                            EventKind::FanoutCohort(rest)
-                        };
-                        self.world.push(at, k, kind);
-                        break;
-                    }
-                }
+    fn expand_cohort(&mut self, at: SimTime, mut cohort: Cohort) {
+        let len = cohort.members.len();
+        // The run `cohort.members[idx]` belongs to.
+        let mut run = 0;
+        for idx in 0..len {
+            let m = cohort.members[idx];
+            while cohort.runs[run].end <= idx {
+                run += 1;
             }
-            owner = owner.max(idx);
-            while sends[owner].bytes.is_none() {
-                owner += 1;
+            // Non-rotating probe: a same-timestamp straggler can only be in
+            // the current run or the inbox (same-bucket by construction); a
+            // rotating peek would drain the next bucket mid-expansion and
+            // break tail coalescing there.
+            if idx > 0 && self.world.queue.peek_key_at(at).is_some_and(|nk| nk < m.key()) {
+                let kind = if idx + 1 == len {
+                    let r = cohort.runs.pop().expect("the last member's run");
+                    EventKind::Fanout(FanoutSend { bytes: r.bytes, root: r.root, root_at: r.root_at, member: m })
+                } else {
+                    // Re-queue the tail in a recycled buffer — splits are
+                    // common under interleaved senders and must not
+                    // allocate per pause. It takes the runs from the
+                    // current one on; the members already expanded need
+                    // none of them.
+                    let mut rest = self.world.fanout_spares.pop().unwrap_or_default();
+                    rest.members.extend(cohort.members.drain(idx..));
+                    rest.runs.extend(cohort.runs.drain(run..).map(|r| Run { end: r.end - idx, ..r }));
+                    EventKind::FanoutCohort(rest)
+                };
+                self.world.push(at, m.key(), kind);
+                break;
             }
-            let frame = sends[owner].bytes.as_ref().expect("just found");
-            self.expand_fanout(&sends[idx], frame);
-            idx += 1;
+            let r = &cohort.runs[run];
+            self.expand_fanout(m, r.root, r.root_at, &r.bytes);
         }
-        sends.clear();
+        cohort.clear();
         if self.world.fanout_spares.len() < World::FANOUT_SPARES_MAX {
-            self.world.fanout_spares.push(sends);
+            self.world.fanout_spares.push(cohort);
         }
     }
 
@@ -197,17 +190,17 @@ impl<'a> ShardExec<'a> {
     /// the eager delivery set. Trace records carry
     /// `endpoint index << 32 | counter` sub-tags so the merged stream
     /// reconstructs the single-shard endpoint order.
-    fn expand_fanout(&mut self, fs: &FanoutSend, bytes: &Payload) {
-        let sender = fs.node();
-        let iface = fs.iface();
-        let (class, cause) = (fs.class(), fs.cause);
+    fn expand_fanout(&mut self, m: Member, root: PacketId, root_at: SimTime, bytes: &Payload) {
+        let sender = m.node();
+        let iface = m.iface();
+        let (class, cause) = (m.class(), ArrivalCause { id: m.id, root, root_at });
         let Ok(link) = self.shared.topo.link_of(sender, iface) else {
             return;
         };
         let link_ok = self.shared.topo.link_up(link);
         let n_endpoints = self.shared.topo.link_endpoint_count(link);
         let (base, limit) = (self.world.base, self.world.limit);
-        self.world.cur_key = fs.key();
+        self.world.cur_key = m.key();
         if self.world.trace.is_none() && self.world.prof.is_none() {
             // Hot loop: no tracing, no profiling — one enablement branch
             // per *send* instead of several per delivery.

@@ -102,7 +102,7 @@
 //! | file | holds |
 //! |---|---|
 //! | `mod.rs` | the public vocabulary: [`Agent`], [`IntoAgent`], [`Tx`], [`Reliability`], [`TopologyChange`], [`Payload`], [`NullAgent`] |
-//! | `world.rs` | `EventKind` / `FanoutSend`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, topology listeners, audit marks, counters, fan-out coalescing) |
+//! | `world.rs` | `EventKind` / `FanoutSend` / `Cohort`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, topology listeners, audit marks, counters, fan-out coalescing) |
 //! | `store.rs` | `AgentStore`: one shard's agents, a pool per concrete type and a 4-byte slot per node; the sealed half of [`IntoAgent`] |
 //! | `ctx.rs` | [`Ctx`], the agent's window into a dispatch: queries, `send*` / the one `transmit` path, timers, `watch_topology`, counters |
 //! | `exec.rs` | `ShardExec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion, `deliver` |

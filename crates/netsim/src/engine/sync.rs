@@ -59,9 +59,8 @@ fn worker_loop(
                     // key order, so a wide cut (e.g. a tree level split
                     // across the boundary) collapses into a few cohort
                     // entries instead of one entry per cut link.
-                    EventKind::Fanout(mut fs) => {
-                        let frame = fs.bytes.take().expect("a fan-out outside a cohort owns its frame");
-                        exec.world.push_fanout(at, fs, Cow::Owned(frame));
+                    EventKind::Fanout(fs) => {
+                        exec.world.push_fanout(at, fs.member, fs.root, fs.root_at, Cow::Owned(fs.bytes));
                     }
                     kind => exec.world.push(at, key, kind),
                 }

@@ -907,7 +907,11 @@ fn a_node_draws_its_own_seeded_stream_whenever_it_first_draws() {
 
 #[test]
 fn fanout_send_is_48_bytes_and_rebuilds_what_it_packs() {
-    assert!(std::mem::size_of::<world::FanoutSend>() <= 48, "{}", std::mem::size_of::<world::FanoutSend>());
+    use std::mem::size_of;
+    // A singleton fan-out owns its frame and chain; a cohort member keeps
+    // only what differs along a run, and the wheel's entry does not grow.
+    assert!(size_of::<world::FanoutSend>() <= 48, "{}", size_of::<world::FanoutSend>());
+    assert_eq!((size_of::<world::Member>(), size_of::<world::EventKind>()), (16, 56));
     // The extremes of every packed field: the last node of the address plan
     // (its rank, `MAX_NODES`, still fits a packet id with a 40-bit counter
     // at 2^40 − 1), the last interface, both classes, a 48-bit sequence
@@ -918,11 +922,18 @@ fn fanout_send_is_48_bytes_and_rebuilds_what_it_packs() {
         (NodeId(0x00AB_CDEF), IfaceId(17), TrafficClass::Data, 0x1234_5678_9ABC),
     ] {
         let id = world::packet_id(node, 0xFF_FFFF_FFFF);
-        let cause = world::ArrivalCause { id, root: crate::trace::PacketId(3), root_at: SimTime(9) };
         let key = (u128::from(node.0) + 1) << 64 | u128::from(seq);
-        let fs = world::FanoutSend::new(iface, None, class, cause, key);
-        assert_eq!((fs.node(), fs.iface(), fs.class(), fs.key()), (node, iface, class, key));
+        let m = world::Member::new(iface, class, id, key);
+        assert_eq!((m.node(), m.iface(), m.class(), m.key(), m.id), (node, iface, class, key, id));
     }
+}
+
+/// The most 64 B cache lines a `span`-byte stretch of a pool row may cross,
+/// over every row of a pool chunk (`stride` bytes apart) and every 8-byte
+/// alignment of the chunk.
+fn lines_crossed(span: usize, stride: usize) -> usize {
+    let starts = (0..64).step_by(8).flat_map(|base| (0..64).map(move |row| base + row * stride));
+    starts.map(|s| (s + span - 1) / 64 - s / 64 + 1).max().expect("some start")
 }
 
 /// The bytes of per-node and per-link table rows — the agent's pool row
@@ -933,11 +944,14 @@ fn fanout_send_is_48_bytes_and_rebuilds_what_it_packs() {
 /// form of "cache lines touched per delivery" (docs/INTERNALS.md §8 has the
 /// table with the sizes before).
 #[test]
-fn a_forwarding_hop_indexes_under_310_bytes_of_rows() {
+fn a_forwarding_hop_indexes_under_220_bytes_of_rows() {
     use std::mem::size_of;
     /// `express::router::tests::router_size_is_pinned`'s bound: the agent of
     /// a forwarding hop, and its pool row — `Option` adds no byte to it.
-    const AGENT: usize = 136;
+    const AGENT: usize = 104;
+    /// The same test's forwarding plane: the part of the row a forward of
+    /// channel data reads, one contiguous span.
+    const HOT: usize = 56;
     let (node_id, iface_id, link_id) = (size_of::<NodeId>(), size_of::<IfaceId>(), size_of::<LinkId>());
     let iface_range = 8; // (start: u32, len: u8, cap: u8), padded
     let link_of = iface_range + link_id; // topology: the node's range, its slab slot
@@ -946,7 +960,7 @@ fn a_forwarding_hop_indexes_under_310_bytes_of_rows() {
         + size_of::<u32>()              // interned spec index (the spec itself is shared)
         + size_of::<[u64; 2]>()         // stats: the link's data pair
         + 2 * size_of::<u64>()          // the sender's packet-id and key counters
-        + size_of::<world::FanoutSend>(); // the cohort member (single plan: no link mask)
+        + size_of::<world::Member>();   // the cohort member (single plan: no link mask; its run is shared)
     let delivery = link_of
         + size_of::<bool>()             // link state, re-read at expansion
         + 2 * size_of::<u32>()          // the link's endpoint range
@@ -955,8 +969,11 @@ fn a_forwarding_hop_indexes_under_310_bytes_of_rows() {
         + size_of::<store::Slot>()      // receiver's slot: pool and row
         + size_of::<Box<[u8; 1]>>()     // the pool's pointer to the row's chunk
         + AGENT;                        // the row
-    assert_eq!(size_of::<store::Slot>(), 4);
-    assert!(transmit + delivery < 310, "{transmit} + {delivery}");
+    assert_eq!((size_of::<store::Slot>(), size_of::<world::Member>()), (4, 16));
+    assert!(transmit + delivery < 220, "{transmit} + {delivery}");
+    // The row's hot span crosses at most two lines wherever the row sits,
+    // the whole row at most three.
+    assert_eq!((lines_crossed(HOT, AGENT), lines_crossed(AGENT, AGENT)), (2, 3));
 }
 
 /// Forwards everything to the agent it wraps, `as_any_mut` included — the

@@ -62,8 +62,7 @@ pub(super) enum EventKind {
     /// Consecutive same-timestamp fan-outs coalesced into one queue entry
     /// by `World::push_fanout`; members are kept in ascending key order and
     /// expanded against the pause rule (see `ShardExec::expand_cohort`).
-    /// The last member always owns its frame (see [`FanoutSend::bytes`]).
-    FanoutCohort(Vec<FanoutSend>),
+    FanoutCohort(Cohort),
 }
 
 /// One deferred link transmission: everything needed to expand the
@@ -72,26 +71,71 @@ pub(super) enum EventKind {
 /// RNG at send time to keep the random stream identical to the eager
 /// path), so expansion needs no RNG.
 ///
-/// 48 bytes, and a wide tree level keeps a million of them alive: the frame
-/// handle, the causal identity, and one word for the rest. The sender is
-/// not stored — `cause.id` was minted by it and carries its rank — and
-/// neither is the rank half of the canonical key, which is the same number.
+/// 48 bytes: the frame handle, the causal chain, and the send itself. The
+/// sender is not stored — the frame's id was minted by it and carries its
+/// rank — and neither is the rank half of the canonical key, which is the
+/// same number.
 #[derive(Debug)]
 pub(super) struct FanoutSend {
-    /// The frame, by reference within a cohort: a run of consecutive
-    /// members transmitting the same handle (every router of a tree level
-    /// forwarding one derived frame) keeps a single owner, its **last**
-    /// member, and the members before it hold `None`. Joining a run moves
-    /// the handle from the old tail to the newcomer, and a paused cohort's
-    /// re-queued tail still ends in its owners, so neither touches a
-    /// refcount. A fan-out outside a cohort always owns its frame.
-    pub(super) bytes: Option<Payload>,
-    pub(super) cause: ArrivalCause,
+    pub(super) bytes: Payload,
+    pub(super) root: PacketId,
+    pub(super) root_at: SimTime,
+    pub(super) member: Member,
+}
+
+/// A fan-out as a cohort stores it, 16 bytes: the frame's id and one word
+/// for the rest. The frame handle and the causal chain are its run's (see
+/// [`Cohort`]); a tree level keeps a million of these alive, and one run.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Member {
+    /// The frame's id (one per `Ctx::send`).
+    pub(super) id: PacketId,
     /// `seq << 16 | iface << 8 | class`: the sender's interface (the link
     /// is re-resolved at expansion), the traffic class, and the sequence
     /// half of the canonical key in 48 bits — one node would have to
     /// schedule 2⁴⁸ events to outgrow them.
     tag: u64,
+}
+
+/// Fan-outs coalesced into one queue entry, in ascending key order: a
+/// member per fan-out, and a run per maximal stretch of consecutive members
+/// that transmit the same frame handle in the same causal chain — every
+/// router of a tree level forwarding one derived frame is one run. Joining
+/// a run touches no refcount, and neither does a paused cohort's re-queued
+/// tail, which takes the runs it still needs along.
+#[derive(Debug, Default)]
+pub(super) struct Cohort {
+    pub(super) members: Vec<Member>,
+    pub(super) runs: Vec<Run>,
+}
+
+/// What a stretch of cohort members shares.
+#[derive(Debug)]
+pub(super) struct Run {
+    pub(super) bytes: Payload,
+    pub(super) root: PacketId,
+    pub(super) root_at: SimTime,
+    /// One past the run's last member.
+    pub(super) end: usize,
+}
+
+impl Cohort {
+    /// Append `m`, extending the last run if it shares `frame` and the
+    /// chain; `frame` is made owned only for a new run.
+    fn push(&mut self, m: Member, root: PacketId, root_at: SimTime, frame: Cow<'_, Payload>) {
+        self.members.push(m);
+        let end = self.members.len();
+        match self.runs.last_mut() {
+            Some(r) if Arc::ptr_eq(&r.bytes, &frame) && (r.root, r.root_at) == (root, root_at) => r.end = end,
+            _ => self.runs.push(Run { bytes: frame.into_owned(), root, root_at, end }),
+        }
+    }
+
+    /// Empty, keeping capacity (the frames' handles drop here).
+    pub(super) fn clear(&mut self) {
+        self.members.clear();
+        self.runs.clear();
+    }
 }
 
 /// Packet ids are `rank << 40 | per-sender counter`, rank = node id + 1 —
@@ -108,20 +152,19 @@ pub(super) fn packet_id(node: NodeId, seq: u64) -> PacketId {
     PacketId((node.0 as u64 + 1) << PACKET_RANK_SHIFT | seq)
 }
 
-impl FanoutSend {
-    /// A fan-out of the frame `cause` names, which the node that minted
-    /// `cause.id` sends out `iface` under canonical key `key`.
-    pub(super) fn new(iface: IfaceId, bytes: Option<Payload>, class: TrafficClass, cause: ArrivalCause, key: u128) -> FanoutSend {
+impl Member {
+    /// The send of frame `id`, which the node that minted `id` makes out
+    /// `iface` under canonical key `key`.
+    pub(super) fn new(iface: IfaceId, class: TrafficClass, id: PacketId, key: u128) -> Member {
         let seq = key as u64;
         debug_assert!(seq >> 48 == 0, "a node scheduled 2^48 events");
-        let tag = seq << 16 | u64::from(iface.0) << 8 | class as u64;
-        let fs = FanoutSend { bytes, cause, tag };
-        debug_assert!(fs.key() == key, "a fan-out is sent by the node that minted its frame's id");
-        fs
+        let m = Member { id, tag: seq << 16 | u64::from(iface.0) << 8 | class as u64 };
+        debug_assert!(m.key() == key, "a fan-out is sent by the node that minted its frame's id");
+        m
     }
 
     fn rank(&self) -> u64 {
-        self.cause.id.0 >> PACKET_RANK_SHIFT
+        self.id.0 >> PACKET_RANK_SHIFT
     }
 
     /// The sending node (skipped during the endpoint walk).
@@ -318,7 +361,7 @@ pub(super) struct World {
     /// Derivations actually run: [`Ctx::derive_frame`] misses.
     pub(super) frames_derived: u64,
     /// Recycled cohort buffers from drained `FanoutCohort` events.
-    pub(super) fanout_spares: Vec<Vec<FanoutSend>>,
+    pub(super) fanout_spares: Vec<Cohort>,
     /// Scratch for the eager (lossy/unicast) send path's bulk schedule.
     pub(super) bulk_scratch: Vec<(u128, EventKind)>,
     /// Cross-shard events produced this window: `(dest shard, at, key,
@@ -462,48 +505,40 @@ impl World {
         }
     }
 
-    /// Queue a deferred fan-out of `frame` at `(at, fs.key())`, coalescing
-    /// with the queue's most recent same-timestamp entry when that entry is
-    /// itself a fan-out *and* every member of it keys below the newcomer — a
-    /// forwarding hop emitting k same-latency sends back to back occupies
-    /// one queue entry instead of k. The ascending-key condition keeps pop
-    /// order canonical: a cohort pops at its first member's key, and
-    /// expansion pauses at any member a smaller-keyed interloper undercuts
-    /// (see `ShardExec::expand_cohort`).
+    /// Queue a deferred fan-out `m` of `frame` (in the causal chain `root`,
+    /// born `root_at`) at `(at, m.key())`, coalescing with the queue's most
+    /// recent same-timestamp entry when that entry is itself a fan-out
+    /// *and* every member of it keys below the newcomer — a forwarding hop
+    /// emitting k same-latency sends back to back occupies one queue entry
+    /// instead of k. The ascending-key condition keeps pop order canonical:
+    /// a cohort pops at its first member's key, and expansion pauses at any
+    /// member a smaller-keyed interloper undercuts (see
+    /// `ShardExec::expand_cohort`).
     ///
-    /// `fs` arrives without its frame. Joining a cohort whose tail
-    /// transmits the same handle takes that handle over from the tail (see
-    /// [`FanoutSend::bytes`]); only otherwise is `frame` made owned, so a
-    /// borrowed frame fanned out behind its own earlier send costs no
+    /// `frame` is made owned only where it starts a run (see [`Cohort`]),
+    /// so a borrowed frame fanned out behind its own earlier send costs no
     /// refcount operation at all.
-    pub(super) fn push_fanout(&mut self, at: SimTime, mut fs: FanoutSend, frame: Cow<'_, Payload>) {
-        debug_assert!(fs.bytes.is_none());
+    pub(super) fn push_fanout(&mut self, at: SimTime, m: Member, root: PacketId, root_at: SimTime, frame: Cow<'_, Payload>) {
         if let Some(last) = self.queue.tail_mut_at(at) {
-            let tail = match last {
-                EventKind::FanoutCohort(v) => v.last_mut(),
-                EventKind::Fanout(prev) => Some(prev),
-                _ => None,
-            };
-            if let Some(tail) = tail.filter(|t| t.key() < fs.key()) {
-                fs.bytes = match &tail.bytes {
-                    Some(b) if Arc::ptr_eq(b, &frame) => tail.bytes.take(),
-                    _ => Some(frame.into_owned()),
-                };
-                if let EventKind::FanoutCohort(v) = last {
-                    v.push(fs);
-                } else {
+            match last {
+                EventKind::FanoutCohort(c) if c.members.last().is_some_and(|t| t.key() < m.key()) => {
+                    c.push(m, root, root_at, frame);
+                    return;
+                }
+                EventKind::Fanout(prev) if prev.member.key() < m.key() => {
                     // Upgrade the tail entry in place to a two-member cohort.
                     let cohort = EventKind::FanoutCohort(self.fanout_spares.pop().unwrap_or_default());
                     let EventKind::Fanout(prev) = std::mem::replace(last, cohort) else { unreachable!() };
-                    let EventKind::FanoutCohort(v) = last else { unreachable!() };
-                    v.push(prev);
-                    v.push(fs);
+                    let EventKind::FanoutCohort(c) = last else { unreachable!() };
+                    c.push(prev.member, prev.root, prev.root_at, Cow::Owned(prev.bytes));
+                    c.push(m, root, root_at, frame);
+                    return;
                 }
-                return;
+                _ => {}
             }
         }
-        fs.bytes = Some(frame.into_owned());
-        self.push(at, fs.key(), EventKind::Fanout(fs));
+        let fs = FanoutSend { bytes: frame.into_owned(), root, root_at, member: m };
+        self.push(at, m.key(), EventKind::Fanout(fs));
     }
 
     /// Record a trace event if tracing is enabled (filters and causal

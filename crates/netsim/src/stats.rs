@@ -22,6 +22,7 @@ use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// Whether a packet is application data or protocol control traffic.
@@ -67,13 +68,18 @@ impl LinkStats {
 /// handle ([`Stats::count_id`]) is an array index, the per-packet fast
 /// path. Obtain one with [`Stats::counter`] (or
 /// [`crate::engine::Ctx::counter`]) and keep it for the run's lifetime.
+///
+/// Never zero — slot 0 of a [`Stats`] table is a placeholder no key is
+/// filed under — so an `Option<CounterId>` is 4 bytes, the size of the
+/// handle (every agent row that holds one lazily pays nothing for the
+/// `None`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(u32);
+pub struct CounterId(NonZeroU32);
 
 impl CounterId {
     #[inline]
     pub(crate) fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize
     }
 }
 
@@ -226,7 +232,10 @@ pub struct Stats {
     /// every link) by the first control transmission or drop, so a run
     /// that only forwards data never holds it.
     link_cold: Vec<ColdRow>,
-    /// Interned counter slots, indexed by [`CounterId`].
+    /// Interned counter slots, indexed by [`CounterId`]. Slot 0 (and its
+    /// entries in the two tables below) is a placeholder that no handle
+    /// names, pushed with the first real slot: a handle is its index, with
+    /// no offset to subtract, and still never zero.
     values: Vec<u64>,
     /// Whether the slot has ever been bumped (even by zero). Registration
     /// alone must not surface a counter in [`named_counters`](Self::named_counters):
@@ -323,7 +332,13 @@ impl Stats {
     }
 
     fn insert_slot(&mut self, key: Name) -> CounterId {
-        let id = CounterId(u32::try_from(self.values.len()).expect("counter slots exhausted"));
+        if self.values.is_empty() {
+            self.values.push(0);
+            self.touched.push(false);
+            self.names.push(Name::Static(""));
+        }
+        let index = u32::try_from(self.values.len()).ok().and_then(NonZeroU32::new);
+        let id = CounterId(index.expect("counter slots exhausted"));
         self.values.push(0);
         self.touched.push(false);
         self.names.push(key.clone());
@@ -515,6 +530,16 @@ mod tests {
             }
             assert_eq!(sides[0].0.named_counters().collect::<Vec<_>>(), vec![("kept", 1)]);
         }
+    }
+
+    #[test]
+    fn a_missing_counter_handle_costs_no_byte() {
+        assert_eq!(std::mem::size_of::<Option<CounterId>>(), 4);
+        let mut s = Stats::new(0);
+        let (a, b) = (s.counter("a"), s.counter("b"));
+        assert_eq!((a.index(), b.index()), (1, 2), "slot 0 is the placeholder");
+        s.count_id(b, 1);
+        assert_eq!(s.named_counters().collect::<Vec<_>>(), vec![("b", 1)]);
     }
 
     #[test]

@@ -174,18 +174,26 @@ fn lan_run(seed: u64, n: usize, batch: bool, shards: usize) -> (String, String) 
 }
 
 /// A hub that answers each arriving frame with two `send_fanout`s in one
-/// dispatch: the arriving handle out every receiver interface, then a frame
+/// dispatch: the arriving handle out every receiver interface, and a frame
 /// of its own out the odd ones — one cohort holding two shared-handle runs.
+/// `own_first` sends its own frame first.
 struct Hub {
     own: Payload,
     all: u32,
+    own_first: bool,
 }
 
 impl Agent for Hub {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
         if iface == IfaceId(0) {
+            let own = |ctx: &mut Ctx<'_>| ctx.send_fanout(self.all & 0xAAAA_AAAA, &self.own, class, Reliability::Datagram);
+            if self.own_first {
+                own(ctx);
+            }
             ctx.send_fanout(self.all, bytes, class, Reliability::Datagram);
-            ctx.send_fanout(self.all & 0xAAAA_AAAA, &self.own, class, Reliability::Datagram);
+            if !self.own_first {
+                own(ctx);
+            }
         }
     }
 }
@@ -201,6 +209,7 @@ impl Agent for Nudger {
         let frame = match &bytes[..] {
             b"forwarded" => "nudger.rx{frame=forwarded}",
             b"hub's own" => "nudger.rx{frame=hub's own}",
+            b"second" => "nudger.rx{frame=second}",
             _ => "nudger.rx{frame=other}",
         };
         ctx.count(frame, 1);
@@ -242,7 +251,7 @@ fn interloper_run(batch: bool, shards: usize, traced: bool) -> (String, String) 
     sim.set_shards(shards);
     sim.set_fanout_batching(batch);
     let all = ((1u32 << (LOW + HIGH + 1)) - 1) & !1;
-    sim.set_agent(hub, Box::new(Hub { own: Payload::from(&b"hub's own"[..]), all }));
+    sim.set_agent(hub, Box::new(Hub { own: Payload::from(&b"hub's own"[..]), all, own_first: false }));
     sim.set_agent(src, Box::new(Feeder { frame: Payload::from(&b"forwarded"[..]) }));
     for &h in low.iter().chain(&high) {
         sim.set_agent(h, Box::new(Nudger));
@@ -258,6 +267,49 @@ fn interloper_run(batch: bool, shards: usize, traced: bool) -> (String, String) 
         true => sim.take_trace().expect("trace enabled").to_jsonl(),
         false => String::new(),
     };
+    observe(&sim, trace)
+}
+
+/// Two hubs, each fed its own frame by its own feeder at the same instant,
+/// so the feeders' sends share a cohort and so do the hubs' answers one hop
+/// on: the first hub forwards its frame and then sends the hubs' shared own
+/// frame, the second sends that shared frame and then forwards its own —
+/// three frames and two causal chains in one cohort, and the shared frame's
+/// two runs meet with only the chain telling them apart. Each hub's low
+/// receivers sit below both hubs in id order and pause the cohort after
+/// every delivery, inside its runs.
+fn two_hub_run(batch: bool, shards: usize) -> (String, String) {
+    const LOW: usize = 3;
+    const HIGH: usize = 2;
+    let mut topo = Topology::new();
+    let low: Vec<Vec<_>> = (0..2).map(|_| (0..LOW).map(|_| topo.add_host()).collect()).collect();
+    let hubs = [topo.add_router(), topo.add_router()];
+    let feeders = [topo.add_host(), topo.add_host()];
+    let high: Vec<Vec<_>> = (0..2).map(|_| (0..HIGH).map(|_| topo.add_host()).collect()).collect();
+    for h in 0..2 {
+        topo.connect(feeders[h], hubs[h], LinkSpec::default()).unwrap();
+        for &r in low[h].iter().chain(&high[h]) {
+            topo.connect(hubs[h], r, LinkSpec::default()).unwrap();
+        }
+    }
+    let mut sim = Sim::new(topo, 1);
+    sim.set_shards(shards);
+    sim.set_fanout_batching(batch);
+    let all = ((1u32 << (LOW + HIGH + 1)) - 1) & !1;
+    let own = Payload::from(&b"hub's own"[..]);
+    for (h, frame) in [&b"forwarded"[..], b"second"].into_iter().enumerate() {
+        sim.set_agent(hubs[h], Box::new(Hub { own: own.clone(), all, own_first: h == 1 }));
+        sim.set_agent(feeders[h], Box::new(Feeder { frame: Payload::from(frame) }));
+        for &r in low[h].iter().chain(&high[h]) {
+            sim.set_agent(r, Box::new(Nudger));
+        }
+        for wave in 1..=3 {
+            sim.schedule_timer_at(feeders[h], at_ms(wave), 0);
+        }
+    }
+    sim.enable_trace(TraceConfig::default());
+    sim.run();
+    let trace = sim.take_trace().expect("trace enabled").to_jsonl();
     observe(&sim, trace)
 }
 
@@ -310,6 +362,27 @@ fn interloper_inside_a_shared_handle_run_delivers_the_right_frames() {
                 assert_eq!(got.0, reference.0, "trace diverged (batch {batch}, {shards} shards)");
                 assert_eq!(got.1, reference.1, "stats diverged (batch {batch}, {shards} shards, traced {traced})");
             }
+        }
+    }
+}
+
+#[test]
+fn a_cohort_of_three_frames_and_two_chains_pauses_inside_its_runs() {
+    let reference = two_hub_run(false, 1);
+    for want in [
+        "counter nudger.rx{frame=forwarded} 15\n",
+        "counter nudger.rx{frame=second} 15\n",
+        "counter nudger.rx{frame=hub's own} 18\n",
+        "counter nudger.nudge 48\n",
+    ] {
+        assert!(reference.1.contains(want), "no {want:?} in\n{}", reference.1);
+    }
+    assert!(!reference.1.contains("frame=other"), "a mangled frame in\n{}", reference.1);
+    for shards in [1usize, 2, 4] {
+        for batch in [true, false] {
+            let got = two_hub_run(batch, shards);
+            assert_eq!(got.0, reference.0, "trace diverged (batch {batch}, {shards} shards)");
+            assert_eq!(got.1, reference.1, "stats diverged (batch {batch}, {shards} shards)");
         }
     }
 }

@@ -400,9 +400,8 @@ fn channel_table_matches_a_btree_map_model() {
         // The keys in the order `Table::picked` hands out what it picks.
         let sorted_keys = |t: &Table<Rec>| t.picked(|_| Some(())).into_iter().map(|(k, ())| k).collect::<Vec<_>>();
         let mut high_water = 1;
-        // A slot hint carried through every insert, removal and growth —
-        // stale most of the time, out of range to begin with.
-        let mut hint = u32::MAX;
+        // The table's slot hint is carried through every insert, removal
+        // and growth — stale most of the time.
         // Fill, drain (every removal repairs a run in a table left at its
         // largest size), then churn.
         for (phase, inserts_in_8) in [(0, 7), (1, 1), (2, 4)] {
@@ -425,7 +424,7 @@ fn channel_table_matches_a_btree_map_model() {
                     8 => {
                         assert_eq!(table.get(key), model.get(&key), "{what}");
                         for _ in 0..2 {
-                            assert_eq!(table.get_hinted(key, &mut hint), model.get(&key), "{what}");
+                            assert_eq!(table.get_hinted(key), model.get(&key), "{what}");
                         }
                     }
                     _ => {
