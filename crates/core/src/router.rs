@@ -47,12 +47,17 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::transport::RttEstimator;
 use netsim::NodeKind;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 mod forward;
 use forward::ForwardingPlane;
 
 /// Tunables for an ECMP router.
-#[derive(Debug, Clone, Copy)]
+///
+/// A router holds a pointer to a shared copy, not the config itself: every
+/// router built from equal configs points at the same one (see
+/// [`EcmpRouter::new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Period of the UDP-mode general query on multi-access interfaces
     /// (the IGMP-query analogue of §3.2).
@@ -92,6 +97,24 @@ impl Default for RouterConfig {
             cache_keys: true,
             boot_query: false,
         }
+    }
+}
+
+impl RouterConfig {
+    /// The process's one copy of this config: made (and kept for the rest
+    /// of the process) the first time a router is built from it, shared by
+    /// every router built from an equal one since. A process builds a
+    /// handful of distinct configs, so the copies kept are a few hundred
+    /// bytes, and a lookup compares against a handful.
+    fn shared(self) -> &'static RouterConfig {
+        static SHARED: Mutex<Vec<&'static RouterConfig>> = Mutex::new(Vec::new());
+        let mut shared = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&cfg) = shared.iter().find(|&&cfg| *cfg == self) {
+            return cfg;
+        }
+        let cfg: &'static RouterConfig = Box::leak(Box::new(self));
+        shared.push(cfg);
+        cfg
     }
 }
 
@@ -425,8 +448,9 @@ pub struct EcmpRouter {
     /// `None` ≡ empty: no channel, pending count, timer or neighbor, no
     /// count result, every control-side counter zero.
     ctl: Option<Box<ControlPlane>>,
-    /// Last: a forwarded packet reads `fwd` and never this.
-    cfg: RouterConfig,
+    /// Last: a forwarded packet reads `fwd` and never this. Shared with
+    /// every router built from an equal config (`RouterConfig::shared`).
+    cfg: &'static RouterConfig,
 }
 
 impl EcmpRouter {
@@ -435,7 +459,7 @@ impl EcmpRouter {
         EcmpRouter {
             fwd: ForwardingPlane::default(),
             ctl: None,
-            cfg,
+            cfg: cfg.shared(),
         }
     }
 
@@ -578,7 +602,7 @@ impl EcmpRouter {
         });
         Some(Control {
             port: Port {
-                cfg: &self.cfg,
+                cfg: self.cfg,
                 fib: &mut self.fwd.fib,
                 counters,
                 ids,
@@ -645,7 +669,7 @@ fn rpf_hop(ctx: &mut Ctx<'_>, source: Ipv4Addr) -> Option<(IfaceId, Ipv4Addr)> {
 /// reads or writes while it holds the record — the sending side, the
 /// timers, the FIB — and nothing the record was looked up in.
 struct Port<'a> {
-    cfg: &'a RouterConfig,
+    cfg: &'static RouterConfig,
     fib: &'a mut Fib,
     counters: &'a mut RouterCounters,
     ids: EcmpCounters,
@@ -1554,7 +1578,7 @@ impl Agent for EcmpRouter {
         for i in 0..ctx.iface_count() {
             let iface = IfaceId(i as u8);
             // Arm the periodic UDP-mode refresh on every multi-access interface.
-            if iface_mode(&cfg, ctx, iface) == EcmpMode::Udp {
+            if iface_mode(cfg, ctx, iface) == EcmpMode::Udp {
                 let mut control = self.control(ctx);
                 control.port.timers.arm(ctx, cfg.udp_refresh, TimerPurpose::UdpRefresh { iface });
                 // Startup query: a router restarting after a crash solicits
@@ -1718,14 +1742,15 @@ mod tests {
 
     #[test]
     fn router_size_is_pinned() {
-        // 104 B on x86-64 (docs/INTERNALS.md §8), first what a forward of
+        // 72 B on x86-64 (docs/INTERNALS.md §8), first what a forward of
         // channel data reads:
         //    56  forwarding plane: FIB 40 (one-slot table 24, forwarded
         //        counter 8, drop-counter pointer 8), the `data_fwd` handle
         //        4 (+ 4 padding), the pointer to the cold half 8
         //     8  control-plane pointer
-        //    40  config: two durations 16, the optional probe period 16,
-        //        the mode override and two flags 3 (+ 5 padding)
+        //     8  pointer to the shared config (40 B: two durations 16, the
+        //        optional probe period 16, the mode override and two
+        //        flags 3, + 5 padding)
         // A router is a row of the engine's pool of routers: `size_of`
         // bytes, no allocator header or rounding, and `Option` (the row's
         // tombstone) adds none. Each byte is 2 MiB on the 2²⁰-subscriber
@@ -1735,9 +1760,20 @@ mod tests {
         // tests counts the cache lines it may cross).
         use std::mem::size_of;
         let size = size_of::<EcmpRouter>();
-        assert!(size <= 104, "{size}");
+        assert!(size <= 72, "{size}");
         assert_eq!(size_of::<Option<EcmpRouter>>(), size);
         assert_eq!((size_of::<ForwardingPlane>(), size_of::<Fib>(), size_of::<RouterConfig>()), (56, 40, 40));
+    }
+
+    #[test]
+    fn routers_built_from_equal_configs_share_one_copy() {
+        let (a, b) = (EcmpRouter::new(quiet_cfg()), EcmpRouter::new(quiet_cfg()));
+        assert!(std::ptr::eq(a.cfg, b.cfg));
+        assert_eq!(*a.cfg, quiet_cfg());
+        let other = EcmpRouter::new(RouterConfig { boot_query: true, ..quiet_cfg() });
+        assert!(!std::ptr::eq(a.cfg, other.cfg));
+        assert!(other.cfg.boot_query && !a.cfg.boot_query);
+        assert!(std::ptr::eq(EcmpRouter::new(RouterConfig::default()).cfg, EcmpRouter::new(RouterConfig::default()).cfg));
     }
 
     #[test]

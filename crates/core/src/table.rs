@@ -5,13 +5,12 @@
 //! subscriptions.
 //!
 //! Neither has a separate key column — a record says what it is filed under
-//! ([`Keyed`]) — and neither is seeded: where a record sits, and the order
-//! in which the records are handed out, is a function of the keys alone,
-//! the same in every process, at every shard count and after every history
-//! of inserts and removals that ends in the same contents. [`InlineSet`]
-//! iterates in ascending key order; [`Table`] probes in an order that
-//! depends on past collisions, so agents walk it through
-//! [`Table::picked`].
+//! ([`Keyed`]) — and neither is seeded: the order in which the records are
+//! handed out is a function of the keys alone, the same in every process,
+//! at every shard count and after every history of inserts and removals
+//! that ends in the same contents. [`InlineSet`] iterates in ascending key
+//! order; [`Table`] probes in an order that depends on past collisions, so
+//! agents walk it through [`Table::picked`].
 
 use express_wire::addr::Channel;
 use std::collections::VecDeque;
@@ -279,11 +278,12 @@ const INLINE: usize = 4;
 
 /// A small set of records in ascending key order: up to
 /// [`INLINE`](Self::INLINE) of them stored in place, more than that in one
-/// heap ring buffer. Which of the two holds the records depends on their
-/// number alone, so a set that shrinks back moves back in place. The ring
-/// makes adding a new largest key and removing the smallest O(1), so a
-/// queue of pending records (a host's scheduled actions, fired in the
-/// order they were made) costs no shift per record.
+/// heap ring buffer. The fifth record moves the set into the ring, and the
+/// set keeps it from then on, as a [`Table`] keeps its capacity: a set
+/// whose size swings across the boundary allocates once, not once per
+/// crossing. The ring makes adding a new largest key and removing the
+/// smallest O(1), so a queue of pending records (a host's scheduled
+/// actions, fired in the order they were made) costs no shift per record.
 ///
 /// Sized for a channel's downstream neighbours: a transit router has one
 /// or two, an edge router a few hosts.
@@ -296,7 +296,8 @@ pub struct InlineSet<T> {
 enum Repr<T> {
     /// `slots[..len]` are occupied and ascending, the rest vacant.
     Inline { slots: [Slot<T>; INLINE], len: usize },
-    /// More than [`InlineSet::INLINE`] records, ascending.
+    /// The records of a set that has held more than
+    /// [`InlineSet::INLINE`], ascending.
     Heap(VecDeque<T>),
 }
 
@@ -333,7 +334,9 @@ impl<T: Keyed> InlineSet<T> {
         self.len() == 0
     }
 
-    /// Are the records stored in place (no heap ring)?
+    /// Are the records stored in place (no heap ring)? True until the set
+    /// first holds more than [`INLINE`](Self::INLINE) records, false from
+    /// then on.
     pub fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
     }
@@ -418,18 +421,16 @@ impl<T: Keyed> InlineSet<T> {
 
     /// Remove and return the record with `key`.
     pub fn remove(&mut self, key: T::Key) -> Option<T> {
-        let removed = match &mut self.repr {
+        match &mut self.repr {
             Repr::Inline { slots, len } => {
                 let i = Self::position(&slots[..*len], key).ok()?;
                 let removed = slots[i].take();
                 slots[i..*len].rotate_left(1);
                 *len -= 1;
-                return removed;
+                removed
             }
-            Repr::Heap(v) => v.remove(v.binary_search_by_key(&key, Keyed::key).ok()?)?,
-        };
-        self.move_in_place_if_small();
-        Some(removed)
+            Repr::Heap(v) => v.remove(v.binary_search_by_key(&key, Keyed::key).ok()?),
+        }
     }
 
     /// Keep the records `keep` says yes to, visiting them in ascending key
@@ -447,25 +448,8 @@ impl<T: Keyed> InlineSet<T> {
                 }
                 *len = kept;
             }
-            Repr::Heap(v) => {
-                v.retain(keep);
-                self.move_in_place_if_small();
-            }
+            Repr::Heap(v) => v.retain(keep),
         }
-    }
-
-    /// A heap ring that has shrunk to what fits in place is given up.
-    fn move_in_place_if_small(&mut self) {
-        let Repr::Heap(v) = &mut self.repr else { return };
-        if v.len() > Self::INLINE {
-            return;
-        }
-        let mut slots: [Slot<T>; INLINE] = std::array::from_fn(|_| None);
-        let len = v.len();
-        for (slot, record) in slots.iter_mut().zip(v.drain(..)) {
-            *slot = Some(record);
-        }
-        self.repr = Repr::Inline { slots, len };
     }
 }
 
@@ -539,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_set_orders_spills_and_moves_back() {
+    fn inline_set_orders_spills_and_keeps_its_ring() {
         let mut s = InlineSet::new();
         for k in [5u64, 1, 3, 7] {
             assert_eq!(s.insert(Rec(k, 0)), None);
@@ -551,7 +535,7 @@ mod tests {
         assert_eq!(s.iter().map(Keyed::key).collect::<Vec<_>>(), [1, 3, 4, 5, 7]);
         s.get_mut(4).unwrap().1 = 2;
         assert_eq!(s.remove(1), Some(Rec(1, 0)));
-        assert!(s.is_inline(), "four records fit in place again");
+        assert!(!s.is_inline(), "four records keep the ring they spilled into");
         assert_eq!(s.get(4), Some(&Rec(4, 2)));
         s.retain(|r| r.0 != 5);
         assert_eq!(s.iter().map(Keyed::key).collect::<Vec<_>>(), [3, 4, 7]);

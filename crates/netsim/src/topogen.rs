@@ -24,10 +24,12 @@ pub struct GenTopo {
     pub hosts: Vec<NodeId>,
 }
 
-/// An empty topology sized for a tree of `routers` routers and `hosts`
-/// hosts — one link fewer than nodes.
-fn tree_with_capacity(routers: usize, hosts: usize) -> Topology {
-    Topology::with_capacity(routers, hosts, routers + hosts - 1)
+/// An empty topology sized for a tree of `nodes` nodes — one link fewer
+/// than nodes. Its generator adds each router with exactly the interfaces
+/// it will fill (a router of a `fanout`-ary tree has `fanout` + 1, a chain
+/// router 2) and single-homed hosts, so no interface slot stays empty.
+fn tree_with_capacity(nodes: usize) -> Topology {
+    Topology::with_capacity(nodes, nodes - 1)
 }
 
 /// A star: one hub router; each of `n_hosts` hosts hangs off its own chain
@@ -37,8 +39,8 @@ fn tree_with_capacity(routers: usize, hosts: usize) -> Topology {
 /// The source host attaches directly to the hub and is `hosts[0]`.
 pub fn star(n_hosts: usize, path_len: usize, spec: LinkSpec) -> GenTopo {
     let (n_routers, n_hosts_all) = (1 + n_hosts * path_len, n_hosts + 1);
-    let mut t = tree_with_capacity(n_routers, n_hosts_all);
-    let hub = t.add_router();
+    let mut t = tree_with_capacity(n_routers + n_hosts_all);
+    let hub = t.add_router_with_ifaces(n_hosts_all);
     let mut routers = Vec::with_capacity(n_routers);
     routers.push(hub);
     let mut hosts = Vec::with_capacity(n_hosts_all);
@@ -48,7 +50,7 @@ pub fn star(n_hosts: usize, path_len: usize, spec: LinkSpec) -> GenTopo {
     for _ in 0..n_hosts {
         let mut prev = hub;
         for _ in 0..path_len {
-            let r = t.add_router();
+            let r = t.add_router_with_ifaces(2);
             t.connect(prev, r, spec).unwrap();
             routers.push(r);
             prev = r;
@@ -74,8 +76,8 @@ pub fn kary_tree(fanout: usize, depth: usize, spec: LinkSpec) -> GenTopo {
     assert!(fanout >= 1 && depth >= 1);
     let leaves = fanout.pow(depth as u32);
     let n_routers: usize = (0..=depth as u32).map(|d| fanout.pow(d)).sum();
-    let mut t = tree_with_capacity(n_routers, 1 + leaves);
-    let root = t.add_router();
+    let mut t = tree_with_capacity(n_routers + 1 + leaves);
+    let root = t.add_router_with_ifaces(1 + fanout);
     let mut routers = Vec::with_capacity(n_routers);
     routers.push(root);
     let src = t.add_host();
@@ -87,7 +89,7 @@ pub fn kary_tree(fanout: usize, depth: usize, spec: LinkSpec) -> GenTopo {
         let mut next = Vec::with_capacity(level.len() * fanout);
         for &parent in &level {
             for _ in 0..fanout {
-                let r = t.add_router();
+                let r = t.add_router_with_ifaces(if d == depth { 2 } else { 1 + fanout });
                 t.connect(parent, r, spec).unwrap();
                 routers.push(r);
                 if d == depth {
@@ -110,10 +112,10 @@ pub fn kary_tree(fanout: usize, depth: usize, spec: LinkSpec) -> GenTopo {
 /// A line of `n` routers with one host at each end; `hosts[0]` at router 0.
 pub fn line(n: usize, spec: LinkSpec) -> GenTopo {
     assert!(n >= 1);
-    let mut t = tree_with_capacity(n, 2);
+    let mut t = tree_with_capacity(n + 2);
     let mut routers = Vec::with_capacity(n);
     for i in 0..n {
-        let r = t.add_router();
+        let r = t.add_router_with_ifaces(2);
         if i > 0 {
             t.connect(routers[i - 1], r, spec).unwrap();
         }
@@ -278,15 +280,32 @@ mod tests {
     #[test]
     fn closed_form_generators_allocate_exactly_what_they_fill() {
         let spec = LinkSpec::default();
-        for g in [kary_tree(2, 5, spec), kary_tree(3, 3, spec), star(3, 3, spec), line(5, spec)] {
+        let gens = [
+            kary_tree(2, 5, spec),
+            kary_tree(3, 3, spec),
+            kary_tree(4, 2, spec),
+            kary_tree(1, 3, spec),
+            star(3, 3, spec),
+            star(5, 0, spec),
+            line(5, spec),
+            line(1, spec),
+        ];
+        for g in gens {
+            // No arena slack and no interface slot without a link.
             assert_eq!(g.topo.arena_slack(), 0);
             assert_eq!((g.routers.capacity(), g.hosts.capacity()), (g.routers.len(), g.hosts.len()));
         }
         // A router with more than four interfaces outgrows its first slots;
-        // the topology is the same one, with the slab regrown.
-        let wide = kary_tree(4, 2, spec);
-        assert!(wide.topo.arena_slack() > 0);
-        assert_eq!(wide.topo.iface_count(wide.routers[0]), 5);
+        // the topology is the same one, with the slab regrown and the slots
+        // it moved out of left empty.
+        let mut t = Topology::new();
+        let r = t.add_router();
+        for _ in 0..5 {
+            let h = t.add_host();
+            t.connect(r, h, spec).unwrap();
+        }
+        assert!(t.arena_slack() > 0);
+        assert_eq!(t.iface_count(r), 5);
     }
 
     #[test]

@@ -150,8 +150,9 @@ struct EpRange {
     len: u32,
 }
 
-/// Interface slots a router's first attachment reserves (the common tree
-/// degree is ≤ 3) …
+/// Interface slots the first attachment of a router from
+/// [`add_router`](Topology::add_router) reserves (the common tree degree is
+/// ≤ 3) …
 const ROUTER_SLOTS: u8 = 4;
 /// … and a host's (almost always a single uplink).
 const HOST_SLOTS: u8 = 1;
@@ -206,17 +207,19 @@ impl Topology {
         Self::default()
     }
 
-    /// An empty topology with every arena sized for `routers` routers of at
-    /// most four interfaces, `hosts` single-homed hosts and `links`
-    /// point-to-point links — what the closed-form generators build. A
-    /// topology built to those counts never regrows an arena, so it holds
-    /// no doubling slack; one that outgrows them grows like any other.
-    pub(crate) fn with_capacity(routers: usize, hosts: usize, links: usize) -> Self {
+    /// An empty topology with every arena sized for `nodes` nodes and
+    /// `links` point-to-point links, each link filling one interface slot
+    /// at either end — what the closed-form generators build, reserving
+    /// each router's exact degree
+    /// ([`add_router_with_ifaces`](Self::add_router_with_ifaces)) and
+    /// attaching single-homed hosts. A topology built to those counts
+    /// never regrows an arena, so it holds no doubling slack; one that
+    /// outgrows them grows like any other.
+    pub(crate) fn with_capacity(nodes: usize, links: usize) -> Self {
         let mut t = Self::default();
-        let nodes = routers + hosts;
         t.kinds.reserve_exact(nodes);
         t.iface_ranges.reserve_exact(nodes);
-        t.iface_slab.reserve_exact(ROUTER_SLOTS as usize * routers + HOST_SLOTS as usize * hosts);
+        t.iface_slab.reserve_exact(2 * links);
         t.link_spec_ix.reserve_exact(links);
         t.link_state.reserve_exact(links);
         t.ep_ranges.reserve_exact(links);
@@ -224,13 +227,17 @@ impl Topology {
         t
     }
 
-    /// Elements allocated but not filled, over the seven arenas.
+    /// Elements allocated but not filled, over the seven arenas, and
+    /// interface slots that hold no link: reserved and never attached, or
+    /// left behind by a relocation.
     #[cfg(test)]
     pub(crate) fn arena_slack(&self) -> usize {
         fn slack<T>(v: &Vec<T>) -> usize {
             v.capacity() - v.len()
         }
-        slack(&self.kinds)
+        let attached: usize = self.iface_ranges.iter().map(|r| usize::from(r.len)).sum();
+        self.iface_slab.len() - attached
+            + slack(&self.kinds)
             + slack(&self.iface_ranges)
             + slack(&self.iface_slab)
             + slack(&self.link_spec_ix)
@@ -250,6 +257,17 @@ impl Topology {
     /// Add a router.
     pub fn add_router(&mut self) -> NodeId {
         self.add_node(NodeKind::Router)
+    }
+
+    /// Add a router with `ifaces` interface slots reserved now (at most the
+    /// 32-interface cap), for a generator that knows the router's degree.
+    /// Attaching more than that relocates the range as for any router.
+    pub(crate) fn add_router_with_ifaces(&mut self, ifaces: usize) -> NodeId {
+        let id = self.add_router();
+        let (start, cap) = (self.iface_slab.len(), ifaces.min(32));
+        self.iface_slab.resize(start + cap, NO_LINK);
+        self.iface_ranges[id.index()] = IfaceRange { start: start as u32, len: 0, cap: cap as u8 };
+        id
     }
 
     /// Add an end host.

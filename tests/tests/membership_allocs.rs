@@ -27,17 +27,17 @@ fn at_ms(ms: u64) -> SimTime {
     SimTime(ms * 1000)
 }
 
-/// A source host behind two routers in a row, three member hosts on the
-/// second. Returns the simulation, the hosts (source first) and the
+/// A source host behind two routers in a row, `members` member hosts on
+/// the second. Returns the simulation, the hosts (source first) and the
 /// source's channel.
-fn chain() -> (Sim, Vec<NodeId>, Channel) {
+fn chain(members: usize) -> (Sim, Vec<NodeId>, Channel) {
     let mut topo = Topology::new();
     let src = topo.add_host();
     let (r1, r2) = (topo.add_router(), topo.add_router());
     topo.connect(src, r1, LinkSpec::default()).unwrap();
     topo.connect(r1, r2, LinkSpec::default()).unwrap();
     let mut hosts = vec![src];
-    for _ in 0..3 {
+    for _ in 0..members {
         let h = topo.add_host();
         topo.connect(h, r2, LinkSpec::default()).unwrap();
         hosts.push(h);
@@ -54,11 +54,9 @@ fn chain() -> (Sim, Vec<NodeId>, Channel) {
     (sim, hosts, channel)
 }
 
-/// Every member (every host but the source) joins, one a millisecond from
-/// `ms`, then every member leaves. Returns the allocations made and the
-/// frames sent meanwhile.
-fn cycle(sim: &mut Sim, hosts: &[NodeId], channel: Channel, ms: u64) -> (u64, u64) {
-    let members = &hosts[1..];
+/// Every one of `members` joins, one a millisecond from `ms`, then every
+/// one leaves. Returns the allocations made and the frames sent meanwhile.
+fn cycle(sim: &mut Sim, hosts: &[NodeId], members: &[NodeId], channel: Channel, ms: u64) -> (u64, u64) {
     let frames = |sim: &Sim| sim.stats().total().control_packets;
     let (allocs0, frames0) = (ALLOCS.load(Ordering::Relaxed), frames(sim));
     for (i, &h) in members.iter().enumerate() {
@@ -78,20 +76,43 @@ fn cycle(sim: &mut Sim, hosts: &[NodeId], channel: Channel, ms: u64) -> (u64, u6
     spent
 }
 
-#[test]
-fn a_warm_join_leave_cycle_allocates_one_block_per_frame_sent() {
+/// A chain of `members` member hosts, the first `resident` of them joined
+/// for good: warm it with one cycle of the others, then run three more and
+/// require each to allocate exactly one block per frame it sends.
+fn assert_warm_cycles_allocate_one_block_per_frame(members: usize, resident: usize) {
     let _turn = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
-    let (mut sim, hosts, channel) = chain();
+    let (mut sim, hosts, channel) = chain(members);
+    let (stay, churn) = hosts[1..].split_at(resident);
+    for &h in stay {
+        ExpressHost::schedule(&mut sim, h, at_ms(500), HostAction::Subscribe { channel, key: None });
+    }
     sim.run_until(at_ms(1_000));
-    cycle(&mut sim, &hosts, channel, 1_000);
+    cycle(&mut sim, &hosts, churn, channel, 1_000);
     for ms in [2_000, 3_000, 4_000] {
-        let (allocs, frames) = cycle(&mut sim, &hosts, channel, ms);
+        let (allocs, frames) = cycle(&mut sim, &hosts, churn, channel, ms);
         assert!(frames >= 6, "every join and leave sends: {frames} frames");
-        assert_eq!(allocs, frames, "cycle at {ms} ms: one block per frame and nothing else");
+        assert_eq!(allocs, frames, "{members} members, cycle at {ms} ms: one block per frame and nothing else");
         for &h in &hosts[1..] {
-            assert!(!sim.agent_as::<ExpressHost>(h).unwrap().is_subscribed(channel));
+            let joined = sim.agent_as::<ExpressHost>(h).unwrap().is_subscribed(channel);
+            assert_eq!(joined, stay.contains(&h));
         }
     }
+}
+
+#[test]
+fn a_warm_join_leave_cycle_allocates_one_block_per_frame_sent() {
+    assert_warm_cycles_allocate_one_block_per_frame(3, 0);
+}
+
+/// One member stays joined while five join and leave: the router's
+/// downstream set for the channel goes 1 → 6 → 1 each cycle, across the
+/// fifth record that moves it out of its in-place slots. The heap ring it
+/// moved into stays with the set, so only the first cycle allocates it.
+/// (A channel whose last member leaves is dropped with its set, ring and
+/// all.)
+#[test]
+fn a_six_member_cycle_allocates_one_block_per_frame_sent() {
+    assert_warm_cycles_allocate_one_block_per_frame(6, 1);
 }
 
 #[test]

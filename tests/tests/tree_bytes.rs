@@ -1,9 +1,9 @@
 //! What the §5.3 distribution tree holds, in heap bytes and without the
-//! host clock: a FIB-seeded binary tree's routers once installed, and the
-//! extra bytes its first packet's wave keeps live at once. The benchmark's
-//! `tree_1m_data` `peak_rss_mb` is the same two costs at 2²⁰ sinks, plus
-//! the topology and the engine's per-node tables; these two numbers move
-//! with it, and any host regenerates them.
+//! host clock: the generated topology, a FIB-seeded binary tree's routers
+//! once installed, and the extra bytes its first packet's wave keeps live
+//! at once. The benchmark's `tree_1m_data` `peak_rss_mb` is the same three
+//! costs at 2²⁰ sinks, plus the engine's per-node tables; these numbers
+//! move with it, and any host regenerates them.
 //!
 //! A binary of its own, with one test: the counting allocator
 //! (`counting_alloc`) is process-wide, and a peak is only the tree's while
@@ -47,6 +47,9 @@ impl Agent for Sink {
     }
 }
 
+/// Per node of the topology: its arenas (a kind, an interface range and
+/// the interface slots the node fills, and per link a spec index, a state
+/// flag and an exact endpoint range) and the generator's two role lists.
 /// Per router: the pool row and nothing else (a one-route FIB is inline,
 /// every other part of the router is allocated by the first event that
 /// needs it). Per sink, at the wave's peak: the cohort members of the last
@@ -57,7 +60,9 @@ impl Agent for Sink {
 #[test]
 fn a_static_tree_holds_a_row_per_router_and_a_wave_two_members_per_sink() {
     const DEPTH: usize = 12;
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
     let g = topogen::kary_tree(2, DEPTH, LinkSpec::default());
+    let per_node = (LIVE_BYTES.load(Ordering::Relaxed) - before) as f64 / g.topo.node_count() as f64;
     let (src, sinks) = (g.hosts[0], &g.hosts[1..]);
     let chan = Channel::new(g.topo.ip(src), 1).unwrap();
     let mut sim = Sim::new(g.topo, 7);
@@ -83,7 +88,7 @@ fn a_static_tree_holds_a_row_per_router_and_a_wave_two_members_per_sink() {
     let per_sink = (PEAK_BYTES.load(Ordering::Relaxed) - base) as f64 / sinks.len() as f64;
 
     assert!(sinks.iter().all(|&s| sim.agent_as::<Sink>(s).unwrap().got == 1));
-    let got = (format!("{per_router:.1}"), format!("{per_sink:.1}"));
-    let want = if cfg!(debug_assertions) { ("104.1", "496.1") } else { ("104.1", "32.9") };
-    assert_eq!((got.0.as_str(), got.1.as_str()), want, "heap bytes per router, and the wave's peak per sink");
+    let got = [per_node, per_router, per_sink].map(|b| format!("{b:.1}"));
+    let want = if cfg!(debug_assertions) { ["50.0", "72.1", "496.1"] } else { ["50.0", "72.1", "32.9"] };
+    assert_eq!(got, want, "heap bytes per topology node, per router, and the wave's peak per sink");
 }
