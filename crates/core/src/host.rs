@@ -791,9 +791,6 @@ impl Agent for ExpressHost {
                     // End-to-end delivery latency: age of the causal chain
                     // this frame belongs to (source send → here).
                     let age = ctx.packet_age();
-                    if let Some(a) = age {
-                        ctx.observe("delivery.latency_us", a.micros());
-                    }
                     ctx.trace("host.data_rx", |e| {
                         let e = e.chan(channel);
                         match age {
@@ -805,7 +802,6 @@ impl Agent for ExpressHost {
                         if !sub.first_data_seen {
                             sub.first_data_seen = true;
                             let join = at - sub.subscribed_at;
-                            ctx.observe("join.latency_us", join.micros());
                             ctx.trace("host.first_data", |e| e.chan(channel).value(join.micros()));
                         }
                     }

@@ -2154,7 +2154,7 @@ mod tests {
             let sends = sends.map(|(at, class, c)| (at, class, ecmp_from(&sim, member, r, c)));
             let sends = sends.collect();
             script(&mut sim, member, sends);
-            sim.enable_trace(TraceConfig::default().nodes([r]));
+            sim.enable_trace(TraceConfig::default());
             sim.schedule_link_change(flap, near, true);
             sim.run_until(SimTime(1_000_000));
             let router = sim.agent_as::<EcmpRouter>(r).unwrap();
@@ -2163,7 +2163,7 @@ mod tests {
             let after = |frames: &[(SimTime, Vec<u8>)]| frames.iter().filter(|f| f.0 >= flap).cloned().collect();
             let frames: [Vec<_>; 2] = [p1, p2].map(|h| after(&sim.agent_as::<Tap>(h).unwrap().frames));
             let records = sim.trace().unwrap().events();
-            let records = records.filter(|e| e.at >= flap && matches!(e.kind, TraceKind::Proto { .. }));
+            let records = records.filter(|e| e.at >= flap && matches!(e.kind, TraceKind::Proto { node, .. } if node == r));
             let records: Vec<_> = records.cloned().collect();
             (slots, frames, records, sim.topology().ip(p2))
         };

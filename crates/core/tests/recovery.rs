@@ -14,7 +14,7 @@ use express::router::{EcmpRouter, RouterConfig};
 use express_wire::addr::Channel;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::LinkSpec;
-use netsim::trace::{TraceConfig, TraceKind, TraceLevel};
+use netsim::trace::{TraceConfig, TraceKind};
 use netsim::{topogen, FaultPlan, LinkId, NodeKind, Sim};
 
 fn at_ms(ms: u64) -> SimTime {
@@ -291,16 +291,16 @@ fn orphaned_subtree_rejoins_with_backoff_after_partition_heals() {
             HostAction::SendData { channel: chan, payload_len: 10 },
         );
     }
-    sim.enable_trace(TraceConfig::default().level(TraceLevel::PROTOCOL));
+    sim.enable_trace(TraceConfig::default());
     sim.run_until(at_ms(73_000));
 
     // Backoff retries fired while partitioned without finding a route:
     // attempt k 0.5 s · 2ᵏ after the one before it, the delay capped at
     // 30 s, counted from the orphaning at 2.1 s (the cut plus the 100 ms
     // hysteresis)...
-    let retries: Vec<(u64, u64)> = sim
-        .take_trace()
-        .unwrap()
+    let trace = sim.take_trace().unwrap();
+    assert_eq!(trace.overwritten(), 0, "the ring holds the whole run");
+    let retries: Vec<(u64, u64)> = trace
         .events()
         .filter_map(|e| match &e.kind {
             TraceKind::Proto { event, .. } if &*event.name == "ecmp.rejoin_retry" && event.counter.is_none() => {

@@ -486,10 +486,9 @@ pub struct Auditor {
     violations: Vec<AuditViolation>,
     health: AuditHealth,
     latency: Histogram,
-    /// Watched delivery counter names (from [`MetricsConfig::watch`]) and,
-    /// per [`CounterId`](crate::stats::CounterId) seen on a mirrored bump,
-    /// whether its name is one of them — compared once.
-    watch: Vec<String>,
+    /// Per [`CounterId`](crate::stats::CounterId) seen on a mirrored bump,
+    /// whether its name is one of [`Metrics::DELIVERY_COUNTERS`] — compared
+    /// once.
     watch_ids: Vec<Option<bool>>,
     /// Per link, the first two nodes seen putting data on it: a
     /// `(node, link)` pair's index in the bit sets is `2·link + slot`.
@@ -548,13 +547,11 @@ impl Auditor {
     /// An auditor with the given configuration, checking from the first
     /// event it sees.
     pub fn new(cfg: AuditConfig) -> Self {
-        let mcfg = MetricsConfig::default();
         Auditor {
             cfg,
             violations: Vec::new(),
             health: AuditHealth::default(),
             latency: Histogram::new(DEFAULT_LATENCY_BOUNDS_US),
-            watch: mcfg.watch.clone(),
             watch_ids: Vec::new(),
             senders: Vec::new(),
             allowed_prev: SparseBits::default(),
@@ -567,7 +564,7 @@ impl Auditor {
             opened: 0,
             recent_rx: Vec::new(),
             recent_rx_far: BTreeMap::new(),
-            metrics: Metrics::new(mcfg),
+            metrics: Metrics::new(MetricsConfig::default()),
             last_at: SimTime(0),
             finished: false,
         }
@@ -835,8 +832,7 @@ impl Auditor {
     /// Is `proto` a bump of (or an event named as) a watched delivery
     /// counter?
     fn watched(&mut self, proto: &ProtoEvent) -> bool {
-        let watch = &self.watch;
-        let by_name = || watch.iter().any(|w| w == proto.name.as_str());
+        let by_name = || Metrics::DELIVERY_COUNTERS.contains(&proto.name.as_str());
         let Some(id) = proto.counter else { return by_name() };
         let known = *entry(&mut self.watch_ids, id.index(), None).get_or_insert_with(by_name);
         debug_assert_eq!(known, by_name(), "a counter handle names one counter for the life of the stream");

@@ -8,7 +8,7 @@ use crate::metrics::Metrics;
 use crate::stats::{CounterId, Name, TrafficClass};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeKind, Topology};
-use crate::trace::{DropReason, ProtoEvent, TraceKind, TraceLevel};
+use crate::trace::{DropReason, ProtoEvent, TraceKind};
 use express_wire::addr::{Channel, Ipv4Addr};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -111,32 +111,15 @@ impl<'a> Ctx<'a> {
         self.world.stats.channel_counter(base, channel)
     }
 
-    /// Emit a structured protocol trace event. Zero-cost when tracing is
-    /// disabled: `build` runs only if the trace is on and capturing
-    /// protocol events. Typical use:
+    /// Emit a structured protocol trace event, sampled by the causal root
+    /// of the arrival being dispatched, if any. Zero-cost when tracing is
+    /// disabled: `build` runs only if the trace is on. Typical use:
     /// `ctx.trace("ecmp.rehome", |e| e.chan(chan).detail("via if2"))`.
     pub fn trace(&mut self, name: &'static str, build: impl FnOnce(ProtoEvent) -> ProtoEvent) {
-        let node = self.node;
-        let w = &mut *self.world;
-        if let Some(t) = &mut w.trace {
-            if t.level_on(TraceLevel::PROTOCOL) {
-                let event = build(ProtoEvent {
-                    name: Name::Static(name),
-                    ..ProtoEvent::default()
-                });
-                let ambient = w.cause.map(|c| c.root);
-                let sub = w.cur_sub;
-                w.cur_sub += 1;
-                t.push_caused(w.now, TraceKind::Proto { node, event }, ambient, w.cur_key, sub);
-            }
-        }
-    }
-
-    /// Record `value` into metrics histogram `name` (no-op when metrics
-    /// are disabled). Latencies are in microseconds by convention.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        if let Some(m) = &mut self.world.metrics {
-            m.observe(name, value);
+        if self.world.trace.is_some() {
+            let event = build(ProtoEvent { name: Name::Static(name), ..ProtoEvent::default() });
+            let node = self.node;
+            self.world.trace_push_ambient(TraceKind::Proto { node, event });
         }
     }
 

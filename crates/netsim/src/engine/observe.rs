@@ -55,7 +55,7 @@ impl Sim {
         self.worlds[0].trace.as_ref().and_then(|t| t.buffer())
     }
 
-    /// The active tracer (filters + sink) of shard 0, if tracing is
+    /// The active tracer (sampling + sink) of shard 0, if tracing is
     /// enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.worlds[0].trace.as_ref()

@@ -541,10 +541,10 @@ impl World {
         self.push(at, m.key(), EventKind::Fanout(fs));
     }
 
-    /// Record a trace event if tracing is enabled (filters and causal
-    /// sampling applied inside; packet events carry their own root). The
-    /// record is tagged with the dispatching event's canonical key and the
-    /// running sub-counter — the shard-invariant merge order.
+    /// Record a trace event if tracing is enabled (causal sampling applied
+    /// inside; packet events carry their own root). The record is tagged
+    /// with the dispatching event's canonical key and the running
+    /// sub-counter — the shard-invariant merge order.
     pub(super) fn trace_push(&mut self, kind: TraceKind) {
         if let Some(t) = &mut self.trace {
             let sub = self.cur_sub;
@@ -575,8 +575,7 @@ impl World {
     /// existing instrumentation appears in timelines without per-call-site
     /// changes. The event is built from what is already interned — the
     /// counter's name and handle, or for a labeled counter (`labeled`) its
-    /// base as the name and the label beside it, so channel filters apply —
-    /// and allocates nothing.
+    /// base as the name and the label beside it — and allocates nothing.
     fn mirror(&mut self, node: NodeId, id: CounterId, labeled: Option<(&'static str, ChanLabel)>, delta: u64) {
         if let Some(m) = &mut self.metrics {
             m.on_count(self.now, id, &self.stats, delta);

@@ -87,12 +87,12 @@ pub use wheel::{TimerWheel, WheelConfig};
 pub use stats::{CounterId, Name};
 pub use faults::{FaultEvent, FaultPlan};
 pub use id::{IfaceId, LinkId, NodeId};
-pub use metrics::{CounterSnapshot, Histogram, Metrics, MetricsConfig};
+pub use metrics::{Histogram, Metrics, MetricsConfig};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkSpec, NodeKind, Topology};
 pub use prof::{EventClass, ProfConfig, ProfReport, Profiler, WheelGauges};
 pub use shard::ShardPlan;
 pub use trace::{
     parse_flat_json_object, ChanLabel, JsonlSink, PacketId, PacketPath, ProtoEvent, SampleSpec, Tee,
-    TraceBuffer, TraceConfig, TraceEvent, TraceKind, TraceLevel, TraceMeta, TraceSink, Tracer,
+    TraceBuffer, TraceConfig, TraceEvent, TraceKind, TraceMeta, TraceSink, Tracer,
 };

@@ -22,7 +22,7 @@
 //!
 //! # Sinks
 //!
-//! Admitted events flow into a [`TraceSink`]. Two are provided:
+//! Captured events flow into a [`TraceSink`]. Two are provided:
 //!
 //! * [`TraceBuffer`] — the bounded in-memory ring (the original backend and
 //!   still the default via
@@ -51,8 +51,8 @@
 //! Tracing is **off by default**: a disabled trace adds one branch per
 //! event site and never perturbs [`crate::stats::Stats`] (pinned by the
 //! `tracing_does_not_perturb_stats` test in `express`). Enable with
-//! [`Sim::enable_trace`](crate::engine::Sim::enable_trace), filter by event
-//! kind / node / channel with [`TraceConfig`], and export with
+//! [`Sim::enable_trace`](crate::engine::Sim::enable_trace) — every event is
+//! captured, subject only to sampling — and export with
 //! [`TraceBuffer::to_jsonl`]. The schema is documented in
 //! `docs/OBSERVABILITY.md`.
 
@@ -104,7 +104,7 @@ impl DropReason {
 
 /// A protocol event's channel / group label: a typed [`Channel`], which is
 /// copied into the event and only rendered — as its `Display` form,
-/// `(10.0.0.5, 232.0.0.1)` — by whoever exports or filters it, or free text.
+/// `(10.0.0.5, 232.0.0.1)` — by whoever exports or compares it, or free text.
 /// Two labels are equal when they render the same.
 #[derive(Debug, Clone)]
 pub enum ChanLabel {
@@ -161,7 +161,7 @@ pub struct ProtoEvent {
     /// Event name, `<proto>.<event>` (e.g. `ecmp.rehome`).
     pub name: Name,
     /// Channel / group label (e.g. `(10.0.0.5, 232.0.0.1)`), if the event
-    /// concerns one channel. Drives the [`TraceConfig::channels`] filter.
+    /// concerns one channel. Exported as the record's `chan` field.
     pub channel: Option<ChanLabel>,
     /// An associated quantity (a count, a latency in µs, a delta).
     pub value: Option<u64>,
@@ -300,34 +300,6 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// Which event families to capture — the trace "level". Combine with
-/// bit-or style builder calls on [`TraceConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceLevel(u8);
-
-impl TraceLevel {
-    /// Packet tx/rx/drop events.
-    pub const PACKETS: TraceLevel = TraceLevel(1);
-    /// Timer fires.
-    pub const TIMERS: TraceLevel = TraceLevel(2);
-    /// Topology changes.
-    pub const TOPOLOGY: TraceLevel = TraceLevel(4);
-    /// Agent-emitted protocol events (including mirrored counter bumps).
-    pub const PROTOCOL: TraceLevel = TraceLevel(8);
-    /// Everything.
-    pub const ALL: TraceLevel = TraceLevel(0xf);
-
-    /// Union of two levels.
-    pub const fn with(self, other: TraceLevel) -> TraceLevel {
-        TraceLevel(self.0 | other.0)
-    }
-
-    /// Does `self` include all of `other`?
-    pub const fn includes(self, other: TraceLevel) -> bool {
-        self.0 & other.0 == other.0
-    }
-}
-
 /// SplitMix64 finalizer: a fast, well-mixed 64-bit hash used for causal
 /// sampling. Stable across runs, platforms and versions (any change would
 /// silently re-select sampled chains, breaking golden comparisons).
@@ -361,22 +333,11 @@ impl SampleSpec {
     }
 }
 
-/// Capture configuration: ring capacity, level / node / channel filters and
-/// optional causal sampling.
+/// Capture configuration: ring capacity and optional causal sampling.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Maximum retained events; older events are overwritten (ring).
     pub capacity: usize,
-    /// Which event families to capture.
-    pub level: TraceLevel,
-    /// Only events attributable to these nodes (`None` = all). Packet tx
-    /// filters on the sender, rx on the receiver; drops and topology
-    /// changes are node-less and always pass.
-    pub nodes: Option<BTreeSet<NodeId>>,
-    /// Only protocol events whose channel label is in this set (`None` =
-    /// all). Protocol events *without* a channel label always pass; other
-    /// event kinds are unaffected.
-    pub channels: Option<BTreeSet<String>>,
     /// Deterministic causal sampling (`None` = keep every chain). See
     /// [`SampleSpec`].
     pub sample: Option<SampleSpec>,
@@ -384,36 +345,11 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            capacity: 1 << 20,
-            level: TraceLevel::ALL,
-            nodes: None,
-            channels: None,
-            sample: None,
-        }
+        TraceConfig { capacity: 1 << 20, sample: None }
     }
 }
 
 impl TraceConfig {
-    /// Capture only these event families.
-    pub fn level(mut self, level: TraceLevel) -> Self {
-        self.level = level;
-        self
-    }
-
-    /// Capture only events attributable to `nodes`.
-    pub fn nodes(mut self, nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        self.nodes = Some(nodes.into_iter().collect());
-        self
-    }
-
-    /// Capture only protocol events labeled with one of `channels`
-    /// (formatted as by `Display` on the protocol's channel type).
-    pub fn channels(mut self, channels: impl IntoIterator<Item = String>) -> Self {
-        self.channels = Some(channels.into_iter().collect());
-        self
-    }
-
     /// Ring capacity.
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity.max(1);
@@ -429,47 +365,6 @@ impl TraceConfig {
             Some(SampleSpec { denominator: n })
         };
         self
-    }
-
-    /// Does `kind` pass the level / node / channel filters? (Sampling is
-    /// separate — see [`SampleSpec::keeps`] — because the sampling root may
-    /// be ambient rather than carried by the record.)
-    pub fn admits(&self, kind: &TraceKind) -> bool {
-        let level = match kind {
-            TraceKind::PacketTx { .. } | TraceKind::PacketRx { .. } | TraceKind::PacketDrop { .. } => {
-                TraceLevel::PACKETS
-            }
-            TraceKind::TimerFire { .. } => TraceLevel::TIMERS,
-            TraceKind::Topology(_) => TraceLevel::TOPOLOGY,
-            TraceKind::Proto { .. } => TraceLevel::PROTOCOL,
-        };
-        if !self.level.includes(level) {
-            return false;
-        }
-        if let Some(nodes) = &self.nodes {
-            let node = match kind {
-                TraceKind::PacketTx { node, .. }
-                | TraceKind::PacketRx { node, .. }
-                | TraceKind::TimerFire { node, .. }
-                | TraceKind::Proto { node, .. } => Some(*node),
-                TraceKind::PacketDrop { .. } | TraceKind::Topology(_) => None,
-            };
-            if let Some(n) = node {
-                if !nodes.contains(&n) {
-                    return false;
-                }
-            }
-        }
-        if let Some(channels) = &self.channels {
-            if let TraceKind::Proto { event, .. } = kind {
-                if let Some(c) = &event.channel {
-                    if !channels.contains(&c.to_string()) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
     }
 }
 
@@ -520,9 +415,9 @@ impl PacketPath {
 
 // ---- sinks ---------------------------------------------------------------
 
-/// Where admitted trace events go. The engine filters (level / node /
-/// channel / sampling) *before* a sink sees an event, so a sink only ever
-/// sees events that should be kept — its job is retention.
+/// Where captured trace events go. The engine samples *before* a sink sees
+/// an event, so a sink only ever sees events that should be kept — its job
+/// is retention.
 ///
 /// The engine builds each record once and lends it to the sink chain
 /// through [`record_ref`](Self::record_ref); a [`Tee`] lends the same
@@ -551,7 +446,7 @@ pub trait TraceSink: Send + AsAny {
     /// [`JsonlSink`]'s header line) capture what they need here.
     fn on_attach(&mut self, _cfg: &TraceConfig) {}
 
-    /// Retain one event. Must not filter — that already happened.
+    /// Retain one event. Must not drop it — sampling already happened.
     fn record(&mut self, event: TraceEvent);
 
     /// Retain one event together with its canonical ordering tag: the
@@ -606,7 +501,7 @@ pub trait TraceSink: Send + AsAny {
     }
 }
 
-/// The in-memory event ring plus capture filters — the default sink.
+/// The in-memory event ring — the default sink.
 #[derive(Debug)]
 pub struct TraceBuffer {
     cfg: TraceConfig,
@@ -1089,13 +984,10 @@ impl TraceSink for Tee {
 }
 
 /// The capture front-end the engine talks to: owns the [`TraceConfig`]
-/// (level / node / channel filters plus causal sampling) and forwards
-/// admitted events to its [`TraceSink`].
+/// (causal sampling) and forwards the events it keeps to its
+/// [`TraceSink`].
 pub struct Tracer {
     cfg: TraceConfig,
-    /// Every level on and no node or channel filter set, so
-    /// [`TraceConfig::admits`] has nothing to reject.
-    admits_all: bool,
     sink: Box<dyn TraceSink>,
 }
 
@@ -1109,28 +1001,17 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer filtering by `cfg` into `sink` (the sink's
+    /// A tracer sampling by `cfg` into `sink` (the sink's
     /// [`on_attach`](TraceSink::on_attach) hook runs here).
     pub fn new(cfg: TraceConfig, mut sink: Box<dyn TraceSink>) -> Self {
         sink.on_attach(&cfg);
-        let admits_all = cfg.level.includes(TraceLevel::ALL) && cfg.nodes.is_none() && cfg.channels.is_none();
-        Tracer { cfg, admits_all, sink }
+        Tracer { cfg, sink }
     }
 
     /// A tracer capturing into a fresh in-memory ring configured by `cfg`.
     pub fn ring(cfg: TraceConfig) -> Self {
         let buffer = TraceBuffer::new(cfg.clone());
         Tracer::new(cfg, Box::new(buffer))
-    }
-
-    /// The capture configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
-    }
-
-    /// Fast pre-check: is this event family captured at all?
-    pub fn level_on(&self, level: TraceLevel) -> bool {
-        self.cfg.level.includes(level)
     }
 
     /// The sink, for inspection (e.g. its `discarded` count).
@@ -1196,9 +1077,6 @@ impl Tracer {
         key: u128,
         sub: u64,
     ) {
-        if !self.admits_all && !self.cfg.admits(&kind) {
-            return;
-        }
         if let Some(s) = self.cfg.sample {
             if let Some(root) = kind.root_id().or(ambient_root) {
                 if !s.keeps(root) {
@@ -1538,13 +1416,10 @@ mod tests {
     use std::fmt::Write as _;
 
     impl TraceBuffer {
-        /// Record an event, applying this buffer's own filters and
-        /// sampling (under a [`Tracer`] the tracer filters and the buffer's
+        /// Record an event, applying this buffer's own sampling (under a
+        /// [`Tracer`] the tracer samples and the buffer's
         /// [`TraceSink::record`] stores unconditionally).
         fn push(&mut self, at: SimTime, kind: TraceKind) {
-            if !self.cfg.admits(&kind) {
-                return;
-            }
             if let (Some(s), Some(root)) = (self.cfg.sample, kind.root_id()) {
                 if !s.keeps(root) {
                     return;
@@ -1604,29 +1479,6 @@ mod tests {
             })
             .collect();
         assert_eq!(tokens, vec![3, 4]);
-    }
-
-    #[test]
-    fn level_and_node_filters() {
-        let mut b = TraceBuffer::new(TraceConfig::default().level(TraceLevel::TIMERS).nodes([NodeId(1)]));
-        b.push(SimTime(0), tx(1, 1, None, 1, 0)); // wrong level
-        b.push(SimTime(0), TraceKind::TimerFire { node: NodeId(0), token: 0 }); // wrong node
-        b.push(SimTime(0), TraceKind::TimerFire { node: NodeId(1), token: 7 });
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn channel_filter_applies_to_proto_events_only() {
-        let mut b = TraceBuffer::new(TraceConfig::default().channels(["A".to_string()]));
-        let ev = |chan: Option<&str>| TraceKind::Proto {
-            node: NodeId(0),
-            event: ProtoEvent { name: "x.y".into(), channel: chan.map(ChanLabel::from), ..ProtoEvent::default() },
-        };
-        b.push(SimTime(0), ev(Some("A")));
-        b.push(SimTime(0), ev(Some("B"))); // filtered
-        b.push(SimTime(0), ev(None)); // unlabeled passes
-        b.push(SimTime(0), tx(1, 1, None, 0, 0)); // non-proto unaffected
-        assert_eq!(b.len(), 3);
     }
 
     #[test]
@@ -1772,14 +1624,13 @@ mod tests {
 
     #[test]
     fn tracer_routes_through_filters_and_sampling_into_sink() {
-        let cfg = TraceConfig::default().level(TraceLevel::PACKETS.with(TraceLevel::PROTOCOL)).sample_one_in(4);
+        let cfg = TraceConfig::default().sample_one_in(4);
         let spec = cfg.sample.unwrap();
         let root = (0..u64::MAX).find(|r| spec.keeps(PacketId(*r))).unwrap();
         let culled = (0..u64::MAX).find(|r| !spec.keeps(PacketId(*r))).unwrap();
         let mut tr = Tracer::ring(cfg);
         tr.push(SimTime(0), tx(1, root, None, 0, 0), 0, 0);
         tr.push(SimTime(0), tx(2, culled, None, 0, 0), 0, 1); // sampled out
-        tr.push(SimTime(0), TraceKind::TimerFire { node: NodeId(0), token: 1 }, 0, 2); // level-filtered
         let proto = |v: u64| TraceKind::Proto {
             node: NodeId(0),
             event: ProtoEvent { name: "x.y".into(), value: Some(v), ..ProtoEvent::default() },
@@ -2163,10 +2014,5 @@ mod tests {
         assert_eq!(typed.to_string(), "(10.0.0.5, 232.0.0.1)");
         assert_eq!(typed, ChanLabel::from("(10.0.0.5, 232.0.0.1)"));
         assert_ne!(typed, ChanLabel::from("(10.0.0.5, 232.0.0.2)"));
-        // The channel filter sees the same text whichever way it was attached.
-        let cfg = TraceConfig::default().channels(["(10.0.0.5, 232.0.0.1)".to_string()]);
-        let ev = |label: ChanLabel| TraceKind::Proto { node: NodeId(0), event: ProtoEvent::default().chan(label) };
-        assert!(cfg.admits(&ev(typed)));
-        assert!(!cfg.admits(&ev(Channel::new(Ipv4Addr::new(10, 0, 0, 6), 1).unwrap().into())));
     }
 }
