@@ -1780,8 +1780,9 @@ mod tests {
     fn routing_size_is_pinned() {
         // 240 B on x86-64 (docs/INTERNALS.md §6, §7): the destination slots
         // and the origin bitset 48, the scratch arrays and counters 160 (the
-        // radix queue behind one 8 B box), four counters 32. A `Routing` sits inline in every shard's world, also where
-        // nothing ever asks a route: 800 B more in it (what the queue's 33
+        // radix queue behind one 8 B box), four counters 32. A `Routing`
+        // sits inline in the engine's world, also where nothing ever asks a
+        // route: 800 B more in it (what the queue's 33
         // buckets take inline) moved `star_100k_data` `peak_rss_mb`
         // 10.3 → 10.96–11.0 MB, and the same bytes boxed read 10.3. Not the
         // bytes themselves: the heap kept its extent and its live bytes, but

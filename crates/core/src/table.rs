@@ -6,9 +6,9 @@
 //!
 //! Neither has a separate key column — a record says what it is filed under
 //! ([`Keyed`]) — and neither is seeded: the order in which the records are
-//! handed out is a function of the keys alone, the same in every process,
-//! at every shard count and after every history of inserts and removals
-//! that ends in the same contents. [`InlineSet`] iterates in ascending key
+//! handed out is a function of the keys alone, the same in every process
+//! and after every history of inserts and removals that ends in the same
+//! contents. [`InlineSet`] iterates in ascending key
 //! order; [`Table`] probes in an order that depends on past collisions, so
 //! agents walk it through [`Table::picked`].
 

@@ -903,10 +903,10 @@ impl TraceSink for Auditor {
     }
 
     fn record(&mut self, event: TraceEvent) {
-        self.record_ref(&event, 0, 0);
+        self.record_ref(&event);
     }
 
-    fn record_ref(&mut self, event: &TraceEvent, _key: u128, _sub: u64) {
+    fn record_ref(&mut self, event: &TraceEvent) {
         self.last_at = event.at;
         match &event.kind {
             TraceKind::PacketTx {

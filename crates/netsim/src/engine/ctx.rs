@@ -1,6 +1,6 @@
 //! [`Ctx`]: what an agent can see and do during one dispatch.
 
-use super::world::{packet_id, ArrivalCause, DerivedFrame, EventKind, FanoutSend, Member, Shared, World};
+use super::world::{packet_id, ArrivalCause, DerivedFrame, EventKind, Member, Shared, World};
 use super::{Payload, Reliability, TimerToken, Tx};
 use crate::id::{IfaceId, NodeId};
 use crate::routing::NextHop;
@@ -17,9 +17,8 @@ use std::sync::Arc;
 
 /// The agent's window into the simulation during a dispatch: queries
 /// (time, topology, routing), actions (send, timers), and observability
-/// (counters, traces, metrics). Borrows the engine's shared read-mostly
-/// state plus the dispatching shard's mutable world for the duration of
-/// one callback.
+/// (counters, traces, metrics). Borrows the engine's read-only state plus
+/// its mutable world for the duration of one callback.
 pub struct Ctx<'a> {
     pub(super) shared: &'a Shared,
     pub(super) world: &'a mut World,
@@ -59,7 +58,7 @@ impl<'a> Ctx<'a> {
 
     /// This node's deterministic RNG stream. Streams are seeded per node
     /// from the run seed, so one node's draws are independent of every
-    /// other node's — and of the shard layout.
+    /// other node's.
     pub fn rng(&mut self) -> &mut StdRng {
         self.world.rng(self.shared.seed, self.node)
     }
@@ -247,10 +246,10 @@ impl<'a> Ctx<'a> {
         // Causal identity: a fresh id per send; a send performed while an
         // arrival is being dispatched inherits that chain's root (it is a
         // forwarded copy), otherwise it starts a new chain. Ids are drawn
-        // from the sender's own counter so they are shard-invariant.
-        let li = self.world.local(node);
-        let id = packet_id(node, self.world.pkt_seq[li]);
-        self.world.pkt_seq[li] += 1;
+        // from the sender's own counter.
+        let seq = &mut self.world.pkt_seq[node.index()];
+        let id = packet_id(node, *seq);
+        *seq += 1;
         let (cause, root, root_at) = match self.world.cause {
             Some(c) => (Some(c.id), c.root, c.root_at),
             None => (None, id, self.world.now),
@@ -278,31 +277,16 @@ impl<'a> Ctx<'a> {
             && (rel == Reliability::Reliable || loss <= 0.0)
         {
             let member = Member::new(iface, class, id, self.world.next_key(node));
-            // A fan-out on a cut link is mirrored — same key — into every
-            // other shard the link touches; each shard expands only its own
-            // endpoint range, so the union of expansions is exactly the
-            // single-shard expansion in the same merge order.
-            let mask = self.shared.plan.link_mask(link);
-            if mask.count_ones() > 1 {
-                let mut m = mask & !(1u64 << self.world.shard);
-                while m != 0 {
-                    let d = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let mirror = FanoutSend { bytes: Payload::clone(&payload), root, root_at, member };
-                    self.world.outbox.push((d, arrive, member.key(), EventKind::Fanout(mirror)));
-                }
-            }
             self.world.push_fanout(arrive, member, root, root_at, payload);
             return true;
         }
         // Eager path (lossy or unicast sends, or batching off): indexed
         // endpoint walk — each `link_endpoint` call re-borrows the topology
         // for one copy, so no endpoint list is materialized per send (the
-        // filter order matches the endpoint slice order). In-shard
-        // survivors are collected and bulk-scheduled: one bucket resolution
-        // per send, consecutive per-sender keys in walk order — the
-        // identical pop order per-survivor pushes would produce.
-        // Out-of-shard survivors go to the outbox under the same keys.
+        // filter order matches the endpoint slice order). Survivors are
+        // collected and bulk-scheduled: one bucket resolution per send,
+        // consecutive per-sender keys in walk order — the identical pop
+        // order per-survivor pushes would produce.
         let mut cohort = std::mem::take(&mut self.world.bulk_scratch);
         debug_assert!(cohort.is_empty());
         let n_endpoints = self.shared.topo.link_endpoint_count(link);
@@ -335,11 +319,7 @@ impl<'a> Ctx<'a> {
                 class,
                 cause: frame,
             };
-            if n.0 >= self.world.base && n.0 < self.world.limit {
-                cohort.push((key, ev));
-            } else {
-                self.world.outbox.push((self.shared.plan.shard_of(n), arrive, key, ev));
-            }
+            cohort.push((key, ev));
         }
         if !cohort.is_empty() {
             self.world.queue.schedule_bulk_keyed(arrive, cohort.drain(..));

@@ -1,6 +1,6 @@
-//! `ShardExec`: one shard's executor — the one place an agent is handed a
-//! [`Ctx`], one event dispatch, one drain loop, and the drain-time half of
-//! the batched fan-out path.
+//! `Exec`: the executor — the one place an agent is handed a [`Ctx`], one
+//! event dispatch, one drain loop, and the drain-time half of the batched
+//! fan-out path.
 
 use super::store::AgentStore;
 use super::world::{event_class, event_node, ArrivalCause, Cohort, EventKind, FanoutSend, Member, Run, Shared, World};
@@ -10,24 +10,22 @@ use crate::prof::{EventClass, WheelGauges};
 use crate::stats::TrafficClass;
 use crate::time::SimTime;
 use crate::trace::{DropReason, PacketId, TraceKind};
-use crate::wheel::TimerWheel;
 
-/// One shard's executor: the shared engine state, the shard's world and
-/// its agent store. The sole shard's inline drain, the parallel workers and
-/// the coordinator's agent sweeps all go through this — there is exactly
-/// one dispatch implementation.
-pub(super) struct ShardExec<'a> {
+/// The executor: the shared engine state, the world and the agent store.
+/// The drain and the run loop's agent sweeps both go through this — there
+/// is exactly one dispatch implementation.
+pub(super) struct Exec<'a> {
     pub(super) shared: &'a Shared,
     pub(super) world: &'a mut World,
     pub(super) agents: &'a mut AgentStore,
 }
 
-impl<'a> ShardExec<'a> {
-    /// Run `f` with the agent at `node` (owned by this shard) and a fresh
-    /// dispatch context — one of the two places a [`Ctx`] is built, the
-    /// other being [`deliver`](Self::deliver). Split borrow: the agent
-    /// store, the world, and the shared state are disjoint — an agent
-    /// cannot reach back into the store.
+impl<'a> Exec<'a> {
+    /// Run `f` with the agent at `node` and a fresh dispatch context — one
+    /// of the two places a [`Ctx`] is built, the other being
+    /// [`deliver`](Self::deliver). Split borrow: the agent store, the
+    /// world, and the shared state are disjoint — an agent cannot reach
+    /// back into the store.
     pub(super) fn with_agent<F: FnOnce(&mut dyn Agent, &mut Ctx<'_>)>(&mut self, node: NodeId, f: F) {
         let mut ctx = Ctx {
             shared: self.shared,
@@ -37,40 +35,32 @@ impl<'a> ShardExec<'a> {
         f(self.agents.agent(node), &mut ctx);
     }
 
-    /// Pop and run every event that sorts strictly below `lim` — a whole
-    /// segment for the sole shard, one lookahead window of it for a worker.
-    /// `peek` reports the queue head if it is below `lim`, and the two
-    /// callers differ in the wheel peek they pass for it. Workers pass the
-    /// wheel's bounded peek ([`TimerWheel::next_at_key_below`]), which
-    /// leaves buckets at or past `lim` undrained and so open for the mail
-    /// coalescing of the next window's ingest. The sole shard passes the
-    /// rotating peek ([`TimerWheel::next_at_key`], compared with `lim`
-    /// afterwards): at a segment edge it sorts the next bucket into the
-    /// current run early, so sends made by the global transition (or by the
-    /// harness between `run_until` calls) into that bucket land in the inbox
-    /// heap, where fan-outs cannot join a slot tail. Event order, traces and
-    /// stats are the same under either peek; `peak_queue_depth` is not
+    /// Pop and run every event that sorts strictly below `lim`: one segment
+    /// of the run loop. The peek is the wheel's rotating one
+    /// ([`TimerWheel::next_at_key`](crate::wheel::TimerWheel::next_at_key)),
+    /// compared with `lim` afterwards: at a segment edge it sorts the next
+    /// bucket into the current run early, so sends made by the global
+    /// transition (or by the harness between `run_until` calls) into that
+    /// bucket land in the inbox heap, where fan-outs cannot join a slot
+    /// tail. The bounded peek
+    /// ([`TimerWheel::next_at_key_below`](crate::wheel::TimerWheel::next_at_key_below))
+    /// would leave that bucket undrained. Event order, traces and stats are
+    /// the same under either peek; `peak_queue_depth` is not
     /// (`tree_1k_observed` at `--check` size: 604 rotating, 358 bounded),
-    /// and the benchmark's pinned digests include it — so the sole shard
-    /// moves to the bounded peek only together with a re-pin.
-    pub(super) fn drain_below<P>(&mut self, lim: (SimTime, u128), peek: P)
-    where
-        P: Fn(&mut TimerWheel<EventKind>, (SimTime, u128)) -> Option<(SimTime, u128)>,
-    {
-        while peek(&mut self.world.queue, lim).is_some() {
-            let (at, k, kind) = self.world.queue.pop_keyed().expect("peeked event vanished");
-            self.run_one(at, k, kind);
+    /// and the benchmark's pinned digests include it — so the drain moves to
+    /// the bounded peek only together with a re-pin.
+    pub(super) fn drain_below(&mut self, lim: (SimTime, u128)) {
+        while self.world.queue.next_at_key().is_some_and(|next| next < lim) {
+            let (at, _, kind) = self.world.queue.pop_keyed().expect("peeked event vanished");
+            self.run_one(at, kind);
         }
     }
 
-    /// Execute one popped event: advance this shard's clock, tag the
-    /// dispatch with the event's canonical key, and run it (with profiler
-    /// attribution when enabled).
-    fn run_one(&mut self, at: SimTime, key: u128, kind: EventKind) {
+    /// Execute one popped event: advance the clock and run it (with
+    /// profiler attribution when enabled).
+    fn run_one(&mut self, at: SimTime, kind: EventKind) {
         debug_assert!(at >= self.world.now);
         self.world.now = at;
-        self.world.cur_key = key;
-        self.world.cur_sub = 0;
         match kind {
             EventKind::Fanout(fs) => {
                 let before = self.world.events_processed;
@@ -184,12 +174,7 @@ impl<'a> ShardExec<'a> {
     /// mutation API; link/node flips are themselves queued events — so the
     /// no-observer loop hoists the link-up check out of its body, as it
     /// does the trace/prof enablement checks (the body is branch-free on
-    /// them). Only endpoints in this shard's node range are
-    /// expanded: a cut-link fan-out is mirrored into each shard the link
-    /// touches under the same key, and the per-shard expansions partition
-    /// the eager delivery set. Trace records carry
-    /// `endpoint index << 32 | counter` sub-tags so the merged stream
-    /// reconstructs the single-shard endpoint order.
+    /// them).
     fn expand_fanout(&mut self, m: Member, root: PacketId, root_at: SimTime, bytes: &Payload) {
         let sender = m.node();
         let iface = m.iface();
@@ -199,8 +184,6 @@ impl<'a> ShardExec<'a> {
         };
         let link_ok = self.shared.topo.link_up(link);
         let n_endpoints = self.shared.topo.link_endpoint_count(link);
-        let (base, limit) = (self.world.base, self.world.limit);
-        self.world.cur_key = m.key();
         if self.world.trace.is_none() && self.world.prof.is_none() {
             // Hot loop: no tracing, no profiling — one enablement branch
             // per *send* instead of several per delivery.
@@ -213,9 +196,6 @@ impl<'a> ShardExec<'a> {
                 } else {
                     (a, ai)
                 };
-                if rx.0 < base || rx.0 >= limit {
-                    return;
-                }
                 self.world.events_processed += 1;
                 if !self.shared.node_down[rx.index()] && link_ok {
                     self.deliver(rx, ri, bytes, class, cause);
@@ -224,7 +204,7 @@ impl<'a> ShardExec<'a> {
             }
             for e in 0..n_endpoints {
                 let (rx, ri) = self.shared.topo.link_endpoint(link, e);
-                if rx == sender || rx.0 < base || rx.0 >= limit {
+                if rx == sender {
                     continue;
                 }
                 self.world.events_processed += 1;
@@ -237,11 +217,10 @@ impl<'a> ShardExec<'a> {
         }
         for e in 0..n_endpoints {
             let (rx, ri) = self.shared.topo.link_endpoint(link, e);
-            if rx == sender || rx.0 < base || rx.0 >= limit {
+            if rx == sender {
                 continue;
             }
             self.world.events_processed += 1;
-            self.world.cur_sub = (e as u64) << 32;
             let t0 = self.world.prof.as_mut().and_then(|p| p.event_begin());
             self.arrive(rx, ri, Some(link), bytes, class, cause);
             if self.world.prof.is_some() {
@@ -291,9 +270,9 @@ impl<'a> ShardExec<'a> {
         self.world.cause = None;
     }
 
-    /// The shard-local event dispatch body. Global transitions (link /
-    /// node / loss changes) never reach a shard queue — they dispatch
-    /// through the coordinator between parallel segments.
+    /// The node-event dispatch body. Global transitions (link / node / loss
+    /// changes) never reach the node queue — the run loop dispatches them
+    /// between segments.
     fn dispatch_event(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrival { node, iface, bytes, class, cause } => {
@@ -310,7 +289,7 @@ impl<'a> ShardExec<'a> {
                 self.with_agent(node, |agent, ctx| agent.on_timer(ctx, token));
             }
             EventKind::LinkChange { .. } | EventKind::NodeChange { .. } | EventKind::LossChange { .. } => {
-                unreachable!("global transitions dispatch through the coordinator, not a shard queue")
+                unreachable!("global transitions dispatch from the run loop, not the node queue")
             }
             EventKind::Fanout(..) | EventKind::FanoutCohort(..) => {
                 unreachable!("fan-outs dispatch through expand_fanout, not dispatch_event")

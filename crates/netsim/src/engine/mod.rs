@@ -1,6 +1,5 @@
 //! The discrete-event engine: event queue, agent dispatch, packet delivery,
-//! timers, link failure injection — one run loop, of which the sharded
-//! parallel runtime is the many-shard case.
+//! timers, link failure injection — one run loop over one event queue.
 //!
 //! Protocol logic lives in [`Agent`] implementations attached one-per-node.
 //! Agents interact with the world exclusively through [`Ctx`]: sending
@@ -30,13 +29,12 @@
 //! execute in `(timestamp, key)` order — ties at the same microsecond
 //! resolve by key, which within one source means scheduling order. The key
 //! is a pure function of *who* scheduled the event and *how many* events
-//! that source had scheduled before — never of which shard ran the source —
-//! which is what makes the parallel engine's replay byte-identical at any
-//! shard count (see `docs/INTERNALS.md` §6). The wheel's geometry
+//! that source had scheduled before — never of how the queue stores it
+//! (see `docs/INTERNALS.md` §6). The wheel's geometry
 //! ([`WheelConfig`](crate::wheel::WheelConfig)) affects only the *cost* of
-//! scheduling, never the order. Determinism is pinned three ways: the `queue_`-prefixed property
-//! tests (wheel vs. reference heap), the golden fault-storm replay (swept
-//! over shard counts), and a golden replay at a non-default granularity.
+//! scheduling, never the order. Determinism is pinned three ways: the
+//! `queue_`-prefixed property tests (wheel vs. reference heap), the golden
+//! fault-storm replay, and a golden replay at a non-default granularity.
 //!
 //! ## Batched fan-out
 //!
@@ -59,56 +57,36 @@
 //! timers, fan-outs) between two **global transitions** — link flips,
 //! crashes and restarts, loss overrides — or up to the `run_until`
 //! horizon: the loop takes the next global's `(time, key)` (or the
-//! horizon) as the bound, drains every shard strictly below it, dispatches
-//! the global, and repeats. Globals are stop-the-world because they mutate
-//! what every shard reads — the topology, the down/epoch tables, the
-//! routing caches — and sweep the agents that listen
-//! ([`Ctx::watch_topology`]) in every shard; with all clocks standing at
-//! the transition's instant and no shard draining, each of them observes
-//! the change at the same point of the canonical order, at any shard
-//! count. A transition costs two calls per listener, not per node.
+//! horizon) as the bound, drains the node queue strictly below it,
+//! dispatches the global, and repeats. A global mutates what every
+//! dispatch reads — the topology, the down/epoch tables, the routing cache
+//! — and sweeps the agents that listen ([`Ctx::watch_topology`]), so it
+//! runs with the node queue standing at its instant: every listener
+//! observes the change at the same point of the canonical order. A
+//! transition costs two calls per listener, not per node.
 //!
-//! "Drain a shard below a limit" is one method, `ShardExec::drain_below`,
-//! and one dispatch path (`ShardExec::run_one`) under it. The default
-//! single shard runs it inline on the calling thread for the whole
-//! segment: no threads, no mailboxes, no barriers, no sync windows.
-//! [`Sim::set_shards`] partitions the topology into contiguous node-range
-//! shards ([`crate::shard`]); each shard owns a
-//! [`TimerWheel`](crate::wheel::TimerWheel), per-node RNG/sequence slabs,
-//! and its agents, and a segment then drains on one scoped thread per
-//! shard, cut into lookahead-bounded conservative windows
-//! (barrier-per-window): the minimum cut-link latency `L` guarantees any
-//! event executed at `t ≥ min_next` produces cross-shard work no earlier
-//! than `min_next + L`, so each window safely drains
-//! `[min_next, min_next + L)` in parallel and exchanges boundary events at
-//! the barrier. The merged run — stats, metrics, profile, trace — is
-//! byte-identical to the single-shard run; `docs/INTERNALS.md` §6 derives
-//! the safe-window math and the boundary merge order.
-//!
-//! The two cases differ in one thing besides threads: how the drain peeks
-//! at the queue head. Workers use the wheel's *bounded* peek, which never
-//! sorts a bucket at or past the limit into the current run, so mail
-//! ingested at the next window's top still coalesces into slot tails. The
-//! sole shard keeps the *rotating* peek and compares afterwards: at each
-//! segment edge it does sort the next bucket early, which costs nothing in
-//! event order, traces or stats but is visible in
-//! [`Sim::peak_queue_depth`] (604 with the rotating peek, 358 with the
-//! bounded one, on the benchmark's `tree_1k_observed` at `--check` size)
-//! — and that figure is part of the benchmark's pinned digests. See
-//! `docs/INTERNALS.md` §6, "Two peeks".
+//! "Drain below a limit" is one method, `Exec::drain_below`, with one
+//! dispatch path (`Exec::run_one`) under it. It peeks with the wheel's
+//! *rotating* peek and compares with the limit afterwards: at each segment
+//! edge that sorts the next bucket into the current run early, which costs
+//! nothing in event order, traces or stats but is visible in
+//! [`Sim::peak_queue_depth`] (604 on the benchmark's `tree_1k_observed` at
+//! `--check` size, where the bounded peek
+//! [`TimerWheel::next_at_key_below`](crate::wheel::TimerWheel::next_at_key_below)
+//! would read 358) — and that figure is part of the benchmark's pinned
+//! digests. See `docs/INTERNALS.md` §6, "The rotating peek".
 //!
 //! ## Module map
 //!
 //! | file | holds |
 //! |---|---|
 //! | `mod.rs` | the public vocabulary: [`Agent`], [`IntoAgent`], [`Tx`], [`Reliability`], [`TopologyChange`], [`Payload`], [`NullAgent`] |
-//! | `world.rs` | `EventKind` / `FanoutSend` / `Cohort`, `Shared` (read-mostly engine state) and `World` (one shard's mutable half: wheel, slabs, topology listeners, audit marks, counters, fan-out coalescing) |
-//! | `store.rs` | `AgentStore`: one shard's agents, a pool per concrete type and a 4-byte slot per node; the sealed half of [`IntoAgent`] |
+//! | `world.rs` | `EventKind` / `FanoutSend` / `Cohort`, `Shared` (what a dispatch only reads) and `World` (the mutable half: wheel, slabs, topology listeners, audit marks, counters, fan-out coalescing) |
+//! | `store.rs` | `AgentStore`: the agents, a pool per concrete type and a 4-byte slot per node; the sealed half of [`IntoAgent`] |
 //! | `ctx.rs` | [`Ctx`], the agent's window into a dispatch: queries, `send*` / the one `transmit` path, timers, `watch_topology`, counters |
-//! | `exec.rs` | `ShardExec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion, `deliver` |
-//! | `sync.rs` | `Sim::drain_segment`: the sole shard inline, or scoped workers under the three-barrier window protocol (`worker_loop`, mailboxes) |
-//! | `sim.rs` | [`Sim`]: construction, partitioning, scheduling, the start-up sweep, the segment loop, global-transition dispatch |
-//! | `observe.rs` | `Sim`'s trace / metrics / profiler / audit surface and the end-of-run merge of per-shard observability state |
+//! | `exec.rs` | `Exec`: the one agent-`Ctx` constructor (`with_agent`), `run_one`, `drain_below`, cohort / fan-out expansion, `deliver` |
+//! | `sim.rs` | [`Sim`]: construction, scheduling, the start-up sweep, the segment loop, global-transition dispatch |
+//! | `observe.rs` | `Sim`'s trace / metrics / profiler / audit surface |
 //! | `tests.rs` | unit tests |
 
 mod ctx;
@@ -116,13 +94,14 @@ mod exec;
 mod observe;
 mod sim;
 mod store;
-mod sync;
 #[cfg(test)]
 mod tests;
 mod world;
 
 pub use ctx::Ctx;
 pub use sim::Sim;
+#[doc(hidden)]
+pub use crate::compat::HotPacketFn;
 
 use crate::audit::AuditNodeState;
 use crate::downcast::AsAny;
@@ -190,12 +169,8 @@ pub enum Tx {
 /// [`kind_name`](Self::kind_name) (the profiler's label). Override those
 /// two only in a wrapper, to forward to the agent it wraps.
 ///
-/// `Send` is a supertrait: under the sharded engine each shard's agents are
-/// dispatched from that shard's worker thread, so agent state must be
-/// thread-transferable (plain owned data — which every agent here already
-/// was; the bound rules out `Rc`/`RefCell` captures). An agent is also
-/// `'static`: it owns its state.
-pub trait Agent: Send + AsAny {
+/// An agent is `'static`: it owns its state.
+pub trait Agent: AsAny {
     /// Called once when the simulation starts, in node-id order.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
@@ -258,7 +233,8 @@ pub trait Agent: Send + AsAny {
 
     /// Ignored by the engine, which dispatches every agent's packets
     /// through the pool of its concrete type (see [`Sim::set_agent`]); kept
-    /// only because the `benchmark` package's agents still override it.
+    /// only because `benchmark/src/agents.rs` and `benchmark/src/spans.rs`
+    /// override it. Its return type lives in `compat.rs`.
     fn hot_packet_fn(&self) -> Option<HotPacketFn> {
         None
     }
@@ -266,21 +242,6 @@ pub trait Agent: Send + AsAny {
     /// This agent as `Any`, for [`Sim::agent_as`] to downcast.
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self.any_mut()
-    }
-}
-
-/// What [`Agent::hot_packet_fn`] returns. Ignored by the engine.
-pub type HotPacketFn = fn(&mut dyn Agent, &mut Ctx<'_>, IfaceId, &Payload, TrafficClass);
-
-/// A [`HotPacketFn`] that calls `A::on_packet` on a `dyn Agent` holding an
-/// `A`. Ignored by the engine, like [`Agent::hot_packet_fn`].
-pub fn hot_packet_stub<A: Agent + 'static>() -> HotPacketFn {
-    |agent, ctx, iface, bytes, class| {
-        agent
-            .as_any_mut()
-            .downcast_mut::<A>()
-            .expect("hot-path stub cached for a different agent type")
-            .on_packet(ctx, iface, bytes, class)
     }
 }
 

@@ -1,6 +1,5 @@
-//! `Sim`'s observability surface — trace capture and its per-shard merge,
-//! metrics, the self-profiler, the auditor's snapshots — and the fold of
-//! per-shard observability state into shard 0 when a run ends.
+//! `Sim`'s observability surface: trace capture, metrics, the
+//! self-profiler and the auditor's snapshots.
 
 use super::world::AuditMarks;
 use super::Sim;
@@ -8,23 +7,16 @@ use crate::audit::{AuditSnapshot, Auditor, ChannelTruth};
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::metrics::{Metrics, MetricsConfig};
 use crate::prof::{ProfConfig, Profiler};
-use crate::time::SimTime;
-use crate::trace::{Tee, TraceBuffer, TraceConfig, TraceEvent, TraceSink, Tracer};
+use crate::trace::{Tee, TraceBuffer, TraceConfig, TraceSink, Tracer};
 use std::collections::{BTreeMap, HashMap};
 
 impl Sim {
     /// Turn on structured event tracing into the default in-memory ring
     /// with the given capture configuration (replaces any previous trace).
     /// Tracing is off by default and, when off, adds no counter or per-link
-    /// overhead. Under sharding each shard captures into its own ring and
-    /// [`take_trace`](Self::take_trace) merges them in canonical order;
-    /// the byte-identical guarantee requires the ring capacity to cover
-    /// the captured events (per-shard overflow trims streams
-    /// independently).
+    /// overhead.
     pub fn enable_trace(&mut self, cfg: TraceConfig) {
-        for w in &mut self.worlds {
-            w.trace = Some(Tracer::ring(cfg.clone()));
-        }
+        self.world.trace = Some(Tracer::ring(cfg));
         self.sync_audit_marks();
     }
 
@@ -32,71 +24,38 @@ impl Sim {
     /// e.g. a [`JsonlSink`](crate::trace::JsonlSink) streaming a full-scale
     /// run to disk in bounded memory. Filters and causal sampling from
     /// `cfg` apply before events reach the sink. Recover the sink with
-    /// [`finish_trace`](Self::finish_trace). Single-shard only (a
-    /// streaming sink cannot be re-ordered post hoc): panics if the
-    /// simulation has been partitioned with [`set_shards`](Self::set_shards).
+    /// [`finish_trace`](Self::finish_trace).
     pub fn enable_trace_sink(&mut self, cfg: TraceConfig, sink: Box<dyn TraceSink>) {
-        assert_eq!(
-            self.shard_count(),
-            1,
-            "enable_trace_sink requires shards=1: a streaming sink cannot be merged \
-             across shards — use enable_trace + take_trace, or keep the default shard count"
-        );
-        self.worlds[0].trace = Some(Tracer::new(cfg, sink));
+        self.world.trace = Some(Tracer::new(cfg, sink));
         self.sync_audit_marks();
     }
 
     /// The captured in-memory trace, if tracing is enabled *and* backed by
     /// the default ring (`None` under a custom sink — use
-    /// [`tracer`](Self::tracer) for sink-agnostic access). Like `tracer`,
-    /// this is shard 0's ring: under sharding the whole capture exists
-    /// only after the [`take_trace`](Self::take_trace) merge.
+    /// [`tracer`](Self::tracer) for sink-agnostic access).
     pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.worlds[0].trace.as_ref().and_then(|t| t.buffer())
+        self.world.trace.as_ref().and_then(|t| t.buffer())
     }
 
-    /// The active tracer (sampling + sink) of shard 0, if tracing is
-    /// enabled.
+    /// The active tracer (sampling + sink), if tracing is enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.worlds[0].trace.as_ref()
+        self.world.trace.as_ref()
     }
 
     /// Detach the captured ring trace (tracing stops), e.g. to export it
     /// after a run. `None` when tracing is off or backed by a custom sink
-    /// (then use [`finish_trace`](Self::finish_trace)). The per-shard
-    /// rings are merged into one buffer in canonical `(time, key, sub)`
-    /// order — byte-identical to the single-shard capture, where the merge
-    /// of the one stream is the identity.
+    /// (then use [`finish_trace`](Self::finish_trace)).
     pub fn take_trace(&mut self) -> Option<TraceBuffer> {
-        let mut cfg = None;
-        let mut streams = Vec::with_capacity(self.worlds.len());
-        let mut overwritten = 0u64;
-        let taken: Option<()> = self.worlds.iter_mut().try_for_each(|w| {
-            let buffer = sink_into_buffer(w.trace.take()?.finish())?;
-            cfg.get_or_insert_with(|| buffer.config().clone());
-            let (events, over) = buffer.into_tagged();
-            overwritten += over;
-            streams.push(events);
-            Some(())
-        });
-        self.sync_audit_marks();
-        taken?;
-        Some(TraceBuffer::from_tagged(cfg?, merge_tagged(streams), overwritten))
+        sink_into_buffer(self.finish_trace()?)
     }
 
     /// Finalize the capture (footer + flush via [`TraceSink::finish`]) and
-    /// detach the sink, whatever its concrete type. Tracing stops. Under
-    /// sharding this returns the merged ring buffer (custom sinks are
-    /// single-shard only; see [`enable_trace_sink`](Self::enable_trace_sink)).
+    /// detach the sink, whatever its concrete type — a streaming sink, a
+    /// tee or an auditor comes back whole. Tracing stops.
     pub fn finish_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        // Not a shortcut past a merge: the sole shard's chain may hold a
-        // streaming sink, a tee or an auditor, and comes back whole.
-        if let [world] = &mut self.worlds[..] {
-            let sink = world.trace.take().map(Tracer::finish);
-            self.sync_audit_marks();
-            return sink;
-        }
-        self.take_trace().map(|b| Box::new(b) as Box<dyn TraceSink>)
+        let sink = self.world.trace.take().map(Tracer::finish);
+        self.sync_audit_marks();
+        sink
     }
 
     /// Attach an *additional* [`TraceSink`] beside whatever capture is
@@ -105,18 +64,11 @@ impl Sim {
     /// yet, it starts now with [`TraceConfig::default`] into this sink.
     /// This is how the online [`Auditor`] runs
     /// beside a [`JsonlSink`](crate::trace::JsonlSink) or the default
-    /// ring. Single-shard only, like
-    /// [`enable_trace_sink`](Self::enable_trace_sink).
+    /// ring.
     pub fn add_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        assert_eq!(
-            self.shard_count(),
-            1,
-            "add_trace_sink requires shards=1: a streaming sink cannot be merged \
-             across shards — use enable_trace + take_trace, or keep the default shard count"
-        );
-        match &mut self.worlds[0].trace {
+        match &mut self.world.trace {
             Some(tracer) => tracer.add_sink(sink),
-            None => self.worlds[0].trace = Some(Tracer::new(TraceConfig::default(), sink)),
+            None => self.world.trace = Some(Tracer::new(TraceConfig::default(), sink)),
         }
         self.sync_audit_marks();
     }
@@ -125,10 +77,8 @@ impl Sim {
     /// wherever in it, and however it got there — with every node marked
     /// when the chain changes under one: a new auditor has read nothing.
     fn sync_audit_marks(&mut self) {
-        let audited = self.worlds[0].trace.as_mut().is_some_and(|t| find_auditor_mut(t.sink_mut()).is_some());
-        for w in &mut self.worlds {
-            w.audit_marks = audited.then(|| AuditMarks::all(w.base, w.limit));
-        }
+        let audited = self.world.trace.as_mut().is_some_and(|t| find_auditor_mut(t.sink_mut()).is_some());
+        self.world.audit_marks = audited.then(|| AuditMarks::all(self.shared.topo.node_count()));
     }
 
     /// Capture a point-in-time [`AuditSnapshot`] of protocol truth: sweep
@@ -144,7 +94,7 @@ impl Sim {
     pub fn audit_snapshot(&self) -> AuditSnapshot {
         let topo = &self.shared.topo;
         let mut snap = AuditSnapshot {
-            at: self.worlds[0].now,
+            at: self.world.now,
             ..Default::default()
         };
         // Router routes whose upstream link might face the channel source
@@ -157,7 +107,7 @@ impl Sim {
                 continue;
             }
             let node = NodeId(idx as u32);
-            let Some(state) = self.agent_ref(node).audit_state(topo, node) else {
+            let Some(state) = self.agents.agent_ref(node).audit_state(topo, node) else {
                 continue;
             };
             snap.audited.insert(node);
@@ -228,17 +178,15 @@ impl Sim {
     /// builds compare the truth with the full [`audit_snapshot`](Self::audit_snapshot)
     /// each time, so every audited test checks the marks.
     pub(super) fn audit_refresh(&mut self, check_counts: bool) {
-        if self.worlds[0].audit_marks.is_none() {
+        if self.world.audit_marks.is_none() {
             return;
         }
         #[cfg(debug_assertions)]
         let reference = self.audit_snapshot();
-        // Marks are kept only with an auditor, and an auditor runs only at
-        // one shard (`add_trace_sink`, `enable_trace_sink`).
-        let world = &mut self.worlds[0];
+        let world = &mut self.world;
         let (Some(marks), Some(tracer)) = (&mut world.audit_marks, &mut world.trace) else { return };
         let auditor = find_auditor_mut(tracer.sink_mut()).expect("audit marks are kept only while an auditor is in the chain");
-        let (topo, agents) = (&self.shared.topo, &self.stores[0]);
+        let (topo, agents) = (&self.shared.topo, &self.agents);
         for node in marks.take() {
             let state = match self.shared.node_down[node.index()] {
                 true => None,
@@ -262,19 +210,14 @@ impl Sim {
     }
 
     /// Turn on time-series metrics with the given configuration (replaces
-    /// any previous metrics). Off by default. Under sharding each shard
-    /// collects its own series; they are merged into one view when a
-    /// sharded run completes.
+    /// any previous metrics). Off by default.
     pub fn enable_metrics(&mut self, cfg: MetricsConfig) {
-        for w in &mut self.worlds {
-            w.metrics = Some(Metrics::new(cfg.clone()));
-        }
+        self.world.metrics = Some(Metrics::new(cfg));
     }
 
-    /// The collected metrics, if enabled (the merged view after a sharded
-    /// run).
+    /// The collected metrics, if enabled.
     pub fn metrics(&self) -> Option<&Metrics> {
-        self.worlds[0].metrics.as_ref()
+        self.world.metrics.as_ref()
     }
 
     /// Turn on the engine self-profiler (replaces any previous profiler;
@@ -283,55 +226,19 @@ impl Sim {
     /// attribution is *sampled* (one event in
     /// [`ProfConfig::sample_every`]) to bound overhead. Wheel and
     /// queue gauges are snapshotted every [`ProfConfig::gauge_every`]
-    /// events. Under sharding each shard profiles its own drain
-    /// (sampling its own event stream) and the per-shard profiles are
-    /// merged when the run completes; conservative-sync stalls surface as
-    /// `sync_windows` / `sync_stall_ns` in the report.
+    /// events.
     pub fn enable_prof(&mut self, cfg: ProfConfig) {
-        let nodes = self.shared.topo.node_count();
-        for w in &mut self.worlds {
-            w.prof = Some(Profiler::new(cfg, nodes));
-        }
+        self.world.prof = Some(Profiler::new(cfg, self.shared.topo.node_count()));
     }
 
-    /// The engine self-profiler, if enabled (the merged view after a
-    /// sharded run).
+    /// The engine self-profiler, if enabled.
     pub fn prof(&self) -> Option<&Profiler> {
-        self.worlds[0].prof.as_ref()
+        self.world.prof.as_ref()
     }
 
     /// Detach the profiler (profiling stops), e.g. to render its report.
-    /// Under sharding the per-shard profiles are merged first.
     pub fn take_prof(&mut self) -> Option<Profiler> {
-        let (w0, rest) = self.worlds.split_first_mut().expect("at least one shard");
-        if let Some(p0) = w0.prof.as_mut() {
-            for w in rest.iter_mut() {
-                if let Some(p) = w.prof.as_mut() {
-                    p0.absorb(p);
-                }
-            }
-        }
-        for w in rest {
-            w.prof = None;
-        }
-        w0.prof.take()
-    }
-
-    /// Fold per-shard observability state into shard 0 at the end of a
-    /// run: stats, metrics, and profiles merge associatively (sources are
-    /// drained but keep their intern tables, so repeated `run_until`
-    /// calls keep accumulating).
-    pub(super) fn merge_worlds(&mut self) {
-        let (w0, rest) = self.worlds.split_first_mut().expect("at least one shard");
-        for w in rest {
-            w0.stats.absorb(&mut w.stats);
-            if let (Some(a), Some(b)) = (w0.metrics.as_mut(), w.metrics.as_mut()) {
-                a.absorb(b);
-            }
-            if let (Some(a), Some(b)) = (w0.prof.as_mut(), w.prof.as_mut()) {
-                a.absorb(b);
-            }
-        }
+        self.world.prof.take()
     }
 }
 
@@ -369,41 +276,4 @@ fn find_auditor_mut(sink: &mut dyn TraceSink) -> Option<&mut Auditor> {
         .sinks_mut()
         .iter_mut()
         .find_map(|s| find_auditor_mut(s.as_mut()))
-}
-
-/// Stable k-way merge of per-shard tagged trace streams by head
-/// `(time, key, sub)` tag. This is a *merge by head*, not a sort: one
-/// shard's stream can be locally non-monotone in key (a zero-latency
-/// causal chain records its consequence events under later keys at the
-/// same instant), and merging by smallest head reproduces exactly the
-/// order the single-shard scheduler would have emitted — it simulates the
-/// one-shard pop loop, whose per-pop record batches these streams partition.
-fn merge_tagged(streams: Vec<Vec<(TraceEvent, u128, u64)>>) -> Vec<(TraceEvent, u128, u64)> {
-    let total = streams.iter().map(Vec::len).sum();
-    let mut iters: Vec<_> = streams.into_iter().map(|s| s.into_iter().peekable()).collect();
-    let mut out: Vec<(TraceEvent, u128, u64)> = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, (SimTime, u128, u64))> = None;
-        let mut live = 0;
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some((ev, k, sub)) = it.peek() {
-                live += 1;
-                let tag = (ev.at, *k, *sub);
-                if best.is_none_or(|(_, t)| tag < t) {
-                    best = Some((i, tag));
-                }
-            }
-        }
-        match best {
-            // One stream left — the only one there ever was, at one shard:
-            // what remains of it is what remains of the merge.
-            Some((i, _)) if live == 1 => {
-                out.extend(iters[i].by_ref());
-                break;
-            }
-            Some((i, _)) => out.push(iters[i].next().expect("peeked element vanished")),
-            None => break,
-        }
-    }
-    out
 }

@@ -1,14 +1,13 @@
-//! [`Sim`]: construction and partitioning, agents, scheduling, the start-up
-//! sweep, the segment loop behind [`Sim::run`] / [`Sim::run_until`], and
-//! the stop-the-world dispatch of global transitions.
+//! [`Sim`]: construction, agents, scheduling, the start-up sweep, the
+//! segment loop behind [`Sim::run`] / [`Sim::run_until`], and the dispatch
+//! of global transitions between segments.
 
-use super::exec::ShardExec;
+use super::exec::Exec;
 use super::store::{AgentStore, Row};
 use super::world::{event_class, EventKind, Shared, World};
 use super::{Agent, AgentFactory, Ctx, IntoAgent, NullAgent, TimerToken, TopologyChange};
 use crate::id::{LinkId, NodeId};
 use crate::routing::Routing;
-use crate::shard::{self, ShardPlan};
 use crate::stats::Stats;
 use crate::time::SimTime;
 use crate::topology::Topology;
@@ -16,37 +15,22 @@ use crate::trace::TraceKind;
 use crate::wheel::{TimerWheel, WheelConfig};
 use std::collections::HashMap;
 
-/// Rank-0 (external/harness) sequence numbers start here so the start-up
-/// sweep's trace tags — keyed `(rank 0, node id)` — sort before every
-/// pre-scheduled external event.
-const EXT_SEQ_BASE: u64 = 1 << 32;
-
-/// The simulation: topology + agents + event queue(s).
-///
-/// With the default single shard every segment of a run drains inline on
-/// the calling thread. [`set_shards`](Self::set_shards) partitions the node
-/// space into contiguous shards that drain the same segments in parallel
-/// under conservative lookahead synchronization — with byte-identical
-/// results at any shard count (see module docs and `docs/INTERNALS.md` §6).
+/// The simulation: topology + agents + event queues.
 pub struct Sim {
     pub(super) shared: Shared,
-    /// One world per shard (`worlds.len() == shared.plan.shard_count()`).
-    /// After a sharded run, shard 0 holds the merged stats/metrics/prof.
-    pub(super) worlds: Vec<World>,
-    /// One agent store per shard, `stores[s]` holding the agents of
-    /// `worlds[s]`'s nodes.
-    pub(super) stores: Vec<AgentStore>,
-    /// Global transitions (link / node / loss changes): coordinator-owned,
-    /// dispatched stop-the-world between parallel segments so every shard
-    /// observes a topology change at the same instant.
+    /// The world and the agents each sit in a heap block of their own, not
+    /// inline: inline, they moved `star_100k_data` `peak_rss_mb` 9.3 →
+    /// 9.9 MB (docs/INTERNALS.md §6, "inline size").
+    pub(super) world: Box<World>,
+    /// The agents, one per node.
+    pub(super) agents: Box<AgentStore>,
+    /// Global transitions (link / node / loss changes), dispatched between
+    /// segments of the node queue (see [`run_segments`](Self::run_segments)).
     pub(super) global_queue: TimerWheel<EventKind>,
     pub(super) global_peak: usize,
     /// Rank-0 sequence counter for externally scheduled events (faults,
-    /// harness timers); starts at [`EXT_SEQ_BASE`].
+    /// harness timers).
     pub(super) ext_seq: u64,
-    /// The wheel geometry, kept so [`set_shards`](Self::set_shards) can
-    /// rebuild per-shard wheels.
-    pub(super) wheel_cfg: WheelConfig,
     pub(super) started: bool,
     /// Links downed by a node's crash, restored at its restart.
     pub(super) crash_downed_links: HashMap<NodeId, Vec<LinkId>>,
@@ -73,99 +57,19 @@ impl Sim {
     /// `queue_order_is_granularity_independent` property test and a golden
     /// replay run at a non-default granularity).
     pub fn new_with_wheel(topo: Topology, seed: u64, wheel: WheelConfig) -> Self {
-        let n = topo.node_count();
         let shared = Shared::new(topo, seed);
-        let worlds = vec![World::new(&shared.topo, wheel, 0, 0, n as u32)];
         Sim {
+            world: Box::new(World::new(&shared.topo, wheel)),
+            agents: Box::new(AgentStore::new(shared.topo.node_count())),
             shared,
-            worlds,
-            stores: vec![AgentStore::new(0, n as u32)],
             global_queue: TimerWheel::new(wheel),
             global_peak: 0,
-            ext_seq: EXT_SEQ_BASE,
-            wheel_cfg: wheel,
+            ext_seq: 0,
             started: false,
             crash_downed_links: HashMap::new(),
             restart_factories: HashMap::new(),
             sweep_buf: Vec::new(),
         }
-    }
-
-    /// Partition the simulation into up to `shards` parallel shards
-    /// (contiguous node ranges; see [`crate::shard::partition`] for how
-    /// boundaries are chosen). The effective count may be lower — it is
-    /// capped at [`shard::MAX_SHARDS`], at the node count, and reduced
-    /// when no zero-latency-cut partition of the requested width exists.
-    /// Determinism contract: a run's observable results (event order,
-    /// traces, stats, RNG draws) are byte-identical at *any* shard count.
-    ///
-    /// Must be called on a pristine simulation — before agents schedule
-    /// anything, before any `schedule_*` call, and before
-    /// trace/metrics/prof are enabled (panics otherwise).
-    pub fn set_shards(&mut self, shards: usize) {
-        let plan = shard::partition(&self.shared.topo, shards);
-        self.apply_plan(plan);
-    }
-
-    /// Partition with explicit shard boundaries (`bounds` are the
-    /// fenceposts, `[0, …, node_count]`, strictly increasing). Panics on
-    /// invalid bounds or a zero-latency cut link — this is the
-    /// deterministic-partition hook the randomized-partition property
-    /// tests drive. Same pristine-state requirements as
-    /// [`set_shards`](Self::set_shards).
-    pub fn set_shard_bounds(&mut self, bounds: &[u32]) {
-        let plan = shard::plan_from_bounds(&self.shared.topo, bounds);
-        self.apply_plan(plan);
-    }
-
-    /// Number of shards the simulation is partitioned into (1, the default,
-    /// drains inline on the calling thread).
-    pub fn shard_count(&self) -> usize {
-        self.shared.plan.shard_count()
-    }
-
-    /// The active shard partition.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.shared.plan
-    }
-
-    /// Conservative-sync totals over all shards so far:
-    /// `(windows, barrier stall ns)` — `(0, 0)` for single-shard runs, which
-    /// meet no barrier.
-    pub fn sync_stats(&self) -> (u64, u64) {
-        self.worlds.iter().fold((0, 0), |(w, s), world| {
-            (w + world.sync_windows, s + world.sync_stall_ns)
-        })
-    }
-
-    fn apply_plan(&mut self, plan: ShardPlan) {
-        assert!(
-            !self.started,
-            "set_shards/set_shard_bounds must be called before the simulation starts"
-        );
-        assert!(
-            self.global_queue.is_empty() && self.worlds.iter().all(|w| w.queue.is_empty()),
-            "set_shards/set_shard_bounds must be called before any events are scheduled"
-        );
-        assert!(
-            self.worlds[0].trace.is_none()
-                && self.worlds[0].metrics.is_none()
-                && self.worlds[0].prof.is_none(),
-            "set_shards/set_shard_bounds must be called before enabling trace/metrics/prof"
-        );
-        let (worlds, mut stores): (Vec<World>, Vec<AgentStore>) = (0..plan.shard_count())
-            .map(|s| {
-                let (base, limit) = plan.range(s);
-                (World::new(&self.shared.topo, self.wheel_cfg, s, base, limit), AgentStore::new(base, limit))
-            })
-            .unzip();
-        // Agents installed so far move to their new shards' stores; none
-        // has run, so none can tell.
-        for old in std::mem::take(&mut self.stores) {
-            old.rehome(&mut stores, &plan);
-        }
-        (self.worlds, self.stores) = (worlds, stores);
-        self.shared.plan = plan;
     }
 
     /// Attach `agent` to `node`, replacing whatever was there. If the
@@ -174,18 +78,14 @@ impl Sim {
     /// invalidated, its [`Ctx::watch_topology`] registration is dropped, and
     /// the new agent's `on_start` runs immediately.
     ///
-    /// A `Box<A>` of a concrete type is unboxed into the pool of every `A`
-    /// in the node's shard; a `Box<dyn Agent>` keeps its box, in the pool of
-    /// boxed agents (see [`IntoAgent`]). Either way the replaced agent is
-    /// dropped where it stood, and its row is reused by the next agent of
-    /// its kind.
+    /// A `Box<A>` of a concrete type is unboxed into the pool of every `A`;
+    /// a `Box<dyn Agent>` keeps its box, in the pool of boxed agents (see
+    /// [`IntoAgent`]). Either way the replaced agent is dropped where it
+    /// stood, and its row is reused by the next agent of its kind.
     pub fn set_agent(&mut self, node: NodeId, agent: impl IntoAgent) {
         agent.place(self, node);
         if self.started {
-            let key = self.ext_key();
-            let mut sub = 0;
-            self.coord_agent(node, key, &mut sub, |agent, ctx| agent.on_start(ctx));
-            self.drain_outboxes();
+            self.exec().with_agent(node, |agent, ctx| agent.on_start(ctx));
         }
     }
 
@@ -199,12 +99,11 @@ impl Sim {
     /// nothing to strand.) The auditor re-reads the node at its next
     /// refresh.
     pub(super) fn install_agent<R: Row>(&mut self, node: NodeId, agent: R) {
-        let s = self.shared.plan.shard_of(node);
-        self.stores[s].put(node, agent);
-        self.worlds[s].mark_audit(node);
+        self.agents.put(node, agent);
+        self.world.mark_audit(node);
         if self.started {
             self.shared.bump_epoch(node);
-            self.worlds[s].listeners.remove(&node.0);
+            self.world.listeners.remove(&node.0);
         }
     }
 
@@ -224,14 +123,8 @@ impl Sim {
     /// changes through it, the auditor re-reads the node at its next
     /// refresh (see [`Ctx::audit_changed`]).
     pub fn agent_mut(&mut self, node: NodeId) -> &mut dyn Agent {
-        let s = self.shared.plan.shard_of(node);
-        self.worlds[s].mark_audit(node);
-        self.stores[s].agent(node)
-    }
-
-    /// The agent on `node`, read-only.
-    pub(super) fn agent_ref(&self, node: NodeId) -> &dyn Agent {
-        self.stores[self.shared.plan.shard_of(node)].agent_ref(node)
+        self.world.mark_audit(node);
+        self.agents.agent(node)
     }
 
     /// Downcast the agent on `node` to a concrete type.
@@ -239,11 +132,9 @@ impl Sim {
         self.agent_mut(node).as_any_mut().downcast_mut::<T>()
     }
 
-    /// Current simulated time (shards agree whenever the coordinator has
-    /// control; mid-window shard clocks advance independently within the
-    /// lookahead bound).
+    /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.worlds[0].now
+        self.world.now
     }
 
     /// The topology (read-only).
@@ -251,45 +142,40 @@ impl Sim {
         &self.shared.topo
     }
 
-    /// Measurement state. After a sharded run this is the merged view;
-    /// mid-run it covers shard 0 only.
+    /// Measurement state.
     pub fn stats(&self) -> &Stats {
-        &self.worlds[0].stats
+        &self.world.stats
     }
 
     /// Unicast routing (for harness-level queries like path lengths).
     pub fn routing_mut(&mut self) -> (&Topology, &mut Routing) {
-        (&self.shared.topo, &mut self.worlds[0].routing)
+        (&self.shared.topo, &mut self.world.routing)
     }
 
-    /// Unicast routing state of shard 0, read-only (cache statistics).
+    /// Unicast routing state, read-only (cache statistics).
     pub fn routing(&self) -> &Routing {
-        &self.worlds[0].routing
+        &self.world.routing
     }
 
-    /// Total events dispatched so far, over all shards. A deferred fan-out
-    /// pop expands *all* its deliveries inline and counts each delivery
-    /// (not the pop), so event totals match the eager path exactly.
+    /// Total events dispatched so far. A deferred fan-out pop expands *all*
+    /// its deliveries inline and counts each delivery (not the pop), so
+    /// event totals match the eager path exactly.
     pub fn events_processed(&self) -> u64 {
-        self.worlds.iter().map(|w| w.events_processed).sum()
+        self.world.events_processed
     }
 
     /// Frame derivations actually run so far — [`Ctx::derive_frame`] calls
-    /// the memo did not answer — over all shards. Host work, not a
-    /// simulated statistic: each shard remembers its own last derivation,
-    /// so the figure grows with the shard count.
+    /// the memo did not answer. Host work, not a simulated statistic.
     pub fn frames_derived(&self) -> u64 {
-        self.worlds.iter().map(|w| w.frames_derived).sum()
+        self.world.frames_derived
     }
 
     /// High-water mark of the pending-event set over the whole run — the
-    /// memory-pressure figure the scale benchmarks report. Under sharding
-    /// this is the sum of per-shard (plus coordinator) high-water marks:
-    /// an upper bound on, not an exact reading of, the instantaneous
-    /// total, and — unlike every protocol-visible result — legitimately
-    /// dependent on the shard count.
+    /// memory-pressure figure the scale benchmarks report: the node
+    /// queue's high-water mark plus the global queue's, an upper bound on
+    /// the instantaneous total.
     pub fn peak_queue_depth(&self) -> usize {
-        self.worlds.iter().map(|w| w.peak_queue_depth).sum::<usize>() + self.global_peak
+        self.world.peak_queue_depth + self.global_peak
     }
 
     /// Allocate the next rank-0 (external/harness) canonical event key.
@@ -352,87 +238,49 @@ impl Sim {
 
     /// Schedule a timer for `node` at absolute time `at` — the hook
     /// workload generators use to drive join/leave churn. The event is
-    /// rank-0 keyed (harness scheduling order) and queued on the owning
-    /// shard. Like a timer the agent arms itself, it is bound to the
-    /// node's process as of this call: if the agent is replaced before
-    /// `at` — a crash, a restart, a mid-run [`set_agent`](Self::set_agent)
-    /// — the timer is dropped, so one scheduled while the node is down
-    /// does not reach the agent its restart installs.
+    /// rank-0 keyed (harness scheduling order). Like a timer the agent arms
+    /// itself, it is bound to the node's process as of this call: if the
+    /// agent is replaced before `at` — a crash, a restart, a mid-run
+    /// [`set_agent`](Self::set_agent) — the timer is dropped, so one
+    /// scheduled while the node is down does not reach the agent its
+    /// restart installs.
     pub fn schedule_timer_at(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
         let key = self.ext_key();
         let epoch = self.shared.epoch(node);
-        let s = self.shared.plan.shard_of(node);
-        self.worlds[s].push(at, key, EventKind::Timer { node, token, epoch });
+        self.world.push(at, key, EventKind::Timer { node, token, epoch });
     }
 
-    /// Dispatch `on_start` to every agent (idempotent; also called by the
-    /// first `run_*`). The sweep runs in node-id order with per-node
-    /// rank-0 keys `(0, node)`, so start-up trace records sort before
-    /// every externally scheduled event at t=0 — at any shard count.
+    /// Dispatch `on_start` to every agent in node-id order (idempotent;
+    /// also called by the first `run_*`), before any event runs.
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for i in 0..self.shared.topo.node_count() {
-            let mut sub = 0;
-            self.coord_agent(NodeId(i as u32), i as u128, &mut sub, |agent, ctx| agent.on_start(ctx));
+        let mut exec = self.exec();
+        for i in 0..exec.shared.topo.node_count() {
+            exec.with_agent(NodeId(i as u32), |agent, ctx| agent.on_start(ctx));
         }
-        self.drain_outboxes();
         // Setup (construction + on_start sweep) ends here; what follows is
         // the run phase.
-        for w in &mut self.worlds {
-            if let Some(p) = &mut w.prof {
-                p.mark_run_start();
-            }
+        if let Some(p) = &mut self.world.prof {
+            p.mark_run_start();
         }
     }
 
-    /// Shard `s`'s executor: its world and its agents.
-    pub(super) fn exec(&mut self, s: usize) -> ShardExec<'_> {
-        ShardExec {
+    /// The executor: the world and the agents.
+    pub(super) fn exec(&mut self) -> Exec<'_> {
+        Exec {
             shared: &self.shared,
-            world: &mut self.worlds[s],
-            agents: &mut self.stores[s],
+            world: &mut self.world,
+            agents: &mut self.agents,
         }
     }
 
-    /// Run `f` with the agent at `node` from coordinator context (start-up
-    /// sweep, global-transition sweeps): dispatches through the owning
-    /// shard's executor, tagging emitted trace records with `key` and the
-    /// running `sub` counter so one coordinator sweep keeps a single
-    /// canonical order across shards.
-    fn coord_agent<F: FnOnce(&mut dyn Agent, &mut Ctx<'_>)>(&mut self, node: NodeId, key: u128, sub: &mut u64, f: F) {
-        let mut exec = self.exec(self.shared.plan.shard_of(node));
-        exec.world.cur_key = key;
-        exec.world.cur_sub = *sub;
-        exec.with_agent(node, f);
-        *sub = exec.world.cur_sub;
-    }
-
-    /// Move coordinator-context cross-shard sends (outbox entries produced
-    /// by start-up or global-transition sweeps) into their destination
-    /// shards' queues. No-op at one shard: the eager path never routes
-    /// through the outbox then.
-    fn drain_outboxes(&mut self) {
-        for s in 0..self.worlds.len() {
-            if self.worlds[s].outbox.is_empty() {
-                continue;
-            }
-            let outbox = std::mem::take(&mut self.worlds[s].outbox);
-            for (dst, at, key, kind) in outbox {
-                self.worlds[dst].push(at, key, kind);
-            }
-        }
-    }
-
-    /// Dispatch one global transition (link / node / loss change) from
-    /// coordinator context: every shard's clock already stands at the
-    /// event time, no worker is running, and agent sweeps thread one
-    /// `(key, sub)` tag sequence across shards so trace merge order is
-    /// canonical.
-    fn dispatch_global(&mut self, key: u128, kind: EventKind) {
-        let t0 = self.worlds[0].prof.as_mut().and_then(|p| p.event_begin());
+    /// Dispatch one global transition (link / node / loss change); the
+    /// clock already stands at the event time.
+    fn dispatch_global(&mut self, kind: EventKind) {
+        let t0 = self.world.prof.as_mut().and_then(|p| p.event_begin());
         let class = event_class(&kind);
         let topo_transition = matches!(
             kind,
@@ -446,7 +294,6 @@ impl Sim {
             // perfectly legal transmissions would trip A1.
             self.audit_refresh(false);
         }
-        let mut sub = 0u64;
         match kind {
             EventKind::LinkChange { link, up } => {
                 let topo = &self.shared.topo;
@@ -466,20 +313,20 @@ impl Sim {
                 }
                 if !held_down && topo.link_up(link) != up {
                     self.flip_link(link, up);
-                    self.notify_link_change(link, up, key, &mut sub);
+                    self.notify_link_change(link, up);
                     let change = if up {
                         TopologyChange::LinkUp(link)
                     } else {
                         TopologyChange::LinkDown(link)
                     };
-                    self.notify_topology_change(change, key, &mut sub);
+                    self.notify_topology_change(change);
                 }
             }
             EventKind::NodeChange { node, up } => {
                 if up {
-                    self.process_restart(node, key, &mut sub);
+                    self.process_restart(node);
                 } else {
-                    self.process_crash(node, key, &mut sub);
+                    self.process_crash(node);
                 }
             }
             EventKind::LossChange { link, loss } => match loss {
@@ -491,10 +338,10 @@ impl Sim {
                 }
             },
             EventKind::Arrival { .. } | EventKind::Timer { .. } => {
-                unreachable!("node events are shard-queued, never global")
+                unreachable!("node events are in the node queue, never global")
             }
             EventKind::Fanout(..) | EventKind::FanoutCohort(..) => {
-                unreachable!("fan-outs are shard-queued, never global")
+                unreachable!("fan-outs are in the node queue, never global")
             }
         }
         if topo_transition {
@@ -504,7 +351,7 @@ impl Sim {
             // the network is mid-recovery, not quiescent.
             self.audit_refresh(false);
         }
-        if let Some(p) = &mut self.worlds[0].prof {
+        if let Some(p) = &mut self.world.prof {
             p.event_end(class, None, None, t0);
         }
     }
@@ -512,11 +359,12 @@ impl Sim {
     /// Tell every live endpoint of `link` that it went up or down
     /// ([`Agent::on_link_change`], the §3.2 connection-failure notification
     /// for a reliable-mode neighbor).
-    fn notify_link_change(&mut self, link: LinkId, up: bool, key: u128, sub: &mut u64) {
-        for e in 0..self.shared.topo.link_endpoint_count(link) {
-            let (n, i) = self.shared.topo.link_endpoint(link, e);
-            if !self.shared.node_down[n.index()] {
-                self.coord_agent(n, key, sub, |agent, ctx| agent.on_link_change(ctx, i, up));
+    fn notify_link_change(&mut self, link: LinkId, up: bool) {
+        let mut exec = self.exec();
+        for e in 0..exec.shared.topo.link_endpoint_count(link) {
+            let (n, i) = exec.shared.topo.link_endpoint(link, e);
+            if !exec.shared.node_down[n.index()] {
+                exec.with_agent(n, |agent, ctx| agent.on_link_change(ctx, i, up));
             }
         }
     }
@@ -524,70 +372,54 @@ impl Sim {
     /// Deliver `change` to every live agent that listens
     /// ([`Ctx::watch_topology`]), then run the [`Agent::on_route_change`]
     /// sweep over the same (routing was already repaired).
-    fn notify_topology_change(&mut self, change: TopologyChange, key: u128, sub: &mut u64) {
-        {
-            let w = &mut self.worlds[0];
-            w.cur_key = key;
-            w.cur_sub = *sub;
-            w.trace_push(TraceKind::Topology(change));
-            let now = w.now;
-            if let Some(m) = &mut w.metrics {
-                m.mark_fault(now, change);
-            }
-            *sub = w.cur_sub;
+    fn notify_topology_change(&mut self, change: TopologyChange) {
+        let w = &mut self.world;
+        w.trace_push(TraceKind::Topology(change));
+        if let Some(m) = &mut w.metrics {
+            m.mark_fault(w.now, change);
         }
-        self.sweep_live_agents(key, sub, |agent, ctx| agent.on_topology_change(ctx, change));
-        self.sweep_live_agents(key, sub, |agent, ctx| agent.on_route_change(ctx));
+        self.sweep_live_agents(|agent, ctx| agent.on_topology_change(ctx, change));
+        self.sweep_live_agents(|agent, ctx| agent.on_route_change(ctx));
     }
 
-    /// [`coord_agent`](Self::coord_agent) over every live listener in
-    /// node-id order (shards are ascending id ranges, each set walks in
-    /// ascending id), with one executor per shard: a transition costs two
-    /// calls per listener, whatever the node count. A crash drops the
-    /// registration, so a down node is in the set only if the harness
-    /// installed a listening agent on it while it was down; it is skipped
-    /// like any down node. The walk is over a copy of the set — the hook
-    /// holds the world meanwhile — and misses nothing by it: all a hook can
-    /// register is its own node, which is in the set or it would not be
-    /// running. The copy goes into one buffer the sweeps reuse.
-    fn sweep_live_agents(&mut self, key: u128, sub: &mut u64, f: impl Fn(&mut dyn Agent, &mut Ctx<'_>)) {
+    /// Run `f` with every live listener's agent, in ascending node id: a
+    /// transition costs two calls per listener, whatever the node count. A
+    /// crash drops the registration, so a down node is in the set only if
+    /// the harness installed a listening agent on it while it was down; it
+    /// is skipped like any down node. The walk is over a copy of the set —
+    /// the hook holds the world meanwhile — and misses nothing by it: all a
+    /// hook can register is its own node, which is in the set or it would
+    /// not be running. The copy goes into one buffer the sweeps reuse.
+    fn sweep_live_agents(&mut self, f: impl Fn(&mut dyn Agent, &mut Ctx<'_>)) {
         let mut listeners = core::mem::take(&mut self.sweep_buf);
-        for s in 0..self.worlds.len() {
-            let mut exec = self.exec(s);
-            exec.world.cur_key = key;
-            exec.world.cur_sub = *sub;
-            listeners.clear();
-            listeners.extend(exec.world.listeners.iter());
-            for &n in &listeners {
-                if !exec.shared.node_down[n as usize] {
-                    exec.with_agent(NodeId(n), &f);
-                }
+        listeners.extend(self.world.listeners.iter());
+        let mut exec = self.exec();
+        for &n in &listeners {
+            if !exec.shared.node_down[n as usize] {
+                exec.with_agent(NodeId(n), &f);
             }
-            *sub = exec.world.cur_sub;
         }
         listeners.clear();
         self.sweep_buf = listeners;
     }
 
-    /// Mark `link` up or down and repair every shard's cached routes: one
-    /// link at a time, since a repair takes the trees to be right but for
-    /// the link it is given. Its endpoints' audit reports may read the
-    /// link's state, so the auditor re-reads them.
+    /// Mark `link` up or down and repair the cached routes: one link at a
+    /// time, since a repair takes the trees to be right but for the link it
+    /// is given. Its endpoints' audit reports may read the link's state, so
+    /// the auditor re-reads them.
     fn flip_link(&mut self, link: LinkId, up: bool) {
         self.shared.topo.set_link_up(link, up);
         for &(n, _) in self.shared.topo.link_endpoints(link) {
-            self.worlds[self.shared.plan.shard_of(n)].mark_audit(n);
+            self.world.mark_audit(n);
         }
-        for w in &mut self.worlds {
-            if up {
-                w.routing.link_up(&self.shared.topo, link);
-            } else {
-                w.routing.link_down(&self.shared.topo, link);
-            }
+        if up {
+            self.world.routing.link_up(&self.shared.topo, link);
+        } else {
+            self.world.routing.link_down(&self.shared.topo, link);
         }
     }
 
-    fn process_crash(&mut self, node: NodeId, key: u128, sub: &mut u64) {
+    fn process_crash(&mut self, node: NodeId) {
         if self.shared.node_down[node.index()] {
             return;
         }
@@ -606,29 +438,25 @@ impl Sim {
             .collect();
         // Every origin recomputes, so the per-link accounting has nothing
         // left to read.
-        for w in &mut self.worlds {
-            w.routing.forget_origins();
-        }
+        self.world.routing.forget_origins();
         for &l in &links {
             self.flip_link(l, false);
         }
         self.crash_downed_links.insert(node, links.clone());
         // The crashed node is marked down above, so only its neighbors hear.
         for &l in &links {
-            self.notify_link_change(l, false, key, sub);
+            self.notify_link_change(l, false);
         }
-        self.notify_topology_change(TopologyChange::NodeDown(node), key, sub);
+        self.notify_topology_change(TopologyChange::NodeDown(node));
     }
 
-    fn process_restart(&mut self, node: NodeId, key: u128, sub: &mut u64) {
+    fn process_restart(&mut self, node: NodeId) {
         if !self.shared.node_down[node.index()] {
             return;
         }
         self.shared.node_down[node.index()] = false;
         let links = self.crash_downed_links.remove(&node).unwrap_or_default();
-        for w in &mut self.worlds {
-            w.routing.forget_origins();
-        }
+        self.world.routing.forget_origins();
         for &l in &links {
             // (Up already if another crashed endpoint restarted first.)
             if !self.shared.topo.link_up(l) {
@@ -643,11 +471,11 @@ impl Sim {
             }
             None => self.install_agent(node, NullAgent),
         }
-        self.coord_agent(node, key, sub, |agent, ctx| agent.on_start(ctx));
+        self.exec().with_agent(node, |agent, ctx| agent.on_start(ctx));
         for &l in &links {
-            self.notify_link_change(l, true, key, sub);
+            self.notify_link_change(l, true);
         }
-        self.notify_topology_change(TopologyChange::NodeUp(node), key, sub);
+        self.notify_topology_change(TopologyChange::NodeUp(node));
     }
 
     /// Run until the queues drain.
@@ -661,14 +489,12 @@ impl Sim {
         self.run_segments(Some(until));
     }
 
-    /// The run loop: alternate segments with stop-the-world global
-    /// dispatches. Each segment drains every shard strictly below the next
-    /// global transition's `(time, key)` (or the `until` horizon) — inline
-    /// for the sole shard, in lookahead-windowed parallel otherwise (see
-    /// `drain_segment`); the global then executes with all shard clocks
-    /// aligned. "Strictly below" never has a tie to break: global keys and
-    /// harness-scheduled node events draw from the single rank-0 sequence,
-    /// every other node event from its node's rank.
+    /// The run loop: alternate segments with global dispatches. Each
+    /// segment drains the node queue strictly below the next global
+    /// transition's `(time, key)` (or the `until` horizon); the global then
+    /// executes at its instant. "Strictly below" never has a tie to break:
+    /// global keys and harness-scheduled node events draw from the single
+    /// rank-0 sequence, every other node event from its node's rank.
     fn run_segments(&mut self, until: Option<SimTime>) {
         self.start();
         loop {
@@ -681,31 +507,21 @@ impl Sim {
                 (None, Some(u)) => (SimTime(u.0.saturating_add(1)), 0u128),
                 (None, None) => (SimTime(u64::MAX), u128::MAX),
             };
-            self.drain_segment(bound);
+            self.exec().drain_below(bound);
             match next_global {
                 Some((gt, gk)) => {
                     let (at, key, kind) = self.global_queue.pop_keyed().expect("pending global");
                     debug_assert_eq!((at, key), (gt, gk));
-                    for w in &mut self.worlds {
-                        debug_assert!(w.now <= at);
-                        w.now = at;
-                    }
-                    self.worlds[0].events_processed += 1;
-                    self.dispatch_global(key, kind);
-                    self.drain_outboxes();
+                    debug_assert!(self.world.now <= at);
+                    self.world.now = at;
+                    self.world.events_processed += 1;
+                    self.dispatch_global(kind);
                 }
                 None => break,
             }
         }
-        let mut end = self.worlds.iter().map(|w| w.now).max().unwrap_or(SimTime::ZERO);
         if let Some(u) = until {
-            if end < u {
-                end = u;
-            }
+            self.world.now = self.world.now.max(u);
         }
-        for w in &mut self.worlds {
-            w.now = end;
-        }
-        self.merge_worlds();
     }
 }

@@ -1,6 +1,6 @@
-//! The agent store: one per shard, beside its `World`. Every agent of one
-//! concrete type lives in one pool of `Option<A>` rows — `Box<dyn Agent>`
-//! being one more such type — and each owned node maps to a 4-byte [`Slot`]
+//! The agent store, beside the `World`. Every agent of one concrete type
+//! lives in one pool of `Option<A>` rows — `Box<dyn Agent>` being one more
+//! such type — and each node maps to a 4-byte [`Slot`]
 //! naming its pool and row. Dispatch goes through the pool's
 //! monomorphised methods: one virtual call on the pool, then `A`'s own,
 //! statically. A replaced agent's row is tombstoned (`None`: the agent is
@@ -11,7 +11,6 @@
 use super::{Agent, Ctx, NullAgent, Payload, Sim};
 use crate::downcast::AsAny;
 use crate::id::{IfaceId, NodeId};
-use crate::shard::ShardPlan;
 use crate::stats::TrafficClass;
 use crate::topology::Topology;
 use std::any::TypeId;
@@ -42,7 +41,7 @@ impl Slot {
 
 /// What a pool holds: an agent by value, or a `Box<dyn Agent>` in the one
 /// pool of boxed agents.
-pub(super) trait Row: Send + 'static {
+pub(super) trait Row: 'static {
     fn agent(&mut self) -> &mut dyn Agent;
     fn agent_ref(&self) -> &dyn Agent;
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
@@ -92,14 +91,12 @@ impl Place for Box<dyn Agent> {
 }
 
 /// A pool of one row type, seen by the store.
-trait Pool: Send + AsAny {
+trait Pool: AsAny {
     fn agent(&mut self, row: usize) -> &mut dyn Agent;
     fn agent_ref(&self, row: usize) -> &dyn Agent;
     fn on_packet(&mut self, row: usize, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass);
     /// Tombstone `row`: drop its agent in place and free the index.
     fn remove(&mut self, row: usize);
-    /// Move the agent at `row` to `node` in `dst`.
-    fn move_to(&mut self, row: usize, dst: &mut AgentStore, node: NodeId);
     #[cfg(test)]
     fn len(&self) -> usize;
 }
@@ -165,20 +162,15 @@ impl<R: Row> Pool for PoolOf<R> {
         *self.cell(row) = None;
         self.free.push(row as u32);
     }
-    fn move_to(&mut self, row: usize, dst: &mut AgentStore, node: NodeId) {
-        let agent = self.cell(row).take().expect("a slot names a live row");
-        dst.put(node, agent);
-    }
     #[cfg(test)]
     fn len(&self) -> usize {
         self.len
     }
 }
 
-/// One shard's agents: a slot per owned node (indexed `node - base`) and a
-/// pool per agent type that has been installed in the shard.
+/// The agents: a slot per node (indexed by node id) and a pool per agent
+/// type that has been installed.
 pub(super) struct AgentStore {
-    base: u32,
     slots: Vec<Slot>,
     /// Each pool with its row type.
     pools: Vec<(TypeId, Box<dyn Pool>)>,
@@ -187,11 +179,10 @@ pub(super) struct AgentStore {
 }
 
 impl AgentStore {
-    /// A store for the nodes `[base, limit)`, each running a [`NullAgent`].
-    pub(super) fn new(base: u32, limit: u32) -> AgentStore {
+    /// A store for `n` nodes, each running a [`NullAgent`].
+    pub(super) fn new(n: usize) -> AgentStore {
         AgentStore {
-            base,
-            slots: vec![Slot::NULL; (limit - base) as usize],
+            slots: vec![Slot::NULL; n],
             pools: Vec::new(),
             null: NullAgent,
         }
@@ -199,13 +190,13 @@ impl AgentStore {
 
     #[inline]
     fn slot(&self, node: NodeId) -> Slot {
-        self.slots[(node.0 - self.base) as usize]
+        self.slots[node.index()]
     }
 
     /// Put `agent` at `node`, dropping the agent it replaces. A
     /// [`NullAgent`] takes no row.
     pub(super) fn put<R: Row>(&mut self, node: NodeId, agent: R) {
-        let li = (node.0 - self.base) as usize;
+        let li = node.index();
         if let Some((p, row)) = self.slots[li].get() {
             self.pools[p].1.remove(row);
             self.slots[li] = Slot::NULL;
@@ -215,7 +206,7 @@ impl AgentStore {
             return;
         }
         let p = self.pools.iter().position(|&(t, _)| t == ty).unwrap_or_else(|| {
-            assert!(self.pools.len() < 1 << (32 - ROW_BITS), "more agent types in one shard than a slot can name");
+            assert!(self.pools.len() < 1 << (32 - ROW_BITS), "more agent types than a slot can name");
             self.pools.push((ty, Box::new(PoolOf::<R> { chunks: Vec::new(), len: 0, free: Vec::new() })));
             self.pools.len() - 1
         });
@@ -246,17 +237,6 @@ impl AgentStore {
     pub(super) fn on_packet(&mut self, node: NodeId, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
         if let Some((p, row)) = self.slot(node).get() {
             self.pools[p].1.on_packet(row, ctx, iface, bytes, class)
-        }
-    }
-
-    /// Hand every agent of this store to the store that owns its node
-    /// under `plan`, in ascending node order.
-    pub(super) fn rehome(mut self, stores: &mut [AgentStore], plan: &ShardPlan) {
-        for li in 0..self.slots.len() {
-            if let Some((p, row)) = self.slots[li].get() {
-                let node = NodeId(self.base + li as u32);
-                self.pools[p].1.move_to(row, &mut stores[plan.shard_of(node)], node);
-            }
         }
     }
 

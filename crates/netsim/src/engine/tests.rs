@@ -262,47 +262,42 @@ fn run_until_stops_at_time() {
             self.log.push((ctx.now(), format!("link up={up}")));
         }
     }
-    // The horizon's edges are the run loop's, whichever way a segment drains.
-    for shards in [1, 2] {
-        let (mut sim, a, _) = two_nodes(10);
-        sim.set_shards(shards);
-        assert_eq!(sim.shard_count(), shards);
-        sim.set_agent(a, Box::new(Repeater { log: vec![] }));
-        // One microsecond, four events: harness timers either side of a
-        // global (rank-0 keys, in scheduling order), then the node's own.
-        sim.schedule_timer_at(a, SimTime(3_000), 1);
-        sim.schedule_link_change(SimTime(3_000), LinkId(0), false);
-        sim.schedule_timer_at(a, SimTime(3_000), 2);
-        // A global exactly at the horizon runs; one a microsecond later waits.
-        sim.schedule_link_change(SimTime(5_500), LinkId(0), true);
-        sim.schedule_link_change(SimTime(5_501), LinkId(0), false);
-        sim.run_until(SimTime(5_500));
-        assert_eq!(sim.now(), SimTime(5_500));
-        let want: Vec<(SimTime, String)> = [
-            (1_000, "timer 0"),
-            (2_000, "timer 0"),
-            (3_000, "timer 1"),
-            (3_000, "link up=false"),
-            (3_000, "timer 2"),
-            (3_000, "timer 0"),
-            (4_000, "timer 0"),
-            (5_000, "timer 0"),
-            (5_500, "link up=true"),
-        ]
-        .map(|(at, what)| (SimTime(at), what.to_string()))
-        .into();
-        assert_eq!(sim.agent_as::<Repeater>(a).unwrap().log, want, "{shards} shard(s)");
-        // 5 re-armed firings at 1..=5 ms, 2 harness timers, 2 globals.
-        assert_eq!(sim.events_processed(), 9);
-        // An earlier horizon is a no-op: nothing runs, the clock stays.
-        sim.run_until(SimTime(4_000));
-        assert_eq!((sim.now(), sim.events_processed()), (SimTime(5_500), 9));
-        sim.run_until(SimTime(5_501));
-        assert_eq!(sim.now(), SimTime(5_501));
-        let log = &sim.agent_as::<Repeater>(a).unwrap().log;
-        assert_eq!(log.last(), Some(&(SimTime(5_501), "link up=false".to_string())));
-        assert_eq!(sim.events_processed(), 10);
-    }
+    let (mut sim, a, _) = two_nodes(10);
+    sim.set_agent(a, Box::new(Repeater { log: vec![] }));
+    // One microsecond, four events: harness timers either side of a
+    // global (rank-0 keys, in scheduling order), then the node's own.
+    sim.schedule_timer_at(a, SimTime(3_000), 1);
+    sim.schedule_link_change(SimTime(3_000), LinkId(0), false);
+    sim.schedule_timer_at(a, SimTime(3_000), 2);
+    // A global exactly at the horizon runs; one a microsecond later waits.
+    sim.schedule_link_change(SimTime(5_500), LinkId(0), true);
+    sim.schedule_link_change(SimTime(5_501), LinkId(0), false);
+    sim.run_until(SimTime(5_500));
+    assert_eq!(sim.now(), SimTime(5_500));
+    let want: Vec<(SimTime, String)> = [
+        (1_000, "timer 0"),
+        (2_000, "timer 0"),
+        (3_000, "timer 1"),
+        (3_000, "link up=false"),
+        (3_000, "timer 2"),
+        (3_000, "timer 0"),
+        (4_000, "timer 0"),
+        (5_000, "timer 0"),
+        (5_500, "link up=true"),
+    ]
+    .map(|(at, what)| (SimTime(at), what.to_string()))
+    .into();
+    assert_eq!(sim.agent_as::<Repeater>(a).unwrap().log, want);
+    // 5 re-armed firings at 1..=5 ms, 2 harness timers, 2 globals.
+    assert_eq!(sim.events_processed(), 9);
+    // An earlier horizon is a no-op: nothing runs, the clock stays.
+    sim.run_until(SimTime(4_000));
+    assert_eq!((sim.now(), sim.events_processed()), (SimTime(5_500), 9));
+    sim.run_until(SimTime(5_501));
+    assert_eq!(sim.now(), SimTime(5_501));
+    let log = &sim.agent_as::<Repeater>(a).unwrap().log;
+    assert_eq!(log.last(), Some(&(SimTime(5_501), "link up=false".to_string())));
+    assert_eq!(sim.events_processed(), 10);
 }
 
 #[test]
@@ -377,7 +372,7 @@ fn data_and_control_reach_a_typed_agent_through_its_pool() {
     let got = &sim.agent_as::<Typed>(b).unwrap().got;
     assert_eq!(*got, [(b"data".to_vec(), TrafficClass::Data), (b"ctl".to_vec(), TrafficClass::Control)]);
     // Two types, two pools of one row each; node ids are not rows.
-    assert_eq!(sim.stores[0].pool_lens(), [1, 1]);
+    assert_eq!(sim.agents.pool_lens(), [1, 1]);
 }
 
 #[test]
@@ -430,117 +425,11 @@ fn send_on_down_link_fails() {
     sim.start();
 }
 
-/// A relay line: node i forwards every arrival out its other
-/// interface, so one ping at node 0 walks the whole line — crossing
-/// every shard boundary of any contiguous partition.
-struct Forward;
-impl Agent for Forward {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
-        ctx.count("fwd.seen", 1);
-        let out = IfaceId(1 - iface.0);
-        if (out.0 as usize) < ctx.iface_count() {
-            ctx.send_shared(out, bytes.clone(), class, Reliability::Reliable, Tx::AllOnLink);
-        }
-    }
-}
-
-fn line_run(shards: usize, batching: bool) -> (u64, String, String) {
-    let t = crate::topogen::line(16, LinkSpec::default()).topo;
-    let mut sim = Sim::new(t, 11);
-    sim.set_shards(shards);
-    sim.enable_trace(TraceConfig::default());
-    for i in 0..16 {
-        sim.set_agent(NodeId(i), Box::new(Forward));
-    }
-    sim.set_fanout_batching(batching);
-    // Kick the line from node 0 at t=1ms via a harness timer: Forward
-    // has no on_timer, so prime with a Pinger at node 0 instead.
-    sim.set_agent(
-        NodeId(0),
-        Box::new(Pinger {
-            payload: b"walk".to_vec(),
-            replies: 0,
-        }),
-    );
-    sim.run();
-    let stats = format!("{:?}", sim.stats().named_counters().collect::<Vec<_>>());
-    let trace = sim.take_trace().expect("ring trace");
-    (sim.events_processed(), stats, trace.to_jsonl())
-}
-
-#[test]
-fn sharded_line_matches_classic_at_every_shard_count() {
-    let (ev1, st1, tr1) = line_run(1, true);
-    assert!(ev1 > 0);
-    for shards in [2, 3, 4] {
-        for batching in [true, false] {
-            let (ev, st, tr) = line_run(shards, batching);
-            assert_eq!(ev, ev1, "events diverge at {shards} shards (batching={batching})");
-            assert_eq!(st, st1, "stats diverge at {shards} shards (batching={batching})");
-            assert_eq!(tr, tr1, "trace diverges at {shards} shards (batching={batching})");
-        }
-    }
-}
-
-#[test]
-fn sharded_run_with_faults_and_timers_matches_classic() {
-    let run = |shards: usize| -> (u64, String) {
-        let t = crate::topogen::line(12, LinkSpec::default()).topo;
-        let mut sim = Sim::new(t, 5);
-        sim.set_shards(shards);
-        for i in 0..12 {
-            sim.set_agent(NodeId(i), Box::new(Forward));
-        }
-        sim.set_agent(
-            NodeId(0),
-            Box::new(Pinger {
-                payload: b"x".to_vec(),
-                replies: 0,
-            }),
-        );
-        // A fault mid-flight plus harness timers on both sides of it.
-        sim.schedule_timer_at(NodeId(3), SimTime(2_000), 7);
-        sim.schedule_link_change(SimTime(4_000), LinkId(6), false);
-        sim.schedule_link_change(SimTime(9_000), LinkId(6), true);
-        sim.schedule_timer_at(NodeId(9), SimTime(30_000), 8);
-        sim.run_until(SimTime(40_000));
-        assert_eq!(sim.now(), SimTime(40_000));
-        // The sole shard drains inline: it never meets a window barrier.
-        assert_eq!(sim.sync_stats() == (0, 0), shards == 1, "{:?} at {shards} shard(s)", sim.sync_stats());
-        (sim.events_processed(), format!("{:?}", sim.stats().named_counters().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>()))
-    };
-    let base = run(1);
-    for shards in [2, 4] {
-        assert_eq!(run(shards), base, "diverged at {shards} shards");
-    }
-}
-
-#[test]
-#[should_panic(expected = "before any events are scheduled")]
-fn set_shards_panics_once_events_are_scheduled() {
-    let t = crate::topogen::line(8, LinkSpec::default()).topo;
-    let mut sim = Sim::new(t, 1);
-    sim.schedule_timer_at(NodeId(2), SimTime(1_000), 0);
-    sim.set_shards(2);
-}
-
-#[test]
-#[should_panic(expected = "enable_trace_sink requires shards=1")]
-fn trace_sink_rejects_sharded_sim() {
-    let t = crate::topogen::line(8, LinkSpec::default()).topo;
-    let mut sim = Sim::new(t, 1);
-    sim.set_shards(2);
-    sim.enable_trace_sink(
-        TraceConfig::default(),
-        Box::new(crate::trace::JsonlSink::new(Vec::new())),
-    );
-}
-
 /// Run `f` inside a dispatch (node `a`'s start-up callback); returns
 /// the derivations the run performed.
-fn in_dispatch(f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) -> u64 {
+fn in_dispatch(f: impl FnOnce(&mut Ctx<'_>) + 'static) -> u64 {
     struct Once<F>(Option<F>);
-    impl<F: FnOnce(&mut Ctx<'_>) + Send + 'static> Agent for Once<F> {
+    impl<F: FnOnce(&mut Ctx<'_>) + 'static> Agent for Once<F> {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             (self.0.take().expect("started once"))(ctx)
         }
@@ -701,13 +590,11 @@ fn is_sweep(what: &str) -> bool {
 #[test]
 fn topology_transitions_reach_exactly_the_listeners() {
     use TopologyChange::*;
-    // Twelve nodes cut [0,3) [3,6) [6,9) [9,12): listeners 2 and 3 sit
-    // either side of a shard boundary, and so do the endpoints 5 and 6 of
-    // the link that flaps, neither of which listens.
-    let run = |bounds: &[u32]| -> (Vec<(SimTime, u32, String)>, String) {
+    // Twelve nodes, listeners 2, 3 and 8; the endpoints 5 and 6 of the
+    // link that flaps do not listen.
+    let (log, _) = {
         let log = HookLog::default();
         let mut sim = probe_line(10, &[2, 3, 8], &log);
-        sim.set_shard_bounds(bounds);
         sim.enable_trace(TraceConfig::default());
         // 3 comes back listening, 8 does not.
         for (node, watch) in [(3, true), (8, false)] {
@@ -725,9 +612,8 @@ fn topology_transitions_reach_exactly_the_listeners() {
         sim.schedule_link_change(ms(70), LinkId(5), true);
         sim.run();
         let log = std::mem::take(&mut *log.lock().unwrap());
-        (log, sim.take_trace().expect("ring trace").to_jsonl())
+        (log, sim.take_trace().expect("ring trace"))
     };
-    let (log, trace) = run(&[0, 12]);
 
     // Each transition: every live listener once per hook, all of
     // `on_topology_change` before any `on_route_change`, ascending id.
@@ -762,12 +648,6 @@ fn topology_transitions_reach_exactly_the_listeners() {
     // the registration of the agent it replaced is not its own.
     let after_restart: Vec<_> = told(8).into_iter().filter(|&(at, _)| at >= 60).collect();
     assert_eq!(after_restart, [(60, "start"), (60, "link IfaceId(0) up=true"), (60, "link IfaceId(1) up=true")]);
-
-    for bounds in [&[0, 6, 12][..], &[0, 3, 6, 9, 12]] {
-        let (sharded_log, sharded_trace) = run(bounds);
-        assert_eq!(sharded_log, log, "hook order diverges at bounds {bounds:?}");
-        assert_eq!(sharded_trace, trace, "trace diverges at bounds {bounds:?}");
-    }
 }
 
 #[test]
@@ -877,31 +757,28 @@ fn a_node_draws_its_own_seeded_stream_whenever_it_first_draws() {
         let mut rng = StdRng::seed_from_u64(world::node_seed(SEED, node.0));
         (0..draws).map(|_| rng.next_u64()).collect()
     };
-    for shards in [1, 2, 4] {
-        let g = crate::topogen::line(ROUTERS, LinkSpec::default());
-        let n = g.topo.node_count() as u32;
-        let mut sim = Sim::new(g.topo, SEED);
-        sim.set_shards(shards);
-        assert_eq!(sim.shard_count(), shards);
-        for i in 0..n {
-            sim.set_agent(NodeId(i), Box::<Dice>::default());
-        }
-        // Nodes 0, 1 and N−1 draw at t = 0; node 1 and a mid-line node —
-        // in a shard nobody has drawn in yet when there are four — draw
-        // again or for the first time mid-run.
-        let (first, last, late) = (NodeId(0), NodeId(n - 1), NodeId(n / 2));
-        for node in [first, NodeId(1), last] {
-            sim.schedule_timer_at(node, SimTime::ZERO, 0);
-        }
-        sim.run_until(SimTime(10));
-        // A shard nobody drew in holds no streams: the two in the middle.
-        assert_eq!(sim.worlds.iter().filter(|w| !w.rngs_seeded()).count(), shards.saturating_sub(2));
-        sim.schedule_timer_at(NodeId(1), SimTime(5_000), 0);
-        sim.schedule_timer_at(late, SimTime(5_000), 0);
-        sim.run();
-        for (node, draws) in [(first, 3), (NodeId(1), 6), (last, 3), (late, 3)] {
-            assert_eq!(sim.agent_as::<Dice>(node).unwrap().rolled, stream(node, draws), "{node} at {shards} shard(s)");
-        }
+    let g = crate::topogen::line(ROUTERS, LinkSpec::default());
+    let n = g.topo.node_count() as u32;
+    let mut sim = Sim::new(g.topo, SEED);
+    for i in 0..n {
+        sim.set_agent(NodeId(i), Box::<Dice>::default());
+    }
+    // A run nobody has drawn in yet holds no streams.
+    sim.run_until(SimTime(5));
+    assert!(!sim.world.rngs_seeded());
+    // Nodes 0, 1 and N−1 draw at t = 10 µs; node 1 and a mid-line node draw
+    // again or for the first time mid-run.
+    let (first, last, late) = (NodeId(0), NodeId(n - 1), NodeId(n / 2));
+    for node in [first, NodeId(1), last] {
+        sim.schedule_timer_at(node, SimTime(10), 0);
+    }
+    sim.run_until(SimTime(10));
+    assert!(sim.world.rngs_seeded());
+    sim.schedule_timer_at(NodeId(1), SimTime(5_000), 0);
+    sim.schedule_timer_at(late, SimTime(5_000), 0);
+    sim.run();
+    for (node, draws) in [(first, 3), (NodeId(1), 6), (last, 3), (late, 3)] {
+        assert_eq!(sim.agent_as::<Dice>(node).unwrap().rolled, stream(node, draws), "{node}");
     }
 }
 
@@ -1010,7 +887,7 @@ fn a_thousand_restarts_and_replacements_reuse_their_rows() {
         sim.run_until(t + SimDuration::from_millis(5));
         // Mid-run replacement of a typed agent by one of its own type.
         sim.set_agent(NodeId(3), Box::new(Echo { seen: vec![], reply: false }));
-        let lens = sim.stores[0].pool_lens();
+        let lens = sim.agents.pool_lens();
         assert_eq!(*first.get_or_insert_with(|| lens.clone()), lens, "cycle {cycle}");
     }
     // Probes (boxed, before the start and from the factory) and the one Echo.
@@ -1031,40 +908,7 @@ fn agent_as_finds_the_agent_behind_a_wrapper_and_a_box() {
     assert_eq!(sim.agent_as::<Pinger>(a).unwrap().replies, 1);
     assert!(sim.agent_as::<Wrap<Pinger>>(a).is_none());
     assert_eq!(sim.agent_as::<Echo>(b).unwrap().seen.len(), 1);
-    assert_eq!(sim.stores[0].pool_lens(), [1, 1]);
-}
-
-#[test]
-fn agents_installed_before_partitioning_run_as_in_one_shard() {
-    // Typed, wrapped and boxed agents, then the partition.
-    let run = |partition: &dyn Fn(&mut Sim)| -> (u64, String, String) {
-        let t = crate::topogen::line(16, LinkSpec::default()).topo;
-        let mut sim = Sim::new(t, 11);
-        for i in 0..16 {
-            match i % 3 {
-                0 => sim.set_agent(NodeId(i), Box::new(Forward)),
-                1 => sim.set_agent(NodeId(i), Box::new(Wrap(Forward))),
-                _ => sim.set_agent(NodeId(i), Box::new(Forward) as Box<dyn Agent>),
-            }
-        }
-        sim.set_agent(NodeId(0), Box::new(Pinger { payload: b"walk".to_vec(), replies: 0 }));
-        partition(&mut sim);
-        sim.enable_trace(TraceConfig::default());
-        sim.schedule_link_change(SimTime(3_000), LinkId(9), false);
-        sim.schedule_link_change(SimTime(4_000), LinkId(9), true);
-        sim.run();
-        let stats = format!("{:?}", sim.stats().named_counters().collect::<Vec<_>>());
-        let trace = sim.take_trace().expect("ring trace").to_jsonl();
-        (sim.events_processed(), stats, trace)
-    };
-    let one = run(&|_| {});
-    assert!(one.0 > 0);
-    assert_eq!(run(&|sim| sim.set_shards(2)), one, "set_shards(2)");
-    assert_eq!(run(&|sim| sim.set_shard_bounds(&[0, 5, 11, 18])), one, "set_shard_bounds");
-    let mut sim = Sim::new(crate::topogen::line(16, LinkSpec::default()).topo, 11);
-    sim.set_agent(NodeId(3), Box::new(Forward));
-    sim.set_shard_bounds(&[0, 5, 11, 18]);
-    assert_eq!((sim.stores[0].pool_lens(), sim.stores[1].pool_lens()), (vec![1], vec![]));
+    assert_eq!(sim.agents.pool_lens(), [1, 1]);
 }
 
 #[test]
@@ -1085,23 +929,18 @@ fn a_tombstoned_agents_timer_never_fires_into_its_rows_next_occupant() {
         }
     }
     let ticker = |log: &HookLog, arm| Box::new(Ticker { arm, log: log.clone() });
-    for shards in [1, 2] {
-        let log = HookLog::default();
-        let (mut sim, a, b) = two_nodes(1);
-        sim.set_shards(shards);
-        sim.set_agent(a, ticker(&log, true));
-        sim.run_until(SimTime(1_000));
-        // `a`'s row is tombstoned; at one shard `b`'s newcomer takes it
-        // over, then `a` gets a row of its own again.
-        sim.set_agent(a, Box::new(NullAgent));
-        sim.set_agent(b, ticker(&log, false));
-        sim.set_agent(a, ticker(&log, false));
-        if shards == 1 {
-            assert_eq!(sim.stores[0].pool_lens(), [2]);
-        }
-        sim.run();
-        assert_eq!(*log.lock().unwrap(), [], "{shards} shard(s)");
-        // The timer is still in the queue and runs to nothing.
-        assert_eq!(sim.now(), SimTime(5_000));
-    }
+    let log = HookLog::default();
+    let (mut sim, a, b) = two_nodes(1);
+    sim.set_agent(a, ticker(&log, true));
+    sim.run_until(SimTime(1_000));
+    // `a`'s row is tombstoned; `b`'s newcomer takes it over, then `a` gets
+    // a row of its own again.
+    sim.set_agent(a, Box::new(NullAgent));
+    sim.set_agent(b, ticker(&log, false));
+    sim.set_agent(a, ticker(&log, false));
+    assert_eq!(sim.agents.pool_lens(), [2]);
+    sim.run();
+    assert_eq!(*log.lock().unwrap(), []);
+    // The timer is still in the queue and runs to nothing.
+    assert_eq!(sim.now(), SimTime(5_000));
 }

@@ -1,14 +1,13 @@
 //! The engine's state: the event vocabulary of the queues (`EventKind`,
-//! `FanoutSend`), the read-mostly half every shard shares (`Shared`), and
-//! one shard's mutable half (`World`) — its wheel, per-node slabs,
-//! counters and the fan-out coalescing that feeds the wheel.
+//! `FanoutSend`), the half a dispatch only reads (`Shared`), and the
+//! mutable half (`World`) — the wheel, per-node slabs, counters and the
+//! fan-out coalescing that feeds the wheel.
 
 use super::{Payload, TimerToken};
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::metrics::Metrics;
 use crate::prof::{EventClass, Profiler};
 use crate::routing::Routing;
-use crate::shard::ShardPlan;
 use crate::stats::{CounterId, Name, Stats, TrafficClass};
 use crate::time::SimTime;
 use crate::topology::Topology;
@@ -56,12 +55,10 @@ pub(super) enum EventKind {
     /// A deferred fan-out: one send whose per-receiver arrivals are
     /// expanded inline when the event pops instead of being scheduled
     /// individually (the batched data path; see `docs/INTERNALS.md` §5).
-    /// On a cut link the same event (same key) is mirrored into every
-    /// shard the link touches; each expands only its own endpoints.
     Fanout(FanoutSend),
     /// Consecutive same-timestamp fan-outs coalesced into one queue entry
     /// by `World::push_fanout`; members are kept in ascending key order and
-    /// expanded against the pause rule (see `ShardExec::expand_cohort`).
+    /// expanded against the pause rule (see `Exec::expand_cohort`).
     FanoutCohort(Cohort),
 }
 
@@ -184,8 +181,7 @@ impl Member {
         }
     }
 
-    /// The canonical event key this fan-out executes under — also the key
-    /// its trace records carry in every shard that expands a mirror of it.
+    /// The canonical event key this fan-out executes under.
     pub(super) fn key(&self) -> u128 {
         u128::from(self.rank()) << 64 | u128::from(self.tag >> 16)
     }
@@ -213,9 +209,8 @@ pub(super) fn event_node(kind: &EventKind) -> Option<NodeId> {
     }
 }
 
-/// Engine state read by every shard and mutated only by the coordinator
-/// between parallel windows: the topology, fault state, and the partition
-/// plan. Workers hold `&Shared`; no part of it is cloned per shard.
+/// Engine state a dispatch only reads, mutated between dispatches by the
+/// run loop's global transitions: the topology and the fault state.
 pub(super) struct Shared {
     pub(super) topo: Topology,
     /// The run seed; per-node RNG streams derive from it (see `node_seed`).
@@ -233,8 +228,6 @@ pub(super) struct Shared {
     /// Deferred fan-out batching (on by default; `Sim::set_fanout_batching`
     /// turns it off for the eager reference semantics).
     pub(super) batch_fanout: bool,
-    /// The shard partition ([`ShardPlan::single`] until `Sim::set_shards`).
-    pub(super) plan: ShardPlan,
 }
 
 impl Shared {
@@ -244,7 +237,6 @@ impl Shared {
             node_epoch: Vec::new(),
             loss_override: HashMap::new(),
             batch_fanout: true,
-            plan: ShardPlan::single(&topo),
             topo,
             seed,
         }
@@ -266,8 +258,8 @@ impl Shared {
 }
 
 /// Derive node `node`'s RNG seed from the run seed — a SplitMix64-style
-/// mix, so per-node streams are decorrelated and, crucially, independent
-/// of the shard layout.
+/// mix, so per-node streams are decorrelated and independent of when any
+/// other node draws.
 pub(super) fn node_seed(seed: u64, node: u32) -> u64 {
     let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node as u64 + 1);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -302,31 +294,22 @@ pub(super) struct DerivedFrame {
     pub(super) out: Payload,
 }
 
-/// One shard's mutable half of the engine: the node range `[base, limit)`,
-/// its event wheel, per-node RNG/sequence slabs, and its own observability
-/// state (stats / metrics / trace / profiler), merged into shard 0 at the
-/// end of a sharded run. The default single shard is exactly one `World`
-/// covering every node.
+/// The mutable half of the engine: the event wheel, per-node RNG/sequence
+/// slabs, and the observability state (stats / metrics / trace /
+/// profiler).
 pub(super) struct World {
-    /// This world's index in the plan.
-    pub(super) shard: usize,
-    /// First node id owned by this shard.
-    pub(super) base: u32,
-    /// One past the last node id owned by this shard.
-    pub(super) limit: u32,
-    /// Per-shard unicast routing cache (a pure function of the topology;
-    /// invalidated by the coordinator on every topology change).
+    /// Unicast routing cache (a pure function of the topology; repaired or
+    /// invalidated by the run loop on every topology change).
     pub(super) routing: Routing,
     pub(super) stats: Stats,
-    /// Per-owned-node deterministic RNG streams, indexed `node - base`.
-    /// Empty until a node of this shard first draws (see
-    /// [`rng`](Self::rng)).
+    /// Per-node deterministic RNG streams, indexed by node id. Empty until
+    /// a node first draws (see [`rng`](Self::rng)).
     rngs: Vec<StdRng>,
-    /// Per-owned-node canonical-key counters (`source rank << 64 | seq`).
+    /// Per-node canonical-key counters (`source rank << 64 | seq`).
     pub(super) src_seq: Vec<u64>,
-    /// Per-owned-node packet-id counters (`(node + 1) << 40 | seq`).
+    /// Per-node packet-id counters (`(node + 1) << 40 | seq`).
     pub(super) pkt_seq: Vec<u64>,
-    /// The owned nodes a topology transition is delivered to, by node id
+    /// The nodes a topology transition is delivered to, by node id
     /// ([`Ctx::watch_topology`] adds, `Sim::install_agent` drops). A
     /// `BTreeSet`: registrations arrive in any node order, a sweep walks in
     /// ascending id, and an empty set — every FIB-seeded tree — costs
@@ -337,7 +320,7 @@ pub(super) struct World {
     /// deterministic `(timestamp, key)` total order (see [`crate::wheel`]).
     pub(super) queue: TimerWheel<EventKind>,
     pub(super) events_processed: u64,
-    /// High-water mark of this shard's event queue (capacity planning for
+    /// High-water mark of the node event queue (capacity planning for
     /// large-scale runs; reported by the scale benchmarks).
     pub(super) peak_queue_depth: usize,
     /// Structured event capture (`None` = tracing disabled, the default).
@@ -348,14 +331,7 @@ pub(super) struct World {
     pub(super) prof: Option<Profiler>,
     /// Causal context of the arrival currently being dispatched, if any.
     pub(super) cause: Option<ArrivalCause>,
-    /// Canonical key of the event being dispatched — the trace tag every
-    /// record emitted during the dispatch carries.
-    pub(super) cur_key: u128,
-    /// Running sub-tag within the current event (fan-out deliveries use
-    /// `endpoint slab index << 32 | counter` so mirrored expansions merge
-    /// in endpoint order).
-    pub(super) cur_sub: u64,
-    /// The last frame derivation performed in this shard (see
+    /// The last frame derivation performed (see
     /// [`Ctx::derive_frame`]).
     pub(super) derived: Option<DerivedFrame>,
     /// Derivations actually run: [`Ctx::derive_frame`] misses.
@@ -364,40 +340,32 @@ pub(super) struct World {
     pub(super) fanout_spares: Vec<Cohort>,
     /// Scratch for the eager (lossy/unicast) send path's bulk schedule.
     pub(super) bulk_scratch: Vec<(u128, EventKind)>,
-    /// Cross-shard events produced this window: `(dest shard, at, key,
-    /// event)`, flushed into the dest's mailbox at the window barrier.
-    pub(super) outbox: Vec<(usize, SimTime, u128, EventKind)>,
-    /// Conservative-sync windows this shard executed (sharded runs only).
-    pub(super) sync_windows: u64,
-    /// Wall time this shard's worker spent blocked at window barriers, ns.
-    pub(super) sync_stall_ns: u64,
-    /// The owned nodes whose [`Agent::audit_state`](super::Agent::audit_state)
+    /// The nodes whose [`Agent::audit_state`](super::Agent::audit_state)
     /// may have moved since the auditor last read them ([`Ctx::audit_changed`]
     /// and the engine's own marks). `None` — no auditor in the sink chain —
     /// makes a mark one branch.
     pub(super) audit_marks: Option<AuditMarks>,
 }
 
-/// A set of owned nodes: a bit each, and the members in the order they were
-/// marked, so taking them costs the members and not the shard.
+/// A set of nodes: a bit each, and the members in the order they were
+/// marked, so taking them costs the members and not the node count.
 pub(super) struct AuditMarks {
-    base: u32,
     bits: Vec<u64>,
     marked: Vec<NodeId>,
 }
 
 impl AuditMarks {
-    /// Every node of `[base, limit)` marked: what an auditor that has read
-    /// nothing yet needs.
-    pub(super) fn all(base: u32, limit: u32) -> AuditMarks {
-        let mut marks = AuditMarks { base, bits: vec![0; (limit - base).div_ceil(64) as usize], marked: Vec::new() };
-        (base..limit).for_each(|n| marks.mark(NodeId(n)));
+    /// Every one of `n` nodes marked: what an auditor that has read nothing
+    /// yet needs.
+    pub(super) fn all(n: usize) -> AuditMarks {
+        let mut marks = AuditMarks { bits: vec![0; n.div_ceil(64)], marked: Vec::new() };
+        (0..n as u32).for_each(|i| marks.mark(NodeId(i)));
         marks
     }
 
     pub(super) fn mark(&mut self, node: NodeId) {
-        let li = (node.0 - self.base) as usize;
-        let (word, bit) = (&mut self.bits[li / 64], 1u64 << (li % 64));
+        let i = node.index();
+        let (word, bit) = (&mut self.bits[i / 64], 1u64 << (i % 64));
         if *word & bit == 0 {
             *word |= bit;
             self.marked.push(node);
@@ -406,10 +374,10 @@ impl AuditMarks {
 
     /// The marked nodes, unmarked as they are taken.
     pub(super) fn take(&mut self) -> impl Iterator<Item = NodeId> + '_ {
-        let AuditMarks { base, bits, marked } = self;
+        let AuditMarks { bits, marked } = self;
         marked.drain(..).inspect(move |n| {
-            let li = (n.0 - *base) as usize;
-            bits[li / 64] &= !(1u64 << (li % 64));
+            let i = n.index();
+            bits[i / 64] &= !(1u64 << (i % 64));
         })
     }
 }
@@ -424,17 +392,14 @@ impl World {
     /// the hot path.
     pub(super) const FANOUT_SPARES_MAX: usize = 256;
 
-    pub(super) fn new(topo: &Topology, wheel: WheelConfig, shard: usize, base: u32, limit: u32) -> World {
-        let span = (limit - base) as usize;
+    pub(super) fn new(topo: &Topology, wheel: WheelConfig) -> World {
+        let n = topo.node_count();
         World {
-            shard,
-            base,
-            limit,
             routing: Routing::new(),
             stats: Stats::new(topo.link_count()),
             rngs: Vec::new(),
-            src_seq: vec![0; span],
-            pkt_seq: vec![0; span],
+            src_seq: vec![0; n],
+            pkt_seq: vec![0; n],
             listeners: BTreeSet::new(),
             now: SimTime::ZERO,
             queue: TimerWheel::new(wheel),
@@ -444,15 +409,10 @@ impl World {
             metrics: None,
             prof: None,
             cause: None,
-            cur_key: 0,
-            cur_sub: 0,
             derived: None,
             frames_derived: 0,
             fanout_spares: Vec::new(),
             bulk_scratch: Vec::new(),
-            outbox: Vec::new(),
-            sync_windows: 0,
-            sync_stall_ns: 0,
             audit_marks: None,
         }
     }
@@ -464,23 +424,16 @@ impl World {
         }
     }
 
-    /// Shard-relative slab index of an owned node.
-    #[inline]
-    pub(super) fn local(&self, node: NodeId) -> usize {
-        (node.0 - self.base) as usize
-    }
-
-    /// Owned node `node`'s RNG stream under run seed `seed`. A stream is a
-    /// pure function of `(seed, node)`, so when its table comes to exist is
-    /// not observable: the shard's first draw seeds the streams of all its
-    /// nodes, and a run that never draws — no lossy link, no randomized
-    /// agent — holds none.
+    /// Node `node`'s RNG stream under run seed `seed`. A stream is a pure
+    /// function of `(seed, node)`, so when its table comes to exist is not
+    /// observable: the first draw seeds the streams of all nodes, and a run
+    /// that never draws — no lossy link, no randomized agent — holds none.
     pub(super) fn rng(&mut self, seed: u64, node: NodeId) -> &mut StdRng {
         if self.rngs.is_empty() {
-            self.rngs = (self.base..self.limit).map(|i| StdRng::seed_from_u64(node_seed(seed, i))).collect();
+            let n = self.src_seq.len() as u32;
+            self.rngs = (0..n).map(|i| StdRng::seed_from_u64(node_seed(seed, i))).collect();
         }
-        let i = self.local(node);
-        &mut self.rngs[i]
+        &mut self.rngs[node.index()]
     }
 
     #[cfg(test)]
@@ -489,10 +442,10 @@ impl World {
     }
 
     /// Allocate the next canonical event key for events scheduled by
-    /// `node` (an owned node): `rank << 64 | seq`, rank = id + 1.
+    /// `node`: `rank << 64 | seq`, rank = id + 1.
     #[inline]
     pub(super) fn next_key(&mut self, node: NodeId) -> u128 {
-        let i = (node.0 - self.base) as usize;
+        let i = node.index();
         let s = self.src_seq[i];
         self.src_seq[i] += 1;
         ((node.0 as u128 + 1) << 64) | s as u128
@@ -513,7 +466,7 @@ impl World {
     /// instead of k. The ascending-key condition keeps pop order canonical:
     /// a cohort pops at its first member's key, and expansion pauses at any
     /// member a smaller-keyed interloper undercuts (see
-    /// `ShardExec::expand_cohort`).
+    /// `Exec::expand_cohort`).
     ///
     /// `frame` is made owned only where it starts a run (see [`Cohort`]),
     /// so a borrowed frame fanned out behind its own earlier send costs no
@@ -542,14 +495,10 @@ impl World {
     }
 
     /// Record a trace event if tracing is enabled (causal sampling applied
-    /// inside; packet events carry their own root). The record is tagged
-    /// with the dispatching event's canonical key and the running
-    /// sub-counter — the shard-invariant merge order.
+    /// inside; packet events carry their own root).
     pub(super) fn trace_push(&mut self, kind: TraceKind) {
         if let Some(t) = &mut self.trace {
-            let sub = self.cur_sub;
-            self.cur_sub += 1;
-            t.push(self.now, kind, self.cur_key, sub);
+            t.push(self.now, kind);
         }
     }
 
@@ -564,9 +513,7 @@ impl World {
     /// if any, so a kept chain keeps the counter bumps it caused.
     pub(super) fn trace_push_ambient(&mut self, kind: TraceKind) {
         if let Some(t) = &mut self.trace {
-            let sub = self.cur_sub;
-            self.cur_sub += 1;
-            t.push_caused(self.now, kind, self.cause.map(|c| c.root), self.cur_key, sub);
+            t.push_caused(self.now, kind, self.cause.map(|c| c.root));
         }
     }
 

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod compat;
 pub mod engine;
 pub mod faults;
 pub mod id;
@@ -41,7 +42,6 @@ mod json;
 pub mod metrics;
 pub mod prof;
 pub mod routing;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod topogen;
@@ -82,7 +82,9 @@ pub use audit::{
     extract_auditor, AuditCheck, AuditConfig, AuditNodeState, AuditReport, AuditRoute,
     AuditSnapshot, AuditViolation, Auditor, ChannelTruth, RecoveryBounds,
 };
-pub use engine::{hot_packet_stub, Agent, Ctx, HotPacketFn, Payload, Sim, TimerToken, TopologyChange};
+#[doc(hidden)]
+pub use compat::{hot_packet_stub, HotPacketFn};
+pub use engine::{Agent, Ctx, Payload, Sim, TimerToken, TopologyChange};
 pub use wheel::{TimerWheel, WheelConfig};
 pub use stats::{CounterId, Name};
 pub use faults::{FaultEvent, FaultPlan};
@@ -91,7 +93,6 @@ pub use metrics::{Histogram, Metrics, MetricsConfig};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkSpec, NodeKind, Topology};
 pub use prof::{EventClass, ProfConfig, ProfReport, Profiler, WheelGauges};
-pub use shard::ShardPlan;
 pub use trace::{
     parse_flat_json_object, ChanLabel, JsonlSink, PacketId, PacketPath, ProtoEvent, SampleSpec, Tee,
     TraceBuffer, TraceConfig, TraceEvent, TraceKind, TraceMeta, TraceSink, Tracer,

@@ -3,11 +3,13 @@
 //!
 //! The flat end-of-run counter map ([`crate::stats::Stats`]) answers *how
 //! much*; this module answers *when*. When enabled
-//! ([`Sim::enable_metrics`](crate::engine::Sim::enable_metrics)), every
-//! named-counter bump is also accumulated into a per-counter time series of
-//! fixed-width buckets, stamped with the exact simulated time of the bump —
-//! no driver-side stepping or sampling loop required (this replaces
-//! `fig_recovery`'s original hand-rolled bucketing).
+//! ([`Sim::enable_metrics`](crate::engine::Sim::enable_metrics)), the
+//! engine accumulates five time series of fixed-width buckets, stamped with
+//! the exact simulated time of each bump — no driver-side stepping or
+//! sampling loop required: the three per-class link series
+//! (`link.data_pkts`, `link.control_pkts`, `link.drops`) and one series
+//! per [`Metrics::DELIVERY_COUNTERS`] entry. Any other counter's bump does
+//! no bucket work: nothing reads its series.
 //!
 //! On top of the raw series sit three derived facilities:
 //!
@@ -26,7 +28,7 @@
 //! `docs/OBSERVABILITY.md`: times in microseconds, sizes in octets.
 
 use crate::engine::TopologyChange;
-use crate::stats::{CounterId, Name, Stats};
+use crate::stats::{CounterId, Stats};
 use crate::time::{SimDuration, SimTime};
 
 /// Default histogram bucket upper bounds, in microseconds: 1 ms to ~33 s in
@@ -150,30 +152,17 @@ impl Histogram {
     }
 }
 
-/// One counter's time series.
-#[derive(Debug)]
-struct Series {
-    name: Name,
-    /// Named in [`Metrics::DELIVERY_COUNTERS`]: a bump is a delivery.
-    watched: bool,
-    /// Bucketed deltas (bucket i covers `[i·w, (i+1)·w)`); empty until the
-    /// first bump.
-    buckets: Vec<u64>,
-}
-
 /// All metric state for one run. Created by
 /// [`Sim::enable_metrics`](crate::engine::Sim::enable_metrics); fed by the
 /// engine on every counter bump and topology change.
 #[derive(Debug)]
 pub struct Metrics {
     bucket_us: u64,
-    /// The three per-class link series ([`Metrics::LINK_DATA_PKTS`] …),
-    /// then one series per counter in first-bump order. A bump reaches its
-    /// series by index; names are compared when a counter is first seen and
-    /// when something is read or merged.
-    series: Vec<Series>,
-    /// [`CounterId`] → index into `series` ([`UNBOUND`] until the counter's
-    /// first bump).
+    /// Bucketed deltas of the series named in [`SERIES`], index for index
+    /// (bucket i covers `[i·w, (i+1)·w)`); each empty until its first bump.
+    series: [Vec<u64>; SERIES.len()],
+    /// [`CounterId`] → index into `series`: [`UNBOUND`] until the counter's
+    /// first bump, [`NO_SERIES`] for a counter that keeps none.
     by_id: Vec<u32>,
     /// Watched (delivery) bumps as `(instant, how many)` runs, in time order.
     deliveries: Vec<(SimTime, u64)>,
@@ -182,6 +171,21 @@ pub struct Metrics {
 }
 
 const UNBOUND: u32 = u32::MAX;
+const NO_SERIES: u32 = u32::MAX - 1;
+
+/// The series kept: the three per-class link series the engine bumps by
+/// index ([`Metrics::LINK_DATA_PKTS`] …), then the delivery counters.
+const SERIES: [&str; 5] = [
+    "link.data_pkts",
+    "link.control_pkts",
+    "link.drops",
+    Metrics::DELIVERY_COUNTERS[0],
+    Metrics::DELIVERY_COUNTERS[1],
+];
+
+/// Index of the first delivery series in [`SERIES`]: a bump of it or a
+/// later one is a delivery.
+const FIRST_DELIVERY: usize = 3;
 
 impl Metrics {
     /// The counters whose bumps are data deliveries: their exact instants
@@ -197,57 +201,44 @@ impl Metrics {
 
     /// Empty metrics with the given configuration.
     pub fn new(cfg: MetricsConfig) -> Self {
-        let mut m = Metrics {
+        Metrics {
             bucket_us: cfg.bucket.micros().max(1),
-            series: Vec::new(),
+            series: Default::default(),
             by_id: Vec::new(),
             deliveries: Vec::new(),
             faults: Vec::new(),
-        };
-        for name in ["link.data_pkts", "link.control_pkts", "link.drops"] {
-            m.slot_of(&Name::Static(name));
         }
-        m
-    }
-
-    /// The series named `name`, created empty if there is none yet.
-    fn slot_of(&mut self, name: &Name) -> usize {
-        if let Some(slot) = self.series.iter().position(|s| s.name == *name) {
-            return slot;
-        }
-        self.series.push(Series {
-            name: name.clone(),
-            watched: Self::DELIVERY_COUNTERS.contains(&name.as_str()),
-            buckets: Vec::new(),
-        });
-        self.series.len() - 1
     }
 
     /// Engine hook: counter `id` of `stats` was bumped by `delta` at `now`.
+    /// Its name is compared with [`SERIES`] once, at its first bump.
     pub(crate) fn on_count(&mut self, now: SimTime, id: CounterId, stats: &Stats, delta: u64) {
         let slot = match self.by_id.get(id.index()) {
-            Some(&slot) if slot != UNBOUND => slot as usize,
+            Some(&slot) if slot != UNBOUND => slot,
             _ => {
-                let slot = self.slot_of(stats.name_of(id));
+                let name = stats.name_of(id).as_str();
+                let slot = SERIES.iter().position(|&s| s == name).map_or(NO_SERIES, |i| i as u32);
                 if self.by_id.len() <= id.index() {
                     self.by_id.resize(id.index() + 1, UNBOUND);
                 }
-                self.by_id[id.index()] = slot as u32;
+                self.by_id[id.index()] = slot;
                 slot
             }
         };
-        self.bump(slot, now, delta);
+        if slot != NO_SERIES {
+            self.bump(slot as usize, now, delta);
+        }
     }
 
     /// Add `delta` to series `slot` at `now`.
     pub(crate) fn bump(&mut self, slot: usize, now: SimTime, delta: u64) {
         let idx = (now.micros() / self.bucket_us) as usize;
-        let series = &mut self.series[slot];
-        if series.buckets.len() <= idx {
-            series.buckets.resize(idx + 1, 0);
+        let buckets = &mut self.series[slot];
+        if buckets.len() <= idx {
+            buckets.resize(idx + 1, 0);
         }
-        series.buckets[idx] += delta;
-        if series.watched {
+        buckets[idx] += delta;
+        if slot >= FIRST_DELIVERY {
             self.on_delivery(now, delta);
         }
     }
@@ -266,44 +257,20 @@ impl Metrics {
         self.faults.push((now, change));
     }
 
-    /// Merge-and-drain another `Metrics` into this one: series are added
-    /// elementwise by name, delivery runs merge-sorted by time (this side's
-    /// first on ties). Fault marks are coordinator-recorded (shard 0 only
-    /// in a sharded run) but merged defensively all the same.
-    /// `other` is left empty, its counters still bound to their series.
-    pub(crate) fn absorb(&mut self, other: &mut Metrics) {
-        for src in &mut other.series {
-            let src_buckets = std::mem::take(&mut src.buckets);
-            let slot = self.slot_of(&src.name);
-            let dst = &mut self.series[slot].buckets;
-            if dst.len() < src_buckets.len() {
-                dst.resize(src_buckets.len(), 0);
-            }
-            for (d, s) in dst.iter_mut().zip(src_buckets) {
-                *d += s;
-            }
-        }
-        let src = std::mem::take(&mut other.deliveries);
-        self.deliveries = merge_by_time(std::mem::take(&mut self.deliveries), src, |e| e.0);
-        let faults = std::mem::take(&mut other.faults);
-        self.faults.extend(faults);
-        self.faults.sort_by_key(|&(t, _)| t);
-    }
-
     // ---- reads -----------------------------------------------------------
 
-    /// The bucketed series of counter `name` (empty if never bumped).
-    /// Bucket `i` holds the total delta in `[i·w, (i+1)·w)`.
+    /// The bucketed series `name` (empty if never bumped, and for any name
+    /// the engine keeps no series of — see the module docs). Bucket `i`
+    /// holds the total delta in `[i·w, (i+1)·w)`.
     pub fn series(&self, name: &str) -> &[u64] {
-        self.series.iter().find(|s| s.name.as_str() == name).map_or(&[], |s| &s.buckets)
+        SERIES.iter().position(|&s| s == name).map_or(&[], |i| &self.series[i])
     }
 
     /// Watched (delivery) counter bumps as `(instant, how many)` runs in
     /// time order: deliveries at one instant — every leaf of a tree level
     /// receives a packet in the same microsecond — share a run, so a long
     /// stream costs memory per distinct instant, not per delivery. The
-    /// probes below read the instants only. (After a sharded run's merge an
-    /// instant can head more than one consecutive run.)
+    /// probes below read the instants only.
     pub fn deliveries(&self) -> &[(SimTime, u64)] {
         &self.deliveries
     }
@@ -362,28 +329,6 @@ impl Metrics {
     }
 }
 
-/// Stable two-way merge of time-sorted vectors: on equal timestamps, `a`'s
-/// elements come first. Used by [`Metrics::absorb`].
-fn merge_by_time<T>(a: Vec<T>, b: Vec<T>, key: impl Fn(&T) -> SimTime) -> Vec<T> {
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if key(x) <= key(y) {
-                    merged.push(a.next().unwrap());
-                } else {
-                    merged.push(b.next().unwrap());
-                }
-            }
-            (Some(_), None) => merged.push(a.next().unwrap()),
-            (None, Some(_)) => merged.push(b.next().unwrap()),
-            (None, None) => break,
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,11 +358,14 @@ mod tests {
     #[test]
     fn series_buckets_by_time() {
         let mut f = Fed::new(MetricsConfig::default().bucket(SimDuration::from_millis(100)));
-        f.count(ms(10), "x.tx", 1);
-        f.count(ms(90), "x.tx", 2);
-        f.count(ms(250), "x.tx", 5);
+        f.count(ms(10), "group.data_rx", 1);
+        f.count(ms(90), "group.data_rx", 2);
+        f.count(ms(250), "group.data_rx", 5);
+        // A counter outside the kept series does no bucket work.
+        f.count(ms(20), "x.tx", 4);
         let m = f.m;
-        assert_eq!(m.series("x.tx"), &[3, 0, 5]);
+        assert_eq!(m.series("group.data_rx"), &[3, 0, 5]);
+        assert_eq!(m.series("x.tx"), &[] as &[u64]);
         assert_eq!(m.series("missing"), &[] as &[u64]);
     }
 
@@ -522,13 +470,5 @@ mod tests {
         assert_eq!(f.m.delivery_gaps(ms(0), ms(50), SimDuration::from_millis(10)), vec![(ms(0), ms(10)), (ms(10), ms(40)), (ms(40), ms(50))]);
         // A zero bound asks for every consecutive pair, a run's own included.
         assert_eq!(f.m.delivery_gaps(ms(20), ms(40), SimDuration::ZERO), vec![(ms(20), ms(40)), (ms(40), ms(40))]);
-        // A merge interleaves the other side's runs by instant, ours first.
-        let mut g = Fed::new(MetricsConfig::default());
-        g.count(ms(10), "host.data_rx", 5);
-        g.count(ms(20), "host.data_rx", 1);
-        f.m.absorb(&mut g.m);
-        assert_eq!(f.m.deliveries(), &[(ms(10), 1_003), (ms(10), 5), (ms(20), 1), (ms(40), 2)]);
-        assert_eq!(f.m.series("host.data_rx"), &[1_008]);
-        assert!(g.m.deliveries().is_empty() && g.m.series("host.data_rx").is_empty());
     }
 }

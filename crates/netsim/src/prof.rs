@@ -238,10 +238,6 @@ pub struct Profiler {
     cohort_deliveries: u64,
     cohort_max: u64,
     cohort_buckets: [u64; Self::COHORT_BUCKETS],
-    /// Conservative-sync bookkeeping (sharded runs only): windows executed
-    /// and wall time spent blocked at window barriers.
-    sync_windows: u64,
-    sync_stall_ns: u64,
 }
 
 impl Profiler {
@@ -271,8 +267,6 @@ impl Profiler {
             cohort_deliveries: 0,
             cohort_max: 0,
             cohort_buckets: [0; Self::COHORT_BUCKETS],
-            sync_windows: 0,
-            sync_stall_ns: 0,
         }
     }
 
@@ -391,73 +385,10 @@ impl Profiler {
         self.cohort_buckets[b] += 1;
     }
 
-    /// One conservative-sync window finished; `stall_ns` is the wall time
-    /// this shard's worker spent blocked at the window barriers (sharded
-    /// runs only — see `docs/INTERNALS.md` §6).
-    pub(crate) fn record_sync_window(&mut self, stall_ns: u64) {
-        self.sync_windows += 1;
-        self.sync_stall_ns += stall_ns;
-    }
-
     pub(crate) fn mark_run_start(&mut self) {
         if self.run_started.is_none() {
             self.run_started = Some(Instant::now());
         }
-    }
-
-    /// Fold another shard's profile into this one and drain the source
-    /// (the sharded engine's end-of-run merge). Counts, sampled timings,
-    /// per-agent and per-node attributions, and cohort/sync totals are
-    /// summed; gauge timelines are interleaved by simulated time; peaks
-    /// take the max. Phase timestamps and calibration stay from `self`
-    /// (the coordinator's shard 0).
-    pub(crate) fn absorb(&mut self, other: &mut Profiler) {
-        self.seen += std::mem::take(&mut other.seen);
-        for i in 0..EventClass::COUNT {
-            self.counts[i] += std::mem::take(&mut other.counts[i]);
-            self.sampled_ns[i] += std::mem::take(&mut other.sampled_ns[i]);
-            self.sampled_hits[i] += std::mem::take(&mut other.sampled_hits[i]);
-        }
-        for (name, a) in std::mem::take(&mut other.agents) {
-            self.agent_mut(name).add(a);
-        }
-        for (dst, src) in self.node_ns.iter_mut().zip(other.node_ns.iter_mut()) {
-            *dst += std::mem::take(src);
-        }
-        for (dst, src) in self.node_hits.iter_mut().zip(other.node_hits.iter_mut()) {
-            *dst += std::mem::take(src);
-        }
-        if !other.gauges.is_empty() {
-            let mut merged = Vec::with_capacity(self.gauges.len() + other.gauges.len());
-            let (mut a, mut b) = (
-                std::mem::take(&mut self.gauges).into_iter().peekable(),
-                std::mem::take(&mut other.gauges).into_iter().peekable(),
-            );
-            loop {
-                match (a.peek(), b.peek()) {
-                    (Some(x), Some(y)) => {
-                        if x.at <= y.at {
-                            merged.push(a.next().unwrap());
-                        } else {
-                            merged.push(b.next().unwrap());
-                        }
-                    }
-                    (Some(_), None) => merged.push(a.next().unwrap()),
-                    (None, Some(_)) => merged.push(b.next().unwrap()),
-                    (None, None) => break,
-                }
-            }
-            self.gauges = merged;
-        }
-        self.peak_queue_depth = self.peak_queue_depth.max(std::mem::take(&mut other.peak_queue_depth));
-        self.cohorts += std::mem::take(&mut other.cohorts);
-        self.cohort_deliveries += std::mem::take(&mut other.cohort_deliveries);
-        self.cohort_max = self.cohort_max.max(std::mem::take(&mut other.cohort_max));
-        for i in 0..Self::COHORT_BUCKETS {
-            self.cohort_buckets[i] += std::mem::take(&mut other.cohort_buckets[i]);
-        }
-        self.sync_windows += std::mem::take(&mut other.sync_windows);
-        self.sync_stall_ns += std::mem::take(&mut other.sync_stall_ns);
     }
 
     // ---- reporting -------------------------------------------------------
@@ -545,8 +476,6 @@ impl Profiler {
                 .filter(|(_, &n)| n > 0)
                 .map(|(i, &n)| (i as u32, n))
                 .collect(),
-            sync_windows: self.sync_windows,
-            sync_stall_ns: self.sync_stall_ns,
         }
     }
 }
@@ -613,10 +542,6 @@ pub struct ProfReport {
     /// `floor(log2(deliveries))` — the non-empty power-of-two buckets,
     /// ascending.
     pub fanout_size_pow2: Vec<(u32, u64)>,
-    /// Conservative-sync windows executed (sharded runs; 0 at one shard, which meets no barrier).
-    pub sync_windows: u64,
-    /// Wall time all shard workers spent blocked at window barriers, ns.
-    pub sync_stall_ns: u64,
 }
 
 impl ProfReport {
@@ -655,10 +580,6 @@ impl ProfReport {
             json::field_u64(&mut out, "fanout_cohorts", self.fanout_cohorts);
             json::field_u64(&mut out, "fanout_deliveries", self.fanout_deliveries);
             json::field_u64(&mut out, "fanout_max_cohort", self.fanout_max_cohort);
-        }
-        if self.sync_windows > 0 {
-            json::field_u64(&mut out, "sync_windows", self.sync_windows);
-            json::field_u64(&mut out, "sync_stall_ns", self.sync_stall_ns);
         }
         out.put(b"}\n");
         for &(p, n) in &self.fanout_size_pow2 {
@@ -724,8 +645,6 @@ impl ProfReport {
                     fanout_deliveries: get("fanout_deliveries").unwrap_or(0),
                     fanout_max_cohort: get("fanout_max_cohort").unwrap_or(0),
                     fanout_size_pow2: Vec::new(),
-                    sync_windows: get("sync_windows").unwrap_or(0),
-                    sync_stall_ns: get("sync_stall_ns").unwrap_or(0),
                 });
                 continue;
             }
@@ -844,16 +763,6 @@ impl ProfReport {
                 let bar = "#".repeat(((n as usize) * 30).div_ceil(max_b as usize).min(30));
                 let _ = writeln!(out, "2^{p:<2} ..  {n:>10} cohorts |{bar}");
             }
-        }
-        if self.sync_windows > 0 {
-            let avg_us = self.sync_stall_ns as f64 / self.sync_windows as f64 / 1e3;
-            let _ = writeln!(
-                out,
-                "\n-- conservative sync --\n{} windows, {:.2} ms total barrier stall (~{:.1} \u{b5}s/window)",
-                self.sync_windows,
-                ms(self.sync_stall_ns),
-                avg_us
-            );
         }
         if !self.gauges.is_empty() {
             let _ = writeln!(out, "\n-- queue depth / wheel occupancy timeline --");
@@ -992,40 +901,6 @@ mod tests {
         let text = r.render();
         assert!(text.contains("fan-out cohort sizes"));
         assert!(text.contains("max 1048576"));
-    }
-
-    #[test]
-    fn absorb_sums_counts_and_drains_source() {
-        let mut a = Profiler::new(ProfConfig::default().sample_every(1), 4);
-        let mut b = Profiler::new(ProfConfig::default().sample_every(1), 4);
-        a.mark_run_start();
-        for _ in 0..3 {
-            let t0 = a.event_begin();
-            a.event_end(EventClass::Arrival, Some(NodeId(1)), Some("echo"), t0);
-        }
-        for _ in 0..5 {
-            let t0 = b.event_begin();
-            b.event_end(EventClass::Timer, Some(NodeId(2)), Some("echo"), t0);
-        }
-        a.record_gauges(SimTime(10), 4, WheelGauges::default());
-        b.record_gauges(SimTime(5), 9, WheelGauges::default());
-        b.record_sync_window(1_000);
-        b.record_sync_window(2_000);
-        a.absorb(&mut b);
-        let r = a.report();
-        assert_eq!(r.events, 8);
-        assert_eq!(r.kinds.iter().find(|k| k.kind == "arrival").unwrap().count, 3);
-        assert_eq!(r.kinds.iter().find(|k| k.kind == "timer").unwrap().count, 5);
-        assert_eq!(r.agents.iter().find(|k| k.kind == "echo").unwrap().count, 8);
-        // Gauges interleave by simulated time; peak takes the max.
-        assert_eq!(r.gauges.iter().map(|g| g.at.0).collect::<Vec<_>>(), vec![5, 10]);
-        assert_eq!(r.peak_queue_depth, 9);
-        assert_eq!((r.sync_windows, r.sync_stall_ns), (2, 3_000));
-        // The source is drained but still usable.
-        assert_eq!(b.report().events, 0);
-        let parsed = ProfReport::from_json(&r.to_json()).expect("parses");
-        assert_eq!(parsed, r);
-        assert!(r.render().contains("conservative sync"));
     }
 
     #[test]

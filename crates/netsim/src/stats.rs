@@ -393,41 +393,6 @@ impl Stats {
         self.by_name.get(key).map_or(0, |id| self.values[id.index()])
     }
 
-    /// Merge-and-drain another `Stats` into this one: per-link counters are
-    /// added elementwise (both sides are sized for the full topology — each
-    /// shard of a sharded run keeps a full-size link table and only touches
-    /// its own links; a control and drop half nobody wrote stays
-    /// unallocated), and every *touched* named counter in `other` is added
-    /// under the same key here. `other` is left zeroed but keeps its intern
-    /// tables, so [`CounterId`] handles held by agents stay valid across
-    /// repeated `run_until` calls. Counters are matched **by name**, not by
-    /// handle — per-shard interning order differs.
-    pub(crate) fn absorb(&mut self, other: &mut Stats) {
-        fn drain_rows<const N: usize>(dst: &mut [[u64; N]], src: &mut [[u64; N]]) {
-            for (d, s) in dst.iter_mut().flatten().zip(src.iter_mut().flatten()) {
-                *d += std::mem::take(s);
-            }
-        }
-        drain_rows(&mut self.link_data, &mut other.link_data);
-        // A shard that never wrote its control and drop half has nothing to
-        // add, and leaves the receiving side's unallocated if it was.
-        if !other.link_cold.is_empty() {
-            drain_rows(self.cold_mut(), &mut other.link_cold);
-        }
-        for i in 0..other.values.len() {
-            if other.touched[i] {
-                let key = &other.names[i];
-                let id = match self.by_name.get(key.as_str()) {
-                    Some(&id) => id,
-                    None => self.insert_slot(key.clone()),
-                };
-                self.count_id(id, other.values[i]);
-                other.values[i] = 0;
-                other.touched[i] = false;
-            }
-        }
-    }
-
     /// All named counters that have been bumped at least once, sorted by
     /// name (registered-but-never-bumped slots are hidden).
     pub fn named_counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
@@ -464,8 +429,8 @@ mod tests {
     }
 
     /// The link table against one `LinkStats` per link, through a seeded
-    /// sequence of transmissions, drops and merges of two `Stats` whose
-    /// control-and-drop halves come to exist at different times.
+    /// sequence of transmissions and drops, with the control-and-drop half
+    /// coming to exist after the first round or not at all.
     #[test]
     fn link_table_matches_a_row_per_link_model() {
         use rand::rngs::StdRng;
@@ -486,49 +451,39 @@ mod tests {
             }
             assert_eq!(s.total(), total);
         };
-        // Which side writes control traffic or drops first: neither (data
-        // only), the absorbing one, the absorbed one, both.
-        for (cold_a, cold_b) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut rng = StdRng::seed_from_u64(u64::from(cold_a) * 2 + u64::from(cold_b));
-            let mut sides = [(Stats::new(LINKS), [LinkStats::default(); LINKS]), (Stats::new(LINKS), [LinkStats::default(); LINKS])];
-            sides[0].0.count("kept", 1);
+        // Whether control traffic or drops are written from the second
+        // round on, or never (data only).
+        for cold in [false, true] {
+            let mut rng = StdRng::seed_from_u64(u64::from(cold));
+            let (mut s, mut model) = (Stats::new(LINKS), [LinkStats::default(); LINKS]);
+            s.count("kept", 1);
             for round in 0..4 {
-                for (side, cold) in [(0, cold_a), (1, cold_b)] {
-                    let (s, model) = &mut sides[side];
-                    for _ in 0..40 {
-                        let l = rng.random_range(0..LINKS);
-                        let bytes = rng.random_range(1..1500usize);
-                        // The last link sees no data; the first nothing else.
-                        match rng.random_range(0..if cold && round > 0 { 3u32 } else { 1 }) {
-                            0 if l < LINKS - 1 => {
-                                s.record_tx(LinkId(l as u32), bytes, TrafficClass::Data);
-                                model[l].data_packets += 1;
-                                model[l].data_bytes += bytes as u64;
-                            }
-                            1 if l > 0 => {
-                                s.record_tx(LinkId(l as u32), bytes, TrafficClass::Control);
-                                model[l].control_packets += 1;
-                                model[l].control_bytes += bytes as u64;
-                            }
-                            2 if l > 0 => {
-                                s.record_drop(LinkId(l as u32));
-                                model[l].drops += 1;
-                            }
-                            _ => {}
+                for _ in 0..40 {
+                    let l = rng.random_range(0..LINKS);
+                    let bytes = rng.random_range(1..1500usize);
+                    // The last link sees no data; the first nothing else.
+                    match rng.random_range(0..if cold && round > 0 { 3u32 } else { 1 }) {
+                        0 if l < LINKS - 1 => {
+                            s.record_tx(LinkId(l as u32), bytes, TrafficClass::Data);
+                            model[l].data_packets += 1;
+                            model[l].data_bytes += bytes as u64;
                         }
+                        1 if l > 0 => {
+                            s.record_tx(LinkId(l as u32), bytes, TrafficClass::Control);
+                            model[l].control_packets += 1;
+                            model[l].control_bytes += bytes as u64;
+                        }
+                        2 if l > 0 => {
+                            s.record_drop(LinkId(l as u32));
+                            model[l].drops += 1;
+                        }
+                        _ => {}
                     }
-                    check(s, model);
                 }
-                let [(a, model_a), (b, model_b)] = &mut sides;
-                a.absorb(b);
-                for (m, src) in model_a.iter_mut().zip(model_b.iter_mut()) {
-                    add(m, &std::mem::take(src));
-                }
-                check(a, model_a);
-                check(b, model_b);
-                assert_eq!(a.link_cold.is_empty(), !(round > 0 && (cold_a || cold_b)), "allocated by the first write only");
+                check(&s, &model);
+                assert_eq!(s.link_cold.is_empty(), !(cold && round > 0), "allocated by the first write only");
             }
-            assert_eq!(sides[0].0.named_counters().collect::<Vec<_>>(), vec![("kept", 1)]);
+            assert_eq!(s.named_counters().collect::<Vec<_>>(), vec![("kept", 1)]);
         }
     }
 

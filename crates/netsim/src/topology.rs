@@ -33,9 +33,8 @@
 //! Building an `N`-node topology therefore performs O(1) *allocations*
 //! (amortized `Vec` doubling on a handful of flat arrays) instead of the
 //! 2–3 per node of the former boxed layout — the difference between 14.5 s
-//! and sub-second setup for the §5.3 million-subscriber tree. The layout is
-//! also the unit of future parallelism: a shard of the network is a
-//! contiguous slice of these arenas (see `docs/INTERNALS.md`).
+//! and sub-second setup for the §5.3 million-subscriber tree (see
+//! `docs/INTERNALS.md`).
 
 use crate::id::{IfaceId, LinkId, NodeId};
 use crate::time::SimDuration;

@@ -423,24 +423,20 @@ impl PacketPath {
 /// through [`record_ref`](Self::record_ref); a [`Tee`] lends the same
 /// record to every child. A sink that only reads the record (a serializer,
 /// a checker) implements `record_ref` and routes [`record`](Self::record)
-/// into it; a sink that keeps records implements `record` /
-/// [`record_tagged`](Self::record_tagged) and inherits the `record_ref`
-/// that clones for it.
+/// into it; a sink that keeps records implements `record` and inherits the
+/// `record_ref` that clones for it.
 ///
 /// Implementations must account for anything they fail to retain via
 /// [`discarded`](Self::discarded): ring overwrite, I/O errors — whatever
 /// the backend's loss mode is. The count is surfaced in export headers and
 /// by `trace_inspect`, so a truncated capture never looks complete.
 ///
-/// Sinks are `Send` because the sharded engine hands each shard's sink to
-/// that shard's worker thread for the duration of a drain window.
-///
 /// The type itself supplies the downcasts ([`as_any`](Self::as_any),
 /// [`as_any_mut`](Self::as_any_mut), [`into_any`](Self::into_any)) by which
 /// the engine finds a [`TraceBuffer`] or an
 /// [`Auditor`](crate::audit::Auditor) in a sink chain. Override them only in
 /// a wrapper, to forward to the sink it wraps.
-pub trait TraceSink: Send + AsAny {
+pub trait TraceSink: AsAny {
     /// The tracer configuration this sink is attached under. Called once by
     /// [`Tracer::new`]; sinks that write self-describing output (e.g.
     /// [`JsonlSink`]'s header line) capture what they need here.
@@ -449,21 +445,17 @@ pub trait TraceSink: Send + AsAny {
     /// Retain one event. Must not drop it — sampling already happened.
     fn record(&mut self, event: TraceEvent);
 
-    /// Retain one event together with its canonical ordering tag: the
-    /// causing queue entry's key (`source rank << 64 | per-source seq`) and
-    /// a per-event sub-sequence. The sharded engine emits every event
-    /// through this hook so per-shard captures can be merged back into the
-    /// single-shard emission order; sinks that never participate in a merge
-    /// (e.g. [`JsonlSink`]) ignore the tag.
+    /// Calls [`record`](Self::record); the engine never calls this. Kept
+    /// only because `benchmark/src/spans.rs` overrides it (see
+    /// `crates/netsim/src/compat.rs`).
     fn record_tagged(&mut self, event: TraceEvent, _key: u128, _sub: u64) {
         self.record(event);
     }
 
-    /// Take one event by reference, with its ordering tag — what the
-    /// [`Tracer`] and [`Tee`] call. The default clones the event into
-    /// [`record_tagged`](Self::record_tagged).
-    fn record_ref(&mut self, event: &TraceEvent, key: u128, sub: u64) {
-        self.record_tagged(event.clone(), key, sub);
+    /// Take one event by reference — what the [`Tracer`] and [`Tee`] call.
+    /// The default clones the event into [`record`](Self::record).
+    fn record_ref(&mut self, event: &TraceEvent) {
+        self.record(event.clone());
     }
 
     /// How many admitted events this sink failed to retain (ring
@@ -506,11 +498,6 @@ pub trait TraceSink: Send + AsAny {
 pub struct TraceBuffer {
     cfg: TraceConfig,
     ring: VecDeque<TraceEvent>,
-    /// Canonical ordering tags, in lockstep with `ring` (one entry per
-    /// retained event; popped together on overwrite). Untagged records
-    /// carry `(0, 0)`. The sharded engine merges per-shard buffers by
-    /// these tags.
-    tags: VecDeque<(u128, u64)>,
     /// Events discarded because the ring was full.
     overwritten: u64,
 }
@@ -520,7 +507,6 @@ impl TraceBuffer {
     pub fn new(cfg: TraceConfig) -> Self {
         TraceBuffer {
             ring: VecDeque::with_capacity(cfg.capacity.min(4096)),
-            tags: VecDeque::new(),
             cfg,
             overwritten: 0,
         }
@@ -530,47 +516,11 @@ impl TraceBuffer {
     /// [`parse_jsonl`](Self::parse_jsonl)), so the query API — path
     /// reconstruction, data roots — works on saved traces too.
     pub fn from_events(events: Vec<TraceEvent>) -> Self {
-        let tags = std::iter::repeat_n((0u128, 0u64), events.len()).collect();
         TraceBuffer {
             cfg: TraceConfig::default().capacity(events.len().max(1)),
             ring: events.into(),
-            tags,
             overwritten: 0,
         }
-    }
-
-    /// Consume the ring into `(event, key, sub)` triples in emission order
-    /// plus the overwrite count — the sharded engine's merge input.
-    pub(crate) fn into_tagged(self) -> (Vec<(TraceEvent, u128, u64)>, u64) {
-        let triples = self
-            .ring
-            .into_iter()
-            .zip(self.tags)
-            .map(|(e, (k, s))| (e, k, s))
-            .collect();
-        (triples, self.overwritten)
-    }
-
-    /// Rebuild a buffer from merged `(event, key, sub)` triples, applying
-    /// `cfg.capacity` as a live ring would (oldest events beyond
-    /// capacity are dropped and counted on top of `overwritten`).
-    pub(crate) fn from_tagged(
-        cfg: TraceConfig,
-        mut events: Vec<(TraceEvent, u128, u64)>,
-        mut overwritten: u64,
-    ) -> Self {
-        if events.len() > cfg.capacity {
-            let excess = events.len() - cfg.capacity;
-            events.drain(..excess);
-            overwritten += excess as u64;
-        }
-        let mut ring = VecDeque::with_capacity(events.len());
-        let mut tags = VecDeque::with_capacity(events.len());
-        for (e, k, s) in events {
-            ring.push_back(e);
-            tags.push_back((k, s));
-        }
-        TraceBuffer { cfg, ring, tags, overwritten }
     }
 
     /// The capture configuration.
@@ -598,14 +548,12 @@ impl TraceBuffer {
         self.ring.iter()
     }
 
-    fn store(&mut self, event: TraceEvent, tag: (u128, u64)) {
+    fn store(&mut self, event: TraceEvent) {
         if self.ring.len() >= self.cfg.capacity {
             self.ring.pop_front();
-            self.tags.pop_front();
             self.overwritten += 1;
         }
         self.ring.push_back(event);
-        self.tags.push_back(tag);
     }
 
     // ---- queries ---------------------------------------------------------
@@ -708,11 +656,7 @@ impl TraceBuffer {
 
 impl TraceSink for TraceBuffer {
     fn record(&mut self, event: TraceEvent) {
-        self.store(event, (0, 0));
-    }
-
-    fn record_tagged(&mut self, event: TraceEvent, key: u128, sub: u64) {
-        self.store(event, (key, sub));
+        self.store(event);
     }
 
     fn discarded(&self) -> u64 {
@@ -730,7 +674,7 @@ impl TraceSink for TraceBuffer {
 /// attached to a [`Tracer`], or lazily before the first event) and — once
 /// [`finish`](TraceSink::finish) runs — ends with a `trace_footer` line
 /// carrying the final event and discarded counts.
-pub struct JsonlSink<W: std::io::Write + Send + 'static> {
+pub struct JsonlSink<W: std::io::Write + 'static> {
     out: W,
     buf: Vec<u8>,
     /// Where a line of bounded length is built before it joins `buf`.
@@ -772,7 +716,7 @@ impl JsonlSink<std::io::BufWriter<std::fs::File>> {
     }
 }
 
-impl<W: std::io::Write + Send + 'static> JsonlSink<W> {
+impl<W: std::io::Write + 'static> JsonlSink<W> {
     /// Stream the capture to `out`.
     pub fn new(out: W) -> Self {
         JsonlSink {
@@ -821,17 +765,17 @@ impl<W: std::io::Write + Send + 'static> JsonlSink<W> {
     }
 }
 
-impl<W: std::io::Write + Send + 'static> TraceSink for JsonlSink<W> {
+impl<W: std::io::Write + 'static> TraceSink for JsonlSink<W> {
     fn on_attach(&mut self, cfg: &TraceConfig) {
         self.sample = cfg.sample;
         self.write_header();
     }
 
     fn record(&mut self, event: TraceEvent) {
-        self.record_ref(&event, 0, 0);
+        self.record_ref(&event);
     }
 
-    fn record_ref(&mut self, event: &TraceEvent, _key: u128, _sub: u64) {
+    fn record_ref(&mut self, event: &TraceEvent) {
         self.write_header();
         if text_len(event) <= LINE_TEXT_MAX {
             self.line.clear();
@@ -957,16 +901,12 @@ impl TraceSink for Tee {
     }
 
     fn record(&mut self, event: TraceEvent) {
-        self.record_ref(&event, 0, 0);
+        self.record_ref(&event);
     }
 
-    fn record_tagged(&mut self, event: TraceEvent, key: u128, sub: u64) {
-        self.record_ref(&event, key, sub);
-    }
-
-    fn record_ref(&mut self, event: &TraceEvent, key: u128, sub: u64) {
+    fn record_ref(&mut self, event: &TraceEvent) {
         for s in &mut self.sinks {
-            s.record_ref(event, key, sub);
+            s.record_ref(event);
         }
     }
 
@@ -1058,25 +998,17 @@ impl Tracer {
     }
 
     /// Record an event whose sampling root (if any) is carried by the
-    /// record itself, tagged with its canonical ordering key and per-event
-    /// sub-sequence (see [`TraceSink::record_tagged`]).
-    pub(crate) fn push(&mut self, at: SimTime, kind: TraceKind, key: u128, sub: u64) {
-        self.push_caused(at, kind, None, key, sub);
+    /// record itself.
+    pub(crate) fn push(&mut self, at: SimTime, kind: TraceKind) {
+        self.push_caused(at, kind, None);
     }
 
     /// Record an event, sampling by the record's own root or — for rootless
     /// records like protocol events — by `ambient_root` (the arrival being
     /// dispatched when the event fired). Events with no root at all always
-    /// pass sampling. `key`/`sub` are the canonical ordering tag. The record
-    /// is built here, once, and lent to the sink chain.
-    pub(crate) fn push_caused(
-        &mut self,
-        at: SimTime,
-        kind: TraceKind,
-        ambient_root: Option<PacketId>,
-        key: u128,
-        sub: u64,
-    ) {
+    /// pass sampling. The record is built here, once, and lent to the sink
+    /// chain.
+    pub(crate) fn push_caused(&mut self, at: SimTime, kind: TraceKind, ambient_root: Option<PacketId>) {
         if let Some(s) = self.cfg.sample {
             if let Some(root) = kind.root_id().or(ambient_root) {
                 if !s.keeps(root) {
@@ -1084,7 +1016,7 @@ impl Tracer {
                 }
             }
         }
-        self.sink.record_ref(&TraceEvent { at, kind }, key, sub);
+        self.sink.record_ref(&TraceEvent { at, kind });
     }
 }
 
@@ -1425,7 +1357,7 @@ mod tests {
                     return;
                 }
             }
-            self.store(TraceEvent { at, kind }, (0, 0));
+            self.store(TraceEvent { at, kind });
         }
     }
 
@@ -1629,16 +1561,16 @@ mod tests {
         let root = (0..u64::MAX).find(|r| spec.keeps(PacketId(*r))).unwrap();
         let culled = (0..u64::MAX).find(|r| !spec.keeps(PacketId(*r))).unwrap();
         let mut tr = Tracer::ring(cfg);
-        tr.push(SimTime(0), tx(1, root, None, 0, 0), 0, 0);
-        tr.push(SimTime(0), tx(2, culled, None, 0, 0), 0, 1); // sampled out
+        tr.push(SimTime(0), tx(1, root, None, 0, 0));
+        tr.push(SimTime(0), tx(2, culled, None, 0, 0)); // sampled out
         let proto = |v: u64| TraceKind::Proto {
             node: NodeId(0),
             event: ProtoEvent { name: "x.y".into(), value: Some(v), ..ProtoEvent::default() },
         };
         // Proto sampled by ambient root when supplied, kept otherwise.
-        tr.push_caused(SimTime(1), proto(1), Some(PacketId(root)), 0, 3);
-        tr.push_caused(SimTime(1), proto(2), Some(PacketId(culled)), 0, 4);
-        tr.push_caused(SimTime(1), proto(3), None, 0, 5);
+        tr.push_caused(SimTime(1), proto(1), Some(PacketId(root)));
+        tr.push_caused(SimTime(1), proto(2), Some(PacketId(culled)));
+        tr.push_caused(SimTime(1), proto(3), None);
         let b = tr.buffer().unwrap();
         assert_eq!(b.len(), 3);
         let kinds: Vec<bool> = b.events().map(|e| matches!(e.kind, TraceKind::Proto { .. })).collect();
@@ -1697,35 +1629,21 @@ mod tests {
     }
 
     #[test]
-    fn tagged_records_round_trip_with_tags_and_jsonl() {
-        // record_tagged through the sink interface keeps tags in lockstep,
-        // into_tagged / from_tagged preserve them, and the JSONL v2 export
-        // of the rebuilt buffer round-trips the events themselves.
-        let mut b = TraceBuffer::new(TraceConfig::default());
+    fn record_tagged_is_record_and_round_trips_through_jsonl() {
+        // `record_tagged` (kept for the benchmark's sink wrapper) records
+        // the event as `record` would, whatever the numbers beside it, and
+        // the ring overwrites and exports what it keeps.
+        let mut b = TraceBuffer::new(TraceConfig::default().capacity(2));
         let evs = [
-            (TraceEvent { at: SimTime(1), kind: tx(1, 1, None, 0, 0) }, 7u128, 0u64),
-            (TraceEvent { at: SimTime(2), kind: rx(1, 1, 1) }, 7, 1),
-            (TraceEvent { at: SimTime(3), kind: drop_kind(2, 1, 1) }, 9, 0),
+            TraceEvent { at: SimTime(1), kind: tx(1, 1, None, 0, 0) },
+            TraceEvent { at: SimTime(2), kind: rx(1, 1, 1) },
+            TraceEvent { at: SimTime(3), kind: drop_kind(2, 1, 1) },
         ];
-        for (e, k, s) in &evs {
-            TraceSink::record_tagged(&mut b, e.clone(), *k, *s);
+        for (i, e) in evs.iter().enumerate() {
+            TraceSink::record_tagged(&mut b, e.clone(), 7, i as u64);
         }
-        let (triples, overwritten) = b.into_tagged();
-        assert_eq!(overwritten, 0);
-        assert_eq!(triples.len(), 3);
-        for ((e, k, s), (oe, ok, os)) in triples.iter().zip(&evs) {
-            assert_eq!((e, k, s), (oe, ok, os));
-        }
-        let rebuilt = TraceBuffer::from_tagged(TraceConfig::default(), triples, 0);
-        let text = rebuilt.to_jsonl();
-        let parsed = TraceBuffer::parse_jsonl(&text);
-        let original: Vec<TraceEvent> = evs.iter().map(|(e, _, _)| e.clone()).collect();
-        assert_eq!(parsed, original);
-        // Capacity applies on rebuild, with dropped events counted.
-        let (triples, _) = rebuilt.into_tagged();
-        let capped = TraceBuffer::from_tagged(TraceConfig::default().capacity(2), triples, 1);
-        assert_eq!(capped.len(), 2);
-        assert_eq!(capped.overwritten(), 2); // 1 carried in + 1 capacity drop
+        assert_eq!((b.len(), b.overwritten()), (2, 1));
+        assert_eq!(TraceBuffer::parse_jsonl(&b.to_jsonl()), evs[1..]);
     }
 
     #[test]
@@ -1737,11 +1655,7 @@ mod tests {
         ]);
         tee.on_attach(&cfg);
         for i in 0..5u64 {
-            tee.record_tagged(
-                TraceEvent { at: SimTime(i), kind: TraceKind::TimerFire { node: NodeId(0), token: i } },
-                11,
-                i,
-            );
+            tee.record(TraceEvent { at: SimTime(i), kind: TraceKind::TimerFire { node: NodeId(0), token: i } });
         }
         // Both children saw every event, in emission order.
         let small = tee.sinks()[0].as_any().downcast_ref::<TraceBuffer>().unwrap();
@@ -1792,16 +1706,16 @@ mod tests {
     #[test]
     fn tracer_add_sink_tees_capture_and_keeps_buffer_access() {
         let mut tr = Tracer::ring(TraceConfig::default());
-        tr.push(SimTime(0), tx(1, 1, None, 0, 0), 0, 0);
+        tr.push(SimTime(0), tx(1, 1, None, 0, 0));
         // Attach a streaming sink mid-run; only later events reach it.
         tr.add_sink(Box::new(JsonlSink::new(Vec::new())));
-        tr.push(SimTime(1), rx(1, 1, 1), 0, 1);
+        tr.push(SimTime(1), rx(1, 1, 1));
         // buffer() still finds the ring through the tee.
         let buf = tr.buffer().expect("ring reachable through tee");
         assert_eq!(buf.len(), 2);
         // A third sink appends to the existing tee rather than re-nesting.
         tr.add_sink(Box::new(TraceBuffer::new(TraceConfig::default())));
-        tr.push(SimTime(2), drop_kind(2, 1, 1), 0, 2);
+        tr.push(SimTime(2), drop_kind(2, 1, 1));
         let tee = tr.finish().into_any().downcast::<Tee>().expect("sink is a tee");
         let sinks = tee.into_sinks();
         assert_eq!(sinks.len(), 3);
@@ -1971,7 +1885,7 @@ mod tests {
             let mut direct = Vec::new();
             write_jsonl_line(&mut direct, e);
             assert_eq!(json::into_string(direct), expected, "{e:?}");
-            sink.record_ref(e, 0, 0);
+            sink.record_ref(e);
         }
         // The longest fixed-shape line is what the stack line is sized by.
         let longest = events.iter().filter(|e| !matches!(e.kind, TraceKind::Proto { .. })).map(|e| {
@@ -1989,7 +1903,7 @@ mod tests {
         let mut line = Vec::new();
         write_jsonl_line(&mut line, &worst);
         assert!(line.len() + 1 + 20 <= LINE_BYTES, "{} bytes", line.len());
-        sink.record_ref(&worst, 0, 0);
+        sink.record_ref(&worst);
         let mut events = events;
         events.push(worst);
         // Through the sink (stack line for fixed shapes, heap for strings),

@@ -536,9 +536,8 @@ impl<T> TimerWheel<T> {
     }
 
     /// The `(timestamp, key)` pair of the next event to pop, or `None` if
-    /// empty — the full comparison tag a sharded drain needs to bound its
-    /// window against another queue's head. Same cursor-advancing caveat as
-    /// [`next_at`](Self::next_at).
+    /// empty — the full comparison tag the engine's drain bounds a segment
+    /// with. Same cursor-advancing caveat as [`next_at`](Self::next_at).
     pub fn next_at_key(&mut self) -> Option<(SimTime, u128)> {
         if !self.refill_current() {
             return None;
@@ -552,13 +551,15 @@ impl<T> TimerWheel<T> {
 
     /// The `(timestamp, key)` of the next event **only if it sorts below
     /// `lim`** — `None` otherwise, in which case no bucket at or past `lim`
-    /// has been drained. This is the window guard for a sharded drain:
-    /// the plain rotating peek ([`next_at_key`](Self::next_at_key)) would,
-    /// at the end of a window, sort the *next* window's bucket into the
-    /// current run — and cross-shard mail for that bucket, ingested at the
-    /// next window's top, would then land behind the cursor in the inbox
-    /// heap where per-entry fan-outs cannot coalesce. Leaving the bucket
-    /// undrained keeps it open for slot-tail coalescing.
+    /// has been drained. The plain rotating peek
+    /// ([`next_at_key`](Self::next_at_key)) would, at the end of a segment,
+    /// sort the *next* segment's bucket into the current run — and events
+    /// pushed into that bucket before it pops (by a global transition, or by
+    /// the harness between `run_until` calls) would then land behind the
+    /// cursor in the inbox heap, where per-entry fan-outs cannot coalesce.
+    /// Leaving the bucket undrained keeps it open for slot-tail coalescing.
+    /// The engine's drain still uses the rotating peek: the benchmark's
+    /// pinned `peak_queue_depth` digests read it (`docs/INTERNALS.md` §6).
     pub fn next_at_key_below(&mut self, lim: (SimTime, u128)) -> Option<(SimTime, u128)> {
         if !self.current.is_empty() || !self.inbox.is_empty() {
             // Already-drained material: answering from it costs nothing.
@@ -572,7 +573,7 @@ impl<T> TimerWheel<T> {
         }
         // Run and inbox are empty: find the pending minimum by inspection.
         // Wheel buckets partition time, so the wheel region's minimum lives
-        // in the first occupied slot (an O(bucket) scan, once per window
+        // in the first occupied slot (an O(bucket) scan, once per segment
         // end — not per pop).
         let slot_min = self
             .next_occupied_slot()
@@ -585,7 +586,7 @@ impl<T> TimerWheel<T> {
         if next >= lim {
             return None;
         }
-        // Something pops this window after all: let the rotating path do
+        // Something pops below the limit after all: let the rotating path do
         // its normal drain (it stops at the bucket holding `next`).
         let nk = self.next_at_key().expect("a pending minimum was just observed");
         debug_assert_eq!(nk, next, "rotating peek must agree with the inspected minimum");
@@ -613,7 +614,7 @@ impl<T> TimerWheel<T> {
         Some((e.at, e.seq, e.item))
     }
 
-    // ---- geometry (lookahead-horizon introspection) ----------------------
+    // ---- geometry --------------------------------------------------------
 
     /// The wheel's effective bucket width in microseconds (the configured
     /// value rounded up to a power of two).
@@ -622,10 +623,8 @@ impl<T> TimerWheel<T> {
     }
 
     /// How far past the cursor an event may land on the wheel proper, in
-    /// microseconds (`granularity × slots`). A sharded drain whose lookahead
-    /// window is much smaller than a bucket gains nothing from finer
-    /// granularity; one whose window exceeds the horizon pushes every
-    /// cross-shard arrival through the overflow heap.
+    /// microseconds (`granularity × slots`); anything later goes through
+    /// the overflow heap.
     pub fn horizon_us(&self) -> u64 {
         self.granularity_us() * self.nslots as u64
     }
@@ -987,9 +986,12 @@ mod tests {
 
     #[test]
     fn queue_keyed_pushes_pop_in_key_order_regardless_of_push_order() {
-        // Canonical-key pushes (sharded-engine style) must pop by (at, key)
+        // Canonical-key pushes (the engine's style) must pop by (at, key)
         // even when keys arrive out of order within a bucket, across wheel
-        // geometries, and through the keyed bulk path.
+        // geometries, and through the keyed bulk path. Before each pop the
+        // bounded peek is asked about a random limit: it must answer the
+        // head when that sorts below the limit and `None` otherwise, and
+        // asking must not change what pops.
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(1000 + seed);
             let cfg = WheelConfig {
@@ -1025,6 +1027,9 @@ mod tests {
                     let pending: &mut [(SimTime, u128, u32)] = &mut expect[popped..];
                     pending.sort_unstable_by_key(|&(at, k, _)| (at, k));
                     let want = pending.first().copied();
+                    let lim = (now + crate::time::SimDuration(rng.random_range(0..6_000_000u64)), rng.random::<u64>() as u128);
+                    let below = want.map(|(at, k, _)| (at, k)).filter(|&head| head < lim);
+                    assert_eq!(w.next_at_key_below(lim), below, "seed {seed}: bounded peek below {lim:?}");
                     assert_eq!(w.next_at_key(), want.map(|(at, k, _)| (at, k)));
                     assert_eq!(w.pop_keyed(), want, "seed {seed} diverged");
                     if let Some((at, _, _)) = want {

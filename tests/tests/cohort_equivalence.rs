@@ -36,47 +36,6 @@ fn at_ms(ms: u64) -> SimTime {
     SimTime(ms * 1000)
 }
 
-/// How to partition the topology before the run starts.
-enum Partition {
-    /// `Sim::set_shards` — the balanced automatic partitioner.
-    Shards(usize),
-    /// `Sim::set_shard_bounds` — explicit fenceposts, for the randomized
-    /// partition property test.
-    Bounds(Vec<u32>),
-}
-
-impl Partition {
-    fn apply(&self, sim: &mut Sim) {
-        match self {
-            Partition::Shards(s) => sim.set_shards(*s),
-            Partition::Bounds(b) => sim.set_shard_bounds(b),
-        }
-    }
-}
-
-/// SplitMix64 step — the test's own tiny RNG for drawing random partitions,
-/// independent of the simulator's seeded streams.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Draw a random valid fencepost array `[0, …, n]` with 2–5 shards.
-fn random_bounds(n: u32, state: &mut u64) -> Vec<u32> {
-    let shards = 2 + (splitmix(state) % 4) as u32;
-    let mut cuts = std::collections::BTreeSet::new();
-    while (cuts.len() as u32) < shards - 1 {
-        cuts.insert(1 + (splitmix(state) % u64::from(n - 1)) as u32);
-    }
-    let mut bounds = vec![0];
-    bounds.extend(cuts);
-    bounds.push(n);
-    bounds
-}
-
 /// Everything observable about a finished run except queue-entry counts.
 fn observe(sim: &Sim, trace: String) -> (String, String) {
     let mut stats = String::new();
@@ -96,16 +55,9 @@ fn observe(sim: &Sim, trace: String) -> (String, String) {
 /// An EXPRESS protocol run over a random graph: staggered joins, a data
 /// stream, a link flap and a loss burst (the loss burst keeps the *eager*
 /// per-endpoint RNG path in play alongside the deferred loss-free one).
-fn protocol_run(
-    seed: u64,
-    topo_seed: u64,
-    batch: bool,
-    wheel: WheelConfig,
-    partition: &Partition,
-) -> (String, String) {
+fn protocol_run(seed: u64, topo_seed: u64, batch: bool, wheel: WheelConfig) -> (String, String) {
     let g = topogen::random_connected(12, 5, 18, LinkSpec::default(), topo_seed);
     let mut sim = Sim::new_with_wheel(g.topo.clone(), seed, wheel);
-    partition.apply(&mut sim);
     sim.set_fanout_batching(batch);
     for &r in &g.routers {
         sim.set_agent(r, Box::new(EcmpRouter::new(RouterConfig::default())));
@@ -140,13 +92,12 @@ fn protocol_run(
 /// A shared-LAN fan-out: one source host and `n` receivers on one
 /// multi-access segment — the deferral-heaviest shape (every send is one
 /// `Fanout` covering the whole LAN).
-fn lan_run(seed: u64, n: usize, batch: bool, shards: usize) -> (String, String) {
+fn lan_run(seed: u64, n: usize, batch: bool) -> (String, String) {
     let mut topo = Topology::new();
     let nodes: Vec<_> = (0..n + 1).map(|_| topo.add_host()).collect();
     topo.add_lan(&nodes, LinkSpec::lan()).unwrap();
     let chan = Channel::new(topo.ip(nodes[0]), 1).unwrap();
     let mut sim = Sim::new(topo, seed);
-    sim.set_shards(shards);
     sim.set_fanout_batching(batch);
     for &h in &nodes {
         sim.set_agent(h, Box::new(ExpressHost::new()));
@@ -236,7 +187,7 @@ impl Agent for Feeder {
 /// timer undercuts the next member), so the re-queued tail starts inside a
 /// run whose handle sits further back; receivers above it let the rest of
 /// the cohort expand in one go.
-fn interloper_run(batch: bool, shards: usize, traced: bool) -> (String, String) {
+fn interloper_run(batch: bool, traced: bool) -> (String, String) {
     const LOW: usize = 5;
     const HIGH: usize = 3;
     let mut topo = Topology::new();
@@ -248,7 +199,6 @@ fn interloper_run(batch: bool, shards: usize, traced: bool) -> (String, String) 
         topo.connect(hub, h, LinkSpec::default()).unwrap();
     }
     let mut sim = Sim::new(topo, 1);
-    sim.set_shards(shards);
     sim.set_fanout_batching(batch);
     let all = ((1u32 << (LOW + HIGH + 1)) - 1) & !1;
     sim.set_agent(hub, Box::new(Hub { own: Payload::from(&b"hub's own"[..]), all, own_first: false }));
@@ -278,7 +228,7 @@ fn interloper_run(batch: bool, shards: usize, traced: bool) -> (String, String) 
 /// two runs meet with only the chain telling them apart. Each hub's low
 /// receivers sit below both hubs in id order and pause the cohort after
 /// every delivery, inside its runs.
-fn two_hub_run(batch: bool, shards: usize) -> (String, String) {
+fn two_hub_run(batch: bool) -> (String, String) {
     const LOW: usize = 3;
     const HIGH: usize = 2;
     let mut topo = Topology::new();
@@ -293,7 +243,6 @@ fn two_hub_run(batch: bool, shards: usize) -> (String, String) {
         }
     }
     let mut sim = Sim::new(topo, 1);
-    sim.set_shards(shards);
     sim.set_fanout_batching(batch);
     let all = ((1u32 << (LOW + HIGH + 1)) - 1) & !1;
     let own = Payload::from(&b"hub's own"[..]);
@@ -317,12 +266,11 @@ fn two_hub_run(batch: bool, shards: usize) -> (String, String) {
 /// router's FIB holds the channel on all interfaces but its upstream one, a
 /// `Feeder` at the root host sends five frames, and a `Nudger` at every
 /// other host answers each delivery — a multi-hop static-FIB fan-out with
-/// no control plane, cut across shards at every level.
-fn static_tree_run(batch: bool, partition: &Partition) -> (String, String) {
+/// no control plane.
+fn static_tree_run(batch: bool) -> (String, String) {
     let g = topogen::kary_tree(2, 10, LinkSpec::default());
     let chan = Channel::new(g.topo.ip(g.hosts[0]), 1).unwrap();
     let mut sim = Sim::new(g.topo, 7);
-    partition.apply(&mut sim);
     sim.set_fanout_batching(batch);
     let cfg = RouterConfig { neighbor_probe: None, boot_query: false, ..RouterConfig::default() };
     for &r in &g.routers {
@@ -347,7 +295,7 @@ fn static_tree_run(batch: bool, partition: &Partition) -> (String, String) {
 #[test]
 fn interloper_inside_a_shared_handle_run_delivers_the_right_frames() {
     for traced in [true, false] {
-        let reference = interloper_run(false, 1, traced);
+        let reference = interloper_run(false, traced);
         for want in [
             "counter nudger.rx{frame=forwarded} 24\n",
             "counter nudger.rx{frame=hub's own} 12\n",
@@ -356,19 +304,15 @@ fn interloper_inside_a_shared_handle_run_delivers_the_right_frames() {
             assert!(reference.1.contains(want), "no {want:?} in\n{}", reference.1);
         }
         assert!(!reference.1.contains("frame=other"), "a mangled frame in\n{}", reference.1);
-        for shards in [1usize, 2, 4] {
-            for batch in [true, false] {
-                let got = interloper_run(batch, shards, traced);
-                assert_eq!(got.0, reference.0, "trace diverged (batch {batch}, {shards} shards)");
-                assert_eq!(got.1, reference.1, "stats diverged (batch {batch}, {shards} shards, traced {traced})");
-            }
-        }
+        let got = interloper_run(true, traced);
+        assert_eq!(got.0, reference.0, "trace diverged (traced {traced})");
+        assert_eq!(got.1, reference.1, "stats diverged (traced {traced})");
     }
 }
 
 #[test]
 fn a_cohort_of_three_frames_and_two_chains_pauses_inside_its_runs() {
-    let reference = two_hub_run(false, 1);
+    let reference = two_hub_run(false);
     for want in [
         "counter nudger.rx{frame=forwarded} 15\n",
         "counter nudger.rx{frame=second} 15\n",
@@ -378,23 +322,18 @@ fn a_cohort_of_three_frames_and_two_chains_pauses_inside_its_runs() {
         assert!(reference.1.contains(want), "no {want:?} in\n{}", reference.1);
     }
     assert!(!reference.1.contains("frame=other"), "a mangled frame in\n{}", reference.1);
-    for shards in [1usize, 2, 4] {
-        for batch in [true, false] {
-            let got = two_hub_run(batch, shards);
-            assert_eq!(got.0, reference.0, "trace diverged (batch {batch}, {shards} shards)");
-            assert_eq!(got.1, reference.1, "stats diverged (batch {batch}, {shards} shards)");
-        }
-    }
+    let got = two_hub_run(true);
+    assert_eq!(got.0, reference.0, "trace diverged");
+    assert_eq!(got.1, reference.1, "stats diverged");
 }
 
 #[test]
 fn batched_protocol_runs_match_reference_drain() {
     // Randomized over (rng seed, topology seed): same scenario through the
     // batched engine and the reference per-event drain.
-    let one = Partition::Shards(1);
-    for (seed, topo_seed) in [(1u64, 101u64), (2, 202), (3, 303), (4, 404)] {
-        let (trace_b, stats_b) = protocol_run(seed, topo_seed, true, WheelConfig::default(), &one);
-        let (trace_r, stats_r) = protocol_run(seed, topo_seed, false, WheelConfig::default(), &one);
+    for (seed, topo_seed) in [(1u64, 101u64), (2, 202), (3, 303), (4, 404), (5, 505)] {
+        let (trace_b, stats_b) = protocol_run(seed, topo_seed, true, WheelConfig::default());
+        let (trace_r, stats_r) = protocol_run(seed, topo_seed, false, WheelConfig::default());
         assert_eq!(
             trace_b, trace_r,
             "trace diverged between batched and reference drain (seed {seed}, topo {topo_seed})"
@@ -409,8 +348,8 @@ fn batched_protocol_runs_match_reference_drain() {
 #[test]
 fn batched_lan_fanout_matches_reference_drain() {
     for (seed, n) in [(7u64, 3usize), (8, 17), (9, 64)] {
-        let (trace_b, stats_b) = lan_run(seed, n, true, 1);
-        let (trace_r, stats_r) = lan_run(seed, n, false, 1);
+        let (trace_b, stats_b) = lan_run(seed, n, true);
+        let (trace_r, stats_r) = lan_run(seed, n, false);
         assert_eq!(trace_b, trace_r, "trace diverged (seed {seed}, n {n})");
         assert_eq!(stats_b, stats_r, "stats diverged (seed {seed}, n {n})");
         assert!(
@@ -425,86 +364,24 @@ fn batching_is_wheel_granularity_independent() {
     // The deferral must commute with wheel geometry: batched runs on a fine
     // and a coarse wheel produce the same bytes as each other and as the
     // reference drain.
-    let one = Partition::Shards(1);
     let fine = WheelConfig::default();
     let coarse = WheelConfig { granularity_us: 1024, slots: 512 };
-    let (trace_f, stats_f) = protocol_run(11, 707, true, fine, &one);
-    let (trace_c, stats_c) = protocol_run(11, 707, true, coarse, &one);
-    let (trace_r, stats_r) = protocol_run(11, 707, false, WheelConfig::default(), &one);
+    let (trace_f, stats_f) = protocol_run(11, 707, true, fine);
+    let (trace_c, stats_c) = protocol_run(11, 707, true, coarse);
+    let (trace_r, stats_r) = protocol_run(11, 707, false, WheelConfig::default());
     assert_eq!(trace_f, trace_c, "batched trace depends on wheel granularity");
     assert_eq!(stats_f, stats_c, "batched stats depend on wheel granularity");
     assert_eq!(trace_f, trace_r, "batched trace diverged from reference drain");
     assert_eq!(stats_f, stats_r, "batched stats diverged from reference drain");
 }
 
-/// `run` produces the same bytes at 2 and 4 shards as at one, and what it
-/// delivered at one shard shows `delivered` in its stats.
-fn assert_shard_count_independent(name: &str, delivered: &str, run: impl Fn(&Partition) -> (String, String)) {
-    let (trace_1, stats_1) = run(&Partition::Shards(1));
-    assert!(stats_1.contains(delivered), "{name}: no {delivered:?} in\n{stats_1}");
-    for shards in [2usize, 4] {
-        let (trace_s, stats_s) = run(&Partition::Shards(shards));
-        assert_eq!(trace_s, trace_1, "{name} trace diverged at {shards} shards");
-        assert_eq!(stats_s, stats_1, "{name} stats diverged at {shards} shards");
-    }
-}
-
 #[test]
-fn batched_cohorts_are_shard_count_independent() {
-    // The sharded parallel drain must commute with cohort batching: a
-    // protocol run, and a static-FIB tree's fan-out, partitioned over 2 or
-    // 4 worker shards produce the same bytes as the single-shard run,
-    // batched or not. The tree's five frames reach all 1 024 sinks.
-    for batch in [true, false] {
-        assert_shard_count_independent(&format!("protocol (batch {batch})"), "counter host.data_rx ", |p| {
-            protocol_run(5, 505, batch, WheelConfig::default(), p)
-        });
-        assert_shard_count_independent(
-            &format!("static tree (batch {batch})"),
-            "counter nudger.rx{frame=other} 5120\n",
-            |p| static_tree_run(batch, p),
-        );
-    }
-}
-
-#[test]
-fn sharded_lan_fanout_matches_classic() {
-    // A single multi-access segment split across shards is the
-    // deferral-heaviest cross-shard shape: every send is one `Fanout`
-    // mirrored into every shard owning receivers on the LAN.
-    for (seed, n) in [(21u64, 17usize), (22, 64)] {
-        let (trace_1, stats_1) = lan_run(seed, n, true, 1);
-        for shards in [2usize, 4] {
-            let (trace_s, stats_s) = lan_run(seed, n, true, shards);
-            assert_eq!(trace_s, trace_1, "LAN trace diverged at {shards} shards (n {n})");
-            assert_eq!(stats_s, stats_1, "LAN stats diverged at {shards} shards (n {n})");
-        }
-        assert!(stats_1.contains("host.data_rx"), "scenario delivered nothing");
-    }
-}
-
-#[test]
-fn randomized_partitions_preserve_the_trace() {
-    // Property test: ANY valid contiguous partition — not just the balanced
-    // one `set_shards` picks — yields byte-identical output. Fenceposts are
-    // drawn at random (2–5 shards, arbitrary uneven cuts) from a seeded
-    // stream so failures replay.
-    let n = topogen::random_connected(12, 5, 18, LinkSpec::default(), 909)
-        .topo
-        .node_count() as u32;
-    let reference = protocol_run(13, 909, true, WheelConfig::default(), &Partition::Shards(1));
-    let mut state = 0xC0FF_EE00_u64;
-    for round in 0..6 {
-        let bounds = random_bounds(n, &mut state);
-        let got =
-            protocol_run(13, 909, true, WheelConfig::default(), &Partition::Bounds(bounds.clone()));
-        assert_eq!(
-            got.0, reference.0,
-            "trace diverged under partition {bounds:?} (round {round})"
-        );
-        assert_eq!(
-            got.1, reference.1,
-            "stats diverged under partition {bounds:?} (round {round})"
-        );
-    }
+fn static_fib_tree_batched_matches_reference_drain() {
+    // §5.3's tree on static routes: the five frames reach all 1 024 sinks,
+    // and the batched drain delivers them as the eager one does.
+    let (trace_b, stats_b) = static_tree_run(true);
+    let (trace_r, stats_r) = static_tree_run(false);
+    assert!(stats_b.contains("counter nudger.rx{frame=other} 5120\n"), "no 5 120 deliveries in\n{stats_b}");
+    assert_eq!(trace_b, trace_r, "static tree trace diverged between batched and reference drain");
+    assert_eq!(stats_b, stats_r, "static tree stats diverged between batched and reference drain");
 }

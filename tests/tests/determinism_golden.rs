@@ -41,24 +41,21 @@ fn at_ms(ms: u64) -> SimTime {
 /// flaps, a router crash + restart, and a 30% loss burst — every fault
 /// class `FaultPlan` models, all while tracing.
 fn run_storm(seed: u64) -> (String, String) {
-    run_storm_with(seed, WheelConfig::default(), 1)
+    run_storm_with(seed, WheelConfig::default())
 }
 
-/// Same storm, explicit timer-wheel geometry and shard count — the
-/// granularity-independence pin reruns it on a coarse wheel, the
-/// shard-independence pin reruns it partitioned 2- and 4-way, and both
-/// demand the same golden bytes.
-fn run_storm_with(seed: u64, wheel: WheelConfig, shards: usize) -> (String, String) {
-    run_storm_sliced(seed, wheel, shards, 1)
+/// Same storm, explicit timer-wheel geometry — the granularity-independence
+/// pin reruns it on a coarse wheel and demands the same golden bytes.
+fn run_storm_with(seed: u64, wheel: WheelConfig) -> (String, String) {
+    run_storm_sliced(seed, wheel, 1, |_| {})
 }
 
 /// Same storm again, its 2.6 s driven as `slices` equal `run_until` calls
-/// instead of one.
-fn run_storm_sliced(seed: u64, wheel: WheelConfig, shards: usize, slices: u64) -> (String, String) {
+/// instead of one, with `prepare` applied to the fresh simulation first.
+fn run_storm_sliced(seed: u64, wheel: WheelConfig, slices: u64, prepare: impl FnOnce(&mut Sim)) -> (String, String) {
     let g = topogen::random_connected(30, 10, 40, LinkSpec::default(), 77);
     let mut sim = Sim::new_with_wheel(g.topo.clone(), seed, wheel);
-    sim.set_shards(shards);
-    assert_eq!(sim.shard_count(), shards, "storm topology should partition {shards}-way");
+    prepare(&mut sim);
     let cfg = RouterConfig::default();
     for &r in &g.routers {
         sim.set_agent(r, Box::new(EcmpRouter::new(cfg)));
@@ -109,10 +106,9 @@ fn stats_dump(sim: &Sim) -> String {
     let mut stats = String::new();
     let _ = writeln!(stats, "events_processed {}", sim.events_processed());
     // peak_queue_depth is deliberately NOT part of the golden: it is a
-    // capacity high-water mark, the one figure that legitimately depends
-    // on the shard count (per-shard queues peak independently). The
-    // benchmark's digests and `data_plane_allocs` pin it for single-shard
-    // runs instead.
+    // capacity high-water mark that moves with how a run is sliced into
+    // `run_until` calls (see `fault_storm_is_run_until_slicing_independent`).
+    // The benchmark's digests and `data_plane_allocs` pin it instead.
     for (k, v) in sim.stats().named_counters() {
         let _ = writeln!(stats, "counter {k} {v}");
     }
@@ -145,12 +141,10 @@ fn stats_dump(sim: &Sim) -> String {
 /// hand, so any step whose order is not fixed by the run's own contents
 /// shows up as a diverging trace. `udp` runs every interface in UDP mode
 /// (periodic general queries, expiry) instead of the default TCP mode.
-fn run_multi_channel_storm(shards: usize, udp: bool) -> (String, String) {
+fn run_multi_channel_storm(udp: bool) -> (String, String) {
     const VOTE: CountId = CountId(CountId::APPLICATION_BASE + 7);
     let g = topogen::random_connected(30, 10, 40, LinkSpec::default(), 77);
     let mut sim = Sim::new(g.topo.clone(), 4242);
-    sim.set_shards(shards);
-    assert_eq!(sim.shard_count(), shards, "storm topology should partition {shards}-way");
     let cfg = RouterConfig {
         mode_override: udp.then_some(EcmpMode::Udp),
         udp_refresh: SimDuration::from_millis(400),
@@ -225,7 +219,7 @@ fn run_multi_channel_storm(shards: usize, udp: bool) -> (String, String) {
 #[test]
 fn multi_channel_storm_is_byte_identical_across_runs() {
     for udp in [false, true] {
-        let (trace, stats) = run_multi_channel_storm(1, udp);
+        let (trace, stats) = run_multi_channel_storm(udp);
         // The storm did reach the per-channel sweeps it is here for.
         let mut steps = vec!["ecmp.rehome", "ecmp.conn_fail_prune", "ecmp.readvertise", "ecmp.batched_msgs"];
         steps.push(if udp { "ecmp.expire" } else { "ecmp.keepalive_prune" });
@@ -234,14 +228,12 @@ fn multi_channel_storm_is_byte_identical_across_runs() {
             let n: u64 = line.and_then(|l| l.rsplit(' ').next()).map_or(0, |n| n.parse().unwrap());
             assert!(n >= 2, "udp={udp}: {step} fired {n} times\n{stats}");
         }
-        for (shards, run) in [(1, "a second run"), (2, "a 2-shard run")] {
-            let (trace2, stats2) = run_multi_channel_storm(shards, udp);
-            if let Some((n, (a, b))) = trace.lines().zip(trace2.lines()).enumerate().find(|(_, (a, b))| a != b) {
-                panic!("udp={udp}: {run} diverges at trace line {}:\n  {a}\n  {b}", n + 1);
-            }
-            assert_eq!(trace.len(), trace2.len(), "udp={udp}: {run} has a different trace length");
-            assert_eq!(stats, stats2, "udp={udp}: {run} has different stats");
+        let (trace2, stats2) = run_multi_channel_storm(udp);
+        if let Some((n, (a, b))) = trace.lines().zip(trace2.lines()).enumerate().find(|(_, (a, b))| a != b) {
+            panic!("udp={udp}: a second run diverges at trace line {}:\n  {a}\n  {b}", n + 1);
         }
+        assert_eq!(trace.len(), trace2.len(), "udp={udp}: a second run has a different trace length");
+        assert_eq!(stats, stats2, "udp={udp}: a second run has different stats");
     }
 }
 
@@ -282,7 +274,7 @@ fn fault_storm_is_wheel_granularity_independent() {
     // racks into the wheel — but the (at, seq) pop order, and therefore
     // every traced byte, must not move. Only run the comparison when the
     // goldens exist (BLESS_GOLDEN creates them via the primary test).
-    let (trace, stats) = run_storm_with(4242, WheelConfig { granularity_us: 1024, slots: 512 }, 1);
+    let (trace, stats) = run_storm_with(4242, WheelConfig { granularity_us: 1024, slots: 512 });
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         return;
     }
@@ -295,12 +287,10 @@ fn fault_storm_is_wheel_granularity_independent() {
 }
 
 #[test]
-fn fault_storm_is_shard_count_independent() {
-    // The sharded engine's whole determinism contract in one pin: the
-    // identical storm — faults, loss burst, crash/restart, staggered joins
-    // — partitioned 2- and 4-way must reproduce the single-shard golden
-    // byte for byte: same trace (merged in canonical (time, key, sub)
-    // order), same counters, same per-link totals, same event count.
+fn set_shards_is_inert() {
+    // `set_shards` is kept for the benchmark's callers and selects
+    // nothing: the storm after `set_shards(4)` is the golden, byte for
+    // byte, on the one engine there is.
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         return;
     }
@@ -308,11 +298,14 @@ fn fault_storm_is_shard_count_independent() {
         .expect("golden trace missing; run with BLESS_GOLDEN=1 to create");
     let want_stats = std::fs::read_to_string(STATS_GOLDEN)
         .expect("golden stats missing; run with BLESS_GOLDEN=1 to create");
-    for shards in [2, 4] {
-        let (trace, stats) = run_storm_with(4242, WheelConfig::default(), shards);
-        assert_eq!(trace, want_trace, "trace diverged at {shards} shards");
-        assert_eq!(stats, want_stats, "stats diverged at {shards} shards");
-    }
+    let mut counts = None;
+    let (trace, stats) = run_storm_sliced(4242, WheelConfig::default(), 1, |sim| {
+        sim.set_shards(4);
+        counts = Some((sim.shard_count(), sim.sync_stats()));
+    });
+    assert_eq!(counts, Some((1, (0, 0))), "(shard_count, sync_stats) after set_shards(4)");
+    assert_eq!(trace, want_trace, "trace diverged after set_shards(4)");
+    assert_eq!(stats, want_stats, "stats diverged after set_shards(4)");
 }
 
 #[test]
@@ -321,19 +314,16 @@ fn fault_storm_is_run_until_slicing_independent() {
     // the storm as one call and as 1 000 slices of 2.6 ms — most of them
     // ending between two events of one burst, several on a fault's own
     // microsecond — gives the same trace, counters, per-link totals and
-    // `events_processed`, whether a segment drains inline (one shard) or
-    // in parallel windows (two). A fault search that probes a schedule
-    // slice by slice leans on exactly this. `peak_queue_depth` is
-    // deliberately not compared: every slice edge makes the sole shard's
-    // rotating peek sort the next bucket early, which moves that
-    // high-water mark and nothing else (see `ShardExec::drain_below`).
-    for shards in [1, 2] {
-        let (trace, stats) = run_storm_sliced(4242, WheelConfig::default(), shards, 1);
-        let (sliced_trace, sliced_stats) = run_storm_sliced(4242, WheelConfig::default(), shards, 1_000);
-        if let Some((n, (a, b))) = trace.lines().zip(sliced_trace.lines()).enumerate().find(|(_, (a, b))| a != b) {
-            panic!("{shards} shard(s): the sliced run diverges at trace line {}:\n  {a}\n  {b}", n + 1);
-        }
-        assert_eq!(trace.len(), sliced_trace.len(), "{shards} shard(s): trace length");
-        assert_eq!(stats, sliced_stats, "{shards} shard(s): stats dump");
+    // `events_processed`. A fault search that probes a schedule slice by
+    // slice leans on exactly this. `peak_queue_depth` is deliberately not
+    // compared: every slice edge makes the drain's rotating peek sort the
+    // next bucket early, which moves that high-water mark and nothing else
+    // (see `Exec::drain_below`).
+    let (trace, stats) = run_storm_sliced(4242, WheelConfig::default(), 1, |_| {});
+    let (sliced_trace, sliced_stats) = run_storm_sliced(4242, WheelConfig::default(), 1_000, |_| {});
+    if let Some((n, (a, b))) = trace.lines().zip(sliced_trace.lines()).enumerate().find(|(_, (a, b))| a != b) {
+        panic!("the sliced run diverges at trace line {}:\n  {a}\n  {b}", n + 1);
     }
+    assert_eq!(trace.len(), sliced_trace.len(), "trace length");
+    assert_eq!(stats, sliced_stats, "stats dump");
 }

@@ -10,6 +10,10 @@
 //!
 //! docs/OBSERVABILITY.md names the API it documents as `` `Type::item` ``;
 //! every such name must still be defined under `crates/*/src`.
+//!
+//! `crates/netsim/src/compat.rs` holds inert names kept only for the
+//! `benchmark` package; every item it defines must still be named somewhere
+//! under `benchmark/src`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -246,4 +250,34 @@ fn every_documented_observability_item_is_defined() {
     assert!(pair("TraceConfig", "capacity") && !pair("Metrics", "capacity"), "the scan pairs an item with its own type");
     let missing: Vec<String> = named.difference(&defined).map(|(ty, item)| format!("{ty}::{item}")).collect();
     assert!(missing.is_empty(), "docs/OBSERVABILITY.md names items no crate defines: {missing:?}");
+}
+
+/// Whether `text` holds `word` with no identifier character either side.
+fn names_word(text: &str, word: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(word).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + word.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+#[test]
+fn compat_items_are_named_by_the_benchmark() {
+    let root = root();
+    let compat = std::fs::read_to_string(root.join("crates/netsim/src/compat.rs")).expect("crates/netsim/src/compat.rs");
+    let defined: Vec<&str> = compat
+        .lines()
+        .filter_map(|line| {
+            let code = strip_qualifiers(line.trim_start());
+            let rest = ["fn ", "type ", "struct ", "enum ", "trait ", "const ", "static "].iter().find_map(|k| code.strip_prefix(k))?;
+            Some(leading_ident(rest)).filter(|name| !name.is_empty())
+        })
+        .collect();
+    assert!(!defined.is_empty(), "the scan found no item in compat.rs");
+    let mut files = Vec::new();
+    rust_files(&root.join("benchmark/src"), &mut files);
+    let benchmark: String = files.iter().map(|f| std::fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display()))).collect();
+    let unused: Vec<&str> = defined.into_iter().filter(|name| !names_word(&benchmark, name)).collect();
+    assert!(unused.is_empty(), "compat.rs keeps items benchmark/src no longer names: {unused:?}");
 }
