@@ -8,8 +8,13 @@
 //! setup_rss        one pass, one line per step (MiB); reads /proc/self/status
 //! ```
 //!
-//! The sinks here count into one `u64` (a 16 B pool row); the benchmark's
-//! accounting sinks have 24 B rows, so its sink step reads 8 MiB more.
+//! The steps read ≈ 108 / 12 / 144 / 16 / 128 MiB, 412 resident at the
+//! end (docs/PERFORMANCE.md): the topology at 8 B a node, 16 B a link,
+//! its interface slots and the generator's role lists; 2²¹ 72 B router
+//! rows; and for the first wave the per-node sequence counters, the
+//! per-link data pair and two live 2²⁰-member cohorts. The sinks here
+//! count into one `u64` (a 16 B pool row); the benchmark's accounting
+//! sinks have 24 B rows, so its sink step reads 8 MiB more.
 
 use express::packets;
 use express::router::{EcmpRouter, RouterConfig};

@@ -46,7 +46,7 @@ use netsim::stats::{CounterId, TrafficClass};
 use netsim::time::{SimDuration, SimTime};
 use netsim::transport::RttEstimator;
 use netsim::NodeKind;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, PoisonError};
 
 mod forward;
@@ -407,6 +407,20 @@ struct Tables {
     neighbors: BTreeMap<Ipv4Addr, (IfaceId, SimTime)>,
     /// When the last neighbor probe went out on each interface.
     probe_sent: BTreeMap<IfaceId, SimTime>,
+    /// The heap ring of the last dropped channel whose downstream set had
+    /// spilled, empty: the next set to spill takes it, so a channel whose
+    /// members all come and go allocates its ring once, not once a cycle.
+    spare_ring: Option<VecDeque<DownstreamEntry>>,
+}
+
+impl Tables {
+    /// Drop the record filed under `key`, keeping its downstream ring as
+    /// the spare (one per router).
+    fn drop_channel(&mut self, key: u64) {
+        if let Some(ring) = self.channels.remove(key).and_then(|st| st.downstream.into_ring()) {
+            self.spare_ring.get_or_insert(ring);
+        }
+    }
 }
 
 /// The control plane: everything ECMP keeps beyond the FIB — the
@@ -645,7 +659,7 @@ fn iface_mode(cfg: &RouterConfig, ctx: &Ctx<'_>, iface: IfaceId) -> EcmpMode {
     }
     let node = ctx.node_id();
     match ctx.topology().link_of(node, iface) {
-        Ok(link) if ctx.topology().link_endpoints(link).len() > 2 => EcmpMode::Udp,
+        Ok(link) if ctx.topology().link_endpoint_count(link) > 2 => EcmpMode::Udp,
         _ => EcmpMode::Tcp,
     }
 }
@@ -982,7 +996,7 @@ impl Control<'_> {
             if st.upstream.is_none() && ctx.resolve(channel.source) != Some(ctx.node_id()) {
                 // Source unreachable: reject.
                 if fresh {
-                    self.t.channels.remove(key);
+                    self.t.drop_channel(key);
                 }
                 let resp = CountResponse {
                     channel,
@@ -1041,13 +1055,14 @@ impl Control<'_> {
                 self.port.send_multicast(ctx, iface, q);
             }
         } else {
-            st.downstream.insert(DownstreamEntry {
+            let entry = DownstreamEntry {
                 addr: from,
                 iface,
                 count: c.count,
                 refreshed: now,
                 validated,
-            });
+            };
+            st.downstream.insert_with_spare(entry, &mut self.t.spare_ring);
             if !validated {
                 // Queue for upstream validation.
                 let key = c.key.expect("unvalidated implies key present");
@@ -1088,7 +1103,7 @@ impl Control<'_> {
             }
         }
         if self.port.settle(ctx, st) {
-            self.t.channels.remove(key);
+            self.t.drop_channel(key);
         }
     }
 
@@ -1197,7 +1212,7 @@ impl Control<'_> {
         }
         // Immediately evaluate (first advertisement of the current value).
         if self.port.settle(ctx, st) {
-            self.t.channels.remove(key);
+            self.t.drop_channel(key);
         }
     }
 
@@ -1377,7 +1392,7 @@ impl Control<'_> {
             }
         }
         if self.port.settle(ctx, st) {
-            self.t.channels.remove(key);
+            self.t.drop_channel(key);
         }
     }
 
@@ -1398,7 +1413,7 @@ impl Control<'_> {
             self.port.counters.unsubscribes += 1;
             counter(ctx);
             if self.port.settle(ctx, st) {
-                self.t.channels.remove(key);
+                self.t.drop_channel(key);
             }
         }
     }
@@ -1551,7 +1566,7 @@ impl Control<'_> {
                 if count_id != CountId::SUBSCRIBERS {
                     self.port.propagate_generic_proactive(ctx, st, count_id);
                 } else if self.port.settle(ctx, st) {
-                    self.t.channels.remove(key);
+                    self.t.drop_channel(key);
                 }
             }
             TimerPurpose::HysteresisExpire { channel } => {

@@ -390,6 +390,13 @@ impl<T: Keyed> InlineSet<T> {
 
     /// Add `record`, replacing (and returning) the one with its key.
     pub fn insert(&mut self, record: T) -> Option<T> {
+        self.insert_with_spare(record, &mut None)
+    }
+
+    /// Add `record` as [`insert`](Self::insert) does; a set that moves into
+    /// its heap ring takes `spare`'s ring, if there is one, instead of
+    /// allocating one.
+    pub fn insert_with_spare(&mut self, record: T, spare: &mut Option<VecDeque<T>>) -> Option<T> {
         let key = record.key();
         match &mut self.repr {
             Repr::Inline { slots, len } => match Self::position(&slots[..*len], key) {
@@ -402,7 +409,8 @@ impl<T: Keyed> InlineSet<T> {
                     None
                 }
                 Err(i) => {
-                    let mut v = VecDeque::with_capacity(2 * Self::INLINE);
+                    let mut v = spare.take().unwrap_or_else(|| VecDeque::with_capacity(2 * Self::INLINE));
+                    debug_assert!(v.is_empty(), "a spare ring holds no record");
                     v.extend(slots.iter_mut().filter_map(Option::take));
                     v.insert(i, record);
                     self.repr = Repr::Heap(v);
@@ -430,6 +438,19 @@ impl<T: Keyed> InlineSet<T> {
                 removed
             }
             Repr::Heap(v) => v.remove(v.binary_search_by_key(&key, Keyed::key).ok()?),
+        }
+    }
+
+    /// The set's heap ring, emptied, for
+    /// [`insert_with_spare`](Self::insert_with_spare) to hand to another
+    /// set; `None` while the records are stored in place.
+    pub fn into_ring(self) -> Option<VecDeque<T>> {
+        match self.repr {
+            Repr::Heap(mut v) => {
+                v.clear();
+                Some(v)
+            }
+            Repr::Inline { .. } => None,
         }
     }
 
@@ -554,5 +575,18 @@ mod tests {
             assert!(keys.len() == 8 && keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
             assert_eq!(s.get(k.into()), Some(&Rec(k.into(), k)));
         }
+        // The ring outlives the set, empty, and the next set to spill
+        // takes it instead of allocating; an inline set has none to give.
+        let mut spare = s.into_ring();
+        let cap = spare.as_ref().map(VecDeque::capacity);
+        assert!(spare.as_ref().is_some_and(VecDeque::is_empty));
+        assert_eq!(InlineSet::<Rec>::new().into_ring(), None);
+        let mut next = InlineSet::new();
+        for k in 0..5 {
+            next.insert_with_spare(Rec(k, 0), &mut spare);
+        }
+        assert!(spare.is_none() && !next.is_inline());
+        assert_eq!(next.iter().map(Keyed::key).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(next.into_ring().map(|v| v.capacity()), cap);
     }
 }

@@ -674,11 +674,6 @@ fn tcp_mode_link_failure_subtracts_counts() {
     // Kill the link from the root to the first leaf router. That subtree's
     // count must vanish at the root (no alternate path exists in a tree).
     let leaf_r = g.routers[1];
-    let link = g
-        .topo
-        .link_endpoints(g.topo.link_of(leaf_r, netsim::IfaceId(0)).unwrap())
-        .to_vec();
-    let _ = link;
     let l = g.topo.link_of(leaf_r, netsim::IfaceId(0)).unwrap();
     sim.schedule_link_change(at_ms(2_000), l, false);
     sim.run_until(at_ms(10_000));

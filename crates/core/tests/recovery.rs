@@ -28,10 +28,7 @@ fn router_link(g: &topogen::GenTopo) -> LinkId {
         .links_of(g.routers[0])
         .into_iter()
         .find(|&l| {
-            g.topo
-                .link_endpoints(l)
-                .iter()
-                .all(|&(n, _)| g.topo.kind(n) == NodeKind::Router)
+            g.topo.endpoints(l).all(|(n, _)| g.topo.kind(n) == NodeKind::Router)
         })
         .expect("line topology has a router-router link")
 }

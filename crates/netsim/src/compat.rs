@@ -1,10 +1,12 @@
-//! Inert names the `benchmark` package still calls. The engine reads none
-//! of them; each goes when its caller under `benchmark/src` stops naming it
-//! (the `compat_items_are_named_by_the_benchmark` test keeps that true).
+//! Names the `benchmark` package still calls and nothing else does: inert
+//! ones the engine reads none of, and shims over their replacements. Each
+//! goes when its caller under `benchmark/src` stops naming it (the
+//! `compat_items_are_named_by_the_benchmark` test keeps that true).
 
 use crate::engine::{Agent, Ctx, Payload, Sim};
-use crate::id::IfaceId;
+use crate::id::{IfaceId, LinkId, NodeId};
 use crate::stats::TrafficClass;
+use crate::topology::Topology;
 
 impl Sim {
     /// Does nothing, whatever `n` is: the engine has one event loop.
@@ -43,5 +45,14 @@ pub fn hot_packet_stub<A: Agent + 'static>() -> HotPacketFn {
             .downcast_mut::<A>()
             .expect("hot-path stub cached for a different agent type")
             .on_packet(ctx, iface, bytes, class)
+    }
+}
+
+impl Topology {
+    /// Every endpoint of `link`, collected: what [`Topology::endpoints`]
+    /// yields. Called by `benchmark/src/workloads/isp.rs`.
+    #[doc(hidden)]
+    pub fn link_endpoints(&self, link: LinkId) -> Vec<(NodeId, IfaceId)> {
+        self.endpoints(link).collect()
     }
 }

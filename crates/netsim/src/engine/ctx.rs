@@ -280,18 +280,15 @@ impl<'a> Ctx<'a> {
             self.world.push_fanout(arrive, member, root, root_at, payload);
             return true;
         }
-        // Eager path (lossy or unicast sends, or batching off): indexed
-        // endpoint walk — each `link_endpoint` call re-borrows the topology
-        // for one copy, so no endpoint list is materialized per send (the
-        // filter order matches the endpoint slice order). Survivors are
-        // collected and bulk-scheduled: one bucket resolution per send,
-        // consecutive per-sender keys in walk order — the identical pop
-        // order per-survivor pushes would produce.
+        // Eager path (lossy or unicast sends, or batching off): the link's
+        // endpoints are walked in place — the topology is borrowed apart
+        // from the world, so no endpoint list is materialized per send.
+        // Survivors are collected and bulk-scheduled: one bucket
+        // resolution per send, consecutive per-sender keys in walk order —
+        // the identical pop order per-survivor pushes would produce.
         let mut cohort = std::mem::take(&mut self.world.bulk_scratch);
         debug_assert!(cohort.is_empty());
-        let n_endpoints = self.shared.topo.link_endpoint_count(link);
-        for e in 0..n_endpoints {
-            let (n, i) = self.shared.topo.link_endpoint(link, e);
+        for (n, i) in self.shared.topo.endpoints(link) {
             if n == node {
                 continue;
             }

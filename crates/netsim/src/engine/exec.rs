@@ -179,31 +179,29 @@ impl<'a> Exec<'a> {
         let sender = m.node();
         let iface = m.iface();
         let (class, cause) = (m.class(), ArrivalCause { id: m.id, root, root_at });
-        let Ok(link) = self.shared.topo.link_of(sender, iface) else {
+        // The topology outlives this borrow of `self`: its endpoints are
+        // walked in place while deliveries mutate the world.
+        let topo = &self.shared.topo;
+        let Ok(link) = topo.link_of(sender, iface) else {
             return;
         };
-        let link_ok = self.shared.topo.link_up(link);
-        let n_endpoints = self.shared.topo.link_endpoint_count(link);
+        let link_ok = topo.link_up(link);
+        let mut endpoints = topo.endpoints(link);
         if self.world.trace.is_none() && self.world.prof.is_none() {
             // Hot loop: no tracing, no profiling — one enablement branch
             // per *send* instead of several per delivery.
-            if n_endpoints == 2 {
+            if endpoints.len() == 2 {
                 // Point-to-point: the receiver is whichever endpoint is
                 // not the sender — no loop, no skip branch per endpoint.
-                let (a, ai) = self.shared.topo.link_endpoint(link, 0);
-                let (rx, ri) = if a == sender {
-                    self.shared.topo.link_endpoint(link, 1)
-                } else {
-                    (a, ai)
-                };
+                let a = endpoints.next().expect("two endpoints");
+                let (rx, ri) = if a.0 == sender { endpoints.next().expect("two endpoints") } else { a };
                 self.world.events_processed += 1;
                 if !self.shared.node_down[rx.index()] && link_ok {
                     self.deliver(rx, ri, bytes, class, cause);
                 }
                 return;
             }
-            for e in 0..n_endpoints {
-                let (rx, ri) = self.shared.topo.link_endpoint(link, e);
+            for (rx, ri) in endpoints {
                 if rx == sender {
                     continue;
                 }
@@ -215,8 +213,7 @@ impl<'a> Exec<'a> {
             }
             return;
         }
-        for e in 0..n_endpoints {
-            let (rx, ri) = self.shared.topo.link_endpoint(link, e);
+        for (rx, ri) in endpoints {
             if rx == sender {
                 continue;
             }

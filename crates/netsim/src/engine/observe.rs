@@ -146,7 +146,7 @@ impl Sim {
             let Some(&(src, _)) = sources.get(&chan) else {
                 continue;
             };
-            if topo.link_endpoints(link).iter().any(|&(n, _)| n == src) {
+            if topo.endpoints(link).any(|(n, _)| n == src) {
                 let truth: &mut ChannelTruth = snap.channels.entry(chan).or_default();
                 truth.root_advertised = Some((node, adv));
             }

@@ -298,7 +298,7 @@ impl Sim {
             EventKind::LinkChange { link, up } => {
                 let topo = &self.shared.topo;
                 let mut held_down = false;
-                for &(n, _) in topo.link_endpoints(link) {
+                for (n, _) in topo.endpoints(link) {
                     // A crashed endpoint holds the link down whatever is
                     // asked of it; the change edits what its restart will
                     // restore.
@@ -361,8 +361,7 @@ impl Sim {
     /// for a reliable-mode neighbor).
     fn notify_link_change(&mut self, link: LinkId, up: bool) {
         let mut exec = self.exec();
-        for e in 0..exec.shared.topo.link_endpoint_count(link) {
-            let (n, i) = exec.shared.topo.link_endpoint(link, e);
+        for (n, i) in exec.shared.topo.endpoints(link) {
             if !exec.shared.node_down[n.index()] {
                 exec.with_agent(n, |agent, ctx| agent.on_link_change(ctx, i, up));
             }
@@ -409,7 +408,7 @@ impl Sim {
     /// the auditor re-reads them.
     fn flip_link(&mut self, link: LinkId, up: bool) {
         self.shared.topo.set_link_up(link, up);
-        for &(n, _) in self.shared.topo.link_endpoints(link) {
+        for (n, _) in self.shared.topo.endpoints(link) {
             self.world.mark_audit(n);
         }
         if up {

@@ -830,24 +830,25 @@ fn a_forwarding_hop_indexes_under_190_bytes_of_rows() {
     /// channel data reads, one contiguous span.
     const HOT: usize = 56;
     let (node_id, iface_id, link_id) = (size_of::<NodeId>(), size_of::<IfaceId>(), size_of::<LinkId>());
-    let iface_range = 8; // (start: u32, len: u8, cap: u8), padded
-    let link_of = iface_range + link_id; // topology: the node's range, its slab slot
+    let iface_range = 8; // (start: u32, len: u8, cap: u8, kind), the node's record
+    let link_of = iface_range + link_id; // topology: the node's record, its slab slot
+    let spec_word = size_of::<u32>(); // interned spec index, its top bit the link's state
     let transmit = link_of
-        + size_of::<bool>()             // link state
-        + size_of::<u32>()              // interned spec index (the spec itself is shared)
+        + spec_word                     // link state and spec (the spec itself is shared)
         + size_of::<[u64; 2]>()         // stats: the link's data pair
         + 2 * size_of::<u64>()          // the sender's packet-id and key counters
         + size_of::<world::Member>();   // the cohort member (single plan: no link mask; its run is shared)
     let delivery = link_of
-        + size_of::<bool>()             // link state, re-read at expansion
-        + 2 * size_of::<u32>()          // the link's endpoint range
-        + 2 * (node_id + iface_id).next_multiple_of(4) // its two endpoints
+        + spec_word                     // link state, re-read at expansion
+        + 2 * size_of::<u32>()          // the link's endpoint offset and the next link's
+        + 2 * size_of::<u32>()          // its two endpoints, `node << 8 | iface` each
         + size_of::<bool>()             // receiver's down flag
         + size_of::<store::Slot>()      // receiver's slot: pool and row
         + size_of::<Box<[u8; 1]>>()     // the pool's pointer to the row's chunk
         + AGENT;                        // the row
     assert_eq!((size_of::<store::Slot>(), size_of::<world::Member>()), (4, 16));
-    assert!(transmit + delivery < 190, "{transmit} + {delivery}");
+    assert_eq!((node_id, iface_id), (4, 1), "an endpoint packs into one u32");
+    assert!(transmit + delivery <= 181, "{transmit} + {delivery}");
     // The row's hot span crosses at most two lines wherever the row sits,
     // and so does the whole row.
     assert_eq!((lines_crossed(HOT, AGENT), lines_crossed(AGENT, AGENT)), (2, 2));

@@ -206,16 +206,16 @@ impl Routing {
                 }
             }
         };
-        let endpoints = topo.link_endpoints(link);
+        let endpoints = topo.endpoints(link);
         for (dest, tree) in self.toward.iter_mut().enumerate() {
             let Some(tree) = tree else { continue };
             let dest = NodeId(dest as u32);
             s.repair(topo, link, false, dest, &mut tree.hops);
-            if account && endpoints.iter().any(|&(b, _)| b == dest) {
+            if account && endpoints.clone().any(|(b, _)| b == dest) {
                 flush(&s.affected);
             }
         }
-        for &(b, _) in endpoints {
+        for (b, _) in endpoints {
             if account && self.toward.get(b.index()).is_none_or(|t| t.is_none()) {
                 let mut hops = core::mem::take(&mut s.transient);
                 build_tree(topo, b, Some((link, true)), &mut hops, s);
@@ -382,7 +382,7 @@ fn for_each_neighbor(topo: &Topology, v: NodeId, flip: Flip, mut f: impl FnMut(u
             continue;
         }
         let metric = topo.link_spec(link).metric;
-        for &(u, iu) in topo.link_endpoints(link) {
+        for (u, iu) in topo.endpoints(link) {
             if u != v {
                 f(metric, iv, u, iu);
             }
@@ -517,10 +517,10 @@ impl Scratch {
         self.begin(topo, hops);
         if up {
             // Seeds: the endpoints `link` brings no farther than they were.
-            let endpoints = topo.link_endpoints(link);
-            let near = endpoints.iter().map(|&(b, _)| dist_in(hops, dest, b)).min().unwrap_or(u32::MAX);
+            let endpoints = topo.endpoints(link);
+            let near = endpoints.clone().map(|(b, _)| dist_in(hops, dest, b)).min().unwrap_or(u32::MAX);
             let over = near.saturating_add(topo.link_spec(link).metric);
-            for &(b, _) in endpoints {
+            for (b, _) in endpoints {
                 if over != u32::MAX && over <= dist_in(hops, dest, b) {
                     self.affect(b);
                     self.offer(b, over);
@@ -583,7 +583,7 @@ impl Scratch {
     /// Link-down: affect the endpoints whose parent interface is on `link`
     /// and everything under them.
     fn mark_under(&mut self, topo: &Topology, link: LinkId, hops: &Hops) {
-        for &(b, ib) in topo.link_endpoints(link) {
+        for (b, ib) in topo.endpoints(link) {
             if hops[b.index()].is_some_and(|h| h.iface == ib) {
                 self.affect(b);
             }
@@ -699,7 +699,7 @@ mod tests {
                     continue;
                 }
                 let metric = topo.link_spec(link).metric;
-                for &(v, _) in topo.link_endpoints(link) {
+                for (v, _) in topo.endpoints(link) {
                     if v == u_id {
                         continue;
                     }
@@ -1024,7 +1024,7 @@ mod tests {
         let bridge = (0..t.link_count() as u32)
             .map(LinkId)
             .find(|&l| {
-                let &[(a, _), (b, _)] = t.link_endpoints(l) else { return false };
+                let [(a, _), (b, _)] = t.endpoints(l).collect::<Vec<_>>()[..] else { return false };
                 let mut cut = t.clone();
                 cut.set_link_up(l, false);
                 Routing::new().distance(&cut, a, b).is_none()

@@ -11,24 +11,29 @@
 //! ## Arena layout
 //!
 //! The graph is stored struct-of-arrays, indexed by [`NodeId`]/[`LinkId`],
-//! with **no per-node or per-link heap allocation**:
+//! with **no per-node or per-link heap allocation**, at 8 B a node and
+//! 16 B a point-to-point link:
 //!
-//! * Per-node fields (`kinds`, `iface_ranges`) are flat `Vec`s indexed by
-//!   `NodeId`. A node's interface table is a `(start, len, cap)` range into
-//!   one shared `iface_slab: Vec<LinkId>`; interface *i* of node *n*
-//!   attaches to `iface_slab[start + i]`. Growth past `cap` relocates the
-//!   range to the slab's end with doubled capacity (classic slab
-//!   relocation; the abandoned range is accepted fragmentation, bounded by
-//!   the 32-interface cap).
-//! * Per-link fields (`link_spec_ix`, `link_state`, `ep_ranges`) are flat
-//!   `Vec`s indexed by `LinkId`. A link's endpoint list is an *exact-sized*
-//!   `(start, len)` range into a shared `ep_slab: Vec<(NodeId, IfaceId)>` —
-//!   endpoints never change after [`connect`](Topology::connect) /
-//!   [`add_lan`](Topology::add_lan), so no capacity slack is needed.
-//! * Link specs are **interned**: a link holds a 4-byte index into the
-//!   table of distinct specs (`specs`), told apart by bit pattern. A
-//!   generated topology has one to three of them, so the 32-byte
-//!   [`LinkSpec`] is stored that many times, not once per link.
+//! * Per node, one 8 B record (`iface_ranges`): the node's [`NodeKind`] and
+//!   a `(start, len, cap)` range into one shared `iface_slab: Vec<LinkId>`;
+//!   interface *i* of node *n* attaches to `iface_slab[start + i]`. Growth
+//!   past `cap` relocates the range to the slab's end with doubled
+//!   capacity (classic slab relocation; the abandoned range is accepted
+//!   fragmentation, bounded by the 32-interface cap).
+//! * Per link, one 4 B spec word (`link_words`: the index of the link's
+//!   spec, its top bit set while the link is down) and one 4 B offset into
+//!   the endpoint array (`ep_offsets`). Endpoints are stored in CSR order:
+//!   link *l*'s are `ep[ep_offsets[l]..ep_offsets[l + 1]]`, the last offset
+//!   a sentinel. Endpoints never change after
+//!   [`connect`](Topology::connect) / [`add_lan`](Topology::add_lan), and
+//!   each appends its link's endpoints once, in link-id order, so the
+//!   array is exact-sized.
+//! * An endpoint is one `u32`, `node << 8 | iface`: a node id fits in 24
+//!   bits ([`Topology::MAX_NODES`]) and an interface in 5.
+//! * Link specs are **interned**: the spec word indexes the table of
+//!   distinct specs (`specs`), told apart by bit pattern. A generated
+//!   topology has one to three of them, so the 32-byte [`LinkSpec`] is
+//!   stored that many times, not once per link.
 //!
 //! Building an `N`-node topology therefore performs O(1) *allocations*
 //! (amortized `Vec` doubling on a handful of flat arrays) instead of the
@@ -133,20 +138,28 @@ impl core::fmt::Display for TopoError {
 
 impl std::error::Error for TopoError {}
 
-/// A node's interface table: a range into the shared interface slab.
-/// `len`/`cap` fit in a byte because interfaces are capped at 32.
+/// A node's record: its kind and its interface table, a range into the
+/// shared interface slab. `len`/`cap` fit in a byte because interfaces are
+/// capped at 32; the kind takes what would be padding.
 #[derive(Debug, Clone, Copy)]
 struct IfaceRange {
     start: u32,
     len: u8,
     cap: u8,
+    kind: NodeKind,
 }
 
-/// A link's endpoint list: an exact-sized range into the endpoint slab.
-#[derive(Debug, Clone, Copy)]
-struct EpRange {
-    start: u32,
-    len: u32,
+/// The bit of a link's spec word set while the link is down; the rest is
+/// the index of its spec.
+const DOWN: u32 = 1 << 31;
+
+/// One endpoint, packed: `node << 8 | iface`.
+fn pack_endpoint(node: NodeId, iface: IfaceId) -> u32 {
+    node.0 << 8 | u32::from(iface.0)
+}
+
+fn unpack_endpoint(ep: u32) -> (NodeId, IfaceId) {
+    (NodeId(ep >> 8), IfaceId(ep as u8))
 }
 
 /// Interface slots the first attachment of a router from
@@ -169,11 +182,9 @@ fn spec_bits(spec: &LinkSpec) -> SpecBits {
 
 /// The network graph, stored as NodeId/LinkId-indexed arenas (see the
 /// module docs for the layout and its scaling rationale).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Topology {
-    /// Per-node kind.
-    kinds: Vec<NodeKind>,
-    /// Per-node interface range into `iface_slab`.
+    /// Per-node kind and interface range into `iface_slab`.
     iface_ranges: Vec<IfaceRange>,
     /// Shared interface storage: `iface_slab[r.start + i]` is the link on
     /// interface `i`; slots in `[r.start + r.len, r.start + r.cap)` are
@@ -183,14 +194,27 @@ pub struct Topology {
     specs: Vec<LinkSpec>,
     /// Bit pattern → index into `specs`.
     spec_index: HashMap<SpecBits, u32>,
-    /// Per-link index into `specs`.
-    link_spec_ix: Vec<u32>,
-    /// Per-link up/down state.
-    link_state: Vec<bool>,
-    /// Per-link endpoint range into `ep_slab`.
-    ep_ranges: Vec<EpRange>,
-    /// Shared endpoint storage, exact-sized per link.
-    ep_slab: Vec<(NodeId, IfaceId)>,
+    /// Per-link spec word: index into `specs`, `DOWN` set while down.
+    link_words: Vec<u32>,
+    /// Per-link start of its endpoints in `ep`, and one sentinel: always
+    /// `link_count() + 1` entries, the last `ep.len()`.
+    ep_offsets: Vec<u32>,
+    /// Every link's endpoints, packed, in link-id order.
+    ep: Vec<u32>,
+}
+
+impl Default for Topology {
+    fn default() -> Self {
+        Topology {
+            iface_ranges: Vec::new(),
+            iface_slab: Vec::new(),
+            specs: Vec::new(),
+            spec_index: HashMap::new(),
+            link_words: Vec::new(),
+            ep_offsets: vec![0],
+            ep: Vec::new(),
+        }
+    }
 }
 
 impl Topology {
@@ -216,17 +240,15 @@ impl Topology {
     /// outgrows them grows like any other.
     pub(crate) fn with_capacity(nodes: usize, links: usize) -> Self {
         let mut t = Self::default();
-        t.kinds.reserve_exact(nodes);
         t.iface_ranges.reserve_exact(nodes);
         t.iface_slab.reserve_exact(2 * links);
-        t.link_spec_ix.reserve_exact(links);
-        t.link_state.reserve_exact(links);
-        t.ep_ranges.reserve_exact(links);
-        t.ep_slab.reserve_exact(2 * links);
+        t.link_words.reserve_exact(links);
+        t.ep_offsets.reserve_exact(links);
+        t.ep.reserve_exact(2 * links);
         t
     }
 
-    /// Elements allocated but not filled, over the seven arenas, and
+    /// Elements allocated but not filled, over the five arenas, and
     /// interface slots that hold no link: reserved and never attached, or
     /// left behind by a relocation.
     #[cfg(test)]
@@ -236,20 +258,17 @@ impl Topology {
         }
         let attached: usize = self.iface_ranges.iter().map(|r| usize::from(r.len)).sum();
         self.iface_slab.len() - attached
-            + slack(&self.kinds)
             + slack(&self.iface_ranges)
             + slack(&self.iface_slab)
-            + slack(&self.link_spec_ix)
-            + slack(&self.link_state)
-            + slack(&self.ep_ranges)
-            + slack(&self.ep_slab)
+            + slack(&self.link_words)
+            + slack(&self.ep_offsets)
+            + slack(&self.ep)
     }
 
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(self.kinds.len() as u32);
+        let id = NodeId(self.iface_ranges.len() as u32);
         assert!(id.0 < Self::MAX_NODES, "topology exceeds the 10.0.0.0/8 address plan");
-        self.kinds.push(kind);
-        self.iface_ranges.push(IfaceRange { start: 0, len: 0, cap: 0 });
+        self.iface_ranges.push(IfaceRange { start: 0, len: 0, cap: 0, kind });
         id
     }
 
@@ -265,7 +284,8 @@ impl Topology {
         let id = self.add_router();
         let (start, cap) = (self.iface_slab.len(), ifaces.min(32));
         self.iface_slab.resize(start + cap, NO_LINK);
-        self.iface_ranges[id.index()] = IfaceRange { start: start as u32, len: 0, cap: cap as u8 };
+        let r = &mut self.iface_ranges[id.index()];
+        (r.start, r.cap) = (start as u32, cap as u8);
         id
     }
 
@@ -276,28 +296,28 @@ impl Topology {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.kinds.len()
+        self.iface_ranges.len()
     }
 
     /// Number of links.
     pub fn link_count(&self) -> usize {
-        self.link_spec_ix.len()
+        self.link_words.len()
     }
 
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.kinds.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     /// The kind of `node`.
     pub fn kind(&self, node: NodeId) -> NodeKind {
-        self.kinds[node.index()]
+        self.iface_ranges[node.index()].kind
     }
 
     /// The unicast address of `node` — computed, not stored: `10.a.b.c`
     /// encodes the node index.
     pub fn ip(&self, node: NodeId) -> Ipv4Addr {
-        debug_assert!(node.index() < self.kinds.len());
+        debug_assert!(node.index() < self.node_count());
         let idx = node.0;
         Ipv4Addr::new(10, (idx >> 16) as u8, (idx >> 8) as u8, idx as u8)
     }
@@ -310,7 +330,7 @@ impl Topology {
             return None;
         }
         let idx = v & 0x00FF_FFFF;
-        (idx < self.kinds.len() as u32).then_some(NodeId(idx))
+        (idx < self.node_count() as u32).then_some(NodeId(idx))
     }
 
     /// Number of interfaces on `node`.
@@ -332,41 +352,45 @@ impl Topology {
 
     /// The physical spec of `link`.
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        self.specs[self.link_spec_ix[link.index()] as usize]
+        self.specs[(self.link_words[link.index()] & !DOWN) as usize]
     }
 
     /// Is `link` currently up?
     pub fn link_up(&self, link: LinkId) -> bool {
-        self.link_state[link.index()]
+        self.link_words[link.index()] & DOWN == 0
     }
 
     /// Mark `link` up or down (unicast routes must then be recomputed;
     /// the engine does this and notifies attached agents).
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.link_state[link.index()] = up;
+        let w = &mut self.link_words[link.index()];
+        *w = if up { *w & !DOWN } else { *w | DOWN };
     }
 
-    /// All `(node, iface)` attachment points of `link`.
-    pub fn link_endpoints(&self, link: LinkId) -> &[(NodeId, IfaceId)] {
-        let r = self.ep_ranges[link.index()];
-        &self.ep_slab[r.start as usize..(r.start + r.len) as usize]
+    /// `link`'s packed endpoints.
+    fn packed_endpoints(&self, link: LinkId) -> &[u32] {
+        let l = link.index();
+        &self.ep[self.ep_offsets[l] as usize..self.ep_offsets[l + 1] as usize]
+    }
+
+    /// All `(node, iface)` attachment points of `link`, in attachment
+    /// order. By value: the iterator unpacks each from one word.
+    pub fn endpoints(&self, link: LinkId) -> impl ExactSizeIterator<Item = (NodeId, IfaceId)> + Clone + '_ {
+        self.packed_endpoints(link).iter().map(|&ep| unpack_endpoint(ep))
     }
 
     /// Number of attachment points of `link` (2 for point-to-point, the
     /// member count for a LAN).
     pub fn link_endpoint_count(&self, link: LinkId) -> usize {
-        self.ep_ranges[link.index()].len as usize
+        self.packed_endpoints(link).len()
     }
 
     /// The `idx`-th attachment point of `link`, in the same order as
-    /// [`link_endpoints`](Self::link_endpoints). Indexed access lets
-    /// delivery loops walk a link's endpoints without holding a borrow of
-    /// the topology across engine mutations (and without collecting the
-    /// endpoint list per packet).
+    /// [`endpoints`](Self::endpoints).
     pub fn link_endpoint(&self, link: LinkId, idx: usize) -> (NodeId, IfaceId) {
-        let r = self.ep_ranges[link.index()];
-        debug_assert!((idx as u32) < r.len);
-        self.ep_slab[r.start as usize + idx]
+        let start = self.ep_offsets[link.index()] as usize;
+        debug_assert!(start + idx < self.ep_offsets[link.index() + 1] as usize);
+        unpack_endpoint(self.ep[start + idx])
     }
 
     /// Where a spec enters the topology: checked, then filed under its bit
@@ -381,7 +405,8 @@ impl Topology {
             return Err(TopoError::ZeroBandwidth);
         }
         let bits = spec_bits(&spec);
-        if let Some(&last) = self.link_spec_ix.last() {
+        if let Some(&last) = self.link_words.last() {
+            let last = last & !DOWN;
             if spec_bits(&self.specs[last as usize]) == bits {
                 return Ok(last);
             }
@@ -389,22 +414,26 @@ impl Topology {
         let specs = &mut self.specs;
         Ok(*self.spec_index.entry(bits).or_insert_with(|| {
             specs.push(spec);
+            assert!(specs.len() <= DOWN as usize, "a spec index keeps the spec word's top bit clear");
             specs.len() as u32 - 1
         }))
     }
 
     /// A new up link with `spec` and no endpoints yet; an invalid spec
-    /// consumes no id.
+    /// consumes no id. Endpoints pushed onto `ep` from here on are the new
+    /// link's once [`seal_endpoints`](Self::seal_endpoints) moves the
+    /// sentinel past them.
     fn add_link(&mut self, spec: LinkSpec) -> Result<LinkId, TopoError> {
         let ix = self.intern_spec(spec)?;
-        let link = LinkId(self.link_spec_ix.len() as u32);
-        self.link_spec_ix.push(ix);
-        self.link_state.push(true);
-        self.ep_ranges.push(EpRange {
-            start: self.ep_slab.len() as u32,
-            len: 0,
-        });
+        let link = LinkId(self.link_words.len() as u32);
+        self.link_words.push(ix);
+        self.ep_offsets.push(self.ep.len() as u32);
         Ok(link)
+    }
+
+    /// Close the last link's endpoint list at the end of `ep`.
+    fn seal_endpoints(&mut self) {
+        *self.ep_offsets.last_mut().expect("the sentinel") = self.ep.len() as u32;
     }
 
     fn attach(&mut self, node: NodeId, link: LinkId) -> Result<IfaceId, TopoError> {
@@ -420,7 +449,7 @@ impl Topology {
             // Relocate the range to the slab's end with more capacity;
             // growth doubles, capped at the 32-interface bound.
             let new_cap = if r.cap == 0 {
-                match self.kinds[node.index()] {
+                match r.kind {
                     NodeKind::Router => ROUTER_SLOTS,
                     NodeKind::Host => HOST_SLOTS,
                 }
@@ -459,27 +488,31 @@ impl Topology {
         let link = self.add_link(spec)?;
         let ia = self.attach(a, link)?;
         let ib = self.attach(b, link)?;
-        let start = self.ep_slab.len() as u32;
-        self.ep_slab.push((a, ia));
-        self.ep_slab.push((b, ib));
-        self.ep_ranges[link.index()] = EpRange { start, len: 2 };
+        self.ep.push(pack_endpoint(a, ia));
+        self.ep.push(pack_endpoint(b, ib));
+        self.seal_endpoints();
         Ok(link)
     }
 
     /// Create a multi-access LAN segment attaching all of `members`;
     /// returns the link id. Datagrams sent to a multicast destination on a
     /// LAN reach every attached node except the sender.
+    ///
+    /// On an interface error the link id is consumed as by
+    /// [`connect`](Self::connect), and the link keeps no endpoint: the
+    /// members attached before the failing one keep their interfaces.
     pub fn add_lan(&mut self, members: &[NodeId], spec: LinkSpec) -> Result<LinkId, TopoError> {
         let link = self.add_link(spec)?;
-        let start = self.ep_slab.len() as u32;
         for &m in members {
-            let i = self.attach(m, link)?;
-            self.ep_slab.push((m, i));
+            match self.attach(m, link) {
+                Ok(i) => self.ep.push(pack_endpoint(m, i)),
+                Err(e) => {
+                    self.ep.truncate(self.ep_offsets[link.index()] as usize);
+                    return Err(e);
+                }
+            }
         }
-        self.ep_ranges[link.index()] = EpRange {
-            start,
-            len: members.len() as u32,
-        };
+        self.seal_endpoints();
         Ok(link)
     }
 
@@ -493,11 +526,7 @@ impl Topology {
         if !self.link_up(link) {
             return Vec::new();
         }
-        self.link_endpoints(link)
-            .iter()
-            .copied()
-            .filter(|&(n, _)| n != node)
-            .collect()
+        self.endpoints(link).filter(|&(n, _)| n != node).collect()
     }
 
     /// All neighbors of `node` across all interfaces, with the local
@@ -605,10 +634,13 @@ mod tests {
 
     #[test]
     fn every_link_reads_back_the_spec_it_was_given() {
-        // The links of a random graph, rebuilt with a spec per link: runs
-        // of one spec, specs that come back after others, specs that differ
-        // in one field or one bit (`0.0` / `-0.0` loss), all distinct ones.
-        let g = crate::topogen::random_connected(40, 30, 20, LinkSpec::default(), 7);
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // The links of random graphs, rebuilt with a spec per link and a
+        // LAN after every fifth: runs of one spec, specs that come back
+        // after others, specs that differ in one field or one bit (`0.0` /
+        // `-0.0` loss), all distinct ones. Every answer is checked against
+        // a model holding a tuple per endpoint, through seeded link flips.
         let spec_for = |l: usize| match l % 10 {
             0..=3 => LinkSpec::default(),
             4 => LinkSpec { loss: -0.0, ..Default::default() },
@@ -617,44 +649,141 @@ mod tests {
             7 => LinkSpec { bandwidth_bps: u64::MAX, ..Default::default() },
             _ => LinkSpec { latency: SimDuration::from_micros(l as u64), loss: l as f64 / 1e3, ..Default::default() },
         };
-        let mut t = Topology::new();
-        for n in g.topo.node_ids() {
-            t.add_node(g.topo.kind(n));
-        }
-        let mut given = Vec::new();
-        for l in 0..g.topo.link_count() {
-            let spec = spec_for(l);
-            match *g.topo.link_endpoints(LinkId(l as u32)) {
-                [(a, _), (b, _)] => assert_eq!(t.connect(a, b, spec), Ok(LinkId(l as u32))),
-                // The generator's own failed attempts: ids without endpoints.
-                _ => assert_eq!(t.add_link(spec), Ok(LinkId(l as u32))),
+        for seed in [7, 8, 9] {
+            let g = crate::topogen::random_connected(40, 30, 20, LinkSpec::default(), seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = Topology::new();
+            let kinds: Vec<NodeKind> = g.topo.node_ids().map(|n| g.topo.kind(n)).collect();
+            for &k in &kinds {
+                t.add_node(k);
             }
-            given.push(spec);
-        }
-        // One more id consumed by a connect that fails, under a spec of its
-        // own, and a link after it.
-        let hub = t.add_router();
-        for _ in 0..32 {
-            let x = t.add_router();
-            given.push(spec_for(given.len()));
-            t.connect(hub, x, *given.last().unwrap()).unwrap();
-        }
-        let odd = LinkSpec { metric: 77, ..LinkSpec::wan(3) };
-        assert_eq!(t.connect(hub, NodeId(0), odd), Err(TopoError::TooManyInterfaces(hub)));
-        given.push(odd);
-        given.push(LinkSpec::default());
-        t.connect(NodeId(0), NodeId(1), LinkSpec::default()).unwrap();
+            // Per link: its spec, its endpoints and whether it is up.
+            let (mut given, mut eps, mut up) = (Vec::new(), Vec::<Vec<(NodeId, IfaceId)>>::new(), Vec::new());
+            let mut lan = |t: &mut Topology, given: &mut Vec<LinkSpec>, eps: &mut Vec<_>| {
+                let members: Vec<NodeId> = (0..rng.random_range(2..6usize)).map(|_| NodeId(rng.random_range(0..40u32))).collect();
+                let spec = spec_for(given.len());
+                let ifaces: Vec<usize> = members.iter().map(|&m| t.iface_count(m)).collect();
+                assert_eq!(t.add_lan(&members, spec), Ok(LinkId(given.len() as u32)));
+                // A member named twice attaches twice.
+                let mut seen = Vec::new();
+                eps.push(members.iter().zip(ifaces).map(|(&m, i)| {
+                    seen.push(m);
+                    (m, IfaceId((i + seen.iter().filter(|&&s| s == m).count() - 1) as u8))
+                }).collect());
+                given.push(spec);
+            };
+            for l in 0..g.topo.link_count() {
+                let spec = spec_for(given.len());
+                let id = LinkId(given.len() as u32);
+                match g.topo.endpoints(LinkId(l as u32)).collect::<Vec<_>>()[..] {
+                    [(a, _), (b, _)] => {
+                        let (ia, ib) = (t.iface_count(a), t.iface_count(b) + usize::from(a == b));
+                        assert_eq!(t.connect(a, b, spec), Ok(id));
+                        eps.push(vec![(a, IfaceId(ia as u8)), (b, IfaceId(ib as u8))]);
+                    }
+                    // The generator's own failed attempts: ids without endpoints.
+                    _ => {
+                        assert_eq!(t.add_link(spec), Ok(id));
+                        eps.push(Vec::new());
+                    }
+                }
+                given.push(spec);
+                if l % 5 == 4 {
+                    lan(&mut t, &mut given, &mut eps);
+                }
+            }
+            // One more id consumed by a connect that fails, under a spec of
+            // its own, and a link after it.
+            let hub = t.add_router();
+            for _ in 0..32 {
+                let x = t.add_router();
+                given.push(spec_for(given.len()));
+                t.connect(hub, x, *given.last().unwrap()).unwrap();
+                eps.push(vec![(hub, IfaceId(t.iface_count(hub) as u8 - 1)), (x, IfaceId(0))]);
+            }
+            let odd = LinkSpec { metric: 77, ..LinkSpec::wan(3) };
+            assert_eq!(t.connect(hub, NodeId(0), odd), Err(TopoError::TooManyInterfaces(hub)));
+            given.push(odd);
+            eps.push(Vec::new());
+            lan(&mut t, &mut given, &mut eps);
+            up.resize(given.len(), true);
 
-        assert_eq!(t.link_count(), given.len());
-        for (l, want) in given.iter().enumerate() {
-            let got = t.link_spec(LinkId(l as u32));
-            assert_eq!(spec_bits(&got), spec_bits(want), "link {l}");
+            assert_eq!(t.link_count(), given.len());
+            for flip in 0..=200 {
+                for (l, want) in given.iter().enumerate() {
+                    let link = LinkId(l as u32);
+                    assert_eq!(spec_bits(&t.link_spec(link)), spec_bits(want), "seed {seed}, link {l}");
+                    assert_eq!(t.link_up(link), up[l], "seed {seed}, link {l}, flip {flip}");
+                    assert_eq!(t.endpoints(link).collect::<Vec<_>>(), eps[l], "seed {seed}, link {l}");
+                    assert_eq!(t.link_endpoint_count(link), eps[l].len());
+                    for (i, &(n, ni)) in eps[l].iter().enumerate() {
+                        assert_eq!(t.link_endpoint(link, i), (n, ni));
+                        assert_eq!(t.link_of(n, ni), Ok(link));
+                    }
+                }
+                for (n, &k) in kinds.iter().enumerate() {
+                    assert_eq!(t.kind(NodeId(n as u32)), k);
+                }
+                let l = rng.random_range(0..given.len());
+                up[l] = rng.random_range(0..2u32) == 1;
+                t.set_link_up(LinkId(l as u32), up[l]);
+            }
+            assert!(up.iter().any(|&u| !u));
+            let mut distinct: Vec<SpecBits> = given.iter().map(spec_bits).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(t.specs.len(), distinct.len(), "one stored spec per bit pattern");
+            assert!(distinct.len() > 20 && distinct.len() < given.len() / 2);
         }
-        let mut distinct: Vec<SpecBits> = given.iter().map(spec_bits).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(t.specs.len(), distinct.len(), "one stored spec per bit pattern");
-        assert!(distinct.len() > 20 && distinct.len() < given.len() / 2);
+    }
+
+    #[test]
+    fn a_failed_add_lan_or_connect_leaves_no_endpoint_and_the_next_link_reads_back() {
+        let mut t = Topology::new();
+        let hub = t.add_router();
+        let spokes: Vec<NodeId> = (0..32)
+            .map(|_| {
+                let x = t.add_host();
+                t.connect(hub, x, LinkSpec::default()).unwrap();
+                x
+            })
+            .collect();
+        let (a, b) = (t.add_router(), t.add_router());
+        // A LAN whose third member is full: the first two attach, and keep
+        // their interfaces, before it fails.
+        let lan = LinkId(t.link_count() as u32);
+        assert_eq!(t.add_lan(&[a, b, hub, spokes[0]], LinkSpec::lan()), Err(TopoError::TooManyInterfaces(hub)));
+        // A connect whose second end is full.
+        let p2p = LinkId(lan.0 + 1);
+        assert_eq!(t.connect(a, hub, LinkSpec::default()), Err(TopoError::TooManyInterfaces(hub)));
+        for dead in [lan, p2p] {
+            assert_eq!((t.link_endpoint_count(dead), t.endpoints(dead).len()), (0, 0));
+        }
+        assert_eq!((t.iface_count(a), t.iface_count(b), t.link_count()), (2, 1, 34));
+        let next = t.add_lan(&[a, b, spokes[1]], LinkSpec::lan()).unwrap();
+        let last = t.connect(b, a, LinkSpec::default()).unwrap();
+        assert_eq!((next, last), (LinkId(p2p.0 + 1), LinkId(p2p.0 + 2)));
+        let want = [
+            (LinkId(0), vec![(hub, IfaceId(0)), (spokes[0], IfaceId(0))]),
+            (LinkId(31), vec![(hub, IfaceId(31)), (spokes[31], IfaceId(0))]),
+            (next, vec![(a, IfaceId(2)), (b, IfaceId(1)), (spokes[1], IfaceId(1))]),
+            (last, vec![(b, IfaceId(2)), (a, IfaceId(3))]),
+        ];
+        for (link, eps) in want {
+            assert_eq!(t.endpoints(link).collect::<Vec<_>>(), eps);
+            assert_eq!(t.link_endpoint_count(link), eps.len());
+            for (i, &ep) in eps.iter().enumerate() {
+                assert_eq!(t.link_endpoint(link, i), ep);
+            }
+        }
+        assert_eq!(t.link_of(a, IfaceId(0)), Ok(lan), "the dead LAN keeps the interface it took");
+        assert_eq!(t.link_of(a, IfaceId(1)), Ok(p2p));
+    }
+
+    #[test]
+    fn a_node_is_one_8_byte_record() {
+        // The kind sits in what would be the range's padding.
+        assert_eq!(std::mem::size_of::<IfaceRange>(), 8);
     }
 
     #[test]
@@ -678,7 +807,7 @@ mod tests {
         let h1 = t.add_host();
         let h2 = t.add_host();
         let lan = t.add_lan(&[r, h1, h2], LinkSpec::lan()).unwrap();
-        assert_eq!(t.link_endpoints(lan).len(), 3);
+        assert_eq!(t.endpoints(lan).len(), 3);
         let nbrs = t.neighbors_on(r, IfaceId(0));
         assert_eq!(nbrs.len(), 2);
         assert_eq!(t.link_of(h1, IfaceId(0)), Ok(lan));

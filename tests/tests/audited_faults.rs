@@ -43,7 +43,7 @@ enum Protocol {
 fn fault_plan(g: &GenTopo, rng: &mut StdRng) -> FaultPlan {
     let core: Vec<LinkId> = (0..g.topo.link_count() as u32)
         .map(LinkId)
-        .filter(|&l| g.topo.link_endpoints(l).iter().all(|&(n, _)| g.topo.kind(n) == NodeKind::Router))
+        .filter(|&l| g.topo.endpoints(l).all(|(n, _)| g.topo.kind(n) == NodeKind::Router))
         .collect();
     let mut link = || core[rng.random_range(0..core.len())];
     let (a, b, c) = (link(), link(), link());

@@ -108,11 +108,17 @@ fn a_warm_join_leave_cycle_allocates_one_block_per_frame_sent() {
 /// downstream set for the channel goes 1 → 6 → 1 each cycle, across the
 /// fifth record that moves it out of its in-place slots. The heap ring it
 /// moved into stays with the set, so only the first cycle allocates it.
-/// (A channel whose last member leaves is dropped with its set, ring and
-/// all.)
 #[test]
 fn a_six_member_cycle_allocates_one_block_per_frame_sent() {
     assert_warm_cycles_allocate_one_block_per_frame(6, 1);
+}
+
+/// Six members join and leave with none staying: the channel's record goes
+/// with its last member, and its ring waits in the router as the spare
+/// that the next cycle's fifth join takes.
+#[test]
+fn a_six_member_cycle_with_no_resident_allocates_one_block_per_frame_sent() {
+    assert_warm_cycles_allocate_one_block_per_frame(6, 0);
 }
 
 #[test]

@@ -47,9 +47,10 @@ impl Agent for Sink {
     }
 }
 
-/// Per node of the topology: its arenas (a kind, an interface range and
-/// the interface slots the node fills, and per link a spec index, a state
-/// flag and an exact endpoint range) and the generator's two role lists.
+/// Per node of the topology: its arenas (an 8 B record of kind and
+/// interface range, the 4 B interface slots the node fills, and per link a
+/// 4 B spec-and-state word, a 4 B endpoint offset and two 4 B endpoints)
+/// and the generator's two role lists.
 /// Per router: the pool row and nothing else (a one-route FIB is inline,
 /// every other part of the router is allocated by the first event that
 /// needs it). Per sink, at the wave's peak: the cohort members of the last
@@ -89,6 +90,6 @@ fn a_static_tree_holds_a_row_per_router_and_a_wave_two_members_per_sink() {
 
     assert!(sinks.iter().all(|&s| sim.agent_as::<Sink>(s).unwrap().got == 1));
     let got = [per_node, per_router, per_sink].map(|b| format!("{b:.1}"));
-    let want = if cfg!(debug_assertions) { ["50.0", "72.1", "496.1"] } else { ["50.0", "72.1", "32.9"] };
+    let want = if cfg!(debug_assertions) { ["36.0", "72.1", "496.1"] } else { ["36.0", "72.1", "32.9"] };
     assert_eq!(got, want, "heap bytes per topology node, per router, and the wave's peak per sink");
 }
