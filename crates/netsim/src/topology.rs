@@ -385,14 +385,6 @@ impl Topology {
         self.packed_endpoints(link).len()
     }
 
-    /// The `idx`-th attachment point of `link`, in the same order as
-    /// [`endpoints`](Self::endpoints).
-    pub fn link_endpoint(&self, link: LinkId, idx: usize) -> (NodeId, IfaceId) {
-        let start = self.ep_offsets[link.index()] as usize;
-        debug_assert!(start + idx < self.ep_offsets[link.index() + 1] as usize);
-        unpack_endpoint(self.ep[start + idx])
-    }
-
     /// Where a spec enters the topology: checked, then filed under its bit
     /// pattern — a new entry of `specs` only if no link had it before. The
     /// previous link's spec is compared first, so a generator handing every
@@ -716,8 +708,7 @@ mod tests {
                     assert_eq!(t.link_up(link), up[l], "seed {seed}, link {l}, flip {flip}");
                     assert_eq!(t.endpoints(link).collect::<Vec<_>>(), eps[l], "seed {seed}, link {l}");
                     assert_eq!(t.link_endpoint_count(link), eps[l].len());
-                    for (i, &(n, ni)) in eps[l].iter().enumerate() {
-                        assert_eq!(t.link_endpoint(link, i), (n, ni));
+                    for &(n, ni) in &eps[l] {
                         assert_eq!(t.link_of(n, ni), Ok(link));
                     }
                 }
@@ -772,9 +763,6 @@ mod tests {
         for (link, eps) in want {
             assert_eq!(t.endpoints(link).collect::<Vec<_>>(), eps);
             assert_eq!(t.link_endpoint_count(link), eps.len());
-            for (i, &ep) in eps.iter().enumerate() {
-                assert_eq!(t.link_endpoint(link, i), ep);
-            }
         }
         assert_eq!(t.link_of(a, IfaceId(0)), Ok(lan), "the dead LAN keeps the interface it took");
         assert_eq!(t.link_of(a, IfaceId(1)), Ok(p2p));

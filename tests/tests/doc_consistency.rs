@@ -14,6 +14,10 @@
 //! `crates/netsim/src/compat.rs` holds inert names kept only for the
 //! `benchmark` package; every item it defines must still be named somewhere
 //! under `benchmark/src`.
+//!
+//! DESIGN.md, the current docs under `docs/` and the verify notes name
+//! source files as `` `path/to/file.rs` ``; every such name must still be a
+//! file of the repository, matched by path suffix.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -280,4 +284,76 @@ fn compat_items_are_named_by_the_benchmark() {
     let benchmark: String = files.iter().map(|f| std::fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display()))).collect();
     let unused: Vec<&str> = defined.into_iter().filter(|name| !names_word(&benchmark, name)).collect();
     assert!(unused.is_empty(), "compat.rs keeps items benchmark/src no longer names: {unused:?}");
+}
+
+/// Whether `text` matches `pattern`, whose `*` stands for any run of
+/// characters other than `/`.
+fn glob_matches(pattern: &str, text: &str) -> bool {
+    match pattern.split_once('*') {
+        None => pattern == text,
+        Some((head, tail)) => {
+            let Some(rest) = text.strip_prefix(head) else { return false };
+            let run = rest.find('/').unwrap_or(rest.len());
+            (0..=run).any(|skip| glob_matches(tail, &rest[skip..]))
+        }
+    }
+}
+
+/// The `*.rs` names `markdown` puts in inline backticks, outside fenced
+/// blocks.
+fn named_source_files(markdown: &str) -> BTreeSet<String> {
+    let mut fenced = false;
+    let mut names = BTreeSet::new();
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if fenced {
+            continue;
+        }
+        let quoted = line.split('`').skip(1).step_by(2);
+        names.extend(quoted.filter(|q| q.ends_with(".rs") && !q.contains(char::is_whitespace)).map(str::to_string));
+    }
+    names
+}
+
+#[test]
+fn every_named_source_file_exists() {
+    let root = root();
+    // Every `.rs` file of the repository, as a path from its root: build
+    // output and dot-directories aside.
+    let mut files = Vec::new();
+    let mut dirs = vec![root.clone()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("a directory entry").path();
+            let name = path.file_name().expect("a file name").to_string_lossy();
+            if path.is_dir() && name != "target" && !name.starts_with('.') {
+                dirs.push(path);
+            } else if name.ends_with(".rs") {
+                let relative = path.strip_prefix(&root).expect("under the root");
+                files.push(relative.to_string_lossy().replace('\\', "/"));
+            }
+        }
+    }
+    assert!(files.iter().any(|f| f == "crates/core/src/router.rs"), "the walk found the sources");
+    // A name resolves when it is a whole path or a tail of one at a `/`.
+    let resolves = |name: &str| {
+        files.iter().any(|f| {
+            let mut tails = std::iter::once(0).chain(f.match_indices('/').map(|(at, _)| at + 1));
+            tails.any(|at| glob_matches(name, &f[at..]))
+        })
+    };
+    let docs = ["DESIGN.md", "docs/INTERNALS.md", "docs/FAILURE_MODEL.md", "docs/OBSERVABILITY.md", ".claude/skills/verify/SKILL.md"];
+    let mut named = 0;
+    for doc in docs {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let names = named_source_files(&text);
+        named += names.len();
+        let missing: Vec<&String> = names.iter().filter(|n| !resolves(n)).collect();
+        assert!(missing.is_empty(), "{doc} names source files that do not exist: {missing:?}");
+    }
+    assert!(named >= 30, "the scan found only {named} names");
+    assert!(glob_matches("examples/*.rs", "examples/quickstart.rs") && !glob_matches("*.rs", "engine/sim.rs"));
 }
