@@ -88,6 +88,11 @@ impl PendingCount {
         }
     }
 
+    /// Is `neighbor` one of the awaited?
+    pub fn awaits(&self, neighbor: Ipv4Addr) -> bool {
+        self.awaiting.get(neighbor).is_some()
+    }
+
     /// Have all awaited neighbors answered?
     pub fn complete(&self) -> bool {
         self.awaiting.iter().all(|a| a.value.is_some())

@@ -410,9 +410,9 @@ impl Agent for EcmpRouter {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let Some(mut control) = self.control_if_any(ctx) else { return };
-        let Some(purpose) = control.port.timers.meta.remove(&token) else { return };
-        control.on_timer(ctx, purpose);
-        control.port.flush(ctx);
+        if control.fire(ctx, token) {
+            control.port.flush(ctx);
+        }
     }
 
     fn on_link_change(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
@@ -1013,20 +1013,19 @@ mod tests {
             let st = ctl.tables.channels.get(channel_key(chan));
             (
                 ctl.tables.channels.capacity(),
-                ctl.txq.capacity(),
                 ctl.timers.meta.len() + ctl.tables.pending.len() + ctl.tables.rtt.len(),
                 st.map(|st| (st.downstream.is_inline(), st.extra.is_none())),
                 router.fib().len(),
             )
         };
         sim.run_until(SimTime(5_000)); // joined
-        assert_eq!(owned(&mut sim), (1, 4, 0, Some((true, true)), 1), "a joined channel is one inline record");
+        assert_eq!(owned(&mut sim), (1, 0, Some((true, true)), 1), "a joined channel is one inline record");
         sim.run_until(SimTime(50_000)); // left
         let idle = owned(&mut sim);
-        assert_eq!(idle, (1, 4, 0, None, 0));
+        assert_eq!(idle, (1, 0, None, 0));
         for (joined_at, left_at) in [(105_000, 150_000), (205_000, 250_000)] {
             sim.run_until(SimTime(joined_at));
-            assert_eq!(owned(&mut sim), (1, 4, 0, Some((true, true)), 1));
+            assert_eq!(owned(&mut sim), (1, 0, Some((true, true)), 1));
             sim.run_until(SimTime(left_at));
             assert_eq!(owned(&mut sim), idle, "a later cycle reuses what the first one left");
         }

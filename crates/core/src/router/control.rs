@@ -60,15 +60,10 @@ pub(super) trait ControlEnv {
     fn trace(&mut self, name: &'static str, build: impl FnOnce(ProtoEvent) -> ProtoEvent);
 }
 
-/// What a pending timer means (tokens are keys of `Timers::meta`).
+/// What a pending timer means (tokens are keys of `Timers::meta`; a
+/// count's deadline is not one of them, see [`Timers::deadline`]).
 #[derive(Debug, Clone)]
 pub(super) enum TimerPurpose {
-    /// Deadline for an outstanding count aggregation.
-    QueryDeadline {
-        channel: Channel,
-        count_id: CountId,
-        generation: u64,
-    },
     /// Periodic UDP-mode general query + expiry sweep on one interface.
     UdpRefresh { iface: IfaceId },
     /// Re-evaluate a proactive count against its curve.
@@ -277,7 +272,18 @@ pub(super) struct Timers {
     next: u64,
 }
 
+/// The bit that marks a count's deadline token; the aggregation's
+/// generation is the rest. `Timers::meta`'s tokens count up from 0 and
+/// never reach it.
+const DEADLINE: u64 = 1 << 63;
+
 impl Timers {
+    /// The token of the deadline of the aggregation of `generation`: it
+    /// carries all the deadline needs, so nothing is filed for it.
+    pub(super) fn deadline(generation: u64) -> u64 {
+        DEADLINE | generation
+    }
+
     /// A fresh timer token standing for `purpose`.
     pub(super) fn token(&mut self, purpose: TimerPurpose) -> u64 {
         let token = self.next;
@@ -295,15 +301,68 @@ impl Timers {
 /// A unicast ECMP message waiting for the end of the dispatch.
 type Queued = (IfaceId, Ipv4Addr, EcmpMessage);
 
+/// Messages a dispatch queues in place before its [`Outbox`] spills.
+const OUTBOX_INLINE: usize = 8;
+
+/// The unicast ECMP messages one dispatch queues for [`Port::flush`]: the
+/// first [`OUTBOX_INLINE`] in place, on the dispatch's stack with the
+/// [`Control`] that holds it, the rest of a bigger batch (a re-home or
+/// re-advertisement of many channels) in a `Vec`. Nothing of it outlives
+/// the dispatch, and a dispatch that sends a few messages allocates none.
+#[derive(Default)]
+pub(super) struct Outbox {
+    inline: [Option<Queued>; OUTBOX_INLINE],
+    len: usize,
+    spilled: Vec<Queued>,
+}
+
+impl Outbox {
+    fn push(&mut self, q: Queued) {
+        if self.len < OUTBOX_INLINE && self.spilled.is_empty() {
+            self.inline[self.len] = Some(q);
+            self.len += 1;
+        } else {
+            if self.spilled.capacity() == 0 {
+                // One block for a re-home of up to 32 channels.
+                self.spilled.reserve_exact(8 * OUTBOX_INLINE);
+            }
+            self.spilled.push(q);
+        }
+    }
+
+    fn first(&self) -> Option<Queued> {
+        self.iter().next().copied()
+    }
+
+    /// The queued messages, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &Queued> + Clone {
+        self.inline[..self.len].iter().flatten().chain(&self.spilled)
+    }
+
+    fn retain(&mut self, keep: impl Fn(&Queued) -> bool) {
+        let mut n = 0;
+        for i in 0..self.len {
+            if let Some(q) = self.inline[i].take().filter(&keep) {
+                self.inline[n] = Some(q);
+                n += 1;
+            }
+        }
+        self.len = n;
+        self.spilled.retain(keep);
+    }
+}
+
 /// What the control plane knows, each map in ascending key order: whatever
 /// a handler does per channel, neighbor or interface, it does in an order
 /// its contents fix.
 #[derive(Default)]
 pub(super) struct Tables {
     pub(super) channels: Table<ChannelState>,
-    /// Outstanding aggregations; boxed, so a router that answers a query
-    /// now and then does not hold a map node sized for eleven of them.
-    pub(super) pending: BTreeMap<(Channel, CountId), Box<PendingCount>>,
+    /// Outstanding aggregations, each under the (channel, countId) it
+    /// counts. The last one to finish frees the list: a finished count
+    /// leaves nothing behind.
+    pub(super) pending: Vec<(Channel, CountId, PendingCount)>,
+    /// The generation of the last aggregation begun.
     pending_gen: u64,
     pub(super) rtt: BTreeMap<Ipv4Addr, RttEstimator>,
     /// Discovered EXPRESS neighbors: address → (interface, last heard).
@@ -317,6 +376,36 @@ pub(super) struct Tables {
 }
 
 impl Tables {
+    /// The aggregation counting `count_id` on `channel`, if one is
+    /// outstanding.
+    fn aggregation(&mut self, channel: Channel, count_id: CountId) -> Option<&mut PendingCount> {
+        self.pending.iter_mut().find(|a| (a.0, a.1) == (channel, count_id)).map(|a| &mut a.2)
+    }
+
+    /// File `pc` as the aggregation counting `count_id` on `channel`, in
+    /// place of any outstanding one (whose deadline then finds nothing).
+    fn begin_aggregation(&mut self, channel: Channel, count_id: CountId, pc: PendingCount) {
+        match self.aggregation(channel, count_id) {
+            Some(old) => *old = pc,
+            // One at a time: a router rarely counts two at once.
+            None => {
+                self.pending.reserve_exact(1);
+                self.pending.push((channel, count_id, pc));
+            }
+        }
+    }
+
+    /// Take out the aggregation counting `count_id` on `channel`; the last
+    /// one out frees the list.
+    fn take_aggregation(&mut self, channel: Channel, count_id: CountId) -> Option<PendingCount> {
+        let i = self.pending.iter().position(|a| (a.0, a.1) == (channel, count_id))?;
+        let (.., pc) = self.pending.swap_remove(i);
+        if self.pending.is_empty() {
+            self.pending = Vec::new();
+        }
+        Some(pc)
+    }
+
     /// Drop the record filed under `key`, keeping its downstream ring as
     /// the spare (one per router).
     fn drop_channel(&mut self, key: u64) {
@@ -332,10 +421,6 @@ impl Tables {
 pub(super) struct ControlPlane {
     pub(super) tables: Tables,
     pub(super) timers: Timers,
-    /// Unicast ECMP messages queued within the current event dispatch,
-    /// flushed (batched per neighbor) before the callback returns. Empty
-    /// between dispatches; its capacity is kept.
-    pub(super) txq: Vec<Queued>,
     /// Interned by the first dispatch that reaches the control plane, which
     /// is also where the router starts listening for route changes (see
     /// `EcmpRouter::control_if_any`).
@@ -351,9 +436,9 @@ impl ControlPlane {
     /// The handlers' view of this plane, beside the router's `cfg` and
     /// `fib`, with the counter handles `ids` (this plane's own, interned).
     pub(super) fn control<'a>(&'a mut self, cfg: &'static RouterConfig, fib: &'a mut Fib, ids: EcmpCounters) -> Control<'a> {
-        let ControlPlane { tables, timers, txq, local_results, counters, .. } = self;
+        let ControlPlane { tables, timers, local_results, counters, .. } = self;
         Control {
-            port: Port { cfg, fib, counters, ids, txq, timers },
+            port: Port { cfg, fib, counters, ids, txq: Outbox::default(), timers },
             local_results,
             t: tables,
         }
@@ -387,7 +472,9 @@ pub(super) struct Port<'a> {
     fib: &'a mut Fib,
     counters: &'a mut RouterCounters,
     pub(super) ids: EcmpCounters,
-    txq: &'a mut Vec<Queued>,
+    /// Unicast messages queued within this dispatch, flushed (batched per
+    /// neighbor) before the callback returns.
+    txq: Outbox,
     pub(super) timers: &'a mut Timers,
 }
 
@@ -421,7 +508,7 @@ impl Port<'_> {
     /// segment is written once, into the buffer its receivers will share.
     /// Called at the end of every agent callback that ran a handler.
     pub(super) fn flush(&mut self, env: &mut impl ControlEnv) {
-        while let Some(&(iface, to, _)) = self.txq.first() {
+        while let Some((iface, to, _)) = self.txq.first() {
             let mode = iface_mode(self.cfg, env, iface);
             let rel = match mode {
                 EcmpMode::Tcp => Reliability::Reliable,
@@ -432,13 +519,15 @@ impl Port<'_> {
                 None => Tx::AllOnLink,
             };
             let bound_here = |q: &Queued| q.0 == iface && q.1 == to;
-            let mut messages = self.txq.iter().filter(|q| bound_here(q)).map(|q| q.2);
-            let n = messages.clone().count();
-            if n > 1 {
-                env.count_id(self.ids.batched_msgs, n as u64);
-            }
-            while let Some(frame) = packets::ecmp_segment(env.my_ip(), to, mode, &mut messages) {
-                env.send_shared(iface, frame, TrafficClass::Control, rel, tx);
+            {
+                let mut messages = self.txq.iter().filter(|q| bound_here(q)).map(|q| q.2);
+                let n = messages.clone().count();
+                if n > 1 {
+                    env.count_id(self.ids.batched_msgs, n as u64);
+                }
+                while let Some(frame) = packets::ecmp_segment(env.my_ip(), to, mode, &mut messages) {
+                    env.send_shared(iface, frame, TrafficClass::Control, rel, tx);
+                }
             }
             self.txq.retain(|q| !bound_here(q));
         }
@@ -491,6 +580,24 @@ mod tests {
         assert_eq!(st.aggregate(), 3);
         assert_eq!(st.oif_mask(), 0b10);
         assert!(st.mgmt_state_bytes() > 0);
+    }
+
+    #[test]
+    fn control_state_size_is_pinned() {
+        // x86-64. A channel record is 144 B with no padding: the channel 8,
+        // the upstream 6 and two flags 2, four downstream entries in place
+        // 104, the advertised count 8, the hold-down 8, the cold part's
+        // pointer 8. The plane is 480 B: its tables 280 (the channel table's
+        // inline record 144, the pending list and three maps 24 each, a
+        // generation 8, the spare ring 32), the timers 32, the counter
+        // handles 68 (+ 4), the local results 24 and the counters 72. A
+        // count keeps its state in
+        // neither: its aggregation is a list entry freed when it finishes,
+        // its deadline a timer token, its messages a queue on the
+        // dispatch's stack (504 B while the plane held that queue).
+        use std::mem::size_of;
+        assert_eq!(size_of::<ChannelState>(), 144);
+        assert!(size_of::<ControlPlane>() <= 480, "{}", size_of::<ControlPlane>());
     }
 
     #[test]

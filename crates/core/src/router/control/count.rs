@@ -34,29 +34,17 @@ impl Control<'_> {
 
         let remaining = SimDuration::from_millis(u64::from(q.timeout_ms));
         // §3.1: decrement by a small multiple of the upstream RTT so we
-        // time out (and send a partial reply) before our parent does.
+        // time out (and send a partial reply) before our parent does. An
+        // upstream never measured reads the estimator's default, and is
+        // not filed for it.
         let (requester, rtt) = match reply_to {
-            ReplyTo::Upstream(up) => (Some(up), self.t.rtt.entry(up).or_default().hop_decrement()),
+            ReplyTo::Upstream(up) => (Some(up), self.t.rtt.get(&up).copied().unwrap_or_default().hop_decrement()),
             ReplyTo::Local => (None, SimDuration::ZERO),
         };
         let budget = decrement_timeout(remaining, rtt);
 
         let st = self.t.channels.get(channel_key(channel));
-        // Downstream targets: every downstream neighbor of the channel;
-        // network-layer countIds stop at routers (§3.1 footnote) — they are
-        // still *sent* to router neighbors only.
-        let targets: Vec<(IfaceId, Ipv4Addr)> = st
-            .into_iter()
-            .flat_map(|st| st.downstream.iter())
-            .filter(|e| e.validated)
-            // Never reflect a query back at its requester (guards against
-            // transiently inconsistent parent/child relations during
-            // re-homing).
-            .filter(|e| Some(e.addr) != requester)
-            .filter(|e| !count_id.is_network_layer() || env.is_router(e.addr))
-            .map(|e| (e.iface, e.addr))
-            .collect();
-
+        let downstream = || st.into_iter().flat_map(|st| st.downstream.iter());
         // Local contribution: routers contribute to network-layer counts
         // (links = active downstream interfaces), not to subscriber or
         // application counts.
@@ -76,37 +64,42 @@ impl Control<'_> {
             0
         };
 
+        // Downstream targets: every downstream neighbor of the channel;
+        // network-layer countIds stop at routers (§3.1 footnote) — they are
+        // still *sent* to router neighbors only.
+        let targets = downstream()
+            .filter(|e| e.validated)
+            // Never reflect a query back at its requester (guards against
+            // transiently inconsistent parent/child relations during
+            // re-homing).
+            .filter(|e| Some(e.addr) != requester)
+            .filter(|e| !count_id.is_network_layer() || env.is_router(e.addr))
+            .map(|e| e.addr);
         self.t.pending_gen += 1;
         let generation = self.t.pending_gen;
-        let pc = PendingCount::new(targets.iter().map(|&(_, a)| a), local, reply_to, generation);
-        let complete = pc.complete();
-        self.t.pending.insert((channel, count_id), Box::new(pc));
-
+        let pc = PendingCount::new(targets, local, reply_to, generation);
         let fwd = CountQuery {
             channel,
             count_id,
             timeout_ms: budget.millis() as u32,
             proactive: None,
         };
-        for (iface, addr) in targets {
-            self.port.send(env, iface, addr, fwd);
+        for e in downstream().filter(|e| pc.awaits(e.addr)) {
+            self.port.send(env, e.iface, e.addr, fwd);
         }
+        let complete = pc.complete();
+        self.t.begin_aggregation(channel, count_id, pc);
 
         if complete {
             self.finish_aggregation(env, channel, count_id);
         } else {
-            let deadline = TimerPurpose::QueryDeadline {
-                channel,
-                count_id,
-                generation,
-            };
-            self.port.timers.arm(env, budget, deadline);
+            env.set_timer(budget, Timers::deadline(generation));
         }
     }
 
     /// Complete (fully answered or deadline) an aggregation: emit the total.
     pub(super) fn finish_aggregation(&mut self, env: &mut impl ControlEnv, channel: Channel, count_id: CountId) {
-        let Some(pc) = self.t.pending.remove(&(channel, count_id)) else { return };
+        let Some(pc) = self.t.take_aggregation(channel, count_id) else { return };
         let total = pc.total();
         match pc.reply_to {
             ReplyTo::Local => {
@@ -176,7 +169,7 @@ impl Control<'_> {
         env.count_id(self.port.ids.count_rx, 1);
 
         // 1. Does it answer an outstanding aggregation?
-        if let Some(pc) = self.t.pending.get_mut(&(c.channel, c.count_id)) {
+        if let Some(pc) = self.t.aggregation(c.channel, c.count_id) {
             if pc.record(from, c.count) {
                 if pc.complete() {
                     self.finish_aggregation(env, c.channel, c.count_id);

@@ -103,8 +103,7 @@ impl Rig {
         while let Some(i) = (0..self.env.timers.len()).filter(|&i| self.env.timers[i].0 <= until).min_by_key(|&i| self.env.timers[i].0) {
             let (due, token) = self.env.timers.remove(i);
             self.env.now = due;
-            let purpose = self.plane.timers.meta.remove(&token).expect("an armed token");
-            self.dispatch(|c, env| c.on_timer(env, purpose));
+            self.dispatch(|c, env| assert!(c.fire(env, token), "an armed token"));
         }
     }
 

@@ -47,20 +47,27 @@ impl Control<'_> {
         self.port.timers.arm(env, interval, TimerPurpose::NeighborProbe { iface });
     }
 
-    /// Dispatch an armed timer.
-    pub(in crate::router) fn on_timer(&mut self, env: &mut impl ControlEnv, purpose: TimerPurpose) {
-        match purpose {
-            TimerPurpose::QueryDeadline {
-                channel,
-                count_id,
-                generation,
-            } => {
-                let live = self.t.pending.get(&(channel, count_id)).is_some_and(|p| p.generation == generation);
-                if live {
-                    env.count_id(self.port.ids.query_timeout, 1);
-                    self.finish_aggregation(env, channel, count_id);
-                }
+    /// A timer fired: a count's deadline (see [`Timers::deadline`]), or
+    /// the purpose filed under `token`. `false` for a token this plane
+    /// never armed, or whose timer was spent.
+    pub(in crate::router) fn fire(&mut self, env: &mut impl ControlEnv, token: u64) -> bool {
+        if token & DEADLINE != 0 {
+            let generation = token & !DEADLINE;
+            let due = self.t.pending.iter().find(|a| a.2.generation == generation);
+            if let Some(&(channel, count_id, _)) = due {
+                env.count_id(self.port.ids.query_timeout, 1);
+                self.finish_aggregation(env, channel, count_id);
             }
+            return true;
+        }
+        let Some(purpose) = self.port.timers.meta.remove(&token) else { return false };
+        self.on_timer(env, purpose);
+        true
+    }
+
+    /// Dispatch an armed timer.
+    fn on_timer(&mut self, env: &mut impl ControlEnv, purpose: TimerPurpose) {
+        match purpose {
             TimerPurpose::UdpRefresh { iface } => self.udp_refresh(env, iface),
             TimerPurpose::ProactiveCheck {
                 channel,

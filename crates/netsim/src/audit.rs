@@ -347,6 +347,15 @@ struct Chain {
 }
 
 impl Chain {
+    /// Empty, keeping the capacity of its sets and window.
+    fn clear(&mut self) {
+        self.delivered.clear();
+        self.tx.clear();
+        self.tx_unindexed.clear();
+        self.window.clear();
+        self.pushed = 0;
+    }
+
     /// The window, oldest event first.
     fn window(&self) -> Vec<TraceEvent> {
         let oldest = self.pushed % self.window.len().max(1);
@@ -506,9 +515,10 @@ pub struct Auditor {
     truth: Truth,
     snapshots: u64,
     /// Per-chain A2 state: a ring of `cfg.max_roots` slots reused oldest
-    /// first (`opened` counts the chains ever given one), found through
-    /// `slot_of` — or without it while records keep naming the chain in
-    /// slot `cur`.
+    /// first (`opened` counts the chains given one since the last
+    /// [`retire_chains`](Self::retire_chains), which moves the open ones to
+    /// the front), found through `slot_of` — or without it while records
+    /// keep naming the chain in slot `cur`.
     chains: Vec<Chain>,
     slot_of: HashMap<u64, u32>,
     cur: usize,
@@ -518,8 +528,9 @@ pub struct Auditor {
     /// receiver); nodes past [`DENSE_IDS`] in the map.
     recent_rx: Vec<Option<(SimTime, u64)>>,
     recent_rx_far: BTreeMap<u32, Option<(SimTime, u64)>>,
-    /// Embedded metrics: fault marks + watched delivery instants drive the
-    /// A4 evaluation via
+    /// Embedded metrics: fault marks + watched delivery instants, recorded
+    /// only while [`AuditConfig::recovery`] is set, drive the A4 evaluation
+    /// via
     /// [`reconvergence_after`](Metrics::reconvergence_after) /
     /// [`delivery_gaps`](Metrics::delivery_gaps).
     metrics: Metrics,
@@ -797,13 +808,14 @@ impl Auditor {
                     if slot == self.chains.len() {
                         self.chains.push(Chain::default());
                     } else {
+                        // An open chain is evicted; a retired one is
+                        // already out of `slot_of`, and its stale root may
+                        // name no chain or another slot's.
                         let old = &mut self.chains[slot];
-                        self.slot_of.remove(&old.root);
-                        old.delivered.clear();
-                        old.tx.clear();
-                        old.tx_unindexed.clear();
-                        old.window.clear();
-                        old.pushed = 0;
+                        if self.slot_of.get(&old.root) == Some(&(slot as u32)) {
+                            self.slot_of.remove(&old.root);
+                        }
+                        old.clear();
                     }
                     self.chains[slot].root = root;
                     self.slot_of.insert(root, slot as u32);
@@ -812,6 +824,32 @@ impl Auditor {
             };
         }
         &mut self.chains[self.cur]
+    }
+
+    /// Retire every tracked chain whose root `live` says no to: its slot
+    /// is cleared for the next chain opened, capacity kept, and the chains
+    /// kept stay in the order they were opened. The engine calls this at a
+    /// checkpoint with the roots of the events it still has queued: a chain
+    /// with none can see no further event, so no check reads its state
+    /// again (`max_roots` stays the bound between checkpoints, and in an
+    /// offline replay).
+    pub(crate) fn retire_chains(&mut self, live: impl Fn(u64) -> bool) {
+        let len = self.chains.len();
+        // Slots `[0, open)` hold the open chains, oldest at `start`.
+        let (open, start) = if self.opened > len { (len, self.opened % len) } else { (self.opened, 0) };
+        self.chains.rotate_left(start);
+        let mut kept = 0;
+        for i in 0..open {
+            if live(self.chains[i].root) {
+                self.chains.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.chains[kept..open].iter_mut().for_each(Chain::clear);
+        self.slot_of.clear();
+        self.slot_of.extend(self.chains[..kept].iter().enumerate().map(|(slot, c)| (c.root, slot as u32)));
+        self.opened = kept;
+        self.cur = usize::MAX;
     }
 
     fn push_window(&mut self, root: u64, ev: &TraceEvent) {
@@ -954,7 +992,9 @@ impl TraceSink for Auditor {
             TraceKind::TimerFire { .. } => self.health.timers += 1,
             TraceKind::Topology(change) => {
                 self.health.topo += 1;
-                self.metrics.mark_fault(event.at, *change);
+                if self.cfg.recovery.is_some() {
+                    self.metrics.mark_fault(event.at, *change);
+                }
             }
             TraceKind::Proto { node, event: proto } => {
                 self.health.proto += 1;
@@ -964,7 +1004,10 @@ impl TraceSink for Auditor {
                 // One watched counter bump = one delivery (the value field
                 // carries latency / delta, not a count of deliveries).
                 self.health.deliveries += 1;
-                self.metrics.on_delivery(event.at, 1);
+                // A4's input, kept only while A4 has bounds to check.
+                if self.cfg.recovery.is_some() {
+                    self.metrics.on_delivery(event.at, 1);
+                }
                 // A2 dup: pair this delivery with the data arrival being
                 // dispatched (same node, same timestamp) and its chain.
                 let Some((_, root)) = self.recent_rx(*node).take_if(|rx| rx.0 == event.at) else {
@@ -1382,6 +1425,32 @@ mod tests {
         // A chain without one yields None.
         let bare = crate::trace::TraceBuffer::new(TraceConfig::default());
         assert!(extract_auditor(Box::new(bare)).is_none());
+    }
+
+    #[test]
+    fn retired_chains_leave_their_slots_to_new_ones_and_the_kept_stay_oldest_first() {
+        let mut a = Auditor::new(AuditConfig::default().max_roots(4));
+        for r in 0..6u64 {
+            a.record(data_tx(r, r, r, None, 0, 0));
+        }
+        // The ring has turned: slots hold 4, 5, 2, 3. Keep the odd roots.
+        a.retire_chains(|r| r % 2 == 1);
+        let roots = |a: &Auditor| a.chains.iter().map(|c| c.root).collect::<Vec<_>>();
+        assert_eq!(roots(&a)[..2], [3, 5]);
+        assert_eq!(a.slot_of, HashMap::from([(3, 0), (5, 1)]));
+        // A kept chain keeps its state: its second pass over (n0, l0) is a
+        // loop. New chains take the retired slots; the third after them
+        // evicts the oldest kept chain, 3.
+        a.record(data_tx(7, 70, 5, Some(5), 0, 0));
+        assert_eq!(a.violations().len(), 1);
+        for r in 6..9u64 {
+            a.record(data_tx(10 + r, r, r, None, 0, 0));
+        }
+        assert_eq!(a.violations().len(), 1, "the new chains found their slots empty");
+        let mut tracked = roots(&a);
+        tracked.sort_unstable();
+        assert_eq!((tracked, a.chains.len()), (vec![5, 6, 7, 8], 4));
+        assert!(a.slot_of.iter().all(|(r, &slot)| a.chains[slot as usize].root == *r) && a.slot_of.len() == 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `Sim`'s observability surface: trace capture, metrics, the
 //! self-profiler and the auditor's snapshots.
 
-use super::world::AuditMarks;
+use super::world::{AuditMarks, EventKind};
 use super::Sim;
 use crate::audit::{AuditSnapshot, Auditor, ChannelTruth};
 use crate::id::{IfaceId, LinkId, NodeId};
@@ -165,8 +165,27 @@ impl Sim {
     /// is verified against it. Call at protocol-quiescent instants — after
     /// joins settle, at the end of a run. No-op when no auditor is
     /// attached.
+    ///
+    /// The auditor then keeps A2 state only for the causal chains an
+    /// arrival or fan-out still queued belongs to. A send inherits a chain
+    /// only while an arrival of it is dispatched, and timers carry none, so
+    /// a chain with nothing queued can see no further event.
     pub fn audit_checkpoint(&mut self) {
         self.audit_refresh(true);
+        let world = &mut self.world;
+        let Some(auditor) = world.trace.as_mut().and_then(|t| find_auditor_mut(t.sink_mut())) else { return };
+        let mut live: Vec<u64> = Vec::new();
+        for kind in world.queue.items() {
+            match kind {
+                EventKind::Arrival { cause, .. } => live.push(cause.root.0),
+                EventKind::Fanout(f) => live.push(f.root.0),
+                EventKind::FanoutCohort(c) => live.extend(c.runs.iter().map(|r| r.root.0)),
+                _ => {}
+            }
+        }
+        live.sort_unstable();
+        live.dedup();
+        auditor.retire_chains(|root| live.binary_search(&root).is_ok());
     }
 
     /// Refresh the auditor's truth (A1 only unless `check_counts`): re-read

@@ -252,6 +252,13 @@ impl<T> TimerWheel<T> {
         self.current.len()
     }
 
+    /// Every pending item, in no particular order: a scan of the queue for
+    /// what its events still refer to (`Sim::audit_checkpoint`).
+    pub fn items(&self) -> impl Iterator<Item = &T> {
+        let racked = self.nodes.iter().filter_map(|n| n.entry.as_ref());
+        racked.chain(&self.current).chain(&self.inbox).chain(&self.overflow).map(|e| &e.item)
+    }
+
     #[inline]
     fn bucket_of(&self, at: SimTime) -> u64 {
         at.0 >> self.shift
@@ -761,6 +768,12 @@ mod tests {
                         now = at;
                     }
                 }
+                // The scan sees exactly what is pending, wherever it sits.
+                let mut items: Vec<u32> = w.items().copied().collect();
+                let mut pending: Vec<u32> = h.heap.iter().map(|e| e.item).collect();
+                items.sort_unstable();
+                pending.sort_unstable();
+                assert_eq!(items, pending, "seed {seed}");
             }
             drain_both(w, h);
         }

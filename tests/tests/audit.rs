@@ -429,6 +429,60 @@ fn duplicating_forwarder_trips_no_dup_no_loop() {
     );
 }
 
+/// A forwarder that sends each data frame from interface 0 out both
+/// interfaces 1 and 2: two links to one receiver make two deliveries of one
+/// chain.
+struct SplitForwarder;
+
+impl Agent for SplitForwarder {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, bytes: &Payload, class: TrafficClass) {
+        if class == TrafficClass::Data && iface == IfaceId(0) {
+            for out in [IfaceId(1), IfaceId(2)] {
+                ctx.send(out, bytes, TrafficClass::Data, netsim::engine::Reliability::Datagram, netsim::engine::Tx::AllOnLink);
+            }
+        }
+    }
+}
+
+/// A checkpoint retires only the chains with nothing queued: a chain
+/// whose second copy is still on a slow link when it runs keeps what it
+/// has delivered, and the copy's arrival after it is a duplicate.
+#[test]
+fn a_chain_in_flight_at_a_checkpoint_keeps_its_a2_state() {
+    let mut t = Topology::new();
+    let fwd = t.add_router();
+    let src = t.add_host();
+    t.connect(fwd, src, LinkSpec::default()).unwrap();
+    let rcv = t.add_host();
+    t.connect(fwd, rcv, LinkSpec::default()).unwrap();
+    t.connect(fwd, rcv, LinkSpec { latency: SimDuration::from_millis(100), ..LinkSpec::default() }).unwrap();
+    let mut sim = Sim::new(t, 3);
+    sim.set_agent(fwd, Box::new(SplitForwarder));
+    sim.set_agent(src, Box::new(PulseSource));
+    sim.set_agent(rcv, Box::new(CountingSink));
+    sim.add_trace_sink(Box::new(Auditor::default()));
+    // Two pulses: the first chain is over by the checkpoint, the second has
+    // delivered once and has its slow copy queued.
+    sim.schedule_timer_at(src, at_ms(10), 1);
+    sim.schedule_timer_at(src, at_ms(200), 1);
+    sim.run_until(at_ms(120));
+    sim.audit_checkpoint();
+    sim.run_until(at_ms(250));
+    sim.audit_checkpoint();
+    assert_eq!(sim.stats().named("host.data_rx"), 3, "the second copy of the second pulse is on its way");
+    sim.run_until(at_ms(400));
+
+    let auditor = finish_audit(&mut sim);
+    let dups: Vec<Option<u64>> = auditor
+        .violations()
+        .iter()
+        .filter(|v| v.check == AuditCheck::NoDupNoLoop)
+        .map(|v| v.root.map(|r| r.0))
+        .collect();
+    assert_eq!(dups.len(), 2, "both chains delivered twice: {:?}", auditor.report().to_text());
+    assert_ne!(dups[0], dups[1]);
+}
+
 // ---- A4 firing path -----------------------------------------------------
 
 /// A DVMRP router that drops the stream never delivers to the joined
