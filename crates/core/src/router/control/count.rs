@@ -105,6 +105,12 @@ impl Control<'_> {
             ReplyTo::Local => {
                 self.local_results.push((env.now(), channel, count_id, total));
             }
+            // A subscriberId total cut short by the deadline is no answer
+            // when it reads 0: upstream, a Count(0) from a neighbor it
+            // queried is that neighbor's prune, and would cut off the
+            // members whose replies were late (§3.1's partial reply is
+            // still sent whenever it counts someone).
+            ReplyTo::Upstream(_) if total == 0 && count_id == CountId::SUBSCRIBERS && !pc.complete() => {}
             ReplyTo::Upstream(up) => {
                 // Find the interface for the upstream requester.
                 let iface = self

@@ -1,7 +1,7 @@
 //! The two protocol bugs ROADMAP item 1 names, each as the smallest
-//! reproduction built from the workspace crates alone. Both tests are
-//! ignored until the fix lands; `cargo test --test known_bugs -- --ignored`
-//! shows them failing.
+//! reproduction built from the workspace crates alone, and bug (ii) again at
+//! the paper's scale. A test is ignored until its fix lands; `cargo test
+//! --test known_bugs -- --ignored` shows the open one failing.
 //!
 //! The oracle is the forwarding state itself: from the source's router,
 //! follow each FIB's outgoing interfaces into neighbours whose own entry
@@ -13,6 +13,7 @@ use express::router::{EcmpRouter, RouterConfig};
 use express_wire::addr::Channel;
 use express_wire::ecmp::CountId;
 use netsim::time::{SimDuration, SimTime};
+use netsim::topogen;
 use netsim::topology::LinkSpec;
 use netsim::{IfaceId, LinkId, NodeId, NodeKind, Sim, Topology};
 use std::collections::BTreeSet;
@@ -101,10 +102,10 @@ fn an_on_cycle_flap_leaves_every_member_on_the_tree() {
 /// and neighbour probes off, so every hop takes the default 200 ms off a
 /// query's budget: a 500 ms subscriberId `CountQuery` reaches the third
 /// hop with the 10 ms floor, and from there each parent times out before
-/// its child can answer. The starved routers reply `Count(0)`, which their
-/// parents take as an unsubscription, and the member is pruned.
+/// its child can answer. The starved routers replied `Count(0)`, which
+/// their parents took as an unsubscription, and the member was pruned;
+/// now a partial total of 0 is not sent.
 #[test]
-#[ignore = "bug (ii): a partial CountQuery reply of 0 is taken as an unsubscription and prunes a live member"]
 fn a_starved_count_query_prunes_no_member() {
     let mut t = Topology::new();
     let r: Vec<_> = (0..8).map(|_| t.add_router()).collect();
@@ -121,4 +122,33 @@ fn a_starved_count_query_prunes_no_member() {
     ExpressHost::schedule(&mut sim, hosts[0], at_ms(2_000), query);
     sim.run_until(at_ms(60_000));
     assert_eq!(fib_reach(&mut sim, r[0], chan), BTreeSet::from([hosts[7]]));
+}
+
+/// Bug (ii) at the paper's scale: on `kary_tree(2, 10)` with probes off, a
+/// 1 s count (below 200 ms × depth) starves the lower levels. Their zero
+/// partial replies used to prune whole subtrees, the top of the tree left
+/// and every member was cut off under routers that still held state.
+#[test]
+fn a_starved_count_on_the_tree_prunes_no_member() {
+    const DEPTH: usize = 10;
+    let g = topogen::kary_tree(2, DEPTH, LinkSpec::default());
+    let (src, members) = (g.hosts[0], &g.hosts[1..]);
+    let chan = Channel::new(g.topo.ip(src), 1).unwrap();
+    let root = g.topo.neighbors_on(src, IfaceId(0))[0].0;
+    let mut sim = Sim::new(g.topo, 1);
+    let cfg = RouterConfig { neighbor_probe: None, ..RouterConfig::default() };
+    for &r in &g.routers {
+        sim.set_agent(r, Box::new(EcmpRouter::new(cfg)));
+    }
+    for &h in &g.hosts {
+        sim.set_agent(h, Box::new(ExpressHost::new()));
+    }
+    for (i, &h) in members.iter().enumerate() {
+        let at = SimTime(1_000 + i as u64 * 100_000 / members.len() as u64);
+        ExpressHost::schedule(&mut sim, h, at, HostAction::Subscribe { channel: chan, key: None });
+    }
+    let query = HostAction::CountQuery { channel: chan, count_id: CountId::SUBSCRIBERS, timeout: SimDuration::from_secs(1) };
+    ExpressHost::schedule(&mut sim, src, at_ms(2_000), query);
+    sim.run_until(at_ms(10_000));
+    assert_eq!(fib_reach(&mut sim, root, chan), members.iter().copied().collect());
 }
