@@ -19,6 +19,7 @@ use netsim::stats::{CounterId, TrafficClass};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::ProtoEvent;
 use netsim::transport::RttEstimator;
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 mod count;
@@ -301,55 +302,10 @@ impl Timers {
 /// A unicast ECMP message waiting for the end of the dispatch.
 type Queued = (IfaceId, Ipv4Addr, EcmpMessage);
 
-/// Messages a dispatch queues in place before its [`Outbox`] spills.
-const OUTBOX_INLINE: usize = 8;
-
-/// The unicast ECMP messages one dispatch queues for [`Port::flush`]: the
-/// first [`OUTBOX_INLINE`] in place, on the dispatch's stack with the
-/// [`Control`] that holds it, the rest of a bigger batch (a re-home or
-/// re-advertisement of many channels) in a `Vec`. Nothing of it outlives
-/// the dispatch, and a dispatch that sends a few messages allocates none.
-#[derive(Default)]
-pub(super) struct Outbox {
-    inline: [Option<Queued>; OUTBOX_INLINE],
-    len: usize,
-    spilled: Vec<Queued>,
-}
-
-impl Outbox {
-    fn push(&mut self, q: Queued) {
-        if self.len < OUTBOX_INLINE && self.spilled.is_empty() {
-            self.inline[self.len] = Some(q);
-            self.len += 1;
-        } else {
-            if self.spilled.capacity() == 0 {
-                // One block for a re-home of up to 32 channels.
-                self.spilled.reserve_exact(8 * OUTBOX_INLINE);
-            }
-            self.spilled.push(q);
-        }
-    }
-
-    fn first(&self) -> Option<Queued> {
-        self.iter().next().copied()
-    }
-
-    /// The queued messages, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &Queued> + Clone {
-        self.inline[..self.len].iter().flatten().chain(&self.spilled)
-    }
-
-    fn retain(&mut self, keep: impl Fn(&Queued) -> bool) {
-        let mut n = 0;
-        for i in 0..self.len {
-            if let Some(q) = self.inline[i].take().filter(&keep) {
-                self.inline[n] = Some(q);
-                n += 1;
-            }
-        }
-        self.len = n;
-        self.spilled.retain(keep);
-    }
+thread_local! {
+    /// The send queue of the dispatch running on this thread, between
+    /// dispatches: it keeps its capacity, so no router keeps one.
+    static SPARE_TXQ: Cell<Vec<Queued>> = const { Cell::new(Vec::new()) };
 }
 
 /// What the control plane knows, each map in ascending key order: whatever
@@ -438,7 +394,7 @@ impl ControlPlane {
     pub(super) fn control<'a>(&'a mut self, cfg: &'static RouterConfig, fib: &'a mut Fib, ids: EcmpCounters) -> Control<'a> {
         let ControlPlane { tables, timers, local_results, counters, .. } = self;
         Control {
-            port: Port { cfg, fib, counters, ids, txq: Outbox::default(), timers },
+            port: Port { cfg, fib, counters, ids, txq: Vec::new(), timers },
             local_results,
             t: tables,
         }
@@ -473,8 +429,9 @@ pub(super) struct Port<'a> {
     counters: &'a mut RouterCounters,
     pub(super) ids: EcmpCounters,
     /// Unicast messages queued within this dispatch, flushed (batched per
-    /// neighbor) before the callback returns.
-    txq: Outbox,
+    /// neighbor) before the callback returns: the thread's spare queue,
+    /// taken by the first message and given back by the flush.
+    txq: Vec<Queued>,
     pub(super) timers: &'a mut Timers,
 }
 
@@ -499,6 +456,9 @@ impl Port<'_> {
             EcmpMessage::CountQuery(_) => env.count_id(self.ids.query_tx, 1),
             EcmpMessage::CountResponse(_) => env.count_id(self.ids.response_tx, 1),
         }
+        if self.txq.capacity() == 0 {
+            self.txq = SPARE_TXQ.take();
+        }
         self.txq.push((iface, to, msg));
     }
 
@@ -508,7 +468,7 @@ impl Port<'_> {
     /// segment is written once, into the buffer its receivers will share.
     /// Called at the end of every agent callback that ran a handler.
     pub(super) fn flush(&mut self, env: &mut impl ControlEnv) {
-        while let Some((iface, to, _)) = self.txq.first() {
+        while let Some(&(iface, to, _)) = self.txq.first() {
             let mode = iface_mode(self.cfg, env, iface);
             let rel = match mode {
                 EcmpMode::Tcp => Reliability::Reliable,
@@ -519,17 +479,18 @@ impl Port<'_> {
                 None => Tx::AllOnLink,
             };
             let bound_here = |q: &Queued| q.0 == iface && q.1 == to;
-            {
-                let mut messages = self.txq.iter().filter(|q| bound_here(q)).map(|q| q.2);
-                let n = messages.clone().count();
-                if n > 1 {
-                    env.count_id(self.ids.batched_msgs, n as u64);
-                }
-                while let Some(frame) = packets::ecmp_segment(env.my_ip(), to, mode, &mut messages) {
-                    env.send_shared(iface, frame, TrafficClass::Control, rel, tx);
-                }
+            let mut messages = self.txq.iter().filter(|q| bound_here(q)).map(|q| q.2);
+            let n = messages.clone().count();
+            if n > 1 {
+                env.count_id(self.ids.batched_msgs, n as u64);
+            }
+            while let Some(frame) = packets::ecmp_segment(env.my_ip(), to, mode, &mut messages) {
+                env.send_shared(iface, frame, TrafficClass::Control, rel, tx);
             }
             self.txq.retain(|q| !bound_here(q));
+        }
+        if self.txq.capacity() > 0 {
+            SPARE_TXQ.set(std::mem::take(&mut self.txq));
         }
     }
 
@@ -590,11 +551,10 @@ mod tests {
         // pointer 8. The plane is 480 B: its tables 280 (the channel table's
         // inline record 144, the pending list and three maps 24 each, a
         // generation 8, the spare ring 32), the timers 32, the counter
-        // handles 68 (+ 4), the local results 24 and the counters 72. A
-        // count keeps its state in
-        // neither: its aggregation is a list entry freed when it finishes,
-        // its deadline a timer token, its messages a queue on the
-        // dispatch's stack (504 B while the plane held that queue).
+        // handles 68 (+ 4), the local results 24 and the counters 72. A count
+        // keeps its state in neither: its aggregation is a list entry freed
+        // when it finishes, its deadline a timer token, its messages the
+        // thread's spare send queue (504 B while each plane held its own).
         use std::mem::size_of;
         assert_eq!(size_of::<ChannelState>(), 144);
         assert!(size_of::<ControlPlane>() <= 480, "{}", size_of::<ControlPlane>());

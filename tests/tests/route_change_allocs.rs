@@ -1,8 +1,7 @@
 //! What a route-change sweep allocates, pinned without the host clock: a
 //! router re-asks RPF for every channel it holds on every route change, and
 //! a sweep in which no channel moved allocates nothing; one that re-homes
-//! channels allocates the frames it sends, one list of what moved and,
-//! past eight messages, one block they spill into.
+//! channels allocates the frames it sends and one list of what moved.
 //!
 //! A binary of its own: the counting allocator (`counting_alloc`) is
 //! process-wide.
@@ -135,17 +134,15 @@ fn a_sweep_allocates_nothing_unless_a_channel_moves_and_then_its_frames_and_one_
     assert_eq!(transition(&mut sim, taps, 1_000, stub, false), (0, 0));
     assert_eq!(transition(&mut sim, taps, 1_200, stub, true), (0, 0));
     // The nearer upstream comes up and every channel moves to it: a Count
-    // segment to it, one of zero Counts to the old upstream.
+    // segment to it, one of zero Counts to the old upstream. The first such
+    // sweep grows the router's send queue to a re-home's size; it keeps it.
     transition(&mut sim, taps, 2_000, near, true);
     // After the hold-down (2 s): back over the far upstream (the frames to
     // the downed one are sent, and lost) and over the near one again.
     transition(&mut sim, taps, 5_000, near, false);
     let (allocs, frames) = transition(&mut sim, taps, 8_000, near, true);
     assert_eq!(frames, 2, "one segment to each upstream");
-    // The sweep's 48 messages overflow the 8 a dispatch queues in place
-    // into one block, freed when the dispatch ends (the router keeps no
-    // send queue between dispatches).
-    assert_eq!(allocs, frames + 2, "the frames, the list of moved channels and the spilled messages");
+    assert_eq!(allocs, frames + 1, "the frames and the list of moved channels");
     // And quiet again.
     assert_eq!(transition(&mut sim, taps, 9_000, stub, false), (0, 0));
 }
